@@ -227,22 +227,23 @@ def check_microlinear(
     r = x.dim
     if r == 0:
         return Verdict(True, f"{x.name} is the zero object; both sides vanish")
+    # Lifting X = R^r puts I_r (x) B in place of every block B below, so each
+    # matrix is a row and column permutation of I_r (x) its r = 1 form.  So
+    # decide at r = 1: ranks scale by r, and the containment product is zero
+    # exactly when its r = 1 form is.
     apex_d = cone.apex.dimension
     obj_dims = [w.dimension for w in cone.objects]
-    total = r * sum(obj_dims)
+    total = sum(obj_dims)
 
-    ident = Matrix.identity(r)
     canonical = vstack(
-        [ident.kron(leg.matrix) for leg in cone.legs], cols=r * apex_d
-    ) if cone.legs else Matrix([], cols=r * apex_d)
+        [leg.matrix for leg in cone.legs], cols=apex_d
+    ) if cone.legs else Matrix([], cols=apex_d)
 
     rows = []
     for s, t, phi in cone.arrows:
-        blocks = [
-            Matrix.zeros(r * obj_dims[t], r * dj) for dj in obj_dims
-        ]
-        blocks[s] = blocks[s] + ident.kron(phi.matrix)
-        blocks[t] = blocks[t] - Matrix.identity(r * obj_dims[t])
+        blocks = [Matrix.zeros(obj_dims[t], dj) for dj in obj_dims]
+        blocks[s] = blocks[s] + phi.matrix
+        blocks[t] = blocks[t] - Matrix.identity(obj_dims[t])
         rows.append(hstack(blocks))
     # base points must also be identified across the family: that gluing is
     # what the scalar-fibered product encodes, and it is implied by the
@@ -251,9 +252,9 @@ def check_microlinear(
         Matrix([w.aug_covector], cols=w.dimension) for w in cone.objects
     ]
     for i in range(len(cone.objects) - 1):
-        blocks = [Matrix.zeros(r, r * dj) for dj in obj_dims]
-        blocks[i] = blocks[i] + ident.kron(aug_rows[i])
-        blocks[i + 1] = blocks[i + 1] - ident.kron(aug_rows[i + 1])
+        blocks = [Matrix.zeros(1, dj) for dj in obj_dims]
+        blocks[i] = blocks[i] + aug_rows[i]
+        blocks[i + 1] = blocks[i + 1] - aug_rows[i + 1]
         rows.append(hstack(blocks))
     constraints = vstack(rows, cols=total) if rows else Matrix([], cols=total)
 
@@ -263,9 +264,9 @@ def check_microlinear(
         contained = all(
             e.is_zero for row in product.entries for e in row
         )
-    rank_c = canonical.rank()
+    rank_c = r * canonical.rank()
     injective = rank_c == r * apex_d
-    nullity = total - constraints.rank()
+    nullity = r * (total - constraints.rank())
     onto = nullity == rank_c
     ok = contained and injective and onto
     cert = (

@@ -45,9 +45,7 @@ class Scalar:
             value = value.value
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
-        if isinstance(value, int):
-            value = Fraction(value)
-        elif isinstance(value, str):
+        if isinstance(value, (int, str)):
             value = Fraction(value)
         if not isinstance(value, (Fraction, float)):
             raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
@@ -55,93 +53,68 @@ class Scalar:
 
     @property
     def mode(self) -> Mode:
-        return Mode.EXACT if isinstance(self.value, Fraction) else Mode.FLOAT
+        # a float test: Fraction's isinstance goes through the ABC machinery
+        return Mode.FLOAT if isinstance(self.value, float) else Mode.EXACT
 
     @staticmethod
     def exact(value) -> "Scalar":
         if isinstance(value, float):
             raise ModeError("float given where an exact rational is required")
-        return Scalar(value)
-
-    @staticmethod
-    def from_float(value) -> "Scalar":
-        return Scalar(float(value))
+        return value if isinstance(value, Scalar) else Scalar(value)
 
     @staticmethod
     def zero(mode: Mode) -> "Scalar":
-        return Scalar(Fraction(0)) if mode is Mode.EXACT else Scalar(0.0)
+        return _ZERO if mode is Mode.EXACT else _FZERO
 
     @staticmethod
     def one(mode: Mode) -> "Scalar":
-        return Scalar(Fraction(1)) if mode is Mode.EXACT else Scalar(1.0)
-
-    def _coerced(self, other) -> "Scalar":
-        # ints are mode-agnostic; everything else must already match.
-        if isinstance(other, int) and not isinstance(other, bool):
-            return Scalar(float(other)) if self.mode is Mode.FLOAT else Scalar(other)
-        if isinstance(other, Fraction):
-            other = Scalar(other)
-        elif isinstance(other, float):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
-        if other.mode is not self.mode:
-            raise ModeError(f"mixed-mode operation: {self!r} with {other!r}")
-        return other
+        return _ONE if mode is Mode.EXACT else _FONE
 
     def __add__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.value + other.value)
+        return _scalar(self.value + _raw(other, self.mode))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.value - other.value)
+        return _scalar(self.value - _raw(other, self.mode))
 
     def __rsub__(self, other):
-        other = self._coerced(other)
-        return Scalar(other.value - self.value)
+        return _scalar(_raw(other, self.mode) - self.value)
 
     def __mul__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.value * other.value)
+        return _scalar(self.value * _raw(other, self.mode))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerced(other)
-        if other.is_zero:
+        other = _raw(other, self.mode)
+        if other == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.value / other.value)
+        return _scalar(self.value / other)
 
     def __rtruediv__(self, other):
-        other = self._coerced(other)
+        other = _raw(other, self.mode)
         if self.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(other.value / self.value)
+        return _scalar(other / self.value)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("Scalar exponents must be int")
         if n < 0 and self.is_zero:
             raise ZeroDivisionError("zero to a negative power")
-        return Scalar(self.value ** n)
+        return _scalar(self.value**n)
 
     def __neg__(self):
-        return Scalar(-self.value)
+        return _scalar(-self.value)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float)) and not isinstance(other, bool):
-            try:
-                other = self._coerced(other)
-            except ModeError:
-                return False
-        if not isinstance(other, Scalar):
+        if isinstance(other, bool) or not isinstance(other, (Scalar, int, Fraction, float)):
             return NotImplemented
-        if other.mode is not self.mode:
+        try:
+            return self.value == _raw(other, self.mode)
+        except ModeError:
             return False
-        return self.value == other.value
 
     def __hash__(self):
         return hash(self.value)
@@ -154,7 +127,7 @@ class Scalar:
         return not self.is_zero
 
     def to_float(self) -> "Scalar":
-        return Scalar(float(self.value))
+        return _scalar(float(self.value))
 
     def as_fraction(self) -> Fraction:
         if self.mode is not Mode.EXACT:
@@ -170,31 +143,61 @@ class Scalar:
         return f"Scalar({self})"
 
 
+_new = object.__new__
+
+
+def _scalar(value) -> Scalar:
+    """Wrap a Fraction or float the kernel computed itself, skipping validation."""
+    s = _new(Scalar)
+    s.value = value
+    return s
+
+
+# Scalars are immutable, so the kernel shares these instead of rebuilding them
+_ZERO, _ONE = _scalar(Fraction(0)), _scalar(Fraction(1))
+_FZERO, _FONE = _scalar(0.0), _scalar(1.0)
+
+
+def _wrap_row(values, exact: bool):
+    return tuple([_scalar(v) if v or not exact else _ZERO for v in values])
+
+
+def _raw(value, mode: Mode):
+    """The Fraction or float inside an operand, checked against `mode`.
+
+    ints are mode-agnostic and convert; anything else must already match.
+    """
+    if isinstance(value, Scalar):
+        value = value.value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value) if mode is Mode.EXACT else float(value)
+    elif not isinstance(value, (Fraction, float)):
+        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+    if isinstance(value, float) is (mode is Mode.EXACT):
+        raise ModeError(f"mixed-mode operation: {mode.value} value with {value!r}")
+    return value
+
+
+def _joint_mode(*matrices) -> Mode:
+    """The one mode of the operands that hold entries (exact if none do)."""
+    modes = {m.mode for m in matrices if m.rows and m.cols}
+    if len(modes) > 1:
+        raise ModeError("mixed-mode operation on exact and float matrices")
+    return modes.pop() if modes else Mode.EXACT
+
+
 def qq(value) -> Scalar:
     """Shorthand for an exact Scalar."""
     return Scalar.exact(value)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c: Scalar, v):
-    return tuple(c * a for a in v)
-
-
 def zero_vector(n: int, mode: Mode = Mode.EXACT):
-    return tuple(Scalar.zero(mode) for _ in range(n))
+    return (Scalar.zero(mode),) * n
 
 
 def unit_vector(n: int, i: int, mode: Mode = Mode.EXACT):
-    return tuple(
-        Scalar.one(mode) if j == i else Scalar.zero(mode) for j in range(n)
-    )
+    zero, one = Scalar.zero(mode), Scalar.one(mode)
+    return tuple(one if j == i else zero for j in range(n))
 
 
 class Matrix:
@@ -222,10 +225,17 @@ class Matrix:
             if cols is not None and cols != self.cols:
                 raise ValueError("column count disagrees with the rows")
         mode = self.mode
-        for row in self.entries:
-            for e in row:
-                if e.mode is not mode:
-                    raise ModeError("matrix entries mix exact and float modes")
+        if any(e.mode is not mode for row in self.entries for e in row):
+            raise ModeError("matrix entries mix exact and float modes")
+
+    @classmethod
+    def _of(cls, entries, cols: int) -> "Matrix":
+        """Matrix around one-mode rows of Scalars the kernel built itself."""
+        self = _new(cls)
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = cols
+        return self
 
     @property
     def mode(self) -> Mode:
@@ -235,11 +245,11 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix([unit_vector(n, i, mode) for i in range(n)], cols=n)
+        return Matrix._of(tuple(unit_vector(n, i, mode) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix([zero_vector(cols, mode) for _ in range(rows)], cols=cols)
+        return Matrix._of((zero_vector(cols, mode),) * rows, cols)
 
     @staticmethod
     def from_columns(columns, rows: int | None = None) -> "Matrix":
@@ -254,62 +264,64 @@ class Matrix:
     def column(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def row(self, i: int):
         return self.entries[i]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
+    # Exact loops skip zero terms; float loops keep every term, summed left
+    # to right, since 0 * inf is nan and 0 * -1.0 is -0.0.
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        mode = self.mode if self.rows and self.cols else other.mode
+        exact = _joint_mode(self, other) is Mode.EXACT
+        right = [
+            [(j, e.value) for j, e in enumerate(row) if e.value or not exact]
+            for row in other.entries
+        ]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Scalar.zero(mode)
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out, cols=other.cols)
+        for row in self.entries:
+            acc = [0 if exact else 0.0] * other.cols
+            for t, e in enumerate(row):
+                x = e.value
+                if x or not exact:
+                    for j, y in right[t]:
+                        acc[j] += x * y
+            out.append(_wrap_row(acc, exact))
+        return Matrix._of(tuple(out), other.cols)
 
     def apply(self, vec):
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        mode = self.mode
+        if not self.rows:
+            return ()
+        exact = self.mode is Mode.EXACT
+        vals = [_raw(v, self.mode) for v in vec]
+        terms = [(t, y) for t, y in enumerate(vals) if y or not exact]
         out = []
-        for i in range(self.rows):
-            acc = Scalar.zero(mode)
-            for t in range(self.cols):
-                acc = acc + self.entries[i][t] * vec[t]
+        for row in self.entries:
+            acc = 0 if exact else 0.0
+            for t, y in terms:
+                x = row[t].value
+                if x or not exact:
+                    acc += x * y
             out.append(acc)
-        return tuple(out)
+        return _wrap_row(out, exact)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Matrix(
-            [vadd(r, s) for r, s in zip(self.entries, other.entries)], cols=self.cols
+            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
+            cols=self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Matrix(
-            [vsub(r, s) for r, s in zip(self.entries, other.entries)], cols=self.cols
+            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
+            cols=self.cols,
         )
-
-    def scaled(self, c: Scalar) -> "Matrix":
-        return Matrix([vscale(c, r) for r in self.entries], cols=self.cols)
 
     @property
     def shape(self):
@@ -326,13 +338,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
-        )
-
     def _require_exact(self, what: str):
         if self.mode is not Mode.EXACT:
             raise ModeError(f"{what} requires exact mode; got float entries")
@@ -340,29 +345,28 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.  Returns (rows, pivot column list)."""
         self._require_exact("row reduction")
-        rows = [list(r) for r in self.entries]
+        rows = [[e.value for e in r] for r in self.entries]
         pivots = []
         r = 0
         for c in range(self.cols):
-            if r == len(rows):
-                break
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if not rows[i][c].is_zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+            i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if i is None:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = Scalar.one(Mode.EXACT) / rows[r][c]
-            rows[r] = [inv * e for e in rows[r]]
-            for i in range(len(rows)):
-                if i != r and not rows[i][c].is_zero:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            rows[r], rows[i] = rows[i], rows[r]
+            inv = 1 / rows[r][c]
+            # the pivot row is zero left of c; only its nonzeros eliminate
+            pivot = [(j, x * inv) for j, x in enumerate(rows[r]) if j >= c and x]
+            row = rows[r]
+            for j, x in pivot:
+                row[j] = x
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j, x in pivot:
+                        row[j] -= f * x
             pivots.append(c)
             r += 1
-        return [tuple(row) for row in rows], pivots
+        return [_wrap_row(row, True) for row in rows], pivots
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -375,31 +379,25 @@ class Matrix:
         self._require_exact("matrix inversion")
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        n = self.rows
-        aug = Matrix(
-            [list(self.entries[i]) + list(unit_vector(n, i)) for i in range(n)],
-            cols=2 * n,
-        )
-        rows, pivots = aug.rref()
-        if pivots != list(range(n)):
+        inv = solve_matrix(self, Matrix.identity(self.rows))
+        if isinstance(inv, SolveFailure):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in rows], cols=n)
+        return inv
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
-        out_rows = self.rows * other.rows
-        out_cols = self.cols * other.cols
-        if out_rows == 0:
-            return Matrix([], cols=out_cols)
+        exact = _joint_mode(self, other) is Mode.EXACT
+        right = [[e.value for e in row] for row in other.entries]
+        zeros = (_ZERO,) * other.cols
         out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for l in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[k][l])
-                out.append(row)
-        return Matrix(out, cols=out_cols)
+        for row in self.entries:
+            for b in right:
+                cells = []
+                for e in row:
+                    a = e.value
+                    cells.extend(_wrap_row([a * y for y in b], exact) if a or not exact else zeros)
+                out.append(tuple(cells))
+        return Matrix._of(tuple(out), self.cols * other.cols)
 
 
 def hstack(matrices) -> Matrix:
@@ -407,13 +405,9 @@ def hstack(matrices) -> Matrix:
     rows = matrices[0].rows
     if any(m.rows != rows for m in matrices):
         raise ValueError("row counts differ")
-    cols = sum(m.cols for m in matrices)
-    if rows == 0:
-        return Matrix([], cols=cols)
-    return Matrix(
-        [sum((list(m.entries[i]) for m in matrices), []) for i in range(rows)],
-        cols=cols,
-    )
+    _joint_mode(*matrices)
+    entries = zip(*(m.entries for m in matrices))
+    return Matrix._of(tuple(sum(row, ()) for row in entries), sum(m.cols for m in matrices))
 
 
 def vstack(matrices, cols: int | None = None) -> Matrix:
@@ -425,10 +419,8 @@ def vstack(matrices, cols: int | None = None) -> Matrix:
     width = matrices[0].cols
     if any(m.cols != width for m in matrices):
         raise ValueError("column counts differ")
-    entries = []
-    for m in matrices:
-        entries.extend(m.entries)
-    return Matrix(entries, cols=width)
+    _joint_mode(*matrices)
+    return Matrix._of(sum((m.entries for m in matrices), ()), width)
 
 
 def kernel_basis(m: Matrix):
@@ -458,28 +450,14 @@ def solve_unique(m: Matrix, rhs):
     values; the caller decides which outcomes are errors.
     """
     m._require_exact("solve_unique")
-    rhs = tuple(e if isinstance(e, Scalar) else Scalar(e) for e in rhs)
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    out = solve_affine(m, rhs)
-    if out is NO_SOLUTION:
-        return NO_SOLUTION
-    particular, homogeneous = out
-    if homogeneous:
-        return NOT_UNIQUE
-    return particular
+    x = solve_matrix(m, Matrix.from_columns([tuple(rhs)], rows=m.rows))
+    return x if isinstance(x, SolveFailure) else x.column(0)
 
 
 def solve_affine(m: Matrix, rhs):
     """General exact solve: (particular solution, kernel basis) or NO_SOLUTION."""
     m._require_exact("solve_affine")
-    rhs = tuple(e if isinstance(e, Scalar) else Scalar(e) for e in rhs)
-    if m.rows == 0:
-        return zero_vector(m.cols), kernel_basis(m)
-    aug = Matrix(
-        [list(m.entries[i]) + [rhs[i]] for i in range(m.rows)], cols=m.cols + 1
-    )
-    rows, pivots = aug.rref()
+    rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
     if m.cols in pivots:
         return NO_SOLUTION
     particular = [Scalar.zero(Mode.EXACT)] * m.cols
@@ -489,14 +467,27 @@ def solve_affine(m: Matrix, rhs):
 
 
 def solve_matrix(m: Matrix, rhs: Matrix):
-    """Solve m X = rhs column by column, expecting uniqueness throughout."""
-    cols = []
-    for j in range(rhs.cols):
-        x = solve_unique(m, rhs.column(j))
-        if isinstance(x, SolveFailure):
-            return x
-        cols.append(x)
-    return Matrix.from_columns(cols, rows=m.cols)
+    """Solve m X = rhs expecting a unique solution for every column.
+
+    One elimination of [m | rhs] decides every column.  With a nonzero
+    kernel the answer is NO_SOLUTION if column 0 is inconsistent, else
+    NOT_UNIQUE; with a zero kernel, NO_SOLUTION if any column is.
+    """
+    if not rhs.cols:
+        return Matrix.from_columns([], rows=m.cols)
+    m._require_exact("solve_matrix")
+    if rhs.rows != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    n = m.cols
+    rows, pivots = hstack([m, rhs]).rref()
+    rank = sum(p < n for p in pivots)
+    # rows past the rank are zero on m's side, so a nonzero there reads 0 = b
+    bad = [any(row[n + j].value for row in rows[rank:]) for j in range(rhs.cols)]
+    if rank < n:
+        return NO_SOLUTION if bad[0] else NOT_UNIQUE
+    if any(bad):
+        return NO_SOLUTION
+    return Matrix._of(tuple(row[n:] for row in rows[:n]), rhs.cols)
 
 
 def span_contains(basis, vector) -> bool:
@@ -504,7 +495,8 @@ def span_contains(basis, vector) -> bool:
     if not basis:
         return all(e.is_zero for e in vector)
     m = Matrix.from_columns(basis)
-    return solve_affine(m, vector) is not NO_SOLUTION
+    _, pivots = hstack([m, Matrix.from_columns([tuple(vector)])]).rref()
+    return m.cols not in pivots
 
 
 def spans_equal(basis_a, basis_b) -> bool:

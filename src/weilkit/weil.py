@@ -24,6 +24,9 @@ from .exactlin import (
     NO_SOLUTION,
     Scalar,
     SolveFailure,
+    _raw,
+    _scalar,
+    _wrap_row,
     hstack,
     kernel_basis,
     qq,
@@ -88,6 +91,9 @@ class WeilAlgebra:
         "labels",
         "tensor_info",
         "_chain",
+        "_codes",
+        "_by_code",
+        "_sparse",
     )
 
     # ----- construction -------------------------------------------------
@@ -100,6 +106,7 @@ class WeilAlgebra:
         self = object.__new__(cls)
         self.tensor_info = None
         self._chain = None
+        self._sparse = None
         return self
 
     @classmethod
@@ -155,6 +162,13 @@ class WeilAlgebra:
         self.relations = rels
         self.basis = tuple(basis)
         self._index = {e: i for i, e in enumerate(self.basis)}
+        # mixed-radix monomial codes: exponents of a product of two basis
+        # monomials stay below 2*bound - 1, so codes add like exponents
+        strides = [1]
+        for b in bounds[:-1]:
+            strides.append(strides[-1] * (2 * b - 1))
+        self._codes = [sum(e * t for e, t in zip(exps, strides)) for exps in self.basis]
+        self._by_code = {c: i for i, c in enumerate(self._codes)}
         self.dimension = len(basis)
         self.table = None
         self.aug_covector = unit_vector(self.dimension, 0)
@@ -279,14 +293,24 @@ class WeilAlgebra:
         chain = self._ideal_chain()
         return chain[0] if chain else []
 
+    def _terms(self, i: int, j: int):
+        """Nonzero (index, Fraction) pairs of basis[i] * basis[j]."""
+        if self.flavor == "presented":
+            k = self._by_code.get(self._codes[i] + self._codes[j])
+            return [] if k is None else [(k, _ONE)]
+        if self._sparse is None:
+            self._sparse = [
+                [[(k, c.value) for k, c in enumerate(vec) if c.value] for vec in row]
+                for row in self.table
+            ]
+        return self._sparse[i][j]
+
     def structure_vector(self, i: int, j: int):
         """Coefficients of basis[i] * basis[j]."""
         if self.flavor == "tabled":
             return self.table[i][j]
-        e = tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
-        k = self._index.get(e)
         vec = [Scalar.zero(Mode.EXACT)] * self.dimension
-        if k is not None:
+        for k, _ in self._terms(i, j):
             vec[k] = Scalar.one(Mode.EXACT)
         return tuple(vec)
 
@@ -300,10 +324,10 @@ class WeilAlgebra:
         return WeilElement(self, coeffs)
 
     def zero(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement(self, zero_vector(self.dimension, mode))
+        return WeilElement._of(self, zero_vector(self.dimension, mode))
 
     def one(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement(self, unit_vector(self.dimension, 0, mode))
+        return WeilElement._of(self, unit_vector(self.dimension, 0, mode))
 
     def scalar(self, value) -> "WeilElement":
         value = value if isinstance(value, Scalar) else Scalar(value)
@@ -312,7 +336,7 @@ class WeilAlgebra:
         return WeilElement(self, coeffs)
 
     def basis_element(self, i: int, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement(self, unit_vector(self.dimension, i, mode))
+        return WeilElement._of(self, unit_vector(self.dimension, i, mode))
 
     # ----- identity -----------------------------------------------------
 
@@ -372,6 +396,7 @@ def jet_line(order: int, name: str = "x") -> WeilAlgebra:
 
 
 _SMALL_NAMES = ("x", "y", "z")
+_ONE = Fraction(1)
 
 
 def first_order_infinitesimals(n: int) -> WeilAlgebra:
@@ -394,6 +419,14 @@ class WeilElement:
 
     __slots__ = ("algebra", "coeffs")
 
+    @classmethod
+    def _of(cls, algebra, coeffs) -> "WeilElement":
+        """Element around one-mode Scalars the kernel computed itself."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.coeffs = coeffs
+        return self
+
     def __init__(self, algebra: WeilAlgebra, coeffs):
         self.algebra = algebra
         coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
@@ -414,59 +447,55 @@ class WeilElement:
         if other.algebra != self.algebra:
             raise ValueError("elements live in different algebras")
 
+    # each Scalar operation below refuses mixed modes, so the results are
+    # one-mode and skip the constructor's checks
     def __add__(self, other):
         self._check_peer(other)
-        return WeilElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return WeilElement._of(
+            self.algebra, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __sub__(self, other):
         self._check_peer(other)
-        return WeilElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return WeilElement._of(
+            self.algebra, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __neg__(self):
-        return WeilElement(self.algebra, [-a for a in self.coeffs])
+        return WeilElement._of(self.algebra, tuple([-a for a in self.coeffs]))
 
     def scaled(self, c) -> "WeilElement":
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return WeilElement(self.algebra, [c * a for a in self.coeffs])
+        return WeilElement._of(self.algebra, tuple([c * a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction, Scalar)):
             return self.scaled(other)
         self._check_peer(other)
         alg = self.algebra
-        mode = self.mode
-        if other.mode is not mode:
+        if other.mode is not self.mode:
             raise ModeError("mixed-mode product of elements")
-        acc = [Scalar.zero(mode)] * alg.dimension
-        nz_a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero]
-        nz_b = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero]
+        exact = self.mode is Mode.EXACT
+        acc = [0 if exact else 0.0] * alg.dimension
+        nz_a = [(i, c.value) for i, c in enumerate(self.coeffs) if c.value]
+        nz_b = [(j, c.value) for j, c in enumerate(other.coeffs) if c.value]
         if alg.flavor == "presented":
-            basis = alg.basis
-            index = alg._index
+            codes = alg._codes
+            by_code = alg._by_code
             for i, a in nz_a:
-                ei = basis[i]
+                ci = codes[i]
                 for j, b in nz_b:
-                    e = tuple(x + y for x, y in zip(ei, basis[j]))
-                    k = index.get(e)
+                    k = by_code.get(ci + codes[j])
                     if k is not None:
-                        acc[k] = acc[k] + a * b
+                        acc[k] += a * b
         else:
-            table = alg.table
             for i, a in nz_a:
-                row = table[i]
                 for j, b in nz_b:
                     ab = a * b
-                    if ab.is_zero:
-                        continue
-                    for k, c in enumerate(row[j]):
-                        if not c.is_zero:
-                            cv = c if mode is Mode.EXACT else c.to_float()
-                            acc[k] = acc[k] + ab * cv
-        return WeilElement(alg, acc)
+                    if ab:
+                        for k, c in alg._terms(i, j):
+                            acc[k] += ab * (c if exact else float(c))
+        return WeilElement._of(alg, _wrap_row(acc, exact))
 
     __rmul__ = __mul__
 
@@ -656,17 +685,16 @@ class WeilMorphism:
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
             raise ValueError("element does not live in the source algebra")
-        mode = element.mode
-        out = [Scalar.zero(mode)] * self.target.dimension
+        exact = element.mode is Mode.EXACT
+        out = [0 if exact else 0.0] * self.target.dimension
         for j, c in enumerate(element.coeffs):
-            if c.is_zero:
-                continue
-            for i in range(self.target.dimension):
-                m = self.matrix.entries[i][j]
-                if not m.is_zero:
-                    mv = m if mode is Mode.EXACT else m.to_float()
-                    out[i] = out[i] + mv * c
-        return WeilElement(self.target, out)
+            c = c.value
+            if c:
+                for i, row in enumerate(self.matrix.entries):
+                    m = row[j].value
+                    if m:
+                        out[i] += (m if exact else float(m)) * c
+        return WeilElement._of(self.target, _wrap_row(out, exact))
 
     def compose(self, inner: "WeilMorphism") -> "WeilMorphism":
         """self after inner."""
@@ -818,19 +846,15 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
     d1, d2 = w1.dimension, w2.dimension
     pair_of_index = tuple((i1, i2) for i1 in range(d1) for i2 in range(d2))
     index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
+    zero = Scalar.zero(Mode.EXACT)
     table = []
     for (i1, i2) in pair_of_index:
         row = []
         for (j1, j2) in pair_of_index:
-            v1 = w1.structure_vector(i1, j1)
-            v2 = w2.structure_vector(i2, j2)
-            vec = [Scalar.zero(Mode.EXACT)] * (d1 * d2)
-            for k1, c1 in enumerate(v1):
-                if c1.is_zero:
-                    continue
-                for k2, c2 in enumerate(v2):
-                    if not c2.is_zero:
-                        vec[index_of_pair[(k1, k2)]] = c1 * c2
+            vec = [zero] * (d1 * d2)
+            for k1, c1 in w1._terms(i1, j1):
+                for k2, c2 in w2._terms(i2, j2):
+                    vec[index_of_pair[(k1, k2)]] = _scalar(c1 * c2)
             row.append(tuple(vec))
         table.append(tuple(row))
     aug = tuple(
@@ -864,6 +888,10 @@ def _gen_exp_padded(i, n1, n2, left):
     return tuple(e)
 
 
+def _nonzero_columns(m: Matrix):
+    return [[(k, e.value) for k, e in enumerate(col) if e.value] for col in zip(*m.entries)]
+
+
 def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=None):
     """phi (x) psi between tensor algebras, acting factorwise on pair bases."""
     if source is None:
@@ -874,17 +902,14 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
     ti = target.tensor_info
     if si is None or ti is None:
         raise MorphismError("tensor_morphism needs tensor-built source and target")
+    cols1, cols2 = _nonzero_columns(phi.matrix), _nonzero_columns(psi.matrix)
+    zero = Scalar.zero(Mode.EXACT)
     cols = []
     for (i1, i2) in si.pair_of_index:
-        c1 = phi.matrix.column(i1)
-        c2 = psi.matrix.column(i2)
-        vec = [Scalar.zero(Mode.EXACT)] * target.dimension
-        for k1, a in enumerate(c1):
-            if a.is_zero:
-                continue
-            for k2, b in enumerate(c2):
-                if not b.is_zero:
-                    vec[ti.index_of_pair[(k1, k2)]] = a * b
+        vec = [zero] * target.dimension
+        for k1, a in cols1[i1]:
+            for k2, b in cols2[i2]:
+                vec[ti.index_of_pair[(k1, k2)]] = _scalar(a * b)
         cols.append(tuple(vec))
     return WeilMorphism(
         source, target, Matrix.from_columns(cols, rows=target.dimension), check=False
@@ -908,7 +933,6 @@ class _ColumnSolver:
 
     def __init__(self, columns, length):
         self.count = len(columns)
-        self.length = length
         b = Matrix.from_columns(columns, rows=length)
         aug = hstack([b, Matrix.identity(length)])
         rows, pivots = aug.rref()
@@ -916,21 +940,17 @@ class _ColumnSolver:
         # rank exactly when its columns are the leading pivots
         if pivots[: self.count] != list(range(self.count)):
             raise ValueError("columns are not independent")
-        self.transform = [row[self.count :] for row in rows]
+        self.transform = [
+            [(t, c.value) for t, c in enumerate(row[self.count :]) if c.value]
+            for row in rows
+        ]
 
     def coords(self, vector):
-        vector = tuple(vector)
-        out = []
-        for r in range(self.length):
-            acc = Scalar.zero(Mode.EXACT)
-            for c, v in zip(self.transform[r], vector):
-                if not c.is_zero:
-                    acc = acc + c * v
-            out.append(acc)
-        coords, rest = out[: self.count], out[self.count :]
-        if any(not e.is_zero for e in rest):
+        vals = [_raw(v, Mode.EXACT) for v in vector]
+        out = [sum(c * vals[t] for t, c in row) for row in self.transform]
+        if any(out[self.count :]):
             return NO_SOLUTION
-        return tuple(coords)
+        return _wrap_row(out[: self.count], True)
 
 
 def _subalgebra(w: WeilAlgebra, span_vectors):

@@ -10,6 +10,7 @@ the package is a finding about the package.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import sympy
@@ -142,3 +143,98 @@ def pullback_space(phi_rows, psi_rows, aug_a, aug_b):
     )
     m = sympy.Matrix(rows)
     return [tuple(to_fraction(x) for x in v) for v in m.nullspace()]
+
+
+# ----- naive dense kernels on raw Fractions ------------------------------------
+#
+# Rows are lists of Fractions; a matrix with no rows carries its column count
+# separately.  These loop over every cell, zero or not.
+
+
+def rref_reference(rows, ncols):
+    """Textbook Gauss-Jordan elimination: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def matmul_reference(a, b, inner, ncols):
+    columns = [[b[t][j] for t in range(inner)] for j in range(ncols)]
+    return [[sum(map(operator.mul, row, col), Fraction(0)) for col in columns] for row in a]
+
+
+def matvec_reference(a, vec):
+    return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a]
+
+
+def kron_reference(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def solve_columns_reference(a, b, ncols_a, ncols_b):
+    """Column-by-column unique solve of a X = b: "no solution", "not unique",
+    or the solution rows.  Stops at the first column that fails."""
+    columns = []
+    for j in range(ncols_b):
+        aug = [list(row) + [rhs[j]] for row, rhs in zip(a, b)]
+        reduced, pivots = rref_reference(aug, ncols_a + 1)
+        if ncols_a in pivots:
+            return "no solution"
+        if len(pivots) < ncols_a:
+            return "not unique"
+        columns.append([reduced[i][ncols_a] for i in range(ncols_a)])
+    return [[col[i] for col in columns] for i in range(ncols_a)]
+
+
+def microlinear_numbers(r, apex_dim, dims, legs, arrows, augs):
+    """The lifted system at X = R^r, built densely with I_r (x) blocks as the
+    definition reads.  legs[j] and each arrow's matrix are Fraction rows,
+    arrows are (source, target, rows), augs[j] is object j's augmentation.
+    Returns (rank of the canonical map, compatible subspace dimension,
+    whether the canonical image satisfies the constraints)."""
+    ident = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    canonical = [row for leg in legs for row in kron_reference(ident, leg)]
+    total = r * sum(dims)
+    offsets = [r * sum(dims[:j]) for j in range(len(dims))]
+
+    def place(blocks, height):
+        rows = [[Fraction(0)] * total for _ in range(height)]
+        for j, block in blocks:
+            for i, brow in enumerate(block):
+                for c, x in enumerate(brow):
+                    rows[i][offsets[j] + c] += x
+        return rows
+
+    constraints = []
+    for s, t, phi in arrows:
+        minus = [[-x for x in row] for row in kron_reference(ident, _identity(dims[t]))]
+        constraints += place([(s, kron_reference(ident, phi)), (t, minus)], r * dims[t])
+    for i in range(len(dims) - 1):
+        lower = [[-x for x in row] for row in kron_reference(ident, [augs[i + 1]])]
+        constraints += place([(i, kron_reference(ident, [augs[i]])), (i + 1, lower)], r)
+    contained = all(
+        x == 0
+        for row in matmul_reference(constraints, canonical, total, r * apex_dim)
+        for x in row
+    )
+    rank_c = len(rref_reference(canonical, r * apex_dim)[1])
+    nullity = total - len(rref_reference(constraints, total)[1])
+    return rank_c, nullity, contained
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

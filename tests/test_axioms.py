@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import microlinear_numbers
 
 from weilkit import (
     DiagramInWeil,
@@ -190,3 +191,45 @@ def test_closure_suite_green():
     rep = closure_suite(seed=4)
     assert rep.ok, rep.render()
     assert len(rep.failures) == 0
+
+
+def _full_lifted_verdict(r, cone):
+    """Verdict and certificate of the lifted system built with I_r (x) blocks."""
+
+    def rows(m):
+        return [[e.value for e in row] for row in m.entries]
+
+    rank_c, nullity, contained = microlinear_numbers(
+        r,
+        cone.apex.dimension,
+        [w.dimension for w in cone.objects],
+        [rows(leg.matrix) for leg in cone.legs],
+        [(s, t, rows(phi.matrix)) for s, t, phi in cone.arrows],
+        [[c.value for c in w.aug_covector] for w in cone.objects],
+    )
+    full = r * cone.apex.dimension
+    ok = contained and rank_c == full and nullity == rank_c
+    cert = (
+        f"R^{r}: canonical map rank {rank_c} of {full}; "
+        f"compatible subspace dimension {nullity}; "
+        f"containment {'holds' if contained else 'fails'}"
+    )
+    return ok, cert
+
+
+def test_microlinear_decided_at_rank_one_matches_the_full_lift():
+    rng = random.Random(11)
+    cases = []
+    for i in range(4):
+        cone = random_limit_cone(rng)
+        cases.append((cone, True))
+        mutant = mutate_cone(cone, "collapse" if i % 2 else "inflate")
+        if mutant is not None:
+            cases.append((mutant, False))
+    assert sum(not enforce for _, enforce in cases) >= 2
+    for cone, enforce in cases:
+        for r in (1, 2, 3):
+            v = check_microlinear(
+                ModelObject.coordinate(r), cone, enforce_limit_input=enforce
+            )
+            assert (v.ok, v.certificate) == _full_lifted_verdict(r, cone)

@@ -5,6 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    kron_reference,
+    matmul_reference,
+    matvec_reference,
+    rref_reference,
+    solve_columns_reference,
+)
 
 from weilkit import Matrix, Mode, ModeError, Scalar, qq
 from weilkit.exactlin import (
@@ -13,6 +20,7 @@ from weilkit.exactlin import (
     hstack,
     kernel_basis,
     solve_affine,
+    solve_matrix,
     solve_unique,
     span_contains,
     spans_equal,
@@ -172,3 +180,152 @@ def test_span_invariant_under_column_mixing(m):
     cols = [m.column(j) for j in range(m.cols)]
     mixed = [tuple(a + b for a, b in zip(cols[0], c)) for c in cols[1:]]
     assert spans_equal(cols, cols[:1] + mixed) or m.cols == 1
+
+
+# ----- the kernel against naive references -------------------------------------
+
+
+@st.composite
+def sparse_rows(draw, rows=None, cols=None):
+    """Raw Fraction rows, at least half of whose entries are zero."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    n = r * c
+    values = [Fraction(0)] * n
+    if n:
+        cells = draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True))
+        for k in cells:
+            values[k] = draw(rationals)
+    return [values[i * c : (i + 1) * c] for i in range(r)], c
+
+
+def as_matrix(rows, cols):
+    return Matrix([[qq(x) for x in row] for row in rows], cols=cols)
+
+
+def raw_rows(m):
+    for row in m.entries:
+        for e in row:
+            assert type(e.value) is Fraction
+    return [[e.value for e in row] for row in m.entries]
+
+
+@given(sparse_rows())
+@settings(max_examples=80)
+def test_rref_matches_reference(raw):
+    rows, cols = raw
+    reduced, pivots = as_matrix(rows, cols).rref()
+    ref_rows, ref_pivots = rref_reference(rows, cols)
+    assert pivots == ref_pivots
+    assert raw_rows(Matrix(reduced, cols=cols)) == ref_rows
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_matmul_and_apply_match_reference(data):
+    a, inner = data.draw(sparse_rows())
+    b, cols = data.draw(sparse_rows(rows=inner))
+    product = as_matrix(a, inner) @ as_matrix(b, cols)
+    assert product.shape == (len(a), cols)
+    assert raw_rows(product) == matmul_reference(a, b, inner, cols)
+    vec = [row[0] for row in data.draw(sparse_rows(rows=inner, cols=1))[0]]
+    # ints are mode-agnostic vector entries
+    mixed = [int(x) if x.denominator == 1 else qq(x) for x in vec]
+    out = as_matrix(a, inner).apply(mixed)
+    assert all(type(e.value) is Fraction for e in out)
+    assert [e.value for e in out] == matvec_reference(a, vec)
+
+
+@given(sparse_rows(), sparse_rows())
+@settings(max_examples=60)
+def test_kron_matches_reference(left, right):
+    (a, ca), (b, cb) = left, right
+    k = as_matrix(a, ca).kron(as_matrix(b, cb))
+    assert k.shape == (len(a) * len(b), ca * cb)
+    assert raw_rows(k) == kron_reference(a, b)
+
+
+def test_mixed_modes_raise_at_every_product():
+    exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
+    floats = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(2.0), Scalar(3.0)]])
+    for left, right in ((exact, floats), (floats, exact)):
+        with pytest.raises(ModeError):
+            left @ right
+        with pytest.raises(ModeError):
+            left.kron(right)
+    with pytest.raises(ModeError):
+        exact.apply((Scalar(1.0), qq(0)))
+    with pytest.raises(ModeError):
+        exact.apply((0.5, 1))
+    with pytest.raises(ModeError):
+        floats.apply((Fraction(1, 2), 1))
+    with pytest.raises(ModeError):
+        floats.apply((qq(1), Scalar(1.0)))
+    # ints meet either mode
+    assert floats.apply((1, 2)) == (Scalar(1.0), Scalar(8.0))
+    assert exact.apply((1, 2)) == (qq(1), qq(8))
+
+
+def test_float_products_keep_every_term():
+    # 0 * inf is nan and 0 * -1.0 is -0.0, so float loops skip nothing
+    inf = float("inf")
+    a = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(0.0), Scalar(-2.0)]])
+    b = Matrix([[Scalar(inf), Scalar(0.5)], [Scalar(0.0), Scalar(3.0)]])
+
+    def text(m):
+        return [[str(e) for e in row] for row in m.entries]
+
+    assert text(a @ b) == [["inf", "0.5"], ["nan", "-6.0"]]
+    assert [str(e) for e in a.apply((inf, 1))] == ["inf", "nan"]
+    assert text(a.kron(b)) == [
+        ["inf", "0.5", "nan", "0.0"],
+        ["0.0", "3.0", "0.0", "0.0"],
+        ["nan", "0.0", "-inf", "-1.0"],
+        ["0.0", "0.0", "-0.0", "-6.0"],
+    ]
+
+
+# ----- solve_matrix: one elimination, the column-by-column outcomes ----------
+
+
+def _solve_outcome(a, ca, b, cb):
+    x = solve_matrix(as_matrix(a, ca), as_matrix(b, cb))
+    if x is NO_SOLUTION:
+        return "no solution"
+    if x is NOT_UNIQUE:
+        return "not unique"
+    assert x.shape == (ca, cb)
+    return raw_rows(x)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_solve_matrix_matches_column_by_column(data):
+    a, ca = data.draw(sparse_rows())
+    b, cb = data.draw(sparse_rows(rows=len(a), cols=data.draw(st.integers(0, 3))))
+    assert _solve_outcome(a, ca, b, cb) == solve_columns_reference(a, b, ca, cb)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        # nonzero kernel, column 0 inconsistent
+        ([[1, 1], [1, 1]], [[1, 1], [2, 1]], "no solution"),
+        # nonzero kernel, column 0 consistent, column 1 inconsistent
+        ([[1, 1], [1, 1]], [[1, 1], [1, 2]], "not unique"),
+        # zero kernel, a later column inconsistent
+        ([[1, 0], [0, 1], [1, 1]], [[1, 1], [1, 1], [2, 3]], "no solution"),
+        ([[2, 1], [5, 3]], [[1, 0], [0, 1]], [[3, -1], [-5, 2]]),
+    ],
+)
+def test_solve_matrix_outcome_order(a, b, want):
+    a = [[Fraction(x) for x in row] for row in a]
+    b = [[Fraction(x) for x in row] for row in b]
+    assert _solve_outcome(a, 2, b, 2) == want
+    assert solve_columns_reference(a, b, 2, 2) == want
+
+
+def test_solve_matrix_with_no_columns_is_empty():
+    singular = Matrix([[qq(1), qq(1)], [qq(1), qq(1)]])
+    x = solve_matrix(singular, Matrix([[], []], cols=0))
+    assert x.shape == (2, 0)
