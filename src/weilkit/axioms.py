@@ -200,44 +200,14 @@ def infinitesimal_exponent_of(x: ModelObject, y: InfinitesimalExponent) -> Model
 # ----- microlinearity --------------------------------------------------------
 
 
-def check_microlinear(
-    x: ModelObject,
-    cone: DiagramInWeil,
-    sample_budget: int = 20,
-    enforce_limit_input: bool = True,
-) -> Verdict:
-    """Does lifting X over this cone give a limit cone again?
-
-    The cone must be a limit cone of algebras; that precondition is
-    enforced (reject with reason) unless enforce_limit_input=False, which
-    the negative-control batteries use to probe deliberately broken cones.
-    The decision itself is exact linear algebra; sample_budget is accepted
-    for interface symmetry with the sampled checkers and not consumed here.
-    """
-    del sample_budget
-    if not cone.has_cone:
-        raise DiagramError("microlinearity needs a cone over the diagram")
-    if enforce_limit_input:
-        pre = is_limit_cone(cone)
-        if not pre.ok:
-            raise DiagramError(
-                f"input cone is not a limit cone ({pre.certificate}); "
-                "the check would be vacuous"
-            )
-    r = x.dim
-    if r == 0:
-        return Verdict(True, f"{x.name} is the zero object; both sides vanish")
-    # Lifting X = R^r puts I_r (x) B in place of every block B below, so each
-    # matrix is a row and column permutation of I_r (x) its r = 1 form.  So
-    # decide at r = 1: ranks scale by r, and the containment product is zero
-    # exactly when its r = 1 form is.
+def _rank_one_numbers(cone: DiagramInWeil):
+    """The lifted system at X = R: (rank of the canonical map, dimension of
+    the compatible subspace, whether the canonical image lies in it)."""
     apex_d = cone.apex.dimension
     obj_dims = [w.dimension for w in cone.objects]
     total = sum(obj_dims)
 
-    canonical = vstack(
-        [leg.matrix for leg in cone.legs], cols=apex_d
-    ) if cone.legs else Matrix([], cols=apex_d)
+    canonical = vstack([leg.matrix for leg in cone.legs], cols=apex_d)
 
     rows = []
     for s, t, phi in cone.arrows:
@@ -256,7 +226,7 @@ def check_microlinear(
         blocks[i] = blocks[i] + aug_rows[i]
         blocks[i + 1] = blocks[i + 1] - aug_rows[i + 1]
         rows.append(hstack(blocks))
-    constraints = vstack(rows, cols=total) if rows else Matrix([], cols=total)
+    constraints = vstack(rows, cols=total)
 
     contained = True
     if constraints.rows and canonical.rows:
@@ -264,11 +234,56 @@ def check_microlinear(
         contained = all(
             e.is_zero for row in product.entries for e in row
         )
-    rank_c = r * canonical.rank()
-    injective = rank_c == r * apex_d
-    nullity = r * (total - constraints.rank())
-    onto = nullity == rank_c
-    ok = contained and injective and onto
+    return canonical.rank(), total - constraints.rank(), contained
+
+
+def check_microlinear(
+    x: ModelObject,
+    cone: DiagramInWeil,
+    enforce_limit_input: bool = True,
+) -> Verdict:
+    """Does lifting X over this cone give a limit cone again?
+
+    The cone must be a limit cone of algebras; that precondition is
+    enforced (reject with reason) unless enforce_limit_input=False, which
+    the negative-control batteries use to probe deliberately broken cones.
+    The decision itself is exact linear algebra.
+
+    At X = R the question is the precondition itself, so the r = 1 numbers
+    settle it whenever they accept.  If the canonical image lies in the
+    compatible subspace, the canonical map has rank equal to the apex
+    dimension and that subspace has the same dimension, then the stacked
+    legs are injective with the compatible subspace as image.  That
+    subspace is also the image of the computed limit's stacked legs, so
+    the mediating map into the limit exists, is square with full rank, and
+    is an algebra map: the cone is a limit cone.  is_limit_cone runs only
+    when the numbers refuse, to word the refusal; should it pass anyway,
+    the scaled verdict stands.
+    """
+    if not cone.has_cone:
+        raise DiagramError("microlinearity needs a cone over the diagram")
+    r = x.dim
+    zero_object = Verdict(True, f"{x.name} is the zero object; both sides vanish")
+    if r == 0 and not enforce_limit_input:
+        return zero_object
+    rank_c, nullity, contained = _rank_one_numbers(cone)
+    apex_d = cone.apex.dimension
+    if enforce_limit_input and not (contained and rank_c == apex_d == nullity):
+        pre = is_limit_cone(cone)
+        if not pre.ok:
+            raise DiagramError(
+                f"input cone is not a limit cone ({pre.certificate}); "
+                "the check would be vacuous"
+            )
+    if r == 0:
+        return zero_object
+    # Lifting X = R^r puts I_r (x) B in place of every block B, so each
+    # matrix is a row and column permutation of I_r (x) its r = 1 form:
+    # ranks scale by r, and the containment product is zero exactly when
+    # its r = 1 form is.
+    rank_c *= r
+    nullity *= r
+    ok = contained and rank_c == r * apex_d and nullity == rank_c
     cert = (
         f"{x.name}: canonical map rank {rank_c} of {r * apex_d}; "
         f"compatible subspace dimension {nullity}; "

@@ -9,6 +9,7 @@ structural decisions (kernels, ranks, solvability) are exact-only.
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 
 
@@ -307,21 +308,23 @@ class Matrix:
             out.append(acc)
         return _wrap_row(out, exact)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
+        exact = _joint_mode(self, other) is Mode.EXACT
+        return Matrix._of(
+            tuple(
+                _wrap_row([op(a.value, b.value) for a, b in zip(r, s)], exact)
+                for r, s in zip(self.entries, other.entries)
+            ),
+            self.cols,
         )
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        return self._entrywise(other, operator.sub)
 
     @property
     def shape(self):

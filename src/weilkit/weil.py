@@ -21,13 +21,10 @@ from .exactlin import (
     Matrix,
     Mode,
     ModeError,
-    NO_SOLUTION,
     Scalar,
     SolveFailure,
-    _raw,
     _scalar,
     _wrap_row,
-    hstack,
     kernel_basis,
     qq,
     solve_matrix,
@@ -608,24 +605,27 @@ class WeilMorphism:
         if check:
             self._validate_multiplicative()
 
-    # unit preservation and augmentation compatibility are O(dim) and run always
+    # unit preservation and augmentation compatibility are O(dim) and run
+    # always, on the raw entries
     def _validate_cheap(self):
-        unit_col = self.matrix.column(0)
-        if unit_col != tuple(unit_vector(self.target.dimension, 0)):
+        entries = self.matrix.entries
+        if any(row[0].value != int(i == 0) for i, row in enumerate(entries)):
             raise MorphismError("morphism does not preserve the unit")
-        aug_t = Matrix([self.target.aug_covector], cols=self.target.dimension)
-        aug_s = Matrix([self.source.aug_covector], cols=self.source.dimension)
-        if (aug_t @ self.matrix) != aug_s:
+        pulled = [0] * self.source.dimension
+        for lam, row in zip(self.target.aug_covector, entries):
+            if lam.value:
+                for j, m in enumerate(row):
+                    pulled[j] += lam.value * m.value
+        if any(p != a.value for p, a in zip(pulled, self.source.aug_covector)):
             raise MorphismError("morphism is not augmentation-compatible")
 
     def _validate_multiplicative(self):
         src = self.source
+        images = [self.apply(src.basis_element(i)) for i in range(src.dimension)]
         for i in range(src.dimension):
-            fi = self.apply(src.basis_element(i))
             for j in range(i, src.dimension):
-                fj = self.apply(src.basis_element(j))
                 prod_src = src.basis_element(i) * src.basis_element(j)
-                if self.apply(prod_src) != fi * fj:
+                if self.apply(prod_src) != images[i] * images[j]:
                     raise MorphismError(
                         f"morphism not multiplicative on basis pair ({i},{j})"
                     )
@@ -671,10 +671,6 @@ class WeilMorphism:
             cols[t] = img.coeffs
         matrix = Matrix.from_columns(cols, rows=target.dimension)
         return WeilMorphism(source, target, matrix, generator_images=images, check=False)
-
-    @staticmethod
-    def from_matrix(source, target, matrix, check=True) -> "WeilMorphism":
-        return WeilMorphism(source, target, matrix, check=check)
 
     @staticmethod
     def identity(algebra) -> "WeilMorphism":
@@ -916,73 +912,78 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
     )
 
 
-def as_tabled(w: WeilAlgebra) -> WeilAlgebra:
-    """Structure-constant copy of any algebra (used to compare routes)."""
-    d = w.dimension
-    table = [[w.structure_vector(i, j) for j in range(d)] for i in range(d)]
-    return WeilAlgebra.tabled(
-        table, w.aug_covector, check=False, nilpotency_hint=w.nilpotency_degree
-    )
-
-
 # ----- subalgebras, products over the scalars, limits ---------------------
 
 
-class _ColumnSolver:
-    """Coordinates with respect to a fixed independent column family."""
+class _Echelon:
+    """Incremental echelon form of independent vectors b_0, b_1, ...
 
-    def __init__(self, columns, length):
-        self.count = len(columns)
-        b = Matrix.from_columns(columns, rows=length)
-        aug = hstack([b, Matrix.identity(length)])
-        rows, pivots = aug.rref()
-        # the identity block forces full row rank; B itself has full column
-        # rank exactly when its columns are the leading pivots
-        if pivots[: self.count] != list(range(self.count)):
-            raise ValueError("columns are not independent")
-        self.transform = [
-            [(t, c.value) for t, c in enumerate(row[self.count :]) if c.value]
-            for row in rows
-        ]
+    Each row keeps its pivot, its nonzero entries and its expression in the
+    b's, so one reduction decides whether a vector extends the span and,
+    when it does not, gives the vector's coordinates in the b's.
+    """
+
+    def __init__(self):
+        # (pivot, nonzero (index, value) pairs, nonzero (b index, coefficient) pairs)
+        self.rows = []
+
+    def _reduce(self, vector):
+        vals = [c.value for c in vector]
+        coords = [0] * len(self.rows)
+        # each row is zero at the pivots of the rows before it, so one pass
+        # in insertion order clears every pivot
+        for pivot, entries, combination in self.rows:
+            f = vals[pivot]
+            if f:
+                for j, x in entries:
+                    vals[j] -= f * x
+                for k, x in combination:
+                    coords[k] += f * x
+        return vals, coords
+
+    def add(self, vector) -> bool:
+        """Take the vector as the next b if it extends the span; say whether."""
+        vals, coords = self._reduce(vector)
+        pivot = next((j for j, x in enumerate(vals) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / vals[pivot]
+        entries = [(j, x * inv) for j, x in enumerate(vals) if x]
+        combination = [(k, -c * inv) for k, c in enumerate(coords) if c]
+        combination.append((len(self.rows), inv))
+        self.rows.append((pivot, entries, combination))
+        return True
 
     def coords(self, vector):
-        vals = [_raw(v, Mode.EXACT) for v in vector]
-        out = [sum(c * vals[t] for t, c in row) for row in self.transform]
-        if any(out[self.count :]):
-            return NO_SOLUTION
-        return _wrap_row(out[: self.count], True)
+        """Coordinates in the b's, or None outside their span."""
+        vals, coords = self._reduce(vector)
+        return None if any(vals) else coords
 
 
 def _subalgebra(w: WeilAlgebra, span_vectors):
     """Tabled subalgebra on a span (which must contain 1 and be closed).
 
-    Returns (subalgebra, inclusion).  Basis choice: the unit first, then a
-    deterministic echelon selection from the given spanning vectors.
+    Returns (subalgebra, inclusion).  Basis choice: the unit first, then
+    each given spanning vector, in order, that extends the span so far.
     """
-    unit = tuple(w.one().coeffs)
+    unit = w.one().coeffs
     if not span_contains(span_vectors, unit):
         raise AlgebraError("subspace does not contain the unit")
-    basis_vectors = [unit]
-    rank = 1
-    for v in span_vectors:
-        candidate = basis_vectors + [tuple(v)]
-        m = Matrix(candidate, cols=w.dimension)
-        if m.rank() > rank:
+    echelon = _Echelon()
+    basis_vectors = []
+    for v in (unit, *span_vectors):
+        if echelon.add(v):
             basis_vectors.append(tuple(v))
-            rank += 1
-    solver = _ColumnSolver(basis_vectors, w.dimension)
-    dim = len(basis_vectors)
+    elements = [WeilElement(w, v) for v in basis_vectors]
+    dim = len(elements)
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        ei = WeilElement(w, basis_vectors[i])
         for j in range(i, dim):
-            prod = ei * WeilElement(w, basis_vectors[j])
-            coords = solver.coords(prod.coeffs)
-            if coords is NO_SOLUTION:
+            coords = echelon.coords((elements[i] * elements[j]).coeffs)
+            if coords is None:
                 raise AlgebraError("subspace is not closed under multiplication")
-            table[i][j] = coords
-            table[j][i] = coords
-    aug = tuple(WeilElement(w, v).augmentation() for v in basis_vectors)
+            table[i][j] = table[j][i] = _wrap_row(coords, True)
+    aug = tuple(e.augmentation() for e in elements)
     sub = WeilAlgebra.tabled(
         table, aug, check=False, nilpotency_hint=w.nilpotency_degree
     )
@@ -1004,93 +1005,90 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     return _subalgebra(phi.source, span)
 
 
+def _exact_matrix(rows, cols: int) -> Matrix:
+    return Matrix._of(tuple(_wrap_row(row, True) for row in rows), cols)
+
+
 class _ProductOverK:
     """Fiber product over the augmentations of several algebras.
 
-    Basis: the joint unit, then the echelonized augmentation kernel of each
-    factor in order.  Extraction matrices give each component; packing
-    solves components back into coordinates.
+    Basis: the joint unit, then the augmentation kernel of each factor in
+    order.  Every algebra has aug[0] = 1, so factor a's kernel has the basis
+    e_f - aug[f] e_0 (f >= 1), and a kernel vector's coordinates are its
+    entries past index 0.  Products, extraction matrices and arrow
+    constraints are all read off that basis index by index.
     """
 
     def __init__(self, algebras):
         self.algebras = list(algebras)
-        self.kernels = []
-        self.solvers = []
-        for w in self.algebras:
-            aug_matrix = Matrix([w.aug_covector], cols=w.dimension)
-            kb = kernel_basis(aug_matrix)
-            self.kernels.append(kb)
-            self.solvers.append(_ColumnSolver(kb, w.dimension) if kb else None)
-        self.dimension = 1 + sum(len(kb) for kb in self.kernels)
         self.offsets = []
         pos = 1
-        for kb in self.kernels:
+        for w in self.algebras:
             self.offsets.append(pos)
-            pos += len(kb)
+            pos += w.dimension - 1
+        d = self.dimension = pos
 
-        d = self.dimension
-        table = [[None] * d for _ in range(d)]
-        unit = unit_vector(d, 0)
+        zero = zero_vector(d)
+        table = [[zero] * d for _ in range(d)]
         table[0] = [unit_vector(d, j) for j in range(d)]
         for i in range(1, d):
             table[i][0] = unit_vector(d, i)
-        for a, kb in enumerate(self.kernels):
-            off = self.offsets[a]
-            w = self.algebras[a]
-            for i in range(len(kb)):
-                for j in range(len(kb)):
-                    prod = WeilElement(w, kb[i]) * WeilElement(w, kb[j])
-                    coords = self.solvers[a].coords(prod.coeffs)
-                    if coords is NO_SOLUTION:
+        # cross-factor nilpotents multiply to zero; within a factor,
+        # (e_i - aug[i] e_0)(e_j - aug[j] e_0) with e_0 the unit
+        for w, off in zip(self.algebras, self.offsets):
+            lam = [c.value for c in w.aug_covector]
+            for i in range(1, w.dimension):
+                for j in range(i, w.dimension):
+                    acc = [0] * w.dimension
+                    for k, c in w._terms(i, j):
+                        acc[k] += c
+                    acc[i] -= lam[j]
+                    acc[j] -= lam[i]
+                    acc[0] += lam[i] * lam[j]
+                    if sum(a * b for a, b in zip(lam, acc)):
                         raise AlgebraError("augmentation kernel not closed")
-                    vec = [Scalar.zero(Mode.EXACT)] * d
-                    for t, c in enumerate(coords):
-                        vec[off + t] = c
-                    table[off + i][off + j] = tuple(vec)
-            # cross-factor nilpotents multiply to zero
-            for b in range(len(self.kernels)):
-                if b == a:
-                    continue
-                offb = self.offsets[b]
-                for i in range(len(kb)):
-                    for j in range(len(self.kernels[b])):
-                        table[off + i][offb + j] = tuple(zero_vector(d))
-        aug = [Scalar.one(Mode.EXACT)] + [Scalar.zero(Mode.EXACT)] * (d - 1)
+                    vec = [0] * d
+                    vec[off : off + w.dimension - 1] = acc[1:]
+                    p, q = off + i - 1, off + j - 1
+                    table[p][q] = table[q][p] = _wrap_row(vec, True)
         hint = max((w.nilpotency_degree for w in self.algebras), default=1)
         self.algebra = WeilAlgebra.tabled(
-            table, aug, check=False, nilpotency_hint=hint
+            table, unit_vector(d, 0), check=False, nilpotency_hint=hint
         )
 
     def extraction(self, a: int) -> Matrix:
         """Matrix taking product coordinates to the a-th component."""
-        w = self.algebras[a]
-        cols = [tuple(w.one().coeffs)]
-        for b, kb in enumerate(self.kernels):
-            for v in kb:
-                cols.append(tuple(v) if b == a else zero_vector(w.dimension))
-        return Matrix.from_columns(cols, rows=w.dimension)
+        w, off = self.algebras[a], self.offsets[a]
+        rows = [[0] * self.dimension for _ in range(w.dimension)]
+        rows[0][0] = _ONE
+        for f in range(1, w.dimension):
+            rows[0][off + f - 1] = -w.aug_covector[f].value
+            rows[f][off + f - 1] = _ONE
+        return _exact_matrix(rows, self.dimension)
+
+    def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
+        """phi @ extraction(s) - extraction(t), built by index."""
+        ws, wt = self.algebras[s], self.algebras[t]
+        rows = [[0] * self.dimension for _ in range(wt.dimension)]
+        # column 0 is the joint unit, which phi preserves: it stays zero
+        off = self.offsets[s]
+        for f in range(1, ws.dimension):
+            c = off + f - 1
+            for row, m in zip(rows, phi.matrix.entries):
+                row[c] += m[f].value
+            rows[0][c] -= ws.aug_covector[f].value
+        off = self.offsets[t]
+        for g in range(1, wt.dimension):
+            c = off + g - 1
+            rows[g][c] -= _ONE
+            rows[0][c] += wt.aug_covector[g].value
+        return _exact_matrix(rows, self.dimension)
 
     def projections(self):
         return [
             WeilMorphism(self.algebra, w, self.extraction(a), check=False)
             for a, w in enumerate(self.algebras)
         ]
-
-    def pack(self, components):
-        """Coordinates of a component tuple (augmentations must agree)."""
-        common = components[0].augmentation()
-        out = [common]
-        for a, (w, el) in enumerate(zip(self.algebras, components)):
-            if el.augmentation() != common:
-                raise ValueError("components disagree on augmentation")
-            nil = el - w.scalar(common)
-            coords = (
-                self.solvers[a].coords(nil.coeffs) if self.kernels[a] else ()
-            )
-            if coords is NO_SOLUTION:
-                raise ValueError("component outside the augmentation kernel span")
-            out.extend(coords)
-        return tuple(out)
 
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
@@ -1154,13 +1152,9 @@ def limit(diagram: DiagramInWeil):
     if not objects:
         return terminal(), []
     prod = _ProductOverK(objects)
-    blocks = []
-    for s, t, phi in diagram.arrows:
-        es = prod.extraction(s)
-        et = prod.extraction(t)
-        blocks.append((phi.matrix @ es) - et)
-    constraints = vstack(blocks, cols=prod.dimension) if blocks else Matrix(
-        [], cols=prod.dimension
+    constraints = vstack(
+        [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
+        cols=prod.dimension,
     )
     span = kernel_basis(constraints)
     sub, incl = _subalgebra(prod.algebra, span)
@@ -1219,26 +1213,6 @@ def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
         f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
     )
     return Verdict(ok, cert, data=mediating)
-
-
-def mediating_morphism(outer: DiagramInWeil, limiting: DiagramInWeil) -> WeilMorphism:
-    """The unique factorization of one cone through a limiting cone."""
-    if not outer.has_cone or not limiting.has_cone:
-        raise DiagramError("both diagrams need cones")
-    if outer.objects != limiting.objects or outer.arrows != limiting.arrows:
-        raise DiagramError("cones sit over different diagrams")
-    if not outer.objects:
-        if limiting.apex.dimension != 1:
-            raise DiagramError("target cone is not a limit: mediating map not unique")
-        return augmentation(outer.apex)
-    a = _stacked_legs(limiting.legs, limiting.apex.dimension)
-    b = _stacked_legs(outer.legs, outer.apex.dimension)
-    h = solve_matrix(a, b)
-    if h is NO_SOLUTION:
-        raise DiagramError("cones are incompatible: no mediating morphism")
-    if isinstance(h, SolveFailure):
-        raise DiagramError("target cone is not a limit: mediating map not unique")
-    return WeilMorphism(outer.apex, limiting.apex, h, check=True)
 
 
 def filtered_basis(w: WeilAlgebra):

@@ -177,6 +177,11 @@ def matmul_reference(a, b, inner, ncols):
     return [[sum(map(operator.mul, row, col), Fraction(0)) for col in columns] for row in a]
 
 
+def add_reference(a, b, sign=1):
+    """Entrywise a + sign * b."""
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def matvec_reference(a, vec):
     return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a]
 
@@ -234,6 +239,46 @@ def microlinear_numbers(r, apex_dim, dims, legs, arrows, augs):
     rank_c = len(rref_reference(canonical, r * apex_dim)[1])
     nullity = total - len(rref_reference(constraints, total)[1])
     return rank_c, nullity, contained
+
+
+def microlinear_reference(
+    r, name, apex_dim, dims, legs, arrows, augs, enforce, precondition
+):
+    """check_microlinear composed the long way: when enforced, the limit-cone
+    precondition first, then the lifted numbers at X = R^r, read off the
+    r = 1 system and scaled by r.  precondition() returns (ok, certificate)
+    of the is_limit_cone decision; the other arguments are those of
+    microlinear_numbers.  Returns ("raise", message) for a refused input,
+    else (ok, certificate)."""
+    if enforce:
+        ok, certificate = precondition()
+        if not ok:
+            return (
+                "raise",
+                f"input cone is not a limit cone ({certificate}); "
+                "the check would be vacuous",
+            )
+    if r == 0:
+        return True, f"{name} is the zero object; both sides vanish"
+    rank_c, nullity, contained = microlinear_numbers(1, apex_dim, dims, legs, arrows, augs)
+    rank_c, nullity = r * rank_c, r * nullity
+    ok = contained and rank_c == r * apex_dim and nullity == rank_c
+    return ok, (
+        f"{name}: canonical map rank {rank_c} of {r * apex_dim}; "
+        f"compatible subspace dimension {nullity}; "
+        f"containment {'holds' if contained else 'fails'}"
+    )
+
+
+def greedy_basis_reference(vectors, n):
+    """The unit vector e_0, then each vector, in order, that raises the rank
+    of those picked so far: one full elimination per candidate."""
+    picked = [[Fraction(int(i == 0)) for i in range(n)]]
+    for v in vectors:
+        candidate = picked + [[Fraction(x) for x in v]]
+        if len(rref_reference(candidate, n)[1]) > len(picked):
+            picked = candidate
+    return picked
 
 
 def _identity(n):

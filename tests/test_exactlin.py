@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    add_reference,
     kron_reference,
     matmul_reference,
     matvec_reference,
@@ -243,6 +244,33 @@ def test_kron_matches_reference(left, right):
     k = as_matrix(a, ca).kron(as_matrix(b, cb))
     assert k.shape == (len(a) * len(b), ca * cb)
     assert raw_rows(k) == kron_reference(a, b)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_add_and_sub_match_reference(data):
+    a, cols = data.draw(sparse_rows())
+    b, _ = data.draw(sparse_rows(rows=len(a), cols=cols))
+    left, right = as_matrix(a, cols), as_matrix(b, cols)
+    assert (left + right).shape == (len(a), cols)
+    assert raw_rows(left + right) == add_reference(a, b)
+    assert raw_rows(left - right) == add_reference(a, b, sign=-1)
+
+
+def test_mixed_modes_raise_at_every_sum():
+    exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
+    floats = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(2.0), Scalar(3.0)]])
+    for left, right in ((exact, floats), (floats, exact)):
+        with pytest.raises(ModeError):
+            left + right
+        with pytest.raises(ModeError):
+            left - right
+    with pytest.raises(ValueError):
+        exact + Matrix([[qq(1), qq(2)]])
+    # float sums stay float, and -0.0 survives
+    diff = Matrix([[Scalar(-0.0)]]) - Matrix([[Scalar(0.0)]])
+    assert diff.mode is Mode.FLOAT and str(diff.entries[0][0]) == "-0.0"
+    assert floats + floats == Matrix([[Scalar(2.0), Scalar(0.0)], [Scalar(4.0), Scalar(6.0)]])
 
 
 def test_mixed_modes_raise_at_every_product():
