@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus
-from .exactlin import Matrix, Mode, Scalar, hstack, kernel_basis, qq, span_contains, vstack
+from .exactlin import Matrix, Mode, Scalar, difference_rows, kernel_basis, span_contains, vstack
 from .expr import SmoothMap
 from .reports import Report, Verdict
 from .smooth import (
@@ -35,6 +35,7 @@ from .weil import (
     factor_permutation_iso,
     first_order_infinitesimals,
     is_limit_cone,
+    jet_line,
     limit_cone,
     tensor,
     tensor_morphism,
@@ -81,7 +82,7 @@ class ModelObject:
             offsets.append(pos)
             pos += d
         total = pos
-        rows = []
+        terms = []
         for s, t, f in arrows:
             lin = f.linear_matrix()
             if lin is None:
@@ -91,13 +92,10 @@ class ModelObject:
                 )
             if f.arity_in != dims[s] or f.arity_out != dims[t]:
                 raise ValueError("arrow arities do not match the objects")
-            for r_out in range(dims[t]):
-                row = [Scalar.zero(Mode.EXACT)] * total
-                for c_in in range(dims[s]):
-                    row[offsets[s] + c_in] = qq(lin[r_out][c_in])
-                row[offsets[t] + r_out] = row[offsets[t] + r_out] - qq(1)
-                rows.append(tuple(row))
-        equations = Matrix(rows, cols=total) if rows else None
+            terms.append((offsets[s], lin, offsets[t], None))
+        equations = difference_rows(total, terms)
+        if not equations.rows:
+            equations = None
         basis = (
             tuple(kernel_basis(equations))
             if equations is not None
@@ -135,13 +133,6 @@ class ModelObject:
 
     def contains(self, vector) -> bool:
         return span_contains(list(self.basis), tuple(vector))
-
-    def sample_point(self, rng: random.Random):
-        out = [Scalar.zero(Mode.EXACT)] * self.ambient_dim
-        for b in self.basis:
-            c = qq(corpus.random_rational(rng, 5))
-            out = [o + c * v for o, v in zip(out, b)]
-        return tuple(out)
 
     def tensor_with(self, w: WeilAlgebra, name: str | None = None) -> "ModelObject":
         """The lifted carrier: coordinate i's element of w occupies the
@@ -202,39 +193,62 @@ def infinitesimal_exponent_of(x: ModelObject, y: InfinitesimalExponent) -> Model
 
 def _rank_one_numbers(cone: DiagramInWeil):
     """The lifted system at X = R: (rank of the canonical map, dimension of
-    the compatible subspace, whether the canonical image lies in it)."""
-    apex_d = cone.apex.dimension
+    the compatible subspace).
+
+    The canonical image always lies in the compatible subspace, so that
+    containment is not computed: DiagramInWeil checks phi . leg_s = leg_t
+    for every arrow, which zeroes the arrow rows, and every leg preserves
+    augmentations (WeilMorphism checks it on construction), so each gluing
+    row aug_i . leg_i - aug_j . leg_j is aug_apex - aug_apex = 0.
+    """
     obj_dims = [w.dimension for w in cone.objects]
     total = sum(obj_dims)
+    offsets = [sum(obj_dims[:i]) for i in range(len(obj_dims))]
+    canonical = vstack([leg.matrix for leg in cone.legs], cols=cone.apex.dimension)
 
-    canonical = vstack([leg.matrix for leg in cone.legs], cols=apex_d)
-
-    rows = []
+    terms = []
     for s, t, phi in cone.arrows:
-        blocks = [Matrix.zeros(obj_dims[t], dj) for dj in obj_dims]
-        blocks[s] = blocks[s] + phi.matrix
-        blocks[t] = blocks[t] - Matrix.identity(obj_dims[t])
-        rows.append(hstack(blocks))
+        rows = [[e.value for e in row] for row in phi.matrix.entries]
+        terms.append((offsets[s], rows, offsets[t], None))
     # base points must also be identified across the family: that gluing is
     # what the scalar-fibered product encodes, and it is implied by the
     # arrows only when the diagram is connected
-    aug_rows = [
-        Matrix([w.aug_covector], cols=w.dimension) for w in cone.objects
+    augs = [[[c.value for c in w.aug_covector]] for w in cone.objects]
+    terms += [
+        (offsets[i], augs[i], offsets[i + 1], augs[i + 1])
+        for i in range(len(cone.objects) - 1)
     ]
-    for i in range(len(cone.objects) - 1):
-        blocks = [Matrix.zeros(1, dj) for dj in obj_dims]
-        blocks[i] = blocks[i] + aug_rows[i]
-        blocks[i + 1] = blocks[i + 1] - aug_rows[i + 1]
-        rows.append(hstack(blocks))
-    constraints = vstack(rows, cols=total)
+    constraints = difference_rows(total, terms)
+    return canonical.rank(), total - constraints.rank()
 
-    contained = True
-    if constraints.rows and canonical.rows:
-        product = constraints @ canonical
-        contained = all(
-            e.is_zero for row in product.entries for e in row
-        )
-    return canonical.rank(), total - constraints.rank(), contained
+
+def limit_cone_numbers(cone: DiagramInWeil, enforce_limit_input: bool = True):
+    """The r = 1 numbers of a cone, after its limit-cone precondition.
+
+    Returns (rank of the canonical map, compatible subspace dimension) at
+    X = R.  With enforce_limit_input, a cone that is not a limit cone raises
+    DiagramError.  At X = R the question is the precondition itself, so the
+    numbers settle it whenever they accept: if the canonical map has rank
+    equal to the apex dimension and the compatible subspace has the same
+    dimension, then the stacked legs are injective with the compatible
+    subspace as image (their image always lies in it).  That subspace is
+    also the image of the computed limit's stacked legs, so the mediating
+    map into the limit exists, is square with full rank, and is an algebra
+    map: the cone is a limit cone.  is_limit_cone runs only when the
+    numbers refuse, to word the refusal; should it pass anyway, the cone
+    is accepted.
+    """
+    if not cone.has_cone:
+        raise DiagramError("microlinearity needs a cone over the diagram")
+    rank_c, nullity = _rank_one_numbers(cone)
+    if enforce_limit_input and not rank_c == cone.apex.dimension == nullity:
+        pre = is_limit_cone(cone)
+        if not pre.ok:
+            raise DiagramError(
+                f"input cone is not a limit cone ({pre.certificate}); "
+                "the check would be vacuous"
+            )
+    return rank_c, nullity
 
 
 def check_microlinear(
@@ -245,49 +259,25 @@ def check_microlinear(
     """Does lifting X over this cone give a limit cone again?
 
     The cone must be a limit cone of algebras; that precondition is
-    enforced (reject with reason) unless enforce_limit_input=False, which
-    the negative-control batteries use to probe deliberately broken cones.
-    The decision itself is exact linear algebra.
-
-    At X = R the question is the precondition itself, so the r = 1 numbers
-    settle it whenever they accept.  If the canonical image lies in the
-    compatible subspace, the canonical map has rank equal to the apex
-    dimension and that subspace has the same dimension, then the stacked
-    legs are injective with the compatible subspace as image.  That
-    subspace is also the image of the computed limit's stacked legs, so
-    the mediating map into the limit exists, is square with full rank, and
-    is an algebra map: the cone is a limit cone.  is_limit_cone runs only
-    when the numbers refuse, to word the refusal; should it pass anyway,
-    the scaled verdict stands.
+    enforced (reject with reason, see limit_cone_numbers) unless
+    enforce_limit_input=False, which the negative-control batteries use to
+    probe deliberately broken cones.  The decision itself is exact linear
+    algebra.
     """
-    if not cone.has_cone:
-        raise DiagramError("microlinearity needs a cone over the diagram")
+    rank_c, nullity = limit_cone_numbers(cone, enforce_limit_input)
     r = x.dim
-    zero_object = Verdict(True, f"{x.name} is the zero object; both sides vanish")
-    if r == 0 and not enforce_limit_input:
-        return zero_object
-    rank_c, nullity, contained = _rank_one_numbers(cone)
-    apex_d = cone.apex.dimension
-    if enforce_limit_input and not (contained and rank_c == apex_d == nullity):
-        pre = is_limit_cone(cone)
-        if not pre.ok:
-            raise DiagramError(
-                f"input cone is not a limit cone ({pre.certificate}); "
-                "the check would be vacuous"
-            )
     if r == 0:
-        return zero_object
+        return Verdict(True, f"{x.name} is the zero object; both sides vanish")
     # Lifting X = R^r puts I_r (x) B in place of every block B, so each
     # matrix is a row and column permutation of I_r (x) its r = 1 form:
-    # ranks scale by r, and the containment product is zero exactly when
-    # its r = 1 form is.
+    # ranks scale by r.
     rank_c *= r
     nullity *= r
-    ok = contained and rank_c == r * apex_d and nullity == rank_c
+    apex_d = cone.apex.dimension
+    ok = rank_c == r * apex_d and nullity == rank_c
     cert = (
         f"{x.name}: canonical map rank {rank_c} of {r * apex_d}; "
-        f"compatible subspace dimension {nullity}; "
-        f"containment {'holds' if contained else 'fails'}"
+        f"compatible subspace dimension {nullity}; containment holds"
     )
     return Verdict(ok, cert, exactness="exact")
 
@@ -522,9 +512,9 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
 
     pair_pool = [
         (dual_numbers(), dual_numbers("y")),
-        (dual_numbers(), jet_line_cached(2)),
+        (dual_numbers(), jet_line(2)),
         (first_order_infinitesimals(2), dual_numbers()),
-        (jet_line_cached(2), jet_line_cached(3, "s")),
+        (jet_line(2), jet_line(3, "s")),
     ]
     for i in range(samples):
         w1, w2 = pair_pool[i % len(pair_pool)]
@@ -575,18 +565,6 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
                 v.certificate,
             )
     return report
-
-
-_JET_CACHE = {}
-
-
-def jet_line_cached(order: int, name: str = "x"):
-    from .weil import jet_line
-
-    key = (order, name)
-    if key not in _JET_CACHE:
-        _JET_CACHE[key] = jet_line(order, name)
-    return _JET_CACHE[key]
 
 
 def microlinearity_suite(
@@ -664,7 +642,7 @@ def exponentiability_suite(seed: int = 0, samples: int = 20) -> Report:
     report = Report("tensor exponentiability")
     d = dual_numbers()
     d2 = first_order_infinitesimals(2)
-    j2 = jet_line_cached(2)
+    j2 = jet_line(2)
     combos = [
         (ModelObject.coordinate(2), InfinitesimalExponent(d), d, d),
         (ModelObject.coordinate(1), InfinitesimalExponent(d2), d, j2),

@@ -28,7 +28,7 @@ from .expr import (
     parse_expression,
 )
 from .fibered import FiberedError, FiberedObject, fibered_suite, vertical_fiber, vertical_suite
-from .smooth import jet, mixed_jet
+from .smooth import jet, lift_eval, mixed_jet
 from .weil import (
     AlgebraError,
     DiagramError,
@@ -218,41 +218,17 @@ def _parse_images(text: str, source, target) -> WeilMorphism:
             raise ParseError(f"{g!r} is not a generator of the source algebra")
         if g in seen:
             raise ParseError(f"generator {g!r} mapped twice")
-        seen[g] = _eval_in_algebra(parse_expression(rhs, target.gens), gens, target)
+        body = parse_expression(rhs, target.gens)
+        call = body.first_call()
+        if call is not None:
+            raise ParseError(f"{call}() is not allowed in morphism images")
+        seen[g] = lift_eval(body, gens, template=target.one(), var_names=target.gens)
     missing = [g for g in source.gens if g not in seen]
     if missing:
         raise ParseError(f"no image given for generator(s) {', '.join(missing)}")
     return WeilMorphism.from_generator_images(
         source, target, [seen[g] for g in source.gens]
     )
-
-
-def _eval_in_algebra(node, gens, algebra):
-    op = node.op
-    if op == "const":
-        return algebra.scalar(Scalar.exact(node.value))
-    if op == "var":
-        return gens[node.value]
-    if op in ("add", "sub", "mul", "div"):
-        a = _eval_in_algebra(node.args[0], gens, algebra)
-        b = _eval_in_algebra(node.args[1], gens, algebra)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a * b.invert()
-    if op == "intpow":
-        base = _eval_in_algebra(node.args[0], gens, algebra)
-        k = node.value
-        if k < 0:
-            base, k = base.invert(), -k
-        acc = algebra.one()
-        for _ in range(k):
-            acc = acc * base
-        return acc
-    raise ParseError(f"{op}() is not allowed in morphism images")
 
 
 def _parse_arrow(spec: str, objects):

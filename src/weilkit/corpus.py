@@ -94,10 +94,6 @@ def random_element(
     return el
 
 
-def random_nilpotent(rng: random.Random, w: WeilAlgebra, height: int = 5):
-    return random_element(rng, w, augmentation_value=0, height=height)
-
-
 def random_point(
     rng: random.Random,
     w: WeilAlgebra,

@@ -426,6 +426,32 @@ def vstack(matrices, cols: int | None = None) -> Matrix:
     return Matrix._of(sum((m.entries for m in matrices), ()), width)
 
 
+def difference_rows(total: int, terms) -> Matrix:
+    """The exact constraint rows A x_s - B x_t, stacked, over vectors of
+    `total` entries.
+
+    Each term is (s, a, t, b): a and b are rows of exact raw values (Fraction
+    or int) whose blocks start at columns s and t, one row of b per row of
+    a; b = None stands for the identity.  Blocks at the same offset add.
+    """
+    zero = Fraction(0)
+    rows = []
+    for s, a, t, b in terms:
+        for i, arow in enumerate(a):
+            row = [zero] * total
+            for c, x in enumerate(arow):
+                if x:
+                    row[s + c] += x
+            if b is None:
+                row[t + i] -= 1
+            else:
+                for c, x in enumerate(b[i]):
+                    if x:
+                        row[t + c] -= x
+            rows.append(_wrap_row(row, True))
+    return Matrix._of(tuple(rows), total)
+
+
 def kernel_basis(m: Matrix):
     """Echelon basis of the right kernel, ordered by free column.
 

@@ -91,10 +91,11 @@ class Expr:
             out |= a.variables()
         return out
 
-    def uses_transcendental(self) -> bool:
+    def first_call(self):
+        """The first function name in the tree, in pre-order, or None."""
         if self.op in _CALLS:
-            return True
-        return any(a.uses_transcendental() for a in self.args)
+            return self.op
+        return next(filter(None, (a.first_call() for a in self.args)), None)
 
 
 def const(q) -> Expr:
@@ -165,10 +166,6 @@ def evaluate_numeric(expr: Expr, values):
 
 
 # ----- polynomial dictionaries ---------------------------------------------
-
-
-def poly_zero():
-    return {}
 
 
 def poly_const(q, nvars: int):
@@ -259,10 +256,6 @@ def poly_diff(p, i: int):
         d[i] -= 1
         out[tuple(d)] = c * e[i]
     return out
-
-
-def poly_degree(p) -> int:
-    return max((sum(e) for e in p), default=0)
 
 
 def poly_is_constant(p) -> bool:
@@ -421,7 +414,7 @@ class SmoothMap:
             return False
 
     def uses_transcendental(self) -> bool:
-        return any(b.uses_transcendental() for b in self.bodies)
+        return any(b.first_call() for b in self.bodies)
 
     def to_polys(self):
         return [poly_from_expr(b, self.arity_in) for b in self.bodies]

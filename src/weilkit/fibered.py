@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import corpus
-from .axioms import ModelObject, check_microlinear
+from .axioms import ModelObject, check_microlinear, limit_cone_numbers
 from .exactlin import (
     NO_SOLUTION,
     Matrix,
     Mode,
     Scalar,
     SolveFailure,
-    hstack,
+    difference_rows,
     kernel_basis,
     qq,
     solve_affine,
@@ -53,7 +53,6 @@ from .weil import (
     factor_permutation_iso,
     filtered_basis,
     first_order_infinitesimals,
-    is_limit_cone,
     jet_line,
     tensor,
     tensor_morphism,
@@ -621,11 +620,7 @@ def check_fibered_microlinear(
     componentwise limit an arrow-level one.
     """
     if enforce_limit_input:
-        pre = is_limit_cone(d)
-        if not pre.ok:
-            raise DiagramError(
-                f"input cone is not a limit cone ({pre.certificate})"
-            )
+        limit_cone_numbers(d)
     total = ModelObject.coordinate(p.total_dim)
     base = ModelObject.coordinate(p.base_dim)
     v_total = check_microlinear(total, d, enforce_limit_input=False)
@@ -692,20 +687,15 @@ def _left_exact_linear(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
         else Matrix.zeros(total_cols, 0)
     )
 
-    rows = []
+    terms = []
     for s, t, m in d.arrows:
         a_top = Matrix(
             [[qq(c) for c in row] for row in m.top.linear_matrix()],
             cols=m.source.total_dim,
         ).kron(Matrix.identity(dim))
-        height = d.objects[t].total_dim * dim
-        blocks = [
-            Matrix.zeros(height, o.total_dim * dim) for o in d.objects
-        ]
-        blocks[s] = blocks[s] + a_top
-        blocks[t] = blocks[t] - Matrix.identity(height)
-        rows.append(hstack(blocks))
-    constraints = vstack(rows, cols=total_cols) if rows else Matrix([], cols=total_cols)
+        rows = [[e.value for e in row] for row in a_top.entries]
+        terms.append((offsets[s], rows, offsets[t], None))
+    constraints = difference_rows(total_cols, terms)
 
     compatible_in_v = constraints @ within if bdiag_cols else Matrix([], cols=0)
     nullity = (
@@ -809,11 +799,7 @@ def check_vertical_microlinearity(
     to the actual fibers, and the verdict says which path decided.
     """
     if enforce_limit_input:
-        pre = is_limit_cone(d)
-        if not pre.ok:
-            raise DiagramError(
-                f"input cone is not a limit cone ({pre.certificate})"
-            )
+        limit_cone_numbers(d)
     base = tuple(_as_fraction(v, "base point coordinate") for v in e0)
     fib = vertical_fiber(p, d.apex, base)
     kernel_object = ModelObject(

@@ -7,15 +7,19 @@ a finite geometric series (the denominator needs an invertible scalar
 part), and transcendental calls sum the classical series against the
 nilpotent part, which only makes sense in float mode.
 
-The same tree walker drives three element types: plain algebra elements,
-two-level nested elements (a functor applied after another functor), and
-symbolic elements whose coefficients are polynomials in the input
-coordinates (these materialize the lifted map as a new SmoothMap).
+One tree walker, lift_eval, drives two element types: plain algebra
+elements, and elements of W whose coefficients lie in another commutative
+ring, given as a small value object.  With coefficients in a second Weil
+algebra such an element is one functor applied after another; with exact
+polynomials in the input coordinates as coefficients it materializes the
+lifted map as a new SmoothMap.  The inverse is one geometric series for
+both, shared with plain elements.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +28,7 @@ from .expr import (
     Expr,
     NonPolynomialError,
     SmoothMap,
+    const,
     poly_add,
     poly_const,
     poly_is_constant,
@@ -33,12 +38,14 @@ from .expr import (
     poly_to_expr,
     poly_var,
     serialize_expression,
+    var,
 )
 from .reports import Verdict
 from .weil import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    geometric_invert,
     jet_line,
     make_presented,
     terminal,
@@ -241,21 +248,6 @@ def _taylor_call(op: str, x, where: str):
     return acc
 
 
-def geometric_invert(x):
-    """(s + n)^-1 as a finite series; s = scalar part must be nonzero."""
-    s = x.scalar_part()
-    if s.is_zero:
-        raise ZeroDivisionError("zero scalar part")
-    inv = Scalar.one(s.mode) / s
-    m = (x - x.like(s)) * x.like(-inv)
-    acc = x.like(1)
-    power = None
-    for _ in range(1, x.nilpotency_bound()):
-        power = m if power is None else power * m
-        acc = acc + power
-    return acc * x.like(inv)
-
-
 def apply_map(f: SmoothMap, point: WeilPoint) -> WeilPoint:
     """The lifted map on points: each body evaluated on the coordinates."""
     if f.arity_in != point.arity:
@@ -276,138 +268,175 @@ def evaluate_at_scalars(f: SmoothMap, values, mode: Mode = Mode.EXACT):
     return [c.coeffs[0] for c in apply_map(f, point).coords]
 
 
-# ----- nested elements -------------------------------------------------------
+# ----- elements over a coefficient ring ----------------------------------------
 
 
-class NestedElement:
-    """An element of (R ^ W_inner) ^ W_outer: an outer vector of inner elements.
+@dataclass(frozen=True)
+class WeilCoefficients:
+    """Coefficients that are elements of a Weil algebra, all in one mode."""
 
-    Multiplication convolves along the outer structure constants while the
-    coefficient products happen inside the inner algebra; this is the
-    "apply one functor after the other" route, deliberately separate from
-    collapsing to the tensor algebra first.
-    """
-
-    __slots__ = ("inner_algebra", "outer_algebra", "coeffs")
-
-    def __init__(self, inner_algebra, outer_algebra, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != outer_algebra.dimension:
-            raise ValueError("one inner element per outer basis vector")
-        for c in coeffs:
-            if not isinstance(c, WeilElement) or c.algebra != inner_algebra:
-                raise ValueError("coefficients must live in the inner algebra")
-        modes = {c.mode for c in coeffs}
-        if len(modes) > 1:
-            raise ModeError("nested coefficients mix exact and float modes")
-        self.inner_algebra = inner_algebra
-        self.outer_algebra = outer_algebra
-        self.coeffs = coeffs
+    algebra: WeilAlgebra
+    mode: Mode
+    symbolic = False
 
     @property
-    def mode(self) -> Mode:
-        return self.coeffs[0].mode
+    def depth(self) -> int:
+        """Nilpotency degree of the coefficients' own nilpotents."""
+        return self.algebra.nilpotency_degree
+
+    def zero(self):
+        return self.algebra.zero(self.mode)
+
+    def const(self, value):
+        return self.zero().like(value)
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    def scale(self, a, q):
+        return a.scaled(float(q) if self.mode is Mode.FLOAT else q)
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero
+
+    def scalar(self, a) -> Scalar:
+        return a.augmentation()
+
+
+@dataclass(frozen=True)
+class PolyCoefficients:
+    """Coefficients that are exact polynomials in nvars inputs."""
+
+    nvars: int
+    mode = Mode.EXACT
+    symbolic = True
+    depth = 1
+
+    def zero(self):
+        return {}
+
+    def const(self, value):
+        if isinstance(value, Scalar):
+            value = value.as_fraction()
+        return poly_const(value, self.nvars)
+
+    add = staticmethod(poly_add)
+    sub = staticmethod(poly_sub)
+    mul = staticmethod(poly_mul)
+    scale = staticmethod(poly_scale)
+
+    def is_zero(self, p) -> bool:
+        return not p
+
+    def scalar(self, p) -> Scalar:
+        if not poly_is_constant(p):
+            raise NonPolynomialError(
+                "scalar part depends on the inputs; this operation would leave "
+                "the polynomial world"
+            )
+        return Scalar.exact(p.get((0,) * self.nvars, Fraction(0)))
+
+
+class ExtendedElement:
+    """An element of W with coefficients in a commutative ring: one ring
+    element per basis vector of W.
+
+    Products convolve along W's structure constants while the coefficient
+    products happen in the ring.  With Weil-algebra coefficients this is an
+    element of (R ^ W_inner) ^ W, one functor applied after the other, kept
+    apart from collapsing to the tensor algebra first; with polynomial
+    coefficients it is the lifted map in symbolic form.
+    """
+
+    __slots__ = ("ring", "algebra", "coeffs")
+
+    def __init__(self, ring, algebra: WeilAlgebra, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != algebra.dimension:
+            raise ValueError("one coefficient per basis vector")
+        self.ring = ring
+        self.algebra = algebra
+        self.coeffs = coeffs
+
+    @staticmethod
+    def constant(ring, algebra: WeilAlgebra, value) -> "ExtendedElement":
+        zero = ring.zero()
+        return ExtendedElement(
+            ring, algebra, [ring.const(value)] + [zero] * (algebra.dimension - 1)
+        )
+
+    @property
+    def symbolic(self) -> bool:
+        return self.ring.symbolic
 
     def _peer(self, other):
         if (
-            not isinstance(other, NestedElement)
-            or other.inner_algebra != self.inner_algebra
-            or other.outer_algebra != self.outer_algebra
+            not isinstance(other, ExtendedElement)
+            or other.ring != self.ring
+            or other.algebra != self.algebra
         ):
-            raise ValueError("nested elements live over different algebra pairs")
+            raise ValueError("elements live over different rings or algebras")
 
     def __add__(self, other):
         self._peer(other)
-        return NestedElement(
-            self.inner_algebra,
-            self.outer_algebra,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
+        add = self.ring.add
+        return ExtendedElement(
+            self.ring, self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other):
         self._peer(other)
-        return NestedElement(
-            self.inner_algebra,
-            self.outer_algebra,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
+        sub = self.ring.sub
+        return ExtendedElement(
+            self.ring, self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self):
-        return NestedElement(
-            self.inner_algebra, self.outer_algebra, [-a for a in self.coeffs]
-        )
+    def scaled(self, c) -> "ExtendedElement":
+        if isinstance(c, Scalar):
+            c = c.value
+        scale = self.ring.scale
+        return ExtendedElement(self.ring, self.algebra, [scale(a, c) for a in self.coeffs])
 
     def __mul__(self, other):
         self._peer(other)
-        mode = self.mode
-        out = [self.inner_algebra.zero(mode)] * self.outer_algebra.dimension
+        ring, alg = self.ring, self.algebra
+        out = [ring.zero()] * alg.dimension
+        nz_b = [(j, b) for j, b in enumerate(other.coeffs) if not ring.is_zero(b)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if ring.is_zero(a):
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                ab = a * b
-                for k, c in enumerate(self.outer_algebra.structure_vector(i, j)):
-                    if not c.is_zero:
-                        cv = c if mode is Mode.EXACT else c.to_float()
-                        out[k] = out[k] + ab.scaled(cv)
-        return NestedElement(self.inner_algebra, self.outer_algebra, out)
+            for j, b in nz_b:
+                ab = ring.mul(a, b)
+                for k, c in alg._terms(i, j):
+                    out[k] = ring.add(out[k], ab if c == 1 else ring.scale(ab, c))
+        return ExtendedElement(ring, alg, out)
 
-    def like(self, value):
-        if isinstance(value, Scalar):
-            value = value.value
-        mode = self.mode
-        unit = (
-            self.inner_algebra.scalar(float(value))
-            if mode is Mode.FLOAT
-            else self.inner_algebra.scalar(Scalar.exact(value))
-        )
-        zero = self.inner_algebra.zero(mode)
-        coeffs = [unit] + [zero] * (self.outer_algebra.dimension - 1)
-        return NestedElement(self.inner_algebra, self.outer_algebra, coeffs)
+    def like(self, value) -> "ExtendedElement":
+        """A constant over the same ring and algebra."""
+        return ExtendedElement.constant(self.ring, self.algebra, value)
 
     def scalar_part(self) -> Scalar:
-        mode = self.mode
-        acc = Scalar.zero(mode)
-        for lam, c in zip(self.outer_algebra.aug_covector, self.coeffs):
-            if not lam.is_zero:
-                lv = lam if mode is Mode.EXACT else lam.to_float()
-                acc = acc + lv * c.augmentation()
-        return acc
+        """The ring's scalar part of the augmentation."""
+        ring = self.ring
+        acc = ring.zero()
+        for lam, c in zip(self.algebra.aug_covector, self.coeffs):
+            if lam.value:
+                acc = ring.add(acc, c if lam.value == 1 else ring.scale(c, lam.value))
+        return ring.scalar(acc)
 
     def nilpotency_bound(self) -> int:
-        return (
-            self.inner_algebra.nilpotency_degree
-            + self.outer_algebra.nilpotency_degree
-            - 1
-        )
+        return self.ring.depth + self.algebra.nilpotency_degree - 1
 
-    def invert(self):
+    def invert(self) -> "ExtendedElement":
         return geometric_invert(self)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, NestedElement):
-            return NotImplemented
-        return (
-            self.inner_algebra == other.inner_algebra
-            and self.outer_algebra == other.outer_algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.inner_algebra, self.outer_algebra, self.coeffs))
 
     def __repr__(self):
         body = ", ".join(f"[{c}]" for c in self.coeffs)
-        return f"NestedElement({body})"
+        return f"ExtendedElement({body})"
 
 
-def nest(element: WeilElement) -> NestedElement:
+def nest(element: WeilElement) -> ExtendedElement:
     """Regroup an element of a tensor algebra as inner-valued outer coefficients.
 
     The element's algebra must have been built by tensor(); the left factor
@@ -423,18 +452,22 @@ def nest(element: WeilElement) -> NestedElement:
             for i1 in range(info.left.dimension)
         ]
         coeffs.append(WeilElement(info.left, inner))
-    return NestedElement(info.left, info.right, coeffs)
+    return ExtendedElement(WeilCoefficients(info.left, element.mode), info.right, coeffs)
 
 
-def flatten(nested: NestedElement, algebra: WeilAlgebra) -> WeilElement:
+def flatten(nested: ExtendedElement, algebra: WeilAlgebra) -> WeilElement:
     """Inverse of nest(), into the given tensor-built algebra."""
     info = algebra.tensor_info
     if info is None:
         raise ValueError("flatten() needs a tensor-built target algebra")
-    if info.left != nested.inner_algebra or info.right != nested.outer_algebra:
+    ring = nested.ring
+    if (
+        not isinstance(ring, WeilCoefficients)
+        or info.left != ring.algebra
+        or info.right != nested.algebra
+    ):
         raise ValueError("tensor factors do not match the nested element")
-    mode = nested.mode
-    out = [Scalar.zero(mode)] * algebra.dimension
+    out = [Scalar.zero(ring.mode)] * algebra.dimension
     for i2, c in enumerate(nested.coeffs):
         for i1, v in enumerate(c.coeffs):
             out[info.index_of_pair[(i1, i2)]] = v
@@ -460,23 +493,7 @@ def check_functor_composition(f: SmoothMap, point: WeilPoint) -> Verdict:
         for b in f.bodies
     ]
     flattened = [flatten(r, point.algebra) for r in routed]
-
-    ok = True
-    worst = 0.0
-    for a, b in zip(direct.coords, flattened):
-        if point.mode is Mode.EXACT:
-            if a != b:
-                ok = False
-        else:
-            gap = _relative_gap(a.coeffs, b.coeffs)
-            worst = max(worst, gap)
-            if gap > 1e-9:
-                ok = False
-    detail = (
-        "routes agree exactly"
-        if point.mode is Mode.EXACT
-        else f"largest relative gap {worst:.3e}"
-    )
+    ok, detail = _agreement(direct.coords, flattened, point.mode, "routes agree exactly")
     return Verdict(
         ok,
         f"composite-vs-tensor on map {f.name}: {detail}",
@@ -492,22 +509,7 @@ def check_reparametrization_naturality(
         raise ValueError("point must live over the morphism's source algebra")
     lhs = apply_morphism(phi, apply_map(f, point))
     rhs = apply_map(f, apply_morphism(phi, point))
-    ok = True
-    worst = 0.0
-    for a, b in zip(lhs.coords, rhs.coords):
-        if point.mode is Mode.EXACT:
-            if a != b:
-                ok = False
-        else:
-            gap = _relative_gap(a.coeffs, b.coeffs)
-            worst = max(worst, gap)
-            if gap > 1e-9:
-                ok = False
-    detail = (
-        "both orders agree exactly"
-        if point.mode is Mode.EXACT
-        else f"largest relative gap {worst:.3e}"
-    )
+    ok, detail = _agreement(lhs.coords, rhs.coords, point.mode, "both orders agree exactly")
     return Verdict(
         ok,
         f"reparametrization naturality on map {f.name}: {detail}",
@@ -515,13 +517,17 @@ def check_reparametrization_naturality(
     )
 
 
-def _relative_gap(xs, ys) -> float:
+def _agreement(xs, ys, mode: Mode, exact_detail: str):
+    """(ok, detail) for two lists of elements: equal in exact mode, within
+    a relative gap of 1e-9 per coefficient in float mode."""
+    if mode is Mode.EXACT:
+        return all(a == b for a, b in zip(xs, ys)), exact_detail
     worst = 0.0
-    for x, y in zip(xs, ys):
-        xv, yv = float(x.value), float(y.value)
-        scale = max(1.0, abs(xv), abs(yv))
-        worst = max(worst, abs(xv - yv) / scale)
-    return worst
+    for a, b in zip(xs, ys):
+        for x, y in zip(a.coeffs, b.coeffs):
+            xv, yv = float(x.value), float(y.value)
+            worst = max(worst, abs(xv - yv) / max(1.0, abs(xv), abs(yv)))
+    return not worst > 1e-9, f"largest relative gap {worst:.3e}"
 
 
 # ----- jets ------------------------------------------------------------------
@@ -574,105 +580,6 @@ def mixed_jet(f: SmoothMap, at, orders, mode: Mode = Mode.EXACT):
 # ----- symbolic lift ---------------------------------------------------------
 
 
-class PolyElement:
-    """Algebra element whose coefficients are polynomials in outside inputs."""
-
-    __slots__ = ("algebra", "nvars", "coeffs")
-    symbolic = True
-
-    def __init__(self, algebra, nvars, coeffs):
-        self.algebra = algebra
-        self.nvars = nvars
-        coeffs = tuple(coeffs)
-        if len(coeffs) != algebra.dimension:
-            raise ValueError("one polynomial per basis vector")
-        self.coeffs = coeffs
-
-    def _peer(self, other):
-        if (
-            not isinstance(other, PolyElement)
-            or other.algebra != self.algebra
-            or other.nvars != self.nvars
-        ):
-            raise ValueError("symbolic elements are not compatible")
-
-    def __add__(self, other):
-        self._peer(other)
-        return PolyElement(
-            self.algebra,
-            self.nvars,
-            [poly_add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __sub__(self, other):
-        self._peer(other)
-        return PolyElement(
-            self.algebra,
-            self.nvars,
-            [poly_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __neg__(self):
-        return PolyElement(
-            self.algebra, self.nvars, [poly_scale(c, -1) for c in self.coeffs]
-        )
-
-    def __mul__(self, other):
-        self._peer(other)
-        out = [dict() for _ in range(self.algebra.dimension)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                ab = poly_mul(a, b)
-                for k, c in enumerate(self.algebra.structure_vector(i, j)):
-                    if not c.is_zero:
-                        out[k] = poly_add(out[k], poly_scale(ab, c.as_fraction()))
-        return PolyElement(self.algebra, self.nvars, out)
-
-    def like(self, value):
-        if isinstance(value, Scalar):
-            value = value.as_fraction()
-        coeffs = [poly_const(value, self.nvars)] + [
-            {} for _ in range(self.algebra.dimension - 1)
-        ]
-        return PolyElement(self.algebra, self.nvars, coeffs)
-
-    def scalar_part(self):
-        acc = {}
-        for lam, c in zip(self.algebra.aug_covector, self.coeffs):
-            if not lam.is_zero:
-                acc = poly_add(acc, poly_scale(c, lam.as_fraction()))
-        if not poly_is_constant(acc):
-            raise NonPolynomialError(
-                "scalar part depends on the inputs; this operation would leave "
-                "the polynomial world"
-            )
-        value = acc.get((0,) * self.nvars, Fraction(0))
-        return Scalar.exact(value)
-
-    def nilpotency_bound(self) -> int:
-        return self.algebra.nilpotency_degree
-
-    def invert(self):
-        # works when the scalar part is an input-free nonzero constant
-        s = self.scalar_part()
-        if s.is_zero:
-            raise ZeroDivisionError("zero scalar part")
-        return geometric_invert(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyElement):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-
 def coordinate_names(f_names, algebra: WeilAlgebra):
     return tuple(f"{v}_{b}" for v in f_names for b in range(algebra.dimension))
 
@@ -688,13 +595,12 @@ def lift_map(f: SmoothMap, algebra: WeilAlgebra) -> SmoothMap:
     d = algebra.dimension
     n = f.arity_in
     total = n * d
-    values = []
-    for i in range(n):
-        coeffs = [poly_var(i * d + b, total) for b in range(d)]
-        values.append(PolyElement(algebra, total, coeffs))
-    template = PolyElement(
-        algebra, total, [poly_const(1, total)] + [{}] * (d - 1)
-    )
+    ring = PolyCoefficients(total)
+    values = [
+        ExtendedElement(ring, algebra, [poly_var(i * d + b, total) for b in range(d)])
+        for i in range(n)
+    ]
+    template = ExtendedElement.constant(ring, algebra, 1)
     results = []
     for body in f.bodies:
         results.append(
@@ -724,8 +630,6 @@ class LiftedLineStructure:
 
 
 def lifted_line_structure(algebra: WeilAlgebra) -> LiftedLineStructure:
-    from .expr import var
-
     two_in = SmoothMap(("u", "v"), (var(0) + var(1),), name="plus")
     two_mul = SmoothMap(("u", "v"), (var(0) * var(1),), name="times")
     neg = SmoothMap(("u",), (-var(0),), name="negate")
@@ -733,12 +637,6 @@ def lifted_line_structure(algebra: WeilAlgebra) -> LiftedLineStructure:
     multiplication = lift_map(two_mul, algebra)
     negation = lift_map(neg, algebra)
     one_coeffs = [c.as_fraction() for c in algebra.one().coeffs]
-    unit = SmoothMap((), tuple(_const_expr(c) for c in one_coeffs), name="one")
-    zero = SmoothMap((), tuple(_const_expr(0) for _ in range(algebra.dimension)), name="zero")
+    unit = SmoothMap((), tuple(const(c) for c in one_coeffs), name="one")
+    zero = SmoothMap((), tuple(const(0) for _ in range(algebra.dimension)), name="zero")
     return LiftedLineStructure(algebra, addition, multiplication, negation, unit, zero)
-
-
-def _const_expr(c):
-    from .expr import const
-
-    return const(c)

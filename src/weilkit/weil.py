@@ -519,18 +519,7 @@ class WeilElement:
         return self * other.invert()
 
     def invert(self) -> "WeilElement":
-        """Inverse via the geometric series on the nilpotent part."""
-        s = self.augmentation()
-        if s.is_zero:
-            raise ZeroDivisionError("element with zero augmentation is not invertible")
-        n = self.nilpotent_part()
-        t = n.scaled(-(Scalar.one(s.mode) / s))
-        acc = self.algebra.one(self.mode)
-        power = self.algebra.one(self.mode)
-        for _ in range(1, self.algebra.nilpotency_degree):
-            power = power * t
-            acc = acc + power
-        return acc.scaled(Scalar.one(s.mode) / s)
+        return geometric_invert(self)
 
     def augmentation(self) -> Scalar:
         mode = self.mode
@@ -543,9 +532,6 @@ class WeilElement:
 
     # protocol name the generic evaluator uses
     scalar_part = augmentation
-
-    def nilpotent_part(self) -> "WeilElement":
-        return self - self.algebra.scalar(self.augmentation())
 
     def like(self, value) -> "WeilElement":
         """Embed a constant into the same algebra and mode as this element."""
@@ -585,6 +571,26 @@ class WeilElement:
 
     def __repr__(self):
         return f"WeilElement({self})"
+
+
+def geometric_invert(x):
+    """(s + n)^-1 = s^-1 * sum of (-n/s)^k, with s = x.scalar_part() and
+    the sum cut at x.nilpotency_bound().
+
+    Works on any element with +, -, *, scaled(), like(), scalar_part() and
+    nilpotency_bound(): plain algebra elements and elements over another
+    coefficient ring alike.
+    """
+    s = x.scalar_part()
+    if s.is_zero:
+        raise ZeroDivisionError("element with zero augmentation is not invertible")
+    inv = Scalar.one(s.mode) / s
+    t = (x - x.like(s)).scaled(-inv)
+    acc = power = x.like(1)
+    for _ in range(1, x.nilpotency_bound()):
+        power = power * t
+        acc = acc + power
+    return acc.scaled(inv)
 
 
 class WeilMorphism:

@@ -270,6 +270,21 @@ def microlinear_reference(
     )
 
 
+def difference_rows_reference(dims, terms):
+    """A x_s - B x_t built from dense blocks as the definition reads: one
+    zero block per object, A added into block s, B (the identity when None)
+    subtracted from block t, the blocks laid side by side.  dims are the
+    object dimensions; terms are (s, a, t, b) with object indices."""
+    out = []
+    for s, a, t, b in terms:
+        height = len(a)
+        blocks = [[[Fraction(0)] * d for _ in range(height)] for d in dims]
+        blocks[s] = add_reference(blocks[s], a)
+        blocks[t] = add_reference(blocks[t], _identity(height) if b is None else b, -1)
+        out += [sum((block[i] for block in blocks), []) for i in range(height)]
+    return out
+
+
 def greedy_basis_reference(vectors, n):
     """The unit vector e_0, then each vector, in order, that raises the rank
     of those picked so far: one full elimination per candidate."""

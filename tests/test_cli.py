@@ -160,6 +160,30 @@ def test_weil_morphism_images_may_not_call(capsys):
     assert "not allowed" in err
 
 
+def test_weil_morphism_images_refuse_calls_before_evaluating(capsys):
+    equalizer = ("weil", "equalizer", "Q[x]/(x^2)", "Q[t]/(t^3)")
+    code, _, err = run(capsys, *equalizer, "x -> 1/t + exp(t)", "x -> 0")
+    assert (code, err) == (2, "error: exp() is not allowed in morphism images\n")
+    code, _, err = run(capsys, *equalizer, "x -> 1/t", "x -> 0")
+    assert (code, err) == (
+        1,
+        "error: denominator is not invertible in 1/t: "
+        "element with zero augmentation is not invertible\n",
+    )
+
+
+def test_weil_morphism_images_take_huge_powers_fast(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "weil", "equalizer", "Q[x]/(x^2)", "Q[t]/(t^3)", "x -> t^200000000", "x -> 0"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "dimension: 2" in out.splitlines()
+
+
 # ----- vertical -----------------------------------------------------------------
 
 

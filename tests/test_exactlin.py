@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     add_reference,
+    difference_rows_reference,
     kron_reference,
     matmul_reference,
     matvec_reference,
@@ -18,6 +19,7 @@ from weilkit import Matrix, Mode, ModeError, Scalar, qq
 from weilkit.exactlin import (
     NO_SOLUTION,
     NOT_UNIQUE,
+    difference_rows,
     hstack,
     kernel_basis,
     solve_affine,
@@ -357,3 +359,37 @@ def test_solve_matrix_with_no_columns_is_empty():
     singular = Matrix([[qq(1), qq(1)], [qq(1), qq(1)]])
     x = solve_matrix(singular, Matrix([[], []], cols=0))
     assert x.shape == (2, 0)
+
+
+def test_difference_rows_match_dense_blocks():
+    import random
+
+    rng = random.Random(5)
+
+    def block(rows, cols, zero=False):
+        return [
+            [0 if zero else rng.choice([0, 0, 1, -2, Fraction(3, 4)]) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    seen = set()
+    for _ in range(40):
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        offsets = [sum(dims[:i]) for i in range(len(dims))]
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            s, t = rng.randrange(len(dims)), rng.randrange(len(dims))
+            kind = rng.choice(["identity", "block", "zero"])
+            height = dims[t] if kind == "identity" else rng.randint(1, 2)
+            a = block(height, dims[s], zero=kind == "zero")
+            b = None if kind == "identity" else block(height, dims[t], zero=kind == "zero")
+            terms.append((s, a, t, b))
+            seen.add((kind, s == t))
+        m = difference_rows(sum(dims), [(offsets[s], a, offsets[t], b) for s, a, t, b in terms])
+        assert m.cols == sum(dims) and m.mode is Mode.EXACT
+        assert all(type(e.value) is Fraction for row in m.entries for e in row)
+        assert [[e.value for e in row] for row in m.entries] == difference_rows_reference(
+            dims, terms
+        )
+    # identity and block terms, zero arrows, and arrows from an object to itself
+    assert {("identity", True), ("block", True), ("zero", False)} <= seen

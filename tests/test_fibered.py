@@ -287,3 +287,28 @@ def test_vertical_suite_green():
 def test_vertical_suite_negative_controls():
     rep = vertical_suite(seed=1, samples=6, negative_controls=True)
     assert rep.ok, rep.render()
+
+
+def test_fibered_checkers_call_is_limit_cone_only_to_word_a_refusal(monkeypatch):
+    from weilkit import axioms
+    from weilkit.corpus import mutate_cone, random_limit_cone
+
+    rng = random.Random(29)
+    cones = [random_limit_cone(rng) for _ in range(4)]
+    mutants = [mutate_cone(cone, "inflate") for cone in cones[:2]]
+    proj = FiberedObject.coordinate_projection(3, 1)
+    calls = []
+    real = axioms.is_limit_cone
+    monkeypatch.setattr(axioms, "is_limit_cone", lambda d: calls.append(d) or real(d))
+    for cone in cones:
+        assert check_fibered_microlinear(proj, cone, samples=2).ok
+        assert check_vertical_microlinearity(proj, cone, (qq(0), qq(1), qq(2))).ok
+        assert check_vertical_microlinearity(sphere_distance(), cone, (1, 0, 0)).ok
+    assert calls == []
+    for mutant in mutants:
+        calls.clear()
+        with pytest.raises(DiagramError, match="not a limit cone .*vacuous"):
+            check_fibered_microlinear(proj, mutant, samples=2)
+        with pytest.raises(DiagramError, match="not a limit cone .*vacuous"):
+            check_vertical_microlinearity(proj, mutant, (0, 0, 0))
+        assert len(calls) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weilkit import (
     Mode,
     ModeError,
+    WeilAlgebra,
     WeilPoint,
     apply_map,
     apply_morphism,
@@ -221,6 +222,28 @@ def test_functor_composition_needs_a_tensor_algebra():
         check_functor_composition(f, p)
 
 
+def _skewed_dual_numbers():
+    """Dual numbers on the basis 1, 3 + e, so the augmentation is (1, 3)."""
+    one, skew = [qq(1), qq(0)], [qq(0), qq(1)]
+    return WeilAlgebra.tabled([[one, skew], [skew, [qq(-9), qq(6)]]], [qq(1), qq(3)])
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("factors", ["presented", "skewed outer", "skewed inner"])
+def test_composite_route_agrees_on_a_map_that_divides(mode, factors):
+    f = parse_map("map f(u, v) -> (1/(2+u) + u/(3+u^2), v^-2 - u/(v + 5))")
+    w1, w2 = {
+        "presented": (jet_line(2), first_order_infinitesimals(2)),
+        "skewed outer": (jet_line(2), _skewed_dual_numbers()),
+        "skewed inner": (_skewed_dual_numbers(), dual_numbers("y")),
+    }[factors]
+    w, _, _ = tensor(w1, w2)
+    p = random_point(random.Random(6), w, 2, mode=mode, base_shift=7)
+    verdict = check_functor_composition(f, p)
+    assert verdict.ok, verdict.certificate
+    assert verdict.exactness == ("exact" if mode is Mode.EXACT else "sampled")
+
+
 def test_nest_flatten_round_trip():
     rng = random.Random(4)
     w, _, _ = tensor(first_order_infinitesimals(2), dual_numbers("q"))
@@ -242,6 +265,24 @@ def test_lift_map_matches_pointwise_application():
     direct = apply_map(f, p)
     flat_out = [c.value for x in direct.coords for c in x.coeffs]
     assert [v for v in lifted(flat_in)] == flat_out
+
+
+def test_lift_map_divides_by_constants():
+    rng = random.Random(23)
+    w = jet_line(3)
+    f = parse_map("map f(u, v) -> (u/2 - v^2/(3 - 1/2), (u + v)^3/(2 + 3)^2, 1/(4*2^-1))")
+    lifted = lift_map(f, w)
+    p = random_point(rng, w, 2)
+    flat_in = [c.value for x in p.coords for c in x.coeffs]
+    flat_out = [c.value for x in apply_map(f, p).coords for c in x.coeffs]
+    assert list(lifted(flat_in)) == flat_out
+
+
+def test_lift_map_refuses_division_by_an_input():
+    from weilkit.expr import NonPolynomialError
+
+    with pytest.raises(NonPolynomialError):
+        lift_map(parse_map("map f(u) -> (1/(1+u))"), dual_numbers())
 
 
 def test_lift_map_rejects_transcendental_bodies():
