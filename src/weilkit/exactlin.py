@@ -59,7 +59,7 @@ class Scalar:
 
     @staticmethod
     def exact(value) -> "Scalar":
-        if isinstance(value, float):
+        if isinstance(value.value if isinstance(value, Scalar) else value, float):
             raise ModeError("float given where an exact rational is required")
         return value if isinstance(value, Scalar) else Scalar(value)
 

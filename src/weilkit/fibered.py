@@ -806,8 +806,7 @@ def check_vertical_microlinearity(
         "limit",
         f"ker(d{p.projection.name} at base point)",
         p.total_dim,
-        fib.kernel,
-        None,
+        len(fib.kernel),
     )
     if p.is_linear:
         v = check_microlinear(kernel_object, d, enforce_limit_input=False)

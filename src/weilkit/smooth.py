@@ -127,6 +127,9 @@ def apply_morphism(phi: WeilMorphism, point: WeilPoint) -> WeilPoint:
 
 _CALL_OPS = ("exp", "log", "sin", "cos", "sqrt")
 
+# an exact power whose scalar part would need more than 2^this bits is refused
+_POWER_BUDGET_LOG2 = 20
+
 
 def lift_eval(expr: Expr, values, template=None, var_names=None):
     """Evaluate an expression on ring elements (truncated Taylor semantics).
@@ -177,6 +180,19 @@ def lift_eval(expr: Expr, values, template=None, var_names=None):
                         f"{describe(node)}: {exc}"
                     ) from None
                 n = -n
+            # float scalar parts overflow instead of growing, and symbolic
+            # ones may depend on the inputs: only exact ones are budgeted.
+            # Past 0 and +-1 each factor adds at least one bit, so a larger n
+            # fails before n * log2 could overflow a float.
+            s = 0 if getattr(base, "symbolic", False) else base.scalar_part().value
+            if not isinstance(s, float) and s not in (0, 1, -1):
+                budget = 1 << _POWER_BUDGET_LOG2
+                size = max(abs(s.numerator), s.denominator)
+                if n > budget or n * math.log2(size) > budget:
+                    raise EvaluationError(
+                        f"exact power {describe(node)} exceeds the budget of "
+                        f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
+                    )
             out = base.like(1)
             b = base
             k = n

@@ -2,10 +2,11 @@
 
 An algebra here is either *presented* (a quotient of a polynomial ring by
 monomial relations, with the standard-monomial basis derived at
-construction) or *tabled* (an explicit basis with structure constants).
-Presented algebras stay cheap at any size because products of standard
-monomials are again standard monomials or zero; tabled algebras are what
-equalizers, fiber products, and limits return.
+construction) or *tabled* (an explicit basis with structure constants,
+held as the sparse nonzero terms of each basis product).  Presented
+algebras stay cheap at any size because products of standard monomials are
+again standard monomials or zero; tabled algebras are what equalizers,
+fiber products, and limits return.
 
 Everything categorical (morphisms, limits, mediating maps) is exact; float
 values are rejected on sight.
@@ -82,7 +83,6 @@ class WeilAlgebra:
         "basis",
         "_index",
         "dimension",
-        "table",
         "aug_covector",
         "nilpotency_degree",
         "labels",
@@ -167,7 +167,6 @@ class WeilAlgebra:
         self._codes = [sum(e * t for e, t in zip(exps, strides)) for exps in self.basis]
         self._by_code = {c: i for i, c in enumerate(self._codes)}
         self.dimension = len(basis)
-        self.table = None
         self.aug_covector = unit_vector(self.dimension, 0)
         self.nilpotency_degree = max(sum(e) for e in basis) + 1
         self.labels = tuple(_monomial_label(e, gens) for e in basis)
@@ -189,16 +188,25 @@ class WeilAlgebra:
         nilpotent.  Internal constructions that carry a proof pass
         check=False; nilpotency is still established either way.
         """
-        table = tuple(
-            tuple(tuple(Scalar.exact(c) for c in vec) for vec in row) for row in table
-        )
+        table = [[[Scalar.exact(c).value for c in vec] for vec in row] for row in table]
         aug = tuple(Scalar.exact(c) for c in aug)
         d = len(table)
+        if any(len(vec) != d for row in table for vec in row):
+            raise AlgebraError("structure table or augmentation has the wrong shape")
+        terms = [
+            [tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in table
+        ]
+        return cls._from_terms(terms, aug, check, nilpotency_hint)
+
+    @classmethod
+    def _from_terms(cls, terms, aug, check=True, nilpotency_hint=None) -> "WeilAlgebra":
+        """A tabled algebra from its sparse structure terms: terms[i][j] holds
+        the nonzero (k, Fraction) of basis[i] * basis[j], k increasing, and
+        aug is a tuple of exact Scalars.  Checks as in tabled()."""
+        d = len(terms)
         if d == 0:
             raise AlgebraError("a Weil algebra contains at least the unit")
-        if len(aug) != d or any(len(row) != d for row in table) or any(
-            len(vec) != d for row in table for vec in row
-        ):
+        if len(aug) != d or any(len(row) != d for row in terms):
             raise AlgebraError("structure table or augmentation has the wrong shape")
 
         self = cls._blank()
@@ -208,41 +216,36 @@ class WeilAlgebra:
         self.basis = None
         self._index = None
         self.dimension = d
-        self.table = table
+        self._sparse = tuple(tuple(row) for row in terms)
         self.aug_covector = aug
         self.labels = ("1",) + tuple(f"b{i}" for i in range(1, d))
 
-        unit = unit_vector(d, 0)
         if aug[0] != qq(1):
             raise AlgebraError("augmentation of the unit must be 1")
         for j in range(d):
-            if table[0][j] != unit_vector(d, j) or table[j][0] != unit_vector(d, j):
+            if terms[0][j] != ((j, 1),) or terms[j][0] != ((j, 1),):
                 raise AlgebraError("basis element 0 does not act as the unit")
         if check:
             for i in range(d):
                 for j in range(i + 1, d):
-                    if table[i][j] != table[j][i]:
+                    if terms[i][j] != terms[j][i]:
                         raise AlgebraError(f"product not commutative at ({i},{j})")
+            lam = [c.value for c in aug]
             for i in range(d):
                 for j in range(d):
-                    want = aug[i] * aug[j]
-                    got = sum(
-                        (aug[k] * table[i][j][k] for k in range(d)),
-                        Scalar.zero(Mode.EXACT),
-                    )
-                    if got != want:
+                    if sum(lam[k] * c for k, c in terms[i][j]) != lam[i] * lam[j]:
                         raise AlgebraError(
                             f"augmentation is not multiplicative at ({i},{j})"
                         )
             # with commutativity, symmetry of (e_i e_j) e_k in the last two
             # slots gives full associativity
             for i in range(d):
-                ei = WeilElement(self, unit_vector(d, i))
+                ei = self.basis_element(i)
                 for j in range(d):
-                    ej = WeilElement(self, unit_vector(d, j))
+                    ej = self.basis_element(j)
                     pij = ei * ej
                     for k in range(j + 1, d):
-                        ek = WeilElement(self, unit_vector(d, k))
+                        ek = self.basis_element(k)
                         if pij * ek != ei * (ej * ek):
                             raise AlgebraError(
                                 f"product not associative at ({i},{j},{k})"
@@ -253,8 +256,6 @@ class WeilAlgebra:
             if nilpotency_hint is not None
             else len(self._ideal_chain()) + 1
         )
-        if check and nilpotency_hint is None:
-            pass  # _ideal_chain already raised if the ideal is not nilpotent
         return self
 
     # ----- structure ----------------------------------------------------
@@ -291,24 +292,17 @@ class WeilAlgebra:
         return chain[0] if chain else []
 
     def _terms(self, i: int, j: int):
-        """Nonzero (index, Fraction) pairs of basis[i] * basis[j]."""
+        """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index increasing."""
         if self.flavor == "presented":
             k = self._by_code.get(self._codes[i] + self._codes[j])
-            return [] if k is None else [(k, _ONE)]
-        if self._sparse is None:
-            self._sparse = [
-                [[(k, c.value) for k, c in enumerate(vec) if c.value] for vec in row]
-                for row in self.table
-            ]
+            return () if k is None else ((k, _ONE),)
         return self._sparse[i][j]
 
     def structure_vector(self, i: int, j: int):
         """Coefficients of basis[i] * basis[j]."""
-        if self.flavor == "tabled":
-            return self.table[i][j]
         vec = [Scalar.zero(Mode.EXACT)] * self.dimension
-        for k, _ in self._terms(i, j):
-            vec[k] = Scalar.one(Mode.EXACT)
+        for k, c in self._terms(i, j):
+            vec[k] = _scalar(c)
         return tuple(vec)
 
     @property
@@ -347,13 +341,13 @@ class WeilAlgebra:
         return (
             self.dimension == other.dimension
             and self.aug_covector == other.aug_covector
-            and self.table == other.table
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
         if self.flavor == "presented":
             return hash((self.flavor, self.gens, self.relations))
-        return hash((self.flavor, self.dimension, self.aug_covector, self.table))
+        return hash((self.flavor, self.dimension, self.aug_covector, self._sparse))
 
     def __repr__(self):
         if self.flavor == "presented":
@@ -522,13 +516,12 @@ class WeilElement:
         return geometric_invert(self)
 
     def augmentation(self) -> Scalar:
-        mode = self.mode
-        acc = Scalar.zero(mode)
+        exact = self.mode is Mode.EXACT
+        acc = Fraction(0) if exact else 0.0
         for lam, c in zip(self.algebra.aug_covector, self.coeffs):
-            if not lam.is_zero:
-                lv = lam if mode is Mode.EXACT else lam.to_float()
-                acc = acc + lv * c
-        return acc
+            if lam.value:
+                acc += (lam.value if exact else float(lam.value)) * c.value
+        return _scalar(acc)
 
     # protocol name the generic evaluator uses
     scalar_part = augmentation
@@ -848,22 +841,23 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
     d1, d2 = w1.dimension, w2.dimension
     pair_of_index = tuple((i1, i2) for i1 in range(d1) for i2 in range(d2))
     index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
-    zero = Scalar.zero(Mode.EXACT)
-    table = []
-    for (i1, i2) in pair_of_index:
-        row = []
-        for (j1, j2) in pair_of_index:
-            vec = [zero] * (d1 * d2)
-            for k1, c1 in w1._terms(i1, j1):
-                for k2, c2 in w2._terms(i2, j2):
-                    vec[index_of_pair[(k1, k2)]] = _scalar(c1 * c2)
-            row.append(tuple(vec))
-        table.append(tuple(row))
+    # pair (k1, k2) sits at k1 * d2 + k2, so terms stay index-increasing
+    terms = [
+        [
+            tuple(
+                (k1 * d2 + k2, c1 * c2)
+                for k1, c1 in w1._terms(i1, j1)
+                for k2, c2 in w2._terms(i2, j2)
+            )
+            for (j1, j2) in pair_of_index
+        ]
+        for (i1, i2) in pair_of_index
+    ]
     aug = tuple(
         w1.aug_covector[i1] * w2.aug_covector[i2] for (i1, i2) in pair_of_index
     )
-    w = WeilAlgebra.tabled(
-        table,
+    w = WeilAlgebra._from_terms(
+        terms,
         aug,
         check=False,
         nilpotency_hint=w1.nilpotency_degree + w2.nilpotency_degree - 1,
@@ -982,16 +976,16 @@ def _subalgebra(w: WeilAlgebra, span_vectors):
             basis_vectors.append(tuple(v))
     elements = [WeilElement(w, v) for v in basis_vectors]
     dim = len(elements)
-    table = [[None] * dim for _ in range(dim)]
+    terms = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             coords = echelon.coords((elements[i] * elements[j]).coeffs)
             if coords is None:
                 raise AlgebraError("subspace is not closed under multiplication")
-            table[i][j] = table[j][i] = _wrap_row(coords, True)
+            terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
     aug = tuple(e.augmentation() for e in elements)
-    sub = WeilAlgebra.tabled(
-        table, aug, check=False, nilpotency_hint=w.nilpotency_degree
+    sub = WeilAlgebra._from_terms(
+        terms, aug, check=False, nilpotency_hint=w.nilpotency_degree
     )
     incl = WeilMorphism(
         sub,
@@ -1034,11 +1028,10 @@ class _ProductOverK:
             pos += w.dimension - 1
         d = self.dimension = pos
 
-        zero = zero_vector(d)
-        table = [[zero] * d for _ in range(d)]
-        table[0] = [unit_vector(d, j) for j in range(d)]
+        terms = [[()] * d for _ in range(d)]
+        terms[0] = [((j, _ONE),) for j in range(d)]
         for i in range(1, d):
-            table[i][0] = unit_vector(d, i)
+            terms[i][0] = ((i, _ONE),)
         # cross-factor nilpotents multiply to zero; within a factor,
         # (e_i - aug[i] e_0)(e_j - aug[j] e_0) with e_0 the unit
         for w, off in zip(self.algebras, self.offsets):
@@ -1053,13 +1046,13 @@ class _ProductOverK:
                     acc[0] += lam[i] * lam[j]
                     if sum(a * b for a, b in zip(lam, acc)):
                         raise AlgebraError("augmentation kernel not closed")
-                    vec = [0] * d
-                    vec[off : off + w.dimension - 1] = acc[1:]
                     p, q = off + i - 1, off + j - 1
-                    table[p][q] = table[q][p] = _wrap_row(vec, True)
+                    terms[p][q] = terms[q][p] = tuple(
+                        (off + f - 1, a) for f, a in enumerate(acc) if f and a
+                    )
         hint = max((w.nilpotency_degree for w in self.algebras), default=1)
-        self.algebra = WeilAlgebra.tabled(
-            table, unit_vector(d, 0), check=False, nilpotency_hint=hint
+        self.algebra = WeilAlgebra._from_terms(
+            terms, unit_vector(d, 0), check=False, nilpotency_hint=hint
         )
 
     def extraction(self, a: int) -> Matrix:
@@ -1310,9 +1303,8 @@ def serialize_algebra(w: WeilAlgebra) -> str:
     lines.append("aug " + " ".join(str(c) for c in w.aug_covector))
     for i in range(w.dimension):
         for j in range(i, w.dimension):
-            for k, c in enumerate(w.table[i][j]):
-                if not c.is_zero:
-                    lines.append(f"c {i} {j} {k} {c}")
+            for k, c in w._terms(i, j):
+                lines.append(f"c {i} {j} {k} {c}")
     return "\n".join(lines)
 
 
@@ -1383,21 +1375,23 @@ def _parse_tabled(text: str) -> WeilAlgebra:
             if int(parts[1]) != 0:
                 raise AlgebraError("tabled format requires the unit at index 0")
         elif parts[0] == "aug":
-            aug = [qq(Fraction(p)) for p in parts[1:]]
+            aug = tuple(qq(Fraction(p)) for p in parts[1:])
         elif parts[0] == "c":
             i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-            entries.append((i, j, k, qq(Fraction(parts[4]))))
+            entries.append((line, i, j, k, Fraction(parts[4])))
         else:
             raise AlgebraError(f"unrecognized line in tabled block: {raw!r}")
     if dim is None or aug is None:
         raise AlgebraError("tabled block needs 'dim' and 'aug' lines")
     if len(aug) != dim:
         raise AlgebraError("augmentation length does not match dim")
-    table = [
-        [[Scalar.zero(Mode.EXACT) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(dim)
-    ]
-    for i, j, k, c in entries:
-        table[i][j][k] = c
-        table[j][i][k] = c
-    return WeilAlgebra.tabled(table, aug, check=True)
+    # a later line for the same product overrides an earlier one
+    products = {}
+    for line, i, j, k, c in entries:
+        if not all(0 <= n < dim for n in (i, j, k)):
+            raise AlgebraError(f"index out of range for dim {dim} in line {line!r}")
+        products.setdefault((min(i, j), max(i, j)), {})[k] = c
+    terms = [[()] * dim for _ in range(dim)]
+    for (i, j), vec in products.items():
+        terms[i][j] = terms[j][i] = tuple((k, vec[k]) for k in sorted(vec) if vec[k])
+    return WeilAlgebra._from_terms(terms, aug, check=True)

@@ -296,5 +296,57 @@ def greedy_basis_reference(vectors, n):
     return picked
 
 
+def kernel_reference(rows, ncols):
+    """Basis of the right kernel of Fraction rows, one vector per free column."""
+    reduced, pivots = rref_reference(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
+def lifted_basis_reference(basis, ambient, d):
+    """A carrier basis in R^ambient tensored with a d-dimensional algebra:
+    coordinate i's element occupies the block [i*d, (i+1)*d)."""
+    out = []
+    for b in basis:
+        for beta in range(d):
+            vec = [Fraction(0)] * (ambient * d)
+            for i, c in enumerate(b):
+                vec[i * d + beta] = Fraction(c)
+            out.append(vec)
+    return out
+
+
+def carrier_transport_reference(basis, ambient, sigma_rows, dim_a, dim_b):
+    """Does I (x) sigma carry the lifted carrier X (x) A onto X (x) B?
+
+    The dense route: apply I_ambient (x) sigma to every lifted basis vector,
+    test each image for membership in the lifted target carrier, then
+    compare the rank of the images with the target carrier's dimension.
+    basis spans X inside R^ambient; sigma_rows is sigma's dim_b x dim_a
+    matrix."""
+    big = kron_reference(_identity(ambient), sigma_rows)
+    images = [
+        matvec_reference(big, v) for v in lifted_basis_reference(basis, ambient, dim_a)
+    ]
+    target = lifted_basis_reference(basis, ambient, dim_b)
+    reduced, pivots = rref_reference(target, ambient * dim_b)
+
+    def contained(v):
+        for r, p in enumerate(pivots):
+            if v[p]:
+                v = [x - v[p] * y for x, y in zip(v, reduced[r])]
+        return not any(v)
+
+    carried = all(contained(v) for v in images)
+    rank = len(rref_reference(images, ambient * dim_b)[1])
+    return carried and rank == len(target)
+
+
 def _identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import pytest
 
@@ -294,3 +295,57 @@ def test_exit_codes_never_mix_parse_and_eval():
         parse_code = main(["jet", "u +", "--at", "1"])
         eval_code = main(["jet", "1/u", "--at", "0"])
     assert (parse_code, eval_code) == (2, 1)
+
+
+# ----- input budgets and refusals -----------------------------------------------
+
+
+def _tabled_block(dim, line):
+    unit = "\n".join(f"c 0 {j} {j} 1" for j in range(dim))
+    aug = " ".join(["1"] + ["0"] * (dim - 1))
+    return f"weil tabled\ndim {dim}\nunit 0\naug {aug}\n{unit}\n{line}"
+
+
+def test_tabled_indices_out_of_range_are_refused(capsys):
+    for dim, line in ((2, "c 1 1 5 1"), (3, "c 1 1 -1 1")):
+        code, out, err = run(capsys, "weil", "info", _tabled_block(dim, line))
+        assert (code, out) == (2, "")
+        assert err == f"error: index out of range for dim {dim} in line {line!r}\n"
+    code, out, _ = run(capsys, "weil", "info", _tabled_block(3, "c 1 1 2 1"))
+    assert code == 0 and "dimension: 3" in out
+
+
+def test_exact_powers_past_the_bit_budget_are_refused_fast(capsys):
+    cases = [
+        ("jet", "u^200000000", "--at", "3", "--order", "1"),
+        ("jet", "(2^1048577)*0 + u", "--at", "3"),
+        ("jet", "u^1" + "0" * 400, "--at", "3"),
+        ("weil", "equalizer", "Q[x]/(x^2)", "Q[t]/(t^3)", "x -> 2^200000000*t", "x -> 0"),
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert "exceeds the budget of 2^20 bits" in err
+
+
+def test_exact_powers_inside_the_bit_budget_evaluate(capsys):
+    code, out, _ = run(capsys, "jet", "(2^1048576)*0 + u", "--at", "3", "--order", "1")
+    assert code == 0 and out.splitlines()[1:] == ["1: 3", "du: 1"]
+    code, out, _ = run(capsys, "jet", "(1+u)^1000000000", "--at", "0", "--order", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "1: 1",
+        "du: 1000000000",
+        "du^2: 499999999500000000",
+        "du^3: 166666666166666667000000000",
+    ]
+    code, out, _ = run(capsys, "jet", "(1+u)^1" + "0" * 400, "--at", "0", "--order", "1")
+    assert code == 0 and out.splitlines()[1:] == ["1: 1", "du: 1" + "0" * 400]
+    # float powers overflow instead of growing, so they are not budgeted
+    argv = ("jet", "u^200000000", "--at", "1.0000001", "--order", "1", "--mode", "float")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    value = float(out.splitlines()[1].split(": ")[1])
+    assert math.isclose(value, 1.0000001**200000000, rel_tol=1e-6)

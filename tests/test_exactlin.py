@@ -393,3 +393,12 @@ def test_difference_rows_match_dense_blocks():
         )
     # identity and block terms, zero arrows, and arrows from an object to itself
     assert {("identity", True), ("block", True), ("zero", False)} <= seen
+
+
+def test_exact_refuses_float_scalars():
+    with pytest.raises(ModeError):
+        qq(Scalar(0.5))
+    with pytest.raises(ModeError):
+        Scalar.exact(Scalar(0.5))
+    half = qq(Fraction(1, 2))
+    assert Scalar.exact(half) is half
