@@ -47,12 +47,20 @@ from .weil import (
 
 _EXACT_ONLY_SUITES = ("microlinear", "exponentiable", "fibered", "vertical")
 
+# the printed-digit limit: no exact number is printed with more digits
+_PRINTED_DIGITS = 4300
+_PRINTED_CEILING = 10**_PRINTED_DIGITS
+
 
 def _fmt(value) -> str:
     if isinstance(value, Scalar):
         value = value.value
     if isinstance(value, float):
         return repr(value)
+    if max(abs(value.numerator), value.denominator) >= _PRINTED_CEILING:
+        raise ValueError(
+            f"a number to print exceeds the printed-digit limit of {_PRINTED_DIGITS} digits"
+        )
     return str(value)
 
 

@@ -127,9 +127,6 @@ class Scalar:
     def __bool__(self):
         return not self.is_zero
 
-    def to_float(self) -> "Scalar":
-        return _scalar(float(self.value))
-
     def as_fraction(self) -> Fraction:
         if self.mode is not Mode.EXACT:
             raise ModeError("float Scalar has no exact rational value")

@@ -1,9 +1,16 @@
-"""Expression trees for smooth maps, and exact polynomial dictionaries.
+"""Expression trees for smooth maps, one fold that evaluates them over a
+ring, and exact polynomial dictionaries.
 
 A map body is a small AST over + - * / integer powers and the usual
 transcendental calls.  Variables are stored by index; names live on the
-enclosing SmoothMap and only matter for parsing and printing.  The printer
-and parser are inverse on canonical strings, byte for byte.
+enclosing SmoothMap and only matter for parsing, printing and error
+messages.  The printer and parser are inverse on canonical strings, byte
+for byte.
+
+fold() is the one evaluator, over plain numbers (evaluate_numeric), exact
+polynomials (poly_from_expr) or Weil elements (smooth.lift_eval).  In each
+ring a denominator or a negatively powered base must be invertible, an
+exact power's scalar part has a budget of 2^20 bits, and calls need floats.
 
 Polynomials are dicts {exponent tuple -> Fraction}; they are the exact
 backbone for Jacobians, lifted maps, and commuting-square checks.
@@ -12,8 +19,11 @@ backbone for Jacobians, lifted maps, and commuting-square checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .exactlin import Mode, Scalar
 
 
 class ParseError(ValueError):
@@ -24,8 +34,15 @@ class NonPolynomialError(ValueError):
     """Raised where only polynomial bodies are meaningful."""
 
 
+class EvaluationError(ValueError):
+    """A map body cannot be evaluated in the ring at hand."""
+
+
+class NotInvertibleError(EvaluationError, ZeroDivisionError):
+    """A denominator or a negatively powered base has no inverse in the ring."""
+
+
 _CALLS = ("exp", "log", "sin", "cos", "sqrt")
-_BINARY = ("add", "sub", "mul", "div")
 
 
 @dataclass(frozen=True)
@@ -126,45 +143,6 @@ def sqrt(e: Expr) -> Expr:
     return Expr("sqrt", (e,))
 
 
-# ----- numeric evaluation --------------------------------------------------
-
-
-def evaluate_numeric(expr: Expr, values):
-    """Evaluate at plain numbers (all Fraction, or all float).
-
-    Transcendental calls need float inputs; with Fractions they raise,
-    since no exact value exists.
-    """
-    op = expr.op
-    if op == "const":
-        if values and isinstance(values[0], float):
-            return float(expr.value)
-        return expr.value
-    if op == "var":
-        return values[expr.value]
-    if op == "intpow":
-        base = evaluate_numeric(expr.args[0], values)
-        return base ** expr.value
-    if op in _BINARY:
-        a = evaluate_numeric(expr.args[0], values)
-        b = evaluate_numeric(expr.args[1], values)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a / b
-    if op in _CALLS:
-        inner = evaluate_numeric(expr.args[0], values)
-        if not isinstance(inner, float):
-            raise NonPolynomialError(
-                f"{op}() has no exact rational value; use float mode"
-            )
-        return getattr(math, op)(inner)
-    raise ValueError(f"unknown node {op!r}")
-
-
 # ----- polynomial dictionaries ---------------------------------------------
 
 
@@ -214,25 +192,6 @@ def poly_mul(p, q):
     return out
 
 
-def poly_pow(p, n: int):
-    if n < 0:
-        raise NonPolynomialError("negative power of a non-constant polynomial")
-    out = None
-    base = p
-    k = n
-    while k:
-        if k & 1:
-            out = base if out is None else poly_mul(out, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    if out is None:
-        # empty product: need the variable count from p's keys if any
-        nvars = len(next(iter(p))) if p else 0
-        return poly_const(1, nvars)
-    return out
-
-
 def poly_eval(p, point):
     """Evaluate at a tuple of Fractions (or anything with ring ops)."""
     total = None
@@ -256,58 +215,6 @@ def poly_diff(p, i: int):
         d[i] -= 1
         out[tuple(d)] = c * e[i]
     return out
-
-
-def poly_is_constant(p) -> bool:
-    return all(sum(e) == 0 for e in p)
-
-
-def poly_from_expr(expr: Expr, nvars: int):
-    """Exact polynomial of an expression, or NonPolynomialError.
-
-    Division is only allowed by variable-free denominators.
-    """
-    op = expr.op
-    if op == "const":
-        return poly_const(expr.value, nvars)
-    if op == "var":
-        if expr.value >= nvars:
-            raise ValueError("variable index out of range")
-        return poly_var(expr.value, nvars)
-    if op == "add":
-        return poly_add(
-            poly_from_expr(expr.args[0], nvars), poly_from_expr(expr.args[1], nvars)
-        )
-    if op == "sub":
-        return poly_sub(
-            poly_from_expr(expr.args[0], nvars), poly_from_expr(expr.args[1], nvars)
-        )
-    if op == "mul":
-        return poly_mul(
-            poly_from_expr(expr.args[0], nvars), poly_from_expr(expr.args[1], nvars)
-        )
-    if op == "div":
-        num = poly_from_expr(expr.args[0], nvars)
-        den = poly_from_expr(expr.args[1], nvars)
-        if not poly_is_constant(den):
-            raise NonPolynomialError("division by a non-constant expression")
-        c = poly_eval(den, (Fraction(0),) * nvars)
-        if c == 0:
-            raise ZeroDivisionError("constant denominator is zero")
-        return poly_scale(num, Fraction(1) / c)
-    if op == "intpow":
-        base = poly_from_expr(expr.args[0], nvars)
-        if expr.value < 0:
-            if not poly_is_constant(base):
-                raise NonPolynomialError("negative power of a non-constant expression")
-            c = poly_eval(base, (Fraction(0),) * nvars)
-            if c == 0:
-                raise ZeroDivisionError("zero base with negative power")
-            return poly_const(c**expr.value, nvars)
-        return poly_pow(base, expr.value) if base else poly_const(
-            0 if expr.value else 1, nvars
-        )
-    raise NonPolynomialError(f"{op}() is not polynomial")
 
 
 def _poly_term_key(e):
@@ -340,6 +247,168 @@ def poly_to_expr(p, nvars: int) -> Expr:
                 term = -term
         total = term if total is None else total + term
     return total
+
+
+# ----- one fold over a ring ------------------------------------------------
+
+# an exact power whose scalar part would need more than 2^this bits is refused
+_POWER_BUDGET_LOG2 = 20
+
+
+def fold(expr: Expr, ring, values, var_names=None):
+    """Evaluate expr over a ring; values[i] feeds variable i.
+
+    The ring supplies const(q), add, sub, mul, invert(x) (raising
+    ZeroDivisionError when x has no inverse), exact_scalar(x) (the exact
+    scalar part the power budget reads, or None) and call(op, x, where).
+    Errors name the node in var_names (by default x0, x1, ...).
+    """
+    binary = {"add": ring.add, "sub": ring.sub, "mul": ring.mul}
+
+    def describe(node):
+        return serialize_expression(node, var_names or [f"x{i}" for i in range(len(values))])
+
+    def inverse(x, node, what):
+        try:
+            return ring.invert(x)
+        except ZeroDivisionError as exc:
+            raise NotInvertibleError(f"{what} in {describe(node)}: {exc}") from None
+        except NonPolynomialError as exc:
+            raise NonPolynomialError(f"{what} in {describe(node)}: {exc}") from None
+
+    def run(node):
+        op = node.op
+        if op == "const":
+            return ring.const(node.value)
+        if op == "var":
+            return values[node.value]
+        if op in binary:
+            return binary[op](run(node.args[0]), run(node.args[1]))
+        if op == "div":
+            num = run(node.args[0])
+            den = inverse(run(node.args[1]), node, "denominator is not invertible")
+            return ring.mul(num, den)
+        if op in _CALLS:
+            return ring.call(op, run(node.args[0]), describe(node))
+        if op != "intpow":
+            raise ValueError(f"unknown node {op!r}")
+        base, n = run(node.args[0]), node.value
+        if n < 0:
+            base, n = inverse(base, node, "negative power of a non-invertible value"), -n
+        # float scalar parts overflow instead of growing, and symbolic ones
+        # may depend on the inputs: only exact ones are budgeted.  Past 0 and
+        # +-1 each factor adds at least one bit, so a larger n fails before
+        # n * log2 could overflow a float.
+        s = ring.exact_scalar(base)
+        if s is not None and s not in (0, 1, -1):
+            budget = 1 << _POWER_BUDGET_LOG2
+            if n > budget or n * math.log2(max(abs(s.numerator), s.denominator)) > budget:
+                raise EvaluationError(
+                    f"exact power {describe(node)} exceeds the budget of "
+                    f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
+                )
+        out = ring.const(Fraction(1))
+        while n:
+            if n & 1:
+                out = ring.mul(out, base)
+            n >>= 1
+            if n:
+                base = ring.mul(base, base)
+        return out
+
+    return run(expr)
+
+
+class _Numbers:
+    """Plain numbers as a ring: all Fraction (exact) or all float."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    def __init__(self, exact: bool):
+        self.exact = exact
+
+    def const(self, q):
+        return q if self.exact else float(q)
+
+    @staticmethod
+    def invert(x):
+        if not x:
+            raise ZeroDivisionError("zero has no inverse")
+        return 1 / x
+
+    def exact_scalar(self, x):
+        return x if self.exact else None
+
+    def call(self, op, x, where):
+        if self.exact:
+            raise NonPolynomialError(
+                f"{op}() has no exact rational value; use float mode ({where})"
+            )
+        return getattr(math, op)(x)
+
+
+@dataclass(frozen=True)
+class PolyCoefficients:
+    """Exact polynomials in nvars inputs: the ring of poly_from_expr, and
+    the coefficients of a symbolic lift (smooth.lift_map)."""
+
+    nvars: int
+    mode = Mode.EXACT
+    symbolic = True
+    depth = 1
+
+    def zero(self):
+        return {}
+
+    def const(self, value):
+        if isinstance(value, Scalar):
+            value = value.as_fraction()
+        return poly_const(value, self.nvars)
+
+    add = staticmethod(poly_add)
+    sub = staticmethod(poly_sub)
+    mul = staticmethod(poly_mul)
+    scale = staticmethod(poly_scale)
+
+    def is_zero(self, p) -> bool:
+        return not p
+
+    def exact_scalar(self, p):
+        """The value of a constant polynomial; None when p depends on the inputs."""
+        return None if any(sum(e) for e in p) else p.get((0,) * self.nvars, Fraction(0))
+
+    def scalar(self, p) -> Scalar:
+        c = self.exact_scalar(p)
+        if c is None:
+            raise NonPolynomialError(
+                "it depends on the inputs, so it has no polynomial inverse"
+            )
+        return Scalar.exact(c)
+
+    def invert(self, p):
+        c = self.scalar(p).value
+        if not c:
+            raise ZeroDivisionError("zero has no inverse")
+        return poly_const(1 / c, self.nvars)
+
+    def call(self, op, x, where):
+        raise NonPolynomialError(f"{op}() is not polynomial: {where}")
+
+
+def evaluate_numeric(expr: Expr, values, var_names=None):
+    """Evaluate at plain numbers (all Fraction, or all float); calls need floats."""
+    exact = not (values and isinstance(values[0], float))
+    return fold(expr, _Numbers(exact), values, var_names)
+
+
+def poly_from_expr(expr: Expr, nvars: int, var_names=None):
+    """Exact polynomial of an expression: NonPolynomialError for calls and
+    for denominators that depend on the inputs, NotInvertibleError (a
+    ZeroDivisionError) for zero ones."""
+    ring = PolyCoefficients(nvars)
+    return fold(expr, ring, [poly_var(i, nvars) for i in range(nvars)], var_names)
 
 
 # ----- smooth maps ---------------------------------------------------------
@@ -417,7 +486,7 @@ class SmoothMap:
         return any(b.first_call() for b in self.bodies)
 
     def to_polys(self):
-        return [poly_from_expr(b, self.arity_in) for b in self.bodies]
+        return [poly_from_expr(b, self.arity_in, self.var_names) for b in self.bodies]
 
     def linear_matrix(self):
         """The matrix of a homogeneous linear map, or None."""
@@ -436,7 +505,8 @@ class SmoothMap:
         return rows
 
     def __call__(self, values):
-        return [evaluate_numeric(b, list(values)) for b in self.bodies]
+        values = list(values)
+        return [evaluate_numeric(b, values, self.var_names) for b in self.bodies]
 
     def __repr__(self):
         return f"SmoothMap({serialize_map(self)})"

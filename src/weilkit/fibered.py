@@ -39,7 +39,6 @@ from .expr import (
     parse_map,
     poly_diff,
     poly_eval,
-    poly_from_expr,
     serialize_map,
 )
 from .reports import Report, Verdict
@@ -458,9 +457,7 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
             f"{p.projection.name} is not polynomial; the graded solver only "
             "handles polynomial projections"
         )
-    polys = [
-        poly_from_expr(body, p.total_dim) for body in p.projection.bodies
-    ]
+    polys = p.projection.to_polys()
     jac_rows = []
     for poly in polys:
         row = []

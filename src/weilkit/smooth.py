@@ -7,13 +7,14 @@ a finite geometric series (the denominator needs an invertible scalar
 part), and transcendental calls sum the classical series against the
 nilpotent part, which only makes sense in float mode.
 
-One tree walker, lift_eval, drives two element types: plain algebra
+lift_eval runs expr.fold over a thin ring of elements, with the rules
+plain numbers and polynomials obey, for two element types: plain algebra
 elements, and elements of W whose coefficients lie in another commutative
 ring, given as a small value object.  With coefficients in a second Weil
 algebra such an element is one functor applied after another; with exact
-polynomials in the input coordinates as coefficients it materializes the
-lifted map as a new SmoothMap.  The inverse is one geometric series for
-both, shared with plain elements.
+polynomials in the input coordinates (expr.PolyCoefficients) it
+materializes the lifted map as a new SmoothMap.  The inverse is one
+geometric series for both, shared with plain elements.
 """
 
 from __future__ import annotations
@@ -21,23 +22,18 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import Mode, ModeError, Scalar
 from .expr import (
+    EvaluationError,
     Expr,
     NonPolynomialError,
+    PolyCoefficients,
     SmoothMap,
     const,
-    poly_add,
-    poly_const,
-    poly_is_constant,
-    poly_mul,
-    poly_scale,
-    poly_sub,
+    fold,
     poly_to_expr,
     poly_var,
-    serialize_expression,
     var,
 )
 from .reports import Verdict
@@ -50,10 +46,6 @@ from .weil import (
     make_presented,
     terminal,
 )
-
-
-class EvaluationError(ValueError):
-    """A map body cannot be evaluated on the given lifted coordinates."""
 
 
 # ----- points --------------------------------------------------------------
@@ -123,90 +115,7 @@ def apply_morphism(phi: WeilMorphism, point: WeilPoint) -> WeilPoint:
     return WeilPoint(phi.target, [phi.apply(c) for c in point.coords])
 
 
-# ----- the generic tree walker ----------------------------------------------
-
-_CALL_OPS = ("exp", "log", "sin", "cos", "sqrt")
-
-# an exact power whose scalar part would need more than 2^this bits is refused
-_POWER_BUDGET_LOG2 = 20
-
-
-def lift_eval(expr: Expr, values, template=None, var_names=None):
-    """Evaluate an expression on ring elements (truncated Taylor semantics).
-
-    values[i] feeds variable i; template supplies the ring when there are
-    no variables at all.  Any element type with +, -, *, like(),
-    scalar_part(), nilpotency_bound(), and invert() works.
-    """
-    if template is None:
-        if not values:
-            raise ValueError("need a template element when there are no values")
-        template = values[0]
-    names = list(var_names) if var_names else [f"x{i}" for i in range(len(values))]
-
-    def describe(node):
-        return serialize_expression(node, names)
-
-    def run(node):
-        op = node.op
-        if op == "const":
-            return template.like(node.value)
-        if op == "var":
-            return values[node.value]
-        if op == "add":
-            return run(node.args[0]) + run(node.args[1])
-        if op == "sub":
-            return run(node.args[0]) - run(node.args[1])
-        if op == "mul":
-            return run(node.args[0]) * run(node.args[1])
-        if op == "div":
-            num = run(node.args[0])
-            den = run(node.args[1])
-            try:
-                return num * den.invert()
-            except ZeroDivisionError as exc:
-                raise EvaluationError(
-                    f"denominator is not invertible in {describe(node)}: {exc}"
-                ) from None
-        if op == "intpow":
-            base = run(node.args[0])
-            n = node.value
-            if n < 0:
-                try:
-                    base = base.invert()
-                except ZeroDivisionError as exc:
-                    raise EvaluationError(
-                        f"negative power of a non-invertible value in "
-                        f"{describe(node)}: {exc}"
-                    ) from None
-                n = -n
-            # float scalar parts overflow instead of growing, and symbolic
-            # ones may depend on the inputs: only exact ones are budgeted.
-            # Past 0 and +-1 each factor adds at least one bit, so a larger n
-            # fails before n * log2 could overflow a float.
-            s = 0 if getattr(base, "symbolic", False) else base.scalar_part().value
-            if not isinstance(s, float) and s not in (0, 1, -1):
-                budget = 1 << _POWER_BUDGET_LOG2
-                size = max(abs(s.numerator), s.denominator)
-                if n > budget or n * math.log2(size) > budget:
-                    raise EvaluationError(
-                        f"exact power {describe(node)} exceeds the budget of "
-                        f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
-                    )
-            out = base.like(1)
-            b = base
-            k = n
-            while k:
-                if k & 1:
-                    out = out * b
-                b = b * b if k > 1 else b
-                k >>= 1
-            return out
-        if op in _CALL_OPS:
-            return _taylor_call(op, run(node.args[0]), describe(node))
-        raise ValueError(f"unknown node {op!r}")
-
-    return run(expr)
+# ----- evaluation on elements -------------------------------------------------
 
 
 def _series_coefficients(op: str, a: float, count: int):
@@ -264,6 +173,36 @@ def _taylor_call(op: str, x, where: str):
     return acc
 
 
+class _ElementRing:
+    """Elements of one algebra, plain or over a coefficient ring, as a ring
+    for expr.fold; template fixes the algebra, the mode and the ring."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    invert = staticmethod(geometric_invert)
+    call = staticmethod(_taylor_call)
+
+    def __init__(self, template):
+        self.const = template.like
+        self.symbolic = getattr(template, "symbolic", False)
+
+    def exact_scalar(self, x):
+        s = None if self.symbolic else x.scalar_part().value
+        return None if isinstance(s, float) else s
+
+
+def lift_eval(expr: Expr, values, template=None, var_names=None):
+    """Evaluate an expression on ring elements (truncated Taylor semantics).
+
+    values[i] feeds variable i; template supplies the ring when there are
+    no variables at all.  Any element type with +, -, *, scaled(), like(),
+    scalar_part() and nilpotency_bound() works.
+    """
+    ring = _ElementRing(values[0] if template is None else template)
+    return fold(expr, ring, values, var_names)
+
+
 def apply_map(f: SmoothMap, point: WeilPoint) -> WeilPoint:
     """The lifted map on points: each body evaluated on the coordinates."""
     if f.arity_in != point.arity:
@@ -318,40 +257,6 @@ class WeilCoefficients:
 
     def scalar(self, a) -> Scalar:
         return a.augmentation()
-
-
-@dataclass(frozen=True)
-class PolyCoefficients:
-    """Coefficients that are exact polynomials in nvars inputs."""
-
-    nvars: int
-    mode = Mode.EXACT
-    symbolic = True
-    depth = 1
-
-    def zero(self):
-        return {}
-
-    def const(self, value):
-        if isinstance(value, Scalar):
-            value = value.as_fraction()
-        return poly_const(value, self.nvars)
-
-    add = staticmethod(poly_add)
-    sub = staticmethod(poly_sub)
-    mul = staticmethod(poly_mul)
-    scale = staticmethod(poly_scale)
-
-    def is_zero(self, p) -> bool:
-        return not p
-
-    def scalar(self, p) -> Scalar:
-        if not poly_is_constant(p):
-            raise NonPolynomialError(
-                "scalar part depends on the inputs; this operation would leave "
-                "the polynomial world"
-            )
-        return Scalar.exact(p.get((0,) * self.nvars, Fraction(0)))
 
 
 class ExtendedElement:
@@ -443,9 +348,6 @@ class ExtendedElement:
 
     def nilpotency_bound(self) -> int:
         return self.ring.depth + self.algebra.nilpotency_degree - 1
-
-    def invert(self) -> "ExtendedElement":
-        return geometric_invert(self)
 
     def __repr__(self):
         body = ", ".join(f"[{c}]" for c in self.coeffs)

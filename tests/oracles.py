@@ -4,7 +4,9 @@ Nothing here calls back into the package's evaluation, differentiation, or
 limit machinery: derivatives come from sympy, stencil weights from an exact
 Vandermonde solve, and subspace comparisons from sympy's exact rank.  The
 inputs are plain Fractions, floats, and callables, so a disagreement with
-the package is a finding about the package.
+the package is a finding about the package.  The expression references
+at the end are the tree walkers weilkit used before its single fold; they
+share only the polynomial arithmetic helpers with the package.
 """
 
 from __future__ import annotations
@@ -14,6 +16,17 @@ import operator
 from fractions import Fraction
 
 import sympy
+
+from weilkit.expr import (
+    NonPolynomialError,
+    poly_add,
+    poly_const,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    poly_var,
+)
 
 
 def _rat(value):
@@ -350,3 +363,112 @@ def carrier_transport_reference(basis, ambient, sigma_rows, dim_a, dim_b):
 
 def _identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+# ----- expression walkers -----------------------------------------------------
+
+_CALLS = ("exp", "log", "sin", "cos", "sqrt")
+_BINARY = ("add", "sub", "mul", "div")
+
+
+def evaluate_numeric_reference(expr, values):
+    """A map body at plain numbers (all Fraction, or all float), node by
+    node with Python's own / and **; calls need float inputs."""
+    op = expr.op
+    if op == "const":
+        if values and isinstance(values[0], float):
+            return float(expr.value)
+        return expr.value
+    if op == "var":
+        return values[expr.value]
+    if op == "intpow":
+        base = evaluate_numeric_reference(expr.args[0], values)
+        return base ** expr.value
+    if op in _BINARY:
+        a = evaluate_numeric_reference(expr.args[0], values)
+        b = evaluate_numeric_reference(expr.args[1], values)
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return a * b
+        return a / b
+    if op in _CALLS:
+        inner = evaluate_numeric_reference(expr.args[0], values)
+        if not isinstance(inner, float):
+            raise NonPolynomialError(
+                f"{op}() has no exact rational value; use float mode"
+            )
+        return getattr(math, op)(inner)
+    raise ValueError(f"unknown node {op!r}")
+
+
+def poly_is_constant(p) -> bool:
+    return all(sum(e) == 0 for e in p)
+
+
+def _poly_pow(p, n: int):
+    out = None
+    base = p
+    k = n
+    while k:
+        if k & 1:
+            out = base if out is None else poly_mul(out, base)
+        k >>= 1
+        if k:
+            base = poly_mul(base, base)
+    if out is None:
+        nvars = len(next(iter(p))) if p else 0
+        return poly_const(1, nvars)
+    return out
+
+
+def poly_from_expr_reference(expr, nvars: int):
+    """Exact polynomial of a body: NonPolynomialError at a call (before its
+    argument) or at a non-constant denominator or negatively powered base,
+    ZeroDivisionError at a zero constant one."""
+    op = expr.op
+    if op == "const":
+        return poly_const(expr.value, nvars)
+    if op == "var":
+        if expr.value >= nvars:
+            raise ValueError("variable index out of range")
+        return poly_var(expr.value, nvars)
+    if op == "add":
+        return poly_add(
+            poly_from_expr_reference(expr.args[0], nvars),
+            poly_from_expr_reference(expr.args[1], nvars),
+        )
+    if op == "sub":
+        return poly_sub(
+            poly_from_expr_reference(expr.args[0], nvars),
+            poly_from_expr_reference(expr.args[1], nvars),
+        )
+    if op == "mul":
+        return poly_mul(
+            poly_from_expr_reference(expr.args[0], nvars),
+            poly_from_expr_reference(expr.args[1], nvars),
+        )
+    if op == "div":
+        num = poly_from_expr_reference(expr.args[0], nvars)
+        den = poly_from_expr_reference(expr.args[1], nvars)
+        if not poly_is_constant(den):
+            raise NonPolynomialError("division by a non-constant expression")
+        c = poly_eval(den, (Fraction(0),) * nvars)
+        if c == 0:
+            raise ZeroDivisionError("constant denominator is zero")
+        return poly_scale(num, Fraction(1) / c)
+    if op == "intpow":
+        base = poly_from_expr_reference(expr.args[0], nvars)
+        if expr.value < 0:
+            if not poly_is_constant(base):
+                raise NonPolynomialError("negative power of a non-constant expression")
+            c = poly_eval(base, (Fraction(0),) * nvars)
+            if c == 0:
+                raise ZeroDivisionError("zero base with negative power")
+            return poly_const(c**expr.value, nvars)
+        return _poly_pow(base, expr.value) if base else poly_const(
+            0 if expr.value else 1, nvars
+        )
+    raise NonPolynomialError(f"{op}() is not polynomial")

@@ -349,3 +349,48 @@ def test_exact_powers_inside_the_bit_budget_evaluate(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split(": ")[1])
     assert math.isclose(value, 1.0000001**200000000, rel_tol=1e-6)
+
+
+def test_vertical_powers_past_the_bit_budget_are_refused_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "vertical", "fibered p(x,y) -> (2^200000000*x)", "Q[d]/(d^2)", "1,1"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: exact power 2^200000000 exceeds the budget of 2^20 bits for its scalar part\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "x/y",
+            "denominator is not invertible in x/y: "
+            "it depends on the inputs, so it has no polynomial inverse",
+        ),
+        (
+            "x*y^-1",
+            "negative power of a non-invertible value in y^-1: "
+            "it depends on the inputs, so it has no polynomial inverse",
+        ),
+        ("x/(y-y)", "denominator is not invertible in x/(y - y): zero has no inverse"),
+    ],
+)
+def test_vertical_refusals_name_the_node_in_the_map_variables(capsys, body, message):
+    fibered = f"fibered p(x,y) -> ({body})"
+    code, out, err = run(capsys, "vertical", fibered, "Q[d]/(d^2)", "1,1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_printed_numbers_past_the_digit_limit_are_refused(capsys):
+    for expr, at in (("2^1000000*u", "3"), ("10^4300*u", "1")):
+        code, out, err = run(capsys, "jet", expr, "--at", at, "--order", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: a number to print exceeds the printed-digit limit of 4300 digits\n"
+        )
+    code, out, _ = run(capsys, "jet", "10^4299*u", "--at", "1", "--order", "1")
+    assert code == 0 and out.splitlines()[2] == "du: 1" + "0" * 4299

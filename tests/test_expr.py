@@ -1,6 +1,7 @@
 """Expression trees, the map DSL, and the polynomial backend."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from weilkit import ParseError, SmoothMap, linear_map, parse_expression, parse_map
 from weilkit.corpus import random_poly_expr, random_rational
 from weilkit.expr import (
+    EvaluationError,
+    Expr,
     NonPolynomialError,
     const,
     evaluate_numeric,
@@ -24,6 +27,8 @@ from weilkit.expr import (
     sin,
     var,
 )
+
+import oracles
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -156,3 +161,114 @@ def test_division_rules():
 def test_map_body_cannot_use_unknown_variable():
     with pytest.raises(ValueError):
         SmoothMap(("u",), (var(1),))
+
+
+# ----- one fold, three rings ------------------------------------------------------
+
+
+def test_exact_powers_past_the_bit_budget_are_refused_on_every_path():
+    f = parse_map("f(u) -> (2^200000000*u)")
+    for thunk in (lambda: f([3]), f.to_polys):
+        start = time.perf_counter()
+        with pytest.raises(EvaluationError, match=r"exact power 2\^200000000 exceeds"):
+            thunk()
+        assert time.perf_counter() - start < 1
+    # a base that depends on the inputs has no scalar part to budget
+    assert parse_map("f(u) -> (u^200000000)").to_polys() == [{(200000000,): 1}]
+
+
+_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+_NODE_KINDS = ("add", "sub", "mul", "div", "div", "pow", "pow", "call")
+
+
+def _random_body(rng, nvars, depth):
+    """A body over + - * /, integer powers from -2 to 3 and calls, in which
+    constant, zero and input-dependent denominators all occur."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.7:
+            return var(rng.randrange(nvars))
+        return const(random_rational(rng, 2))
+    kind = rng.choice(_NODE_KINDS)
+    a = _random_body(rng, nvars, depth - 1)
+    if kind == "pow":
+        return a ** rng.choice((-2, -1, 0, 2, 3))
+    if kind == "call":
+        return Expr(rng.choice(_FUNCTIONS), (a,))
+    b = _random_body(rng, nvars, depth - 1)
+    return {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[kind]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, exc
+
+
+def _call_arguments(e):
+    if e.op in _FUNCTIONS:
+        yield e.args[0]
+    for a in e.args:
+        yield from _call_arguments(a)
+
+
+def _near_a_singularity(e, xs) -> bool:
+    """Whether a denominator, a negatively powered base, or the argument of
+    log or sqrt lies within 1e-6 of zero at xs in the reference.  There
+    rounding alone decides whether an evaluation raises: v/v is exactly
+    1.0, but v*(1/v) may be 1 - 2^-53, so log(v/v)^-2 raises in one
+    evaluator and is about 8e31 in the other."""
+    if e.op == "div" or (e.op == "intpow" and e.value < 0) or e.op in ("log", "sqrt"):
+        value, exc = _outcome(oracles.evaluate_numeric_reference, e.args[-1], xs)
+        if exc is None and abs(value) < 1e-6:
+            return True
+    return any(_near_a_singularity(a, xs) for a in e.args)
+
+
+def _assert_same(want, got, body, nvars):
+    (value, exc), (new_value, new_exc) = want, got
+    if exc is None:
+        assert new_exc is None and new_value == value
+        return
+    assert new_exc is not None
+    if isinstance(exc, NonPolynomialError) and not isinstance(new_exc, NonPolynomialError):
+        # the fold evaluates a call's argument before the polynomial ring
+        # refuses the call, so an argument that fails reports its own error
+        assert any(
+            isinstance(_outcome(poly_from_expr, a, nvars)[1], type(new_exc))
+            for a in _call_arguments(body)
+        )
+        return
+    assert isinstance(new_exc, type(exc))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150)
+def test_the_fold_agrees_with_the_reference_walkers(seed):
+    rng = random.Random(seed)
+    body = _random_body(rng, 2, 3)
+    at = (random_rational(rng), random_rational(rng))
+    _assert_same(
+        _outcome(oracles.evaluate_numeric_reference, body, at),
+        _outcome(evaluate_numeric, body, at),
+        body,
+        2,
+    )
+    _assert_same(
+        _outcome(oracles.poly_from_expr_reference, body, 2),
+        _outcome(poly_from_expr, body, 2),
+        body,
+        2,
+    )
+    # floats: the fold takes a*(1/b) and square-and-multiply where the
+    # reference takes a/b and **, so the two round differently
+    xs = [rng.uniform(0.3, 1.7) for _ in range(2)]
+    if _near_a_singularity(body, xs):
+        return
+    value, exc = _outcome(oracles.evaluate_numeric_reference, body, xs)
+    new_value, new_exc = _outcome(SmoothMap(("u", "v"), (body,)), xs)
+    if exc is not None:
+        assert isinstance(new_exc, type(exc))
+    else:
+        (new_value,) = new_value
+        assert abs(new_value - value) <= 1e-12 * max(1.0, abs(value), abs(new_value))
