@@ -175,12 +175,11 @@ def _rank_one_numbers(cone: DiagramInWeil):
 
     terms = []
     for s, t, phi in cone.arrows:
-        rows = [[e.value for e in row] for row in phi.matrix.entries]
-        terms.append((offsets[s], rows, offsets[t], None))
+        terms.append((offsets[s], phi.matrix.raw, offsets[t], None))
     # base points must also be identified across the family: that gluing is
     # what the scalar-fibered product encodes, and it is implied by the
     # arrows only when the diagram is connected
-    augs = [[[c.value for c in w.aug_covector]] for w in cone.objects]
+    augs = [[w.aug] for w in cone.objects]
     terms += [
         (offsets[i], augs[i], offsets[i + 1], augs[i + 1])
         for i in range(len(cone.objects) - 1)

@@ -22,9 +22,11 @@ from .axioms import (
 from .exactlin import Mode, ModeError, Scalar
 from .expr import (
     _CALLS,
+    DIGIT_LIMIT,
     _tokenize,
     ParseError,
     SmoothMap,
+    check_literal,
     parse_expression,
 )
 from .fibered import FiberedError, FiberedObject, fibered_suite, vertical_fiber, vertical_suite
@@ -48,7 +50,7 @@ from .weil import (
 _EXACT_ONLY_SUITES = ("microlinear", "exponentiable", "fibered", "vertical")
 
 # the printed-digit limit: no exact number is printed with more digits
-_PRINTED_DIGITS = 4300
+_PRINTED_DIGITS = DIGIT_LIMIT
 _PRINTED_CEILING = 10**_PRINTED_DIGITS
 
 
@@ -110,7 +112,7 @@ def _free_names(text: str):
 def _parse_values(text: str, mode: Mode):
     out = []
     for tok in text.split(","):
-        tok = tok.strip()
+        tok = check_literal(tok.strip(), ParseError)
         if not tok:
             raise ParseError("empty value in the --at list")
         try:
@@ -288,7 +290,7 @@ def cmd_weil(args) -> int:
         out.pair("dimension", apex.dimension)
         out.raw(serialize_algebra(apex), kv_key="serialized")
         for i, leg in enumerate(legs):
-            for r, row in enumerate(leg.matrix.entries):
+            for r, row in enumerate(leg.matrix.raw):
                 cells = ",".join(_fmt(c) for c in row)
                 if out.style == "kv":
                     out.pair(f"leg.{i}.row.{r}", cells)

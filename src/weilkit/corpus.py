@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactlin import Matrix, Mode, Scalar, qq, unit_vector
+from .exactlin import Matrix, Mode, qq, unit_vector
 from .expr import Expr, SmoothMap, const, var
 from .smooth import WeilPoint
 from .weil import (
@@ -90,7 +90,7 @@ def random_element(
     if augmentation_value is not None:
         el = el - w.scalar(el.augmentation()) + w.scalar(qq(augmentation_value))
     if mode is Mode.FLOAT:
-        el = WeilElement(w, [Scalar(float(c.value)) for c in el.coeffs])
+        el = WeilElement._of(w, tuple(map(float, el.raw)), Mode.FLOAT)
     return el
 
 
@@ -109,7 +109,7 @@ def random_point(
         if base_shift:
             el = el + w.scalar(qq(base_shift))
         if mode is Mode.FLOAT:
-            el = WeilElement(w, [Scalar(float(c.value)) for c in el.coeffs])
+            el = WeilElement._of(w, tuple(map(float, el.raw)), Mode.FLOAT)
         coords.append(el)
     return WeilPoint(w, coords)
 
@@ -127,7 +127,7 @@ def random_morphism(
             el = target.zero()
             for v in nil_basis:
                 if rng.random() < 0.5:
-                    el = el + WeilElement(target, v).scaled(qq(random_rational(rng, 3)))
+                    el = el + WeilElement._of(target, v).scaled(qq(random_rational(rng, 3)))
             images.append(el)
         try:
             return WeilMorphism.from_generator_images(source, target, images)
@@ -196,20 +196,9 @@ def drop_added_factor(wd: WeilAlgebra) -> WeilMorphism:
     info = wd.tensor_info
     if info is None:
         raise ValueError("needs a tensor-built algebra")
-    cols = []
-    for (i1, i2) in info.pair_of_index:
-        if i2 == 0:
-            cols.append(unit_vector(info.left.dimension, i1))
-        else:
-            cols.append(
-                tuple(Scalar.zero(Mode.EXACT) for _ in range(info.left.dimension))
-            )
-    return WeilMorphism(
-        wd,
-        info.left,
-        Matrix.from_columns(cols, rows=info.left.dimension),
-        check=False,
-    )
+    d = info.left.dimension
+    cols = [unit_vector(d, i1) if i2 == 0 else (0,) * d for (i1, i2) in info.pair_of_index]
+    return WeilMorphism(wd, info.left, Matrix.from_columns(cols, rows=d), check=False)
 
 
 def mutate_cone(cone: DiagramInWeil, kind: str) -> DiagramInWeil | None:

@@ -1,9 +1,11 @@
 """Exact rational scalars and the dense linear algebra everything else reduces to.
 
 Two scalar modes exist: exact (arbitrary-precision rationals) and float
-(doubles, for the analytic primitives).  Mixing them in one operation is a
-bug in the caller, so it raises instead of silently promoting.  All
-structural decisions (kernels, ranks, solvability) are exact-only.
+(doubles, for the analytic primitives).  A matrix holds raw values of one
+mode, Fractions or floats, and says once which; it hands out Scalars only
+where a caller reads an entry.  Mixing modes in one operation is a bug in
+the caller, so it raises instead of silently promoting.  All structural
+decisions (kernels, ranks, solvability) are exact-only.
 """
 
 from __future__ import annotations
@@ -155,9 +157,9 @@ def _scalar(value) -> Scalar:
 _ZERO, _ONE = _scalar(Fraction(0)), _scalar(Fraction(1))
 _FZERO, _FONE = _scalar(0.0), _scalar(1.0)
 
-
-def _wrap_row(values, exact: bool):
-    return tuple([_scalar(v) if v or not exact else _ZERO for v in values])
+# the raw zero and one of each mode
+_RAW = {Mode.EXACT: (_ZERO.value, _ONE.value), Mode.FLOAT: (0.0, 1.0)}
+_RAW_TYPES = frozenset((Fraction, float))
 
 
 def _raw(value, mode: Mode):
@@ -176,6 +178,22 @@ def _raw(value, mode: Mode):
     return value
 
 
+def _raw_of(value):
+    """The raw value of a public input: a Scalar, int, Fraction or float
+    (an int becomes an exact Fraction)."""
+    if type(value) in _RAW_TYPES:
+        return value
+    return (value if isinstance(value, Scalar) else Scalar(value)).value
+
+
+def _one_mode(values, what: str) -> Mode:
+    """The one mode of raw values (exact if there are none)."""
+    kinds = {isinstance(v, float) for v in values}
+    if len(kinds) > 1:
+        raise ModeError(f"{what} mix exact and float modes")
+    return Mode.FLOAT if True in kinds else Mode.EXACT
+
+
 def _joint_mode(*matrices) -> Mode:
     """The one mode of the operands that hold entries (exact if none do)."""
     modes = {m.mode for m in matrices if m.rows and m.cols}
@@ -189,65 +207,63 @@ def qq(value) -> Scalar:
     return Scalar.exact(value)
 
 
-def zero_vector(n: int, mode: Mode = Mode.EXACT):
-    return (Scalar.zero(mode),) * n
-
-
-def unit_vector(n: int, i: int, mode: Mode = Mode.EXACT):
-    zero, one = Scalar.zero(mode), Scalar.one(mode)
+def _unit(n: int, i: int, mode: Mode = Mode.EXACT) -> tuple:
+    zero, one = _RAW[mode]
     return tuple(one if j == i else zero for j in range(n))
 
 
-class Matrix:
-    """Dense matrix of Scalars, all in one mode.
+def unit_vector(n: int, i: int, mode: Mode = Mode.EXACT):
+    return tuple(map(_scalar, _unit(n, i, mode)))
 
-    Empty matrices (zero rows) are legal but need an explicit column count.
+
+class Matrix:
+    """Dense matrix of raw values in one mode: `raw` holds the rows, all
+    Fractions (exact) or all floats, and `mode` says which.
+
+    The readers entries, row, column and apply hand out Scalars.  Empty
+    matrices (zero rows) are legal but need an explicit column count.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "raw", "mode")
 
     def __init__(self, entries, cols: int | None = None):
-        rows = []
-        for row in entries:
-            rows.append(tuple(e if isinstance(e, Scalar) else Scalar(e) for e in row))
-        self.entries = tuple(rows)
-        self.rows = len(self.entries)
-        if self.rows == 0:
+        raw = tuple(tuple(_raw_of(e) for e in row) for row in entries)
+        if not raw:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
         else:
-            self.cols = len(self.entries[0])
-            if any(len(r) != self.cols for r in self.entries):
+            if any(len(r) != len(raw[0]) for r in raw):
                 raise ValueError("ragged rows")
-            if cols is not None and cols != self.cols:
+            if cols is not None and cols != len(raw[0]):
                 raise ValueError("column count disagrees with the rows")
-        mode = self.mode
-        if any(e.mode is not mode for row in self.entries for e in row):
-            raise ModeError("matrix entries mix exact and float modes")
+            cols = len(raw[0])
+        self.raw = raw
+        self.rows = len(raw)
+        self.cols = cols
+        self.mode = _one_mode([e for row in raw for e in row], "matrix entries")
 
     @classmethod
-    def _of(cls, entries, cols: int) -> "Matrix":
-        """Matrix around one-mode rows of Scalars the kernel built itself."""
+    def _of(cls, raw, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
+        """Matrix around one-mode raw rows (tuples) the kernel built itself."""
         self = _new(cls)
-        self.entries = entries
-        self.rows = len(entries)
+        self.raw = raw
+        self.rows = len(raw)
         self.cols = cols
+        self.mode = mode if raw and cols else Mode.EXACT
         return self
 
-    @property
-    def mode(self) -> Mode:
-        if self.rows == 0 or self.cols == 0:
-            return Mode.EXACT
-        return self.entries[0][0].mode
+    @classmethod
+    def _of_columns(cls, columns, rows: int) -> "Matrix":
+        """Exact matrix around raw columns the kernel built itself."""
+        return cls._of(tuple(zip(*columns)) if columns else ((),) * rows, len(columns))
 
     @staticmethod
     def identity(n: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix._of(tuple(unit_vector(n, i, mode) for i in range(n)), n)
+        return Matrix._of(tuple(_unit(n, i, mode) for i in range(n)), n, mode)
 
     @staticmethod
     def zeros(rows: int, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix._of((zero_vector(cols, mode),) * rows, cols)
+        return Matrix._of(((_RAW[mode][0],) * cols,) * rows, cols, mode)
 
     @staticmethod
     def from_columns(columns, rows: int | None = None) -> "Matrix":
@@ -259,32 +275,33 @@ class Matrix:
         n = len(columns[0])
         return Matrix([[col[i] for col in columns] for i in range(n)], cols=len(columns))
 
+    @property
+    def entries(self):
+        return tuple(tuple(map(_scalar, row)) for row in self.raw)
+
     def column(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(_scalar(row[j]) for row in self.raw)
 
     def row(self, i: int):
-        return self.entries[i]
+        return tuple(map(_scalar, self.raw[i]))
 
     # Exact loops skip zero terms; float loops keep every term, summed left
     # to right, since 0 * inf is nan and 0 * -1.0 is -0.0.
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        exact = _joint_mode(self, other) is Mode.EXACT
-        right = [
-            [(j, e.value) for j, e in enumerate(row) if e.value or not exact]
-            for row in other.entries
-        ]
+        mode = _joint_mode(self, other)
+        exact = mode is Mode.EXACT
+        right = [[(j, y) for j, y in enumerate(row) if y or not exact] for row in other.raw]
         out = []
-        for row in self.entries:
-            acc = [0 if exact else 0.0] * other.cols
-            for t, e in enumerate(row):
-                x = e.value
+        for row in self.raw:
+            acc = [_RAW[mode][0]] * other.cols
+            for t, x in enumerate(row):
                 if x or not exact:
                     for j, y in right[t]:
                         acc[j] += x * y
-            out.append(_wrap_row(acc, exact))
-        return Matrix._of(tuple(out), other.cols)
+            out.append(tuple(acc))
+        return Matrix._of(tuple(out), other.cols, mode)
 
     def apply(self, vec):
         vec = tuple(vec)
@@ -296,25 +313,21 @@ class Matrix:
         vals = [_raw(v, self.mode) for v in vec]
         terms = [(t, y) for t, y in enumerate(vals) if y or not exact]
         out = []
-        for row in self.entries:
-            acc = 0 if exact else 0.0
+        for row in self.raw:
+            acc = _RAW[self.mode][0]
             for t, y in terms:
-                x = row[t].value
+                x = row[t]
                 if x or not exact:
                     acc += x * y
-            out.append(acc)
-        return _wrap_row(out, exact)
+            out.append(_scalar(acc))
+        return tuple(out)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        exact = _joint_mode(self, other) is Mode.EXACT
+        mode = _joint_mode(self, other)
         return Matrix._of(
-            tuple(
-                _wrap_row([op(a.value, b.value) for a, b in zip(r, s)], exact)
-                for r, s in zip(self.entries, other.entries)
-            ),
-            self.cols,
+            tuple(tuple(map(op, r, s)) for r, s in zip(self.raw, other.raw)), self.cols, mode
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -330,10 +343,11 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        # Fraction(1) == 1.0, so the modes must match as well as the values
+        return self.shape == other.shape and self.mode is other.mode and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self.shape, self.raw))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -343,9 +357,9 @@ class Matrix:
             raise ModeError(f"{what} requires exact mode; got float entries")
 
     def rref(self):
-        """Reduced row echelon form.  Returns (rows, pivot column list)."""
+        """Reduced row echelon form.  Returns (raw Fraction rows, pivot column list)."""
         self._require_exact("row reduction")
-        rows = [[e.value for e in r] for r in self.entries]
+        rows = [list(r) for r in self.raw]
         pivots = []
         r = 0
         for c in range(self.cols):
@@ -366,7 +380,7 @@ class Matrix:
                         row[j] -= f * x
             pivots.append(c)
             r += 1
-        return [_wrap_row(row, True) for row in rows], pivots
+        return [tuple(row) for row in rows], pivots
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -386,18 +400,17 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
-        exact = _joint_mode(self, other) is Mode.EXACT
-        right = [[e.value for e in row] for row in other.entries]
-        zeros = (_ZERO,) * other.cols
+        mode = _joint_mode(self, other)
+        exact = mode is Mode.EXACT
+        zeros = (_RAW[mode][0],) * other.cols
         out = []
-        for row in self.entries:
-            for b in right:
+        for row in self.raw:
+            for b in other.raw:
                 cells = []
-                for e in row:
-                    a = e.value
-                    cells.extend(_wrap_row([a * y for y in b], exact) if a or not exact else zeros)
+                for a in row:
+                    cells.extend([a * y for y in b] if a or not exact else zeros)
                 out.append(tuple(cells))
-        return Matrix._of(tuple(out), self.cols * other.cols)
+        return Matrix._of(tuple(out), self.cols * other.cols, mode)
 
 
 def hstack(matrices) -> Matrix:
@@ -405,9 +418,9 @@ def hstack(matrices) -> Matrix:
     rows = matrices[0].rows
     if any(m.rows != rows for m in matrices):
         raise ValueError("row counts differ")
-    _joint_mode(*matrices)
-    entries = zip(*(m.entries for m in matrices))
-    return Matrix._of(tuple(sum(row, ()) for row in entries), sum(m.cols for m in matrices))
+    mode = _joint_mode(*matrices)
+    raw = zip(*(m.raw for m in matrices))
+    return Matrix._of(tuple(sum(row, ()) for row in raw), sum(m.cols for m in matrices), mode)
 
 
 def vstack(matrices, cols: int | None = None) -> Matrix:
@@ -419,19 +432,19 @@ def vstack(matrices, cols: int | None = None) -> Matrix:
     width = matrices[0].cols
     if any(m.cols != width for m in matrices):
         raise ValueError("column counts differ")
-    _joint_mode(*matrices)
-    return Matrix._of(sum((m.entries for m in matrices), ()), width)
+    mode = _joint_mode(*matrices)
+    return Matrix._of(sum((m.raw for m in matrices), ()), width, mode)
 
 
 def difference_rows(total: int, terms) -> Matrix:
     """The exact constraint rows A x_s - B x_t, stacked, over vectors of
     `total` entries.
 
-    Each term is (s, a, t, b): a and b are rows of exact raw values (Fraction
-    or int) whose blocks start at columns s and t, one row of b per row of
-    a; b = None stands for the identity.  Blocks at the same offset add.
+    Each term is (s, a, t, b): a and b are rows of raw Fractions whose
+    blocks start at columns s and t, one row of b per row of a; b = None
+    stands for the identity.  Blocks at the same offset add.
     """
-    zero = Fraction(0)
+    zero = _ZERO.value
     rows = []
     for s, a, t, b in terms:
         for i, arow in enumerate(a):
@@ -445,8 +458,25 @@ def difference_rows(total: int, terms) -> Matrix:
                 for c, x in enumerate(b[i]):
                     if x:
                         row[t + c] -= x
-            rows.append(_wrap_row(row, True))
+            rows.append(tuple(row))
     return Matrix._of(tuple(rows), total)
+
+
+def _kernel(m: Matrix):
+    """kernel_basis as raw Fraction vectors."""
+    m._require_exact("kernel_basis")
+    rows, pivots = m.rref()
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    zero, one = _RAW[Mode.EXACT]
+    basis = []
+    for f in free:
+        v = [zero] * m.cols
+        v[f] = one
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def kernel_basis(m: Matrix):
@@ -455,18 +485,7 @@ def kernel_basis(m: Matrix):
     Exact mode only; every returned vector v satisfies m @ v = 0 and
     rank(m) + len(basis) = m.cols.
     """
-    m._require_exact("kernel_basis")
-    rows, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Scalar.zero(Mode.EXACT)] * m.cols
-        v[f] = Scalar.one(Mode.EXACT)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(map(_scalar, v)) for v in _kernel(m)]
 
 
 def solve_unique(m: Matrix, rhs):
@@ -486,9 +505,9 @@ def solve_affine(m: Matrix, rhs):
     rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
     if m.cols in pivots:
         return NO_SOLUTION
-    particular = [Scalar.zero(Mode.EXACT)] * m.cols
+    particular = [_ZERO] * m.cols
     for r, p in enumerate(pivots):
-        particular[p] = rows[r][m.cols]
+        particular[p] = _scalar(rows[r][m.cols])
     return tuple(particular), kernel_basis(m)
 
 
@@ -508,7 +527,7 @@ def solve_matrix(m: Matrix, rhs: Matrix):
     rows, pivots = hstack([m, rhs]).rref()
     rank = sum(p < n for p in pivots)
     # rows past the rank are zero on m's side, so a nonzero there reads 0 = b
-    bad = [any(row[n + j].value for row in rows[rank:]) for j in range(rhs.cols)]
+    bad = [any(row[n + j] for row in rows[rank:]) for j in range(rhs.cols)]
     if rank < n:
         return NO_SOLUTION if bad[0] else NOT_UNIQUE
     if any(bad):
@@ -519,7 +538,7 @@ def solve_matrix(m: Matrix, rhs: Matrix):
 def span_contains(basis, vector) -> bool:
     """Does the exact span of `basis` contain `vector`?"""
     if not basis:
-        return all(e.is_zero for e in vector)
+        return not any(_raw_of(e) for e in vector)
     m = Matrix.from_columns(basis)
     _, pivots = hstack([m, Matrix.from_columns([tuple(vector)])]).rref()
     return m.cols not in pivots

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -547,6 +548,23 @@ def _substitute(expr: Expr, replacements):
 
 # ----- parsing -------------------------------------------------------------
 
+# no number literal is read, and no exact number printed, with a run of
+# more decimal digits than this
+DIGIT_LIMIT = 4300
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def check_literal(text: str, error=ValueError) -> str:
+    """The text of a number literal, refused with `error` before anything
+    converts it if it holds a run of more than DIGIT_LIMIT digits."""
+    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+    if longest > DIGIT_LIMIT:
+        raise error(
+            f"a number literal of {longest} digits exceeds the digit limit "
+            f"of {DIGIT_LIMIT} digits"
+        )
+    return text
+
 
 def _tokenize(text: str):
     tokens = []
@@ -564,7 +582,7 @@ def _tokenize(text: str):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
-            tokens.append(("num", text[i:j]))
+            tokens.append(("num", check_literal(text[i:j], ParseError)))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -12,6 +12,7 @@ with rank certificates whenever the data is linear.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,7 +134,11 @@ class FiberedObject:
 
 def _maps_agree(f: SmoothMap, g: SmoothMap, seed: int = 0):
     """Equality of two maps: exact coefficient comparison for polynomials,
-    dense float sampling otherwise.  Returns (agree, how)."""
+    dense float sampling otherwise.  Returns (agree, how).
+
+    A sample counts only where both maps evaluate to finite outputs; the
+    maps agree only if some sample counts and every counted one agrees.
+    """
     if f.arity_in != g.arity_in or f.arity_out != g.arity_out:
         return False, "exact"
     if not (f.uses_transcendental() or g.uses_transcendental()):
@@ -142,18 +147,21 @@ def _maps_agree(f: SmoothMap, g: SmoothMap, seed: int = 0):
         except (NonPolynomialError, ZeroDivisionError):
             pass
     rng = random.Random(seed)
+    counted = 0
     for _ in range(8):
         xs = [rng.uniform(0.3, 1.7) for _ in range(f.arity_in)]
         try:
             fy = f(xs)
             gy = g(xs)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ArithmeticError):
             continue
+        if not all(map(math.isfinite, (*fy, *gy))):
+            continue
+        counted += 1
         for a, b in zip(fy, gy):
-            scale = max(1.0, abs(a), abs(b))
-            if abs(a - b) > 1e-9 * scale:
+            if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
                 return False, "sampled"
-    return True, "sampled"
+    return counted > 0, "sampled"
 
 
 @dataclass(frozen=True)
@@ -271,15 +279,10 @@ def _unit_complement(w: WeilAlgebra) -> Matrix:
     """I minus (unit tensor augmentation): kills the scalar component and
     keeps the nilpotent one."""
     d = w.dimension
-    aug = w.aug_covector
-    rows = []
-    for i in range(d):
-        row = [
-            (qq(1) if i == j else qq(0)) - (aug[j] if i == 0 else qq(0))
-            for j in range(d)
-        ]
-        rows.append(tuple(row))
-    return Matrix(rows, cols=d)
+    return Matrix(
+        [[Fraction(i == j) - (w.aug[j] if i == 0 else 0) for j in range(d)] for i in range(d)],
+        cols=d,
+    )
 
 
 def _linear_rows_matrix(p: FiberedObject) -> Matrix:
@@ -311,10 +314,7 @@ def _point_from_flat(w: WeilAlgebra, flat, arity: int) -> WeilPoint:
 
 
 def _flat_from_point(x: WeilPoint):
-    out = []
-    for c in x.coords:
-        out.extend(c.coeffs)
-    return tuple(out)
+    return tuple(v for c in x.coords for v in c.raw)
 
 
 def vertical_membership(p: FiberedObject, w: WeilAlgebra, x: WeilPoint) -> bool:
@@ -334,9 +334,8 @@ def vertical_membership(p: FiberedObject, w: WeilAlgebra, x: WeilPoint) -> bool:
     if x.mode is Mode.EXACT:
         return image.coords == collapsed.coords
     for got, want in zip(image.coords, collapsed.coords):
-        for a, b in zip(got.coeffs, want.coeffs):
-            scale = max(1.0, abs(a.value), abs(b.value))
-            if abs(a.value - b.value) > 1e-9 * scale:
+        for a, b in zip(got.raw, want.raw):
+            if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
                 return False
     return True
 
@@ -407,7 +406,7 @@ def _solve_fiber(desc: VerticalFiber, params, record):
         current = materialize()
         image = apply_map(desc.fibered.projection, current)
         image_filt = [
-            desc._frame_inverse.apply(image.coords[r].coeffs) for r in range(b)
+            desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)
         ]
         failed = False
         for beta in slots:
@@ -559,7 +558,7 @@ def check_vertical_equalizer(
         )
         z = frame @ coeffs if frame is not None else Matrix.zeros(eqs.cols, width)
         residual = eqs @ z
-        equalizes = all(c.is_zero for row in residual.entries for c in row)
+        equalizes = not any(any(row) for row in residual.raw)
         unique = True
         factors = True
         for j in range(width):
@@ -579,9 +578,7 @@ def check_vertical_equalizer(
             "equalizes and factors uniquely through the vertical subspace",
         )
 
-    if eqs.rows and any(
-        any(not c.is_zero for c in row) for row in eqs.entries
-    ):
+    if any(any(row) for row in eqs.raw):
         outsider = None
         for _ in range(20):
             probe = [qq(corpus.random_rational(rng, 5)) for _ in range(eqs.cols)]
@@ -690,8 +687,7 @@ def _left_exact_linear(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
             [[qq(c) for c in row] for row in m.top.linear_matrix()],
             cols=m.source.total_dim,
         ).kron(Matrix.identity(dim))
-        rows = [[e.value for e in row] for row in a_top.entries]
-        terms.append((offsets[s], rows, offsets[t], None))
+        terms.append((offsets[s], a_top.raw, offsets[t], None))
     constraints = difference_rows(total_cols, terms)
 
     compatible_in_v = constraints @ within if bdiag_cols else Matrix([], cols=0)
@@ -1308,7 +1304,7 @@ def vertical_suite(
     ident = FiberedObject.identity(3)
     fi = vertical_fiber(ident, jet_line(2), [2, -1, 7])
     origin_ok = fi.origin is not None and all(
-        tuple(s.value for s in c.coeffs[1:]) == (Fraction(0),) * 2
+        c.raw[1:] == (Fraction(0),) * 2
         for c in fi.origin.coords
     )
     report.add(

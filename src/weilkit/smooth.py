@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .exactlin import Mode, ModeError, Scalar
+from .exactlin import Mode, ModeError, Scalar, _RAW
 from .expr import (
     EvaluationError,
     Expr,
@@ -341,9 +341,9 @@ class ExtendedElement:
         """The ring's scalar part of the augmentation."""
         ring = self.ring
         acc = ring.zero()
-        for lam, c in zip(self.algebra.aug_covector, self.coeffs):
-            if lam.value:
-                acc = ring.add(acc, c if lam.value == 1 else ring.scale(c, lam.value))
+        for lam, c in zip(self.algebra.aug, self.coeffs):
+            if lam:
+                acc = ring.add(acc, c if lam == 1 else ring.scale(c, lam))
         return ring.scalar(acc)
 
     def nilpotency_bound(self) -> int:
@@ -365,11 +365,10 @@ def nest(element: WeilElement) -> ExtendedElement:
         raise ValueError("nest() needs an element of a tensor-built algebra")
     coeffs = []
     for i2 in range(info.right.dimension):
-        inner = [
-            element.coeffs[info.index_of_pair[(i1, i2)]]
-            for i1 in range(info.left.dimension)
-        ]
-        coeffs.append(WeilElement(info.left, inner))
+        inner = tuple(
+            element.raw[info.index_of_pair[(i1, i2)]] for i1 in range(info.left.dimension)
+        )
+        coeffs.append(WeilElement._of(info.left, inner, element.mode))
     return ExtendedElement(WeilCoefficients(info.left, element.mode), info.right, coeffs)
 
 
@@ -385,11 +384,11 @@ def flatten(nested: ExtendedElement, algebra: WeilAlgebra) -> WeilElement:
         or info.right != nested.algebra
     ):
         raise ValueError("tensor factors do not match the nested element")
-    out = [Scalar.zero(ring.mode)] * algebra.dimension
+    out = [_RAW[ring.mode][0]] * algebra.dimension
     for i2, c in enumerate(nested.coeffs):
-        for i1, v in enumerate(c.coeffs):
+        for i1, v in enumerate(c.raw):
             out[info.index_of_pair[(i1, i2)]] = v
-    return WeilElement(algebra, out)
+    return WeilElement._of(algebra, tuple(out), ring.mode)
 
 
 def check_functor_composition(f: SmoothMap, point: WeilPoint) -> Verdict:
@@ -442,8 +441,8 @@ def _agreement(xs, ys, mode: Mode, exact_detail: str):
         return all(a == b for a, b in zip(xs, ys)), exact_detail
     worst = 0.0
     for a, b in zip(xs, ys):
-        for x, y in zip(a.coeffs, b.coeffs):
-            xv, yv = float(x.value), float(y.value)
+        for x, y in zip(a.raw, b.raw):
+            xv, yv = float(x), float(y)
             worst = max(worst, abs(xv - yv) / max(1.0, abs(xv), abs(yv)))
     return not worst > 1e-9, f"largest relative gap {worst:.3e}"
 
@@ -554,7 +553,6 @@ def lifted_line_structure(algebra: WeilAlgebra) -> LiftedLineStructure:
     addition = lift_map(two_in, algebra)
     multiplication = lift_map(two_mul, algebra)
     negation = lift_map(neg, algebra)
-    one_coeffs = [c.as_fraction() for c in algebra.one().coeffs]
-    unit = SmoothMap((), tuple(const(c) for c in one_coeffs), name="one")
+    unit = SmoothMap((), tuple(const(c) for c in algebra.one().raw), name="one")
     zero = SmoothMap((), tuple(const(0) for _ in range(algebra.dimension)), name="zero")
     return LiftedLineStructure(algebra, addition, multiplication, negation, unit, zero)

@@ -15,6 +15,7 @@ values are rejected on sight.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,16 +25,19 @@ from .exactlin import (
     ModeError,
     Scalar,
     SolveFailure,
+    _RAW,
+    _kernel,
+    _one_mode,
+    _raw_of,
     _scalar,
-    _wrap_row,
+    _unit,
     kernel_basis,
     qq,
     solve_matrix,
     span_contains,
-    unit_vector,
     vstack,
-    zero_vector,
 )
+from .expr import check_literal
 from .reports import Verdict
 
 
@@ -83,7 +87,7 @@ class WeilAlgebra:
         "basis",
         "_index",
         "dimension",
-        "aug_covector",
+        "aug",
         "nilpotency_degree",
         "labels",
         "tensor_info",
@@ -167,7 +171,7 @@ class WeilAlgebra:
         self._codes = [sum(e * t for e, t in zip(exps, strides)) for exps in self.basis]
         self._by_code = {c: i for i, c in enumerate(self._codes)}
         self.dimension = len(basis)
-        self.aug_covector = unit_vector(self.dimension, 0)
+        self.aug = _unit(self.dimension, 0)
         self.nilpotency_degree = max(sum(e) for e in basis) + 1
         self.labels = tuple(_monomial_label(e, gens) for e in basis)
         return self
@@ -189,7 +193,7 @@ class WeilAlgebra:
         check=False; nilpotency is still established either way.
         """
         table = [[[Scalar.exact(c).value for c in vec] for vec in row] for row in table]
-        aug = tuple(Scalar.exact(c) for c in aug)
+        aug = tuple(Scalar.exact(c).value for c in aug)
         d = len(table)
         if any(len(vec) != d for row in table for vec in row):
             raise AlgebraError("structure table or augmentation has the wrong shape")
@@ -202,7 +206,7 @@ class WeilAlgebra:
     def _from_terms(cls, terms, aug, check=True, nilpotency_hint=None) -> "WeilAlgebra":
         """A tabled algebra from its sparse structure terms: terms[i][j] holds
         the nonzero (k, Fraction) of basis[i] * basis[j], k increasing, and
-        aug is a tuple of exact Scalars.  Checks as in tabled()."""
+        aug is a tuple of Fractions.  Checks as in tabled()."""
         d = len(terms)
         if d == 0:
             raise AlgebraError("a Weil algebra contains at least the unit")
@@ -217,10 +221,10 @@ class WeilAlgebra:
         self._index = None
         self.dimension = d
         self._sparse = tuple(tuple(row) for row in terms)
-        self.aug_covector = aug
+        self.aug = aug
         self.labels = ("1",) + tuple(f"b{i}" for i in range(1, d))
 
-        if aug[0] != qq(1):
+        if aug[0] != 1:
             raise AlgebraError("augmentation of the unit must be 1")
         for j in range(d):
             if terms[0][j] != ((j, 1),) or terms[j][0] != ((j, 1),):
@@ -230,10 +234,9 @@ class WeilAlgebra:
                 for j in range(i + 1, d):
                     if terms[i][j] != terms[j][i]:
                         raise AlgebraError(f"product not commutative at ({i},{j})")
-            lam = [c.value for c in aug]
             for i in range(d):
                 for j in range(d):
-                    if sum(lam[k] * c for k, c in terms[i][j]) != lam[i] * lam[j]:
+                    if sum(aug[k] * c for k, c in terms[i][j]) != aug[i] * aug[j]:
                         raise AlgebraError(
                             f"augmentation is not multiplicative at ({i},{j})"
                         )
@@ -264,30 +267,28 @@ class WeilAlgebra:
         """Bases of m, m^2, ... down to the last nonzero power (cached)."""
         if self._chain is not None:
             return self._chain
-        aug_matrix = Matrix([self.aug_covector], cols=self.dimension)
-        m1 = kernel_basis(aug_matrix)
+        d = self.dimension
+        m1 = _kernel(Matrix._of((self.aug,), d))
         chain = []
         current = m1
         while current:
             chain.append(current)
-            if len(chain) > self.dimension:
+            if len(chain) > d:
                 raise NonNilpotentError("augmentation kernel is not nilpotent")
-            products = []
-            for v in current:
-                ev = WeilElement(self, v)
-                for w in m1:
-                    products.append((ev * WeilElement(self, w)).coeffs)
-            nxt = Matrix(products, cols=self.dimension) if products else Matrix(
-                [], cols=self.dimension
+            products = tuple(
+                (WeilElement._of(self, v) * WeilElement._of(self, w)).raw
+                for v in current
+                for w in m1
             )
-            rows, pivots = nxt.rref() if products else ([], [])
-            current = [rows[r] for r in range(len(pivots))]
+            rows, pivots = Matrix._of(products, d).rref() if products else ([], [])
+            current = rows[: len(pivots)]
             if current and len(current) >= len(chain[-1]) and chain[-1] == current:
                 raise NonNilpotentError("augmentation kernel is not nilpotent")
         self._chain = chain
         return chain
 
     def maximal_ideal_basis(self):
+        """Raw Fraction vectors spanning the augmentation kernel."""
         chain = self._ideal_chain()
         return chain[0] if chain else []
 
@@ -300,10 +301,15 @@ class WeilAlgebra:
 
     def structure_vector(self, i: int, j: int):
         """Coefficients of basis[i] * basis[j]."""
-        vec = [Scalar.zero(Mode.EXACT)] * self.dimension
+        vec = [_ZERO] * self.dimension
         for k, c in self._terms(i, j):
-            vec[k] = _scalar(c)
-        return tuple(vec)
+            vec[k] = c
+        return tuple(map(_scalar, vec))
+
+    @property
+    def aug_covector(self):
+        """The augmentation on the basis, as Scalars."""
+        return tuple(map(_scalar, self.aug))
 
     @property
     def is_terminal(self) -> bool:
@@ -315,19 +321,18 @@ class WeilAlgebra:
         return WeilElement(self, coeffs)
 
     def zero(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, zero_vector(self.dimension, mode))
+        return WeilElement._of(self, (_RAW[mode][0],) * self.dimension, mode)
 
     def one(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, unit_vector(self.dimension, 0, mode))
+        return WeilElement._of(self, _unit(self.dimension, 0, mode), mode)
 
     def scalar(self, value) -> "WeilElement":
         value = value if isinstance(value, Scalar) else Scalar(value)
-        coeffs = [Scalar.zero(value.mode)] * self.dimension
-        coeffs[0] = value
-        return WeilElement(self, coeffs)
+        rest = (_RAW[value.mode][0],) * (self.dimension - 1)
+        return WeilElement._of(self, (value.value,) + rest, value.mode)
 
     def basis_element(self, i: int, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, unit_vector(self.dimension, i, mode))
+        return WeilElement._of(self, _unit(self.dimension, i, mode), mode)
 
     # ----- identity -----------------------------------------------------
 
@@ -340,14 +345,14 @@ class WeilAlgebra:
             return self.gens == other.gens and self.relations == other.relations
         return (
             self.dimension == other.dimension
-            and self.aug_covector == other.aug_covector
+            and self.aug == other.aug
             and self._sparse == other._sparse
         )
 
     def __hash__(self):
         if self.flavor == "presented":
             return hash((self.flavor, self.gens, self.relations))
-        return hash((self.flavor, self.dimension, self.aug_covector, self._sparse))
+        return hash((self.flavor, self.dimension, self.aug, self._sparse))
 
     def __repr__(self):
         if self.flavor == "presented":
@@ -387,7 +392,7 @@ def jet_line(order: int, name: str = "x") -> WeilAlgebra:
 
 
 _SMALL_NAMES = ("x", "y", "z")
-_ONE = Fraction(1)
+_ZERO, _ONE = _RAW[Mode.EXACT]
 
 
 def first_order_infinitesimals(n: int) -> WeilAlgebra:
@@ -406,70 +411,72 @@ def first_order_infinitesimals(n: int) -> WeilAlgebra:
 
 
 class WeilElement:
-    """An element of a fixed Weil algebra: a coefficient vector over its basis."""
+    """An element of a fixed Weil algebra: its coefficient vector over the
+    basis, held raw in `raw` (all Fractions or all floats) with its one
+    `mode`.  `coeffs` hands the coefficients out as Scalars."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "raw", "mode")
 
     @classmethod
-    def _of(cls, algebra, coeffs) -> "WeilElement":
-        """Element around one-mode Scalars the kernel computed itself."""
+    def _of(cls, algebra, raw, mode: Mode = Mode.EXACT) -> "WeilElement":
+        """Element around a one-mode raw tuple the kernel computed itself."""
         self = object.__new__(cls)
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.raw = raw
+        self.mode = mode
         return self
 
     def __init__(self, algebra: WeilAlgebra, coeffs):
-        self.algebra = algebra
-        coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
-        if len(coeffs) != algebra.dimension:
+        raw = tuple(_raw_of(c) for c in coeffs)
+        if len(raw) != algebra.dimension:
             raise ValueError("coefficient count does not match the basis")
-        mode = coeffs[0].mode if coeffs else Mode.EXACT
-        if any(c.mode is not mode for c in coeffs):
-            raise ModeError("element coefficients mix exact and float modes")
-        self.coeffs = coeffs
+        self.algebra = algebra
+        self.raw = raw
+        self.mode = _one_mode(raw, "element coefficients")
 
     @property
-    def mode(self) -> Mode:
-        return self.coeffs[0].mode
+    def coeffs(self):
+        return tuple(map(_scalar, self.raw))
 
     def _check_peer(self, other):
         if not isinstance(other, WeilElement):
             raise TypeError("expected a WeilElement")
         if other.algebra != self.algebra:
             raise ValueError("elements live in different algebras")
+        if other.mode is not self.mode:
+            raise ModeError("mixed-mode operation on exact and float elements")
 
-    # each Scalar operation below refuses mixed modes, so the results are
-    # one-mode and skip the constructor's checks
     def __add__(self, other):
         self._check_peer(other)
         return WeilElement._of(
-            self.algebra, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
+            self.algebra, tuple(map(operator.add, self.raw, other.raw)), self.mode
         )
 
     def __sub__(self, other):
         self._check_peer(other)
         return WeilElement._of(
-            self.algebra, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)])
+            self.algebra, tuple(map(operator.sub, self.raw, other.raw)), self.mode
         )
 
     def __neg__(self):
-        return WeilElement._of(self.algebra, tuple([-a for a in self.coeffs]))
+        return WeilElement._of(self.algebra, tuple([-a for a in self.raw]), self.mode)
 
     def scaled(self, c) -> "WeilElement":
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return WeilElement._of(self.algebra, tuple([c * a for a in self.coeffs]))
+        if c.mode is not self.mode:
+            raise ModeError("mixed-mode scaling of an element")
+        c = c.value
+        return WeilElement._of(self.algebra, tuple([c * a for a in self.raw]), self.mode)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction, Scalar)):
             return self.scaled(other)
         self._check_peer(other)
         alg = self.algebra
-        if other.mode is not self.mode:
-            raise ModeError("mixed-mode product of elements")
         exact = self.mode is Mode.EXACT
-        acc = [0 if exact else 0.0] * alg.dimension
-        nz_a = [(i, c.value) for i, c in enumerate(self.coeffs) if c.value]
-        nz_b = [(j, c.value) for j, c in enumerate(other.coeffs) if c.value]
+        acc = [_RAW[self.mode][0]] * alg.dimension
+        nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
+        nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
         if alg.flavor == "presented":
             codes = alg._codes
             by_code = alg._by_code
@@ -486,7 +493,7 @@ class WeilElement:
                     if ab:
                         for k, c in alg._terms(i, j):
                             acc[k] += ab * (c if exact else float(c))
-        return WeilElement._of(alg, _wrap_row(acc, exact))
+        return WeilElement._of(alg, tuple(acc), self.mode)
 
     __rmul__ = __mul__
 
@@ -517,10 +524,10 @@ class WeilElement:
 
     def augmentation(self) -> Scalar:
         exact = self.mode is Mode.EXACT
-        acc = Fraction(0) if exact else 0.0
-        for lam, c in zip(self.algebra.aug_covector, self.coeffs):
-            if lam.value:
-                acc += (lam.value if exact else float(lam.value)) * c.value
+        acc = _RAW[self.mode][0]
+        for lam, c in zip(self.algebra.aug, self.raw):
+            if lam:
+                acc += (lam if exact else float(lam)) * c
         return _scalar(acc)
 
     # protocol name the generic evaluator uses
@@ -539,24 +546,29 @@ class WeilElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.raw)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        # Fraction(1) == 1.0, so the modes must match as well as the values
+        return (
+            self.algebra == other.algebra
+            and self.mode is other.mode
+            and self.raw == other.raw
+        )
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs))
+        return hash((self.algebra, self.raw))
 
     def __str__(self):
         parts = []
-        for c, label in zip(self.coeffs, self.algebra.labels):
-            if c.is_zero:
+        for c, label in zip(self.raw, self.algebra.labels):
+            if c == 0:
                 continue
             if label == "1":
                 parts.append(str(c))
-            elif c == Scalar.one(c.mode):
+            elif c == 1:
                 parts.append(label)
             else:
                 parts.append(f"{c}*{label}")
@@ -607,15 +619,15 @@ class WeilMorphism:
     # unit preservation and augmentation compatibility are O(dim) and run
     # always, on the raw entries
     def _validate_cheap(self):
-        entries = self.matrix.entries
-        if any(row[0].value != int(i == 0) for i, row in enumerate(entries)):
+        raw = self.matrix.raw
+        if any(row[0] != int(i == 0) for i, row in enumerate(raw)):
             raise MorphismError("morphism does not preserve the unit")
         pulled = [0] * self.source.dimension
-        for lam, row in zip(self.target.aug_covector, entries):
-            if lam.value:
+        for lam, row in zip(self.target.aug, raw):
+            if lam:
                 for j, m in enumerate(row):
-                    pulled[j] += lam.value * m.value
-        if any(p != a.value for p, a in zip(pulled, self.source.aug_covector)):
+                    pulled[j] += lam * m
+        if any(p != a for p, a in zip(pulled, self.source.aug)):
             raise MorphismError("morphism is not augmentation-compatible")
 
     def _validate_multiplicative(self):
@@ -659,16 +671,15 @@ class WeilMorphism:
                     raise MorphismError(f"images violate the relation {label}")
         # image of each basis monomial, peeling one generator at a time
         cols = [None] * source.dimension
-        cols[0] = target.one().coeffs
+        cols[0] = target.one().raw
         for t in range(1, source.dimension):
             e = source.basis[t]
             g = next(i for i, ei in enumerate(e) if ei > 0)
             prev = list(e)
             prev[g] -= 1
             prev_idx = source._index[tuple(prev)]
-            img = WeilElement(target, cols[prev_idx]) * images[g]
-            cols[t] = img.coeffs
-        matrix = Matrix.from_columns(cols, rows=target.dimension)
+            cols[t] = (WeilElement._of(target, cols[prev_idx]) * images[g]).raw
+        matrix = Matrix._of_columns(cols, target.dimension)
         return WeilMorphism(source, target, matrix, generator_images=images, check=False)
 
     @staticmethod
@@ -681,15 +692,14 @@ class WeilMorphism:
         if element.algebra != self.source:
             raise ValueError("element does not live in the source algebra")
         exact = element.mode is Mode.EXACT
-        out = [0 if exact else 0.0] * self.target.dimension
-        for j, c in enumerate(element.coeffs):
-            c = c.value
+        out = [_RAW[element.mode][0]] * self.target.dimension
+        for j, c in enumerate(element.raw):
             if c:
-                for i, row in enumerate(self.matrix.entries):
-                    m = row[j].value
+                for i, row in enumerate(self.matrix.raw):
+                    m = row[j]
                     if m:
                         out[i] += (m if exact else float(m)) * c
-        return WeilElement._of(self.target, _wrap_row(out, exact))
+        return WeilElement._of(self.target, tuple(out), element.mode)
 
     def compose(self, inner: "WeilMorphism") -> "WeilMorphism":
         """self after inner."""
@@ -730,8 +740,9 @@ class WeilMorphism:
         if self.source.flavor == "presented" and self.source.gens:
             imgs = []
             for i, g in enumerate(self.source.gens):
-                col = self.matrix.column(self.source._index[_gen_exp(self.source, i)])
-                imgs.append(f"{g} -> {WeilElement(self.target, col)}")
+                j = self.source._index[_gen_exp(self.source, i)]
+                col = tuple(row[j] for row in self.matrix.raw)
+                imgs.append(f"{g} -> {WeilElement._of(self.target, col)}")
             return "; ".join(imgs)
         return f"matrix {self.matrix.rows}x{self.matrix.cols}"
 
@@ -759,7 +770,7 @@ def augmentation(algebra: WeilAlgebra) -> WeilMorphism:
     return WeilMorphism(
         algebra,
         terminal(),
-        Matrix([algebra.aug_covector], cols=algebra.dimension),
+        Matrix._of((algebra.aug,), algebra.dimension),
         check=False,
     )
 
@@ -769,7 +780,7 @@ def unit_map(algebra: WeilAlgebra) -> WeilMorphism:
     return WeilMorphism(
         terminal(),
         algebra,
-        Matrix.from_columns([algebra.one().coeffs], rows=algebra.dimension),
+        Matrix._of_columns([algebra.one().raw], algebra.dimension),
         check=False,
     )
 
@@ -853,9 +864,7 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
         ]
         for (i1, i2) in pair_of_index
     ]
-    aug = tuple(
-        w1.aug_covector[i1] * w2.aug_covector[i2] for (i1, i2) in pair_of_index
-    )
+    aug = tuple(w1.aug[i1] * w2.aug[i2] for (i1, i2) in pair_of_index)
     w = WeilAlgebra._from_terms(
         terms,
         aug,
@@ -863,19 +872,19 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
         nilpotency_hint=w1.nilpotency_degree + w2.nilpotency_degree - 1,
     )
     w.tensor_info = TensorInfo(w1, w2, pair_of_index, index_of_pair)
-    cols1 = [
-        unit_vector(d1 * d2, index_of_pair[(i1, 0)]) for i1 in range(d1)
-    ]
-    cols2 = [
-        unit_vector(d1 * d2, index_of_pair[(0, i2)]) for i2 in range(d2)
-    ]
-    inj1 = WeilMorphism(
-        w1, w, Matrix.from_columns(cols1, rows=d1 * d2), check=False
-    )
-    inj2 = WeilMorphism(
-        w2, w, Matrix.from_columns(cols2, rows=d1 * d2), check=False
-    )
+    picks1 = [index_of_pair[(i1, 0)] for i1 in range(d1)]
+    picks2 = [index_of_pair[(0, i2)] for i2 in range(d2)]
+    inj1 = WeilMorphism(w1, w, _selection(d1 * d2, picks1), check=False)
+    inj2 = WeilMorphism(w2, w, _selection(d1 * d2, picks2), check=False)
     return w, inj1, inj2
+
+
+def _selection(rows: int, picks) -> Matrix:
+    """The exact 0/1 matrix whose column k has its one in row picks[k]."""
+    out = [[_ZERO] * len(picks) for _ in range(rows)]
+    for k, r in enumerate(picks):
+        out[r][k] = _ONE
+    return Matrix._of(tuple(map(tuple, out)), len(picks))
 
 
 def _gen_exp_padded(i, n1, n2, left):
@@ -885,7 +894,7 @@ def _gen_exp_padded(i, n1, n2, left):
 
 
 def _nonzero_columns(m: Matrix):
-    return [[(k, e.value) for k, e in enumerate(col) if e.value] for col in zip(*m.entries)]
+    return [[(k, v) for k, v in enumerate(col) if v] for col in zip(*m.raw)]
 
 
 def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=None):
@@ -899,16 +908,15 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
     if si is None or ti is None:
         raise MorphismError("tensor_morphism needs tensor-built source and target")
     cols1, cols2 = _nonzero_columns(phi.matrix), _nonzero_columns(psi.matrix)
-    zero = Scalar.zero(Mode.EXACT)
     cols = []
     for (i1, i2) in si.pair_of_index:
-        vec = [zero] * target.dimension
+        vec = [_ZERO] * target.dimension
         for k1, a in cols1[i1]:
             for k2, b in cols2[i2]:
-                vec[ti.index_of_pair[(k1, k2)]] = _scalar(a * b)
-        cols.append(tuple(vec))
+                vec[ti.index_of_pair[(k1, k2)]] = a * b
+        cols.append(vec)
     return WeilMorphism(
-        source, target, Matrix.from_columns(cols, rows=target.dimension), check=False
+        source, target, Matrix._of_columns(cols, target.dimension), check=False
     )
 
 
@@ -928,7 +936,7 @@ class _Echelon:
         self.rows = []
 
     def _reduce(self, vector):
-        vals = [c.value for c in vector]
+        vals = list(vector)
         coords = [0] * len(self.rows)
         # each row is zero at the pivots of the rows before it, so one pass
         # in insertion order clears every pivot
@@ -966,33 +974,26 @@ def _subalgebra(w: WeilAlgebra, span_vectors):
     Returns (subalgebra, inclusion).  Basis choice: the unit first, then
     each given spanning vector, in order, that extends the span so far.
     """
-    unit = w.one().coeffs
+    span_vectors = [tuple(map(_raw_of, v)) for v in span_vectors]
+    unit = w.one().raw
     if not span_contains(span_vectors, unit):
         raise AlgebraError("subspace does not contain the unit")
     echelon = _Echelon()
-    basis_vectors = []
-    for v in (unit, *span_vectors):
-        if echelon.add(v):
-            basis_vectors.append(tuple(v))
-    elements = [WeilElement(w, v) for v in basis_vectors]
+    basis_vectors = [v for v in (unit, *span_vectors) if echelon.add(v)]
+    elements = [WeilElement._of(w, v) for v in basis_vectors]
     dim = len(elements)
     terms = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            coords = echelon.coords((elements[i] * elements[j]).coeffs)
+            coords = echelon.coords((elements[i] * elements[j]).raw)
             if coords is None:
                 raise AlgebraError("subspace is not closed under multiplication")
             terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
-    aug = tuple(e.augmentation() for e in elements)
+    aug = tuple(e.augmentation().value for e in elements)
     sub = WeilAlgebra._from_terms(
         terms, aug, check=False, nilpotency_hint=w.nilpotency_degree
     )
-    incl = WeilMorphism(
-        sub,
-        w,
-        Matrix.from_columns(basis_vectors, rows=w.dimension),
-        check=False,
-    )
+    incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
     return sub, incl
 
 
@@ -1000,13 +1001,7 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     """Equalizer of a parallel pair, as a tabled subalgebra with inclusion."""
     if phi.source != psi.source or phi.target != psi.target:
         raise MorphismError("equalizer needs a parallel pair")
-    diff = phi.matrix - psi.matrix
-    span = kernel_basis(diff)
-    return _subalgebra(phi.source, span)
-
-
-def _exact_matrix(rows, cols: int) -> Matrix:
-    return Matrix._of(tuple(_wrap_row(row, True) for row in rows), cols)
+    return _subalgebra(phi.source, kernel_basis(phi.matrix - psi.matrix))
 
 
 class _ProductOverK:
@@ -1035,7 +1030,7 @@ class _ProductOverK:
         # cross-factor nilpotents multiply to zero; within a factor,
         # (e_i - aug[i] e_0)(e_j - aug[j] e_0) with e_0 the unit
         for w, off in zip(self.algebras, self.offsets):
-            lam = [c.value for c in w.aug_covector]
+            lam = w.aug
             for i in range(1, w.dimension):
                 for j in range(i, w.dimension):
                     acc = [0] * w.dimension
@@ -1052,36 +1047,36 @@ class _ProductOverK:
                     )
         hint = max((w.nilpotency_degree for w in self.algebras), default=1)
         self.algebra = WeilAlgebra._from_terms(
-            terms, unit_vector(d, 0), check=False, nilpotency_hint=hint
+            terms, _unit(d, 0), check=False, nilpotency_hint=hint
         )
 
     def extraction(self, a: int) -> Matrix:
         """Matrix taking product coordinates to the a-th component."""
         w, off = self.algebras[a], self.offsets[a]
-        rows = [[0] * self.dimension for _ in range(w.dimension)]
+        rows = [[_ZERO] * self.dimension for _ in range(w.dimension)]
         rows[0][0] = _ONE
         for f in range(1, w.dimension):
-            rows[0][off + f - 1] = -w.aug_covector[f].value
+            rows[0][off + f - 1] = -w.aug[f]
             rows[f][off + f - 1] = _ONE
-        return _exact_matrix(rows, self.dimension)
+        return Matrix._of(tuple(map(tuple, rows)), self.dimension)
 
     def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
         """phi @ extraction(s) - extraction(t), built by index."""
         ws, wt = self.algebras[s], self.algebras[t]
-        rows = [[0] * self.dimension for _ in range(wt.dimension)]
+        rows = [[_ZERO] * self.dimension for _ in range(wt.dimension)]
         # column 0 is the joint unit, which phi preserves: it stays zero
         off = self.offsets[s]
         for f in range(1, ws.dimension):
             c = off + f - 1
-            for row, m in zip(rows, phi.matrix.entries):
-                row[c] += m[f].value
-            rows[0][c] -= ws.aug_covector[f].value
+            for row, m in zip(rows, phi.matrix.raw):
+                row[c] += m[f]
+            rows[0][c] -= ws.aug[f]
         off = self.offsets[t]
         for g in range(1, wt.dimension):
             c = off + g - 1
             rows[g][c] -= _ONE
-            rows[0][c] += wt.aug_covector[g].value
-        return _exact_matrix(rows, self.dimension)
+            rows[0][c] += wt.aug[g]
+        return Matrix._of(tuple(map(tuple, rows)), self.dimension)
 
     def projections(self):
         return [
@@ -1155,8 +1150,7 @@ def limit(diagram: DiagramInWeil):
         [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
         cols=prod.dimension,
     )
-    span = kernel_basis(constraints)
-    sub, incl = _subalgebra(prod.algebra, span)
+    sub, incl = _subalgebra(prod.algebra, kernel_basis(constraints))
     legs = [
         WeilMorphism(
             sub, w, prod.extraction(a) @ incl.matrix, check=False
@@ -1171,42 +1165,27 @@ def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:
     return diagram.without_cone().with_cone(apex, legs)
 
 
-def _stacked_legs(legs, cols):
-    return vstack([leg.matrix for leg in legs], cols=cols)
-
-
 def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
     """Is the given cone a limit cone?  Decided by whether the mediating map
     into the computed limit is an isomorphism."""
     if not diagram.has_cone:
         raise DiagramError("is_limit_cone needs a cone")
     apex, legs = limit(diagram.without_cone())
-    a = _stacked_legs(legs, apex.dimension) if legs else Matrix(
-        [], cols=apex.dimension
-    )
-    b = _stacked_legs(diagram.legs, diagram.apex.dimension) if diagram.legs else Matrix(
-        [], cols=diagram.apex.dimension
-    )
     if not diagram.objects:
-        med = Matrix([[qq(1)]]) if diagram.apex.dimension == 1 else None
         ok = diagram.apex.dimension == 1
         cert = f"empty diagram; apex dimension {diagram.apex.dimension}"
-        return Verdict(ok, cert, data=med)
+        return Verdict(ok, cert, data=Matrix([[qq(1)]]) if ok else None)
+    a = vstack([leg.matrix for leg in legs], cols=apex.dimension)
+    b = vstack([leg.matrix for leg in diagram.legs], cols=diagram.apex.dimension)
     mediating = solve_matrix(a, b)
     if isinstance(mediating, SolveFailure):
-        return Verdict(
-            False,
-            "cone does not factor through the computed limit",
-            data=None,
-        )
+        return Verdict(False, "cone does not factor through the computed limit", data=None)
     try:
         WeilMorphism(diagram.apex, apex, mediating, check=True)
     except (MorphismError, ModeError) as exc:
         return Verdict(False, f"mediating map is not a morphism: {exc}", data=None)
     rank = mediating.rank()
-    ok = (
-        mediating.rows == mediating.cols == rank
-    )
+    ok = mediating.rows == mediating.cols == rank
     cert = (
         f"mediating matrix {mediating.rows}x{mediating.cols}, rank {rank}; "
         f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
@@ -1217,12 +1196,12 @@ def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
 def filtered_basis(w: WeilAlgebra):
     """A basis adapted to powers of the maximal ideal, with degree labels.
 
-    Returns (vectors, degrees): vectors[0] is the unit with degree 0; a
-    vector of degree g lies in m^g but not m^(g+1).  Presented algebras use
-    their monomial basis unchanged.
+    Returns (vectors, degrees): vectors (raw Fractions) [0] is the unit with
+    degree 0; a vector of degree g lies in m^g but not m^(g+1).  Presented
+    algebras use their monomial basis unchanged.
     """
     if w.flavor == "presented":
-        vectors = [tuple(unit_vector(w.dimension, i)) for i in range(w.dimension)]
+        vectors = [_unit(w.dimension, i) for i in range(w.dimension)]
         degrees = [sum(e) for e in w.basis]
         return vectors, degrees
     chain = w._ideal_chain()
@@ -1231,12 +1210,11 @@ def filtered_basis(w: WeilAlgebra):
     rank = 0
     for g in range(len(chain), 0, -1):
         for v in chain[g - 1]:
-            m = Matrix(picked + [tuple(v)], cols=w.dimension)
-            if m.rank() > rank:
-                picked.append(tuple(v))
+            if Matrix._of(tuple(picked) + (v,), w.dimension).rank() > rank:
+                picked.append(v)
                 degrees.append(g)
                 rank += 1
-    unit = tuple(w.one().coeffs)
+    unit = w.one().raw
     vectors = [unit] + list(reversed(picked))
     degs = [0] + list(reversed(degrees))
     return vectors, degs
@@ -1274,16 +1252,13 @@ def factor_permutation_iso(a: WeilAlgebra, b: WeilAlgebra, perm) -> WeilMorphism
         if leaves_b[perm[i]] != w:
             raise MorphismError(f"leaf {i} does not match its assigned slot")
     index_b = {t: k for k, t in enumerate(ix_b)}
-    cols = []
-    for k in range(a.dimension):
-        t = ix_a[k]
+    picks = []
+    for t in ix_a:
         shuffled = [0] * len(t)
         for i, v in enumerate(t):
             shuffled[perm[i]] = v
-        cols.append(unit_vector(b.dimension, index_b[tuple(shuffled)]))
-    return WeilMorphism(
-        a, b, Matrix.from_columns(cols, rows=b.dimension), check=False
-    )
+        picks.append(index_b[tuple(shuffled)])
+    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)
 
 
 # ----- text formats -------------------------------------------------------
@@ -1300,7 +1275,7 @@ def serialize_algebra(w: WeilAlgebra) -> str:
     if w.flavor == "presented":
         return f"weil {describe_presented(w)}"
     lines = ["weil tabled", f"dim {w.dimension}", "unit 0"]
-    lines.append("aug " + " ".join(str(c) for c in w.aug_covector))
+    lines.append("aug " + " ".join(str(c) for c in w.aug))
     for i in range(w.dimension):
         for j in range(i, w.dimension):
             for k, c in w._terms(i, j):
@@ -1349,7 +1324,7 @@ def _parse_monomial(text: str, gens) -> tuple:
         if "^" in factor:
             name, _, power = factor.partition("^")
             name = name.strip()
-            e = int(power.strip())
+            e = int(check_literal(power.strip(), AlgebraError))
         else:
             name, e = factor, 1
         if name not in gens:
@@ -1365,7 +1340,7 @@ def _parse_tabled(text: str) -> WeilAlgebra:
     aug = None
     entries = []
     for raw in text.strip().splitlines():
-        line = raw.strip()
+        line = check_literal(raw.strip(), AlgebraError)
         if not line:
             continue
         parts = line.split()
@@ -1375,7 +1350,7 @@ def _parse_tabled(text: str) -> WeilAlgebra:
             if int(parts[1]) != 0:
                 raise AlgebraError("tabled format requires the unit at index 0")
         elif parts[0] == "aug":
-            aug = tuple(qq(Fraction(p)) for p in parts[1:])
+            aug = tuple(Fraction(p) for p in parts[1:])
         elif parts[0] == "c":
             i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
             entries.append((line, i, j, k, Fraction(parts[4])))

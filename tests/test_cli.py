@@ -394,3 +394,27 @@ def test_printed_numbers_past_the_digit_limit_are_refused(capsys):
         )
     code, out, _ = run(capsys, "jet", "10^4299*u", "--at", "1", "--order", "1")
     assert code == 0 and out.splitlines()[2] == "du: 1" + "0" * 4299
+
+
+_LONG = "1" * 5000
+_LITERAL_REFUSAL = "error: a number literal of 5000 digits exceeds the digit limit of 4300 digits\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jet", f"{_LONG}*u", "--at", "1", "--order", "1"),
+        ("jet", f"u^{_LONG}", "--at", "1", "--order", "1"),
+        ("jet", "u", "--at", _LONG, "--order", "1"),
+        ("weil", "info", f"Q[x]/(x^{_LONG})"),
+        ("weil", "info", _tabled_block(2, "c 1 1 0 0").replace("aug 1 0", f"aug 1 {_LONG}")),
+        ("weil", "info", _tabled_block(2, f"c 1 1 0 {_LONG}")),
+    ],
+)
+def test_number_literals_past_the_digit_limit_are_parse_errors(capsys, argv):
+    assert run(capsys, *argv) == (2, "", _LITERAL_REFUSAL)
+
+
+def test_number_literals_at_the_digit_limit_are_read(capsys):
+    code, out, _ = run(capsys, "jet", "1" * 4300 + "*u", "--at", "1", "--order", "1")
+    assert code == 0 and out.splitlines()[2] == "du: " + "1" * 4300

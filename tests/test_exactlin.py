@@ -296,6 +296,37 @@ def test_mixed_modes_raise_at_every_product():
     assert exact.apply((1, 2)) == (qq(1), qq(8))
 
 
+def test_mixed_modes_raise_at_the_stacks_and_never_compare_equal():
+    exact = Matrix([[qq(1), qq(0)]])
+    floats = Matrix([[Scalar(1.0), Scalar(0.0)]])
+    for pair in ((exact, floats), (floats, exact)):
+        with pytest.raises(ModeError):
+            hstack(pair)
+        with pytest.raises(ModeError):
+            vstack(pair)
+    with pytest.raises(ModeError):
+        Matrix([[qq(1), Scalar(0.0)]])
+    # Fraction(1) == 1.0, yet equal values in two modes are two matrices
+    assert exact != floats and not exact == floats
+    assert Matrix([[1, 0]]) != Matrix([[1.0, 0.0]])
+    assert Matrix.identity(2) != Matrix.identity(2, Mode.FLOAT)
+    assert Matrix.zeros(1, 2) != Matrix.zeros(1, 2, Mode.FLOAT)
+
+
+def test_exact_entries_are_fractions_after_every_operation():
+    m = Matrix([[1, 0], [Fraction(1, 2), 3]])
+    ident = Matrix.identity(2)
+    for out in (m, m @ m, m + ident, m - m, m.kron(ident), hstack([m, ident]),
+                vstack([m, ident]), Matrix.zeros(2, 2), m.inverse()):
+        assert all(type(e.value) is Fraction for row in out.entries for e in row)
+    vectors = [m.apply((1, 0)), m.row(0), m.column(1), unit_vector(3, 1)]
+    vectors += kernel_basis(Matrix([[1, 1, 0]]))
+    vectors.append(solve_unique(m, (1, 2)))
+    particular, kernel = solve_affine(Matrix([[1, 1]]), (2,))
+    vectors += [particular, *kernel]
+    assert all(type(e.value) is Fraction for v in vectors for e in v)
+
+
 def test_float_products_keep_every_term():
     # 0 * inf is nan and 0 * -1.0 is -0.0, so float loops skip nothing
     inf = float("inf")

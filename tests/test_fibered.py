@@ -33,6 +33,7 @@ from weilkit import (
 )
 from weilkit.fibered import (
     _broken_pullback_cone,
+    _maps_agree,
     _projection_pullback_cone,
     arrow_weil_functor,
     vertical_space_basis,
@@ -312,3 +313,29 @@ def test_fibered_checkers_call_is_limit_cone_only_to_word_a_refusal(monkeypatch)
         with pytest.raises(DiagramError, match="not a limit cone .*vacuous"):
             check_vertical_microlinearity(proj, mutant, (0, 0, 0))
         assert len(calls) == 2
+
+
+# ----- sampled map agreement ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # log(u - 5) raises at every sample in [0.3, 1.7]
+        ("log(u-5)", "2*log(u-5)"),
+        # both sides overflow to inf at every sample
+        ("exp(u)^2000", "2*exp(u)^2000"),
+        ("sin(u) + (10^200*u)*(10^200*u)", "sin(u)"),
+        # math.exp raises OverflowError at every sample
+        ("exp(exp(100*u))", "exp(exp(100*u))"),
+    ],
+)
+def test_sampled_agreement_needs_finite_evidence(left, right):
+    f, g = parse_map(f"f(u) -> ({left})"), parse_map(f"g(u) -> ({right})")
+    assert _maps_agree(f, g) == (False, "sampled")
+    assert _maps_agree(g, f) == (False, "sampled")
+
+
+def test_sampled_agreement_of_a_map_with_itself():
+    f = parse_map("f(u) -> (sin(u))")
+    assert _maps_agree(f, f) == (True, "sampled")

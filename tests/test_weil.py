@@ -1,5 +1,6 @@
 """Finite-dimensional local algebras: construction, maps, tensors, limits."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from weilkit import (
     AlgebraError,
     DiagramInWeil,
+    Mode,
+    ModeError,
     NonNilpotentError,
+    Scalar,
     WeilElement,
     WeilMorphism,
     dual_numbers,
@@ -20,8 +24,11 @@ from weilkit import (
     jet_line,
     limit,
     limit_cone,
+    jet,
     make_presented,
+    mixed_jet,
     parse_algebra,
+    parse_map,
     product_over_k,
     qq,
     serialize_algebra,
@@ -343,3 +350,52 @@ def test_augmentation_equalizes_everything():
     x, _ = generator_elements(w)
     assert aug.apply(x).is_zero
     assert aug.apply(w.one()) == terminal().one()
+
+
+# ----- one mode per element ----------------------------------------------------
+
+
+def test_mixed_mode_elements_refuse_every_operation():
+    w = dual_numbers()
+    exact = w.element([qq(1), qq(2)])
+    floats = w.element([1.0, 2.0])
+    for left, right in ((exact, floats), (floats, exact)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ModeError):
+                op(left, right)
+    pairs = ((exact, 0.5), (exact, Scalar(0.5)), (floats, Fraction(1, 2)), (floats, qq(2)))
+    for element, c in pairs:
+        with pytest.raises(ModeError):
+            element.scaled(c)
+    with pytest.raises(ModeError):
+        WeilElement(w, [qq(1), 2.0])
+
+
+def test_exact_and_float_elements_with_equal_values_differ():
+    w = dual_numbers()
+    assert w.element([1, 2]) != w.element([1.0, 2.0])
+    assert not w.element([1, 2]) == w.element([1.0, 2.0])
+    assert w.one() != w.one(Mode.FLOAT)
+    assert w.zero() != w.zero(Mode.FLOAT)
+
+
+def test_exact_coefficients_are_fractions():
+    tabled, _, _ = product_over_k(dual_numbers(), jet_line(2))
+    phi = random_morphism(random.Random(3), jet_line(2), jet_line(3))
+    sub, _ = equalizer(phi, phi)
+    for w in (jet_line(3), tabled, sub):
+        x = w.element([Fraction(k + 1, 2) for k in range(w.dimension)])
+        products = [x * x, x + x, x - x, -x, x.scaled(2), x**3, x / 3, x / x, w.zero(), w.one()]
+        assert all(type(c.value) is Fraction for e in products for c in e.coeffs)
+        assert type(x.augmentation().value) is Fraction
+        assert all(type(c.value) is Fraction for c in w.aug_covector)
+    # selection matrices built by index, and the matrices of products and limits
+    w, inj1, inj2 = tensor(tabled, dual_numbers("y"))
+    _, legs = limit(DiagramInWeil((tabled, jet_line(2)), ()))
+    for m in [inj1.matrix, inj2.matrix, augmentation(w).matrix] + [leg.matrix for leg in legs]:
+        assert all(type(e.value) is Fraction for row in m.entries for e in row)
+    f = parse_map("f(u) -> (u^2 + 1, 3)")
+    assert all(type(c.value) is Fraction for out in jet(f, 2, 5) for c in out)
+    g = parse_map("g(x, y) -> (x*y)")
+    (coeffs,), _ = mixed_jet(g, [1, 2], [2, 2])
+    assert all(type(c.value) is Fraction for c in coeffs.values())
