@@ -485,7 +485,7 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         report.add(
             "composite-vs-tensor",
             f"{_short_algebra_name(w1)} then {_short_algebra_name(w2)}, draw {i}",
-            v.ok,
+            v,
             v.certificate,
         )
 
@@ -520,7 +520,7 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
             report.add(
                 "composite-vs-tensor-float",
                 f"transcendental draw {i}",
-                v.ok,
+                v,
                 v.certificate,
             )
     return report
@@ -540,7 +540,7 @@ def microlinearity_suite(
     if not negative_controls:
         w = first_order_infinitesimals(2)
         v = check_microlinear(spaces[2], _identity_cone(w))
-        report.add("identity-cone", f"R^3 over {_short_algebra_name(w)}", v.ok, v.certificate)
+        report.add("identity-cone", f"R^3 over {_short_algebra_name(w)}", v, v.certificate)
         for i in range(samples):
             cone = corpus.random_limit_cone(rng)
             x = spaces[i % len(spaces)]
@@ -549,7 +549,7 @@ def microlinearity_suite(
                 "limit-preserved",
                 f"{x.name} over seeded cone {i} "
                 f"({len(cone.objects)} objects, apex dim {cone.apex.dimension})",
-                v.ok,
+                v,
                 v.certificate,
             )
         return report
@@ -637,7 +637,7 @@ def closure_suite(seed: int = 0) -> Report:
     for x in base:
         for i, cone in enumerate(cones):
             v = check_microlinear(x, cone)
-            report.add("base-object", f"{x.name} over cone {i}", v.ok, v.certificate)
+            report.add("base-object", f"{x.name} over cone {i}", v, v.certificate)
 
     derived = []
     for x in base:
@@ -658,7 +658,7 @@ def closure_suite(seed: int = 0) -> Report:
             report.add(
                 "derived-microlinear",
                 f"{x.name} over cone {i}",
-                v.ok,
+                v,
                 v.certificate,
             )
 
@@ -687,11 +687,11 @@ def closure_suite(seed: int = 0) -> Report:
     report.add(
         "double-limit",
         "equalizer cone (x) pullback cone, both orders",
-        v.ok,
+        v,
         v.certificate,
     )
     vx = check_microlinear(ModelObject.coordinate(2), grid)
-    report.add("double-limit-lifted", "R^2 over the grid cone", vx.ok, vx.certificate)
+    report.add("double-limit-lifted", "R^2 over the grid cone", vx, vx.certificate)
     return report
 
 

@@ -10,6 +10,7 @@ set and seed is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -399,8 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one weilkit command line and return its exit code.
+
+    The parser is built once per process, on the first call, and each call
+    parses only its own argv.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonNilpotentError as exc:

@@ -465,13 +465,18 @@ def difference_rows(total: int, terms) -> Matrix:
 def _kernel(m: Matrix):
     """kernel_basis as raw Fraction vectors."""
     m._require_exact("kernel_basis")
-    rows, pivots = m.rref()
+    return _kernel_of(*m.rref(), m.cols)
+
+
+def _kernel_of(rows, pivots, cols: int):
+    """The echelon kernel basis read off rref rows whose first `cols`
+    columns are the rref of m and whose pivots all lie among them."""
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(cols) if c not in pivot_set]
     zero, one = _RAW[Mode.EXACT]
     basis = []
     for f in free:
-        v = [zero] * m.cols
+        v = [zero] * cols
         v[f] = one
         for r, p in enumerate(pivots):
             v[p] = -rows[r][f]
@@ -500,7 +505,11 @@ def solve_unique(m: Matrix, rhs):
 
 
 def solve_affine(m: Matrix, rhs):
-    """General exact solve: (particular solution, kernel basis) or NO_SOLUTION."""
+    """General exact solve: (particular solution, kernel basis) or NO_SOLUTION.
+
+    One elimination of [m | rhs] gives both: when the system is consistent
+    its left block is the rref of m, so the kernel is read off it.
+    """
     m._require_exact("solve_affine")
     rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
     if m.cols in pivots:
@@ -508,7 +517,8 @@ def solve_affine(m: Matrix, rhs):
     particular = [_ZERO] * m.cols
     for r, p in enumerate(pivots):
         particular[p] = _scalar(rows[r][m.cols])
-    return tuple(particular), kernel_basis(m)
+    kernel = [tuple(map(_scalar, v)) for v in _kernel_of(rows, pivots, m.cols)]
+    return tuple(particular), kernel
 
 
 def solve_matrix(m: Matrix, rhs: Matrix):

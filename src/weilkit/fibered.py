@@ -1205,7 +1205,7 @@ def fibered_suite(
             report.add(
                 "fibered-microlinear",
                 f"{label} over cone {i}",
-                v.ok,
+                v,
                 v.certificate,
             )
 
@@ -1385,9 +1385,9 @@ def vertical_suite(
         (proj,), (), proj, (FiberedMorphism.identity(proj),)
     )
     v = check_vertical_left_exact(single, d)
-    report.add("left-exact", "one-object cone", v.ok, v.certificate)
+    report.add("left-exact", "one-object cone", v, v.certificate)
     v = check_vertical_left_exact(_projection_pullback_cone(), d)
-    report.add("left-exact", "pullback of coordinate projections", v.ok, v.certificate)
+    report.add("left-exact", "pullback of coordinate projections", v, v.certificate)
 
     cone = corpus.random_limit_cone(rng)
     p31 = FiberedObject.coordinate_projection(3, 1)
@@ -1404,7 +1404,7 @@ def vertical_suite(
     )
     vm = check_vertical_microlinearity(p31, ident_cone, [1, 2, 3])
     report.add(
-        "vertical-microlinear", "single-object identity cone", vm.ok, vm.certificate
+        "vertical-microlinear", "single-object identity cone", vm, vm.certificate
     )
     vs = check_vertical_microlinearity(sphere, cone, [qq(1), qq(0), qq(0)])
     report.add(

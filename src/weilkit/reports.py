@@ -25,10 +25,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One rendered line of a report.  exactness says how it was decided,
+    as in Verdict; the renderers do not print it."""
+
     check: str
     instance: str
     passed: bool
     detail: str = ""
+    exactness: str = "exact"
 
     def render_text(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -52,8 +56,12 @@ class Report:
     title: str
     outcomes: list = field(default_factory=list)
 
-    def add(self, check: str, instance: str, passed: bool, detail: str = ""):
-        self.outcomes.append(CheckOutcome(check, instance, bool(passed), detail))
+    def add(self, check: str, instance: str, passed, detail: str = "", *, exactness=None):
+        """Record one outcome.  passed may be a Verdict, whose exactness the
+        outcome keeps unless the exactness keyword overrides it."""
+        if exactness is None:
+            exactness = passed.exactness if isinstance(passed, Verdict) else "exact"
+        self.outcomes.append(CheckOutcome(check, instance, bool(passed), detail, exactness))
 
     def extend(self, other: "Report"):
         self.outcomes.extend(other.outcomes)

@@ -1344,6 +1344,9 @@ def _parse_tabled(text: str) -> WeilAlgebra:
         if not line:
             continue
         parts = line.split()
+        # Fraction reads 1e5000, whose short digit runs pass check_literal
+        if parts[0] in ("aug", "c") and "e" in line.lower():
+            raise AlgebraError(f"exponent notation is not read in tabled blocks: {line!r}")
         if parts[0] == "dim":
             dim = int(parts[1])
         elif parts[0] == "unit":

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from weilkit import cli
 from weilkit.cli import main
 
 
@@ -315,6 +316,25 @@ def test_tabled_indices_out_of_range_are_refused(capsys):
     assert code == 0 and "dimension: 3" in out
 
 
+@pytest.mark.parametrize(
+    "block, line",
+    [(_tabled_block(3, f"c 1 1 2 {x}"), f"c 1 1 2 {x}") for x in ("1e5000", "1e2000000", "2E1")]
+    + [(_tabled_block(3, "c 1 1 2 1").replace("aug 1 0 0", "aug 1 0 1e0"), "aug 1 0 1e0")],
+)
+def test_tabled_exponent_notation_is_refused_fast(capsys, block, line):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weil", "info", block)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent notation is not read in tabled blocks: {line!r}\n"
+
+
+def test_tabled_decimal_and_ratio_fields_are_read(capsys):
+    for field in ("0.5", "1/2"):
+        code, out, _ = run(capsys, "weil", "info", _tabled_block(3, f"c 1 1 2 {field}"))
+        assert code == 0 and "c 1 1 2 1/2" in out
+
+
 def test_exact_powers_past_the_bit_budget_are_refused_fast(capsys):
     cases = [
         ("jet", "u^200000000", "--at", "3", "--order", "1"),
@@ -418,3 +438,64 @@ def test_number_literals_past_the_digit_limit_are_parse_errors(capsys, argv):
 def test_number_literals_at_the_digit_limit_are_read(capsys):
     code, out, _ = run(capsys, "jet", "1" * 4300 + "*u", "--at", "1", "--order", "1")
     assert code == 0 and out.splitlines()[2] == "du: " + "1" * 4300
+
+
+# ----- one parser per process ---------------------------------------------------
+
+
+def _fresh_then_shared(capsys, calls):
+    """Each argv on a newly built parser, then the whole sequence on one."""
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    return fresh, shared
+
+
+_LIMIT = ("weil", "limit", "Q[x]/(x^2)", "Q[t]/(t^3)")
+
+
+def test_an_arrow_does_not_outlive_its_call(capsys):
+    calls = [(*_LIMIT, "--arrow", "0 1 x -> t^2"), _LIMIT]
+    fresh, shared = _fresh_then_shared(capsys, calls)
+    assert shared == fresh
+    assert fresh[0][0] == fresh[1][0] == 0 and fresh[0][1] != fresh[1][1]
+
+
+def test_an_output_style_does_not_outlive_its_call(capsys):
+    jet = ("jet", "u^2", "--at", "3")
+    fresh, shared = _fresh_then_shared(capsys, [(*jet, "--output", "kv"), jet])
+    assert shared == fresh
+    assert fresh[0][1].startswith("1=9") and fresh[1][1].startswith("jet of u^2")
+
+
+def test_a_usage_error_does_not_outlive_its_call(capsys):
+    calls = [("jet", "u", "--at", "1", "--order", "x"), ("jet", "u", "--at", "1")]
+    fresh, shared = _fresh_then_shared(capsys, calls)
+    assert shared == fresh
+    assert fresh[0][:2] == (2, "") and "invalid int value" in fresh[0][2]
+    assert fresh[1][0] == 0
+
+
+def test_help_reads_the_same_twice(capsys):
+    fresh, shared = _fresh_then_shared(capsys, [("--help",), ("--help",)])
+    assert shared == fresh
+    assert fresh[0] == fresh[1] and fresh[0][0] == 0 and "usage: weilkit" in fresh[0][1]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(10):
+        assert run(capsys, "jet", "u^2", "--at", "3")[0] == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()

@@ -152,6 +152,35 @@ def test_solve_affine_solutions_solve(m, raw):
         assert all(e.is_zero for e in m.apply(v))
 
 
+@given(matrices, st.lists(rationals, min_size=4, max_size=4))
+@settings(max_examples=60)
+def test_solve_affine_kernel_is_kernel_basis(m, raw):
+    rhs = m.apply(tuple(qq(x) for x in raw[: m.cols]) + tuple(
+        qq(0) for _ in range(max(0, m.cols - len(raw)))
+    ))
+    _, kernel = solve_affine(m, rhs)
+    assert kernel == kernel_basis(m)
+
+
+def test_solve_affine_eliminates_once(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    m = Matrix([[1, 2, 0], [2, 4, 1]])
+    particular, kernel = solve_affine(m, (1, 3))
+    assert calls == [(2, 4)]
+    assert m.apply(particular) == (qq(1), qq(3))
+    assert kernel == [(qq(-2), qq(1), qq(0))]
+    calls.clear()
+    assert solve_affine(Matrix([[1, 2], [2, 4]]), (1, 1)) is NO_SOLUTION
+    assert calls == [(2, 3)]
+
+
 def test_solve_outcomes_are_values_not_errors():
     singular = Matrix([[qq(1), qq(2)], [qq(2), qq(4)]])
     assert solve_unique(singular, (qq(1), qq(1))) is NO_SOLUTION
