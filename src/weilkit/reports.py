@@ -56,11 +56,10 @@ class Report:
     title: str
     outcomes: list = field(default_factory=list)
 
-    def add(self, check: str, instance: str, passed, detail: str = "", *, exactness=None):
+    def add(self, check: str, instance: str, passed, detail: str = ""):
         """Record one outcome.  passed may be a Verdict, whose exactness the
-        outcome keeps unless the exactness keyword overrides it."""
-        if exactness is None:
-            exactness = passed.exactness if isinstance(passed, Verdict) else "exact"
+        outcome keeps."""
+        exactness = passed.exactness if isinstance(passed, Verdict) else "exact"
         self.outcomes.append(CheckOutcome(check, instance, bool(passed), detail, exactness))
 
     def extend(self, other: "Report"):

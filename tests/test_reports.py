@@ -7,7 +7,7 @@ def test_outcomes_keep_a_verdicts_exactness():
     rep = Report("r")
     rep.add("c", "sampled verdict", Verdict(True, "agrees", exactness="sampled"), "agrees")
     rep.add("c", "plain bool", True)
-    rep.add("c", "keyword", Verdict(False, "no", exactness="sampled"), exactness="graded")
+    rep.add("c", "graded verdict", Verdict(False, "no", exactness="graded"))
     whole = Report("whole")
     whole.extend(rep)
     assert [o.exactness for o in whole.outcomes] == ["sampled", "exact", "graded"]
