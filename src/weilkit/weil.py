@@ -15,6 +15,7 @@ values are rejected on sight.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -413,7 +414,13 @@ def first_order_infinitesimals(n: int) -> WeilAlgebra:
 class WeilElement:
     """An element of a fixed Weil algebra: its coefficient vector over the
     basis, held raw in `raw` (all Fractions or all floats) with its one
-    `mode`.  `coeffs` hands the coefficients out as Scalars."""
+    `mode`.  `coeffs` hands the coefficients out as Scalars.
+
+    Exact arithmetic does no work on zero coefficients: a sum touches only
+    the entries where the other operand is nonzero, and a product over a
+    presented algebra runs on int numerators over one common denominator
+    per operand, making each nonzero result coefficient a Fraction once.
+    Float arithmetic keeps every term, since 0.0 + -0.0 is 0.0."""
 
     __slots__ = ("algebra", "raw", "mode")
 
@@ -448,12 +455,16 @@ class WeilElement:
 
     def __add__(self, other):
         self._check_peer(other)
+        if self.mode is Mode.EXACT:
+            return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, False))
         return WeilElement._of(
             self.algebra, tuple(map(operator.add, self.raw, other.raw)), self.mode
         )
 
     def __sub__(self, other):
         self._check_peer(other)
+        if self.mode is Mode.EXACT:
+            return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, True))
         return WeilElement._of(
             self.algebra, tuple(map(operator.sub, self.raw, other.raw)), self.mode
         )
@@ -466,7 +477,11 @@ class WeilElement:
         if c.mode is not self.mode:
             raise ModeError("mixed-mode scaling of an element")
         c = c.value
-        return WeilElement._of(self.algebra, tuple([c * a for a in self.raw]), self.mode)
+        if self.mode is Mode.EXACT:
+            raw = tuple([c * a if a else a for a in self.raw])
+        else:
+            raw = tuple([c * a for a in self.raw])
+        return WeilElement._of(self.algebra, raw, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction, Scalar)):
@@ -474,9 +489,17 @@ class WeilElement:
         self._check_peer(other)
         alg = self.algebra
         exact = self.mode is Mode.EXACT
-        acc = [_RAW[self.mode][0]] * alg.dimension
-        nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
-        nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
+        # exact presented products run on int numerators over one common
+        # denominator per operand; each result becomes a Fraction once
+        on_ints = exact and alg.flavor == "presented"
+        if on_ints:
+            da, nz_a = _over_common_denominator(self.raw)
+            db, nz_b = _over_common_denominator(other.raw)
+            acc = [0] * alg.dimension
+        else:
+            nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
+            nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
+            acc = [_RAW[self.mode][0]] * alg.dimension
         if alg.flavor == "presented":
             codes = alg._codes
             by_code = alg._by_code
@@ -493,6 +516,9 @@ class WeilElement:
                     if ab:
                         for k, c in alg._terms(i, j):
                             acc[k] += ab * (c if exact else float(c))
+        if on_ints:
+            d = da * db
+            acc = [Fraction(n, d) if n else _ZERO for n in acc]
         return WeilElement._of(alg, tuple(acc), self.mode)
 
     __rmul__ = __mul__
@@ -576,6 +602,29 @@ class WeilElement:
 
     def __repr__(self):
         return f"WeilElement({self})"
+
+
+def _exact_sum(a, b, subtract: bool):
+    """a + b, or a - b, on Fraction tuples.  Only the entries where b is
+    nonzero are touched, and where a is zero the entry of b (negated for
+    a - b) is taken without Fraction arithmetic."""
+    out = list(a)
+    for k, y in enumerate(b):
+        if y:
+            x = out[k]
+            if subtract:
+                out[k] = x - y if x else -y
+            else:
+                out[k] = x + y if x else y
+    return tuple(out)
+
+
+def _over_common_denominator(raw):
+    """(D, [(i, n), ...]) with raw[i] == n / D for each nonzero Fraction of
+    raw, where D is the lcm of their denominators (1 if there are none)."""
+    nz = [(i, a.as_integer_ratio()) for i, a in enumerate(raw) if a]
+    d = math.lcm(*[q for _, (_, q) in nz])
+    return d, [(i, p * (d // q)) for i, (p, q) in nz]
 
 
 def geometric_invert(x):
@@ -1300,7 +1349,9 @@ def _parse_presented(text: str) -> WeilAlgebra:
     s = s[1:].lstrip()
     if not s.startswith("["):
         raise AlgebraError("expected '[' after Q")
-    close = s.index("]")
+    close = s.find("]")
+    if close < 0:
+        raise AlgebraError("expected ']' after the generator list")
     names_part = s[1:close].strip()
     gens = tuple(n.strip() for n in names_part.split(",")) if names_part else ()
     s = s[close + 1 :].lstrip()
@@ -1335,6 +1386,17 @@ def _parse_monomial(text: str, gens) -> tuple:
     return tuple(exps)
 
 
+# fields per line, keyword included; an 'aug' line has one per basis element
+_TABLED_FIELDS = {"dim": 2, "unit": 2, "c": 5}
+
+
+def _tabled_number(convert, field: str, line: str):
+    try:
+        return convert(field)
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraError(f"malformed number in tabled line {line!r}") from None
+
+
 def _parse_tabled(text: str) -> WeilAlgebra:
     dim = None
     aug = None
@@ -1347,16 +1409,18 @@ def _parse_tabled(text: str) -> WeilAlgebra:
         # Fraction reads 1e5000, whose short digit runs pass check_literal
         if parts[0] in ("aug", "c") and "e" in line.lower():
             raise AlgebraError(f"exponent notation is not read in tabled blocks: {line!r}")
+        if len(parts) != _TABLED_FIELDS.get(parts[0], len(parts)):
+            raise AlgebraError(f"wrong number of fields in tabled line {line!r}")
         if parts[0] == "dim":
-            dim = int(parts[1])
+            dim = _tabled_number(int, parts[1], line)
         elif parts[0] == "unit":
-            if int(parts[1]) != 0:
+            if _tabled_number(int, parts[1], line) != 0:
                 raise AlgebraError("tabled format requires the unit at index 0")
         elif parts[0] == "aug":
-            aug = tuple(Fraction(p) for p in parts[1:])
+            aug = tuple(_tabled_number(Fraction, p, line) for p in parts[1:])
         elif parts[0] == "c":
-            i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-            entries.append((line, i, j, k, Fraction(parts[4])))
+            i, j, k = (_tabled_number(int, p, line) for p in parts[1:4])
+            entries.append((line, i, j, k, _tabled_number(Fraction, parts[4], line)))
         else:
             raise AlgebraError(f"unrecognized line in tabled block: {raw!r}")
     if dim is None or aug is None:

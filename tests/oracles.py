@@ -472,3 +472,30 @@ def poly_from_expr_reference(expr, nvars: int):
             0 if expr.value else 1, nvars
         )
     raise NonPolynomialError(f"{op}() is not polynomial")
+
+
+# ----- Weil element arithmetic ------------------------------------------------
+
+
+def weil_product_reference(algebra, a, b):
+    """Coefficients of a * b, one Fraction product per pair of basis
+    elements.  A presented algebra multiplies standard monomials by adding
+    exponent vectors (a sum outside the basis lies in the relation ideal);
+    a tabled one reads its structure terms."""
+    d = algebra.dimension
+    out = [Fraction(0)] * d
+    for i in range(d):
+        for j in range(d):
+            if algebra.flavor == "presented":
+                e = tuple(map(operator.add, algebra.basis[i], algebra.basis[j]))
+                terms = () if e not in algebra._index else ((algebra._index[e], 1),)
+            else:
+                terms = algebra._terms(i, j)
+            for k, c in terms:
+                out[k] += Fraction(a[i]) * Fraction(b[j]) * Fraction(c)
+    return out
+
+
+def weil_sum_reference(a, b, sign=1):
+    """Coefficients of a + sign * b."""
+    return [Fraction(x) + sign * Fraction(y) for x, y in zip(a, b)]

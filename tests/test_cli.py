@@ -335,6 +335,27 @@ def test_tabled_decimal_and_ratio_fields_are_read(capsys):
         assert code == 0 and "c 1 1 2 1/2" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_tabled_block(2, "c 1 1"), "wrong number of fields in tabled line 'c 1 1'"),
+        (_tabled_block(2, "c 1 1 0 1 2"), "wrong number of fields in tabled line 'c 1 1 0 1 2'"),
+        ("weil tabled\ndim", "wrong number of fields in tabled line 'dim'"),
+        ("weil tabled\ndim 1\nunit\naug 1", "wrong number of fields in tabled line 'unit'"),
+        ("weil tabled\ndim x", "malformed number in tabled line 'dim x'"),
+        ("weil tabled\ndim 1\nunit y\naug 1", "malformed number in tabled line 'unit y'"),
+        ("weil tabled\ndim 1\nunit 0\naug x", "malformed number in tabled line 'aug x'"),
+        (_tabled_block(2, "c 0 0 0 abc"), "malformed number in tabled line 'c 0 0 0 abc'"),
+        (_tabled_block(2, "c 1 1 0 1/0"), "malformed number in tabled line 'c 1 1 0 1/0'"),
+        ("Q[x", "expected ']' after the generator list"),
+        ("Q[x, y/(x^2)", "expected ']' after the generator list"),
+    ],
+)
+def test_malformed_algebra_text_exits_2_naming_the_fault(capsys, text, message):
+    code, out, err = run(capsys, "weil", "info", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_exact_powers_past_the_bit_budget_are_refused_fast(capsys):
     cases = [
         ("jet", "u^200000000", "--at", "3", "--order", "1"),

@@ -1,5 +1,6 @@
 """Finite-dimensional local algebras: construction, maps, tensors, limits."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -399,3 +400,100 @@ def test_exact_coefficients_are_fractions():
     g = parse_map("g(x, y) -> (x*y)")
     (coeffs,), _ = mixed_jet(g, [1, 2], [2, 2])
     assert all(type(c.value) is Fraction for c in coeffs.values())
+
+
+# ----- the exact kernel against the dense reference ------------------------------
+
+
+def _kernel_algebras():
+    tabled, _, _ = product_over_k(dual_numbers(), jet_line(2))
+    w2 = first_order_infinitesimals(2)
+    d = dual_numbers("t")
+    t = d.basis_element(1)
+    eq, _ = equalizer(
+        WeilMorphism.from_generator_images(w2, d, [t, t]),
+        WeilMorphism.from_generator_images(w2, d, [t, d.zero()]),
+    )
+    apexes = [limit(random_diagram(random.Random(seed)))[0] for seed in (3, 14, 22)]
+    return [
+        jet_line(5),
+        first_order_infinitesimals(3),
+        make_presented(("x", "y"), ((3, 0), (1, 1), (0, 4))),
+        tensor(jet_line(2), dual_numbers("y"))[0],
+        tensor(tabled, dual_numbers("y"))[0],
+        tabled,
+        eq,
+    ] + apexes
+
+
+_KERNEL_ALGEBRAS = _kernel_algebras()
+# pairwise coprime denominators: distinct 7-digit primes
+_PRIMES = [p for p in range(10**6, 10**6 + 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def _kernel_operands(draw):
+    w = draw(st.sampled_from(_KERNEL_ALGEBRAS))
+    d = w.dimension
+    denominators = iter(draw(st.permutations(_PRIMES)))
+
+    def coefficient(coprime):
+        n = draw(st.integers(-(10**9), 10**9).filter(bool))
+        return Fraction(n, next(denominators)) if coprime else Fraction(n)
+
+    def element():
+        shape = draw(st.sampled_from(["zero", "one-term", "dense", "sparse"]))
+        coprime = draw(st.booleans())
+        if shape == "zero":
+            return [Fraction(0)] * d
+        if shape == "one-term":
+            k = draw(st.integers(0, d - 1))
+            return [coefficient(coprime) if i == k else Fraction(0) for i in range(d)]
+        dense = shape == "dense"
+        return [coefficient(coprime) if dense or draw(st.booleans()) else Fraction(0) for _ in range(d)]
+
+    return w, element(), element(), coefficient(draw(st.booleans()))
+
+
+@given(_kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_exact_arithmetic_matches_the_dense_reference(operands):
+    w, a, b, c = operands
+    x, y = w.element(a), w.element(b)
+    square = oracles.weil_product_reference(w, a, a)
+    cases = [
+        (x * y, oracles.weil_product_reference(w, a, b)),
+        (y * x, oracles.weil_product_reference(w, b, a)),
+        (x + y, oracles.weil_sum_reference(a, b)),
+        (x - y, oracles.weil_sum_reference(a, b, -1)),
+        (y - x, oracles.weil_sum_reference(b, a, -1)),
+        (x.scaled(c), [c * v for v in a]),
+        (x * c, [c * v for v in a]),
+        (x**3, oracles.weil_product_reference(w, square, a)),
+    ]
+    for got, expected in cases:
+        assert got.mode is Mode.EXACT
+        assert list(got.raw) == expected
+        assert all(type(v) is Fraction for v in got.raw)
+
+
+def test_dense_product_over_coprime_denominators_matches_the_reference():
+    w = make_presented(("x", "y"), ((8, 0), (0, 8)))
+    assert w.dimension == 64
+    rng = random.Random(64)
+    a, b = (
+        [Fraction(rng.randint(1, 10**6), p) for p in _PRIMES[k : k + 64]] for k in (0, 64)
+    )
+    got = (w.element(a) * w.element(b)).raw
+    assert list(got) == oracles.weil_product_reference(w, a, b)
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_float_sums_and_scaling_keep_every_term():
+    w = dual_numbers()
+    zeros, negative_zeros = w.element([0.0, 0.0]), w.element([-0.0, -0.0])
+    # 0.0 + -0.0 is 0.0 and 0.0 * inf is nan: float paths skip no zero
+    assert [math.copysign(1, v) for v in (zeros + negative_zeros).raw] == [1, 1]
+    assert [math.copysign(1, v) for v in (negative_zeros + zeros).raw] == [1, 1]
+    assert [math.copysign(1, v) for v in (negative_zeros - zeros).raw] == [-1, -1]
+    assert [str(v) for v in w.element([1.0, 0.0]).scaled(float("inf")).raw] == ["inf", "nan"]
