@@ -420,7 +420,8 @@ class WeilElement:
     the entries where the other operand is nonzero, and a product over a
     presented algebra runs on int numerators over one common denominator
     per operand, making each nonzero result coefficient a Fraction once.
-    Float arithmetic keeps every term, since 0.0 + -0.0 is 0.0."""
+    Float sums and scaling keep every term, since 0.0 + -0.0 is 0.0 and
+    0.0 * inf is nan."""
 
     __slots__ = ("algebra", "raw", "mode")
 
