@@ -14,6 +14,7 @@ values are rejected on sight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -78,6 +79,64 @@ def _monomial_label(exps, gens):
     return "*".join(parts) if parts else "1"
 
 
+# distinct presentations whose enumeration is kept per process: jets,
+# tensors and parsed algebras rebuild the same few presentations again and again
+_PRESENTATION_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_PRESENTATION_CACHE_SIZE)
+def _enumerate_presentation(gens, rels):
+    """What a presented algebra derives from its validated generators and
+    relations: (relations, basis, index, codes, by_code, labels, aug,
+    nilpotency degree).  The result is shared, so it holds only tuples and
+    dicts that no caller mutates."""
+    rels = sorted(set(rels), key=_graded_key)
+    # drop relations another relation already divides
+    rels = tuple(
+        r
+        for r in rels
+        if not any(o != r and _divides(o, r) for o in rels)
+    )
+
+    bounds = []
+    for i, g in enumerate(gens):
+        pure = [
+            r[i]
+            for r in rels
+            if r[i] > 0 and all(e == 0 for j, e in enumerate(r) if j != i)
+        ]
+        if not pure:
+            raise NonNilpotentError(
+                f"generator {g!r} has no pure power among the relations; "
+                "the quotient would be infinite-dimensional"
+            )
+        bounds.append(min(pure))
+
+    basis = [
+        e
+        for e in itertools.product(*(range(b) for b in bounds))
+        if not any(_divides(r, e) for r in rels)
+    ] if gens else [()]
+    basis.sort(key=_graded_key)
+    basis = tuple(basis)
+    # mixed-radix monomial codes: exponents of a product of two basis
+    # monomials stay below 2*bound - 1, so codes add like exponents
+    strides = [1]
+    for b in bounds[:-1]:
+        strides.append(strides[-1] * (2 * b - 1))
+    codes = tuple(sum(e * t for e, t in zip(exps, strides)) for exps in basis)
+    return (
+        rels,
+        basis,
+        {e: i for i, e in enumerate(basis)},
+        codes,
+        {c: i for i, c in enumerate(codes)},
+        tuple(_monomial_label(e, gens) for e in basis),
+        _unit(len(basis), 0),
+        max(sum(e) for e in basis) + 1,
+    )
+
+
 class WeilAlgebra:
     """A Weil algebra: finite-dimensional, commutative, local, basis[0] = 1."""
 
@@ -113,6 +172,16 @@ class WeilAlgebra:
 
     @classmethod
     def presented(cls, gens, relations) -> "WeilAlgebra":
+        """Q[gens] modulo monomial relations (exponent vectors).
+
+        The input is validated on every call, and every call returns a new
+        algebra.  What follows from the presentation alone (the reduced
+        relations, the basis, its labels, index and monomial codes, the
+        augmentation and the nilpotency degree) is enumerated once per
+        process and shared by every algebra with that presentation, so none
+        of it is ever mutated; `tensor_info` and the cached ideal chain stay
+        per object.
+        """
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise AlgebraError("generator names repeat")
@@ -129,52 +198,21 @@ class WeilAlgebra:
             if sum(r) == 0:
                 raise AlgebraError("constant relation would kill the unit")
             rels.append(r)
-        rels = sorted(set(rels), key=_graded_key)
-        # drop relations another relation already divides
-        rels = tuple(
-            r
-            for r in rels
-            if not any(o != r and _divides(o, r) for o in rels)
-        )
-
-        bounds = []
-        for i, g in enumerate(gens):
-            pure = [
-                r[i]
-                for r in rels
-                if r[i] > 0 and all(e == 0 for j, e in enumerate(r) if j != i)
-            ]
-            if not pure:
-                raise NonNilpotentError(
-                    f"generator {g!r} has no pure power among the relations; "
-                    "the quotient would be infinite-dimensional"
-                )
-            bounds.append(min(pure))
-
-        basis = [
-            e
-            for e in itertools.product(*(range(b) for b in bounds))
-            if not any(_divides(r, e) for r in rels)
-        ] if gens else [()]
-        basis.sort(key=_graded_key)
 
         self = cls._blank()
         self.flavor = "presented"
         self.gens = gens
-        self.relations = rels
-        self.basis = tuple(basis)
-        self._index = {e: i for i, e in enumerate(self.basis)}
-        # mixed-radix monomial codes: exponents of a product of two basis
-        # monomials stay below 2*bound - 1, so codes add like exponents
-        strides = [1]
-        for b in bounds[:-1]:
-            strides.append(strides[-1] * (2 * b - 1))
-        self._codes = [sum(e * t for e, t in zip(exps, strides)) for exps in self.basis]
-        self._by_code = {c: i for i, c in enumerate(self._codes)}
-        self.dimension = len(basis)
-        self.aug = _unit(self.dimension, 0)
-        self.nilpotency_degree = max(sum(e) for e in basis) + 1
-        self.labels = tuple(_monomial_label(e, gens) for e in basis)
+        (
+            self.relations,
+            self.basis,
+            self._index,
+            self._codes,
+            self._by_code,
+            self.labels,
+            self.aug,
+            self.nilpotency_degree,
+        ) = _enumerate_presentation(gens, tuple(rels))
+        self.dimension = len(self.basis)
         return self
 
     @classmethod
@@ -370,15 +408,9 @@ def make_presented(gens, relations) -> WeilAlgebra:
     return WeilAlgebra.presented(gens, relations)
 
 
-_TERMINAL = None
-
-
 def terminal() -> WeilAlgebra:
     """The scalars themselves: Q[]/(), the terminal object."""
-    global _TERMINAL
-    if _TERMINAL is None:
-        _TERMINAL = make_presented((), ())
-    return _TERMINAL
+    return make_presented((), ())
 
 
 def dual_numbers(name: str = "x") -> WeilAlgebra:
@@ -1376,7 +1408,11 @@ def _parse_monomial(text: str, gens) -> tuple:
         if "^" in factor:
             name, _, power = factor.partition("^")
             name = name.strip()
-            e = int(check_literal(power.strip(), AlgebraError))
+            power = check_literal(power.strip(), AlgebraError)
+            try:
+                e = int(power)
+            except ValueError:
+                raise AlgebraError(f"bad exponent in relation {text!r}") from None
         else:
             name, e = factor, 1
         if name not in gens:
@@ -1434,6 +1470,12 @@ def _parse_tabled(text: str) -> WeilAlgebra:
         if not all(0 <= n < dim for n in (i, j, k)):
             raise AlgebraError(f"index out of range for dim {dim} in line {line!r}")
         products.setdefault((min(i, j), max(i, j)), {})[k] = c
+    # _from_terms's unit checks, made before the dim x dim table exists
+    if dim and aug[0] != 1:
+        raise AlgebraError("augmentation of the unit must be 1")
+    for j in range(dim):
+        if {k: c for k, c in products.get((0, j), {}).items() if c} != {j: 1}:
+            raise AlgebraError("basis element 0 does not act as the unit")
     terms = [[()] * dim for _ in range(dim)]
     for (i, j), vec in products.items():
         terms[i][j] = terms[j][i] = tuple((k, vec[k]) for k in sorted(vec) if vec[k])

@@ -11,6 +11,7 @@ share only the polynomial arithmetic helpers with the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -499,3 +500,50 @@ def weil_product_reference(algebra, a, b):
 def weil_sum_reference(a, b, sign=1):
     """Coefficients of a + sign * b."""
     return [Fraction(x) + sign * Fraction(y) for x, y in zip(a, b)]
+
+
+# ----- presented algebras -----------------------------------------------------
+
+
+def presented_reference(gens, relations):
+    """The standard-monomial data of Q[gens]/(relations), enumerated afresh
+    on every call: the reduced relations in graded order, the basis in
+    graded order (total degree, then earlier generators first), its labels,
+    its mixed-radix monomial codes, the dimension and the nilpotency degree.
+    Every generator needs a pure power among the relations."""
+
+    def graded(e):
+        return (sum(e), tuple(-x for x in e))
+
+    def divides(r, e):
+        return all(a <= b for a, b in zip(r, e))
+
+    rels = sorted({tuple(r) for r in relations}, key=graded)
+    rels = [r for r in rels if not any(o != r and divides(o, r) for o in rels)]
+    bounds = []
+    for i in range(len(gens)):
+        pure = [r[i] for r in rels if r[i] and sum(r) == r[i]]
+        bounds.append(min(pure))
+    basis = sorted(
+        (
+            e
+            for e in itertools.product(*(range(b) for b in bounds))
+            if not any(divides(r, e) for r in rels)
+        ),
+        key=graded,
+    )
+    strides = [1]
+    for b in bounds[:-1]:
+        strides.append(strides[-1] * (2 * b - 1))
+    labels = []
+    for e in basis:
+        parts = [g if x == 1 else f"{g}^{x}" for g, x in zip(gens, e) if x]
+        labels.append("*".join(parts) or "1")
+    return {
+        "relations": tuple(rels),
+        "basis": tuple(basis),
+        "labels": tuple(labels),
+        "codes": tuple(sum(x * t for x, t in zip(e, strides)) for e in basis),
+        "dimension": len(basis),
+        "nilpotency_degree": max(sum(e) for e in basis) + 1,
+    }

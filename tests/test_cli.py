@@ -349,10 +349,39 @@ def test_tabled_decimal_and_ratio_fields_are_read(capsys):
         (_tabled_block(2, "c 1 1 0 1/0"), "malformed number in tabled line 'c 1 1 0 1/0'"),
         ("Q[x", "expected ']' after the generator list"),
         ("Q[x, y/(x^2)", "expected ']' after the generator list"),
+        ("Q[x]/(x^a)", "bad exponent in relation 'x^a'"),
+        ("Q[x]/(x^)", "bad exponent in relation 'x^'"),
     ],
 )
 def test_malformed_algebra_text_exits_2_naming_the_fault(capsys, text, message):
     code, out, err = run(capsys, "weil", "info", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (
+            "weil tabled\ndim 1500\nunit 0\naug 1" + " 0" * 1499,
+            "basis element 0 does not act as the unit",
+        ),
+        (
+            "weil tabled\ndim 1500\nunit 0\naug 0" + " 0" * 1499,
+            "augmentation of the unit must be 1",
+        ),
+        (_tabled_block(3, "c 0 1 2 1"), "basis element 0 does not act as the unit"),
+        (_tabled_block(3, "c 1 0 1 0"), "basis element 0 does not act as the unit"),
+    ],
+    ids=["dim-1500-no-unit-lines", "dim-1500-aug-0", "extra-unit-term", "unit-term-zeroed"],
+)
+def test_tabled_unit_faults_are_refused_before_the_table_is_built(
+    capsys, monkeypatch, block, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the dim x dim structure table was built")
+
+    monkeypatch.setattr("weilkit.weil.WeilAlgebra._from_terms", classmethod(unreachable))
+    code, out, err = run(capsys, "weil", "info", block)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

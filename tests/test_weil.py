@@ -37,6 +37,7 @@ from weilkit import (
     tensor_morphism,
     terminal,
 )
+from weilkit import weil
 from weilkit.corpus import (
     mutate_cone,
     random_diagram,
@@ -94,6 +95,98 @@ def test_mixed_relations_cut_the_basis():
     # basis: 1, x, x^2, y
     assert w.dimension == 4
     assert set(w.labels) == {"1", "x", "x^2", "y"}
+
+
+@st.composite
+def _presentations(draw):
+    n = draw(st.integers(0, 3))
+    gens = draw(st.permutations(("x", "y", "z", "t")))[:n]
+    bounds = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    rels = [tuple(b if j == i else 0 for j in range(n)) for i, b in enumerate(bounds)]
+    if n:
+        exponent_vectors = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+        rels += draw(st.lists(exponent_vectors, max_size=4))
+        # redundant relations: a repeat, and one that a drawn relation divides
+        r = draw(st.sampled_from(rels))
+        rels += [r, tuple(e + draw(st.integers(0, 2)) for e in r)]
+    return gens, draw(st.permutations(rels))
+
+
+@given(_presentations())
+@settings(max_examples=100, deadline=None)
+def test_cached_presentations_match_a_fresh_enumeration(presentation):
+    gens, rels = presentation
+    expected = oracles.presented_reference(gens, rels)
+    first = make_presented(gens, rels)
+    again = make_presented(gens, rels)
+    reordered = make_presented(gens, [list(r) for r in reversed(rels)])
+    for w in (first, again, reordered):
+        got = {
+            "relations": w.relations,
+            "basis": w.basis,
+            "labels": w.labels,
+            "codes": tuple(w._codes),
+            "dimension": w.dimension,
+            "nilpotency_degree": w.nilpotency_degree,
+        }
+        assert got == expected
+        assert w.tensor_info is None
+    # each call is a new algebra over one enumeration
+    assert again is not first and again.basis is first.basis
+
+
+def test_tensors_with_one_presentation_keep_their_own_bijections():
+    xy, z = make_presented(("x", "y"), ((2, 0), (0, 2))), dual_numbers("z")
+    x, yz = dual_numbers("x"), make_presented(("y", "z"), ((2, 0), (0, 2)))
+    left, _, _ = tensor(xy, z)
+    right, _, _ = tensor(x, yz)
+    assert left == right and left is not right
+    for w, a, b in ((left, xy, z), (right, x, yz)):
+        info = w.tensor_info
+        assert info.left is a and info.right is b
+        assert [a.basis[i] + b.basis[j] for i, j in info.pair_of_index] == list(w.basis)
+        assert info.index_of_pair == {p: k for k, p in enumerate(info.pair_of_index)}
+    assert left.tensor_info.pair_of_index != right.tensor_info.pair_of_index
+
+    plain = make_presented(("x", "y", "z"), ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    assert plain == left and plain.tensor_info is None
+    assert left.tensor_info.left is xy and right.tensor_info.left is x
+    ids = WeilMorphism.identity(xy), WeilMorphism.identity(z)
+    assert tensor_morphism(*ids, source=left, target=left).matrix == WeilMorphism.identity(left).matrix
+    with pytest.raises(MorphismError, match="tensor-built source and target"):
+        tensor_morphism(*ids, source=plain, target=left)
+
+
+@pytest.mark.parametrize(
+    "gens, rels, error, message",
+    [
+        (("x", "x"), ((2, 0),), AlgebraError, "generator names repeat"),
+        (("1x",), ((2,),), AlgebraError, "bad generator name '1x'"),
+        (("x",), ((2, 0),), AlgebraError, "relation length does not match generator count"),
+        (("x",), ((-1,),), AlgebraError, "negative exponent in a relation"),
+        (("x",), ((0,),), AlgebraError, "constant relation would kill the unit"),
+        (
+            ("x", "y"),
+            ((2, 0), (1, 1)),
+            NonNilpotentError,
+            "generator 'y' has no pure power among the relations; "
+            "the quotient would be infinite-dimensional",
+        ),
+    ],
+)
+def test_invalid_presentations_fail_alike_on_every_call(gens, rels, error, message):
+    for _ in range(3):
+        with pytest.raises(error) as err:
+            make_presented(gens, rels)
+        assert str(err.value) == message
+
+
+def test_presentation_cache_stays_at_its_bound():
+    bound = weil._PRESENTATION_CACHE_SIZE
+    for order in range(bound + 20):
+        assert jet_line(order, "q").dimension == order + 1
+    info = weil._enumerate_presentation.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
 
 
 def test_element_arithmetic_frozen():
