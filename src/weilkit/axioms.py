@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus
-from .exactlin import Mode, difference_rows, kernel_basis, vstack
+from .exactlin import Mode, difference_rows, kernel_basis
 from .expr import SmoothMap
 from .reports import Report, Verdict
 from .smooth import (
@@ -32,6 +32,7 @@ from .weil import (
     DiagramInWeil,
     WeilAlgebra,
     WeilMorphism,
+    _rank_one_numbers,
     dual_numbers,
     factor_permutation_iso,
     first_order_infinitesimals,
@@ -158,51 +159,15 @@ def infinitesimal_exponent_of(x: ModelObject, y: InfinitesimalExponent) -> Model
 # ----- microlinearity --------------------------------------------------------
 
 
-def _rank_one_numbers(cone: DiagramInWeil):
-    """The lifted system at X = R: (rank of the canonical map, dimension of
-    the compatible subspace).
-
-    The canonical image always lies in the compatible subspace, so that
-    containment is not computed: DiagramInWeil checks phi . leg_s = leg_t
-    for every arrow, which zeroes the arrow rows, and every leg preserves
-    augmentations (WeilMorphism checks it on construction), so each gluing
-    row aug_i . leg_i - aug_j . leg_j is aug_apex - aug_apex = 0.
-    """
-    obj_dims = [w.dimension for w in cone.objects]
-    total = sum(obj_dims)
-    offsets = [sum(obj_dims[:i]) for i in range(len(obj_dims))]
-    canonical = vstack([leg.matrix for leg in cone.legs], cols=cone.apex.dimension)
-
-    terms = []
-    for s, t, phi in cone.arrows:
-        terms.append((offsets[s], phi.matrix.raw, offsets[t], None))
-    # base points must also be identified across the family: that gluing is
-    # what the scalar-fibered product encodes, and it is implied by the
-    # arrows only when the diagram is connected
-    augs = [[w.aug] for w in cone.objects]
-    terms += [
-        (offsets[i], augs[i], offsets[i + 1], augs[i + 1])
-        for i in range(len(cone.objects) - 1)
-    ]
-    constraints = difference_rows(total, terms)
-    return canonical.rank(), total - constraints.rank()
-
-
 def limit_cone_numbers(cone: DiagramInWeil, enforce_limit_input: bool = True):
     """The r = 1 numbers of a cone, after its limit-cone precondition.
 
     Returns (rank of the canonical map, compatible subspace dimension) at
     X = R.  With enforce_limit_input, a cone that is not a limit cone raises
-    DiagramError.  At X = R the question is the precondition itself, so the
-    numbers settle it whenever they accept: if the canonical map has rank
-    equal to the apex dimension and the compatible subspace has the same
-    dimension, then the stacked legs are injective with the compatible
-    subspace as image (their image always lies in it).  That subspace is
-    also the image of the computed limit's stacked legs, so the mediating
-    map into the limit exists, is square with full rank, and is an algebra
-    map: the cone is a limit cone.  is_limit_cone runs only when the
-    numbers refuse, to word the refusal; should it pass anyway, the cone
-    is accepted.
+    DiagramError.  These are the numbers is_limit_cone decides by, so it
+    runs only when they refuse: to word the refusal, and to accept the
+    empty diagram under a terminal apex, whose numbers read the empty
+    direct sum rather than its limit.
     """
     if not cone.has_cone:
         raise DiagramError("microlinearity needs a cone over the diagram")

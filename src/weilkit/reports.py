@@ -17,7 +17,6 @@ class Verdict:
     ok: bool
     certificate: str
     exactness: str = "exact"
-    data: object = None
 
     def __bool__(self) -> bool:
         return self.ok

@@ -26,16 +26,14 @@ from .exactlin import (
     Mode,
     ModeError,
     Scalar,
-    SolveFailure,
     _RAW,
     _kernel,
     _one_mode,
     _raw_of,
     _scalar,
     _unit,
+    difference_rows,
     kernel_basis,
-    qq,
-    solve_matrix,
     span_contains,
     vstack,
 )
@@ -148,7 +146,7 @@ class WeilAlgebra:
         "_index",
         "dimension",
         "aug",
-        "nilpotency_degree",
+        "_nilpotency",
         "labels",
         "tensor_info",
         "_chain",
@@ -210,7 +208,7 @@ class WeilAlgebra:
             self._by_code,
             self.labels,
             self.aug,
-            self.nilpotency_degree,
+            self._nilpotency,
         ) = _enumerate_presentation(gens, tuple(rels))
         self.dimension = len(self.basis)
         return self
@@ -239,13 +237,19 @@ class WeilAlgebra:
         terms = [
             [tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in table
         ]
-        return cls._from_terms(terms, aug, check, nilpotency_hint)
+        w = cls._from_terms(terms, aug, check, nilpotency_hint)
+        if nilpotency_hint is None:
+            w._ideal_chain()  # refuses a kernel that is not nilpotent
+        return w
 
     @classmethod
     def _from_terms(cls, terms, aug, check=True, nilpotency_hint=None) -> "WeilAlgebra":
         """A tabled algebra from its sparse structure terms: terms[i][j] holds
         the nonzero (k, Fraction) of basis[i] * basis[j], k increasing, and
-        aug is a tuple of Fractions.  Checks as in tabled()."""
+        aug is a tuple of Fractions.  check=True checks as in tabled(); with
+        check=False nilpotency is the caller's to establish, and the
+        nilpotency degree is the hint, or else read off the ideal chain on
+        first use."""
         d = len(terms)
         if d == 0:
             raise AlgebraError("a Weil algebra contains at least the unit")
@@ -261,6 +265,7 @@ class WeilAlgebra:
         self.dimension = d
         self._sparse = tuple(tuple(row) for row in terms)
         self.aug = aug
+        self._nilpotency = nilpotency_hint
         self.labels = ("1",) + tuple(f"b{i}" for i in range(1, d))
 
         if aug[0] != 1:
@@ -292,15 +297,17 @@ class WeilAlgebra:
                             raise AlgebraError(
                                 f"product not associative at ({i},{j},{k})"
                             )
-
-        self.nilpotency_degree = (
-            nilpotency_hint
-            if nilpotency_hint is not None
-            else len(self._ideal_chain()) + 1
-        )
+            self._ideal_chain()
         return self
 
     # ----- structure ----------------------------------------------------
+
+    @property
+    def nilpotency_degree(self) -> int:
+        """The least n with m^n = 0, m the augmentation kernel."""
+        if self._nilpotency is None:
+            self._nilpotency = len(self._ideal_chain()) + 1
+        return self._nilpotency
 
     def _ideal_chain(self):
         """Bases of m, m^2, ... down to the last nonzero power (cached)."""
@@ -1072,9 +1079,7 @@ def _subalgebra(w: WeilAlgebra, span_vectors):
                 raise AlgebraError("subspace is not closed under multiplication")
             terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
     aug = tuple(e.augmentation().value for e in elements)
-    sub = WeilAlgebra._from_terms(
-        terms, aug, check=False, nilpotency_hint=w.nilpotency_degree
-    )
+    sub = WeilAlgebra._from_terms(terms, aug, check=False)
     incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
     return sub, incl
 
@@ -1247,32 +1252,57 @@ def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:
     return diagram.without_cone().with_cone(apex, legs)
 
 
+def _rank_one_numbers(cone: DiagramInWeil):
+    """(rank of the stacked legs, dimension of the compatible subspace) of a
+    cone: the subspace of the direct sum of the objects cut out by the arrow
+    equations and by equal augmentations across the objects.
+
+    The stacked legs always land in that subspace, so the containment is
+    not computed: DiagramInWeil checks phi . leg_s = leg_t for every arrow,
+    which zeroes the arrow rows, and every leg preserves augmentations
+    (WeilMorphism checks it on construction), so each gluing row
+    aug_i . leg_i - aug_j . leg_j is aug_apex - aug_apex = 0.
+    """
+    obj_dims = [w.dimension for w in cone.objects]
+    total = sum(obj_dims)
+    offsets = [sum(obj_dims[:i]) for i in range(len(obj_dims))]
+    canonical = vstack([leg.matrix for leg in cone.legs], cols=cone.apex.dimension)
+
+    terms = [(offsets[s], phi.matrix.raw, offsets[t], None) for s, t, phi in cone.arrows]
+    # base points must also be identified across the family: that gluing is
+    # what the scalar-fibered product encodes, and it is implied by the
+    # arrows only when the diagram is connected
+    augs = [[w.aug] for w in cone.objects]
+    terms += [
+        (offsets[i], augs[i], offsets[i + 1], augs[i + 1])
+        for i in range(len(cone.objects) - 1)
+    ]
+    constraints = difference_rows(total, terms)
+    return canonical.rank(), total - constraints.rank()
+
+
 def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
-    """Is the given cone a limit cone?  Decided by whether the mediating map
-    into the computed limit is an isomorphism."""
+    """Is the given cone a limit cone?  Every leg must be an algebra map; a
+    leg built with check=False is the caller's promise of that.
+
+    The computed limit's stacked legs are an injective algebra map onto the
+    compatible subspace of _rank_one_numbers, and the cone's stacked legs
+    land in that subspace, so the mediating map into the limit always
+    exists, is an algebra map, and has the rank of the cone's stacked legs.
+    The cone is a limit cone exactly when that map is square of full rank:
+    rank = apex dimension = compatible subspace dimension.
+    """
     if not diagram.has_cone:
         raise DiagramError("is_limit_cone needs a cone")
-    apex, legs = limit(diagram.without_cone())
+    apex_dim = diagram.apex.dimension
     if not diagram.objects:
-        ok = diagram.apex.dimension == 1
-        cert = f"empty diagram; apex dimension {diagram.apex.dimension}"
-        return Verdict(ok, cert, data=Matrix([[qq(1)]]) if ok else None)
-    a = vstack([leg.matrix for leg in legs], cols=apex.dimension)
-    b = vstack([leg.matrix for leg in diagram.legs], cols=diagram.apex.dimension)
-    mediating = solve_matrix(a, b)
-    if isinstance(mediating, SolveFailure):
-        return Verdict(False, "cone does not factor through the computed limit", data=None)
-    try:
-        WeilMorphism(diagram.apex, apex, mediating, check=True)
-    except (MorphismError, ModeError) as exc:
-        return Verdict(False, f"mediating map is not a morphism: {exc}", data=None)
-    rank = mediating.rank()
-    ok = mediating.rows == mediating.cols == rank
-    cert = (
-        f"mediating matrix {mediating.rows}x{mediating.cols}, rank {rank}; "
-        f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
+        return Verdict(apex_dim == 1, f"empty diagram; apex dimension {apex_dim}")
+    rank, dim = _rank_one_numbers(diagram)
+    return Verdict(
+        rank == apex_dim == dim,
+        f"mediating matrix {dim}x{apex_dim}, rank {rank}; "
+        f"limit dimension {dim}, apex dimension {apex_dim}",
     )
-    return Verdict(ok, cert, data=mediating)
 
 
 def filtered_basis(w: WeilAlgebra):

@@ -4,7 +4,10 @@ Nothing here calls back into the package's evaluation, differentiation, or
 limit machinery: derivatives come from sympy, stencil weights from an exact
 Vandermonde solve, and subspace comparisons from sympy's exact rank.  The
 inputs are plain Fractions, floats, and callables, so a disagreement with
-the package is a finding about the package.  The expression references
+the package is a finding about the package.  The one exception is
+is_limit_cone_reference, the limit-cone decision weilkit made before it read
+the rank numbers, kept whole on the package's limit, solve and morphism
+check so that the short decision can be compared with the long one.  The expression references
 at the end are the tree walkers weilkit used before its single fold; they
 share only the polynomial arithmetic helpers with the package.
 """
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 import sympy
 
+from weilkit.exactlin import ModeError, SolveFailure, solve_matrix, vstack
 from weilkit.expr import (
     NonPolynomialError,
     poly_add,
@@ -28,6 +32,7 @@ from weilkit.expr import (
     poly_sub,
     poly_var,
 )
+from weilkit.weil import MorphismError, WeilMorphism, limit
 
 
 def _rat(value):
@@ -310,6 +315,33 @@ def greedy_basis_reference(vectors, n):
     return picked
 
 
+def nilpotency_degree_reference(table, aug):
+    """The least n with m^n = 0, from the powers of the augmentation kernel
+    m: m^(k+1) is spanned by the products of a basis of m^k with a basis of
+    m, each product summed out of the structure table.  table[i][j] is the
+    coefficient vector of basis[i] * basis[j], aug the augmentation row."""
+    d = len(aug)
+
+    def mul(v, w):
+        out = [Fraction(0)] * d
+        for i, x in enumerate(v):
+            for j, y in enumerate(w):
+                if x and y:
+                    for k, c in enumerate(table[i][j]):
+                        out[k] += x * y * c
+        return out
+
+    m = kernel_reference([aug], d)
+    power, n = m, 1
+    while power:
+        if n > d:
+            raise ValueError("augmentation kernel is not nilpotent")
+        products = [mul(v, w) for v in power for w in m]
+        reduced, pivots = rref_reference(products, d)
+        power, n = reduced[: len(pivots)], n + 1
+    return n
+
+
 def kernel_reference(rows, ncols):
     """Basis of the right kernel of Fraction rows, one vector per free column."""
     reduced, pivots = rref_reference(rows, ncols)
@@ -547,3 +579,31 @@ def presented_reference(gens, relations):
         "dimension": len(basis),
         "nilpotency_degree": max(sum(e) for e in basis) + 1,
     }
+
+
+# ----- the former limit-cone decision ---------------------------------------------
+
+
+def is_limit_cone_reference(diagram):
+    """(ok, certificate) of a cone the long way round: build the limit, solve
+    for the mediating matrix, check that it is an algebra map, and ask
+    whether it is square of full rank."""
+    apex, legs = limit(diagram.without_cone())
+    if not diagram.objects:
+        ok = diagram.apex.dimension == 1
+        return ok, f"empty diagram; apex dimension {diagram.apex.dimension}"
+    a = vstack([leg.matrix for leg in legs], cols=apex.dimension)
+    b = vstack([leg.matrix for leg in diagram.legs], cols=diagram.apex.dimension)
+    mediating = solve_matrix(a, b)
+    if isinstance(mediating, SolveFailure):
+        return False, "cone does not factor through the computed limit"
+    try:
+        WeilMorphism(diagram.apex, apex, mediating, check=True)
+    except (MorphismError, ModeError) as exc:
+        return False, f"mediating map is not a morphism: {exc}"
+    rank = mediating.rank()
+    ok = mediating.rows == mediating.cols == rank
+    return ok, (
+        f"mediating matrix {mediating.rows}x{mediating.cols}, rank {rank}; "
+        f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
+    )
