@@ -33,7 +33,7 @@ from .exactlin import (
     _scalar,
     _unit,
     difference_rows,
-    kernel_basis,
+    kernel_basis,  # noqa: F401 (bench/tests checks this alias)
     span_contains,
     vstack,
 )
@@ -224,10 +224,11 @@ class WeilAlgebra:
         """Build from structure constants c[i][j] (a coefficient vector per pair).
 
         The unit must sit at basis index 0.  With check=True the table is
-        validated exhaustively: commutative, associative, unital, the
-        augmentation is a homomorphism, and the augmentation kernel is
-        nilpotent.  Internal constructions that carry a proof pass
-        check=False; nilpotency is still established either way.
+        validated exhaustively on its nonzero terms: commutative,
+        associative, unital, the augmentation is a homomorphism, the
+        augmentation kernel is nilpotent, and a nilpotency_hint equals the
+        degree the ideal chain gives.  Internal constructions that carry a
+        proof pass check=False; nilpotency is still established either way.
         """
         table = [[[Scalar.exact(c).value for c in vec] for vec in row] for row in table]
         aug = tuple(Scalar.exact(c).value for c in aug)
@@ -287,17 +288,17 @@ class WeilAlgebra:
             # with commutativity, symmetry of (e_i e_j) e_k in the last two
             # slots gives full associativity
             for i in range(d):
-                ei = self.basis_element(i)
                 for j in range(d):
-                    ej = self.basis_element(j)
-                    pij = ei * ej
                     for k in range(j + 1, d):
-                        ek = self.basis_element(k)
-                        if pij * ek != ei * (ej * ek):
-                            raise AlgebraError(
-                                f"product not associative at ({i},{j},{k})"
-                            )
-            self._ideal_chain()
+                        left = _times_basis(terms, terms[i][j], k)
+                        if left != _times_basis(terms, terms[j][k], i):
+                            raise AlgebraError(f"product not associative at ({i},{j},{k})")
+            degree = len(self._ideal_chain()) + 1
+            if nilpotency_hint not in (None, degree):
+                raise AlgebraError(
+                    f"nilpotency hint {nilpotency_hint} disagrees with the "
+                    f"nilpotency degree {degree} of the ideal chain"
+                )
         return self
 
     # ----- structure ----------------------------------------------------
@@ -657,6 +658,15 @@ def _exact_sum(a, b, subtract: bool):
             else:
                 out[k] = x + y if x else y
     return tuple(out)
+
+
+def _times_basis(terms, vec, k):
+    """{index: nonzero coefficient} of v * basis[k], v given by its terms vec."""
+    acc = {}
+    for m, c in vec:
+        for n, x in terms[m][k]:
+            acc[n] = acc.get(n, 0) + c * x
+    return {n: v for n, v in acc.items() if v}
 
 
 def _over_common_denominator(raw):
@@ -1062,10 +1072,13 @@ def _subalgebra(w: WeilAlgebra, span_vectors):
 
     Returns (subalgebra, inclusion).  Basis choice: the unit first, then
     each given spanning vector, in order, that extends the span so far.
+    Containment of the unit is solved for only when it is not listed; limits
+    and equalizers list it, as their maps preserve the unit, so column 0 of
+    their kernel's equations is zero.
     """
     span_vectors = [tuple(map(_raw_of, v)) for v in span_vectors]
     unit = w.one().raw
-    if not span_contains(span_vectors, unit):
+    if unit not in span_vectors and not span_contains(span_vectors, unit):
         raise AlgebraError("subspace does not contain the unit")
     echelon = _Echelon()
     basis_vectors = [v for v in (unit, *span_vectors) if echelon.add(v)]
@@ -1088,7 +1101,7 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     """Equalizer of a parallel pair, as a tabled subalgebra with inclusion."""
     if phi.source != psi.source or phi.target != psi.target:
         raise MorphismError("equalizer needs a parallel pair")
-    return _subalgebra(phi.source, kernel_basis(phi.matrix - psi.matrix))
+    return _subalgebra(phi.source, _kernel(phi.matrix - psi.matrix))
 
 
 class _ProductOverK:
@@ -1097,8 +1110,10 @@ class _ProductOverK:
     Basis: the joint unit, then the augmentation kernel of each factor in
     order.  Every algebra has aug[0] = 1, so factor a's kernel has the basis
     e_f - aug[f] e_0 (f >= 1), and a kernel vector's coordinates are its
-    entries past index 0.  Products, extraction matrices and arrow
-    constraints are all read off that basis index by index.
+    entries past index 0.  Products, legs and arrow constraints are all read
+    off that basis index by index, from each factor's nonzero structure
+    terms: coordinate f >= 1 of (e_i - aug[i] e_0)(e_j - aug[j] e_0) is
+    c_ij[f] - aug[j] [f = i] - aug[i] [f = j].
     """
 
     def __init__(self, algebras):
@@ -1114,41 +1129,46 @@ class _ProductOverK:
         terms[0] = [((j, _ONE),) for j in range(d)]
         for i in range(1, d):
             terms[i][0] = ((i, _ONE),)
-        # cross-factor nilpotents multiply to zero; within a factor,
-        # (e_i - aug[i] e_0)(e_j - aug[j] e_0) with e_0 the unit
+        # cross-factor nilpotents multiply to zero
         for w, off in zip(self.algebras, self.offsets):
             lam = w.aug
             for i in range(1, w.dimension):
                 for j in range(i, w.dimension):
-                    acc = [0] * w.dimension
-                    for k, c in w._terms(i, j):
-                        acc[k] += c
-                    acc[i] -= lam[j]
-                    acc[j] -= lam[i]
-                    acc[0] += lam[i] * lam[j]
-                    if sum(a * b for a, b in zip(lam, acc)):
+                    cij = w._terms(i, j)
+                    # the product's augmentation is aug(cij) - aug[i] aug[j]
+                    if sum(lam[k] * c for k, c in cij) != lam[i] * lam[j]:
                         raise AlgebraError("augmentation kernel not closed")
+                    acc = dict(cij)
+                    if lam[j]:
+                        acc[i] = acc.get(i, _ZERO) - lam[j]
+                    if lam[i]:
+                        acc[j] = acc.get(j, _ZERO) - lam[i]
                     p, q = off + i - 1, off + j - 1
                     terms[p][q] = terms[q][p] = tuple(
-                        (off + f - 1, a) for f, a in enumerate(acc) if f and a
+                        (off + f - 1, a) for f, a in sorted(acc.items()) if f and a
                     )
         hint = max((w.nilpotency_degree for w in self.algebras), default=1)
         self.algebra = WeilAlgebra._from_terms(
             terms, _unit(d, 0), check=False, nilpotency_hint=hint
         )
 
-    def extraction(self, a: int) -> Matrix:
-        """Matrix taking product coordinates to the a-th component."""
+    def _leg(self, a: int, source: WeilAlgebra, rows) -> WeilMorphism:
+        """Component a of the map from source whose matrix into the product
+        has raw rows `rows`: the rows at the factor's offset, under row 0
+        less the aug-weighted sum of them."""
         w, off = self.algebras[a], self.offsets[a]
-        rows = [[_ZERO] * self.dimension for _ in range(w.dimension)]
-        rows[0][0] = _ONE
-        for f in range(1, w.dimension):
-            rows[0][off + f - 1] = -w.aug[f]
-            rows[f][off + f - 1] = _ONE
-        return Matrix._of(tuple(map(tuple, rows)), self.dimension)
+        picked = rows[off : off + w.dimension - 1]
+        top = list(rows[0])
+        for lam, row in zip(w.aug[1:], picked):
+            if lam:
+                for j, x in enumerate(row):
+                    if x:
+                        top[j] -= lam * x
+        matrix = Matrix._of((tuple(top), *picked), source.dimension)
+        return WeilMorphism(source, w, matrix, check=False)
 
     def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
-        """phi @ extraction(s) - extraction(t), built by index."""
+        """phi . (leg s) - (leg t) on the product's coordinates, built by index."""
         ws, wt = self.algebras[s], self.algebras[t]
         rows = [[_ZERO] * self.dimension for _ in range(wt.dimension)]
         # column 0 is the joint unit, which phi preserves: it stays zero
@@ -1166,10 +1186,8 @@ class _ProductOverK:
         return Matrix._of(tuple(map(tuple, rows)), self.dimension)
 
     def projections(self):
-        return [
-            WeilMorphism(self.algebra, w, self.extraction(a), check=False)
-            for a, w in enumerate(self.algebras)
-        ]
+        rows = Matrix.identity(self.dimension).raw
+        return [self._leg(a, self.algebra, rows) for a in range(len(self.algebras))]
 
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
@@ -1237,14 +1255,8 @@ def limit(diagram: DiagramInWeil):
         [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
         cols=prod.dimension,
     )
-    sub, incl = _subalgebra(prod.algebra, kernel_basis(constraints))
-    legs = [
-        WeilMorphism(
-            sub, w, prod.extraction(a) @ incl.matrix, check=False
-        )
-        for a, w in enumerate(objects)
-    ]
-    return sub, legs
+    sub, incl = _subalgebra(prod.algebra, _kernel(constraints))
+    return sub, [prod._leg(a, sub, incl.matrix.raw) for a in range(len(objects))]
 
 
 def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:

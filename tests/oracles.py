@@ -607,3 +607,79 @@ def is_limit_cone_reference(diagram):
         f"mediating matrix {mediating.rows}x{mediating.cols}, rank {rank}; "
         f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
     )
+
+
+# ----- the former dense product and leg construction -------------------------------
+
+
+def product_over_k_reference(factors):
+    """Structure table of the product over the scalars of factors given as
+    (table, aug), with table[i][j] the coefficient vector of basis[i] *
+    basis[j]: the joint unit, then e_f - aug[f] e_0 (f >= 1) of each factor.
+    Each product of kernel vectors is summed densely and its augmentation
+    checked, as weilkit did before it read the sparse terms; a product
+    leaving the kernel raises ValueError("augmentation kernel not closed")."""
+    dims = [len(aug) for _, aug in factors]
+    d = 1 + sum(n - 1 for n in dims)
+    out = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for j in range(d):
+        out[0][j][j] = out[j][0][j] = Fraction(1)
+    off = 1
+    for (table, lam), n in zip(factors, dims):
+        for i in range(1, n):
+            for j in range(i, n):
+                acc = [Fraction(c) for c in table[i][j]]
+                acc[i] -= lam[j]
+                acc[j] -= lam[i]
+                acc[0] += lam[i] * lam[j]
+                if sum(a * b for a, b in zip(lam, acc)):
+                    raise ValueError("augmentation kernel not closed")
+                for f in range(1, n):
+                    out[off + i - 1][off + j - 1][off + f - 1] = acc[f]
+                    out[off + j - 1][off + i - 1][off + f - 1] = acc[f]
+        off += n - 1
+    return out
+
+
+def limit_legs_reference(augs, inclusion):
+    """extraction(a) @ inclusion for each factor a, augs[a] its augmentation
+    row: the dense extraction matrix takes product coordinates to factor
+    coordinates, its row 0 is e_0 - sum_f aug[f] e_(offset + f - 1) and its
+    row f >= 1 is e_(offset + f - 1)."""
+    d = len(inclusion)
+    legs, off = [], 1
+    for aug in augs:
+        n = len(aug)
+        extraction = [[Fraction(0)] * d for _ in range(n)]
+        extraction[0][0] = Fraction(1)
+        for f in range(1, n):
+            extraction[0][off + f - 1] = -Fraction(aug[f])
+            extraction[f][off + f - 1] = Fraction(1)
+        legs.append(matmul_reference(extraction, inclusion, d, len(inclusion[0])))
+        off += n - 1
+    return legs
+
+
+def associativity_reference(table):
+    """The first (i, j, k > j) whose (e_i e_j) e_k differs from e_i (e_j e_k),
+    as weilkit's refusal message, or None: dense element products in the
+    scan order weilkit used before it compared sparse terms."""
+    d = len(table)
+
+    def mul(v, w):
+        out = [Fraction(0)] * d
+        for i, x in enumerate(v):
+            for j, y in enumerate(w):
+                if x and y:
+                    for k, c in enumerate(table[i][j]):
+                        out[k] += x * y * Fraction(c)
+        return out
+
+    basis = [[Fraction(int(k == i)) for k in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            pij = mul(basis[i], basis[j])
+            for k in range(j + 1, d):
+                if mul(pij, basis[k]) != mul(basis[i], mul(basis[j], basis[k])):
+                    return f"product not associative at ({i},{j},{k})"
+    return None

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    associativity_reference,
     equalizer_space,
     greedy_basis_reference,
     is_limit_cone_reference,
+    limit_legs_reference,
     microlinear_reference,
     nilpotency_degree_reference,
+    product_over_k_reference,
     pullback_space,
     same_span,
 )
@@ -28,12 +31,14 @@ from weilkit import (
     check_microlinear,
     dual_numbers,
     equalizer,
+    first_order_infinitesimals,
     is_limit_cone,
     jet_line,
     limit,
     limit_cone,
     product_over_k,
     qq,
+    tensor,
     tensor_of_cones,
     terminal,
 )
@@ -353,3 +358,182 @@ def test_morphism_validation_messages():
     WeilMorphism(d, j, keep_x, check=False)
     with pytest.raises(MorphismError, match=r"not multiplicative on basis pair \(1,1\)"):
         WeilMorphism(d, j, keep_x, check=True)
+
+
+# ----- products and legs from sparse terms, against the dense construction -------
+
+
+def _table(w):
+    n = w.dimension
+    return [[[e.value for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _sparse(table):
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row) for row in table
+    )
+
+
+FACTOR_KINDS = ["presented", "apex", "tensor", "skewed", "unclosed"]
+
+
+def _factor(rng, kind):
+    """A product factor: presented, a limit apex, a tabled tensor, a skewed
+    copy (augmentation nonzero past the unit), or an unclosed one (a table
+    with an augmentation that is not multiplicative)."""
+    if kind == "presented":
+        return random_presented_algebra(rng, max_dim=6)
+    if kind == "apex":
+        return random_limit_cone(rng).apex
+    if kind == "tensor":
+        return tensor(equalizer(*random_parallel_pair(rng))[0], dual_numbers("t"))[0]
+    if kind == "skewed":
+        return _skewed(rng, random_presented_algebra(rng, max_dim=6))[0]
+    assert kind == "unclosed"
+    w = rng.choice([first_order_infinitesimals(2), random_presented_algebra(rng, max_dim=5)])
+    aug = [1] + [rng.choice([0, 1, -2]) for _ in range(1, w.dimension)]
+    aug[rng.randrange(1, w.dimension)] = 1
+    return WeilAlgebra.tabled(
+        _table(w), [qq(x) for x in aug], check=False, nilpotency_hint=w.nilpotency_degree
+    )
+
+
+@given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_product_over_k_matches_the_dense_loop(kinds, seed):
+    rng = random.Random(seed)
+    factors = [_factor(rng, kind) for kind in kinds]
+    data = [(_table(w), _aug(w)) for w in factors]
+    try:
+        want = product_over_k_reference(data)
+    except ValueError as exc:
+        with pytest.raises(AlgebraError) as refused:
+            weil._ProductOverK(factors)
+        assert str(refused.value) == str(exc)
+        return
+    prod = weil._ProductOverK(factors)
+    assert prod.algebra._sparse == _sparse(want)
+    d = prod.dimension
+    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    projections = prod.projections()
+    assert [_rows(p.matrix) for p in projections] == limit_legs_reference(
+        [aug for _, aug in data], identity
+    )
+    assert [p.target for p in projections] == factors
+
+
+def _limit_with_inclusion(diagram):
+    """limit(diagram), and the inclusion of its apex into the product."""
+    seen = []
+    real = weil._subalgebra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "_subalgebra", lambda w, vectors: seen.append(real(w, vectors)) or seen[-1])
+        apex, legs = limit(diagram)
+    [(sub, incl)] = seen
+    assert sub is apex
+    return apex, legs, incl
+
+
+def _diagram_of_kind(rng, kind):
+    if kind == "seeded":
+        return random_limit_cone(rng).without_cone()
+    if kind == "grid":
+        return _grid_cone(rng).without_cone()
+    if kind == "discrete":
+        kinds = [rng.choice(FACTOR_KINDS[:-1]) for _ in range(rng.randint(1, 3))]
+        return DiagramInWeil([_factor(rng, k) for k in kinds], ())
+    # equalizer diagrams out of skewed algebras and out of limit apexes
+    phi, psi = _parallel_pairs(rng, 1)[1 if kind == "skewed" else 2]
+    return DiagramInWeil((phi.source, phi.target), ((0, 1, phi), (0, 1, psi)))
+
+
+@given(st.sampled_from(["seeded", "grid", "discrete", "skewed", "apex"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_limit_legs_are_the_extraction_products(kind, seed):
+    diagram = _diagram_of_kind(random.Random(seed), kind)
+    apex, legs, incl = _limit_with_inclusion(diagram)
+    want = limit_legs_reference([_aug(w) for w in diagram.objects], _rows(incl.matrix))
+    assert [_rows(leg.matrix) for leg in legs] == want
+    assert all(leg.source is apex for leg in legs)
+    assert [leg.target for leg in legs] == list(diagram.objects)
+
+
+def test_limits_and_equalizers_need_no_unit_containment_solve(monkeypatch):
+    rng = random.Random(53)
+    diagrams = [_diagram_of_kind(rng, k) for k in ("seeded", "grid", "discrete", "skewed", "apex")]
+    pairs = _parallel_pairs(rng, 2)
+    monkeypatch.setattr(weil, "span_contains", lambda *a: pytest.fail("span_contains ran"))
+    for diagram in diagrams:
+        limit(diagram)
+    for phi, psi in pairs:
+        equalizer(phi, psi)
+
+
+# ----- tabled checks on sparse terms ------------------------------------------------
+
+
+def _mutated(rng, table, aug):
+    """The table with one product basis[i] * basis[j] (i, j >= 1, both
+    orders) moved by delta (e_k - aug[k] e_0), which keeps it commutative,
+    unital and the augmentation multiplicative; a single structure constant
+    when aug[k] = 0."""
+    n = len(table)
+    i, j, k = (rng.randrange(1, n) for _ in range(3))
+    delta = Fraction(rng.choice([-2, -1, 1, 3]))
+    for a, b in {(i, j), (j, i)}:
+        table[a][b][k] += delta
+        table[a][b][0] -= delta * aug[k]
+    return table
+
+
+def _checked_outcome(table, aug):
+    try:
+        WeilAlgebra.tabled(table, aug, check=True)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(FACTOR_KINDS[:-1]), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_associativity_is_decided_like_the_element_product_scan(kind, seed, mutate):
+    rng = random.Random(seed)
+    w = _factor(rng, kind)
+    table, aug = _table(w), _aug(w)
+    if mutate and w.dimension > 1:
+        table = _mutated(rng, table, aug)
+    want = associativity_reference(table)
+    got = _checked_outcome(table, aug)
+    if want is not None:
+        assert got == want
+    else:
+        assert got is None or "associative" not in got
+    if not mutate:
+        assert got is None
+
+
+def test_non_associative_mutants_are_refused_at_the_reference_triple():
+    rng = random.Random(59)
+    refused = 0
+    for n in range(40):
+        w = _factor(rng, FACTOR_KINDS[n % 4])
+        if w.dimension < 3:
+            continue
+        table, aug = _table(w), _aug(w)
+        table = _mutated(rng, table, aug)
+        want = associativity_reference(table)
+        if want is not None:
+            assert _checked_outcome(table, aug) == want
+            refused += 1
+    assert refused >= 10
+
+
+def test_a_checked_nilpotency_hint_must_match_the_ideal_chain():
+    d = dual_numbers()
+    table = [[d.structure_vector(i, j) for j in range(2)] for i in range(2)]
+    aug = d.aug_covector
+    with pytest.raises(AlgebraError, match=r"hint 5 disagrees .* degree 2 "):
+        WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=5)
+    assert WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=2).nilpotency_degree == 2
+    # an unchecked hint stays the caller's promise
+    assert WeilAlgebra.tabled(table, aug, check=False, nilpotency_hint=5).nilpotency_degree == 5
