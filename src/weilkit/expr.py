@@ -308,16 +308,26 @@ def fold(expr: Expr, ring, values, var_names=None):
                     f"exact power {describe(node)} exceeds the budget of "
                     f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
                 )
-        out = ring.const(Fraction(1))
-        while n:
-            if n & 1:
-                out = ring.mul(out, base)
-            n >>= 1
-            if n:
-                base = ring.mul(base, base)
-        return out
+        return _power(base, n, ring.mul, ring.const(Fraction(1)))
 
     return run(expr)
+
+
+def _power(base, n: int, mul, one):
+    """base^n for n >= 0 by square and multiply, starting at the first
+    factor: x^2 is one product, x^3 two.  x^1 is the one product one*x,
+    which turns a float -0.0 coefficient into 0.0 as every longer power
+    does."""
+    if n <= 1:
+        return mul(one, base) if n else one
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
 
 
 class _Numbers:

@@ -347,7 +347,10 @@ class VerticalFiber:
     At a regular point (full-row-rank Jacobian) the fiber is parametrized
     by one copy of the Jacobian kernel per nilpotent filtration slot;
     point() materializes the member for given parameter values by solving
-    the filtration degrees in order.  Irregular points keep whatever
+    the filtration degrees in order.  No degree lifts the projection
+    before a solved slot is nonzero, and the origin (every parameter zero)
+    is the constant point e0*1, so solving it lifts the projection only
+    once, for the final recheck.  Irregular points keep whatever
     per-degree data the solve produced and are flagged.
     """
 
@@ -377,7 +380,13 @@ class VerticalFiber:
 
 
 def _solve_fiber(desc: VerticalFiber, params, record):
-    """Fill the filtration degrees in order; linear solve at each slot."""
+    """Fill the filtration degrees in order; linear solve at each slot.
+
+    Until a solved slot is nonzero the point is still e0*1, which the
+    projection sends to F(e0)*1, so every right-hand side is zero: a
+    degree lifts the projection through apply_map only when an earlier
+    degree left a nonzero slot.  The verticality recheck always lifts.
+    """
     e = desc.fibered.total_dim
     b = desc.fibered.base_dim
     w = desc.algebra
@@ -401,13 +410,16 @@ def _solve_fiber(desc: VerticalFiber, params, record):
         return WeilPoint(w, coords)
 
     chunk = 0
+    moved = False  # has a solved slot left the constant point e0*1?
     for degree in sorted({g for g in desc.slot_degrees if g >= 1}):
         slots = [i for i, g in enumerate(desc.slot_degrees) if g == degree]
-        current = materialize()
-        image = apply_map(desc.fibered.projection, current)
-        image_filt = [
-            desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)
-        ]
+        if moved:
+            image = apply_map(desc.fibered.projection, materialize())
+            image_filt = [
+                desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)
+            ]
+        else:  # the point is e0*1 and its image F(e0)*1 has no nilpotent part
+            image_filt = [(qq(0),) * dim] * b
         failed = False
         for beta in slots:
             rhs = [-image_filt[r][beta] for r in range(b)]
@@ -425,6 +437,7 @@ def _solve_fiber(desc: VerticalFiber, params, record):
                     ]
             for i in range(e):
                 filt[i][beta] = xi[i]
+            moved = moved or any(xi)
             chunk += kd
         if record is not None:
             record.append((degree, len(slots), kd, not failed))
@@ -641,24 +654,22 @@ def check_fibered_microlinear(
 def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
     """Does taking vertical parts turn this cone into a limit cone?
 
-    All-linear diagrams are decided by exact ranks on the vertical
-    subspaces; anything nonlinear degrades to sampled mediation and says
-    so in the verdict.
+    Decided by exact ranks on the vertical subspaces, so only for linear
+    diagrams: a nonlinear projection, arrow or leg is refused with a
+    FiberedError that names the first one.
     """
     if not d.has_cone:
         raise DiagramError("the diagram needs a cone to check")
-    linear = (
-        d.apex.is_linear
-        and all(o.is_linear for o in d.objects)
-        and all(m.top.linear_matrix() is not None for _, _, m in d.arrows)
-        and all(leg.top.linear_matrix() is not None for leg in d.legs)
-    )
-    if linear:
-        return _left_exact_linear(d, w)
-    return _left_exact_sampled(d, w)
-
-
-def _left_exact_linear(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
+    for i, o in enumerate((d.apex,) + tuple(d.objects)):
+        if not o.is_linear:
+            where = "the apex" if i == 0 else f"object {i - 1}"
+            raise FiberedError(f"{where} ({o.name}) is not linear")
+    for s, t, m in d.arrows:
+        if m.top.linear_matrix() is None:
+            raise FiberedError(f"the arrow {s} -> {t} ({m.top.name}) is not linear")
+    for i, leg in enumerate(d.legs):
+        if leg.top.linear_matrix() is None:
+            raise FiberedError(f"leg {i} ({leg.top.name}) is not linear")
     dim = w.dimension
     bases = [vertical_space_basis(o, w) for o in d.objects]
     offsets = []
@@ -723,59 +734,6 @@ def _left_exact_linear(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
         f"families dimension {nullity}; image {'matches' if same_span else 'differs'}"
     )
     return Verdict(ok, cert, exactness="exact")
-
-
-def _left_exact_sampled(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
-    rng = random.Random(11)
-    checks = 0
-    ok = True
-    notes = []
-    for _ in range(4):
-        e0 = [Fraction(corpus.random_rational(rng, 3)) for _ in range(d.apex.total_dim)]
-        try:
-            fib = vertical_fiber(d.apex, w, e0)
-        except FiberedError:
-            continue
-        if not (fib.regular and fib.consistent):
-            continue
-        draws = [
-            [0] * fib.dimension,
-            [corpus.random_rational(rng, 3) for _ in range(fib.dimension)],
-        ]
-        points = []
-        for params in draws:
-            try:
-                points.append(fib.point(params))
-            except FiberedError:
-                ok = False
-                notes.append("materialization failed")
-                break
-        for x in points:
-            images = []
-            for i, leg in enumerate(d.legs):
-                y = apply_map(leg.top, x)
-                if not vertical_membership(d.objects[i], w, y):
-                    ok = False
-                    notes.append(f"leg {i} image not vertical")
-                images.append(y)
-            for s, t, m in d.arrows:
-                if apply_map(m.top, images[s]).coords != images[t].coords:
-                    ok = False
-                    notes.append(f"family incompatible over arrow {s}->{t}")
-            checks += 1
-        if len(points) == 2 and points[0].coords != points[1].coords:
-            fam0 = [apply_map(leg.top, points[0]).coords for leg in d.legs]
-            fam1 = [apply_map(leg.top, points[1]).coords for leg in d.legs]
-            if fam0 == fam1:
-                ok = False
-                notes.append("two distinct fiber points map to one family")
-    if checks == 0:
-        ok = False
-        notes.append("no regular base point found to sample")
-    cert = f"{checks} sampled vertical points transported through the cone"
-    if notes:
-        cert += "; " + "; ".join(sorted(set(notes)))
-    return Verdict(ok, cert, exactness="sampled")
 
 
 def check_vertical_microlinearity(

@@ -37,7 +37,7 @@ from .exactlin import (
     span_contains,
     vstack,
 )
-from .expr import check_literal
+from .expr import _power, check_literal
 from .reports import Verdict
 
 
@@ -315,6 +315,15 @@ class WeilAlgebra:
         if self._chain is not None:
             return self._chain
         d = self.dimension
+        if self.flavor == "presented":
+            # a monomial quotient: m^k is spanned by the basis monomials of
+            # degree >= k, and those unit vectors are already its rref
+            degrees = [sum(e) for e in self.basis]
+            self._chain = [
+                [_unit(d, i) for i, g in enumerate(degrees) if g >= k]
+                for k in range(1, max(degrees) + 1)
+            ]
+            return self._chain
         m1 = _kernel(Matrix._of((self.aug,), d))
         chain = []
         current = m1
@@ -569,15 +578,7 @@ class WeilElement:
             raise TypeError("element exponents must be int")
         if n < 0:
             return self.invert() ** (-n)
-        out = self.algebra.one(self.mode)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, n, operator.mul, self.algebra.one(self.mode))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -690,9 +691,10 @@ def geometric_invert(x):
         raise ZeroDivisionError("element with zero augmentation is not invertible")
     inv = Scalar.one(s.mode) / s
     t = (x - x.like(s)).scaled(-inv)
-    acc = power = x.like(1)
+    acc = x.like(1)
+    power = None
     for _ in range(1, x.nilpotency_bound()):
-        power = power * t
+        power = t if power is None else power * t
         acc = acc + power
     return acc.scaled(inv)
 
@@ -761,10 +763,7 @@ class WeilMorphism:
                 raise MorphismError(f"image of {g!r} has nonzero augmentation")
         if check:
             for r in source.relations:
-                acc = target.one()
-                for img, e in zip(images, r):
-                    if e:
-                        acc = acc * img**e
+                acc = functools.reduce(operator.mul, [img**e for img, e in zip(images, r) if e])
                 if not acc.is_zero:
                     label = _monomial_label(r, source.gens)
                     raise MorphismError(f"images violate the relation {label}")

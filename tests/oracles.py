@@ -4,10 +4,12 @@ Nothing here calls back into the package's evaluation, differentiation, or
 limit machinery: derivatives come from sympy, stencil weights from an exact
 Vandermonde solve, and subspace comparisons from sympy's exact rank.  The
 inputs are plain Fractions, floats, and callables, so a disagreement with
-the package is a finding about the package.  The one exception is
-is_limit_cone_reference, the limit-cone decision weilkit made before it read
-the rank numbers, kept whole on the package's limit, solve and morphism
-check so that the short decision can be compared with the long one.  The expression references
+the package is a finding about the package.  The two exceptions keep a
+former route whole on the package's own parts, so that the short route can
+be compared with the long one: is_limit_cone_reference, the limit-cone
+decision weilkit made before it read the rank numbers, and
+solve_fiber_reference, the vertical-fiber solve that lifted the projection
+at every filtration degree.  The expression references
 at the end are the tree walkers weilkit used before its single fold; they
 share only the polynomial arithmetic helpers with the package.
 """
@@ -21,7 +23,15 @@ from fractions import Fraction
 
 import sympy
 
-from weilkit.exactlin import ModeError, SolveFailure, solve_matrix, vstack
+from weilkit.exactlin import (
+    NO_SOLUTION,
+    ModeError,
+    SolveFailure,
+    qq,
+    solve_affine,
+    solve_matrix,
+    vstack,
+)
 from weilkit.expr import (
     NonPolynomialError,
     poly_add,
@@ -32,6 +42,8 @@ from weilkit.expr import (
     poly_sub,
     poly_var,
 )
+from weilkit.fibered import FiberedError
+from weilkit.smooth import WeilPoint, apply_map, embed_base
 from weilkit.weil import MorphismError, WeilMorphism, limit
 
 
@@ -316,10 +328,17 @@ def greedy_basis_reference(vectors, n):
 
 
 def nilpotency_degree_reference(table, aug):
-    """The least n with m^n = 0, from the powers of the augmentation kernel
-    m: m^(k+1) is spanned by the products of a basis of m^k with a basis of
-    m, each product summed out of the structure table.  table[i][j] is the
-    coefficient vector of basis[i] * basis[j], aug the augmentation row."""
+    """The least n with m^n = 0, m the augmentation kernel: one more than
+    the length of ideal_chain_reference(table, aug)."""
+    return len(ideal_chain_reference(table, aug)) + 1
+
+
+def ideal_chain_reference(table, aug):
+    """The rref bases of m, m^2, ... down to the last nonzero power, by
+    elimination: m^(k+1) is spanned by the products of a basis of m^k with
+    a basis of m, each product summed out of the structure table.
+    table[i][j] is the coefficient vector of basis[i] * basis[j], aug the
+    augmentation row."""
     d = len(aug)
 
     def mul(v, w):
@@ -332,14 +351,15 @@ def nilpotency_degree_reference(table, aug):
         return out
 
     m = kernel_reference([aug], d)
-    power, n = m, 1
+    chain, power = [], m
     while power:
-        if n > d:
+        if len(chain) >= d:
             raise ValueError("augmentation kernel is not nilpotent")
+        chain.append(power)
         products = [mul(v, w) for v in power for w in m]
         reduced, pivots = rref_reference(products, d)
-        power, n = reduced[: len(pivots)], n + 1
-    return n
+        power = reduced[: len(pivots)]
+    return chain
 
 
 def kernel_reference(rows, ncols):
@@ -683,3 +703,55 @@ def associativity_reference(table):
                 if mul(pij, basis[k]) != mul(basis[i], mul(basis[j], basis[k])):
                     return f"product not associative at ({i},{j},{k})"
     return None
+
+
+# ----- the former vertical-fiber solve -------------------------------------------
+
+
+def solve_fiber_reference(desc, params):
+    """(point, per_degree) of VerticalFiber desc at the given parameters,
+    solved as weilkit did before it skipped the lifts of the constant point
+    e0*1: the projection is lifted through apply_map at every filtration
+    degree, then once more for the verticality recheck.  Raises
+    FiberedError with weilkit's messages."""
+    p, w = desc.fibered, desc.algebra
+    e, b, dim = p.total_dim, p.base_dim, w.dimension
+    kd = e - desc.jacobian_rank
+    params = [qq(v) for v in params]
+    filt = [[qq(0)] * dim for _ in range(e)]
+    for i in range(e):
+        filt[i][0] = qq(desc.base_point[i])
+
+    def materialize():
+        return WeilPoint(
+            w, [w.element(list(desc._frame.apply(filt[i]))) for i in range(e)]
+        )
+
+    record, chunk = [], 0
+    for degree in sorted({g for g in desc.slot_degrees if g >= 1}):
+        slots = [i for i, g in enumerate(desc.slot_degrees) if g == degree]
+        image = apply_map(p.projection, materialize())
+        image_filt = [desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)]
+        failed = False
+        for beta in slots:
+            solved = solve_affine(desc.jacobian, [-image_filt[r][beta] for r in range(b)])
+            if solved is NO_SOLUTION:
+                failed = True
+                break
+            xi = list(solved[0])
+            for t in range(kd):
+                xi = [x + params[chunk + t] * kv for x, kv in zip(xi, desc.kernel[t])]
+            for i in range(e):
+                filt[i][beta] = xi[i]
+            chunk += kd
+        record.append((degree, len(slots), kd, not failed))
+        if failed:
+            raise FiberedError(
+                f"fiber equations are inconsistent at filtration degree {degree} "
+                f"(projection {p.projection.name} is irregular here)"
+            )
+    final = materialize()
+    image = apply_map(p.projection, final)
+    if image.coords != embed_base(image, w).coords:
+        raise FiberedError("solved point failed the verticality recheck")
+    return final, tuple(record)

@@ -2,6 +2,8 @@
 
 import math
 import re
+import runpy
+import sys
 import time
 
 import pytest
@@ -53,6 +55,30 @@ def test_jet_float_mode(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split(": ")[1])
     assert abs(value - math.sin(0.5)) < 1e-12
+
+
+def test_float_reciprocal_prints_no_negative_zero(capsys):
+    # x^-1 keeps its one product 1*(1/x), which turns the -0.0 of the
+    # inverse series into 0.0
+    code, out, _ = run(
+        capsys, "jet", "x^-1", "--at=-2,1", "--mixed", "--order", "1", "--mode", "float"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "mixed jet of x^-1 at (-2.0, 1.0), order 1 in each input",
+        "1: -0.5",
+        "dx: -0.25",
+        "dx2: 0.0",
+        "dx*dx2: 0.0",
+    ]
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["weilkit", "jet", "u^2", "--at", "3", "--order", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("weilkit", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["jet of u^2 at (3), order 1", "1: 9", "du: 6"]
 
 
 def test_jet_needs_float_mode_for_calls(capsys):

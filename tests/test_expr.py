@@ -14,10 +14,12 @@ from weilkit.expr import (
     EvaluationError,
     Expr,
     NonPolynomialError,
+    _Numbers,
     const,
     evaluate_numeric,
     exp,
     poly_diff,
+    fold,
     poly_eval,
     poly_from_expr,
     poly_mul,
@@ -175,6 +177,27 @@ def test_exact_powers_past_the_bit_budget_are_refused_on_every_path():
         assert time.perf_counter() - start < 1
     # a base that depends on the inputs has no scalar part to budget
     assert parse_map("f(u) -> (u^200000000)").to_polys() == [{(200000000,): 1}]
+
+
+class _CountingNumbers(_Numbers):
+    def __init__(self):
+        super().__init__(exact=True)
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return a * b
+
+
+@pytest.mark.parametrize(
+    "n, products",
+    # squarings plus the set bits after the first; x^+-1 keeps its 1*x
+    [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (7, 4), (8, 3), (-1, 1), (-3, 2)],
+)
+def test_powers_start_at_their_base(n, products):
+    ring = _CountingNumbers()
+    assert fold(var(0) ** n, ring, [Fraction(3, 2)]) == Fraction(3, 2) ** n
+    assert ring.products == products
 
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import solve_fiber_reference
 
 from weilkit import (
     DiagramInWeil,
@@ -31,7 +34,10 @@ from weilkit import (
     vertical_membership,
     vertical_suite,
 )
+from weilkit import fibered
+from weilkit.corpus import random_limit_cone, random_poly_map, random_rational
 from weilkit.fibered import (
+    FiberedDiagram,
     _broken_pullback_cone,
     _maps_agree,
     _projection_pullback_cone,
@@ -39,7 +45,7 @@ from weilkit.fibered import (
     vertical_space_basis,
 )
 from weilkit.smooth import apply_map
-from weilkit.weil import DiagramError, limit_cone
+from weilkit.weil import DiagramError, limit_cone, parse_algebra
 
 
 # ----- fibered objects -------------------------------------------------------
@@ -161,6 +167,82 @@ def test_inconsistent_fiber_equations_raise():
         fib.point((qq(1), qq(0)))
 
 
+# the four algebras of the benchmark's vertical commands, and a tabled
+# limit apex (dimension 7, nilpotency degree 3) whose filtered basis is not
+# its own basis
+_FIBER_ALGEBRAS = [
+    parse_algebra(text)
+    for text in ("Q[d]/(d^2)", "Q[d]/(d^3)", "Q[d,e]/(d^2, e^2)", "Q[d,e]/(d^2, e^2, d*e)")
+] + [random_limit_cone(random.Random(0)).apex]
+
+
+def _solved(solve, params):
+    """(point coordinates, per-degree record) of a solve, or its refusal."""
+    try:
+        point, record = solve(params)
+    except FiberedError as exc:
+        return "refused", str(exc)
+    return point.coords, record
+
+
+def _assert_fiber_matches_the_reference(fib, params):
+    origin = _solved(lambda ps: solve_fiber_reference(fib, ps), [0] * fib.dimension)
+    if fib.consistent:
+        assert origin == (fib.origin.coords, fib.per_degree)
+    else:
+        assert origin[0] == "refused" and fib.origin is None
+    got = _solved(lambda ps: (fib.point(ps), None), params)
+    want = _solved(lambda ps: solve_fiber_reference(fib, ps), params)
+    assert got[0] == want[0]
+
+
+@given(
+    st.sampled_from(range(len(_FIBER_ALGEBRAS))),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_vertical_fiber_matches_the_solve_that_lifts_every_degree(
+    which, total, seed, at_zero, zero_params
+):
+    rng = random.Random(seed)
+    w = _FIBER_ALGEBRAS[which]
+    p = FiberedObject.from_map(random_poly_map(rng, total, rng.randint(1, total), depth=2))
+    e0 = [0] * total if at_zero else [random_rational(rng, 3) for _ in range(total)]
+    fib = vertical_fiber(p, w, e0)
+    params = [0 if zero_params else random_rational(rng, 3) for _ in range(fib.dimension)]
+    _assert_fiber_matches_the_reference(fib, params)
+
+
+@pytest.mark.parametrize(
+    "text, algebra, e0, params",
+    [
+        ("fibered s(x,y,z) -> (x^2+y^2+z^2)", 2, (1, 0, 0), (2, -7, 1, 0, 3, 1)),
+        ("fibered s(x,y) -> (x*y)", 4, (0, 0), None),  # irregular: refused at degree 2
+        ("fibered f(x,y) -> (x, y^2)", 1, (0, 0), (1, 0)),  # irregular: refused at degree 2
+        ("fibered c(x,y) -> (y^2 - x^3)", 3, (1, 1), (1, -1)),
+    ],
+)
+def test_vertical_fiber_matches_the_reference_on_named_points(text, algebra, e0, params):
+    fib = vertical_fiber(FiberedObject.from_text(text), _FIBER_ALGEBRAS[algebra], e0)
+    params = [1] * fib.dimension if params is None else params
+    _assert_fiber_matches_the_reference(fib, params)
+
+
+def test_vertical_fiber_lifts_the_projection_once(monkeypatch):
+    calls = []
+    real = fibered.apply_map
+    monkeypatch.setattr(fibered, "apply_map", lambda f, x: calls.append(f) or real(f, x))
+    fib = vertical_fiber(sphere_distance(), jet_line(3), (qq(1), qq(0), qq(0)))
+    assert fib.consistent and [d for d, *_ in fib.per_degree] == [1, 2, 3]
+    assert len(calls) == 1  # the verticality recheck of the origin e0*1
+    calls.clear()
+    fib.point([1] * fib.dimension)
+    assert len(calls) == 3  # degrees 2 and 3 follow a nonzero slot, then the recheck
+
+
 def test_float_input_rejected():
     with pytest.raises(FiberedError):
         vertical_fiber(sphere_distance(), dual_numbers(), (1.0, 0.0, 0.0))
@@ -208,6 +290,26 @@ def test_left_exact_on_the_pullback_cone():
 def test_left_exact_refuses_the_broken_cone():
     v = check_vertical_left_exact(_broken_pullback_cone(), dual_numbers())
     assert not v.ok
+
+
+def test_left_exact_refuses_nonlinear_diagrams_naming_the_first():
+    sphere = sphere_distance()
+    p = FiberedObject.coordinate_projection(2, 1)
+    square = FiberedMorphism(
+        p, p, parse_map("map sq(a, b) -> (a, b^2)"), parse_map("map id(s) -> (s)")
+    )
+    ident = FiberedMorphism.identity(p)
+    cases = [
+        (
+            FiberedDiagram((sphere,), (), sphere, (FiberedMorphism.identity(sphere),)),
+            r"the apex \(sphere",
+        ),
+        (FiberedDiagram((p,), (), p, (square,)), r"leg 0 \(sq\)"),
+        (FiberedDiagram((p, p), ((0, 1, square),), p, (ident, square)), r"arrow 0 -> 1 \(sq\)"),
+    ]
+    for diagram, named in cases:
+        with pytest.raises(FiberedError, match=named + r".* is not linear"):
+            check_vertical_left_exact(diagram, dual_numbers())
 
 
 def test_fibered_microlinear_conjunction():

@@ -12,6 +12,7 @@ from oracles import (
     associativity_reference,
     equalizer_space,
     greedy_basis_reference,
+    ideal_chain_reference,
     is_limit_cone_reference,
     limit_legs_reference,
     microlinear_reference,
@@ -36,6 +37,7 @@ from weilkit import (
     jet_line,
     limit,
     limit_cone,
+    parse_algebra,
     product_over_k,
     qq,
     tensor,
@@ -258,6 +260,31 @@ def test_limit_apexes_carry_their_nilpotency_degree():
             [[e.value for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)
         ]
         assert w.nilpotency_degree == nilpotency_degree_reference(table, _aug(w))
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_presented_ideal_chain_matches_the_elimination_route(powers, mixed):
+    # pure powers bound the dimension; exponent 1 kills a generator at first order
+    n = len(powers)
+    relations = [tuple(p * (i == g) for i in range(n)) for g, p in enumerate(powers)]
+    relations += [tuple(m[:n]) for m in mixed if sum(m[:n])]
+    w = WeilAlgebra.presented([f"x{i}" for i in range(n)], relations)
+    chain = [[list(v) for v in level] for level in w._ideal_chain()]
+    assert chain == ideal_chain_reference(_table(w), _aug(w))
+    assert w.nilpotency_degree == len(chain) + 1
+
+
+def test_presented_ideal_chain_with_a_generator_killed_at_first_order():
+    w = parse_algebra("Q[x,y]/(x, y^3)")
+    chain = w._ideal_chain()
+    assert [len(level) for level in chain] == [2, 1]
+    assert [[list(v) for v in level] for level in chain] == ideal_chain_reference(
+        _table(w), _aug(w)
+    )
 
 
 # ----- limits built from structure ----------------------------------------------
