@@ -1,6 +1,6 @@
 """weilkit: exact Weil algebras, Weil-functor evaluation, microlinearity checks."""
 
-from .exactlin import Matrix, Mode, ModeError, Scalar, qq
+from .exactlin import Matrix, Mode, ModeError, qq
 from .expr import ParseError, SmoothMap, linear_map, parse_expression, parse_map
 from .weil import (
     AlgebraError,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import corpus
 from .exactlin import Mode, difference_rows
-from .exactlin import kernel_basis  # noqa: F401 (bench/tests checks this alias)
+from .exactlin import kernel_basis  # noqa: F401 (unused here; bench/tests requires the alias)
 from .expr import SmoothMap
 from .reports import Report, Verdict
 from .smooth import (
@@ -288,14 +288,13 @@ def check_weil_exponentiable(
             rhs = apply_map(f, apply_morphism(sigma, p))
             if lhs.coords != rhs.coords:
                 point_failures += 1
-        report.add(
-            "shuffle-naturality",
-            instance,
-            point_failures == 0,
+        detail = (
             f"{samples} random (map, point) draws agree exactly"
             if point_failures == 0
-            else f"{point_failures}/{samples} draws disagree",
+            else f"{point_failures}/{samples} draws disagree"
         )
+        v = Verdict(point_failures == 0, detail, exactness="sampled")
+        report.add("shuffle-naturality", instance, v, v.certificate)
     return report
 
 
@@ -431,7 +430,7 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         report.add(
             "terminal-collapse",
             f"{f.name} at scalar draw {i}",
-            [s.value for s in collapsed] == list(direct),
+            collapsed == list(direct),
             "lift over the scalars is plain evaluation",
         )
 
@@ -633,7 +632,8 @@ def closure_suite(seed: int = 0) -> Report:
             x, y, d, d2, samples=4, seed=rng.randrange(1 << 30)
         )
         for o in sub.outcomes:
-            report.add("derived-exponentiable", o.instance, o.passed, o.detail)
+            v = Verdict(o.passed, o.detail, exactness=o.exactness)
+            report.add("derived-exponentiable", o.instance, v, v.certificate)
 
     ident_d = WeilMorphism.identity(d)
     kill = corpus.collapse_to_scalars(d)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .axioms import (
     exponentiability_suite,
     microlinearity_suite,
 )
-from .exactlin import Mode, ModeError, Scalar
+from .exactlin import Mode, ModeError
 from .expr import (
     _CALLS,
     DIGIT_LIMIT,
@@ -56,9 +57,9 @@ _PRINTED_CEILING = 10**_PRINTED_DIGITS
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Scalar):
-        value = value.value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"the float result {value!r} is not finite")
         return repr(value)
     if max(abs(value.numerator), value.denominator) >= _PRINTED_CEILING:
         raise ValueError(
@@ -117,9 +118,13 @@ def _parse_values(text: str, mode: Mode):
         if not tok:
             raise ParseError("empty value in the --at list")
         try:
-            out.append(float(tok) if mode is Mode.FLOAT else Fraction(tok))
+            value = float(tok) if mode is Mode.FLOAT else Fraction(tok)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad value {tok!r} in the --at list") from exc
+        # float() reads inf, nan and 1e400, which Fraction() refuses
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"bad value {tok!r} in the --at list")
+        out.append(value)
     return out
 
 

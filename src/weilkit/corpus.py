@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactlin import Matrix, Mode, qq, unit_vector
+from .exactlin import Matrix, Mode, _unit, qq
 from .expr import Expr, SmoothMap, const, var
 from .smooth import WeilPoint
 from .weil import (
@@ -197,7 +197,7 @@ def drop_added_factor(wd: WeilAlgebra) -> WeilMorphism:
     if info is None:
         raise ValueError("needs a tensor-built algebra")
     d = info.left.dimension
-    cols = [unit_vector(d, i1) if i2 == 0 else (0,) * d for (i1, i2) in info.pair_of_index]
+    cols = [_unit(d, i1) if i2 == 0 else (0,) * d for (i1, i2) in info.pair_of_index]
     return WeilMorphism(wd, info.left, Matrix.from_columns(cols, rows=d), check=False)
 
 

@@ -1,11 +1,12 @@
 """Exact rational scalars and the dense linear algebra everything else reduces to.
 
-Two scalar modes exist: exact (arbitrary-precision rationals) and float
-(doubles, for the analytic primitives).  A matrix holds raw values of one
-mode, Fractions or floats, and says once which; it hands out Scalars only
-where a caller reads an entry.  Mixing modes in one operation is a bug in
-the caller, so it raises instead of silently promoting.  All structural
-decisions (kernels, ranks, solvability) are exact-only.
+Two scalar modes exist: exact (Python Fractions) and float (doubles, for
+the analytic primitives); a number needs no type of its own.  A matrix
+holds raw values of one mode, Fractions or floats, says once which, and
+hands the same values out to its readers.  Mixing modes in one operation is
+a bug in the caller, so it raises at the container boundary instead of
+silently promoting.  All structural decisions (kernels, ranks, solvability)
+are exact-only.
 """
 
 from __future__ import annotations
@@ -33,157 +34,29 @@ NO_SOLUTION = SolveFailure.NO_SOLUTION
 NOT_UNIQUE = SolveFailure.NOT_UNIQUE
 
 
-class Scalar:
-    """A rational or a double, tagged so the two never mix silently.
-
-    ints and Fractions coerce to exact mode; Python floats to float mode.
-    An int may meet a float Scalar (the conversion is exact), a Fraction
-    may not.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if isinstance(value, Scalar):
-            value = value.value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(value, (int, str)):
-            value = Fraction(value)
-        if not isinstance(value, (Fraction, float)):
-            raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
-        self.value = value
-
-    @property
-    def mode(self) -> Mode:
-        # a float test: Fraction's isinstance goes through the ABC machinery
-        return Mode.FLOAT if isinstance(self.value, float) else Mode.EXACT
-
-    @staticmethod
-    def exact(value) -> "Scalar":
-        if isinstance(value.value if isinstance(value, Scalar) else value, float):
-            raise ModeError("float given where an exact rational is required")
-        return value if isinstance(value, Scalar) else Scalar(value)
-
-    @staticmethod
-    def zero(mode: Mode) -> "Scalar":
-        return _ZERO if mode is Mode.EXACT else _FZERO
-
-    @staticmethod
-    def one(mode: Mode) -> "Scalar":
-        return _ONE if mode is Mode.EXACT else _FONE
-
-    def __add__(self, other):
-        return _scalar(self.value + _raw(other, self.mode))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _scalar(self.value - _raw(other, self.mode))
-
-    def __rsub__(self, other):
-        return _scalar(_raw(other, self.mode) - self.value)
-
-    def __mul__(self, other):
-        return _scalar(self.value * _raw(other, self.mode))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _raw(other, self.mode)
-        if other == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return _scalar(self.value / other)
-
-    def __rtruediv__(self, other):
-        other = _raw(other, self.mode)
-        if self.is_zero:
-            raise ZeroDivisionError("scalar division by zero")
-        return _scalar(other / self.value)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("Scalar exponents must be int")
-        if n < 0 and self.is_zero:
-            raise ZeroDivisionError("zero to a negative power")
-        return _scalar(self.value**n)
-
-    def __neg__(self):
-        return _scalar(-self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, bool) or not isinstance(other, (Scalar, int, Fraction, float)):
-            return NotImplemented
-        try:
-            return self.value == _raw(other, self.mode)
-        except ModeError:
-            return False
-
-    def __hash__(self):
-        return hash(self.value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def as_fraction(self) -> Fraction:
-        if self.mode is not Mode.EXACT:
-            raise ModeError("float Scalar has no exact rational value")
-        return self.value
-
-    def __str__(self):
-        if self.mode is Mode.EXACT:
-            return str(self.value)
-        return repr(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self})"
-
-
-_new = object.__new__
-
-
-def _scalar(value) -> Scalar:
-    """Wrap a Fraction or float the kernel computed itself, skipping validation."""
-    s = _new(Scalar)
-    s.value = value
-    return s
-
-
-# Scalars are immutable, so the kernel shares these instead of rebuilding them
-_ZERO, _ONE = _scalar(Fraction(0)), _scalar(Fraction(1))
-_FZERO, _FONE = _scalar(0.0), _scalar(1.0)
-
 # the raw zero and one of each mode
-_RAW = {Mode.EXACT: (_ZERO.value, _ONE.value), Mode.FLOAT: (0.0, 1.0)}
+_RAW = {Mode.EXACT: (Fraction(0), Fraction(1)), Mode.FLOAT: (0.0, 1.0)}
 _RAW_TYPES = frozenset((Fraction, float))
 
 
-def _raw(value, mode: Mode):
-    """The Fraction or float inside an operand, checked against `mode`.
-
-    ints are mode-agnostic and convert; anything else must already match.
-    """
-    if isinstance(value, Scalar):
-        value = value.value
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value) if mode is Mode.EXACT else float(value)
-    elif not isinstance(value, (Fraction, float)):
-        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
-    if isinstance(value, float) is (mode is Mode.EXACT):
-        raise ModeError(f"mixed-mode operation: {mode.value} value with {value!r}")
+def _raw_of(value):
+    """The raw value of a public input: a Fraction or float passes, an int
+    or a numeric str becomes an exact Fraction, and anything else (bool
+    included) is a TypeError."""
+    if type(value) in _RAW_TYPES:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    if not isinstance(value, (Fraction, float)):
+        raise TypeError(f"cannot use {type(value).__name__} as a scalar")
     return value
 
 
-def _raw_of(value):
-    """The raw value of a public input: a Scalar, int, Fraction or float
-    (an int becomes an exact Fraction)."""
-    if type(value) in _RAW_TYPES:
-        return value
-    return (value if isinstance(value, Scalar) else Scalar(value)).value
+def _mode_of(value) -> Mode:
+    """The mode of one raw value."""
+    return Mode.FLOAT if isinstance(value, float) else Mode.EXACT
 
 
 def _one_mode(values, what: str) -> Mode:
@@ -202,9 +75,13 @@ def _joint_mode(*matrices) -> Mode:
     return modes.pop() if modes else Mode.EXACT
 
 
-def qq(value) -> Scalar:
-    """Shorthand for an exact Scalar."""
-    return Scalar.exact(value)
+def qq(value) -> Fraction:
+    """An exact rational from an int, Fraction or numeric str; a float is a
+    ModeError."""
+    value = _raw_of(value)
+    if isinstance(value, float):
+        raise ModeError("float given where an exact rational is required")
+    return value
 
 
 def _unit(n: int, i: int, mode: Mode = Mode.EXACT) -> tuple:
@@ -212,15 +89,11 @@ def _unit(n: int, i: int, mode: Mode = Mode.EXACT) -> tuple:
     return tuple(one if j == i else zero for j in range(n))
 
 
-def unit_vector(n: int, i: int, mode: Mode = Mode.EXACT):
-    return tuple(map(_scalar, _unit(n, i, mode)))
-
-
 class Matrix:
     """Dense matrix of raw values in one mode: `raw` holds the rows, all
     Fractions (exact) or all floats, and `mode` says which.
 
-    The readers entries, row, column and apply hand out Scalars.  Empty
+    The readers entries, row, column and apply hand out those raw values.  Empty
     matrices (zero rows) are legal but need an explicit column count.
     """
 
@@ -245,7 +118,7 @@ class Matrix:
     @classmethod
     def _of(cls, raw, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
         """Matrix around one-mode raw rows (tuples) the kernel built itself."""
-        self = _new(cls)
+        self = object.__new__(cls)
         self.raw = raw
         self.rows = len(raw)
         self.cols = cols
@@ -277,13 +150,13 @@ class Matrix:
 
     @property
     def entries(self):
-        return tuple(tuple(map(_scalar, row)) for row in self.raw)
+        return self.raw
 
     def column(self, j: int):
-        return tuple(_scalar(row[j]) for row in self.raw)
+        return tuple(row[j] for row in self.raw)
 
     def row(self, i: int):
-        return tuple(map(_scalar, self.raw[i]))
+        return self.raw[i]
 
     # Exact loops skip zero terms; float loops keep every term, summed left
     # to right, since 0 * inf is nan and 0 * -1.0 is -0.0.
@@ -310,7 +183,10 @@ class Matrix:
         if not self.rows:
             return ()
         exact = self.mode is Mode.EXACT
-        vals = [_raw(v, self.mode) for v in vec]
+        # ints meet either mode exactly; anything else must match it
+        vals = [v if type(v) is int else _raw_of(v) for v in vec]
+        if any(_mode_of(v) is not self.mode for v in vals if type(v) is not int):
+            raise ModeError(f"mixed-mode apply: {self.mode.value} matrix, other vector")
         terms = [(t, y) for t, y in enumerate(vals) if y or not exact]
         out = []
         for row in self.raw:
@@ -319,7 +195,7 @@ class Matrix:
                 x = row[t]
                 if x or not exact:
                     acc += x * y
-            out.append(_scalar(acc))
+            out.append(acc)
         return tuple(out)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
@@ -444,7 +320,7 @@ def difference_rows(total: int, terms) -> Matrix:
     blocks start at columns s and t, one row of b per row of a; b = None
     stands for the identity.  Blocks at the same offset add.
     """
-    zero = _ZERO.value
+    zero = _RAW[Mode.EXACT][0]
     rows = []
     for s, a, t, b in terms:
         for i, arow in enumerate(a):
@@ -460,12 +336,6 @@ def difference_rows(total: int, terms) -> Matrix:
                         row[t + c] -= x
             rows.append(tuple(row))
     return Matrix._of(tuple(rows), total)
-
-
-def _kernel(m: Matrix):
-    """kernel_basis as raw Fraction vectors."""
-    m._require_exact("kernel_basis")
-    return _kernel_of(*m.rref(), m.cols)
 
 
 def _kernel_of(rows, pivots, cols: int):
@@ -485,12 +355,14 @@ def _kernel_of(rows, pivots, cols: int):
 
 
 def kernel_basis(m: Matrix):
-    """Echelon basis of the right kernel, ordered by free column.
+    """Echelon basis of the right kernel as Fraction tuples, ordered by free
+    column.
 
     Exact mode only; every returned vector v satisfies m @ v = 0 and
     rank(m) + len(basis) = m.cols.
     """
-    return [tuple(map(_scalar, v)) for v in _kernel(m)]
+    m._require_exact("kernel_basis")
+    return _kernel_of(*m.rref(), m.cols)
 
 
 def solve_unique(m: Matrix, rhs):
@@ -514,11 +386,10 @@ def solve_affine(m: Matrix, rhs):
     rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
     if m.cols in pivots:
         return NO_SOLUTION
-    particular = [_ZERO] * m.cols
+    particular = [_RAW[Mode.EXACT][0]] * m.cols
     for r, p in enumerate(pivots):
-        particular[p] = _scalar(rows[r][m.cols])
-    kernel = [tuple(map(_scalar, v)) for v in _kernel_of(rows, pivots, m.cols)]
-    return tuple(particular), kernel
+        particular[p] = rows[r][m.cols]
+    return tuple(particular), _kernel_of(rows, pivots, m.cols)
 
 
 def solve_matrix(m: Matrix, rhs: Matrix):

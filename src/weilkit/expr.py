@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import Mode, Scalar
+from .exactlin import Mode, qq
 
 
 class ParseError(ValueError):
@@ -374,9 +374,7 @@ class PolyCoefficients:
         return {}
 
     def const(self, value):
-        if isinstance(value, Scalar):
-            value = value.as_fraction()
-        return poly_const(value, self.nvars)
+        return poly_const(qq(value), self.nvars)
 
     add = staticmethod(poly_add)
     sub = staticmethod(poly_sub)
@@ -390,16 +388,16 @@ class PolyCoefficients:
         """The value of a constant polynomial; None when p depends on the inputs."""
         return None if any(sum(e) for e in p) else p.get((0,) * self.nvars, Fraction(0))
 
-    def scalar(self, p) -> Scalar:
+    def scalar(self, p) -> Fraction:
         c = self.exact_scalar(p)
         if c is None:
             raise NonPolynomialError(
                 "it depends on the inputs, so it has no polynomial inverse"
             )
-        return Scalar.exact(c)
+        return qq(c)
 
     def invert(self, p):
-        c = self.scalar(p).value
+        c = self.scalar(p)
         if not c:
             raise ZeroDivisionError("zero has no inverse")
         return poly_const(1 / c, self.nvars)
@@ -541,7 +539,7 @@ def linear_map(rows, n_in: int | None = None, name: str = "lin") -> SmoothMap:
             raise ValueError("ragged coefficient rows")
         body = const(0)
         for j, c in enumerate(row):
-            q = c.value if hasattr(c, "value") else Fraction(c)
+            q = qq(c)
             if q:
                 body = body + const(q) * var(j)
         bodies.append(body)

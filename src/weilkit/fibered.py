@@ -23,7 +23,6 @@ from .exactlin import (
     NO_SOLUTION,
     Matrix,
     Mode,
-    Scalar,
     SolveFailure,
     difference_rows,
     kernel_basis,
@@ -67,10 +66,6 @@ class FiberedError(Exception):
 def _as_fraction(v, what: str) -> Fraction:
     if isinstance(v, float):
         raise FiberedError(f"{what} must be exact; got a float")
-    if isinstance(v, Scalar):
-        if v.mode is not Mode.EXACT:
-            raise FiberedError(f"{what} must be exact; got a float scalar")
-        return v.value
     return Fraction(v)
 
 
@@ -392,7 +387,7 @@ def _solve_fiber(desc: VerticalFiber, params, record):
     w = desc.algebra
     dim = w.dimension
     kd = e - desc.jacobian_rank
-    params = [qq(_as_fraction(v, "fiber parameter")) for v in params]
+    params = [_as_fraction(v, "fiber parameter") for v in params]
     nil_slots = [i for i, g in enumerate(desc.slot_degrees) if g >= 1]
     if len(params) != kd * len(nil_slots):
         raise FiberedError(
@@ -431,7 +426,7 @@ def _solve_fiber(desc: VerticalFiber, params, record):
             xi = list(particular)
             for t in range(kd):
                 c = params[chunk + t]
-                if not c.is_zero:
+                if c:
                     xi = [
                         x + c * kv for x, kv in zip(xi, desc.kernel[t])
                     ]
@@ -522,8 +517,8 @@ def vertical_functor_on_morphism(
         raise FiberedError(
             "image lost verticality; the square cannot have commuted"
         )
-    base_image = m.top([s.value for s in x.base()])
-    got = [s.value for s in result.base()]
+    base_image = m.top(list(x.base()))
+    got = list(result.base())
     if x.mode is Mode.EXACT:
         anchored = got == list(base_image)
     else:
@@ -579,7 +574,7 @@ def check_vertical_equalizer(
             sol = (
                 solve_unique(frame, col)
                 if frame is not None
-                else (NO_SOLUTION if any(not c.is_zero for c in col) else ())
+                else (NO_SOLUTION if any(col) else ())
             )
             if isinstance(sol, SolveFailure):
                 factors = sol is not NO_SOLUTION
@@ -595,7 +590,7 @@ def check_vertical_equalizer(
         outsider = None
         for _ in range(20):
             probe = [qq(corpus.random_rational(rng, 5)) for _ in range(eqs.cols)]
-            if any(not c.is_zero for c in eqs.apply(probe)):
+            if any(eqs.apply(probe)):
                 outsider = probe
                 break
         if outsider is not None:
@@ -648,7 +643,7 @@ def check_fibered_microlinear(
         f"lifted projection commutes with all {len(d.legs)} legs on "
         f"{samples} sampled points"
     )
-    return Verdict(ok, cert, exactness="exact")
+    return Verdict(ok, cert, exactness="sampled")
 
 
 def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
@@ -803,7 +798,7 @@ def _transport_fiber_points(p, d, fib, base) -> bool:
             y = apply_morphism(leg, x)
             if not vertical_membership(p, d.objects[i], y):
                 return False
-            if tuple(s.value for s in y.base()) != base:
+            if y.base() != base:
                 return False
             images.append(y)
         for s, t, phi in d.arrows:
@@ -923,7 +918,7 @@ def fibered_exponential_pullback(
         flat_u = list(particular)
         for kv in vert:
             c = qq(corpus.random_rational(rng, 3))
-            if not c.is_zero:
+            if c:
                 flat_u = [x + c * y for x, y in zip(flat_u, kv)]
         u = _point_from_flat(a_total, flat_u, p.total_dim)
         if apply_map(p.projection, u).coords != target.coords:
@@ -1249,7 +1244,7 @@ def vertical_suite(
     )
 
     fib = vertical_fiber(sphere, d, [1, 0, 0])
-    span_ok = sorted(tuple(s.value for s in v) for v in fib.kernel) == [
+    span_ok = sorted(fib.kernel) == [
         (Fraction(0), Fraction(0), Fraction(1)),
         (Fraction(0), Fraction(1), Fraction(0)),
     ]
@@ -1285,12 +1280,10 @@ def vertical_suite(
         x = fj.point(params)
         if not vertical_membership(proj, jet_line(2), x):
             sound = False
-    report.add(
-        "fiber-soundness",
-        "sampled fiber members",
-        sound,
-        "every materialized fiber point passes membership exactly",
+    v = Verdict(
+        sound, "every materialized fiber point passes membership exactly", "sampled"
     )
+    report.add("fiber-soundness", "sampled fiber members", v, v.certificate)
 
     ident_m = FiberedMorphism.identity(proj)
     fj_d = vertical_fiber(proj, d, [4, 9])
@@ -1323,18 +1316,12 @@ def vertical_suite(
         direct = vertical_functor_on_morphism(m2.compose(m1), d, x)
         if direct.coords != z.coords:
             functorial = False
-    report.add(
-        "functor",
-        "base anchors commute across random block squares",
-        naturality,
-        "vertical images stay vertical with the anchored base point",
+    v = Verdict(
+        naturality, "vertical images stay vertical with the anchored base point", "sampled"
     )
-    report.add(
-        "functor",
-        "double application equals composite",
-        functorial,
-        "functoriality on sampled vertical points",
-    )
+    report.add("functor", "base anchors commute across random block squares", v, v.certificate)
+    v = Verdict(functorial, "functoriality on sampled vertical points", "sampled")
+    report.add("functor", "double application equals composite", v, v.certificate)
 
     eq_rep = check_vertical_equalizer(proj, d, samples=max(4, samples // 2), seed=seed)
     report.extend(eq_rep)

@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .exactlin import Mode, ModeError, Scalar, _RAW
+from .exactlin import Mode, ModeError, _RAW, qq
 from .expr import (
     EvaluationError,
     Expr,
@@ -75,7 +75,7 @@ class WeilPoint:
             if mode is Mode.FLOAT:
                 coords.append(algebra.scalar(float(v)))
             else:
-                coords.append(algebra.scalar(Scalar.exact(v)))
+                coords.append(algebra.scalar(qq(v)))
         return WeilPoint(algebra, coords)
 
     @property
@@ -96,16 +96,12 @@ class WeilPoint:
 
 def project_to_base(point: WeilPoint) -> WeilPoint:
     """Collapse nilpotents: the canonical projection onto ordinary points."""
-    return WeilPoint.from_scalars(
-        terminal(),
-        [s.value for s in point.base()],
-        point.mode,
-    )
+    return WeilPoint.from_scalars(terminal(), point.base(), point.mode)
 
 
 def embed_base(point: WeilPoint, algebra: WeilAlgebra) -> WeilPoint:
     """Re-embed the underlying ordinary point into a (possibly different) algebra."""
-    return WeilPoint.from_scalars(algebra, [s.value for s in point.base()], point.mode)
+    return WeilPoint.from_scalars(algebra, point.base(), point.mode)
 
 
 def apply_morphism(phi: WeilMorphism, point: WeilPoint) -> WeilPoint:
@@ -158,11 +154,14 @@ def _taylor_call(op: str, x, where: str):
     if getattr(x, "symbolic", False):
         raise NonPolynomialError(f"{op}() cannot appear in a symbolic lift: {where}")
     s = x.scalar_part()
-    if s.mode is not Mode.FLOAT:
+    if not isinstance(s, float):
         raise ModeError(
             f"{op}() has no exact rational value; evaluate in float mode ({where})"
         )
-    coeffs = _series_coefficients(op, s.value, x.nilpotency_bound())
+    try:
+        coeffs = _series_coefficients(op, s, x.nilpotency_bound())
+    except OverflowError:
+        raise EvaluationError(f"{op}() overflows a float at {s!r}: {where}") from None
     n = x - x.like(s)
     acc = x.like(coeffs[0])
     power = None
@@ -188,7 +187,7 @@ class _ElementRing:
         self.symbolic = getattr(template, "symbolic", False)
 
     def exact_scalar(self, x):
-        s = None if self.symbolic else x.scalar_part().value
+        s = None if self.symbolic else x.scalar_part()
         return None if isinstance(s, float) else s
 
 
@@ -255,7 +254,7 @@ class WeilCoefficients:
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def scalar(self, a) -> Scalar:
+    def scalar(self, a):
         return a.augmentation()
 
 
@@ -314,8 +313,6 @@ class ExtendedElement:
         )
 
     def scaled(self, c) -> "ExtendedElement":
-        if isinstance(c, Scalar):
-            c = c.value
         scale = self.ring.scale
         return ExtendedElement(self.ring, self.algebra, [scale(a, c) for a in self.coeffs])
 
@@ -337,7 +334,7 @@ class ExtendedElement:
         """A constant over the same ring and algebra."""
         return ExtendedElement.constant(self.ring, self.algebra, value)
 
-    def scalar_part(self) -> Scalar:
+    def scalar_part(self):
         """The ring's scalar part of the augmentation."""
         ring = self.ring
         acc = ring.zero()
@@ -456,7 +453,7 @@ def jet(f: SmoothMap, at, order: int, mode: Mode = Mode.EXACT):
     if f.arity_in != 1:
         raise ValueError("jet() handles one-input maps; use mixed_jet for several")
     w = jet_line(order)
-    a = float(at) if mode is Mode.FLOAT else Scalar.exact(at)
+    a = float(at) if mode is Mode.FLOAT else qq(at)
     gen = w.basis_element(1, mode) if order >= 1 else w.zero(mode)
     coord = w.scalar(a) + gen
     result = apply_map(f, WeilPoint(w, [coord]))
@@ -481,7 +478,7 @@ def mixed_jet(f: SmoothMap, at, orders, mode: Mode = Mode.EXACT):
     w = make_presented(names, rels)
     coords = []
     for i, value in enumerate(at):
-        a = float(value) if mode is Mode.FLOAT else Scalar.exact(value)
+        a = float(value) if mode is Mode.FLOAT else qq(value)
         gen_exp = tuple(1 if j == i else 0 for j in range(len(orders)))
         coord = w.scalar(a)
         if orders[i] >= 1:

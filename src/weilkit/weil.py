@@ -25,15 +25,14 @@ from .exactlin import (
     Matrix,
     Mode,
     ModeError,
-    Scalar,
     _RAW,
-    _kernel,
+    _mode_of,
     _one_mode,
     _raw_of,
-    _scalar,
     _unit,
     difference_rows,
-    kernel_basis,  # noqa: F401 (bench/tests checks this alias)
+    kernel_basis,
+    qq,
     span_contains,
     vstack,
 )
@@ -230,8 +229,8 @@ class WeilAlgebra:
         degree the ideal chain gives.  Internal constructions that carry a
         proof pass check=False; nilpotency is still established either way.
         """
-        table = [[[Scalar.exact(c).value for c in vec] for vec in row] for row in table]
-        aug = tuple(Scalar.exact(c).value for c in aug)
+        table = [[[qq(c) for c in vec] for vec in row] for row in table]
+        aug = tuple(qq(c) for c in aug)
         d = len(table)
         if any(len(vec) != d for row in table for vec in row):
             raise AlgebraError("structure table or augmentation has the wrong shape")
@@ -324,7 +323,7 @@ class WeilAlgebra:
                 for k in range(1, max(degrees) + 1)
             ]
             return self._chain
-        m1 = _kernel(Matrix._of((self.aug,), d))
+        m1 = kernel_basis(Matrix._of((self.aug,), d))
         chain = []
         current = m1
         while current:
@@ -360,12 +359,12 @@ class WeilAlgebra:
         vec = [_ZERO] * self.dimension
         for k, c in self._terms(i, j):
             vec[k] = c
-        return tuple(map(_scalar, vec))
+        return tuple(vec)
 
     @property
     def aug_covector(self):
-        """The augmentation on the basis, as Scalars."""
-        return tuple(map(_scalar, self.aug))
+        """The augmentation on the basis, as Fractions."""
+        return self.aug
 
     @property
     def is_terminal(self) -> bool:
@@ -383,9 +382,9 @@ class WeilAlgebra:
         return WeilElement._of(self, _unit(self.dimension, 0, mode), mode)
 
     def scalar(self, value) -> "WeilElement":
-        value = value if isinstance(value, Scalar) else Scalar(value)
-        rest = (_RAW[value.mode][0],) * (self.dimension - 1)
-        return WeilElement._of(self, (value.value,) + rest, value.mode)
+        value = _raw_of(value)
+        mode = _mode_of(value)
+        return WeilElement._of(self, (value,) + (_RAW[mode][0],) * (self.dimension - 1), mode)
 
     def basis_element(self, i: int, mode: Mode = Mode.EXACT) -> "WeilElement":
         return WeilElement._of(self, _unit(self.dimension, i, mode), mode)
@@ -463,7 +462,7 @@ def first_order_infinitesimals(n: int) -> WeilAlgebra:
 class WeilElement:
     """An element of a fixed Weil algebra: its coefficient vector over the
     basis, held raw in `raw` (all Fractions or all floats) with its one
-    `mode`.  `coeffs` hands the coefficients out as Scalars.
+    `mode`.  `coeffs` hands out the same raw values.
 
     Exact arithmetic does no work on zero coefficients: a sum touches only
     the entries where the other operand is nonzero, and a product over a
@@ -493,7 +492,7 @@ class WeilElement:
 
     @property
     def coeffs(self):
-        return tuple(map(_scalar, self.raw))
+        return self.raw
 
     def _check_peer(self, other):
         if not isinstance(other, WeilElement):
@@ -523,10 +522,9 @@ class WeilElement:
         return WeilElement._of(self.algebra, tuple([-a for a in self.raw]), self.mode)
 
     def scaled(self, c) -> "WeilElement":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if c.mode is not self.mode:
+        c = _raw_of(c)
+        if _mode_of(c) is not self.mode:
             raise ModeError("mixed-mode scaling of an element")
-        c = c.value
         if self.mode is Mode.EXACT:
             raw = tuple([c * a if a else a for a in self.raw])
         else:
@@ -534,7 +532,7 @@ class WeilElement:
         return WeilElement._of(self.algebra, raw, self.mode)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction, Scalar)):
+        if isinstance(other, (int, float, Fraction)):
             return self.scaled(other)
         self._check_peer(other)
         alg = self.algebra
@@ -581,33 +579,33 @@ class WeilElement:
         return _power(self, n, operator.mul, self.algebra.one(self.mode))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = other if isinstance(other, Scalar) else Scalar(other)
-            return self.scaled(Scalar.one(c.mode) / c)
+        if isinstance(other, (int, Fraction)):
+            c = _raw_of(other)  # an int first becomes a Fraction: int / int is a float
+            if not c:
+                raise ZeroDivisionError("scalar division by zero")
+            return self.scaled(1 / c)
         self._check_peer(other)
         return self * other.invert()
 
     def invert(self) -> "WeilElement":
         return geometric_invert(self)
 
-    def augmentation(self) -> Scalar:
+    def augmentation(self):
         exact = self.mode is Mode.EXACT
         acc = _RAW[self.mode][0]
         for lam, c in zip(self.algebra.aug, self.raw):
             if lam:
                 acc += (lam if exact else float(lam)) * c
-        return _scalar(acc)
+        return acc
 
     # protocol name the generic evaluator uses
     scalar_part = augmentation
 
     def like(self, value) -> "WeilElement":
         """Embed a constant into the same algebra and mode as this element."""
-        if isinstance(value, Scalar):
-            value = value.value
         if self.mode is Mode.FLOAT:
             return self.algebra.scalar(float(value))
-        return self.algebra.scalar(Scalar.exact(value))
+        return self.algebra.scalar(qq(value))
 
     def nilpotency_bound(self) -> int:
         return self.algebra.nilpotency_degree
@@ -687,9 +685,9 @@ def geometric_invert(x):
     coefficient ring alike.
     """
     s = x.scalar_part()
-    if s.is_zero:
+    if not s:
         raise ZeroDivisionError("element with zero augmentation is not invertible")
-    inv = Scalar.one(s.mode) / s
+    inv = 1 / _raw_of(s)  # an int scalar part must not turn into a float
     t = (x - x.like(s)).scaled(-inv)
     acc = x.like(1)
     power = None
@@ -759,7 +757,7 @@ class WeilMorphism:
                 raise MorphismError(f"image of {g!r} is not an element of the target")
             if img.mode is not Mode.EXACT:
                 raise ModeError("morphisms are exact; float image rejected")
-            if check and not img.augmentation().is_zero:
+            if check and img.augmentation():
                 raise MorphismError(f"image of {g!r} has nonzero augmentation")
         if check:
             for r in source.relations:
@@ -1090,7 +1088,7 @@ def _subalgebra(w: WeilAlgebra, span_vectors):
             if coords is None:
                 raise AlgebraError("subspace is not closed under multiplication")
             terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
-    aug = tuple(e.augmentation().value for e in elements)
+    aug = tuple(e.augmentation() for e in elements)
     sub = WeilAlgebra._from_terms(terms, aug, check=False)
     incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
     return sub, incl
@@ -1100,7 +1098,7 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     """Equalizer of a parallel pair, as a tabled subalgebra with inclusion."""
     if phi.source != psi.source or phi.target != psi.target:
         raise MorphismError("equalizer needs a parallel pair")
-    return _subalgebra(phi.source, _kernel(phi.matrix - psi.matrix))
+    return _subalgebra(phi.source, kernel_basis(phi.matrix - psi.matrix))
 
 
 class _ProductOverK:
@@ -1254,7 +1252,7 @@ def limit(diagram: DiagramInWeil):
         [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
         cols=prod.dimension,
     )
-    sub, incl = _subalgebra(prod.algebra, _kernel(constraints))
+    sub, incl = _subalgebra(prod.algebra, kernel_basis(constraints))
     return sub, [prod._leg(a, sub, incl.matrix.raw) for a in range(len(objects))]
 
 

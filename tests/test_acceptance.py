@@ -71,11 +71,11 @@ def stamp(capsys):
 
 
 def _rows(m):
-    return [[c.value for c in m.row(i)] for i in range(m.rows)]
+    return [[c for c in m.row(i)] for i in range(m.rows)]
 
 
 def _cols(m):
-    return [[c.value for c in m.column(j)] for j in range(m.cols)]
+    return [[c for c in m.column(j)] for j in range(m.cols)]
 
 
 def _rel(a: float, b: float) -> float:
@@ -114,8 +114,8 @@ def test_core_constructions_match_direct_solve_oracle(stamp):
         wanted = oracles.pullback_space(
             _rows(f.matrix),
             _rows(g.matrix),
-            [c.value for c in f.source.aug_covector],
-            [c.value for c in g.source.aug_covector],
+            [c for c in f.source.aug_covector],
+            [c for c in g.source.aug_covector],
         )
         ok = ok and apex.dimension == len(wanted)
         ok = ok and oracles.same_span(
@@ -204,7 +204,7 @@ def test_jets_match_derivative_oracles(stamp):
     ok = True
     for i, (text, sym_text, at) in enumerate(_POLY_JETS):
         f = parse_map(f"p{i}(u) -> ({text})")
-        got = [s.value for s in jet(f, at, 4, Mode.EXACT)[0]]
+        got = [s for s in jet(f, at, 4, Mode.EXACT)[0]]
         want = [
             oracles.to_fraction(v)
             for v in oracles.taylor_coeffs_symbolic(sym_text, "u", at, 4)
@@ -213,13 +213,13 @@ def test_jets_match_derivative_oracles(stamp):
 
     for i, (text, fn, at) in enumerate(_CALL_JETS):
         f = parse_map(f"c{i}(u) -> ({text})")
-        got = [float(s.value) for s in jet(f, at, 4, Mode.FLOAT)[0]]
+        got = [float(s) for s in jet(f, at, 4, Mode.FLOAT)[0]]
         want = oracles.fd_taylor_coeffs(fn, at, 4)
         ok = ok and all(_rel(g, w) <= 1e-6 for g, w in zip(got, want))
 
     f = parse_map("m(u, v) -> (sin(u)*v)")
     out, _ = mixed_jet(f, (1.0, 2.0), (1, 1), Mode.FLOAT)
-    got = float(out[0][(1, 1)].value)
+    got = float(out[0][(1, 1)])
     want = float(oracles.mixed_coeff_symbolic("sin(u)*v", ("u", "v"), (1, 2), (1, 1)))
     ok = ok and abs(got - want) <= 1e-9 * max(1.0, abs(want))
     stamp(4, "order-4 jets match symbolic and finite-difference oracles", ok)
@@ -278,7 +278,7 @@ def test_vertical_bundle_battery(stamp):
     fib = vertical_fiber(sphere, d, [1, 0, 0])
     ok = fib.regular and fib.dimension == 2 and len(kernel_oracle) == 2
     ok = ok and oracles.same_span(
-        [[s.value for s in v] for v in fib.kernel], kernel_oracle, 3
+        [[s for s in v] for v in fib.kernel], kernel_oracle, 3
     )
 
     # universal property of the vertical subspace, 20 sampled cones

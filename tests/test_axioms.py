@@ -183,21 +183,31 @@ def test_microlinearity_negative_controls_all_refused():
     assert rep.ok, rep.render()
 
 
+def _sampled(rep):
+    return [(o.check, o.instance) for o in rep.outcomes if o.exactness == "sampled"]
+
+
 def test_exponentiability_suite_green():
-    assert exponentiability_suite(seed=3, samples=5).ok
+    rep = exponentiability_suite(seed=3, samples=5)
+    assert rep.ok
+    # naturality is decided on random (map, point) draws
+    naturality = [(o.check, o.instance) for o in rep.outcomes if o.check == "shuffle-naturality"]
+    assert naturality and _sampled(rep) == naturality
 
 
 def test_closure_suite_green():
     rep = closure_suite(seed=4)
     assert rep.ok, rep.render()
     assert len(rep.failures) == 0
+    # the derived exponentiability outcomes keep their sub-outcomes' tags
+    assert [check for check, _ in _sampled(rep)] == ["derived-exponentiable"] * 3
 
 
 def _full_lifted_verdict(r, cone):
     """Verdict and certificate of the lifted system built with I_r (x) blocks."""
 
     def rows(m):
-        return [[e.value for e in row] for row in m.entries]
+        return [[e for e in row] for row in m.entries]
 
     rank_c, nullity, contained = microlinear_numbers(
         r,
@@ -205,7 +215,7 @@ def _full_lifted_verdict(r, cone):
         [w.dimension for w in cone.objects],
         [rows(leg.matrix) for leg in cone.legs],
         [(s, t, rows(phi.matrix)) for s, t, phi in cone.arrows],
-        [[c.value for c in w.aug_covector] for w in cone.objects],
+        [[c for c in w.aug_covector] for w in cone.objects],
     )
     full = r * cone.apex.dimension
     ok = contained and rank_c == full and nullity == rank_c

@@ -73,6 +73,27 @@ def test_float_reciprocal_prints_no_negative_zero(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "expr, at, order, message",
+    [
+        ("exp(u)", "1000", "2", "exp() overflows a float at 1000.0: exp(u)"),
+        ("u^2000", "3", "1", "the float result inf is not finite"),
+        ("u^2000 - u^2000", "3", "1", "the float result nan is not finite"),
+    ],
+)
+def test_float_overflow_is_refused_frozen(capsys, expr, at, order, message):
+    code, out, err = run(
+        capsys, "jet", expr, "--at", at, "--mode", "float", "--order", order
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("at", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_float_points_are_bad_values(capsys, at):
+    code, out, err = run(capsys, "jet", "u", f"--at={at}", "--mode", "float")
+    assert (code, out, err) == (2, "", f"error: bad value {at!r} in the --at list\n")
+
+
 def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["weilkit", "jet", "u^2", "--at", "3", "--order", "1"])
     with pytest.raises(SystemExit) as exc:

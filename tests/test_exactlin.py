@@ -15,10 +15,11 @@ from oracles import (
     solve_columns_reference,
 )
 
-from weilkit import Matrix, Mode, ModeError, Scalar, qq
+from weilkit import Matrix, Mode, ModeError, qq
 from weilkit.exactlin import (
     NO_SOLUTION,
     NOT_UNIQUE,
+    _raw_of,
     difference_rows,
     hstack,
     kernel_basis,
@@ -27,7 +28,6 @@ from weilkit.exactlin import (
     solve_unique,
     span_contains,
     spans_equal,
-    unit_vector,
     vstack,
 )
 
@@ -52,37 +52,16 @@ matrices = st.integers(1, 4).flatmap(
 # ----- scalars ----------------------------------------------------------------
 
 
-def test_scalar_modes_are_kept_apart():
-    assert qq(Fraction(1, 3)).mode is Mode.EXACT
-    assert Scalar(0.5).mode is Mode.FLOAT
-    with pytest.raises(ModeError):
-        qq(1) + Scalar(1.0)
-    with pytest.raises(ModeError):
-        Scalar(2.0).as_fraction()
-
-
-def test_ints_coerce_into_either_mode():
-    assert qq(Fraction(1, 2)) + 1 == qq(Fraction(3, 2))
-    assert Scalar(0.5) + 1 == Scalar(1.5)
-    assert qq(2) * Fraction(1, 4) == qq(Fraction(1, 2))
-
-
-def test_scalar_division():
-    assert qq(3) / qq(4) == qq(Fraction(3, 4))
-    with pytest.raises(ZeroDivisionError):
-        qq(1) / qq(0)
-    with pytest.raises(ZeroDivisionError):
-        qq(0) ** -1
-
-
-@given(rationals, rationals, rationals)
-def test_scalar_field_laws(a, b, c):
-    x, y, z = qq(a), qq(b), qq(c)
-    assert x + y == y + x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    if not y.is_zero:
-        assert (x / y) * y == x
+def test_raw_of_refuses_bools_and_non_numbers():
+    for bad in (True, False, object(), None):
+        with pytest.raises(TypeError):
+            _raw_of(bad)
+    with pytest.raises(TypeError):
+        Matrix([[True, 0]])
+    # ints and numeric strs become exact; Fractions and floats pass through
+    assert type(_raw_of(3)) is Fraction and _raw_of("1/2") == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert _raw_of(half) is half and _raw_of(0.5) == 0.5
 
 
 # ----- matrices ---------------------------------------------------------------
@@ -135,7 +114,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60)
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
-        assert all(e.is_zero for e in m.apply(v))
+        assert all(e == 0 for e in m.apply(v))
 
 
 @given(matrices, st.lists(rationals, min_size=4, max_size=4))
@@ -149,7 +128,7 @@ def test_solve_affine_solutions_solve(m, raw):
     particular, kernel = out
     assert m.apply(particular) == tuple(rhs)
     for v in kernel:
-        assert all(e.is_zero for e in m.apply(v))
+        assert all(e == 0 for e in m.apply(v))
 
 
 @given(matrices, st.lists(rationals, min_size=4, max_size=4))
@@ -189,14 +168,14 @@ def test_solve_outcomes_are_values_not_errors():
 
 
 def test_rank_rejects_float_matrices():
-    m = Matrix([[Scalar(1.0)]])
+    m = Matrix([[1.0]])
     with pytest.raises(ModeError):
         m.rank()
 
 
 def test_span_helpers():
-    e0 = unit_vector(3, 0)
-    e1 = unit_vector(3, 1)
+    e0 = (qq(1), qq(0), qq(0))
+    e1 = (qq(0), qq(1), qq(0))
     inside = (qq(2), qq(-1), qq(0))
     outside = (qq(0), qq(0), qq(1))
     assert span_contains([e0, e1], inside)
@@ -238,8 +217,8 @@ def as_matrix(rows, cols):
 def raw_rows(m):
     for row in m.entries:
         for e in row:
-            assert type(e.value) is Fraction
-    return [[e.value for e in row] for row in m.entries]
+            assert type(e) is Fraction
+    return [[e for e in row] for row in m.entries]
 
 
 @given(sparse_rows())
@@ -264,8 +243,8 @@ def test_matmul_and_apply_match_reference(data):
     # ints are mode-agnostic vector entries
     mixed = [int(x) if x.denominator == 1 else qq(x) for x in vec]
     out = as_matrix(a, inner).apply(mixed)
-    assert all(type(e.value) is Fraction for e in out)
-    assert [e.value for e in out] == matvec_reference(a, vec)
+    assert all(type(e) is Fraction for e in out)
+    assert [e for e in out] == matvec_reference(a, vec)
 
 
 @given(sparse_rows(), sparse_rows())
@@ -290,7 +269,7 @@ def test_add_and_sub_match_reference(data):
 
 def test_mixed_modes_raise_at_every_sum():
     exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
-    floats = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(2.0), Scalar(3.0)]])
+    floats = Matrix([[1.0, 0.0], [2.0, 3.0]])
     for left, right in ((exact, floats), (floats, exact)):
         with pytest.raises(ModeError):
             left + right
@@ -299,42 +278,42 @@ def test_mixed_modes_raise_at_every_sum():
     with pytest.raises(ValueError):
         exact + Matrix([[qq(1), qq(2)]])
     # float sums stay float, and -0.0 survives
-    diff = Matrix([[Scalar(-0.0)]]) - Matrix([[Scalar(0.0)]])
+    diff = Matrix([[-0.0]]) - Matrix([[0.0]])
     assert diff.mode is Mode.FLOAT and str(diff.entries[0][0]) == "-0.0"
-    assert floats + floats == Matrix([[Scalar(2.0), Scalar(0.0)], [Scalar(4.0), Scalar(6.0)]])
+    assert floats + floats == Matrix([[2.0, 0.0], [4.0, 6.0]])
 
 
 def test_mixed_modes_raise_at_every_product():
     exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
-    floats = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(2.0), Scalar(3.0)]])
+    floats = Matrix([[1.0, 0.0], [2.0, 3.0]])
     for left, right in ((exact, floats), (floats, exact)):
         with pytest.raises(ModeError):
             left @ right
         with pytest.raises(ModeError):
             left.kron(right)
     with pytest.raises(ModeError):
-        exact.apply((Scalar(1.0), qq(0)))
+        exact.apply((1.0, qq(0)))
     with pytest.raises(ModeError):
         exact.apply((0.5, 1))
     with pytest.raises(ModeError):
         floats.apply((Fraction(1, 2), 1))
     with pytest.raises(ModeError):
-        floats.apply((qq(1), Scalar(1.0)))
+        floats.apply((qq(1), 1.0))
     # ints meet either mode
-    assert floats.apply((1, 2)) == (Scalar(1.0), Scalar(8.0))
+    assert floats.apply((1, 2)) == (1.0, 8.0)
     assert exact.apply((1, 2)) == (qq(1), qq(8))
 
 
 def test_mixed_modes_raise_at_the_stacks_and_never_compare_equal():
     exact = Matrix([[qq(1), qq(0)]])
-    floats = Matrix([[Scalar(1.0), Scalar(0.0)]])
+    floats = Matrix([[1.0, 0.0]])
     for pair in ((exact, floats), (floats, exact)):
         with pytest.raises(ModeError):
             hstack(pair)
         with pytest.raises(ModeError):
             vstack(pair)
     with pytest.raises(ModeError):
-        Matrix([[qq(1), Scalar(0.0)]])
+        Matrix([[qq(1), 0.0]])
     # Fraction(1) == 1.0, yet equal values in two modes are two matrices
     assert exact != floats and not exact == floats
     assert Matrix([[1, 0]]) != Matrix([[1.0, 0.0]])
@@ -347,20 +326,20 @@ def test_exact_entries_are_fractions_after_every_operation():
     ident = Matrix.identity(2)
     for out in (m, m @ m, m + ident, m - m, m.kron(ident), hstack([m, ident]),
                 vstack([m, ident]), Matrix.zeros(2, 2), m.inverse()):
-        assert all(type(e.value) is Fraction for row in out.entries for e in row)
-    vectors = [m.apply((1, 0)), m.row(0), m.column(1), unit_vector(3, 1)]
+        assert all(type(e) is Fraction for row in out.entries for e in row)
+    vectors = [m.apply((1, 0)), m.row(0), m.column(1)]
     vectors += kernel_basis(Matrix([[1, 1, 0]]))
     vectors.append(solve_unique(m, (1, 2)))
     particular, kernel = solve_affine(Matrix([[1, 1]]), (2,))
     vectors += [particular, *kernel]
-    assert all(type(e.value) is Fraction for v in vectors for e in v)
+    assert all(type(e) is Fraction for v in vectors for e in v)
 
 
 def test_float_products_keep_every_term():
     # 0 * inf is nan and 0 * -1.0 is -0.0, so float loops skip nothing
     inf = float("inf")
-    a = Matrix([[Scalar(1.0), Scalar(0.0)], [Scalar(0.0), Scalar(-2.0)]])
-    b = Matrix([[Scalar(inf), Scalar(0.5)], [Scalar(0.0), Scalar(3.0)]])
+    a = Matrix([[1.0, 0.0], [0.0, -2.0]])
+    b = Matrix([[inf, 0.5], [0.0, 3.0]])
 
     def text(m):
         return [[str(e) for e in row] for row in m.entries]
@@ -447,8 +426,8 @@ def test_difference_rows_match_dense_blocks():
             seen.add((kind, s == t))
         m = difference_rows(sum(dims), [(offsets[s], a, offsets[t], b) for s, a, t, b in terms])
         assert m.cols == sum(dims) and m.mode is Mode.EXACT
-        assert all(type(e.value) is Fraction for row in m.entries for e in row)
-        assert [[e.value for e in row] for row in m.entries] == difference_rows_reference(
+        assert all(type(e) is Fraction for row in m.entries for e in row)
+        assert [[e for e in row] for row in m.entries] == difference_rows_reference(
             dims, terms
         )
     # identity and block terms, zero arrows, and arrows from an object to itself
@@ -457,8 +436,6 @@ def test_difference_rows_match_dense_blocks():
 
 def test_exact_refuses_float_scalars():
     with pytest.raises(ModeError):
-        qq(Scalar(0.5))
-    with pytest.raises(ModeError):
-        Scalar.exact(Scalar(0.5))
+        qq(0.5)
     half = qq(Fraction(1, 2))
-    assert Scalar.exact(half) is half
+    assert qq(half) is half and type(qq(3)) is Fraction

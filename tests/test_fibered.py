@@ -121,7 +121,7 @@ def test_vertical_space_basis_blocks_projected_nilpotents():
     # flat layout (c0.1, c0.x, c1.1, c1.x): only the projected coordinate's
     # nilpotent slot is constrained away, units stay free
     assert len(basis) == 3
-    assert all(v[1].is_zero for v in basis)
+    assert all(v[1] == 0 for v in basis)
 
 
 def test_sphere_fiber_frozen():
@@ -129,7 +129,7 @@ def test_sphere_fiber_frozen():
     assert fib.regular and fib.consistent
     assert fib.jacobian_rank == 1
     assert fib.dimension == 2
-    kernel = [[e.value for e in v] for v in fib.kernel]
+    kernel = [[e for e in v] for v in fib.kernel]
     assert kernel == [[0, 1, 0], [0, 0, 1]]
     # fiber points satisfy the defining equation exactly
     x = fib.point((qq(2), qq(-7)))
@@ -372,9 +372,16 @@ def test_exponential_pullback_needs_a_linear_surjection():
 # ----- suites ---------------------------------------------------------------------
 
 
+def _sampled(rep):
+    return [(o.check, o.instance) for o in rep.outcomes if o.exactness == "sampled"]
+
+
 def test_fibered_suite_green():
     rep = fibered_suite(seed=1, samples=6)
     assert rep.ok, rep.render()
+    # the glue of each arrow-level check is decided on sampled points
+    glue = [(o.check, o.instance) for o in rep.outcomes if o.check == "fibered-microlinear"]
+    assert len(glue) == 9 and _sampled(rep) == glue
 
 
 def test_fibered_suite_negative_controls():
@@ -385,6 +392,11 @@ def test_fibered_suite_negative_controls():
 def test_vertical_suite_green():
     rep = vertical_suite(seed=1, samples=6)
     assert rep.ok, rep.render()
+    assert _sampled(rep) == [
+        ("fiber-soundness", "sampled fiber members"),
+        ("functor", "base anchors commute across random block squares"),
+        ("functor", "double application equals composite"),
+    ]
 
 
 def test_vertical_suite_negative_controls():

@@ -58,15 +58,15 @@ from weilkit.weil import DiagramError, MorphismError, _subalgebra
 
 
 def _rows(m):
-    return [[e.value for e in row] for row in m.entries]
+    return [[e for e in row] for row in m.entries]
 
 
 def _cols(m):
-    return [tuple(e.value for e in m.column(j)) for j in range(m.cols)]
+    return [tuple(e for e in m.column(j)) for j in range(m.cols)]
 
 
 def _aug(w):
-    return [c.value for c in w.aug_covector]
+    return [c for c in w.aug_covector]
 
 
 def _skewed(rng, w):
@@ -83,7 +83,7 @@ def _skewed(rng, w):
     for i in range(n):
         row = []
         for j in range(n):
-            v = [e.value for e in w.structure_vector(i, j)]
+            v = [e for e in w.structure_vector(i, j)]
             v[i] += c[j]
             v[j] += c[i]
             v[0] += c[i] * c[j]
@@ -257,7 +257,7 @@ def test_limit_apexes_carry_their_nilpotency_degree():
     for w in apexes:
         n = w.dimension
         table = [
-            [[e.value for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)
+            [[e for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)
         ]
         assert w.nilpotency_degree == nilpotency_degree_reference(table, _aug(w))
 
@@ -354,7 +354,7 @@ def test_subalgebra_picks_the_greedy_basis():
             spanning.append(tuple(combination))
         rng.shuffle(spanning)
         sub, incl = _subalgebra(w, spanning)
-        raw = [[e.value for e in v] for v in spanning]
+        raw = [[e for e in v] for v in spanning]
         want = greedy_basis_reference(raw, w.dimension)
         assert _cols(incl.matrix) == [tuple(v) for v in want]
         # the structure constants make the inclusion an algebra map
@@ -392,7 +392,7 @@ def test_morphism_validation_messages():
 
 def _table(w):
     n = w.dimension
-    return [[[e.value for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)]
+    return [[[e for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)]
 
 
 def _sparse(table):

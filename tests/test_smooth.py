@@ -72,7 +72,7 @@ def test_transcendental_needs_float_mode():
     with pytest.raises(ModeError):
         apply_map(f, exact)
     lifted = apply_map(f, WeilPoint.from_scalars(d, [1.0], Mode.FLOAT))
-    assert abs(lifted.coords[0].coeffs[0].value - math.sin(1.0)) < 1e-12
+    assert abs(lifted.coords[0].coeffs[0] - math.sin(1.0)) < 1e-12
 
 
 def test_division_by_zero_scalar_part_is_an_evaluation_error():
@@ -106,9 +106,9 @@ def test_base_projection_and_embedding():
 
 def test_jet_frozen_values():
     f = parse_map("map f(u) -> (u^2)")
-    assert [c.value for c in jet(f, Fraction(3), 2)[0]] == [9, 6, 1]
+    assert [c for c in jet(f, Fraction(3), 2)[0]] == [9, 6, 1]
     g = parse_map("map g(u) -> (1)")
-    assert [c.value for c in jet(g, Fraction(0), 3)[0]] == [1, 0, 0, 0]
+    assert [c for c in jet(g, Fraction(0), 3)[0]] == [1, 0, 0, 0]
 
 
 def test_jet_against_symbolic_oracle_exact():
@@ -118,7 +118,7 @@ def test_jet_against_symbolic_oracle_exact():
         ("map f(u) -> (u^5 / 4 - u)", "u**5 / 4 - u", Fraction(1, 3)),
     ]
     for ours, theirs, at in cases:
-        coeffs = [c.value for c in jet(parse_map(ours), at, 4)[0]]
+        coeffs = [c for c in jet(parse_map(ours), at, 4)[0]]
         expected = [
             oracles.to_fraction(v)
             for v in oracles.taylor_coeffs_symbolic(theirs, "u", at, 4)
@@ -128,7 +128,7 @@ def test_jet_against_symbolic_oracle_exact():
 
 def test_jet_of_transcendental_in_float_mode():
     f = parse_map("map f(u) -> (exp(2*u))")
-    coeffs = [c.value for c in jet(f, 0.25, 3, Mode.FLOAT)[0]]
+    coeffs = [c for c in jet(f, 0.25, 3, Mode.FLOAT)[0]]
     fn = lambda t: math.exp(2 * t)
     fd = oracles.fd_taylor_coeffs(fn, 0.25, 3)
     for a, b in zip(coeffs, fd):
@@ -145,10 +145,10 @@ def test_mixed_jet_frozen():
     f = parse_map("map f(u, v) -> (u*v)")
     table, algebra = mixed_jet(f, (Fraction(1), Fraction(2)), (1, 1))
     coeffs = table[0]
-    assert coeffs[(0, 0)].value == 2
-    assert coeffs[(1, 0)].value == 2
-    assert coeffs[(0, 1)].value == 1
-    assert coeffs[(1, 1)].value == 1
+    assert coeffs[(0, 0)] == 2
+    assert coeffs[(1, 0)] == 2
+    assert coeffs[(0, 1)] == 1
+    assert coeffs[(1, 1)] == 1
     assert algebra.dimension == 4
 
 
@@ -159,7 +159,7 @@ def test_mixed_jet_matches_symbolic_oracle():
         want = oracles.mixed_coeff_symbolic(
             "u**2*v**3 - v", ("u", "v"), (Fraction(2), Fraction(-1)), exps
         )
-        assert got.value == oracles.to_fraction(want)
+        assert got == oracles.to_fraction(want)
 
 
 # ----- functor laws ---------------------------------------------------------------
@@ -261,9 +261,9 @@ def test_lift_map_matches_pointwise_application():
     f = random_poly_map(rng, 2, 2, depth=3)
     lifted = lift_map(f, w)
     p = random_point(rng, w, 2)
-    flat_in = [c.value for x in p.coords for c in x.coeffs]
+    flat_in = [c for x in p.coords for c in x.coeffs]
     direct = apply_map(f, p)
-    flat_out = [c.value for x in direct.coords for c in x.coeffs]
+    flat_out = [c for x in direct.coords for c in x.coeffs]
     assert [v for v in lifted(flat_in)] == flat_out
 
 
@@ -273,8 +273,8 @@ def test_lift_map_divides_by_constants():
     f = parse_map("map f(u, v) -> (u/2 - v^2/(3 - 1/2), (u + v)^3/(2 + 3)^2, 1/(4*2^-1))")
     lifted = lift_map(f, w)
     p = random_point(rng, w, 2)
-    flat_in = [c.value for x in p.coords for c in x.coeffs]
-    flat_out = [c.value for x in apply_map(f, p).coords for c in x.coeffs]
+    flat_in = [c for x in p.coords for c in x.coeffs]
+    flat_out = [c for x in apply_map(f, p).coords for c in x.coeffs]
     assert list(lifted(flat_in)) == flat_out
 
 

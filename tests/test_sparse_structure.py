@@ -15,7 +15,6 @@ from weilkit import (
     InfinitesimalExponent,
     ModelObject,
     ModeError,
-    Scalar,
     WeilAlgebra,
     check_weil_exponentiable,
     dual_numbers,
@@ -46,7 +45,7 @@ def _reference(basis, x, w1, w2, wy):
     a_side = tensor(tensor(w1, w2)[0], wy)[0]
     b_side = tensor(tensor(w1, wy)[0], w2)[0]
     sigma = axioms.factor_permutation_iso(a_side, b_side, (0, 2, 1))
-    rows = [[e.value for e in row] for row in sigma.matrix.entries]
+    rows = [[e for e in row] for row in sigma.matrix.entries]
     return carrier_transport_reference(
         basis, x.ambient_dim, rows, a_side.dimension, b_side.dimension
     )
@@ -205,7 +204,7 @@ def test_tabled_refuses_float_structure_constants():
     one, x = [qq(1), qq(0)], [qq(0), qq(1)]
     with pytest.raises(ModeError):
         WeilAlgebra.tabled(
-            [[one, x], [x, [qq(0), Scalar(0.5)]]],
+            [[one, x], [x, [qq(0), 0.5]]],
             [qq(1), qq(0)],
             check=False,
             nilpotency_hint=3,

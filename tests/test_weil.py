@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from weilkit import (
     AlgebraError,
     DiagramInWeil,
+    Matrix,
     Mode,
     ModeError,
     NonNilpotentError,
-    Scalar,
     WeilElement,
     WeilMorphism,
     dual_numbers,
@@ -45,6 +45,9 @@ from weilkit.corpus import (
     random_morphism,
     random_presented_algebra,
 )
+from weilkit.exactlin import kernel_basis, solve_affine, solve_unique
+from weilkit.expr import PolyCoefficients
+from weilkit.smooth import WeilCoefficients
 from weilkit.weil import DiagramError, MorphismError, augmentation, generator_elements
 
 import oracles
@@ -378,11 +381,11 @@ def test_equalizer_matches_nullspace_oracle():
         psi = random_morphism(rng, src, tgt)
         sub, incl = equalizer(phi, psi)
         expected = oracles.equalizer_space(
-            [[e.value for e in row] for row in phi.matrix.entries],
-            [[e.value for e in row] for row in psi.matrix.entries],
+            [[e for e in row] for row in phi.matrix.entries],
+            [[e for e in row] for row in psi.matrix.entries],
         )
         got = [
-            tuple(e.value for e in incl.matrix.column(j))
+            tuple(e for e in incl.matrix.column(j))
             for j in range(sub.dimension)
         ]
         assert oracles.same_span(expected, got, src.dimension)
@@ -457,7 +460,7 @@ def test_mixed_mode_elements_refuse_every_operation():
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(ModeError):
                 op(left, right)
-    pairs = ((exact, 0.5), (exact, Scalar(0.5)), (floats, Fraction(1, 2)), (floats, qq(2)))
+    pairs = ((exact, 0.5), (exact, 0.5), (floats, Fraction(1, 2)), (floats, qq(2)))
     for element, c in pairs:
         with pytest.raises(ModeError):
             element.scaled(c)
@@ -480,19 +483,74 @@ def test_exact_coefficients_are_fractions():
     for w in (jet_line(3), tabled, sub):
         x = w.element([Fraction(k + 1, 2) for k in range(w.dimension)])
         products = [x * x, x + x, x - x, -x, x.scaled(2), x**3, x / 3, x / x, w.zero(), w.one()]
-        assert all(type(c.value) is Fraction for e in products for c in e.coeffs)
-        assert type(x.augmentation().value) is Fraction
-        assert all(type(c.value) is Fraction for c in w.aug_covector)
+        assert all(type(c) is Fraction for e in products for c in e.coeffs)
+        assert type(x.augmentation()) is Fraction
+        assert all(type(c) is Fraction for c in w.aug_covector)
     # selection matrices built by index, and the matrices of products and limits
     w, inj1, inj2 = tensor(tabled, dual_numbers("y"))
     _, legs = limit(DiagramInWeil((tabled, jet_line(2)), ()))
     for m in [inj1.matrix, inj2.matrix, augmentation(w).matrix] + [leg.matrix for leg in legs]:
-        assert all(type(e.value) is Fraction for row in m.entries for e in row)
+        assert all(type(e) is Fraction for row in m.entries for e in row)
     f = parse_map("f(u) -> (u^2 + 1, 3)")
-    assert all(type(c.value) is Fraction for out in jet(f, 2, 5) for c in out)
+    assert all(type(c) is Fraction for out in jet(f, 2, 5) for c in out)
     g = parse_map("g(x, y) -> (x*y)")
     (coeffs,), _ = mixed_jet(g, [1, 2], [2, 2])
-    assert all(type(c.value) is Fraction for c in coeffs.values())
+    assert all(type(c) is Fraction for c in coeffs.values())
+
+
+def _matrix(mode):
+    cast = float if mode is Mode.FLOAT else Fraction
+    return Matrix([[cast(1), cast(2)], [cast(3), cast(4)]])
+
+
+def _element(mode):
+    cast = float if mode is Mode.FLOAT else Fraction
+    return jet_line(2).element([cast(2), cast(0), cast(3)])
+
+
+def _affine_values():
+    particular, kernel = solve_affine(Matrix([[1, 1]]), (2,))
+    return particular + kernel[0]
+
+
+def _mixed_jet_values(mode):
+    (coeffs,), _ = mixed_jet(parse_map("g(x, y) -> (x*y^2)"), [1, 2], [1, 2], mode)
+    return coeffs.values()
+
+
+_TABLED = product_over_k(dual_numbers(), jet_line(2))[0]
+
+# every public reader, with the modes it has: algebra structure is exact only
+_READERS = {
+    "Matrix.entries": (lambda m: [e for row in _matrix(m).entries for e in row], Mode),
+    "Matrix.row": (lambda m: _matrix(m).row(1), Mode),
+    "Matrix.column": (lambda m: _matrix(m).column(1), Mode),
+    "Matrix.apply": (lambda m: _matrix(m).apply((1, 2)), Mode),
+    "kernel_basis": (lambda m: kernel_basis(Matrix([[1, 1, 0]]))[1], [Mode.EXACT]),
+    "solve_unique": (lambda m: solve_unique(_matrix(m), (1, 2)), [Mode.EXACT]),
+    "solve_affine": (lambda m: _affine_values(), [Mode.EXACT]),
+    "WeilElement.coeffs": (lambda m: (_element(m) * _element(m)).coeffs, Mode),
+    "WeilElement.augmentation": (
+        lambda m: [_element(m).augmentation(), (_element(m) - _element(m)).augmentation()], Mode
+    ),
+    "structure_vector": (lambda m: _TABLED.structure_vector(1, 1), [Mode.EXACT]),
+    "aug_covector": (lambda m: _TABLED.aug_covector, [Mode.EXACT]),
+    "jet": (lambda m: jet(parse_map("f(u) -> (u^3 + 1)"), 2, 3, m)[0], Mode),
+    "mixed_jet": (_mixed_jet_values, Mode),
+    "WeilCoefficients.scalar": (
+        lambda m: [WeilCoefficients(jet_line(2), m).scalar(_element(m))], Mode
+    ),
+    "PolyCoefficients.scalar": (lambda m: [PolyCoefficients(2).scalar({(0, 0): 3})], [Mode.EXACT]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode", [(name, mode) for name, (_, modes) in _READERS.items() for mode in modes]
+)
+def test_every_public_reader_hands_out_the_raw_values(name, mode):
+    values = list(_READERS[name][0](mode))
+    want = float if mode is Mode.FLOAT else Fraction
+    assert values and all(type(v) is want for v in values), values
 
 
 # ----- the exact kernel against the dense reference ------------------------------
