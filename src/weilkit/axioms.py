@@ -196,7 +196,11 @@ def check_microlinear(
     probe deliberately broken cones.  The decision itself is exact linear
     algebra.
     """
-    rank_c, nullity = limit_cone_numbers(cone, enforce_limit_input)
+    return _lifted_verdict(x, cone, *limit_cone_numbers(cone, enforce_limit_input))
+
+
+def _lifted_verdict(x: ModelObject, cone: DiagramInWeil, rank_c: int, nullity: int) -> Verdict:
+    """check_microlinear's verdict for X from the cone's r = 1 numbers."""
     r = x.dim
     if r == 0:
         return Verdict(True, f"{x.name} is the zero object; both sides vanish")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import corpus
-from .axioms import ModelObject, check_microlinear, limit_cone_numbers
+from .axioms import ModelObject, _lifted_verdict, check_microlinear, limit_cone_numbers
 from .exactlin import (
     NO_SOLUTION,
     Matrix,
@@ -286,9 +286,7 @@ def _linear_rows_matrix(p: FiberedObject) -> Matrix:
         raise FiberedError(
             f"{p.projection.name} is not linear; this path needs a linear projection"
         )
-    return Matrix(
-        [[qq(c) for c in row] for row in rows], cols=p.total_dim
-    )
+    return Matrix(rows, cols=p.total_dim)
 
 
 def vertical_equations(p: FiberedObject, w: WeilAlgebra) -> Matrix:
@@ -395,7 +393,7 @@ def _solve_fiber(desc: VerticalFiber, params, record):
         )
     filt = [[qq(0)] * dim for _ in range(e)]
     for i in range(e):
-        filt[i][0] = qq(desc.base_point[i])
+        filt[i][0] = desc.base_point[i]
 
     def materialize() -> WeilPoint:
         coords = []
@@ -469,7 +467,7 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
     for poly in polys:
         row = []
         for j in range(p.total_dim):
-            row.append(qq(poly_eval(poly_diff(poly, j), base)))
+            row.append(poly_eval(poly_diff(poly, j), base))
         jac_rows.append(row)
     jac = Matrix(jac_rows, cols=p.total_dim)
     rank = jac.rank()
@@ -559,7 +557,7 @@ def check_vertical_equalizer(
         width = rng.randint(1, 2)
         coeffs = Matrix(
             [
-                [qq(corpus.random_rational(rng, 5)) for _ in range(width)]
+                [corpus.random_rational(rng, 5) for _ in range(width)]
                 for _ in basis
             ],
             cols=width,
@@ -589,7 +587,7 @@ def check_vertical_equalizer(
     if any(any(row) for row in eqs.raw):
         outsider = None
         for _ in range(20):
-            probe = [qq(corpus.random_rational(rng, 5)) for _ in range(eqs.cols)]
+            probe = [corpus.random_rational(rng, 5) for _ in range(eqs.cols)]
             if any(eqs.apply(probe)):
                 outsider = probe
                 break
@@ -621,12 +619,9 @@ def check_fibered_microlinear(
     verified to commute with every leg, which is the glue that makes the
     componentwise limit an arrow-level one.
     """
-    if enforce_limit_input:
-        limit_cone_numbers(d)
-    total = ModelObject.coordinate(p.total_dim)
-    base = ModelObject.coordinate(p.base_dim)
-    v_total = check_microlinear(total, d, enforce_limit_input=False)
-    v_base = check_microlinear(base, d, enforce_limit_input=False)
+    numbers = limit_cone_numbers(d, enforce_limit_input)
+    v_total = _lifted_verdict(ModelObject.coordinate(p.total_dim), d, *numbers)
+    v_base = _lifted_verdict(ModelObject.coordinate(p.base_dim), d, *numbers)
 
     rng = random.Random(seed)
     glue_ok = True
@@ -689,11 +684,8 @@ def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
 
     terms = []
     for s, t, m in d.arrows:
-        a_top = Matrix(
-            [[qq(c) for c in row] for row in m.top.linear_matrix()],
-            cols=m.source.total_dim,
-        ).kron(Matrix.identity(dim))
-        terms.append((offsets[s], a_top.raw, offsets[t], None))
+        a_top = Matrix(m.top.linear_matrix(), cols=m.source.total_dim)
+        terms.append((offsets[s], a_top.kron(Matrix.identity(dim)).raw, offsets[t], None))
     constraints = difference_rows(total_cols, terms)
 
     compatible_in_v = constraints @ within if bdiag_cols else Matrix([], cols=0)
@@ -708,10 +700,7 @@ def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
 
     apex_basis = vertical_space_basis(d.apex, w)
     canonical_blocks = [
-        Matrix(
-            [[qq(c) for c in row] for row in leg.top.linear_matrix()],
-            cols=d.apex.total_dim,
-        ).kron(Matrix.identity(dim))
+        Matrix(leg.top.linear_matrix(), cols=d.apex.total_dim).kron(Matrix.identity(dim))
         for leg in d.legs
     ]
     canonical = vstack(canonical_blocks, cols=d.apex.total_dim * dim)
@@ -906,6 +895,8 @@ def fibered_exponential_pullback(
 
     lifted = pm.kron(Matrix.identity(a_total.dimension))
     vert = kernel_basis(lifted) if p.base_dim < p.total_dim else []
+    vert = [[(k, y) for k, y in enumerate(kv) if y] for kv in vert]  # nonzero entries
+    shuffle_back = shuffle_total.inverse()
     pair_failures = 0
     for _ in range(samples):
         v = corpus.random_point(rng, a_base, p.base_dim)
@@ -917,9 +908,10 @@ def fibered_exponential_pullback(
         particular, _ = solved
         flat_u = list(particular)
         for kv in vert:
-            c = qq(corpus.random_rational(rng, 3))
+            c = corpus.random_rational(rng, 3)
             if c:
-                flat_u = [x + c * y for x, y in zip(flat_u, kv)]
+                for k, y in kv:
+                    flat_u[k] += c * y
         u = _point_from_flat(a_total, flat_u, p.total_dim)
         if apply_map(p.projection, u).coords != target.coords:
             pair_failures += 1
@@ -931,7 +923,7 @@ def fibered_exponential_pullback(
         if lhs.coords != rhs.coords:
             pair_failures += 1
             continue
-        back = apply_morphism(shuffle_total.inverse(), u2)
+        back = apply_morphism(shuffle_back, u2)
         if back.coords != u.coords:
             pair_failures += 1
     report.add(
@@ -1133,7 +1125,7 @@ def fibered_suite(
         "linear-lift",
         "coordinate projection over the tangent algebra",
         got is not None
-        and Matrix([[qq(c) for c in row] for row in got], cols=4) == want,
+        and Matrix(got, cols=4) == want,
         "lift of a linear projection is the blockwise matrix",
     )
 

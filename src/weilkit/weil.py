@@ -698,11 +698,17 @@ def geometric_invert(x):
 
 
 class WeilMorphism:
-    """A unit-preserving algebra map, stored as its matrix on the bases."""
+    """A unit-preserving algebra map, stored as its matrix on the bases.
 
-    __slots__ = ("source", "target", "matrix", "generator_images")
+    It acts through the matrix's sparse columns, built on first use as int
+    numerators over one common denominator: an exact image (and compose,
+    column by column) sums int products and makes each nonzero result a
+    Fraction once.  A float image keeps every term float(m) * c with m and
+    c nonzero, in increasing source index."""
 
-    def __init__(self, source, target, matrix, generator_images=None, check=True):
+    __slots__ = ("source", "target", "matrix", "_columns")
+
+    def __init__(self, source, target, matrix, check=True):
         if matrix.shape != (target.dimension, source.dimension):
             raise MorphismError("matrix shape does not match source/target")
         if matrix.mode is not Mode.EXACT:
@@ -710,7 +716,7 @@ class WeilMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.generator_images = generator_images
+        self._columns = None
         self._validate_cheap()
         if check:
             self._validate_multiplicative()
@@ -725,7 +731,8 @@ class WeilMorphism:
         for lam, row in zip(self.target.aug, raw):
             if lam:
                 for j, m in enumerate(row):
-                    pulled[j] += lam * m
+                    if m:
+                        pulled[j] += lam * m
         if any(p != a for p, a in zip(pulled, self.source.aug)):
             raise MorphismError("morphism is not augmentation-compatible")
 
@@ -739,6 +746,28 @@ class WeilMorphism:
                     raise MorphismError(
                         f"morphism not multiplicative on basis pair ({i},{j})"
                     )
+
+    def _int_columns(self):
+        """(D, columns): column j lists (i, n) with matrix[i][j] == n / D for
+        each nonzero entry, i increasing; D is the lcm of the denominators."""
+        if self._columns is None:
+            width = self.source.dimension
+            d, nz = _over_common_denominator([m for row in self.matrix.raw for m in row])
+            cols = [[] for _ in range(width)]
+            for k, n in nz:
+                cols[k % width].append((k // width, n))
+            self._columns = d, cols
+        return self._columns
+
+    def _push(self, d, nz):
+        """The raw image of the vector whose nonzero entries are n / d, (j, n) in nz."""
+        dm, cols = self._int_columns()
+        acc = [0] * self.target.dimension
+        for j, n in nz:
+            for i, m in cols[j]:
+                acc[i] += m * n
+        d *= dm
+        return tuple([Fraction(a, d) if a else _ZERO for a in acc])
 
     @staticmethod
     def from_generator_images(source, target, images, check=True) -> "WeilMorphism":
@@ -776,7 +805,7 @@ class WeilMorphism:
             prev_idx = source._index[tuple(prev)]
             cols[t] = (WeilElement._of(target, cols[prev_idx]) * images[g]).raw
         matrix = Matrix._of_columns(cols, target.dimension)
-        return WeilMorphism(source, target, matrix, generator_images=images, check=False)
+        return WeilMorphism(source, target, matrix, check=False)
 
     @staticmethod
     def identity(algebra) -> "WeilMorphism":
@@ -787,30 +816,25 @@ class WeilMorphism:
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
             raise ValueError("element does not live in the source algebra")
-        exact = element.mode is Mode.EXACT
-        out = [_RAW[element.mode][0]] * self.target.dimension
+        if element.mode is Mode.EXACT:
+            out = self._push(*_over_common_denominator(element.raw))
+            return WeilElement._of(self.target, out)
+        dm, cols = self._int_columns()
+        out = [0.0] * self.target.dimension
         for j, c in enumerate(element.raw):
             if c:
-                for i, row in enumerate(self.matrix.raw):
-                    m = row[j]
-                    if m:
-                        out[i] += (m if exact else float(m)) * c
+                # n / dm is float(matrix[i][j]): both round the same rational
+                for i, n in cols[j]:
+                    out[i] += (n / dm) * c
         return WeilElement._of(self.target, tuple(out), element.mode)
 
     def compose(self, inner: "WeilMorphism") -> "WeilMorphism":
-        """self after inner."""
+        """self after inner: each column of inner pushed through self."""
         if inner.target != self.source:
             raise MorphismError("composition endpoints do not match")
-        images = None
-        if inner.generator_images is not None:
-            images = tuple(self.apply(img) for img in inner.generator_images)
-        return WeilMorphism(
-            inner.source,
-            self.target,
-            self.matrix @ inner.matrix,
-            generator_images=images,
-            check=False,
-        )
+        d, cols = inner._int_columns()
+        matrix = Matrix._of_columns([self._push(d, col) for col in cols], self.target.dimension)
+        return WeilMorphism(inner.source, self.target, matrix, check=False)
 
     def is_isomorphism(self) -> bool:
         return self.matrix.is_invertible()
@@ -920,53 +944,36 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
     pair-basis structure-constant product.  The result remembers the basis
     bijection (b1, b2) <-> b so points can be regrouped later.
     """
+    d1, d2 = w1.dimension, w2.dimension
     if w1.flavor == "presented" and w2.flavor == "presented":
         names2 = _fresh_names(w1.gens, w2.gens)
-        gens = w1.gens + names2
         n1, n2 = len(w1.gens), len(names2)
         rels = [r + (0,) * n2 for r in w1.relations]
         rels += [(0,) * n1 + r for r in w2.relations]
-        w = make_presented(gens, rels)
-        pair_of_index = []
-        index_of_pair = {}
-        for k, e in enumerate(w.basis):
-            i1 = w1._index[e[:n1]]
-            i2 = w2._index[e[n1:]]
-            pair_of_index.append((i1, i2))
-            index_of_pair[(i1, i2)] = k
-        w.tensor_info = TensorInfo(w1, w2, tuple(pair_of_index), index_of_pair)
-        inj1 = WeilMorphism.from_generator_images(
-            w1, w, [w.basis_element(w._index[_gen_exp_padded(i, n1, n2, True)]) for i in range(n1)],
-            check=False,
-        )
-        inj2 = WeilMorphism.from_generator_images(
-            w2, w, [w.basis_element(w._index[_gen_exp_padded(i, n1, n2, False)]) for i in range(n2)],
-            check=False,
-        )
-        return w, inj1, inj2
-
-    d1, d2 = w1.dimension, w2.dimension
-    pair_of_index = tuple((i1, i2) for i1 in range(d1) for i2 in range(d2))
-    index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
-    # pair (k1, k2) sits at k1 * d2 + k2, so terms stay index-increasing
-    terms = [
-        [
-            tuple(
-                (k1 * d2 + k2, c1 * c2)
-                for k1, c1 in w1._terms(i1, j1)
-                for k2, c2 in w2._terms(i2, j2)
-            )
-            for (j1, j2) in pair_of_index
+        w = make_presented(w1.gens + names2, rels)
+        pair_of_index = tuple((w1._index[e[:n1]], w2._index[e[n1:]]) for e in w.basis)
+    else:
+        pair_of_index = tuple((i1, i2) for i1 in range(d1) for i2 in range(d2))
+        # pair (k1, k2) sits at k1 * d2 + k2, so terms stay index-increasing
+        terms = [
+            [
+                tuple(
+                    (k1 * d2 + k2, c1 * c2)
+                    for k1, c1 in w1._terms(i1, j1)
+                    for k2, c2 in w2._terms(i2, j2)
+                )
+                for (j1, j2) in pair_of_index
+            ]
+            for (i1, i2) in pair_of_index
         ]
-        for (i1, i2) in pair_of_index
-    ]
-    aug = tuple(w1.aug[i1] * w2.aug[i2] for (i1, i2) in pair_of_index)
-    w = WeilAlgebra._from_terms(
-        terms,
-        aug,
-        check=False,
-        nilpotency_hint=w1.nilpotency_degree + w2.nilpotency_degree - 1,
-    )
+        aug = tuple(w1.aug[i1] * w2.aug[i2] for (i1, i2) in pair_of_index)
+        w = WeilAlgebra._from_terms(
+            terms,
+            aug,
+            check=False,
+            nilpotency_hint=w1.nilpotency_degree + w2.nilpotency_degree - 1,
+        )
+    index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
     w.tensor_info = TensorInfo(w1, w2, pair_of_index, index_of_pair)
     picks1 = [index_of_pair[(i1, 0)] for i1 in range(d1)]
     picks2 = [index_of_pair[(0, i2)] for i2 in range(d2)]
@@ -983,16 +990,6 @@ def _selection(rows: int, picks) -> Matrix:
     return Matrix._of(tuple(map(tuple, out)), len(picks))
 
 
-def _gen_exp_padded(i, n1, n2, left):
-    e = [0] * (n1 + n2)
-    e[i if left else n1 + i] = 1
-    return tuple(e)
-
-
-def _nonzero_columns(m: Matrix):
-    return [[(k, v) for k, v in enumerate(col) if v] for col in zip(*m.raw)]
-
-
 def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=None):
     """phi (x) psi between tensor algebras, acting factorwise on pair bases."""
     if source is None:
@@ -1003,13 +1000,13 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
     ti = target.tensor_info
     if si is None or ti is None:
         raise MorphismError("tensor_morphism needs tensor-built source and target")
-    cols1, cols2 = _nonzero_columns(phi.matrix), _nonzero_columns(psi.matrix)
+    (d1, cols1), (d2, cols2) = phi._int_columns(), psi._int_columns()
     cols = []
     for (i1, i2) in si.pair_of_index:
         vec = [_ZERO] * target.dimension
         for k1, a in cols1[i1]:
             for k2, b in cols2[i2]:
-                vec[ti.index_of_pair[(k1, k2)]] = a * b
+                vec[ti.index_of_pair[(k1, k2)]] = Fraction(a * b, d1 * d2)
         cols.append(vec)
     return WeilMorphism(
         source, target, Matrix._of_columns(cols, target.dimension), check=False

@@ -9,7 +9,10 @@ former route whole on the package's own parts, so that the short route can
 be compared with the long one: is_limit_cone_reference, the limit-cone
 decision weilkit made before it read the rank numbers, and
 solve_fiber_reference, the vertical-fiber solve that lifted the projection
-at every filtration degree.  The expression references
+at every filtration degree.  morphism_apply_reference and
+tensor_injections_reference keep the dense morphism image and the
+generator-image injections that the sparse int columns and the selection
+matrices replaced.  The expression references
 at the end are the tree walkers weilkit used before its single fold; they
 share only the polynomial arithmetic helpers with the package.
 """
@@ -44,7 +47,7 @@ from weilkit.expr import (
 )
 from weilkit.fibered import FiberedError
 from weilkit.smooth import WeilPoint, apply_map, embed_base
-from weilkit.weil import MorphismError, WeilMorphism, limit
+from weilkit.weil import MorphismError, WeilMorphism, generator_elements, limit
 
 
 def _rat(value):
@@ -755,3 +758,33 @@ def solve_fiber_reference(desc, params):
     if image.coords != embed_base(image, w).coords:
         raise FiberedError("solved point failed the verticality recheck")
     return final, tuple(record)
+
+
+# ----- the former dense morphism image and tensor injections -----------------------
+
+
+def morphism_apply_reference(phi, element):
+    """Raw coefficients of phi's image of an element, by the dense loop:
+    every target row is scanned for each nonzero source coefficient c, and
+    each nonzero entry m adds m * c (float(m) * c on a float element), in
+    increasing source index."""
+    exact = not any(isinstance(c, float) for c in element.raw)
+    out = [Fraction(0) if exact else 0.0] * phi.target.dimension
+    for j, c in enumerate(element.raw):
+        if c:
+            for i, row in enumerate(phi.matrix.raw):
+                m = row[j]
+                if m:
+                    out[i] += (m if exact else float(m)) * c
+    return tuple(out)
+
+
+def tensor_injections_reference(w1, w2, w):
+    """(inj1, inj2) into w = tensor(w1, w2) of presented factors, from where
+    the generators go: w lists w1's generators, then w2's."""
+    gens = generator_elements(w)
+    n1 = len(w1.gens)
+    return (
+        WeilMorphism.from_generator_images(w1, w, gens[:n1], check=False),
+        WeilMorphism.from_generator_images(w2, w, gens[n1:], check=False),
+    )

@@ -1,6 +1,9 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import hashlib
+import json
 import math
+import pathlib
 import re
 import runpy
 import sys
@@ -297,6 +300,22 @@ def test_verify_is_byte_identical_for_a_fixed_seed(capsys):
     second = run(capsys, "verify", "axioms", "--seed", "7", "--samples", "6")
     assert first == second
     assert first[0] == 0
+
+
+def test_verify_suites_match_the_benchmark_records(capsys, monkeypatch):
+    # the nine invocations the benchmark times, in-process, against the
+    # [exit code, sha256(stdout)[:32]] it pins; the records are only read
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import VERIFY_SUITES
+
+    records = json.loads((bench / "records.json").read_text())["verify"]
+    got = {}
+    for name, argv in VERIFY_SUITES.items():
+        code, out, _ = run(capsys, *argv)
+        got[name] = [code, hashlib.sha256(out.encode()).hexdigest()[:32]]
+    assert len(got) == 9
+    assert got == records
 
 
 def test_verify_exact_only_suites_refuse_float(capsys):

@@ -323,6 +323,29 @@ def test_fibered_microlinear_conjunction():
     assert v.ok, v.certificate
 
 
+def test_fibered_microlinear_reads_the_rank_numbers_once(monkeypatch):
+    from weilkit import ModelObject, axioms, check_microlinear
+    from weilkit.corpus import mutate_cone
+
+    cone = random_limit_cone(random.Random(13))
+    mutant = mutate_cone(cone, "inflate")
+    proj = FiberedObject.coordinate_projection(3, 1)
+    calls = []
+    real = axioms._rank_one_numbers
+    monkeypatch.setattr(axioms, "_rank_one_numbers", lambda d: calls.append(d) or real(d))
+    for d, enforce in ((cone, True), (cone, False), (mutant, False)):
+        parts = [
+            check_microlinear(ModelObject.coordinate(n), d, enforce_limit_input=False)
+            for n in (3, 1)
+        ]
+        calls.clear()
+        v = check_fibered_microlinear(proj, d, samples=2, enforce_limit_input=enforce)
+        assert calls == [d]
+        assert v.ok == all(part.ok for part in parts) == (d is cone)
+        head = f"total space: {parts[0].certificate}; base space: {parts[1].certificate}; "
+        assert v.certificate.startswith(head)
+
+
 def test_vertical_microlinearity_linear_is_exact():
     d = dual_numbers()
     cone = limit_cone(DiagramInWeil((d,), ()))
