@@ -32,7 +32,6 @@ from .smooth import (
     jet,
     lift_map,
     mixed_jet,
-    project_to_base,
 )
 from .axioms import (
     InfinitesimalExponent,

@@ -523,27 +523,17 @@ def microlinearity_suite(
             )
         return report
 
-    produced = 0
-    attempts = 0
-    while produced < samples and attempts < samples * 4:
-        attempts += 1
-        cone = corpus.random_limit_cone(rng)
-        kind = "collapse" if produced % 2 == 0 else "inflate"
-        mutant = corpus.mutate_cone(cone, kind)
-        if mutant is None:
-            mutant = corpus.mutate_cone(cone, "inflate")
-            kind = "inflate"
-        x = spaces[produced % len(spaces)]
+    for i, (kind, mutant) in enumerate(corpus.mutated_cones(rng, samples)):
+        x = spaces[i % len(spaces)]
         v = check_microlinear(x, mutant, enforce_limit_input=False)
         report.add(
             "negative-control",
-            f"{x.name} over {kind}-mutated cone {produced}",
+            f"{x.name} over {kind}-mutated cone {i}",
             not v.ok,
             f"checker correctly refuses: {v.certificate}"
             if not v.ok
             else "checker wrongly accepted a broken cone",
         )
-        produced += 1
 
     cone = corpus.random_limit_cone(rng)
     mutant = corpus.mutate_cone(cone, "inflate")

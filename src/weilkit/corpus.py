@@ -225,6 +225,19 @@ def mutate_cone(cone: DiagramInWeil, kind: str) -> DiagramInWeil | None:
     raise ValueError(f"unknown mutation {kind!r}")
 
 
+def mutated_cones(rng: random.Random, count: int):
+    """`count` negative controls as (kind, mutant): seeded limit cones,
+    collapsed at even positions and inflated at odd ones or when the apex
+    is too small to collapse."""
+    for i in range(count):
+        cone = random_limit_cone(rng)
+        kind = "collapse" if i % 2 == 0 else "inflate"
+        mutant = mutate_cone(cone, kind)
+        if mutant is None:
+            kind, mutant = "inflate", mutate_cone(cone, "inflate")
+        yield kind, mutant
+
+
 # ----- random maps ----------------------------------------------------------
 
 

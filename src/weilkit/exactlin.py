@@ -1,12 +1,11 @@
 """Exact rational scalars and the dense linear algebra everything else reduces to.
 
 Two scalar modes exist: exact (Python Fractions) and float (doubles, for
-the analytic primitives); a number needs no type of its own.  A matrix
-holds raw values of one mode, Fractions or floats, says once which, and
-hands the same values out to its readers.  Mixing modes in one operation is
-a bug in the caller, so it raises at the container boundary instead of
-silently promoting.  All structural decisions (kernels, ranks, solvability)
-are exact-only.
+the analytic primitives on algebra elements); a number needs no type of its
+own.  Matrices are exact: they hold Fractions and hand the same values out
+to their readers, and a float reaching one raises ModeError at the
+container boundary instead of silently promoting.  So every structural
+decision (kernels, ranks, solvability) is exact.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ NOT_UNIQUE = SolveFailure.NOT_UNIQUE
 
 # the raw zero and one of each mode
 _RAW = {Mode.EXACT: (Fraction(0), Fraction(1)), Mode.FLOAT: (0.0, 1.0)}
+_ZERO, _ONE = _RAW[Mode.EXACT]
 _RAW_TYPES = frozenset((Fraction, float))
 
 
@@ -67,14 +67,6 @@ def _one_mode(values, what: str) -> Mode:
     return Mode.FLOAT if True in kinds else Mode.EXACT
 
 
-def _joint_mode(*matrices) -> Mode:
-    """The one mode of the operands that hold entries (exact if none do)."""
-    modes = {m.mode for m in matrices if m.rows and m.cols}
-    if len(modes) > 1:
-        raise ModeError("mixed-mode operation on exact and float matrices")
-    return modes.pop() if modes else Mode.EXACT
-
-
 def qq(value) -> Fraction:
     """An exact rational from an int, Fraction or numeric str; a float is a
     ModeError."""
@@ -90,17 +82,18 @@ def _unit(n: int, i: int, mode: Mode = Mode.EXACT) -> tuple:
 
 
 class Matrix:
-    """Dense matrix of raw values in one mode: `raw` holds the rows, all
-    Fractions (exact) or all floats, and `mode` says which.
+    """Dense exact matrix: `raw` holds the rows, all Fractions.
 
-    The readers entries, row, column and apply hand out those raw values.  Empty
-    matrices (zero rows) are legal but need an explicit column count.
+    Entries are read through qq, so ints become Fractions and a float is a
+    ModeError.  The readers entries, row, column and apply hand out the raw
+    Fractions.  Empty matrices (zero rows) are legal but need an explicit
+    column count.
     """
 
-    __slots__ = ("rows", "cols", "raw", "mode")
+    __slots__ = ("rows", "cols", "raw")
 
     def __init__(self, entries, cols: int | None = None):
-        raw = tuple(tuple(_raw_of(e) for e in row) for row in entries)
+        raw = tuple(tuple(map(qq, row)) for row in entries)
         if not raw:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
@@ -113,16 +106,14 @@ class Matrix:
         self.raw = raw
         self.rows = len(raw)
         self.cols = cols
-        self.mode = _one_mode([e for row in raw for e in row], "matrix entries")
 
     @classmethod
-    def _of(cls, raw, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        """Matrix around one-mode raw rows (tuples) the kernel built itself."""
+    def _of(cls, raw, cols: int) -> "Matrix":
+        """Matrix around Fraction rows (tuples) the kernel built itself."""
         self = object.__new__(cls)
         self.raw = raw
         self.rows = len(raw)
         self.cols = cols
-        self.mode = mode if raw and cols else Mode.EXACT
         return self
 
     @classmethod
@@ -131,12 +122,12 @@ class Matrix:
         return cls._of(tuple(zip(*columns)) if columns else ((),) * rows, len(columns))
 
     @staticmethod
-    def identity(n: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix._of(tuple(_unit(n, i, mode) for i in range(n)), n, mode)
+    def identity(n: int) -> "Matrix":
+        return Matrix._of(tuple(_unit(n, i) for i in range(n)), n)
 
     @staticmethod
-    def zeros(rows: int, cols: int, mode: Mode = Mode.EXACT) -> "Matrix":
-        return Matrix._of(((_RAW[mode][0],) * cols,) * rows, cols, mode)
+    def zeros(rows: int, cols: int) -> "Matrix":
+        return Matrix._of(((_ZERO,) * cols,) * rows, cols)
 
     @staticmethod
     def from_columns(columns, rows: int | None = None) -> "Matrix":
@@ -158,42 +149,31 @@ class Matrix:
     def row(self, i: int):
         return self.raw[i]
 
-    # Exact loops skip zero terms; float loops keep every term, summed left
-    # to right, since 0 * inf is nan and 0 * -1.0 is -0.0.
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        mode = _joint_mode(self, other)
-        exact = mode is Mode.EXACT
-        right = [[(j, y) for j, y in enumerate(row) if y or not exact] for row in other.raw]
+        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.raw]
         out = []
         for row in self.raw:
-            acc = [_RAW[mode][0]] * other.cols
+            acc = [_ZERO] * other.cols
             for t, x in enumerate(row):
-                if x or not exact:
+                if x:
                     for j, y in right[t]:
                         acc[j] += x * y
             out.append(tuple(acc))
-        return Matrix._of(tuple(out), other.cols, mode)
+        return Matrix._of(tuple(out), other.cols)
 
     def apply(self, vec):
-        vec = tuple(vec)
+        vec = tuple(map(qq, vec))
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        if not self.rows:
-            return ()
-        exact = self.mode is Mode.EXACT
-        # ints meet either mode exactly; anything else must match it
-        vals = [v if type(v) is int else _raw_of(v) for v in vec]
-        if any(_mode_of(v) is not self.mode for v in vals if type(v) is not int):
-            raise ModeError(f"mixed-mode apply: {self.mode.value} matrix, other vector")
-        terms = [(t, y) for t, y in enumerate(vals) if y or not exact]
+        terms = [(t, y) for t, y in enumerate(vec) if y]
         out = []
         for row in self.raw:
-            acc = _RAW[self.mode][0]
+            acc = _ZERO
             for t, y in terms:
                 x = row[t]
-                if x or not exact:
+                if x:
                     acc += x * y
             out.append(acc)
         return tuple(out)
@@ -201,10 +181,7 @@ class Matrix:
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        mode = _joint_mode(self, other)
-        return Matrix._of(
-            tuple(tuple(map(op, r, s)) for r, s in zip(self.raw, other.raw)), self.cols, mode
-        )
+        return Matrix._of(tuple(tuple(map(op, r, s)) for r, s in zip(self.raw, other.raw)), self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, operator.add)
@@ -219,8 +196,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        # Fraction(1) == 1.0, so the modes must match as well as the values
-        return self.shape == other.shape and self.mode is other.mode and self.raw == other.raw
+        return self.shape == other.shape and self.raw == other.raw
 
     def __hash__(self):
         return hash((self.shape, self.raw))
@@ -228,13 +204,8 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _require_exact(self, what: str):
-        if self.mode is not Mode.EXACT:
-            raise ModeError(f"{what} requires exact mode; got float entries")
-
     def rref(self):
         """Reduced row echelon form.  Returns (raw Fraction rows, pivot column list)."""
-        self._require_exact("row reduction")
         rows = [list(r) for r in self.raw]
         pivots = []
         r = 0
@@ -266,7 +237,6 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
-        self._require_exact("matrix inversion")
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         inv = solve_matrix(self, Matrix.identity(self.rows))
@@ -276,17 +246,15 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
-        mode = _joint_mode(self, other)
-        exact = mode is Mode.EXACT
-        zeros = (_RAW[mode][0],) * other.cols
+        zeros = (_ZERO,) * other.cols
         out = []
         for row in self.raw:
             for b in other.raw:
                 cells = []
                 for a in row:
-                    cells.extend([a * y for y in b] if a or not exact else zeros)
+                    cells.extend([a * y for y in b] if a else zeros)
                 out.append(tuple(cells))
-        return Matrix._of(tuple(out), self.cols * other.cols, mode)
+        return Matrix._of(tuple(out), self.cols * other.cols)
 
 
 def hstack(matrices) -> Matrix:
@@ -294,9 +262,8 @@ def hstack(matrices) -> Matrix:
     rows = matrices[0].rows
     if any(m.rows != rows for m in matrices):
         raise ValueError("row counts differ")
-    mode = _joint_mode(*matrices)
     raw = zip(*(m.raw for m in matrices))
-    return Matrix._of(tuple(sum(row, ()) for row in raw), sum(m.cols for m in matrices), mode)
+    return Matrix._of(tuple(sum(row, ()) for row in raw), sum(m.cols for m in matrices))
 
 
 def vstack(matrices, cols: int | None = None) -> Matrix:
@@ -308,8 +275,7 @@ def vstack(matrices, cols: int | None = None) -> Matrix:
     width = matrices[0].cols
     if any(m.cols != width for m in matrices):
         raise ValueError("column counts differ")
-    mode = _joint_mode(*matrices)
-    return Matrix._of(sum((m.raw for m in matrices), ()), width, mode)
+    return Matrix._of(sum((m.raw for m in matrices), ()), width)
 
 
 def difference_rows(total: int, terms) -> Matrix:
@@ -320,11 +286,10 @@ def difference_rows(total: int, terms) -> Matrix:
     blocks start at columns s and t, one row of b per row of a; b = None
     stands for the identity.  Blocks at the same offset add.
     """
-    zero = _RAW[Mode.EXACT][0]
     rows = []
     for s, a, t, b in terms:
         for i, arow in enumerate(a):
-            row = [zero] * total
+            row = [_ZERO] * total
             for c, x in enumerate(arow):
                 if x:
                     row[s + c] += x
@@ -343,11 +308,10 @@ def _kernel_of(rows, pivots, cols: int):
     columns are the rref of m and whose pivots all lie among them."""
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    zero, one = _RAW[Mode.EXACT]
     basis = []
     for f in free:
-        v = [zero] * cols
-        v[f] = one
+        v = [_ZERO] * cols
+        v[f] = _ONE
         for r, p in enumerate(pivots):
             v[p] = -rows[r][f]
         basis.append(tuple(v))
@@ -358,10 +322,9 @@ def kernel_basis(m: Matrix):
     """Echelon basis of the right kernel as Fraction tuples, ordered by free
     column.
 
-    Exact mode only; every returned vector v satisfies m @ v = 0 and
+    Every returned vector v satisfies m @ v = 0 and
     rank(m) + len(basis) = m.cols.
     """
-    m._require_exact("kernel_basis")
     return _kernel_of(*m.rref(), m.cols)
 
 
@@ -371,7 +334,6 @@ def solve_unique(m: Matrix, rhs):
     Returns the solution vector, or NO_SOLUTION / NOT_UNIQUE as ordinary
     values; the caller decides which outcomes are errors.
     """
-    m._require_exact("solve_unique")
     x = solve_matrix(m, Matrix.from_columns([tuple(rhs)], rows=m.rows))
     return x if isinstance(x, SolveFailure) else x.column(0)
 
@@ -382,11 +344,10 @@ def solve_affine(m: Matrix, rhs):
     One elimination of [m | rhs] gives both: when the system is consistent
     its left block is the rref of m, so the kernel is read off it.
     """
-    m._require_exact("solve_affine")
     rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
     if m.cols in pivots:
         return NO_SOLUTION
-    particular = [_RAW[Mode.EXACT][0]] * m.cols
+    particular = [_ZERO] * m.cols
     for r, p in enumerate(pivots):
         particular[p] = rows[r][m.cols]
     return tuple(particular), _kernel_of(rows, pivots, m.cols)
@@ -401,7 +362,6 @@ def solve_matrix(m: Matrix, rhs: Matrix):
     """
     if not rhs.cols:
         return Matrix.from_columns([], rows=m.cols)
-    m._require_exact("solve_matrix")
     if rhs.rows != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
@@ -419,7 +379,7 @@ def solve_matrix(m: Matrix, rhs: Matrix):
 def span_contains(basis, vector) -> bool:
     """Does the exact span of `basis` contain `vector`?"""
     if not basis:
-        return not any(_raw_of(e) for e in vector)
+        return not any(map(qq, vector))
     m = Matrix.from_columns(basis)
     _, pivots = hstack([m, Matrix.from_columns([tuple(vector)])]).rref()
     return m.cols not in pivots

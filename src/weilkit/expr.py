@@ -484,13 +484,6 @@ class SmoothMap:
         bodies = tuple(_substitute(b, inner.bodies) for b in self.bodies)
         return SmoothMap(inner.var_names, bodies, name=f"{self.name}.{inner.name}")
 
-    def is_polynomial(self) -> bool:
-        try:
-            self.to_polys()
-            return True
-        except (NonPolynomialError, ZeroDivisionError):
-            return False
-
     def uses_transcendental(self) -> bool:
         return any(b.first_call() for b in self.bodies)
 

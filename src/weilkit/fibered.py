@@ -39,7 +39,6 @@ from .expr import (
     parse_map,
     poly_diff,
     poly_eval,
-    serialize_map,
 )
 from .reports import Report, Verdict
 from .smooth import WeilPoint, apply_map, apply_morphism, embed_base, lift_map
@@ -122,9 +121,6 @@ class FiberedObject:
     @property
     def is_linear(self) -> bool:
         return self.linear_rows() is not None
-
-    def to_text(self) -> str:
-        return serialize_map(self.projection, keyword="fibered")
 
 
 def _maps_agree(f: SmoothMap, g: SmoothMap, seed: int = 0):
@@ -1067,16 +1063,8 @@ def fibered_suite(
     proj = FiberedObject.coordinate_projection(2, 1)
 
     if negative_controls:
-        produced = 0
-        attempts = 0
-        while produced < max(4, samples // 3) and attempts < samples * 4:
-            attempts += 1
-            cone = corpus.random_limit_cone(rng)
-            kind = "collapse" if produced % 2 == 0 else "inflate"
-            mutant = corpus.mutate_cone(cone, kind)
-            if mutant is None:
-                mutant = corpus.mutate_cone(cone, "inflate")
-                kind = "inflate"
+        count = min(max(4, samples // 3), samples * 4)
+        for i, (kind, mutant) in enumerate(corpus.mutated_cones(rng, count)):
             v = check_fibered_microlinear(
                 proj, mutant, enforce_limit_input=False
             )
@@ -1087,11 +1075,10 @@ def fibered_suite(
             )
             report.add(
                 "negative-control",
-                f"{kind}-mutated cone {produced}",
+                f"{kind}-mutated cone {i}",
                 (not v.ok) and (not component.ok),
                 "arrow-level check and component check both refuse",
             )
-            produced += 1
         try:
             FiberedMorphism(
                 proj,

@@ -68,10 +68,6 @@ class Report:
     def ok(self) -> bool:
         return all(o.passed for o in self.outcomes)
 
-    @property
-    def failures(self) -> list:
-        return [o for o in self.outcomes if not o.passed]
-
     def render(self, style: str = "text") -> str:
         passed = sum(1 for o in self.outcomes if o.passed)
         if style == "kv":

@@ -30,11 +30,9 @@ from .expr import (
     NonPolynomialError,
     PolyCoefficients,
     SmoothMap,
-    const,
     fold,
     poly_to_expr,
     poly_var,
-    var,
 )
 from .reports import Verdict
 from .weil import (
@@ -92,11 +90,6 @@ class WeilPoint:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def project_to_base(point: WeilPoint) -> WeilPoint:
-    """Collapse nilpotents: the canonical projection onto ordinary points."""
-    return WeilPoint.from_scalars(terminal(), point.base(), point.mode)
 
 
 def embed_base(point: WeilPoint, algebra: WeilAlgebra) -> WeilPoint:
@@ -526,30 +519,3 @@ def lift_map(f: SmoothMap, algebra: WeilAlgebra) -> SmoothMap:
         for c in r.coeffs:
             bodies.append(poly_to_expr(c, total))
     return SmoothMap(names, tuple(bodies), name=f"{f.name}_lift")
-
-
-# ----- the lifted line as a ring object ---------------------------------------
-
-
-@dataclass(frozen=True)
-class LiftedLineStructure:
-    """The ring operations of R ^ W, written out as polynomial maps."""
-
-    algebra: WeilAlgebra
-    addition: SmoothMap
-    multiplication: SmoothMap
-    negation: SmoothMap
-    unit: SmoothMap
-    zero: SmoothMap
-
-
-def lifted_line_structure(algebra: WeilAlgebra) -> LiftedLineStructure:
-    two_in = SmoothMap(("u", "v"), (var(0) + var(1),), name="plus")
-    two_mul = SmoothMap(("u", "v"), (var(0) * var(1),), name="times")
-    neg = SmoothMap(("u",), (-var(0),), name="negate")
-    addition = lift_map(two_in, algebra)
-    multiplication = lift_map(two_mul, algebra)
-    negation = lift_map(neg, algebra)
-    unit = SmoothMap((), tuple(const(c) for c in algebra.one().raw), name="one")
-    zero = SmoothMap((), tuple(const(0) for _ in range(algebra.dimension)), name="zero")
-    return LiftedLineStructure(algebra, addition, multiplication, negation, unit, zero)

@@ -362,11 +362,6 @@ class WeilAlgebra:
         return tuple(vec)
 
     @property
-    def aug_covector(self):
-        """The augmentation on the basis, as Fractions."""
-        return self.aug
-
-    @property
     def is_terminal(self) -> bool:
         return self.dimension == 1
 
@@ -711,8 +706,6 @@ class WeilMorphism:
     def __init__(self, source, target, matrix, check=True):
         if matrix.shape != (target.dimension, source.dimension):
             raise MorphismError("matrix shape does not match source/target")
-        if matrix.mode is not Mode.EXACT:
-            raise ModeError("morphisms are exact; float entries rejected")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -1323,15 +1316,14 @@ def filtered_basis(w: WeilAlgebra):
         degrees = [sum(e) for e in w.basis]
         return vectors, degrees
     chain = w._ideal_chain()
+    span = _Echelon()
     picked = []
     degrees = []
-    rank = 0
     for g in range(len(chain), 0, -1):
         for v in chain[g - 1]:
-            if Matrix._of(tuple(picked) + (v,), w.dimension).rank() > rank:
+            if span.add(v):
                 picked.append(v)
                 degrees.append(g)
-                rank += 1
     unit = w.one().raw
     vectors = [unit] + list(reversed(picked))
     degs = [0] + list(reversed(degrees))

@@ -12,7 +12,8 @@ solve_fiber_reference, the vertical-fiber solve that lifted the projection
 at every filtration degree.  morphism_apply_reference and
 tensor_injections_reference keep the dense morphism image and the
 generator-image injections that the sparse int columns and the selection
-matrices replaced.  The expression references
+matrices replaced, and filtered_basis_reference the rank loop that an
+incremental echelon form replaced.  The expression references
 at the end are the tree walkers weilkit used before its single fold; they
 share only the polynomial arithmetic helpers with the package.
 """
@@ -28,6 +29,7 @@ import sympy
 
 from weilkit.exactlin import (
     NO_SOLUTION,
+    Matrix,
     ModeError,
     SolveFailure,
     qq,
@@ -328,6 +330,24 @@ def greedy_basis_reference(vectors, n):
         if len(rref_reference(candidate, n)[1]) > len(picked):
             picked = candidate
     return picked
+
+
+def filtered_basis_reference(w):
+    """weilkit's filtered basis and degree labels by one Matrix.rank of the
+    growing pick per candidate, from the deepest power of the maximal ideal
+    up; presented algebras keep their monomial basis."""
+    n = w.dimension
+    if w.flavor == "presented":
+        units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        return units, [sum(e) for e in w.basis]
+    chain = w._ideal_chain()
+    picked, degrees = [], []
+    for g in range(len(chain), 0, -1):
+        for v in chain[g - 1]:
+            if Matrix(picked + [v], cols=n).rank() > len(picked):
+                picked.append(v)
+                degrees.append(g)
+    return [w.one().raw] + picked[::-1], [0] + degrees[::-1]
 
 
 def nilpotency_degree_reference(table, aug):

@@ -318,6 +318,23 @@ def test_verify_suites_match_the_benchmark_records(capsys, monkeypatch):
     assert got == records
 
 
+def test_commands_match_the_benchmark_records(capsys, monkeypatch):
+    # every small invocation the benchmark pins, rebuilt from its kind and
+    # item, in-process, against [exit code, sha256(stdout)[:32]]
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import command_item, digest
+
+    records = json.loads((bench / "records.json").read_text())["commands"]
+    assert len(records) == 840
+    for key, rec in records.items():
+        kind, k = key.rsplit(":", 1)
+        argv = command_item(kind, int(k))
+        assert digest("\0".join(argv)) == rec["argv"], key
+        code, out, _ = run(capsys, *argv)
+        assert [code, digest(out)] == rec["out"], (key, argv)
+
+
 def test_verify_exact_only_suites_refuse_float(capsys):
     code, _, err = run(capsys, "verify", "microlinear", "--mode", "float")
     assert code == 2

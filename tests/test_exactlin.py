@@ -15,7 +15,7 @@ from oracles import (
     solve_columns_reference,
 )
 
-from weilkit import Matrix, Mode, ModeError, qq
+from weilkit import Matrix, ModeError, WeilMorphism, dual_numbers, qq
 from weilkit.exactlin import (
     NO_SOLUTION,
     NOT_UNIQUE,
@@ -167,12 +167,6 @@ def test_solve_outcomes_are_values_not_errors():
     assert solve_affine(singular, (qq(1), qq(1))) is NO_SOLUTION
 
 
-def test_rank_rejects_float_matrices():
-    m = Matrix([[1.0]])
-    with pytest.raises(ModeError):
-        m.rank()
-
-
 def test_span_helpers():
     e0 = (qq(1), qq(0), qq(0))
     e1 = (qq(0), qq(1), qq(0))
@@ -267,58 +261,26 @@ def test_add_and_sub_match_reference(data):
     assert raw_rows(left - right) == add_reference(a, b, sign=-1)
 
 
-def test_mixed_modes_raise_at_every_sum():
-    exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
-    floats = Matrix([[1.0, 0.0], [2.0, 3.0]])
-    for left, right in ((exact, floats), (floats, exact)):
-        with pytest.raises(ModeError):
-            left + right
-        with pytest.raises(ModeError):
-            left - right
-    with pytest.raises(ValueError):
-        exact + Matrix([[qq(1), qq(2)]])
-    # float sums stay float, and -0.0 survives
-    diff = Matrix([[-0.0]]) - Matrix([[0.0]])
-    assert diff.mode is Mode.FLOAT and str(diff.entries[0][0]) == "-0.0"
-    assert floats + floats == Matrix([[2.0, 0.0], [4.0, 6.0]])
-
-
-def test_mixed_modes_raise_at_every_product():
-    exact = Matrix([[qq(1), qq(0)], [qq(2), qq(3)]])
-    floats = Matrix([[1.0, 0.0], [2.0, 3.0]])
-    for left, right in ((exact, floats), (floats, exact)):
-        with pytest.raises(ModeError):
-            left @ right
-        with pytest.raises(ModeError):
-            left.kron(right)
+def test_matrices_refuse_floats_at_every_route():
+    # a float is refused where it enters, not at the first elimination
     with pytest.raises(ModeError):
-        exact.apply((1.0, qq(0)))
+        Matrix([[qq(1), 0.5]])
     with pytest.raises(ModeError):
-        exact.apply((0.5, 1))
+        Matrix.from_columns([(1, 0), (0.0, 1)])
     with pytest.raises(ModeError):
-        floats.apply((Fraction(1, 2), 1))
+        Matrix([[1, 0], [2, 3]]).apply((0.5, 1))
     with pytest.raises(ModeError):
-        floats.apply((qq(1), 1.0))
-    # ints meet either mode
-    assert floats.apply((1, 2)) == (1.0, 8.0)
-    assert exact.apply((1, 2)) == (qq(1), qq(8))
-
-
-def test_mixed_modes_raise_at_the_stacks_and_never_compare_equal():
-    exact = Matrix([[qq(1), qq(0)]])
-    floats = Matrix([[1.0, 0.0]])
-    for pair in ((exact, floats), (floats, exact)):
-        with pytest.raises(ModeError):
-            hstack(pair)
-        with pytest.raises(ModeError):
-            vstack(pair)
+        Matrix([], cols=1).apply((0.5,))
+    d = dual_numbers()
     with pytest.raises(ModeError):
-        Matrix([[qq(1), 0.0]])
-    # Fraction(1) == 1.0, yet equal values in two modes are two matrices
-    assert exact != floats and not exact == floats
-    assert Matrix([[1, 0]]) != Matrix([[1.0, 0.0]])
-    assert Matrix.identity(2) != Matrix.identity(2, Mode.FLOAT)
-    assert Matrix.zeros(1, 2) != Matrix.zeros(1, 2, Mode.FLOAT)
+        WeilMorphism(d, d, Matrix([[1.0, 0.0], [0.0, 1.0]]))
+    # ints pass as exact and come back as Fractions
+    m = Matrix([[1, 0], [2, 3]])
+    image = m.apply((1, 2))
+    assert image == (1, 8) and all(type(v) is Fraction for v in image)
+    assert all(type(e) is Fraction for row in m.entries for e in row)
+    assert all(type(e) is Fraction for c in Matrix.from_columns([(1, 2)]).entries for e in c)
+    assert not hasattr(m, "mode")
 
 
 def test_exact_entries_are_fractions_after_every_operation():
@@ -333,25 +295,6 @@ def test_exact_entries_are_fractions_after_every_operation():
     particular, kernel = solve_affine(Matrix([[1, 1]]), (2,))
     vectors += [particular, *kernel]
     assert all(type(e) is Fraction for v in vectors for e in v)
-
-
-def test_float_products_keep_every_term():
-    # 0 * inf is nan and 0 * -1.0 is -0.0, so float loops skip nothing
-    inf = float("inf")
-    a = Matrix([[1.0, 0.0], [0.0, -2.0]])
-    b = Matrix([[inf, 0.5], [0.0, 3.0]])
-
-    def text(m):
-        return [[str(e) for e in row] for row in m.entries]
-
-    assert text(a @ b) == [["inf", "0.5"], ["nan", "-6.0"]]
-    assert [str(e) for e in a.apply((inf, 1))] == ["inf", "nan"]
-    assert text(a.kron(b)) == [
-        ["inf", "0.5", "nan", "0.0"],
-        ["0.0", "3.0", "0.0", "0.0"],
-        ["nan", "0.0", "-inf", "-1.0"],
-        ["0.0", "0.0", "-0.0", "-6.0"],
-    ]
 
 
 # ----- solve_matrix: one elimination, the column-by-column outcomes ----------
@@ -425,7 +368,7 @@ def test_difference_rows_match_dense_blocks():
             terms.append((s, a, t, b))
             seen.add((kind, s == t))
         m = difference_rows(sum(dims), [(offsets[s], a, offsets[t], b) for s, a, t, b in terms])
-        assert m.cols == sum(dims) and m.mode is Mode.EXACT
+        assert m.cols == sum(dims)
         assert all(type(e) is Fraction for row in m.entries for e in row)
         assert [[e for e in row] for row in m.entries] == difference_rows_reference(
             dims, terms

@@ -86,8 +86,9 @@ def test_linear_map_matrix():
 
 
 def test_polynomial_flags():
-    assert parse_map("map p(u) -> (u^3 - u)").is_polynomial()
-    assert not parse_map("map t(u) -> (log(u))").is_polynomial()
+    assert parse_map("map p(u) -> (u^3 - u)").to_polys()
+    with pytest.raises(NonPolynomialError):
+        parse_map("map t(u) -> (log(u))").to_polys()
     assert parse_map("map t(u) -> (log(u))").uses_transcendental()
 
 

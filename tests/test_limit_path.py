@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     associativity_reference,
     equalizer_space,
+    filtered_basis_reference,
     greedy_basis_reference,
     ideal_chain_reference,
     is_limit_cone_reference,
@@ -54,7 +55,7 @@ from weilkit.corpus import (
     random_presented_algebra,
 )
 from weilkit.exactlin import kernel_basis, vstack
-from weilkit.weil import DiagramError, MorphismError, _subalgebra
+from weilkit.weil import DiagramError, MorphismError, _subalgebra, filtered_basis
 
 
 def _rows(m):
@@ -66,7 +67,7 @@ def _cols(m):
 
 
 def _aug(w):
-    return [c for c in w.aug_covector]
+    return [c for c in w.aug]
 
 
 def _skewed(rng, w):
@@ -449,6 +450,18 @@ def test_product_over_k_matches_the_dense_loop(kinds, seed):
     assert [p.target for p in projections] == factors
 
 
+@given(st.sampled_from(["presented", "tensor", "product", "apex"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_filtered_basis_matches_the_rank_loop(kind, seed):
+    rng = random.Random(seed)
+    if kind == "product":
+        w = product_over_k(_factor(rng, "presented"), _factor(rng, "apex"))[0]
+    else:
+        w = _factor(rng, kind)
+    assert (w.flavor == "presented") == (kind == "presented")
+    assert filtered_basis(w) == filtered_basis_reference(w)
+
+
 def _limit_with_inclusion(diagram):
     """limit(diagram), and the inclusion of its apex into the product."""
     seen = []
@@ -558,7 +571,7 @@ def test_non_associative_mutants_are_refused_at_the_reference_triple():
 def test_a_checked_nilpotency_hint_must_match_the_ideal_chain():
     d = dual_numbers()
     table = [[d.structure_vector(i, j) for j in range(2)] for i in range(2)]
-    aug = d.aug_covector
+    aug = d.aug
     with pytest.raises(AlgebraError, match=r"hint 5 disagrees .* degree 2 "):
         WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=5)
     assert WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=2).nilpotency_degree == 2

@@ -171,7 +171,7 @@ def _tabled_algebras():
 def _rebuilt(w):
     n = w.dimension
     table = [[w.structure_vector(i, j) for j in range(n)] for i in range(n)]
-    return WeilAlgebra.tabled(table, w.aug_covector, check=True)
+    return WeilAlgebra.tabled(table, w.aug, check=True)
 
 
 def test_tabled_algebras_equal_their_rebuilt_structure_vectors():
@@ -196,7 +196,7 @@ def test_tabled_algebras_with_other_products_differ():
     cubic = jet_line(2)  # x^2 != 0
     flat = first_order_infinitesimals(2)  # every product of nilpotents is 0
     a, b = _rebuilt(cubic), _rebuilt(flat)
-    assert a.dimension == b.dimension and a.aug_covector == b.aug_covector
+    assert a.dimension == b.dimension and a.aug == b.aug
     assert a != b
 
 

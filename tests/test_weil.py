@@ -485,7 +485,7 @@ def test_exact_coefficients_are_fractions():
         products = [x * x, x + x, x - x, -x, x.scaled(2), x**3, x / 3, x / x, w.zero(), w.one()]
         assert all(type(c) is Fraction for e in products for c in e.coeffs)
         assert type(x.augmentation()) is Fraction
-        assert all(type(c) is Fraction for c in w.aug_covector)
+        assert all(type(c) is Fraction for c in w.aug)
     # selection matrices built by index, and the matrices of products and limits
     w, inj1, inj2 = tensor(tabled, dual_numbers("y"))
     _, legs = limit(DiagramInWeil((tabled, jet_line(2)), ()))
@@ -498,9 +498,8 @@ def test_exact_coefficients_are_fractions():
     assert all(type(c) is Fraction for c in coeffs.values())
 
 
-def _matrix(mode):
-    cast = float if mode is Mode.FLOAT else Fraction
-    return Matrix([[cast(1), cast(2)], [cast(3), cast(4)]])
+def _matrix():
+    return Matrix([[1, 2], [3, 4]])
 
 
 def _element(mode):
@@ -520,21 +519,22 @@ def _mixed_jet_values(mode):
 
 _TABLED = product_over_k(dual_numbers(), jet_line(2))[0]
 
-# every public reader, with the modes it has: algebra structure is exact only
+# every public reader, with the modes it has: matrices and algebra structure
+# are exact only
 _READERS = {
-    "Matrix.entries": (lambda m: [e for row in _matrix(m).entries for e in row], Mode),
-    "Matrix.row": (lambda m: _matrix(m).row(1), Mode),
-    "Matrix.column": (lambda m: _matrix(m).column(1), Mode),
-    "Matrix.apply": (lambda m: _matrix(m).apply((1, 2)), Mode),
+    "Matrix.entries": (lambda m: [e for row in _matrix().entries for e in row], [Mode.EXACT]),
+    "Matrix.row": (lambda m: _matrix().row(1), [Mode.EXACT]),
+    "Matrix.column": (lambda m: _matrix().column(1), [Mode.EXACT]),
+    "Matrix.apply": (lambda m: _matrix().apply((1, 2)), [Mode.EXACT]),
     "kernel_basis": (lambda m: kernel_basis(Matrix([[1, 1, 0]]))[1], [Mode.EXACT]),
-    "solve_unique": (lambda m: solve_unique(_matrix(m), (1, 2)), [Mode.EXACT]),
+    "solve_unique": (lambda m: solve_unique(_matrix(), (1, 2)), [Mode.EXACT]),
     "solve_affine": (lambda m: _affine_values(), [Mode.EXACT]),
     "WeilElement.coeffs": (lambda m: (_element(m) * _element(m)).coeffs, Mode),
     "WeilElement.augmentation": (
         lambda m: [_element(m).augmentation(), (_element(m) - _element(m)).augmentation()], Mode
     ),
     "structure_vector": (lambda m: _TABLED.structure_vector(1, 1), [Mode.EXACT]),
-    "aug_covector": (lambda m: _TABLED.aug_covector, [Mode.EXACT]),
+    "aug_covector": (lambda m: _TABLED.aug, [Mode.EXACT]),
     "jet": (lambda m: jet(parse_map("f(u) -> (u^3 + 1)"), 2, 3, m)[0], Mode),
     "mixed_jet": (_mixed_jet_values, Mode),
     "WeilCoefficients.scalar": (
