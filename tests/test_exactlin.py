@@ -281,6 +281,9 @@ def test_matrices_refuse_floats_at_every_route():
     assert all(type(e) is Fraction for row in m.entries for e in row)
     assert all(type(e) is Fraction for c in Matrix.from_columns([(1, 2)]).entries for e in c)
     assert not hasattr(m, "mode")
+    # sums still need equal shapes
+    with pytest.raises(ValueError):
+        m + Matrix([[1, 2]])
 
 
 def test_exact_entries_are_fractions_after_every_operation():
