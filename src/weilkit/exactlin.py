@@ -6,6 +6,9 @@ own.  Matrices are exact: they hold Fractions and hand the same values out
 to their readers, and a float reaching one raises ModeError at the
 container boundary instead of silently promoting.  So every structural
 decision (kernels, ranks, solvability) is exact.
+
+Matrix.rref is the package's one elimination: kernels, solves, ranks and
+inverses all go through it, and no other module divides by a pivot.
 """
 
 from __future__ import annotations

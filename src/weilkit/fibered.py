@@ -466,8 +466,8 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
             row.append(poly_eval(poly_diff(poly, j), base))
         jac_rows.append(row)
     jac = Matrix(jac_rows, cols=p.total_dim)
-    rank = jac.rank()
     kern = tuple(kernel_basis(jac))
+    rank = p.total_dim - len(kern)
     vectors, degrees = filtered_basis(w)
     frame = Matrix.from_columns(vectors)
     desc = VerticalFiber(
@@ -672,11 +672,7 @@ def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
             for r, c in enumerate(vec):
                 col[offsets[i] + r] = c
             bdiag_cols.append(tuple(col))
-    within = (
-        Matrix.from_columns(bdiag_cols, rows=total_cols)
-        if bdiag_cols
-        else Matrix.zeros(total_cols, 0)
-    )
+    within = Matrix.from_columns(bdiag_cols, rows=total_cols)
 
     terms = []
     for s, t, m in d.arrows:
@@ -684,15 +680,8 @@ def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
         terms.append((offsets[s], a_top.kron(Matrix.identity(dim)).raw, offsets[t], None))
     constraints = difference_rows(total_cols, terms)
 
-    compatible_in_v = constraints @ within if bdiag_cols else Matrix([], cols=0)
-    nullity = (
-        within.cols - compatible_in_v.rank()
-        if bdiag_cols
-        else 0
-    )
-    compatible_vectors = [
-        within.apply(k) for k in kernel_basis(compatible_in_v)
-    ] if bdiag_cols else []
+    compatible_vectors = [within.apply(k) for k in kernel_basis(constraints @ within)]
+    nullity = len(compatible_vectors)
 
     apex_basis = vertical_space_basis(d.apex, w)
     canonical_blocks = [
@@ -702,13 +691,11 @@ def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
     canonical = vstack(canonical_blocks, cols=d.apex.total_dim * dim)
     image_vectors = [canonical.apply(v) for v in apex_basis]
 
-    same_span = spans_equal(list(image_vectors), list(compatible_vectors))
-    injective = (
-        Matrix(image_vectors, cols=total_cols).rank() == len(apex_basis)
-        if image_vectors
-        else len(apex_basis) == 0
-    )
-    ok = same_span and injective
+    same_span = spans_equal(image_vectors, compatible_vectors)
+    # within has independent columns, so the compatible vectors are
+    # independent: with equal spans, the image is injective exactly when
+    # the apex basis is as long as the nullity
+    ok = same_span and nullity == len(apex_basis)
     cert = (
         f"vertical apex dimension {len(apex_basis)}; compatible vertical "
         f"families dimension {nullity}; image {'matches' if same_span else 'differs'}"
@@ -892,7 +879,8 @@ def fibered_exponential_pullback(
     lifted = pm.kron(Matrix.identity(a_total.dimension))
     vert = kernel_basis(lifted) if p.base_dim < p.total_dim else []
     vert = [[(k, y) for k, y in enumerate(kv) if y] for kv in vert]  # nonzero entries
-    shuffle_back = shuffle_total.inverse()
+    # the permutation (0, 2, 1) is its own inverse
+    shuffle_back = factor_permutation_iso(b_total, a_total, (0, 2, 1))
     pair_failures = 0
     for _ in range(samples):
         v = corpus.random_point(rng, a_base, p.base_dim)

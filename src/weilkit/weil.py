@@ -33,7 +33,6 @@ from .exactlin import (
     difference_rows,
     kernel_basis,
     qq,
-    span_contains,
     vstack,
 )
 from .expr import _power, check_literal
@@ -833,9 +832,11 @@ class WeilMorphism:
         return self.matrix.is_invertible()
 
     def inverse(self) -> "WeilMorphism":
-        if not self.is_isomorphism():
-            raise MorphismError("morphism is not invertible")
-        return WeilMorphism(self.target, self.source, self.matrix.inverse(), check=False)
+        try:
+            matrix = self.matrix.inverse()
+        except ValueError:
+            raise MorphismError("morphism is not invertible") from None
+        return WeilMorphism(self.target, self.source, matrix, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, WeilMorphism):
@@ -1009,78 +1010,38 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
 # ----- subalgebras, products over the scalars, limits ---------------------
 
 
-class _Echelon:
-    """Incremental echelon form of independent vectors b_0, b_1, ...
+def _subalgebra(w: WeilAlgebra, kernel):
+    """Tabled subalgebra on the span of an echelon kernel basis, as
+    kernel_basis returns it; the span must contain 1 and be closed.
 
-    Each row keeps its pivot, its nonzero entries and its expression in the
-    b's, so one reduction decides whether a vector extends the span and,
-    when it does not, gives the vector's coordinates in the b's.
+    Returns (subalgebra, inclusion), on the kernel basis itself.  Each
+    vector ends in a 1 at its own free column, where every other vector is
+    0, so the coordinates of a vector in the span are its entries at those
+    columns, and a vector lies in the span exactly when nothing is left
+    after taking that combination away.  Limits and equalizers preserve the
+    unit, so column 0 of their equations is zero, column 0 is free and the
+    unit comes first.
     """
-
-    def __init__(self):
-        # (pivot, nonzero (index, value) pairs, nonzero (b index, coefficient) pairs)
-        self.rows = []
-
-    def _reduce(self, vector):
-        vals = list(vector)
-        coords = [0] * len(self.rows)
-        # each row is zero at the pivots of the rows before it, so one pass
-        # in insertion order clears every pivot
-        for pivot, entries, combination in self.rows:
-            f = vals[pivot]
-            if f:
-                for j, x in entries:
-                    vals[j] -= f * x
-                for k, x in combination:
-                    coords[k] += f * x
-        return vals, coords
-
-    def add(self, vector) -> bool:
-        """Take the vector as the next b if it extends the span; say whether."""
-        vals, coords = self._reduce(vector)
-        pivot = next((j for j, x in enumerate(vals) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / vals[pivot]
-        entries = [(j, x * inv) for j, x in enumerate(vals) if x]
-        combination = [(k, -c * inv) for k, c in enumerate(coords) if c]
-        combination.append((len(self.rows), inv))
-        self.rows.append((pivot, entries, combination))
-        return True
-
-    def coords(self, vector):
-        """Coordinates in the b's, or None outside their span."""
-        vals, coords = self._reduce(vector)
-        return None if any(vals) else coords
-
-
-def _subalgebra(w: WeilAlgebra, span_vectors):
-    """Tabled subalgebra on a span (which must contain 1 and be closed).
-
-    Returns (subalgebra, inclusion).  Basis choice: the unit first, then
-    each given spanning vector, in order, that extends the span so far.
-    Containment of the unit is solved for only when it is not listed; limits
-    and equalizers list it, as their maps preserve the unit, so column 0 of
-    their kernel's equations is zero.
-    """
-    span_vectors = [tuple(map(_raw_of, v)) for v in span_vectors]
-    unit = w.one().raw
-    if unit not in span_vectors and not span_contains(span_vectors, unit):
+    if not kernel or kernel[0] != w.one().raw:
         raise AlgebraError("subspace does not contain the unit")
-    echelon = _Echelon()
-    basis_vectors = [v for v in (unit, *span_vectors) if echelon.add(v)]
-    elements = [WeilElement._of(w, v) for v in basis_vectors]
+    free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    nonzeros = [[(j, x) for j, x in enumerate(v) if x] for v in kernel]
+    elements = [WeilElement._of(w, v) for v in kernel]
     dim = len(elements)
     terms = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            coords = echelon.coords((elements[i] * elements[j]).raw)
-            if coords is None:
+            residual = list((elements[i] * elements[j]).raw)
+            coords = tuple((k, residual[f]) for k, f in enumerate(free) if residual[f])
+            for k, c in coords:
+                for col, x in nonzeros[k]:
+                    residual[col] -= c * x
+            if any(residual):
                 raise AlgebraError("subspace is not closed under multiplication")
-            terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
+            terms[i][j] = terms[j][i] = coords
     aug = tuple(e.augmentation() for e in elements)
     sub = WeilAlgebra._from_terms(terms, aug, check=False)
-    incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
+    incl = WeilMorphism(sub, w, Matrix._of_columns(kernel, w.dimension), check=False)
     return sub, incl
 
 
@@ -1316,18 +1277,12 @@ def filtered_basis(w: WeilAlgebra):
         degrees = [sum(e) for e in w.basis]
         return vectors, degrees
     chain = w._ideal_chain()
-    span = _Echelon()
-    picked = []
-    degrees = []
-    for g in range(len(chain), 0, -1):
-        for v in chain[g - 1]:
-            if span.add(v):
-                picked.append(v)
-                degrees.append(g)
-    unit = w.one().raw
-    vectors = [unit] + list(reversed(picked))
-    degs = [0] + list(reversed(degrees))
-    return vectors, degs
+    # deepest power first: a vector extends the span of those before it
+    # exactly when its column is a pivot
+    labelled = [(v, g) for g in range(len(chain), 0, -1) for v in chain[g - 1]]
+    _, pivots = Matrix._of_columns([v for v, _ in labelled], w.dimension).rref()
+    picked = [labelled[c] for c in reversed(pivots)]
+    return [w.one().raw] + [v for v, _ in picked], [0] + [g for _, g in picked]
 
 
 def tensor_leaves(w: WeilAlgebra):

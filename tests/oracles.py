@@ -4,18 +4,20 @@ Nothing here calls back into the package's evaluation, differentiation, or
 limit machinery: derivatives come from sympy, stencil weights from an exact
 Vandermonde solve, and subspace comparisons from sympy's exact rank.  The
 inputs are plain Fractions, floats, and callables, so a disagreement with
-the package is a finding about the package.  The two exceptions keep a
+the package is a finding about the package.  The exceptions keep a
 former route whole on the package's own parts, so that the short route can
 be compared with the long one: is_limit_cone_reference, the limit-cone
-decision weilkit made before it read the rank numbers, and
+decision weilkit made before it read the rank numbers;
 solve_fiber_reference, the vertical-fiber solve that lifted the projection
-at every filtration degree.  morphism_apply_reference and
-tensor_injections_reference keep the dense morphism image and the
-generator-image injections that the sparse int columns and the selection
-matrices replaced, and filtered_basis_reference the rank loop that an
-incremental echelon form replaced.  The expression references
-at the end are the tree walkers weilkit used before its single fold; they
-share only the polynomial arithmetic helpers with the package.
+at every filtration degree; and subalgebra_reference, the incremental
+echelon form that picked a subalgebra basis and reduced every structure
+product before coordinates were read off the echelon kernel basis.
+morphism_apply_reference and tensor_injections_reference keep the dense
+morphism image and the generator-image injections that the sparse int
+columns and the selection matrices replaced, and filtered_basis_reference
+the rank loop that the pivots of one elimination replaced.  The expression
+references at the end are the tree walkers weilkit used before its single
+fold; they share only the polynomial arithmetic helpers with the package.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from weilkit.exactlin import (
     Matrix,
     ModeError,
     SolveFailure,
+    _raw_of,
     qq,
     solve_affine,
     solve_matrix,
+    span_contains,
     vstack,
 )
 from weilkit.expr import (
@@ -49,7 +53,15 @@ from weilkit.expr import (
 )
 from weilkit.fibered import FiberedError
 from weilkit.smooth import WeilPoint, apply_map, embed_base
-from weilkit.weil import MorphismError, WeilMorphism, generator_elements, limit
+from weilkit.weil import (
+    AlgebraError,
+    MorphismError,
+    WeilAlgebra,
+    WeilElement,
+    WeilMorphism,
+    generator_elements,
+    limit,
+)
 
 
 def _rat(value):
@@ -319,17 +331,6 @@ def difference_rows_reference(dims, terms):
         blocks[t] = add_reference(blocks[t], _identity(height) if b is None else b, -1)
         out += [sum((block[i] for block in blocks), []) for i in range(height)]
     return out
-
-
-def greedy_basis_reference(vectors, n):
-    """The unit vector e_0, then each vector, in order, that raises the rank
-    of those picked so far: one full elimination per candidate."""
-    picked = [[Fraction(int(i == 0)) for i in range(n)]]
-    for v in vectors:
-        candidate = picked + [[Fraction(x) for x in v]]
-        if len(rref_reference(candidate, n)[1]) > len(picked):
-            picked = candidate
-    return picked
 
 
 def filtered_basis_reference(w):
@@ -650,6 +651,81 @@ def is_limit_cone_reference(diagram):
         f"mediating matrix {mediating.rows}x{mediating.cols}, rank {rank}; "
         f"limit dimension {apex.dimension}, apex dimension {diagram.apex.dimension}"
     )
+
+
+# ----- the former subalgebra route ------------------------------------------------
+
+
+class _Echelon:
+    """Incremental echelon form of independent vectors b_0, b_1, ...
+
+    Each row keeps its pivot, its nonzero entries and its expression in the
+    b's, so one reduction decides whether a vector extends the span and,
+    when it does not, gives the vector's coordinates in the b's.
+    """
+
+    def __init__(self):
+        # (pivot, nonzero (index, value) pairs, nonzero (b index, coefficient) pairs)
+        self.rows = []
+
+    def _reduce(self, vector):
+        vals = list(vector)
+        coords = [0] * len(self.rows)
+        # each row is zero at the pivots of the rows before it, so one pass
+        # in insertion order clears every pivot
+        for pivot, entries, combination in self.rows:
+            f = vals[pivot]
+            if f:
+                for j, x in entries:
+                    vals[j] -= f * x
+                for k, x in combination:
+                    coords[k] += f * x
+        return vals, coords
+
+    def add(self, vector) -> bool:
+        """Take the vector as the next b if it extends the span; say whether."""
+        vals, coords = self._reduce(vector)
+        pivot = next((j for j, x in enumerate(vals) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / vals[pivot]
+        entries = [(j, x * inv) for j, x in enumerate(vals) if x]
+        combination = [(k, -c * inv) for k, c in enumerate(coords) if c]
+        combination.append((len(self.rows), inv))
+        self.rows.append((pivot, entries, combination))
+        return True
+
+    def coords(self, vector):
+        """Coordinates in the b's, or None outside their span."""
+        vals, coords = self._reduce(vector)
+        return None if any(vals) else coords
+
+
+def subalgebra_reference(w, span_vectors):
+    """(subalgebra, inclusion) on any spanning list that contains 1 and is
+    closed, as weilkit built it before it read coordinates off the echelon
+    kernel basis: the unit first, then each given vector, in order, that
+    extends the span so far, and every structure product reduced through an
+    incremental echelon form of those picks."""
+    span_vectors = [tuple(map(_raw_of, v)) for v in span_vectors]
+    unit = w.one().raw
+    if unit not in span_vectors and not span_contains(span_vectors, unit):
+        raise AlgebraError("subspace does not contain the unit")
+    echelon = _Echelon()
+    basis_vectors = [v for v in (unit, *span_vectors) if echelon.add(v)]
+    elements = [WeilElement._of(w, v) for v in basis_vectors]
+    dim = len(elements)
+    terms = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            coords = echelon.coords((elements[i] * elements[j]).raw)
+            if coords is None:
+                raise AlgebraError("subspace is not closed under multiplication")
+            terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
+    aug = tuple(e.augmentation() for e in elements)
+    sub = WeilAlgebra._from_terms(terms, aug, check=False)
+    incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
+    return sub, incl
 
 
 # ----- the former dense product and leg construction -------------------------------

@@ -294,6 +294,21 @@ def test_left_exact_refuses_the_broken_cone():
     assert not v.ok
 
 
+def test_left_exact_refuses_a_leg_that_folds_the_fibers():
+    # the image is every compatible family, but the fold is not injective
+    # on vertical parts
+    p = FiberedObject.coordinate_projection(2, 1)
+    apex = FiberedObject.coordinate_projection(3, 1)
+    fold = FiberedMorphism(
+        apex, p, parse_map("map fold(a, b, c) -> (a, b + c)"), parse_map("map b(a) -> (a)")
+    )
+    v = check_vertical_left_exact(FiberedDiagram((p,), (), apex, (fold,)), dual_numbers())
+    assert not v.ok
+    assert v.certificate == (
+        "vertical apex dimension 5; compatible vertical families dimension 3; image matches"
+    )
+
+
 def test_left_exact_refuses_nonlinear_diagrams_naming_the_first():
     sphere = sphere_distance()
     p = FiberedObject.coordinate_projection(2, 1)

@@ -12,7 +12,6 @@ from oracles import (
     associativity_reference,
     equalizer_space,
     filtered_basis_reference,
-    greedy_basis_reference,
     ideal_chain_reference,
     is_limit_cone_reference,
     limit_legs_reference,
@@ -21,6 +20,7 @@ from oracles import (
     product_over_k_reference,
     pullback_space,
     same_span,
+    subalgebra_reference,
 )
 
 from weilkit import (
@@ -55,6 +55,7 @@ from weilkit.corpus import (
     random_presented_algebra,
 )
 from weilkit.exactlin import kernel_basis, vstack
+from weilkit.fibered import sphere_distance, vertical_fiber
 from weilkit.weil import DiagramError, MorphismError, _subalgebra, filtered_basis
 
 
@@ -340,28 +341,6 @@ def test_product_projections_are_algebra_maps():
             WeilMorphism(leg.source, leg.target, leg.matrix, check=True)
 
 
-def test_subalgebra_picks_the_greedy_basis():
-    rng = random.Random(37)
-    for phi, psi in _parallel_pairs(rng, 6):
-        w = phi.source
-        kernel = kernel_basis(phi.matrix - psi.matrix)
-        # the same span, listed redundantly and out of order
-        spanning = list(kernel) + [w.one().coeffs]
-        for _ in range(3):
-            coeffs = [qq(rng.randint(-2, 2)) for _ in kernel]
-            combination = [qq(0)] * w.dimension
-            for c, v in zip(coeffs, kernel):
-                combination = [x + c * y for x, y in zip(combination, v)]
-            spanning.append(tuple(combination))
-        rng.shuffle(spanning)
-        sub, incl = _subalgebra(w, spanning)
-        raw = [[e for e in v] for v in spanning]
-        want = greedy_basis_reference(raw, w.dimension)
-        assert _cols(incl.matrix) == [tuple(v) for v in want]
-        # the structure constants make the inclusion an algebra map
-        WeilMorphism(sub, w, incl.matrix, check=True)
-
-
 def test_product_refuses_a_non_multiplicative_augmentation():
     # the dual numbers' table with aug(x) = 1: (x - 1)^2 = 1 - 2x leaves the kernel
     d = dual_numbers()
@@ -498,15 +477,87 @@ def test_limit_legs_are_the_extraction_products(kind, seed):
     assert [leg.target for leg in legs] == list(diagram.objects)
 
 
-def test_limits_and_equalizers_need_no_unit_containment_solve(monkeypatch):
+@given(
+    st.sampled_from(["seeded", "grid", "discrete", "skewed", "apex", "equalizer"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_matches_the_echelon_route(kind, seed):
+    rng = random.Random(seed)
+    calls = []
+    real = weil._subalgebra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "_subalgebra", lambda w, kernel: calls.append((w, kernel, real(w, kernel))) or calls[-1][2])
+        if kind == "equalizer":
+            for phi, psi in _parallel_pairs(rng, 1):
+                equalizer(phi, psi)
+        else:
+            limit(_diagram_of_kind(rng, kind))
+    assert calls
+    for w, kernel, (sub, incl) in calls:
+        want, want_incl = subalgebra_reference(w, kernel)
+        n = want.dimension
+        assert sub.dimension == n
+        assert [[sub._terms(i, j) for j in range(n)] for i in range(n)] == [
+            [want._terms(i, j) for j in range(n)] for i in range(n)
+        ]
+        assert sub.aug == want.aug
+        assert incl.matrix == want_incl.matrix
+
+
+def test_a_non_closed_echelon_span_is_refused_like_the_echelon_route():
+    w = parse_algebra("Q[x]/(x^3)")
+    one, x = (tuple(qq(int(i == k)) for i in range(3)) for k in (0, 1))
+    assert kernel_basis(Matrix([[0, 0, 1]])) == [one, x]
+    for route in (_subalgebra, subalgebra_reference):
+        with pytest.raises(AlgebraError, match="^subspace is not closed under multiplication$"):
+            route(w, [one, x])
+
+
+# ----- one elimination per matrix ----------------------------------------------------
+
+
+def _rref_calls(run):
+    """How many times run() calls Matrix.rref."""
+    calls = []
+    real = Matrix.rref
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+        run()
+    return len(calls)
+
+
+def test_limits_and_equalizers_need_no_unit_containment_solve():
+    # the kernel of the equations is the only elimination: the unit's
+    # containment and the structure coordinates are read off it.  An
+    # object's nilpotency degree is its own, cached on first use.
     rng = random.Random(53)
     diagrams = [_diagram_of_kind(rng, k) for k in ("seeded", "grid", "discrete", "skewed", "apex")]
     pairs = _parallel_pairs(rng, 2)
-    monkeypatch.setattr(weil, "span_contains", lambda *a: pytest.fail("span_contains ran"))
     for diagram in diagrams:
-        limit(diagram)
+        for w in diagram.objects:
+            w.nilpotency_degree
+        assert _rref_calls(lambda: limit(diagram)) == 1
     for phi, psi in pairs:
-        equalizer(phi, psi)
+        assert _rref_calls(lambda: equalizer(phi, psi)) == 1
+
+
+def test_inverting_a_shuffle_is_one_elimination():
+    w1, w2, w3 = dual_numbers(), jet_line(2), parse_algebra("Q[x,y]/(x^2, y^2)")
+    a = tensor(tensor(w1, w2)[0], w3)[0]
+    b = tensor(tensor(w1, w3)[0], w2)[0]
+    shuffle = weil.factor_permutation_iso(a, b, (0, 2, 1))
+    inverses = []
+    assert _rref_calls(lambda: inverses.append(shuffle.inverse())) == 1
+    assert inverses[0] == weil.factor_permutation_iso(b, a, (0, 2, 1))
+    with pytest.raises(MorphismError, match="^morphism is not invertible$"):
+        collapse_to_scalars(a).inverse()
+
+
+def test_a_vertical_fiber_eliminates_each_matrix_once():
+    # the Jacobian's kernel (its rank is read off it), the frame's inverse
+    # and the origin's solve
+    assert _rref_calls(lambda: vertical_fiber(sphere_distance(), dual_numbers(), [1, 0, 0])) == 3
 
 
 # ----- tabled checks on sparse terms ------------------------------------------------
