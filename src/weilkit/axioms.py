@@ -61,8 +61,8 @@ class ModelObject:
     dim: int
 
     @staticmethod
-    def coordinate(d: int, name: str | None = None) -> "ModelObject":
-        return ModelObject("coordinate", name or f"R^{d}", d, d)
+    def coordinate(d: int) -> "ModelObject":
+        return ModelObject("coordinate", f"R^{d}", d, d)
 
     @staticmethod
     def limit_of(dims, arrows, name: str | None = None) -> "ModelObject":
@@ -95,25 +95,21 @@ class ModelObject:
         )
 
     @staticmethod
-    def linear_equalizer(f: SmoothMap, g: SmoothMap, name=None) -> "ModelObject":
+    def linear_equalizer(f: SmoothMap, g: SmoothMap) -> "ModelObject":
         if f.arity_in != g.arity_in or f.arity_out != g.arity_out:
             raise ValueError("equalizer needs a parallel pair")
-        dims = [f.arity_in, f.arity_out]
         return ModelObject.limit_of(
-            dims,
-            [(0, 1, f), (0, 1, g)],
-            name=name or f"eq({f.name},{g.name})",
+            [f.arity_in, f.arity_out], [(0, 1, f), (0, 1, g)], f"eq({f.name},{g.name})"
         )
 
     @staticmethod
-    def linear_pullback(f: SmoothMap, g: SmoothMap, name=None) -> "ModelObject":
+    def linear_pullback(f: SmoothMap, g: SmoothMap) -> "ModelObject":
         if f.arity_out != g.arity_out:
             raise ValueError("pullback needs a cospan")
-        dims = [f.arity_in, g.arity_in, f.arity_out]
         return ModelObject.limit_of(
-            dims,
+            [f.arity_in, g.arity_in, f.arity_out],
             [(0, 2, f), (1, 2, g)],
-            name=name or f"pb({f.name},{g.name})",
+            f"pb({f.name},{g.name})",
         )
 
     def tensor_with(self, w: WeilAlgebra, name: str | None = None) -> "ModelObject":

@@ -77,21 +77,9 @@ def random_presented_algebra(
     return first_order_infinitesimals(2)
 
 
-def random_element(
-    rng: random.Random,
-    w: WeilAlgebra,
-    mode: Mode = Mode.EXACT,
-    augmentation_value=None,
-    height: int = 5,
-) -> WeilElement:
-    """Random element; pass augmentation_value to pin the scalar part."""
-    coeffs = [random_rational(rng, height) for _ in range(w.dimension)]
-    el = WeilElement(w, [qq(c) for c in coeffs])
-    if augmentation_value is not None:
-        el = el - w.scalar(el.augmentation()) + w.scalar(qq(augmentation_value))
-    if mode is Mode.FLOAT:
-        el = WeilElement._of(w, tuple(map(float, el.raw)), Mode.FLOAT)
-    return el
+def random_element(rng: random.Random, w: WeilAlgebra) -> WeilElement:
+    """Random exact element, coefficients of height 5."""
+    return WeilElement(w, [qq(random_rational(rng, 5)) for _ in range(w.dimension)])
 
 
 def random_point(
@@ -105,7 +93,7 @@ def random_point(
     scalar part up by that amount (handy to stay clear of poles)."""
     coords = []
     for _ in range(arity):
-        el = random_element(rng, w, mode=Mode.EXACT)
+        el = random_element(rng, w)
         if base_shift:
             el = el + w.scalar(qq(base_shift))
         if mode is Mode.FLOAT:
@@ -115,13 +103,13 @@ def random_point(
 
 
 def random_morphism(
-    rng: random.Random, source: WeilAlgebra, target: WeilAlgebra, tries: int = 25
+    rng: random.Random, source: WeilAlgebra, target: WeilAlgebra
 ) -> WeilMorphism:
-    """Random map out of a presented algebra (zero images as the fallback)."""
+    """Random map out of a presented algebra: 25 tries, then zero images."""
     if source.flavor != "presented":
         raise ValueError("random morphisms need a presented source")
     nil_basis = target.maximal_ideal_basis()
-    for _ in range(tries):
+    for _ in range(25):
         images = []
         for _ in source.gens:
             el = target.zero()

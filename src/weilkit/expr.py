@@ -449,19 +449,13 @@ class SmoothMap:
         return len(self.bodies)
 
     @staticmethod
-    def identity(n: int, var_names=None) -> "SmoothMap":
-        names = tuple(var_names) if var_names else _default_names(n)
-        return SmoothMap(names, tuple(var(i) for i in range(n)), name="id")
+    def identity(n: int) -> "SmoothMap":
+        return SmoothMap(_default_names(n), tuple(var(i) for i in range(n)), name="id")
 
     @staticmethod
-    def constant(values, arity_in: int, var_names=None) -> "SmoothMap":
-        names = tuple(var_names) if var_names else _default_names(arity_in)
-        return SmoothMap(names, tuple(const(v) for v in values), name="const")
-
-    @staticmethod
-    def projection(n: int, indices, var_names=None) -> "SmoothMap":
-        names = tuple(var_names) if var_names else _default_names(n)
-        return SmoothMap(names, tuple(var(i) for i in indices), name="proj")
+    def projection(n: int, indices) -> "SmoothMap":
+        """R^n -> R^len(indices), keeping the coordinates at indices."""
+        return SmoothMap(_default_names(n), tuple(var(i) for i in indices), name="proj")
 
     @staticmethod
     def stack(maps) -> "SmoothMap":

@@ -8,8 +8,9 @@ algebras stay cheap at any size because products of standard monomials are
 again standard monomials or zero; tabled algebras are what equalizers,
 fiber products, and limits return.
 
-Everything categorical (morphisms, limits, mediating maps) is exact; float
-values are rejected on sight.
+Elements may hold floats, for transcendental jets.  Everything categorical
+(morphisms, limits, mediating maps) is exact: a float reaching a morphism,
+as an image or as an element to map, is a ModeError.
 """
 
 from __future__ import annotations
@@ -303,9 +304,15 @@ class WeilAlgebra:
 
     @property
     def nilpotency_degree(self) -> int:
-        """The least n with m^n = 0, m the augmentation kernel."""
+        """The least n with m^n = 0, m the augmentation kernel.  A tensor
+        reads d1 + d2 - 1 off its factors, as m1^(d1-1) (x) m2^(d2-1) != 0."""
         if self._nilpotency is None:
-            self._nilpotency = len(self._ideal_chain()) + 1
+            info = self.tensor_info
+            if info is not None:
+                d1, d2 = info.left.nilpotency_degree, info.right.nilpotency_degree
+                self._nilpotency = d1 + d2 - 1
+            else:
+                self._nilpotency = len(self._ideal_chain()) + 1
         return self._nilpotency
 
     def _ideal_chain(self):
@@ -695,10 +702,10 @@ class WeilMorphism:
     """A unit-preserving algebra map, stored as its matrix on the bases.
 
     It acts through the matrix's sparse columns, built on first use as int
-    numerators over one common denominator: an exact image (and compose,
-    column by column) sums int products and makes each nonzero result a
-    Fraction once.  A float image keeps every term float(m) * c with m and
-    c nonzero, in increasing source index."""
+    numerators over one common denominator: an image (and compose, column
+    by column) sums int products and makes each nonzero result a Fraction
+    once.  Morphisms act on exact elements only; a float element is a
+    ModeError."""
 
     __slots__ = ("source", "target", "matrix", "_columns")
 
@@ -808,17 +815,10 @@ class WeilMorphism:
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
             raise ValueError("element does not live in the source algebra")
-        if element.mode is Mode.EXACT:
-            out = self._push(*_over_common_denominator(element.raw))
-            return WeilElement._of(self.target, out)
-        dm, cols = self._int_columns()
-        out = [0.0] * self.target.dimension
-        for j, c in enumerate(element.raw):
-            if c:
-                # n / dm is float(matrix[i][j]): both round the same rational
-                for i, n in cols[j]:
-                    out[i] += (n / dm) * c
-        return WeilElement._of(self.target, tuple(out), element.mode)
+        if element.mode is not Mode.EXACT:
+            raise ModeError("morphisms are exact; float element rejected")
+        out = self._push(*_over_common_denominator(element.raw))
+        return WeilElement._of(self.target, out)
 
     def compose(self, inner: "WeilMorphism") -> "WeilMorphism":
         """self after inner: each column of inner pushed through self."""
@@ -961,12 +961,7 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
             for (i1, i2) in pair_of_index
         ]
         aug = tuple(w1.aug[i1] * w2.aug[i2] for (i1, i2) in pair_of_index)
-        w = WeilAlgebra._from_terms(
-            terms,
-            aug,
-            check=False,
-            nilpotency_hint=w1.nilpotency_degree + w2.nilpotency_degree - 1,
-        )
+        w = WeilAlgebra._from_terms(terms, aug, check=False)
     index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
     w.tensor_info = TensorInfo(w1, w2, pair_of_index, index_of_pair)
     picks1 = [index_of_pair[(i1, 0)] for i1 in range(d1)]
@@ -1095,10 +1090,7 @@ class _ProductOverK:
                     terms[p][q] = terms[q][p] = tuple(
                         (off + f - 1, a) for f, a in sorted(acc.items()) if f and a
                     )
-        hint = max((w.nilpotency_degree for w in self.algebras), default=1)
-        self.algebra = WeilAlgebra._from_terms(
-            terms, _unit(d, 0), check=False, nilpotency_hint=hint
-        )
+        self.algebra = WeilAlgebra._from_terms(terms, _unit(d, 0), check=False)
 
     def _leg(self, a: int, source: WeilAlgebra, rows) -> WeilMorphism:
         """Component a of the map from source whose matrix into the product

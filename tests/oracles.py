@@ -364,15 +364,18 @@ def ideal_chain_reference(table, aug):
     table[i][j] is the coefficient vector of basis[i] * basis[j], aug the
     augmentation row."""
     d = len(aug)
+    # the nonzero structure entries of each basis pair
+    entries = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row] for row in table]
 
     def mul(v, w):
         out = [Fraction(0)] * d
         for i, x in enumerate(v):
-            for j, y in enumerate(w):
-                if x and y:
-                    for k, c in enumerate(table[i][j]):
-                        out[k] += x * y * c
-        return out
+            if x:
+                for j, y in enumerate(w):
+                    if y:
+                        for k, c in entries[i][j]:
+                            out[k] += x * y * c
+        return tuple(out)
 
     m = kernel_reference([aug], d)
     chain, power = [], m
@@ -380,8 +383,10 @@ def ideal_chain_reference(table, aug):
         if len(chain) >= d:
             raise ValueError("augmentation kernel is not nilpotent")
         chain.append(power)
-        products = [mul(v, w) for v in power for w in m]
-        reduced, pivots = rref_reference(products, d)
+        # each distinct nonzero product once: the span, so the rref, is the same
+        products = dict.fromkeys(mul(v, w) for v in power for w in m)
+        products.pop((Fraction(0),) * d, None)
+        reduced, pivots = rref_reference(list(products), d)
         power = reduced[: len(pivots)]
     return chain
 
@@ -860,18 +865,16 @@ def solve_fiber_reference(desc, params):
 
 
 def morphism_apply_reference(phi, element):
-    """Raw coefficients of phi's image of an element, by the dense loop:
-    every target row is scanned for each nonzero source coefficient c, and
-    each nonzero entry m adds m * c (float(m) * c on a float element), in
-    increasing source index."""
-    exact = not any(isinstance(c, float) for c in element.raw)
-    out = [Fraction(0) if exact else 0.0] * phi.target.dimension
+    """Raw coefficients of phi's image of an exact element, by the dense
+    loop: every target row is scanned for each nonzero source coefficient
+    c, and each nonzero entry m adds m * c, in increasing source index."""
+    out = [Fraction(0)] * phi.target.dimension
     for j, c in enumerate(element.raw):
         if c:
             for i, row in enumerate(phi.matrix.raw):
                 m = row[j]
                 if m:
-                    out[i] += (m if exact else float(m)) * c
+                    out[i] += m * c
     return tuple(out)
 
 

@@ -15,6 +15,7 @@ from weilkit import (
     FiberedObject,
     InfinitesimalArrow,
     Mode,
+    SmoothMap,
     WeilMorphism,
     WeilPoint,
     check_fibered_microlinear,
@@ -250,6 +251,15 @@ def test_float_input_rejected():
         vertical_fiber(sphere_distance(), dual_numbers(), (1.0, 0.0, 0.0))
 
 
+def test_membership_refuses_float_points():
+    d = dual_numbers()
+    p = FiberedObject.coordinate_projection(2, 1)
+    vertical = WeilPoint(d, [d.scalar(3.0), d.scalar(5.0) + d.basis_element(1, Mode.FLOAT)])
+    for x in (vertical, WeilPoint.from_scalars(d, [3, 5], Mode.FLOAT)):
+        with pytest.raises(FiberedError, match="float point"):
+            vertical_membership(p, d, x)
+
+
 # ----- the vertical functor ------------------------------------------------------
 
 
@@ -260,6 +270,15 @@ def test_vertical_functor_rejects_non_vertical_points():
     tilted = WeilPoint(d, [d.scalar(qq(1)) + d.basis_element(1), d.scalar(qq(0))])
     with pytest.raises(FiberedError):
         vertical_functor_on_morphism(m, d, tilted)
+
+
+def test_vertical_functor_refuses_float_points():
+    d = dual_numbers()
+    p = FiberedObject.coordinate_projection(2, 1)
+    m = FiberedMorphism(p, p, parse_map("t(a, b) -> (a, 3*b)"), parse_map("s(a) -> (a)"))
+    x = WeilPoint(d, [d.scalar(2.0), d.scalar(1.0) + d.basis_element(1, Mode.FLOAT)])
+    with pytest.raises(FiberedError, match="float point"):
+        vertical_functor_on_morphism(m, d, x)
 
 
 def test_vertical_functor_transports_fibers():
@@ -469,27 +488,62 @@ def test_fibered_checkers_call_is_limit_cone_only_to_word_a_refusal(monkeypatch)
         assert len(calls) == 2
 
 
-# ----- sampled map agreement ---------------------------------------------------
+def test_vertical_microlinearity_reads_the_rank_numbers_once(monkeypatch):
+    from weilkit import axioms
+
+    rng = random.Random(31)
+    cones = [random_limit_cone(rng) for _ in range(3)]
+    cases = [
+        (FiberedObject.coordinate_projection(3, 1), (0, 1, 2), "exact"),
+        (sphere_distance(), (1, 0, 0), "graded"),
+        (FiberedObject.from_text("fibered s(x,y) -> (x*y)"), (0, 0), "sampled"),
+    ]
+    calls = []
+    real = axioms._rank_one_numbers
+    monkeypatch.setattr(axioms, "_rank_one_numbers", lambda d: calls.append(d) or real(d))
+    for cone in cones:
+        for p, e0, how in cases:
+            for enforce in (True, False):
+                calls.clear()
+                v = check_vertical_microlinearity(p, cone, e0, enforce_limit_input=enforce)
+                assert len(calls) == 1 and v.exactness == how
+                if how != "sampled":
+                    assert v.ok
+
+
+# ----- squares are decided exactly ----------------------------------------------
 
 
 @pytest.mark.parametrize(
     "left, right",
     [
-        # log(u - 5) raises at every sample in [0.3, 1.7]
         ("log(u-5)", "2*log(u-5)"),
-        # both sides overflow to inf at every sample
         ("exp(u)^2000", "2*exp(u)^2000"),
         ("sin(u) + (10^200*u)*(10^200*u)", "sin(u)"),
-        # math.exp raises OverflowError at every sample
         ("exp(exp(100*u))", "exp(exp(100*u))"),
+        ("sin(u)", "sin(u)"),
+        # a denominator that depends on the input, and a zero one
+        ("1/u", "1/u"),
+        ("u/(u-u)", "u/(u-u)"),
     ],
 )
-def test_sampled_agreement_needs_finite_evidence(left, right):
+def test_non_polynomial_squares_and_cones_are_refused(left, right):
     f, g = parse_map(f"f(u) -> ({left})"), parse_map(f"g(u) -> ({right})")
-    assert _maps_agree(f, g) == (False, "sampled")
-    assert _maps_agree(g, f) == (False, "sampled")
+    line = FiberedObject.identity(1)
+    with pytest.raises(FiberedError, match="polynomial maps only"):
+        FiberedMorphism(line, line, f, g)  # the square compares f with g
+    # over R^0 the legs' squares are empty, so only the cone compares f with g
+    flat = FiberedObject.coordinate_projection(1, 0)
+    legs = tuple(FiberedMorphism(flat, flat, h, SmoothMap.identity(0)) for h in (f, g))
+    with pytest.raises(FiberedError, match="polynomial maps only"):
+        FiberedDiagram((flat, flat), ((0, 1, FiberedMorphism.identity(flat)),), flat, legs)
 
 
-def test_sampled_agreement_of_a_map_with_itself():
-    f = parse_map("f(u) -> (sin(u))")
-    assert _maps_agree(f, f) == (True, "sampled")
+def test_polynomial_squares_are_decided_exactly():
+    p = FiberedObject.coordinate_projection(2, 1)
+    top = parse_map("t(a, b) -> ((a + b)^2 - b*(2*a + b), b/3)")
+    assert FiberedMorphism(p, p, top, parse_map("s(a) -> (a^2)")).top is top
+    with pytest.raises(FiberedError, match="does not commute"):
+        FiberedMorphism(p, p, top, parse_map("s(a) -> (a^2 + 1/10^30)"))
+    assert _maps_agree(top, top) is True
+    assert _maps_agree(top, SmoothMap.identity(2)) is False

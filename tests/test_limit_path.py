@@ -264,6 +264,26 @@ def test_limit_apexes_carry_their_nilpotency_degree():
         assert w.nilpotency_degree == nilpotency_degree_reference(table, _aug(w))
 
 
+def test_tensor_and_product_degrees_are_read_off_the_factors():
+    rng = random.Random(59)
+    apexes = [random_limit_cone(rng).apex for _ in range(3)]
+    apexes += [equalizer(phi, psi)[0] for phi, psi in _parallel_pairs(rng, 1)]
+    for a in apexes:
+        for b in (terminal(), dual_numbers(), jet_line(2), apexes[0]):
+            for w in (tensor(a, b)[0], tensor(b, a)[0], product_over_k(a, b)[0]):
+                assert w.nilpotency_degree == nilpotency_degree_reference(_table(w), _aug(w))
+
+
+def test_tensoring_a_subalgebra_apex_eliminates_nothing():
+    rng = random.Random(53)
+    for phi, psi in _parallel_pairs(rng, 2):
+        apex = equalizer(phi, psi)[0]
+        tensors = []
+        assert _rref_calls(lambda: tensors.append(tensor(apex, dual_numbers())[0])) == 0
+        # the degree is read off the factors when it is asked for
+        assert tensors[0].nilpotency_degree == apex.nilpotency_degree + 1
+
+
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=3),
     st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), max_size=2),
@@ -529,14 +549,12 @@ def _rref_calls(run):
 
 def test_limits_and_equalizers_need_no_unit_containment_solve():
     # the kernel of the equations is the only elimination: the unit's
-    # containment and the structure coordinates are read off it.  An
-    # object's nilpotency degree is its own, cached on first use.
+    # containment and the structure coordinates are read off it, and no
+    # factor's nilpotency degree (its ideal chain) is asked for
     rng = random.Random(53)
     diagrams = [_diagram_of_kind(rng, k) for k in ("seeded", "grid", "discrete", "skewed", "apex")]
     pairs = _parallel_pairs(rng, 2)
     for diagram in diagrams:
-        for w in diagram.objects:
-            w.nilpotency_degree
         assert _rref_calls(lambda: limit(diagram)) == 1
     for phi, psi in pairs:
         assert _rref_calls(lambda: equalizer(phi, psi)) == 1
