@@ -109,6 +109,23 @@ def test_morphisms_refuse_float_elements(seed):
             check_reparametrization_naturality(SmoothMap.identity(2), phi, point)
 
 
+def test_float_source_order_element_is_refused():
+    # the element whose float image summed left to right (1e16 + 1 + 1
+    # rounds to 1e16) is refused before any sum is formed
+    w = first_order_infinitesimals(3)
+    d = dual_numbers("t")
+    (t,) = generator_elements(d)
+    phi = WeilMorphism.from_generator_images(w, d, [t, t, t])
+    el = WeilElement._of(w, (0.0, 1e16, 1.0, 1.0), Mode.FLOAT)
+    point = WeilPoint(w, [el])
+    with pytest.raises(ModeError, match="float element"):
+        phi.apply(el)
+    with pytest.raises(ModeError, match="float element"):
+        apply_morphism(phi, point)
+    with pytest.raises(ModeError, match="float element"):
+        check_reparametrization_naturality(SmoothMap.identity(1), phi, point)
+
+
 @given(_SEEDS)
 @settings(max_examples=25, deadline=None)
 def test_compose_is_the_dense_product(seed):
