@@ -343,8 +343,7 @@ def cmd_vertical(args) -> int:
                 f"{slots} slot(s), {params} parameter(s) each, "
                 + ("solved" if solved else "inconsistent"),
             )
-    if fib.origin is not None:
-        out.pair("origin", fib.origin)
+    out.pair("origin", fib.origin)
     if not fib.regular:
         out.raw(
             "note: base point is irregular; the data above is partial",

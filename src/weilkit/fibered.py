@@ -5,8 +5,9 @@ Lifting the whole arrow through a truncated-Taylor functor gives another
 arrow; the points of the lifted total space whose image is infinitesimally
 constant form the vertical part, cut out by an equalizer condition.
 Everything here is exact and decided fiberwise: squares commute as
-polynomials, membership is an exact evaluation, fibers over a base point
-are solved degree by degree through the nilpotent filtration, and the
+polynomials, membership is an exact evaluation, a fiber over a base point
+is read off the Jacobian there and a member of it is solved degree by
+degree through the nilpotent filtration only when asked for, and the
 limit-preservation checks come with rank certificates whenever the data
 is linear.
 """
@@ -72,33 +73,23 @@ def _as_fraction(v, what: str) -> Fraction:
 class FiberedObject:
     """A projection R^total_dim -> R^base_dim treated as one object."""
 
-    total_dim: int
-    base_dim: int
     projection: SmoothMap
 
-    def __post_init__(self):
-        if self.projection.arity_in != self.total_dim:
-            raise FiberedError(
-                f"projection takes {self.projection.arity_in} inputs, "
-                f"declared total dimension is {self.total_dim}"
-            )
-        if self.projection.arity_out != self.base_dim:
-            raise FiberedError(
-                f"projection has {self.projection.arity_out} outputs, "
-                f"declared base dimension is {self.base_dim}"
-            )
+    @property
+    def total_dim(self) -> int:
+        return self.projection.arity_in
 
-    @staticmethod
-    def from_map(projection: SmoothMap) -> "FiberedObject":
-        return FiberedObject(projection.arity_in, projection.arity_out, projection)
+    @property
+    def base_dim(self) -> int:
+        return self.projection.arity_out
 
     @staticmethod
     def from_text(text: str) -> "FiberedObject":
-        return FiberedObject.from_map(parse_map(text, keyword="fibered"))
+        return FiberedObject(parse_map(text, keyword="fibered"))
 
     @staticmethod
     def identity(d: int) -> "FiberedObject":
-        return FiberedObject.from_map(SmoothMap.identity(d))
+        return FiberedObject(SmoothMap.identity(d))
 
     @staticmethod
     def coordinate_projection(e: int, b: int) -> "FiberedObject":
@@ -108,7 +99,7 @@ class FiberedObject:
         rows = [
             [Fraction(1 if j == i else 0) for j in range(e)] for i in range(b)
         ]
-        return FiberedObject(e, b, linear_map(rows, n_in=e, name=f"proj{e}to{b}"))
+        return FiberedObject(linear_map(rows, n_in=e, name=f"proj{e}to{b}"))
 
     @property
     def name(self) -> str:
@@ -123,21 +114,26 @@ class FiberedObject:
         return self.linear_rows() is not None
 
 
-def _maps_agree(f: SmoothMap, g: SmoothMap) -> bool:
-    """Equality of two maps as exact polynomials.  A map that is not one (a
-    call, or a denominator that depends on the inputs) is a FiberedError."""
-    if f.arity_in != g.arity_in or f.arity_out != g.arity_out:
-        return False
+def _polys(f: SmoothMap):
+    """f as exact polynomials.  A map that is not one (a call, or a
+    denominator that depends on the inputs) is a FiberedError."""
     try:
-        return f.to_polys() == g.to_polys()
+        return f.to_polys()
     except (NonPolynomialError, ZeroDivisionError) as exc:
         raise FiberedError(f"squares are decided on polynomial maps only: {exc}") from None
 
 
+def _maps_agree(f: SmoothMap, g: SmoothMap) -> bool:
+    """Equality of two maps as exact polynomials (see _polys)."""
+    if f.arity_in != g.arity_in or f.arity_out != g.arity_out:
+        return False
+    return _polys(f) == _polys(g)
+
+
 @dataclass(frozen=True)
 class FiberedMorphism:
-    """A pair of maps forming a square over two projections that commutes
-    as an identity of polynomials (see _maps_agree)."""
+    """A pair of polynomial maps forming a square over two projections that
+    commutes as an identity of polynomials (see _maps_agree)."""
 
     source: FiberedObject
     target: FiberedObject
@@ -153,6 +149,8 @@ class FiberedMorphism:
             self.bottom.arity_out != self.target.base_dim
         ):
             raise FiberedError("bottom map arities do not match the base spaces")
+        _polys(self.top)
+        _polys(self.bottom)
         left = self.target.projection.compose(self.top)
         right = self.bottom.compose(self.source.projection)
         if not _maps_agree(left, right):
@@ -229,7 +227,7 @@ def arrow_weil_functor(w: WeilAlgebra, p: FiberedObject) -> FiberedObject:
         raise FiberedError(
             f"cannot lift {p.projection.name} symbolically: {exc}"
         ) from exc
-    return FiberedObject(p.total_dim * w.dimension, p.base_dim * w.dimension, lifted)
+    return FiberedObject(lifted)
 
 
 def arrow_weil_on_morphism(w: WeilAlgebra, m: FiberedMorphism) -> FiberedMorphism:
@@ -299,121 +297,119 @@ def vertical_membership(p: FiberedObject, w: WeilAlgebra, x: WeilPoint) -> bool:
     return image.coords == embed_base(image, w).coords
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerticalFiber:
     """Degree-graded description of the vertical points over one base point.
 
-    At a regular point (full-row-rank Jacobian) the fiber is parametrized
-    by one copy of the Jacobian kernel per nilpotent filtration slot;
-    point() materializes the member for given parameter values by solving
-    the filtration degrees in order.  No degree lifts the projection
-    before a solved slot is nonzero, and the origin (every parameter zero)
-    is the constant point e0*1, so solving it lifts the projection only
-    once, for the final recheck.  Irregular points keep whatever
-    per-degree data the solve produced and are flagged.
+    Only the Jacobian at the base point, its kernel and the filtered basis
+    are computed; everything else is read off them, and nothing is solved
+    until point() asks for a member.  At a regular point (full-row-rank
+    Jacobian) the fiber is parametrized by one copy of the Jacobian kernel
+    per nilpotent filtration slot.
     """
 
     fibered: FiberedObject
     algebra: WeilAlgebra
     base_point: tuple
     jacobian: Matrix
-    jacobian_rank: int
-    regular: bool
     kernel: tuple
     slot_degrees: tuple
-    per_degree: tuple = ()
-    consistent: bool = True
-    origin: WeilPoint | None = None
-    _frame: Matrix = field(default=None, repr=False)
-    _frame_inverse: Matrix = field(default=None, repr=False)
+    _frame: Matrix = field(repr=False)
+
+    @property
+    def jacobian_rank(self) -> int:
+        return self.fibered.total_dim - len(self.kernel)
+
+    @property
+    def regular(self) -> bool:
+        return self.jacobian_rank == self.fibered.base_dim
 
     @property
     def dimension(self) -> int:
         """Free parameters in the graded parametrization."""
-        nil_slots = sum(1 for g in self.slot_degrees if g >= 1)
-        return (self.fibered.total_dim - self.jacobian_rank) * nil_slots
+        return len(self.kernel) * sum(1 for g in self.slot_degrees if g >= 1)
+
+    @property
+    def origin(self) -> WeilPoint:
+        """The member with every parameter zero: the constant point e0*1."""
+        return WeilPoint.from_scalars(self.algebra, self.base_point)
+
+    @property
+    def per_degree(self) -> tuple:
+        """(degree, slots, parameters per slot, solved) for each nilpotent
+        degree, in increasing order, of the origin's equations: solved
+        throughout, for the reason given under consistent."""
+        degrees = sorted({g for g in self.slot_degrees if g >= 1})
+        kd = len(self.kernel)
+        return tuple((g, self.slot_degrees.count(g), kd, True) for g in degrees)
+
+    @property
+    def consistent(self) -> bool:
+        """Always True: the origin's equations are homogeneous (every
+        right-hand side is zero), so its solve cannot fail, at irregular
+        points too.  The exact obstruction system of each degree, still
+        open on the roadmap, is what will replace this attribute."""
+        return True
 
     def point(self, params) -> WeilPoint:
-        pt, _ = _solve_fiber(self, params, record=None)
-        return pt
-
-
-def _solve_fiber(desc: VerticalFiber, params, record):
-    """Fill the filtration degrees in order; linear solve at each slot.
-
-    Until a solved slot is nonzero the point is still e0*1, which the
-    projection sends to F(e0)*1, so every right-hand side is zero: a
-    degree lifts the projection through apply_map only when an earlier
-    degree left a nonzero slot.  The verticality recheck always lifts.
-    """
-    e = desc.fibered.total_dim
-    b = desc.fibered.base_dim
-    w = desc.algebra
-    dim = w.dimension
-    kd = e - desc.jacobian_rank
-    params = [_as_fraction(v, "fiber parameter") for v in params]
-    nil_slots = [i for i, g in enumerate(desc.slot_degrees) if g >= 1]
-    if len(params) != kd * len(nil_slots):
-        raise FiberedError(
-            f"expected {kd * len(nil_slots)} parameters, got {len(params)}"
-        )
-    filt = [[qq(0)] * dim for _ in range(e)]
-    for i in range(e):
-        filt[i][0] = desc.base_point[i]
-
-    def materialize() -> WeilPoint:
-        coords = []
+        """The member for the given parameters, by a linear solve at each
+        filtration slot, degree by degree.  Until a solved slot is nonzero
+        the point is still e0*1, which the projection sends to F(e0)*1, so
+        every right-hand side is zero: a degree lifts the projection only
+        when an earlier degree left a nonzero slot.  The first inconsistent
+        degree raises a FiberedError, and so does a result that fails the
+        verticality recheck."""
+        p, w = self.fibered, self.algebra
+        e, b, dim = p.total_dim, p.base_dim, w.dimension
+        kd = len(self.kernel)
+        params = [_as_fraction(v, "fiber parameter") for v in params]
+        if len(params) != self.dimension:
+            raise FiberedError(f"expected {self.dimension} parameters, got {len(params)}")
+        filt = [[qq(0)] * dim for _ in range(e)]
         for i in range(e):
-            ambient = desc._frame.apply(filt[i])
-            coords.append(w.element(list(ambient)))
-        return WeilPoint(w, coords)
+            filt[i][0] = self.base_point[i]
 
-    chunk = 0
-    moved = False  # has a solved slot left the constant point e0*1?
-    for degree in sorted({g for g in desc.slot_degrees if g >= 1}):
-        slots = [i for i, g in enumerate(desc.slot_degrees) if g == degree]
-        if moved:
-            image = apply_map(desc.fibered.projection, materialize())
-            image_filt = [
-                desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)
-            ]
-        else:  # the point is e0*1 and its image F(e0)*1 has no nilpotent part
-            image_filt = [(qq(0),) * dim] * b
-        failed = False
-        for beta in slots:
-            rhs = [-image_filt[r][beta] for r in range(b)]
-            solved = solve_affine(desc.jacobian, rhs)
-            if solved is NO_SOLUTION:
-                failed = True
-                break
-            particular, _ = solved
-            xi = list(particular)
-            for t in range(kd):
-                c = params[chunk + t]
-                if c:
-                    xi = [
-                        x + c * kv for x, kv in zip(xi, desc.kernel[t])
-                    ]
-            for i in range(e):
-                filt[i][beta] = xi[i]
-            moved = moved or any(xi)
-            chunk += kd
-        if record is not None:
-            record.append((degree, len(slots), kd, not failed))
-        if failed:
-            raise FiberedError(
-                f"fiber equations are inconsistent at filtration degree {degree} "
-                f"(projection {desc.fibered.projection.name} is irregular here)"
-            )
-    final = materialize()
-    image = apply_map(desc.fibered.projection, final)
-    if image.coords != embed_base(image, w).coords:
-        raise FiberedError("solved point failed the verticality recheck")
-    return final, record
+        def materialize() -> WeilPoint:
+            return WeilPoint(w, [w.element(list(self._frame.apply(f))) for f in filt])
+
+        chunk = 0
+        moved = False  # has a solved slot left the constant point e0*1?
+        inverse = None  # of the frame, the first time an image is needed
+        for degree in sorted({g for g in self.slot_degrees if g >= 1}):
+            if moved:
+                if inverse is None:
+                    inverse = self._frame.inverse()
+                image = apply_map(p.projection, materialize())
+                image_filt = [inverse.apply(image.coords[r].raw) for r in range(b)]
+            else:  # the point is e0*1 and its image F(e0)*1 has no nilpotent part
+                image_filt = [(qq(0),) * dim] * b
+            for beta in [i for i, g in enumerate(self.slot_degrees) if g == degree]:
+                solved = solve_affine(self.jacobian, [-image_filt[r][beta] for r in range(b)])
+                if solved is NO_SOLUTION:
+                    raise FiberedError(
+                        f"fiber equations are inconsistent at filtration degree {degree} "
+                        f"(projection {p.projection.name} is irregular here)"
+                    )
+                xi = list(solved[0])
+                for t in range(kd):
+                    c = params[chunk + t]
+                    if c:
+                        xi = [x + c * kv for x, kv in zip(xi, self.kernel[t])]
+                for i in range(e):
+                    filt[i][beta] = xi[i]
+                moved = moved or any(xi)
+                chunk += kd
+        final = materialize()
+        if not vertical_membership(p, w, final):
+            raise FiberedError("solved point failed the verticality recheck")
+        return final
 
 
 def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
-    """Solve for the vertical points sitting over the ordinary point e0.
+    """The vertical points sitting over the ordinary point e0, as the
+    Jacobian there, its kernel (the one elimination) and the filtered
+    basis of w.  Nothing is solved here; VerticalFiber.point solves a
+    member.
 
     Exact rationals only, and the projection must be polynomial: the
     filtration grading is what makes each stage a linear solve.
@@ -436,34 +432,16 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
             row.append(poly_eval(poly_diff(poly, j), base))
         jac_rows.append(row)
     jac = Matrix(jac_rows, cols=p.total_dim)
-    kern = tuple(kernel_basis(jac))
-    rank = p.total_dim - len(kern)
     vectors, degrees = filtered_basis(w)
-    frame = Matrix.from_columns(vectors)
-    desc = VerticalFiber(
+    return VerticalFiber(
         fibered=p,
         algebra=w,
         base_point=base,
         jacobian=jac,
-        jacobian_rank=rank,
-        regular=rank == p.base_dim,
-        kernel=kern,
+        kernel=tuple(kernel_basis(jac)),
         slot_degrees=tuple(degrees),
-        _frame=frame,
-        _frame_inverse=frame.inverse(),
+        _frame=Matrix.from_columns(vectors),
     )
-    record = []
-    kd = p.total_dim - rank
-    nil_slots = sum(1 for g in degrees if g >= 1)
-    try:
-        origin, _ = _solve_fiber(desc, [0] * (kd * nil_slots), record)
-        desc.origin = origin
-        desc.consistent = True
-    except FiberedError:
-        desc.origin = None
-        desc.consistent = False
-    desc.per_degree = tuple(record)
-    return desc
 
 
 def vertical_functor_on_morphism(
@@ -679,8 +657,7 @@ def check_vertical_microlinearity(
     to the actual fibers, and the verdict says which path decided.
     """
     numbers = limit_cone_numbers(d, enforce_limit_input)
-    base = tuple(_as_fraction(v, "base point coordinate") for v in e0)
-    fib = vertical_fiber(p, d.apex, base)
+    fib = vertical_fiber(p, d.apex, e0)
     kernel_object = ModelObject(
         "limit",
         f"ker(d{p.projection.name} at base point)",
@@ -694,44 +671,41 @@ def check_vertical_microlinearity(
             f"linear projection; fibers are kernel translates: {v.certificate}",
             exactness="exact",
         )
-    if fib.regular and fib.consistent:
+    if fib.regular:
         v = _lifted_verdict(kernel_object, d, *numbers)
-        transported = _transport_fiber_points(p, d, fib, base)
+        transported = _transport_fiber_points(d, fib)
         ok = v.ok and transported
         cert = (
             f"regular point, graded parametrization: {v.certificate}; "
             f"fiber transports {'agree' if transported else 'disagree'}"
         )
         return Verdict(ok, cert, exactness="graded")
-    transported = (
-        _transport_fiber_points(p, d, fib, base) if fib.origin is not None else False
-    )
     return Verdict(
-        transported,
+        _transport_fiber_points(d, fib),
         "irregular base point; only sampled transports of the partial fiber "
         f"data were checked (consistent={fib.consistent})",
         exactness="sampled",
     )
 
 
-def _transport_fiber_points(p, d, fib, base) -> bool:
-    rng = random.Random(5)
-    draws = [[0] * fib.dimension]
+def _transport_fiber_points(d, fib) -> bool:
+    p = fib.fibered
+    points = [fib.origin]
     if fib.dimension:
-        draws.append(
-            [corpus.random_rational(rng, 4) for _ in range(fib.dimension)]
-        )
-    for params in draws:
+        rng = random.Random(5)
         try:
-            x = fib.point(params)
+            points.append(
+                fib.point([corpus.random_rational(rng, 4) for _ in range(fib.dimension)])
+            )
         except FiberedError:
             return False
+    for x in points:
         images = []
         for i, leg in enumerate(d.legs):
             y = apply_morphism(leg, x)
             if not vertical_membership(p, d.objects[i], y):
                 return False
-            if y.base() != base:
+            if y.base() != fib.base_point:
                 return False
             images.append(y)
         for s, t, phi in d.arrows:
@@ -749,26 +723,23 @@ class InfinitesimalArrow:
     exponentiation by either side is a tensor; `connecting` is the algebra
     map in the function-pullback direction (base algebra into total)."""
 
-    total: WeilAlgebra
-    base: WeilAlgebra
     connecting: WeilMorphism
 
-    def __post_init__(self):
-        if self.connecting.source != self.base or (
-            self.connecting.target != self.total
-        ):
-            raise FiberedError(
-                "connecting map must send the base algebra into the total algebra"
-            )
+    @property
+    def total(self) -> WeilAlgebra:
+        return self.connecting.target
+
+    @property
+    def base(self) -> WeilAlgebra:
+        return self.connecting.source
 
     @staticmethod
     def identity(w: WeilAlgebra) -> "InfinitesimalArrow":
-        return InfinitesimalArrow(w, w, WeilMorphism.identity(w))
+        return InfinitesimalArrow(WeilMorphism.identity(w))
 
     @staticmethod
     def trivial() -> "InfinitesimalArrow":
-        k = terminal()
-        return InfinitesimalArrow(k, k, WeilMorphism.identity(k))
+        return InfinitesimalArrow.identity(terminal())
 
 
 def fibered_exponential_pullback(
@@ -1135,10 +1106,7 @@ def vertical_suite(
     )
     ident = FiberedObject.identity(3)
     fi = vertical_fiber(ident, jet_line(2), [2, -1, 7])
-    origin_ok = fi.origin is not None and all(
-        c.raw[1:] == (Fraction(0),) * 2
-        for c in fi.origin.coords
-    )
+    origin_ok = all(c.raw[1:] == (Fraction(0),) * 2 for c in fi.origin.coords)
     report.add(
         "fiber",
         "identity projection over second-order jets",

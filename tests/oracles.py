@@ -816,26 +816,28 @@ def solve_fiber_reference(desc, params):
     """(point, per_degree) of VerticalFiber desc at the given parameters,
     solved as weilkit did before it skipped the lifts of the constant point
     e0*1: the projection is lifted through apply_map at every filtration
-    degree, then once more for the verticality recheck.  Raises
-    FiberedError with weilkit's messages."""
+    degree, then once more for the verticality recheck.  The frame is
+    filtered_basis_reference's, inverted by solve_columns_reference.
+    Raises FiberedError with weilkit's messages."""
     p, w = desc.fibered, desc.algebra
     e, b, dim = p.total_dim, p.base_dim, w.dimension
-    kd = e - desc.jacobian_rank
+    vectors, slot_degrees = filtered_basis_reference(w)
+    frame = [[v[i] for v in vectors] for i in range(dim)]
+    frame_inverse = solve_columns_reference(frame, _identity(dim), dim, dim)
+    kd = len(desc.kernel)
     params = [qq(v) for v in params]
     filt = [[qq(0)] * dim for _ in range(e)]
     for i in range(e):
         filt[i][0] = qq(desc.base_point[i])
 
     def materialize():
-        return WeilPoint(
-            w, [w.element(list(desc._frame.apply(filt[i]))) for i in range(e)]
-        )
+        return WeilPoint(w, [w.element(matvec_reference(frame, filt[i])) for i in range(e)])
 
     record, chunk = [], 0
-    for degree in sorted({g for g in desc.slot_degrees if g >= 1}):
-        slots = [i for i, g in enumerate(desc.slot_degrees) if g == degree]
+    for degree in sorted({g for g in slot_degrees if g >= 1}):
+        slots = [i for i, g in enumerate(slot_degrees) if g == degree]
         image = apply_map(p.projection, materialize())
-        image_filt = [desc._frame_inverse.apply(image.coords[r].raw) for r in range(b)]
+        image_filt = [matvec_reference(frame_inverse, image.coords[r].raw) for r in range(b)]
         failed = False
         for beta in slots:
             solved = solve_affine(desc.jacobian, [-image_filt[r][beta] for r in range(b)])

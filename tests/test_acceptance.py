@@ -346,7 +346,7 @@ def test_exponential_pullback_identification(stamp):
         InfinitesimalArrow.identity(d),
         InfinitesimalArrow.identity(d2),
         InfinitesimalArrow.trivial(),
-        InfinitesimalArrow(d2, d, embed),
+        InfinitesimalArrow(embed),
     ]
     pool = [d, d2, jet_line(2), terminal()]
     ok = True

@@ -335,6 +335,28 @@ def test_commands_match_the_benchmark_records(capsys, monkeypatch):
         assert [code, digest(out)] == rec["out"], (key, argv)
 
 
+def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
+    # the Jacobian's kernel is the one Matrix.rref of a vertical command:
+    # the origin and the per-degree record are read off, not solved
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import command_item
+
+    from weilkit.exactlin import Matrix
+
+    records = json.loads((bench / "records.json").read_text())["commands"]
+    items = [int(key.rsplit(":", 1)[1]) for key in records if key.startswith("vertical:")]
+    assert len(items) == 120
+    calls = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+    for k in items:
+        argv = command_item("vertical", k)
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (0, 1), argv
+
+
 def test_verify_exact_only_suites_refuse_float(capsys):
     code, _, err = run(capsys, "verify", "microlinear", "--mode", "float")
     assert code == 2

@@ -62,13 +62,15 @@ def test_from_text_round_trip():
     assert serialize_map(again.projection, keyword="fibered") == text
 
 
-def test_declared_dimensions_must_match_the_map():
-    grow = parse_map("map g(u) -> (u, u)")
-    with pytest.raises(FiberedError):
-        FiberedObject(2, 2, grow)
-    with pytest.raises(FiberedError):
-        FiberedObject(1, 1, grow)
-    assert FiberedObject.from_map(grow).base_dim == 2
+def test_dimensions_come_from_the_map():
+    grow = FiberedObject(parse_map("map g(u) -> (u, u)"))
+    assert (grow.total_dim, grow.base_dim) == (1, 2)
+    lifted = arrow_weil_functor(jet_line(2), grow)
+    assert (lifted.total_dim, lifted.base_dim) == (3, 6)
+    d, d2 = dual_numbers(), first_order_infinitesimals(2)
+    embed = WeilMorphism.from_generator_images(d, d2, [d2.basis_element(1)])
+    arrow = InfinitesimalArrow(embed)
+    assert (arrow.total, arrow.base) == (d2, d)
 
 
 def test_coordinate_projection_is_linear():
@@ -190,10 +192,7 @@ def _solved(solve, params):
 
 def _assert_fiber_matches_the_reference(fib, params):
     origin = _solved(lambda ps: solve_fiber_reference(fib, ps), [0] * fib.dimension)
-    if fib.consistent:
-        assert origin == (fib.origin.coords, fib.per_degree)
-    else:
-        assert origin[0] == "refused" and fib.origin is None
+    assert origin == (fib.origin.coords, fib.per_degree)
     got = _solved(lambda ps: (fib.point(ps), None), params)
     want = _solved(lambda ps: solve_fiber_reference(fib, ps), params)
     assert got[0] == want[0]
@@ -212,7 +211,7 @@ def test_vertical_fiber_matches_the_solve_that_lifts_every_degree(
 ):
     rng = random.Random(seed)
     w = _FIBER_ALGEBRAS[which]
-    p = FiberedObject.from_map(random_poly_map(rng, total, rng.randint(1, total), depth=2))
+    p = FiberedObject(random_poly_map(rng, total, rng.randint(1, total), depth=2))
     e0 = [0] * total if at_zero else [random_rational(rng, 3) for _ in range(total)]
     fib = vertical_fiber(p, w, e0)
     params = [0 if zero_params else random_rational(rng, 3) for _ in range(fib.dimension)]
@@ -240,7 +239,7 @@ def test_vertical_fiber_lifts_the_projection_once(monkeypatch):
     monkeypatch.setattr(fibered, "apply_map", lambda f, x: calls.append(f) or real(f, x))
     fib = vertical_fiber(sphere_distance(), jet_line(3), (qq(1), qq(0), qq(0)))
     assert fib.consistent and [d for d, *_ in fib.per_degree] == [1, 2, 3]
-    assert len(calls) == 1  # the verticality recheck of the origin e0*1
+    assert len(calls) == 0  # the origin e0*1 is read off, not solved
     calls.clear()
     fib.point([1] * fib.dimension)
     assert len(calls) == 3  # degrees 2 and 3 follow a nonzero slot, then the recheck
@@ -532,11 +531,21 @@ def test_non_polynomial_squares_and_cones_are_refused(left, right):
     line = FiberedObject.identity(1)
     with pytest.raises(FiberedError, match="polynomial maps only"):
         FiberedMorphism(line, line, f, g)  # the square compares f with g
-    # over R^0 the legs' squares are empty, so only the cone compares f with g
+    # over R^0 a leg's square is empty, so no cone over it can be built:
+    # the leg itself is refused
     flat = FiberedObject.coordinate_projection(1, 0)
-    legs = tuple(FiberedMorphism(flat, flat, h, SmoothMap.identity(0)) for h in (f, g))
+    for h in (f, g):
+        with pytest.raises(FiberedError, match="polynomial maps only"):
+            FiberedMorphism(flat, flat, h, SmoothMap.identity(0))
+
+
+def test_a_call_the_target_projection_drops_is_refused():
+    p = FiberedObject.coordinate_projection(2, 1)
+    top, bottom = parse_map("t(a, b) -> (a, exp(b))"), parse_map("s(a) -> (a)")
     with pytest.raises(FiberedError, match="polynomial maps only"):
-        FiberedDiagram((flat, flat), ((0, 1, FiberedMorphism.identity(flat)),), flat, legs)
+        FiberedMorphism(p, p, top, bottom)
+    with pytest.raises(FiberedError, match="polynomial maps only"):
+        FiberedMorphism(p, p, SmoothMap.identity(2), parse_map("s(a) -> (exp(a))"))
 
 
 def test_polynomial_squares_are_decided_exactly():
