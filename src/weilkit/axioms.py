@@ -589,9 +589,10 @@ def closure_suite(seed: int = 0) -> Report:
 
     base = [ModelObject.coordinate(n) for n in (1, 2)]
     cones = [corpus.random_limit_cone(rng) for _ in range(3)]
+    numbers = [limit_cone_numbers(cone) for cone in cones]
     for x in base:
         for i, cone in enumerate(cones):
-            v = check_microlinear(x, cone)
+            v = _lifted_verdict(x, cone, *numbers[i])
             report.add("base-object", f"{x.name} over cone {i}", v, v.certificate)
 
     derived = []
@@ -609,13 +610,8 @@ def closure_suite(seed: int = 0) -> Report:
 
     for x in derived:
         for i, cone in enumerate(cones):
-            v = check_microlinear(x, cone)
-            report.add(
-                "derived-microlinear",
-                f"{x.name} over cone {i}",
-                v,
-                v.certificate,
-            )
+            v = _lifted_verdict(x, cone, *numbers[i])
+            report.add("derived-microlinear", f"{x.name} over cone {i}", v, v.certificate)
 
     for x in derived[:3]:
         sub = check_weil_exponentiable(

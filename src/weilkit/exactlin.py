@@ -7,8 +7,13 @@ to their readers, and a float reaching one raises ModeError at the
 container boundary instead of silently promoting.  So every structural
 decision (kernels, ranks, solvability) is exact.
 
-Matrix.rref is the package's one elimination: kernels, solves, ranks and
-inverses all go through it, and no other module divides by a pivot.
+Matrix.rref is the package's one elimination: kernels, ranks and the
+factored system go through it, and no other module divides by a pivot.
+factor(m) is the solve: one rref of [m | I] gives the pivots, the kernel,
+the particular-solution rows P and the cokernel rows C, after which m x = r
+is solvable exactly when C r = 0, with P r a solution.  solve_unique,
+solve_affine, solve_matrix, span_contains and Matrix.inverse are readers of
+it, so a caller that solves against one matrix many times factors it once.
 """
 
 from __future__ import annotations
@@ -240,12 +245,13 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
+        """The particular-solution rows of factor(self): one elimination."""
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        inv = solve_matrix(self, Matrix.identity(self.rows))
-        if isinstance(inv, SolveFailure):
+        system = factor(self)
+        if system.kernel:
             raise ValueError("matrix is singular")
-        return inv
+        return Matrix._of(system.particular, self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
@@ -331,73 +337,89 @@ def kernel_basis(m: Matrix):
     return _kernel_of(*m.rref(), m.cols)
 
 
-def solve_unique(m: Matrix, rhs):
-    """Solve m x = rhs expecting exactly one solution.
+class Factored:
+    """m after one elimination of [m | I], whose rref is [R | E] with R the
+    rref of m and E m = R.  Its first rank rows give the pivots, the
+    echelon kernel (kernel_basis(m)) and the particular-solution rows P;
+    the rest are zero on the left, and their right parts are the cokernel
+    rows C, with C m = 0.  Every solve against m is then a product."""
 
-    Returns the solution vector, or NO_SOLUTION / NOT_UNIQUE as ordinary
-    values; the caller decides which outcomes are errors.
-    """
-    x = solve_matrix(m, Matrix.from_columns([tuple(rhs)], rows=m.rows))
-    return x if isinstance(x, SolveFailure) else x.column(0)
+    __slots__ = ("rows", "cols", "pivots", "kernel", "particular", "cokernel")
+
+    def __init__(self, m: Matrix):
+        n, self.rows, self.cols = m.cols, m.rows, m.cols
+        reduced, pivots = hstack([m, Matrix.identity(m.rows)]).rref()
+        rank = sum(p < n for p in pivots)
+        self.pivots = pivots[:rank]
+        self.kernel = _kernel_of(reduced, self.pivots, n)
+        self.particular = tuple(row[n:] for row in reduced[:rank])
+        self.cokernel = tuple(row[n:] for row in reduced[rank:])
+
+    def solve(self, rhs):
+        """P rhs, or NO_SOLUTION when C rhs != 0: the solution an elimination
+        of [m | rhs] reads off, since E [m | rhs] = [R | E rhs] is already
+        that rref when C rhs = 0."""
+        rhs = tuple(map(qq, rhs))
+        if len(rhs) != self.rows:
+            raise ValueError("right-hand side length does not match row count")
+        terms = [(i, y) for i, y in enumerate(rhs) if y]
+        if any(sum(row[i] * y for i, y in terms) for row in self.cokernel):
+            return NO_SOLUTION
+        x = [_ZERO] * self.cols
+        for p, row in zip(self.pivots, self.particular):
+            x[p] = sum((row[i] * y for i, y in terms), _ZERO)
+        return tuple(x)
+
+
+def factor(m: Matrix) -> Factored:
+    """The factored system of m: one Matrix.rref, then solves are products."""
+    return Factored(m)
+
+
+def solve_unique(m: Matrix, rhs):
+    """The one solution of m x = rhs, or NO_SOLUTION / NOT_UNIQUE as
+    ordinary values (the caller decides which are errors).  A reader of
+    factor(m), like every solve below."""
+    system = factor(m)
+    x = system.solve(rhs)
+    return NOT_UNIQUE if system.kernel and x is not NO_SOLUTION else x
 
 
 def solve_affine(m: Matrix, rhs):
-    """General exact solve: (particular solution, kernel basis) or NO_SOLUTION.
-
-    One elimination of [m | rhs] gives both: when the system is consistent
-    its left block is the rref of m, so the kernel is read off it.
-    """
-    rows, pivots = hstack([m, Matrix.from_columns([tuple(rhs)], rows=m.rows)]).rref()
-    if m.cols in pivots:
-        return NO_SOLUTION
-    particular = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        particular[p] = rows[r][m.cols]
-    return tuple(particular), _kernel_of(rows, pivots, m.cols)
+    """(particular solution, kernel basis) of m x = rhs, or NO_SOLUTION."""
+    system = factor(m)
+    x = system.solve(rhs)
+    return x if x is NO_SOLUTION else (x, system.kernel)
 
 
 def solve_matrix(m: Matrix, rhs: Matrix):
-    """Solve m X = rhs expecting a unique solution for every column.
-
-    One elimination of [m | rhs] decides every column.  With a nonzero
-    kernel the answer is NO_SOLUTION if column 0 is inconsistent, else
-    NOT_UNIQUE; with a zero kernel, NO_SOLUTION if any column is.
-    """
+    """X = P rhs for m X = rhs, expecting one solution for every column.
+    With a nonzero kernel the answer is NO_SOLUTION if column 0 is
+    inconsistent, else NOT_UNIQUE; with a zero kernel, NO_SOLUTION if any
+    column is."""
     if not rhs.cols:
         return Matrix.from_columns([], rows=m.cols)
     if rhs.rows != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    n = m.cols
-    rows, pivots = hstack([m, rhs]).rref()
-    rank = sum(p < n for p in pivots)
-    # rows past the rank are zero on m's side, so a nonzero there reads 0 = b
-    bad = [any(row[n + j] for row in rows[rank:]) for j in range(rhs.cols)]
-    if rank < n:
+    system = factor(m)
+    residues = (Matrix._of(system.cokernel, m.rows) @ rhs).raw
+    bad = [any(row[j] for row in residues) for j in range(rhs.cols)]
+    if system.kernel:
         return NO_SOLUTION if bad[0] else NOT_UNIQUE
-    if any(bad):
-        return NO_SOLUTION
-    return Matrix._of(tuple(row[n:] for row in rows[:n]), rhs.cols)
+    return NO_SOLUTION if any(bad) else Matrix._of(system.particular, m.rows) @ rhs
 
 
 def span_contains(basis, vector) -> bool:
     """Does the exact span of `basis` contain `vector`?"""
-    if not basis:
-        return not any(map(qq, vector))
-    m = Matrix.from_columns(basis)
-    _, pivots = hstack([m, Matrix.from_columns([tuple(vector)])]).rref()
-    return m.cols not in pivots
+    frame = Matrix.from_columns(basis, rows=len(vector))
+    return factor(frame).solve(vector) is not NO_SOLUTION
 
 
 def spans_equal(basis_a, basis_b) -> bool:
-    """Do two exact vector lists span the same subspace?"""
+    """Do two exact vector lists span the same subspace?  Equal ranks, and
+    no more together (the joint rank is taken only when the two agree)."""
     if not basis_a and not basis_b:
         return True
-    n = len(basis_a[0]) if basis_a else len(basis_b[0])
-    ma = Matrix(basis_a, cols=n)
-    mb = Matrix(basis_b, cols=n)
-    ra = ma.rank()
-    rb = mb.rank()
-    if ra != rb:
-        return False
-    joint = vstack([ma, mb], cols=n)
-    return joint.rank() == ra
+    n = len((basis_a or basis_b)[0])
+    rank = Matrix(basis_a, cols=n).rank()
+    return rank == Matrix(basis_b, cols=n).rank() == Matrix([*basis_a, *basis_b], cols=n).rank()

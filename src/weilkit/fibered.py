@@ -17,29 +17,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import corpus
-from .axioms import ModelObject, _lifted_verdict, check_microlinear, limit_cone_numbers
+from .axioms import ModelObject, _lifted_verdict, limit_cone_numbers
 from .exactlin import (
     NO_SOLUTION,
+    Factored,
     Matrix,
     Mode,
-    SolveFailure,
     difference_rows,
+    factor,
     kernel_basis,
     qq,
-    solve_affine,
-    solve_unique,
     spans_equal,
     vstack,
 )
 from .expr import (
     NonPolynomialError,
+    PolyCoefficients,
     SmoothMap,
+    fold,
     linear_map,
     parse_map,
     poly_diff,
     poly_eval,
+    poly_from_expr,
 )
 from .reports import Report, Verdict
 from .smooth import WeilPoint, apply_map, apply_morphism, embed_base, lift_map
@@ -114,11 +117,23 @@ class FiberedObject:
         return self.linear_rows() is not None
 
 
-def _polys(f: SmoothMap):
-    """f as exact polynomials.  A map that is not one (a call, or a
+def _polys(f: SmoothMap, inner: SmoothMap | None = None, inner_polys=None):
+    """f, or f after inner, as exact polynomials.  No composite is built:
+    f's bodies fold over inner's polynomials, which are inner_polys when
+    already converted, else those of the inner bodies f reads (the ones
+    compose would substitute).  A map that is not polynomial (a call, or a
     denominator that depends on the inputs) is a FiberedError."""
     try:
-        return f.to_polys()
+        if inner is None:
+            return f.to_polys()
+        if inner_polys is None:
+            reads = set().union(*(b.variables() for b in f.bodies))
+            inner_polys = [
+                poly_from_expr(b, inner.arity_in, inner.var_names) if i in reads else None
+                for i, b in enumerate(inner.bodies)
+            ]
+        ring = PolyCoefficients(inner.arity_in)
+        return [fold(b, ring, inner_polys, f.var_names) for b in f.bodies]
     except (NonPolynomialError, ZeroDivisionError) as exc:
         raise FiberedError(f"squares are decided on polynomial maps only: {exc}") from None
 
@@ -133,7 +148,9 @@ def _maps_agree(f: SmoothMap, g: SmoothMap) -> bool:
 @dataclass(frozen=True)
 class FiberedMorphism:
     """A pair of polynomial maps forming a square over two projections that
-    commutes as an identity of polynomials (see _maps_agree)."""
+    commutes as an identity of polynomials: top is converted once and the
+    target projection folds over it, and bottom, checked on its own, folds
+    over the source projection (see _polys)."""
 
     source: FiberedObject
     target: FiberedObject
@@ -149,11 +166,10 @@ class FiberedMorphism:
             self.bottom.arity_out != self.target.base_dim
         ):
             raise FiberedError("bottom map arities do not match the base spaces")
-        _polys(self.top)
+        top = _polys(self.top)
         _polys(self.bottom)
-        left = self.target.projection.compose(self.top)
-        right = self.bottom.compose(self.source.projection)
-        if not _maps_agree(left, right):
+        left = _polys(self.target.projection, self.top, top)
+        if left != _polys(self.bottom, self.source.projection):
             raise FiberedError(
                 "square does not commute: projection after top differs from "
                 "bottom after projection"
@@ -301,11 +317,11 @@ def vertical_membership(p: FiberedObject, w: WeilAlgebra, x: WeilPoint) -> bool:
 class VerticalFiber:
     """Degree-graded description of the vertical points over one base point.
 
-    Only the Jacobian at the base point, its kernel and the filtered basis
-    are computed; everything else is read off them, and nothing is solved
-    until point() asks for a member.  At a regular point (full-row-rank
-    Jacobian) the fiber is parametrized by one copy of the Jacobian kernel
-    per nilpotent filtration slot.
+    Only the Jacobian at the base point, factored once, and the filtered
+    basis are computed; everything else is read off them, and nothing is
+    solved until point() asks for a member.  At a regular point
+    (full-row-rank Jacobian) the fiber is parametrized by one copy of the
+    Jacobian kernel per nilpotent filtration slot.
     """
 
     fibered: FiberedObject
@@ -314,7 +330,14 @@ class VerticalFiber:
     jacobian: Matrix
     kernel: tuple
     slot_degrees: tuple
+    _system: Factored = field(repr=False, compare=False)
     _frame: Matrix = field(repr=False)
+
+    @cached_property
+    def _frame_inverse(self) -> Matrix:
+        """The filtered frame's inverse: one elimination per fiber, on the
+        first point() that needs an image."""
+        return self._frame.inverse()
 
     @property
     def jacobian_rank(self) -> int:
@@ -352,45 +375,40 @@ class VerticalFiber:
         return True
 
     def point(self, params) -> WeilPoint:
-        """The member for the given parameters, by a linear solve at each
-        filtration slot, degree by degree.  Until a solved slot is nonzero
-        the point is still e0*1, which the projection sends to F(e0)*1, so
-        every right-hand side is zero: a degree lifts the projection only
-        when an earlier degree left a nonzero slot.  The first inconsistent
-        degree raises a FiberedError, and so does a result that fails the
-        verticality recheck."""
+        """The member for the given parameters, by a product with the
+        factored Jacobian at each filtration slot, degree by degree.  Until
+        a solved slot is nonzero the point is still e0*1, which the
+        projection sends to F(e0)*1, so every right-hand side is zero: a
+        degree lifts the projection only when an earlier degree left a
+        nonzero slot.  The first inconsistent degree raises a FiberedError,
+        and so does a result that fails the verticality recheck."""
         p, w = self.fibered, self.algebra
         e, b, dim = p.total_dim, p.base_dim, w.dimension
         kd = len(self.kernel)
         params = [_as_fraction(v, "fiber parameter") for v in params]
         if len(params) != self.dimension:
             raise FiberedError(f"expected {self.dimension} parameters, got {len(params)}")
-        filt = [[qq(0)] * dim for _ in range(e)]
-        for i in range(e):
-            filt[i][0] = self.base_point[i]
+        filt = [[c] + [qq(0)] * (dim - 1) for c in self.base_point]
 
         def materialize() -> WeilPoint:
             return WeilPoint(w, [w.element(list(self._frame.apply(f))) for f in filt])
 
         chunk = 0
         moved = False  # has a solved slot left the constant point e0*1?
-        inverse = None  # of the frame, the first time an image is needed
         for degree in sorted({g for g in self.slot_degrees if g >= 1}):
             if moved:
-                if inverse is None:
-                    inverse = self._frame.inverse()
                 image = apply_map(p.projection, materialize())
-                image_filt = [inverse.apply(image.coords[r].raw) for r in range(b)]
+                image_filt = [self._frame_inverse.apply(image.coords[r].raw) for r in range(b)]
             else:  # the point is e0*1 and its image F(e0)*1 has no nilpotent part
                 image_filt = [(qq(0),) * dim] * b
             for beta in [i for i, g in enumerate(self.slot_degrees) if g == degree]:
-                solved = solve_affine(self.jacobian, [-image_filt[r][beta] for r in range(b)])
+                solved = self._system.solve([-image_filt[r][beta] for r in range(b)])
                 if solved is NO_SOLUTION:
                     raise FiberedError(
                         f"fiber equations are inconsistent at filtration degree {degree} "
                         f"(projection {p.projection.name} is irregular here)"
                     )
-                xi = list(solved[0])
+                xi = list(solved)
                 for t in range(kd):
                     c = params[chunk + t]
                     if c:
@@ -407,7 +425,7 @@ class VerticalFiber:
 
 def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
     """The vertical points sitting over the ordinary point e0, as the
-    Jacobian there, its kernel (the one elimination) and the filtered
+    Jacobian there, factored (the one elimination), and the filtered
     basis of w.  Nothing is solved here; VerticalFiber.point solves a
     member.
 
@@ -424,22 +442,21 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
             f"{p.projection.name} is not polynomial; the graded solver only "
             "handles polynomial projections"
         )
-    polys = p.projection.to_polys()
-    jac_rows = []
-    for poly in polys:
-        row = []
-        for j in range(p.total_dim):
-            row.append(poly_eval(poly_diff(poly, j), base))
-        jac_rows.append(row)
-    jac = Matrix(jac_rows, cols=p.total_dim)
+    jac = Matrix(
+        [[poly_eval(poly_diff(poly, j), base) for j in range(p.total_dim)]
+         for poly in p.projection.to_polys()],
+        cols=p.total_dim,
+    )
     vectors, degrees = filtered_basis(w)
+    system = factor(jac)
     return VerticalFiber(
         fibered=p,
         algebra=w,
         base_point=base,
         jacobian=jac,
-        kernel=tuple(kernel_basis(jac)),
+        kernel=tuple(system.kernel),
         slot_degrees=tuple(degrees),
+        _system=system,
         _frame=Matrix.from_columns(vectors),
     )
 
@@ -475,64 +492,36 @@ def check_vertical_equalizer(
     report = Report(f"vertical equalizer: {p.name} over {w.dimension}-dim algebra")
     eqs = vertical_equations(p, w)
     basis = kernel_basis(eqs)
-    frame = Matrix.from_columns(basis) if basis else None
+    frame = Matrix.from_columns(basis, rows=eqs.cols)
+    system = factor(frame)  # z factors when C z = 0, uniquely as the kernel is 0
 
-    members_ok = True
-    for vec in basis:
-        pt = _point_from_flat(w, vec, p.total_dim)
-        if not vertical_membership(p, w, pt):
-            members_ok = False
-    report.add(
-        "representation",
-        f"{len(basis)} basis members",
-        members_ok,
-        "every representation basis vector is a vertical point",
+    members_ok = all(
+        vertical_membership(p, w, _point_from_flat(w, vec, p.total_dim)) for vec in basis
     )
+    report.add("representation", f"{len(basis)} basis members", members_ok,
+               "every representation basis vector is a vertical point")
 
     for i in range(samples):
         width = rng.randint(1, 2)
-        coeffs = Matrix(
-            [
-                [corpus.random_rational(rng, 5) for _ in range(width)]
-                for _ in basis
-            ],
-            cols=width,
-        )
-        z = frame @ coeffs if frame is not None else Matrix.zeros(eqs.cols, width)
-        residual = eqs @ z
-        equalizes = not any(any(row) for row in residual.raw)
-        unique = True
-        factors = True
-        for j in range(width):
-            col = z.column(j)
-            sol = (
-                solve_unique(frame, col)
-                if frame is not None
-                else (NO_SOLUTION if any(col) else ())
-            )
-            if isinstance(sol, SolveFailure):
-                factors = sol is not NO_SOLUTION
-                unique = False
+        coeffs = [[corpus.random_rational(rng, 5) for _ in range(width)] for _ in basis]
+        z = frame @ Matrix(coeffs, cols=width)
+        equalizes = not any(any(row) for row in (eqs @ z).raw)
+        factors = all(system.solve(z.column(j)) is not NO_SOLUTION for j in range(width))
         report.add(
             "mediation",
             f"sampled cone {i} of width {width}",
-            equalizes and factors and unique,
+            equalizes and factors and not system.kernel,
             "equalizes and factors uniquely through the vertical subspace",
         )
 
     if any(any(row) for row in eqs.raw):
-        outsider = None
-        for _ in range(20):
-            probe = [corpus.random_rational(rng, 5) for _ in range(eqs.cols)]
-            if any(eqs.apply(probe)):
-                outsider = probe
-                break
+        probes = ([corpus.random_rational(rng, 5) for _ in range(eqs.cols)] for _ in range(20))
+        outsider = next((probe for probe in probes if any(eqs.apply(probe))), None)
         if outsider is not None:
-            sol = solve_unique(frame, outsider) if frame is not None else NO_SOLUTION
             report.add(
                 "no-factoring-outside",
                 "non-equalizing probe",
-                sol is NO_SOLUTION,
+                system.solve(outsider) is NO_SOLUTION,
                 "a map that fails the equalizer condition cannot factor",
             )
     return report
@@ -555,7 +544,11 @@ def check_fibered_microlinear(
     verified to commute with every leg, which is the glue that makes the
     componentwise limit an arrow-level one.
     """
-    numbers = limit_cone_numbers(d, enforce_limit_input)
+    return _fibered_verdict(p, d, limit_cone_numbers(d, enforce_limit_input), samples, seed)
+
+
+def _fibered_verdict(p: FiberedObject, d: DiagramInWeil, numbers, samples: int, seed: int):
+    """check_fibered_microlinear's verdict from the cone's r = 1 numbers."""
     v_total = _lifted_verdict(ModelObject.coordinate(p.total_dim), d, *numbers)
     v_base = _lifted_verdict(ModelObject.coordinate(p.base_dim), d, *numbers)
 
@@ -761,12 +754,15 @@ def fibered_exponential_pullback(
     """
     rng = random.Random(seed)
     pm = _linear_rows_matrix(p)
-    if pm.rank() != p.base_dim:
+    inner, _, _ = tensor(w1, w2)
+    a_total, _, _ = tensor(inner, q.total)
+    # one elimination of the lifted projection: its kernel parametrizes the
+    # fibers, each sample is a product, and no cokernel means surjective
+    lifted = factor(pm.kron(Matrix.identity(a_total.dimension)))
+    if lifted.cokernel:
         raise FiberedError(
             "sampling pullback points needs a surjective linear projection"
         )
-    inner, _, _ = tensor(w1, w2)
-    a_total, _, _ = tensor(inner, q.total)
     a_base, _, _ = tensor(inner, q.base)
     left_total, _, _ = tensor(w1, q.total)
     b_total, _, _ = tensor(left_total, w2)
@@ -808,21 +804,14 @@ def fibered_exponential_pullback(
         "both transports are isomorphisms",
     )
 
-    lifted = pm.kron(Matrix.identity(a_total.dimension))
-    vert = kernel_basis(lifted) if p.base_dim < p.total_dim else []
-    vert = [[(k, y) for k, y in enumerate(kv) if y] for kv in vert]  # nonzero entries
+    vert = [[(k, y) for k, y in enumerate(kv) if y] for kv in lifted.kernel]  # nonzero entries
     # the permutation (0, 2, 1) is its own inverse
     shuffle_back = factor_permutation_iso(b_total, a_total, (0, 2, 1))
     pair_failures = 0
     for _ in range(samples):
         v = corpus.random_point(rng, a_base, p.base_dim)
         target = apply_morphism(conn_left, v)
-        solved = solve_affine(lifted, _flat_from_point(target))
-        if solved is NO_SOLUTION:
-            pair_failures += 1
-            continue
-        particular, _ = solved
-        flat_u = list(particular)
+        flat_u = list(lifted.solve(_flat_from_point(target)))
         for kv in vert:
             c = corpus.random_rational(rng, 3)
             if c:
@@ -936,14 +925,9 @@ def fibered_suite(
     if negative_controls:
         count = min(max(4, samples // 3), samples * 4)
         for i, (kind, mutant) in enumerate(corpus.mutated_cones(rng, count)):
-            v = check_fibered_microlinear(
-                proj, mutant, enforce_limit_input=False
-            )
-            component = check_microlinear(
-                ModelObject.coordinate(proj.total_dim),
-                mutant,
-                enforce_limit_input=False,
-            )
+            numbers = limit_cone_numbers(mutant, enforce_limit_input=False)
+            v = _fibered_verdict(proj, mutant, numbers, samples=6, seed=0)
+            component = _lifted_verdict(ModelObject.coordinate(proj.total_dim), mutant, *numbers)
             report.add(
                 "negative-control",
                 f"{kind}-mutated cone {i}",
@@ -1001,16 +985,12 @@ def fibered_suite(
 
     cones = [corpus.random_limit_cone(rng) for _ in range(3)]
     for i, cone in enumerate(cones):
+        numbers = limit_cone_numbers(cone)
         for obj, label in ((FiberedObject.identity(2), "identity arrow"),
                            (proj, "coordinate projection"),
                            (sphere, "sphere distance")):
-            v = check_fibered_microlinear(obj, cone, seed=rng.randrange(1 << 30))
-            report.add(
-                "fibered-microlinear",
-                f"{label} over cone {i}",
-                v,
-                v.certificate,
-            )
+            v = _fibered_verdict(obj, cone, numbers, samples=6, seed=rng.randrange(1 << 30))
+            report.add("fibered-microlinear", f"{label} over cone {i}", v, v.certificate)
 
     p3 = FiberedObject.coordinate_projection(3, 1)
     d2 = first_order_infinitesimals(2)
@@ -1124,8 +1104,9 @@ def vertical_suite(
     sound = True
     for i in range(max(4, samples // 3)):
         params = [corpus.random_rational(rng, 4) for _ in range(fj.dimension)]
-        x = fj.point(params)
-        if not vertical_membership(proj, jet_line(2), x):
+        try:
+            fj.point(params)  # rechecks membership, and raises when it fails
+        except FiberedError:
             sound = False
     v = Verdict(
         sound, "every materialized fiber point passes membership exactly", "sampled"

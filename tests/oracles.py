@@ -12,6 +12,10 @@ solve_fiber_reference, the vertical-fiber solve that lifted the projection
 at every filtration degree; and subalgebra_reference, the incremental
 echelon form that picked a subalgebra basis and reduced every structure
 product before coordinates were read off the echelon kernel basis.
+solve_affine_reference and solve_matrix_reference keep the [m | rhs]
+eliminations that a product with one factored system replaced, on
+rref_reference, and square_sides_reference the compose-then-convert route
+that folding over converted polynomials replaced.
 morphism_apply_reference and tensor_injections_reference keep the dense
 morphism image and the generator-image injections that the sparse int
 columns and the selection matrices replaced, and filtered_basis_reference
@@ -31,14 +35,12 @@ import sympy
 
 from weilkit.exactlin import (
     NO_SOLUTION,
+    NOT_UNIQUE,
     Matrix,
     ModeError,
     SolveFailure,
     _raw_of,
     qq,
-    solve_affine,
-    solve_matrix,
-    span_contains,
     vstack,
 )
 from weilkit.expr import (
@@ -253,6 +255,52 @@ def solve_columns_reference(a, b, ncols_a, ncols_b):
     return [[col[i] for col in columns] for i in range(ncols_a)]
 
 
+# the [m | rhs] eliminations that weilkit's solves made before each became a
+# product with one factored system per matrix
+
+
+def solve_affine_reference(m, rhs):
+    """solve_affine the former way: one elimination of [m | rhs], whose left
+    block is the rref of m when the system is consistent, so the kernel is
+    read off it too.  (particular, kernel) as Fraction tuples, or
+    NO_SOLUTION."""
+    n = m.cols
+    reduced, pivots = rref_reference([list(row) + [qq(x)] for row, x in zip(m.raw, rhs)], n + 1)
+    if n in pivots:
+        return NO_SOLUTION
+    particular = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        particular[p] = reduced[r][n]
+    return tuple(particular), [tuple(v) for v in _echelon_kernel(reduced, pivots, n)]
+
+
+def solve_matrix_reference(m, rhs):
+    """solve_matrix the former way: one elimination of [m | rhs] decides
+    every column.  With a nonzero kernel, NO_SOLUTION if column 0 is
+    inconsistent, else NOT_UNIQUE; with a zero kernel, NO_SOLUTION if any
+    column is; else the solution Matrix."""
+    if not rhs.cols:
+        return Matrix.from_columns([], rows=m.cols)
+    n = m.cols
+    aug = [list(a) + list(b) for a, b in zip(m.raw, rhs.raw)]
+    reduced, pivots = rref_reference(aug, n + rhs.cols)
+    rank = sum(p < n for p in pivots)
+    bad = [any(row[n + j] for row in reduced[rank:]) for j in range(rhs.cols)]
+    if rank < n:
+        return NO_SOLUTION if bad[0] else NOT_UNIQUE
+    if any(bad):
+        return NO_SOLUTION
+    return Matrix([row[n:] for row in reduced[:n]], cols=rhs.cols)
+
+
+def span_contains_reference(basis, vector) -> bool:
+    """Does the span of the vectors in basis contain vector?  Equal ranks
+    with and without it."""
+    n = len(vector)
+    rank = len(rref_reference(basis, n)[1])
+    return rank == len(rref_reference(list(basis) + [vector], n)[1])
+
+
 def microlinear_numbers(r, apex_dim, dims, legs, arrows, augs):
     """The lifted system at X = R^r, built densely with I_r (x) blocks as the
     definition reads.  legs[j] and each arrow's matrix are Fraction rows,
@@ -393,7 +441,11 @@ def ideal_chain_reference(table, aug):
 
 def kernel_reference(rows, ncols):
     """Basis of the right kernel of Fraction rows, one vector per free column."""
-    reduced, pivots = rref_reference(rows, ncols)
+    return _echelon_kernel(*rref_reference(rows, ncols), ncols)
+
+
+def _echelon_kernel(reduced, pivots, ncols):
+    """The kernel read off rref rows whose pivots lie in the first ncols."""
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -643,7 +695,7 @@ def is_limit_cone_reference(diagram):
         return ok, f"empty diagram; apex dimension {diagram.apex.dimension}"
     a = vstack([leg.matrix for leg in legs], cols=apex.dimension)
     b = vstack([leg.matrix for leg in diagram.legs], cols=diagram.apex.dimension)
-    mediating = solve_matrix(a, b)
+    mediating = solve_matrix_reference(a, b)
     if isinstance(mediating, SolveFailure):
         return False, "cone does not factor through the computed limit"
     try:
@@ -714,7 +766,7 @@ def subalgebra_reference(w, span_vectors):
     incremental echelon form of those picks."""
     span_vectors = [tuple(map(_raw_of, v)) for v in span_vectors]
     unit = w.one().raw
-    if unit not in span_vectors and not span_contains(span_vectors, unit):
+    if unit not in span_vectors and not span_contains_reference(span_vectors, unit):
         raise AlgebraError("subspace does not contain the unit")
     echelon = _Echelon()
     basis_vectors = [v for v in (unit, *span_vectors) if echelon.add(v)]
@@ -840,7 +892,7 @@ def solve_fiber_reference(desc, params):
         image_filt = [matvec_reference(frame_inverse, image.coords[r].raw) for r in range(b)]
         failed = False
         for beta in slots:
-            solved = solve_affine(desc.jacobian, [-image_filt[r][beta] for r in range(b)])
+            solved = solve_affine_reference(desc.jacobian, [-image_filt[r][beta] for r in range(b)])
             if solved is NO_SOLUTION:
                 failed = True
                 break
@@ -889,3 +941,15 @@ def tensor_injections_reference(w1, w2, w):
         WeilMorphism.from_generator_images(w1, w, gens[:n1], check=False),
         WeilMorphism.from_generator_images(w2, w, gens[n1:], check=False),
     )
+
+
+# ----- the former square conversion ------------------------------------------------
+
+
+def square_sides_reference(source, target, top, bottom):
+    """(target projection after top, bottom after source projection) as
+    exact polynomials, the way FiberedMorphism compared them before it
+    folded over converted polynomials: each composite built as a fresh
+    tree, then converted."""
+    left = target.projection.compose(top).to_polys()
+    return left, bottom.compose(source.projection).to_polys()

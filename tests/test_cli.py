@@ -357,6 +357,39 @@ def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
         assert (code, len(calls)) == (0, 1), argv
 
 
+def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
+    # Matrix.rref calls of the nine invocations the benchmark times: each
+    # cone's numbers are ranked once per suite, and every repeated solve
+    # against one matrix is a product with its factored system (391 calls
+    # in all before that, 251 after)
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import VERIFY_SUITES
+
+    from weilkit.exactlin import Matrix
+
+    calls = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+    counts = {}
+    for name, argv in VERIFY_SUITES.items():
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        counts[name] = len(calls)
+    assert counts == {
+        "axioms": 0,
+        "axioms.float": 0,
+        "microlinear": 62,
+        "microlinear.neg": 65,
+        "fibered": 18,
+        "fibered.neg": 18,
+        "vertical": 47,
+        "vertical.neg": 16,
+        "exponentiable": 25,
+    }
+    assert sum(counts.values()) == 251
+
+
 def test_verify_exact_only_suites_refuse_float(capsys):
     code, _, err = run(capsys, "verify", "microlinear", "--mode", "float")
     assert code == 2

@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 from oracles import (
     add_reference,
     difference_rows_reference,
+    kernel_reference,
     kron_reference,
     matmul_reference,
     matvec_reference,
     rref_reference,
+    solve_affine_reference,
     solve_columns_reference,
+    solve_matrix_reference,
+    span_contains_reference,
 )
 
 from weilkit import Matrix, ModeError, WeilMorphism, dual_numbers, qq
 from weilkit.exactlin import (
     NO_SOLUTION,
     NOT_UNIQUE,
+    SolveFailure,
     _raw_of,
     difference_rows,
+    factor,
     hstack,
     kernel_basis,
     solve_affine,
@@ -152,12 +158,18 @@ def test_solve_affine_eliminates_once(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", counted)
     m = Matrix([[1, 2, 0], [2, 4, 1]])
     particular, kernel = solve_affine(m, (1, 3))
-    assert calls == [(2, 4)]
+    # one elimination of [m | I]; every later solve is a product
+    assert calls == [(2, 5)]
+    system = factor(m)
+    assert [system.solve(r) for r in ((1, 3), (0, 1), (2, 7))] == [
+        particular, (qq(0), qq(0), qq(1)), (qq(2), qq(0), qq(3))]
+    assert system.kernel == kernel
+    assert calls == [(2, 5), (2, 5)]
     assert m.apply(particular) == (qq(1), qq(3))
     assert kernel == [(qq(-2), qq(1), qq(0))]
     calls.clear()
     assert solve_affine(Matrix([[1, 2], [2, 4]]), (1, 1)) is NO_SOLUTION
-    assert calls == [(2, 3)]
+    assert calls == [(2, 4)]
 
 
 def test_solve_outcomes_are_values_not_errors():
@@ -338,6 +350,53 @@ def test_solve_matrix_outcome_order(a, b, want):
     b = [[Fraction(x) for x in row] for row in b]
     assert _solve_outcome(a, 2, b, 2) == want
     assert solve_columns_reference(a, b, 2, 2) == want
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_factored_solves_match_the_former_eliminations(data):
+    # consistent, inconsistent, non-unique and zero-row systems: every
+    # product of factor(m) equals what an elimination of [m | rhs] reads off
+    a, ca = data.draw(sparse_rows())
+    m = as_matrix(a, ca)
+    system = factor(m)
+    assert system.pivots == rref_reference(a, ca)[1]
+    assert system.kernel == kernel_basis(m) == [tuple(v) for v in kernel_reference(a, ca)]
+    b, cb = data.draw(sparse_rows(rows=len(a), cols=data.draw(st.integers(0, 3))))
+    x = [row[0] for row in data.draw(sparse_rows(rows=ca, cols=1))[0]]
+    rhss = [[row[j] for row in b] for j in range(cb)] + [list(m.apply(x))]
+    for rhs in rhss:
+        want = solve_affine_reference(m, rhs)
+        got = system.solve(rhs)
+        assert got == (want if want is NO_SOLUTION else want[0])
+        assert got is NO_SOLUTION or all(type(e) is Fraction for e in got)
+        assert solve_affine(m, rhs) == want
+        got = solve_unique(m, rhs)
+        got = got.value if isinstance(got, SolveFailure) else [[e] for e in got]
+        assert got == solve_columns_reference(a, [[y] for y in rhs], ca, 1)
+        columns = [m.column(j) for j in range(ca)]
+        assert span_contains(columns, rhs) == span_contains_reference(columns, rhs)
+    assert solve_affine_reference(m, rhss[-1]) is not NO_SOLUTION
+    rhs = as_matrix(b, cb)
+    assert solve_matrix(m, rhs) == solve_matrix_reference(m, rhs)
+    assert _solve_outcome(a, ca, b, cb) == solve_columns_reference(a, b, ca, cb)
+
+
+@given(st.integers(0, 4).flatmap(lambda k: sparse_rows(rows=k, cols=k)))
+@settings(max_examples=60)
+def test_inverse_is_the_factored_particular_rows(raw):
+    rows, k = raw
+    m = as_matrix(rows, k) + Matrix.identity(k)  # mostly invertible, not always
+    ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    want = solve_columns_reference(m.raw, ident, k, k)
+    if want in ("no solution", "not unique"):  # singular: the first column decides which
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            m.inverse()
+        assert factor(m).kernel
+        return
+    inverse = m.inverse()
+    assert raw_rows(inverse) == want
+    assert inverse == Matrix._of(factor(m).particular, k) and not factor(m).cokernel
 
 
 def test_solve_matrix_with_no_columns_is_empty():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import solve_fiber_reference
+from oracles import solve_fiber_reference, square_sides_reference
 
 from weilkit import (
     DiagramInWeil,
@@ -37,12 +37,15 @@ from weilkit import (
 )
 from weilkit import fibered
 from weilkit.corpus import random_limit_cone, random_poly_map, random_rational
-from weilkit.expr import serialize_map
+from weilkit.expr import linear_map, serialize_map
 from weilkit.fibered import (
     FiberedDiagram,
     _broken_pullback_cone,
     _maps_agree,
+    _polys,
     _projection_pullback_cone,
+    _random_block_morphism,
+    _random_standard_fibered,
     arrow_weil_functor,
     vertical_space_basis,
 )
@@ -425,6 +428,12 @@ def test_exponential_pullback_needs_a_linear_surjection():
         fibered_exponential_pullback(
             sphere_distance(), theta, dual_numbers(), dual_numbers("y")
         )
+    # a linear projection with a cokernel: the factored lifted projection
+    # has cokernel rows, so no sample is drawn
+    folded = FiberedObject(linear_map([[1, 0], [2, 0]], name="fold"))
+    refusal = "^sampling pullback points needs a surjective linear projection$"
+    with pytest.raises(FiberedError, match=refusal):
+        fibered_exponential_pullback(folded, theta, dual_numbers(), dual_numbers("y"))
 
 
 # ----- suites ---------------------------------------------------------------------
@@ -455,6 +464,23 @@ def test_vertical_suite_green():
         ("functor", "base anchors commute across random block squares"),
         ("functor", "double application equals composite"),
     ]
+
+
+def test_fiber_soundness_fails_instead_of_aborting(monkeypatch):
+    # a sampled member that point() refuses is a FAIL of fiber-soundness,
+    # and the rest of the suite still runs
+    real = fibered.VerticalFiber.point
+
+    def broken(self, params):
+        if self.algebra.dimension == 3 and self.base_point == (4, 9):
+            raise FiberedError("solved point failed the verticality recheck")
+        return real(self, params)
+
+    monkeypatch.setattr(fibered.VerticalFiber, "point", broken)
+    rep = vertical_suite(seed=1, samples=6)
+    sound = [o.passed for o in rep.outcomes if o.check == "fiber-soundness"]
+    assert sound == [False] and not rep.ok
+    assert any(o.check == "vertical-microlinear" for o in rep.outcomes)
 
 
 def test_vertical_suite_negative_controls():
@@ -546,6 +572,65 @@ def test_a_call_the_target_projection_drops_is_refused():
         FiberedMorphism(p, p, top, bottom)
     with pytest.raises(FiberedError, match="polynomial maps only"):
         FiberedMorphism(p, p, SmoothMap.identity(2), parse_map("s(a) -> (exp(a))"))
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["block", "broken", "polynomial"]))
+@settings(max_examples=60, deadline=None)
+def test_square_sides_match_the_composites(seed, kind):
+    # folding the projections over converted top and bottom gives the
+    # polynomials of the composites built as fresh trees, square or not
+    rng = random.Random(seed)
+    src, tgt = _random_standard_fibered(rng), _random_standard_fibered(rng)
+    m = _random_block_morphism(rng, src, tgt)
+    top, bottom = m.top, m.bottom
+    if kind == "broken":  # one bottom entry moved: the square stops commuting
+        rows = bottom.linear_matrix()
+        rows[0][0] += 1
+        bottom = linear_map(rows, n_in=src.base_dim)
+    elif kind == "polynomial":
+        top = random_poly_map(rng, src.total_dim, tgt.total_dim, depth=2)
+        bottom = random_poly_map(rng, src.base_dim, tgt.base_dim, depth=2)
+    sides = _folded_sides(src, tgt, top, bottom)
+    assert sides == square_sides_reference(src, tgt, top, bottom)
+    commutes = sides[0] == sides[1]  # random polynomial maps may commute too
+    assert commutes == (kind == "block") or kind == "polynomial"
+    if commutes:
+        assert FiberedMorphism(src, tgt, top, bottom).top is top
+    else:
+        with pytest.raises(FiberedError, match="square does not commute"):
+            FiberedMorphism(src, tgt, top, bottom)
+    for p in (sphere_distance(), FiberedObject.from_text("fibered c(x,y) -> (y^2 - x^3, x/2)")):
+        f = random_poly_map(rng, p.total_dim, p.total_dim, depth=2)
+        g = random_poly_map(rng, p.base_dim, p.base_dim, depth=2)
+        assert _folded_sides(p, p, f, g) == square_sides_reference(p, p, f, g)
+
+
+def _folded_sides(source, target, top, bottom):
+    """The two sides FiberedMorphism compares: the target projection folded
+    over top's polynomials, and bottom folded over the source projection's."""
+    return _polys(target.projection, top, _polys(top)), _polys(bottom, source.projection)
+
+
+def test_a_bottom_that_is_polynomial_only_after_the_projection_is_refused():
+    # the source projection is constant, so bottom after it is polynomial,
+    # but bottom itself divides by its input
+    const = FiberedObject.from_text("fibered k(x,y) -> (2)")
+    line = FiberedObject.coordinate_projection(2, 1)
+    top = parse_map("t(x, y) -> (1/2, y)")
+    with pytest.raises(FiberedError, match="polynomial maps only"):
+        FiberedMorphism(const, line, top, parse_map("s(a) -> (1/a)"))
+    assert FiberedMorphism(const, line, top, parse_map("s(a) -> (a/4)")).top is top
+
+
+def test_a_call_in_a_projection_coordinate_that_bottom_drops_is_accepted():
+    # as with composites built as trees, only the projection bodies that
+    # bottom reads are converted
+    p = FiberedObject.from_text("fibered p(x,y) -> (x, exp(y))")
+    q = FiberedObject.coordinate_projection(2, 1)
+    m = FiberedMorphism(p, q, SmoothMap.identity(2), parse_map("s(a, b) -> (a)"))
+    assert m.bottom.arity_in == 2
+    with pytest.raises(FiberedError, match="polynomial maps only"):
+        FiberedMorphism(p, q, SmoothMap.identity(2), parse_map("s(a, b) -> (a + 0*b)"))
 
 
 def test_polynomial_squares_are_decided_exactly():

@@ -55,7 +55,7 @@ from weilkit.corpus import (
     random_presented_algebra,
 )
 from weilkit.exactlin import kernel_basis, vstack
-from weilkit.fibered import sphere_distance, vertical_fiber
+from weilkit.fibered import FiberedObject, sphere_distance, vertical_fiber
 from weilkit.weil import DiagramError, MorphismError, _subalgebra, filtered_basis
 
 
@@ -576,6 +576,21 @@ def test_a_vertical_fiber_eliminates_each_matrix_once():
     # the Jacobian's kernel; its rank, the origin and the per-degree
     # record are read off it, and the frame is inverted only by point()
     assert _rref_calls(lambda: vertical_fiber(sphere_distance(), dual_numbers(), [1, 0, 0])) == 1
+
+
+def test_fiber_points_are_products_with_the_factored_jacobian():
+    # four members of the jet-line fiber that vertical_suite samples: every
+    # slot is a product with the factored Jacobian, and the frame is
+    # inverted once, on the first point whose image is needed
+    proj = FiberedObject.coordinate_projection(2, 1)
+    fj = vertical_fiber(proj, jet_line(2), [4, 9])
+    params = [[1, 2], [0, 0], [Fraction(-3, 2), 1], [5, 0]]
+    points = []
+    assert _rref_calls(lambda: points.extend(fj.point(p) for p in params)) == 1
+    assert points[1] == fj.origin and points[0] != points[2]
+    # over the dual numbers the only degree solves at e0*1: no image, no frame
+    fd = vertical_fiber(proj, dual_numbers(), [4, 9])
+    assert _rref_calls(lambda: [fd.point([c]) for c in (1, 0, -2, 7)]) == 0
 
 
 # ----- tabled checks on sparse terms ------------------------------------------------
