@@ -66,6 +66,6 @@ from .fibered import (
     vertical_functor_on_morphism,
     vertical_suite,
 )
-from .reports import CheckOutcome, Report, Verdict
+from .reports import Check, CheckOutcome, Report, Verdict
 
 __version__ = "0.1.0"

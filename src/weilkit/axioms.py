@@ -20,7 +20,7 @@ from . import corpus
 from .exactlin import Mode, difference_rows
 from .exactlin import kernel_basis  # noqa: F401 (unused here; bench/tests requires the alias)
 from .expr import SmoothMap
-from .reports import Report, Verdict
+from .reports import Check, Report, Verdict
 from .smooth import (
     apply_map,
     apply_morphism,
@@ -216,6 +216,12 @@ def _lifted_verdict(x: ModelObject, cone: DiagramInWeil, rank_c: int, nullity: i
 
 # ----- tensor-exponent identities --------------------------------------------
 
+SHUFFLE_ISO = Check("shuffle-iso", "exact")
+# decided on random pairs, yet declared exact: a retag the roadmap lists
+SHUFFLE_MULTIPLICATIVE = Check("shuffle-multiplicative", "exact")
+CARRIER_TRANSPORT = Check("carrier-transport", "exact")
+SHUFFLE_NATURALITY = Check("shuffle-naturality", "sampled")
+
 
 def check_weil_exponentiable(
     x: ModelObject,
@@ -248,12 +254,8 @@ def check_weil_exponentiable(
 
     sigma = factor_permutation_iso(a_side, b_side, (0, 2, 1))
     iso = sigma.is_isomorphism()
-    report.add(
-        "shuffle-iso",
-        instance,
-        iso,
-        f"permutation matrix {sigma.matrix.rows}x{sigma.matrix.cols} invertible",
-    )
+    report.add(SHUFFLE_ISO, instance, iso,
+               f"permutation matrix {sigma.matrix.rows}x{sigma.matrix.cols} invertible")
 
     mult_ok = True
     for _ in range(max(3, samples // 4)):
@@ -262,21 +264,13 @@ def check_weil_exponentiable(
         if sigma.apply(e1 * e2) != sigma.apply(e1) * sigma.apply(e2):
             mult_ok = False
             break
-    report.add(
-        "shuffle-multiplicative",
-        instance,
-        mult_ok,
-        "products transport through the shuffle exactly",
-    )
+    report.add(SHUFFLE_MULTIPLICATIVE, instance, mult_ok,
+               "products transport through the shuffle exactly")
 
     # X (x) sigma acts as I_X (x) sigma, of rank dim X * rank sigma, and sigma
     # is square: the lifted carriers correspond exactly when sigma is invertible
-    report.add(
-        "carrier-transport",
-        instance,
-        x.dim == 0 or iso,
-        f"lifted carrier maps onto lifted carrier, rank {x.dim * a_side.dimension}",
-    )
+    report.add(CARRIER_TRANSPORT, instance, x.dim == 0 or iso,
+               f"lifted carrier maps onto lifted carrier, rank {x.dim * a_side.dimension}")
 
     if x.kind == "coordinate":
         n = x.ambient_dim
@@ -288,13 +282,9 @@ def check_weil_exponentiable(
             rhs = apply_map(f, apply_morphism(sigma, p))
             if lhs.coords != rhs.coords:
                 point_failures += 1
-        detail = (
-            f"{samples} random (map, point) draws agree exactly"
-            if point_failures == 0
-            else f"{point_failures}/{samples} draws disagree"
-        )
-        v = Verdict(point_failures == 0, detail, exactness="sampled")
-        report.add("shuffle-naturality", instance, v, v.certificate)
+        report.add(SHUFFLE_NATURALITY, instance, point_failures == 0,
+                   f"{samples} random (map, point) draws agree exactly"
+                   if point_failures == 0 else f"{point_failures}/{samples} draws disagree")
     return report
 
 
@@ -385,6 +375,14 @@ def _identity_cone(w: WeilAlgebra) -> DiagramInWeil:
     )
 
 
+LIFT_IDENTITY = Check("lift-identity", "exact")
+LIFT_COMPOSITION = Check("lift-composition", "exact")
+TERMINAL_COLLAPSE = Check("terminal-collapse", "exact")
+COMPOSITE_VS_TENSOR = Check("composite-vs-tensor", "exact")
+REPARAMETRIZATION = Check("reparametrization", "exact")
+COMPOSITE_VS_TENSOR_FLOAT = Check("composite-vs-tensor-float", "sampled")
+
+
 def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> Report:
     """Functor laws: identity, composition, terminal collapse, the
     composite-vs-tensor identity, and naturality of reparametrization."""
@@ -397,12 +395,8 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         n = rng.randint(1, 3)
         p = corpus.random_point(rng, w, n)
         ident = SmoothMap.identity(n)
-        report.add(
-            "lift-identity",
-            f"{name}, {n} coords, draw {i}",
-            apply_map(ident, p).coords == p.coords,
-            "lifted identity fixes the point",
-        )
+        report.add(LIFT_IDENTITY, f"{name}, {n} coords, draw {i}",
+                   apply_map(ident, p).coords == p.coords, "lifted identity fixes the point")
 
     for i in range(samples):
         name, w = algebras[i % len(algebras)]
@@ -414,12 +408,8 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         p = corpus.random_point(rng, w, n)
         lhs = apply_map(g.compose(f), p)
         rhs = apply_map(g, apply_map(f, p))
-        report.add(
-            "lift-composition",
-            f"{name}, {g.name} after {f.name}, draw {i}",
-            lhs.coords == rhs.coords,
-            "lift of a composite equals the composite of lifts",
-        )
+        report.add(LIFT_COMPOSITION, f"{name}, {g.name} after {f.name}, draw {i}",
+                   lhs.coords == rhs.coords, "lift of a composite equals the composite of lifts")
 
     for i in range(max(3, samples // 4)):
         n = rng.randint(1, 3)
@@ -427,12 +417,8 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         values = [corpus.random_rational(rng, 5) for _ in range(n)]
         collapsed = evaluate_at_scalars(f, values)
         direct = f([Fraction(v) for v in values])
-        report.add(
-            "terminal-collapse",
-            f"{f.name} at scalar draw {i}",
-            collapsed == list(direct),
-            "lift over the scalars is plain evaluation",
-        )
+        report.add(TERMINAL_COLLAPSE, f"{f.name} at scalar draw {i}",
+                   collapsed == list(direct), "lift over the scalars is plain evaluation")
 
     pair_pool = [
         (dual_numbers(), dual_numbers("y")),
@@ -446,13 +432,9 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         n = rng.randint(1, 2)
         f = corpus.random_poly_map(rng, n, rng.randint(1, 2), depth=3)
         p = corpus.random_point(rng, flat, n)
-        v = check_functor_composition(f, p)
-        report.add(
-            "composite-vs-tensor",
-            f"{_short_algebra_name(w1)} then {_short_algebra_name(w2)}, draw {i}",
-            v,
-            v.certificate,
-        )
+        report.add(COMPOSITE_VS_TENSOR,
+                   f"{_short_algebra_name(w1)} then {_short_algebra_name(w2)}, draw {i}",
+                   check_functor_composition(f, p))
 
     for i in range(samples):
         source = corpus.random_presented_algebra(rng, max_dim=6)
@@ -467,12 +449,9 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
         composed = psi.compose(phi)
         two_step = apply_morphism(psi, apply_morphism(phi, p))
         one_step = apply_morphism(composed, p)
-        report.add(
-            "reparametrization",
-            f"draw {i}: {f.name} across two random algebra maps",
-            v1.ok and two_step.coords == one_step.coords,
-            "naturality square and composition of coordinate changes agree",
-        )
+        report.add(REPARAMETRIZATION, f"draw {i}: {f.name} across two random algebra maps",
+                   v1.ok and two_step.coords == one_step.coords,
+                   "naturality square and composition of coordinate changes agree")
 
     if mode is Mode.FLOAT:
         for i in range(max(3, samples // 4)):
@@ -481,14 +460,15 @@ def axioms_suite(seed: int = 0, samples: int = 20, mode: Mode = Mode.EXACT) -> R
             n = rng.randint(1, 2)
             f = corpus.random_transcendental_map(rng, n, 1)
             p = corpus.random_point(rng, flat, n, mode=Mode.FLOAT, base_shift=3)
-            v = check_functor_composition(f, p)
-            report.add(
-                "composite-vs-tensor-float",
-                f"transcendental draw {i}",
-                v,
-                v.certificate,
-            )
+            report.add(COMPOSITE_VS_TENSOR_FLOAT, f"transcendental draw {i}",
+                       check_functor_composition(f, p))
     return report
+
+
+IDENTITY_CONE = Check("identity-cone", "exact")
+LIMIT_PRESERVED = Check("limit-preserved", "exact")
+NEGATIVE_CONTROL = Check("negative-control", "exact")
+PRECONDITION_GUARD = Check("precondition-guard", "exact")
 
 
 def microlinearity_suite(
@@ -504,50 +484,27 @@ def microlinearity_suite(
 
     if not negative_controls:
         w = first_order_infinitesimals(2)
-        v = check_microlinear(spaces[2], _identity_cone(w))
-        report.add("identity-cone", f"R^3 over {_short_algebra_name(w)}", v, v.certificate)
+        report.add(IDENTITY_CONE, f"R^3 over {_short_algebra_name(w)}",
+                   check_microlinear(spaces[2], _identity_cone(w)))
         for i in range(samples):
             cone = corpus.random_limit_cone(rng)
             x = spaces[i % len(spaces)]
-            v = check_microlinear(x, cone)
-            report.add(
-                "limit-preserved",
-                f"{x.name} over seeded cone {i} "
-                f"({len(cone.objects)} objects, apex dim {cone.apex.dimension})",
-                v,
-                v.certificate,
-            )
+            report.add(LIMIT_PRESERVED, f"{x.name} over seeded cone {i} "
+                       f"({len(cone.objects)} objects, apex dim {cone.apex.dimension})",
+                       check_microlinear(x, cone))
         return report
 
     for i, (kind, mutant) in enumerate(corpus.mutated_cones(rng, samples)):
         x = spaces[i % len(spaces)]
         v = check_microlinear(x, mutant, enforce_limit_input=False)
-        report.add(
-            "negative-control",
-            f"{x.name} over {kind}-mutated cone {i}",
-            not v.ok,
-            f"checker correctly refuses: {v.certificate}"
-            if not v.ok
-            else "checker wrongly accepted a broken cone",
-        )
+        report.add(NEGATIVE_CONTROL, f"{x.name} over {kind}-mutated cone {i}", not v.ok,
+                   f"checker correctly refuses: {v.certificate}"
+                   if not v.ok else "checker wrongly accepted a broken cone")
 
-    cone = corpus.random_limit_cone(rng)
-    mutant = corpus.mutate_cone(cone, "inflate")
-    try:
-        check_microlinear(spaces[0], mutant)
-        report.add(
-            "precondition-guard",
-            "mutated cone with enforcement on",
-            False,
-            "broken cone slipped past the precondition",
-        )
-    except DiagramError as exc:
-        report.add(
-            "precondition-guard",
-            "mutated cone with enforcement on",
-            True,
-            f"rejected as required: {exc}",
-        )
+    mutant = corpus.mutate_cone(corpus.random_limit_cone(rng), "inflate")
+    report.add_refusal(PRECONDITION_GUARD, "mutated cone with enforcement on", DiagramError,
+                       lambda: check_microlinear(spaces[0], mutant),
+                       "broken cone slipped past the precondition", "rejected as required: ")
     return report
 
 
@@ -574,6 +531,14 @@ def exponentiability_suite(seed: int = 0, samples: int = 20) -> Report:
     return report
 
 
+BASE_OBJECT = Check("base-object", "exact")
+DERIVED_MICROLINEAR = Check("derived-microlinear", "exact")
+DERIVED_EXPONENTIABLE = Check("derived-exponentiable", "exact")
+DERIVED_EXPONENTIABLE_SAMPLED = Check("derived-exponentiable", "sampled")
+DOUBLE_LIMIT = Check("double-limit", "exact")
+DOUBLE_LIMIT_LIFTED = Check("double-limit-lifted", "exact")
+
+
 def closure_suite(seed: int = 0) -> Report:
     """Derived objects of verified objects pass the same checks.
 
@@ -592,8 +557,8 @@ def closure_suite(seed: int = 0) -> Report:
     numbers = [limit_cone_numbers(cone) for cone in cones]
     for x in base:
         for i, cone in enumerate(cones):
-            v = _lifted_verdict(x, cone, *numbers[i])
-            report.add("base-object", f"{x.name} over cone {i}", v, v.certificate)
+            report.add(BASE_OBJECT, f"{x.name} over cone {i}",
+                       _lifted_verdict(x, cone, *numbers[i]))
 
     derived = []
     for x in base:
@@ -610,16 +575,15 @@ def closure_suite(seed: int = 0) -> Report:
 
     for x in derived:
         for i, cone in enumerate(cones):
-            v = _lifted_verdict(x, cone, *numbers[i])
-            report.add("derived-microlinear", f"{x.name} over cone {i}", v, v.certificate)
+            report.add(DERIVED_MICROLINEAR, f"{x.name} over cone {i}",
+                       _lifted_verdict(x, cone, *numbers[i]))
 
+    # each outcome of the exponent check, under the derived check of its tag
+    as_derived = {c.exactness: c for c in (DERIVED_EXPONENTIABLE, DERIVED_EXPONENTIABLE_SAMPLED)}
     for x in derived[:3]:
-        sub = check_weil_exponentiable(
-            x, y, d, d2, samples=4, seed=rng.randrange(1 << 30)
-        )
+        sub = check_weil_exponentiable(x, y, d, d2, samples=4, seed=rng.randrange(1 << 30))
         for o in sub.outcomes:
-            v = Verdict(o.passed, o.detail, exactness=o.exactness)
-            report.add("derived-exponentiable", o.instance, v, v.certificate)
+            report.add(as_derived[o.exactness], o.instance, o.passed, o.detail)
 
     ident_d = WeilMorphism.identity(d)
     kill = corpus.collapse_to_scalars(d)
@@ -635,15 +599,9 @@ def closure_suite(seed: int = 0) -> Report:
         )
     )
     grid = tensor_of_cones(eq_cone, cospan_cone)
-    v = is_limit_cone(grid)
-    report.add(
-        "double-limit",
-        "equalizer cone (x) pullback cone, both orders",
-        v,
-        v.certificate,
-    )
-    vx = check_microlinear(ModelObject.coordinate(2), grid)
-    report.add("double-limit-lifted", "R^2 over the grid cone", vx, vx.certificate)
+    report.add(DOUBLE_LIMIT, "equalizer cone (x) pullback cone, both orders", is_limit_cone(grid))
+    report.add(DOUBLE_LIMIT_LIFTED, "R^2 over the grid cone",
+               check_microlinear(ModelObject.coordinate(2), grid))
     return report
 
 

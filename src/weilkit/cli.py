@@ -49,8 +49,6 @@ from .weil import (
     tensor,
 )
 
-_EXACT_ONLY_SUITES = ("microlinear", "exponentiable", "fibered", "vertical")
-
 # the printed-digit limit: no exact number is printed with more digits
 _PRINTED_DIGITS = DIGIT_LIMIT
 _PRINTED_CEILING = 10**_PRINTED_DIGITS
@@ -169,40 +167,30 @@ def cmd_jet(args) -> int:
 # ----- verify ------------------------------------------------------------
 
 
+def _battery(a) -> dict:
+    """The flags of a suite that has a negative-control battery."""
+    return {"seed": a.seed, "samples": a.samples, "negative_controls": a.negative_controls}
+
+
+# suite -> (whether it runs in float mode too, its report builders in print
+# order); a builder takes the parsed flags and the mode, and looks its suite
+# up by name when it runs
+_SUITES = {
+    "axioms": (True, (lambda a, mode: axioms_suite(seed=a.seed, samples=a.samples, mode=mode),)),
+    "microlinear": (False, (lambda a, _: microlinearity_suite(**_battery(a)),)),
+    "exponentiable": (False, (lambda a, _: exponentiability_suite(a.seed, a.samples),
+                              lambda a, _: closure_suite(seed=a.seed))),
+    "fibered": (False, (lambda a, _: fibered_suite(**_battery(a)),)),
+    "vertical": (False, (lambda a, _: vertical_suite(**_battery(a)),)),
+}
+
+
 def cmd_verify(args) -> int:
     mode = Mode.FLOAT if args.mode == "float" else Mode.EXACT
-    if args.suite in _EXACT_ONLY_SUITES and mode is Mode.FLOAT:
+    runs_float, builders = _SUITES[args.suite]
+    if mode is Mode.FLOAT and not runs_float:
         return _fail(f"suite {args.suite!r} runs in exact mode only", 2)
-    reports = []
-    if args.suite == "axioms":
-        reports.append(axioms_suite(seed=args.seed, samples=args.samples, mode=mode))
-    elif args.suite == "microlinear":
-        reports.append(
-            microlinearity_suite(
-                args.seed,
-                samples=args.samples,
-                negative_controls=args.negative_controls,
-            )
-        )
-    elif args.suite == "exponentiable":
-        reports.append(exponentiability_suite(args.seed, args.samples))
-        reports.append(closure_suite(seed=args.seed))
-    elif args.suite == "fibered":
-        reports.append(
-            fibered_suite(
-                seed=args.seed,
-                samples=args.samples,
-                negative_controls=args.negative_controls,
-            )
-        )
-    else:
-        reports.append(
-            vertical_suite(
-                seed=args.seed,
-                samples=args.samples,
-                negative_controls=args.negative_controls,
-            )
-        )
+    reports = [build(args, mode) for build in builders]
     for rep in reports:
         print(rep.render(args.output))
     return 0 if all(rep.ok for rep in reports) else 1
@@ -377,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jet.set_defaults(func=cmd_jet)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a check battery")
-    p_verify.add_argument(
-        "suite",
-        choices=("axioms", "microlinear", "exponentiable", "fibered", "vertical"),
-    )
+    p_verify.add_argument("suite", choices=tuple(_SUITES))
     p_verify.add_argument("--negative-controls", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -23,15 +23,25 @@ class Verdict:
 
 
 @dataclass(frozen=True)
+class Check:
+    """A check a suite records outcomes of: the name a report prints, and
+    how every one of its outcomes is decided ("exact", "graded" or
+    "sampled"), fixed where the check is declared."""
+
+    name: str
+    exactness: str
+
+
+@dataclass(frozen=True)
 class CheckOutcome:
-    """One rendered line of a report.  exactness says how it was decided,
-    as in Verdict; the renderers do not print it."""
+    """One rendered line of a report.  exactness is its check's declared
+    one; the renderers do not print it."""
 
     check: str
     instance: str
     passed: bool
-    detail: str = ""
-    exactness: str = "exact"
+    detail: str
+    exactness: str
 
     def render_text(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -55,11 +65,35 @@ class Report:
     title: str
     outcomes: list = field(default_factory=list)
 
-    def add(self, check: str, instance: str, passed, detail: str = ""):
-        """Record one outcome.  passed may be a Verdict, whose exactness the
-        outcome keeps."""
-        exactness = passed.exactness if isinstance(passed, Verdict) else "exact"
-        self.outcomes.append(CheckOutcome(check, instance, bool(passed), detail, exactness))
+    def add(self, check: Check, instance: str, passed, detail: str | None = None):
+        """Record one outcome of a declared check, tagged with the check's
+        exactness.  passed is a bool or a Verdict; a Verdict must have been
+        decided the way its check is declared, and its certificate is the
+        default detail."""
+        if not isinstance(check, Check):
+            raise TypeError(f"outcomes come from a declared Check, not {check!r}")
+        if isinstance(passed, Verdict):
+            if passed.exactness != check.exactness:
+                raise ValueError(
+                    f"check {check.name!r} is declared {check.exactness}, "
+                    f"but its verdict is {passed.exactness}"
+                )
+            detail = passed.certificate if detail is None else detail
+        self.outcomes.append(
+            CheckOutcome(check.name, instance, bool(passed), detail or "", check.exactness)
+        )
+
+    def add_refusal(self, check: Check, instance: str, error, attempt, accepted: str,
+                    reason: str = ""):
+        """Record whether attempt() is refused with an error: a pass whose
+        detail is reason followed by the error's message, or a fail whose
+        detail is accepted."""
+        try:
+            attempt()
+        except error as exc:
+            self.add(check, instance, True, f"{reason}{exc}")
+        else:
+            self.add(check, instance, False, accepted)
 
     def extend(self, other: "Report"):
         self.outcomes.extend(other.outcomes)

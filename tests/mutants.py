@@ -102,6 +102,97 @@ MUTANTS = (
             "tests/test_exactlin.py::test_solve_affine_eliminates_once",
         ),
     ),
+    Mutant(
+        "subalgebra-without-closure-check",
+        "weilkit/weil.py",
+        "            if any(residual):\n"
+        '                raise AlgebraError("subspace is not closed under multiplication")\n',
+        "",
+        (
+            "tests/test_limit_path.py::"
+            "test_a_non_closed_echelon_span_is_refused_like_the_echelon_route",
+        ),
+    ),
+    Mutant(
+        "subalgebra-free-columns-reversed",
+        "weilkit/weil.py",
+        "free = [max(j for j, x in enumerate(v) if x) for v in kernel]",
+        "free = [max(j for j, x in enumerate(v) if x) for v in kernel][::-1]",
+        ("tests/test_limit_path.py::test_subalgebra_matches_the_echelon_route",),
+    ),
+    Mutant(
+        "filtered-basis-every-chain-vector",
+        "weilkit/weil.py",
+        "picked = [labelled[c] for c in reversed(pivots)]",
+        "picked = labelled[::-1]",
+        ("tests/test_limit_path.py::test_filtered_basis_matches_the_rank_loop",),
+    ),
+    Mutant(
+        "left-exact-without-injectivity",
+        "weilkit/fibered.py",
+        "ok = same_span and nullity == len(apex_basis)",
+        "ok = same_span",
+        ("tests/test_fibered.py::test_left_exact_refuses_a_leg_that_folds_the_fibers",),
+    ),
+    Mutant(
+        "mutated-cones-parity-swapped",
+        "weilkit/corpus.py",
+        'kind = "collapse" if i % 2 == 0 else "inflate"',
+        'kind = "inflate" if i % 2 == 0 else "collapse"',
+        ("tests/test_cli.py::test_verify_suites_match_the_benchmark_records",),
+    ),
+    Mutant(
+        "int-columns-drop-an-entry",
+        "weilkit/weil.py",
+        "cols[k % width].append((k // width, n))",
+        "cols[k % width].append((k // width, n)) if k else None",
+        (
+            "tests/test_morphism_columns.py::test_exact_images_match_the_dense_loop",
+            "tests/test_morphism_columns.py::test_compose_is_the_dense_product",
+        ),
+    ),
+    Mutant(
+        "int-columns-wrong-denominator",
+        "weilkit/weil.py",
+        "self._columns = d, cols",
+        "self._columns = 2 * d, cols",
+        (
+            "tests/test_morphism_columns.py::test_exact_images_match_the_dense_loop",
+            "tests/test_morphism_columns.py::test_compose_is_the_dense_product",
+        ),
+    ),
+    Mutant(
+        "cone-square-bottom-only",
+        "weilkit/fibered.py",
+        "                    _polys(m.top, src.top) == _polys(tgt.top)\n"
+        "                    and _polys(m.bottom, src.bottom) == _polys(tgt.bottom)\n",
+        "                    _polys(m.bottom, src.bottom) == _polys(tgt.bottom)\n",
+        ("tests/test_fibered.py::test_cone_squares_match_the_composites",),
+    ),
+    Mutant(
+        "sampled-check-declared-exact",
+        "weilkit/fibered.py",
+        'FIBER_SOUNDNESS = Check("fiber-soundness", "sampled")',
+        'FIBER_SOUNDNESS = Check("fiber-soundness", "exact")',
+        (
+            "tests/test_registry.py::test_each_verify_invocation_pins_its_checks_and_tags",
+            "tests/test_fibered.py::test_vertical_suite_green",
+        ),
+    ),
+    Mutant(
+        "verdict-decided-otherwise-accepted",
+        "weilkit/reports.py",
+        "            if passed.exactness != check.exactness:\n"
+        "                raise ValueError(\n"
+        '                    f"check {check.name!r} is declared {check.exactness}, "\n'
+        '                    f"but its verdict is {passed.exactness}"\n'
+        "                )\n",
+        "",
+        (
+            "tests/test_reports.py::"
+            "test_a_verdict_decided_otherwise_than_declared_is_a_value_error",
+        ),
+    ),
 )
 
 

@@ -14,8 +14,9 @@ echelon form that picked a subalgebra basis and reduced every structure
 product before coordinates were read off the echelon kernel basis.
 solve_affine_reference and solve_matrix_reference keep the [m | rhs]
 eliminations that a product with one factored system replaced, on
-rref_reference, and square_sides_reference the compose-then-convert route
-that folding over converted polynomials replaced.
+rref_reference, and square_sides_reference and cone_commutes_reference (on
+maps_agree_reference) the compose-then-convert routes that folding over
+converted polynomials replaced in fibered squares and cones.
 morphism_apply_reference and tensor_injections_reference keep the dense
 morphism image and the generator-image injections that the sparse int
 columns and the selection matrices replaced, and filtered_basis_reference
@@ -953,3 +954,22 @@ def square_sides_reference(source, target, top, bottom):
     tree, then converted."""
     left = target.projection.compose(top).to_polys()
     return left, bottom.compose(source.projection).to_polys()
+
+
+def maps_agree_reference(f, g):
+    """Equality of two maps as exact polynomials, each converted on its own:
+    how fibered cone squares were compared before they folded."""
+    if f.arity_in != g.arity_in or f.arity_out != g.arity_out:
+        return False
+    return f.to_polys() == g.to_polys()
+
+
+def cone_commutes_reference(arrows, legs):
+    """Does every square of a fibered cone commute?  Each arrow map after
+    its source leg is built as a fresh tree, then converted and compared
+    with the target leg."""
+    return all(
+        maps_agree_reference(m.top.compose(legs[s].top), legs[t].top)
+        and maps_agree_reference(m.bottom.compose(legs[s].bottom), legs[t].bottom)
+        for s, t, m in arrows
+    )

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import solve_fiber_reference, square_sides_reference
+from oracles import (
+    cone_commutes_reference,
+    maps_agree_reference,
+    solve_fiber_reference,
+    square_sides_reference,
+)
 
 from weilkit import (
     DiagramInWeil,
@@ -41,7 +46,6 @@ from weilkit.expr import linear_map, serialize_map
 from weilkit.fibered import (
     FiberedDiagram,
     _broken_pullback_cone,
-    _maps_agree,
     _polys,
     _projection_pullback_cone,
     _random_block_morphism,
@@ -611,6 +615,45 @@ def _folded_sides(source, target, top, bottom):
     return _polys(target.projection, top, _polys(top)), _polys(bottom, source.projection)
 
 
+def _polynomial_block_morphism(rng, src, tgt):
+    """A square of random polynomial maps between coordinate projections:
+    top repeats bottom on the base rows, so it commutes by shape."""
+    bottom = random_poly_map(rng, src.base_dim, tgt.base_dim, depth=2)
+    fiber = random_poly_map(rng, src.total_dim, tgt.total_dim - tgt.base_dim, depth=2)
+    names = tuple(f"u{i + 1}" for i in range(src.total_dim))
+    return FiberedMorphism(src, tgt, SmoothMap(names, bottom.bodies + fiber.bodies), bottom)
+
+
+@pytest.mark.parametrize(
+    "block", [_random_block_morphism, _polynomial_block_morphism], ids=["linear", "polynomial"]
+)
+@pytest.mark.parametrize("kind", ["commuting", "fresh", "fiber-row"])
+def test_cone_squares_match_the_composites(block, kind):
+    # folding each arrow map over its source leg's polynomials decides a
+    # cone square as building the composite as a tree and converting did
+    for seed in range(8):
+        rng = random.Random(seed)
+        apex, o1, o2 = (_random_standard_fibered(rng) for _ in range(3))
+        leg0, m = block(rng, apex, o1), block(rng, o1, o2)
+        leg1 = m.compose(leg0)
+        if kind == "fresh":
+            leg1 = block(rng, apex, o2)
+        elif kind == "fiber-row":  # moved off the composite above the base only
+            b = o2.base_dim
+            bodies = leg1.top.bodies[:b] + tuple(body + 1 for body in leg1.top.bodies[b:])
+            leg1 = FiberedMorphism(apex, o2, SmoothMap(leg1.top.var_names, bodies), leg1.bottom)
+        arrows, legs = ((0, 1, m),), (leg0, leg1)
+        commutes = cone_commutes_reference(arrows, legs)
+        assert commutes == (kind == "commuting") or kind == "fresh", seed
+        if commutes:
+            assert FiberedDiagram((o1, o2), arrows, apex, legs).legs == legs
+        else:
+            with pytest.raises(FiberedError, match="cone does not commute over the arrow 0 -> 1"):
+                FiberedDiagram((o1, o2), arrows, apex, legs)
+    for cone in (_projection_pullback_cone(), _broken_pullback_cone()):
+        assert cone_commutes_reference(cone.arrows, cone.legs)
+
+
 def test_a_bottom_that_is_polynomial_only_after_the_projection_is_refused():
     # the source projection is constant, so bottom after it is polynomial,
     # but bottom itself divides by its input
@@ -639,5 +682,5 @@ def test_polynomial_squares_are_decided_exactly():
     assert FiberedMorphism(p, p, top, parse_map("s(a) -> (a^2)")).top is top
     with pytest.raises(FiberedError, match="does not commute"):
         FiberedMorphism(p, p, top, parse_map("s(a) -> (a^2 + 1/10^30)"))
-    assert _maps_agree(top, top) is True
-    assert _maps_agree(top, SmoothMap.identity(2)) is False
+    assert maps_agree_reference(top, top) is True
+    assert maps_agree_reference(top, SmoothMap.identity(2)) is False
