@@ -172,24 +172,26 @@ def _battery(a) -> dict:
     return {"seed": a.seed, "samples": a.samples, "negative_controls": a.negative_controls}
 
 
-# suite -> (whether it runs in float mode too, its report builders in print
-# order); a builder takes the parsed flags and the mode, and looks its suite
-# up by name when it runs
+# suite -> (whether it runs in float mode too, whether it has a negative
+# battery, its report builders in print order); a builder takes the parsed
+# flags and the mode, and looks its suite up by name when it runs
 _SUITES = {
-    "axioms": (True, (lambda a, mode: axioms_suite(seed=a.seed, samples=a.samples, mode=mode),)),
-    "microlinear": (False, (lambda a, _: microlinearity_suite(**_battery(a)),)),
-    "exponentiable": (False, (lambda a, _: exponentiability_suite(a.seed, a.samples),
-                              lambda a, _: closure_suite(seed=a.seed))),
-    "fibered": (False, (lambda a, _: fibered_suite(**_battery(a)),)),
-    "vertical": (False, (lambda a, _: vertical_suite(**_battery(a)),)),
+    "axioms": (True, False, (lambda a, m: axioms_suite(seed=a.seed, samples=a.samples, mode=m),)),
+    "microlinear": (False, True, (lambda a, _: microlinearity_suite(**_battery(a)),)),
+    "exponentiable": (False, False, (lambda a, _: exponentiability_suite(a.seed, a.samples),
+                                     lambda a, _: closure_suite(seed=a.seed))),
+    "fibered": (False, True, (lambda a, _: fibered_suite(**_battery(a)),)),
+    "vertical": (False, True, (lambda a, _: vertical_suite(**_battery(a)),)),
 }
 
 
 def cmd_verify(args) -> int:
     mode = Mode.FLOAT if args.mode == "float" else Mode.EXACT
-    runs_float, builders = _SUITES[args.suite]
+    runs_float, has_negative, builders = _SUITES[args.suite]
     if mode is Mode.FLOAT and not runs_float:
         return _fail(f"suite {args.suite!r} runs in exact mode only", 2)
+    if args.negative_controls and not has_negative:
+        return _fail(f"suite {args.suite!r} has no negative-control battery", 2)
     reports = [build(args, mode) for build in builders]
     for rep in reports:
         print(rep.render(args.output))

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 from .exactlin import Matrix, Mode, _unit, qq
-from .expr import Expr, SmoothMap, const, var
-from .smooth import WeilPoint
+from .expr import FLOATS, Expr, SmoothMap, const, var
+from .smooth import ExtendedElement, WeilPoint
 from .weil import (
     DiagramInWeil,
     MorphismError,
@@ -97,7 +97,7 @@ def random_point(
         if base_shift:
             el = el + w.scalar(qq(base_shift))
         if mode is Mode.FLOAT:
-            el = WeilElement._of(w, tuple(map(float, el.raw)), Mode.FLOAT)
+            el = ExtendedElement(FLOATS, w, map(float, el.raw))
         coords.append(el)
     return WeilPoint(w, coords)
 

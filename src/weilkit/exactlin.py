@@ -1,11 +1,11 @@
 """Exact rational scalars and the dense linear algebra everything else reduces to.
 
-Two scalar modes exist: exact (Python Fractions) and float (doubles, for
-the analytic primitives on algebra elements); a number needs no type of its
-own.  Matrices are exact: they hold Fractions and hand the same values out
-to their readers, and a float reaching one raises ModeError at the
-container boundary instead of silently promoting.  So every structural
-decision (kernels, ranks, solvability) is exact.
+Scalars are Python Fractions; a number needs no type of its own.  Exact
+containers (matrices here, Weil elements in weil) read their entries
+through qq, so a float reaching one raises ModeError at the container
+boundary instead of silently promoting, and every structural decision
+(kernels, ranks, solvability) is exact.  Floats live only in the float
+coefficient ring of smooth, which the user picks with Mode.FLOAT.
 
 Matrix.rref is the package's one elimination: kernels, ranks and the
 factored system go through it, and no other module divides by a pivot.
@@ -41,9 +41,7 @@ NO_SOLUTION = SolveFailure.NO_SOLUTION
 NOT_UNIQUE = SolveFailure.NOT_UNIQUE
 
 
-# the raw zero and one of each mode
-_RAW = {Mode.EXACT: (Fraction(0), Fraction(1)), Mode.FLOAT: (0.0, 1.0)}
-_ZERO, _ONE = _RAW[Mode.EXACT]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _RAW_TYPES = frozenset((Fraction, float))
 
 
@@ -62,19 +60,6 @@ def _raw_of(value):
     return value
 
 
-def _mode_of(value) -> Mode:
-    """The mode of one raw value."""
-    return Mode.FLOAT if isinstance(value, float) else Mode.EXACT
-
-
-def _one_mode(values, what: str) -> Mode:
-    """The one mode of raw values (exact if there are none)."""
-    kinds = {isinstance(v, float) for v in values}
-    if len(kinds) > 1:
-        raise ModeError(f"{what} mix exact and float modes")
-    return Mode.FLOAT if True in kinds else Mode.EXACT
-
-
 def qq(value) -> Fraction:
     """An exact rational from an int, Fraction or numeric str; a float is a
     ModeError."""
@@ -84,9 +69,8 @@ def qq(value) -> Fraction:
     return value
 
 
-def _unit(n: int, i: int, mode: Mode = Mode.EXACT) -> tuple:
-    zero, one = _RAW[mode]
-    return tuple(one if j == i else zero for j in range(n))
+def _unit(n: int, i: int) -> tuple:
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 class Matrix:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import Mode, qq
+from .exactlin import qq
 
 
 class ParseError(ValueError):
@@ -331,17 +331,33 @@ def _power(base, n: int, mul, one):
 
 
 class _Numbers:
-    """Plain numbers as a ring: all Fraction (exact) or all float."""
+    """Plain numbers as a ring: all Fraction (exact) or all float; also a
+    coefficient ring of smooth.ExtendedElement, and FLOATS, the float one,
+    carries float evaluation on Weil algebras."""
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+    depth, symbolic = 1, False
 
     def __init__(self, exact: bool):
         self.exact = exact
+        self._zero = self.const(Fraction(0))
 
     def const(self, q):
         return q if self.exact else float(q)
+
+    def zero(self):
+        return self._zero
+
+    def scale(self, a, q):
+        """a times a rational or float q: a * float(q) in the float ring."""
+        return a * self.const(q)
+
+    @staticmethod
+    def scalar(a):
+        return a
 
     @staticmethod
     def invert(x):
@@ -366,7 +382,6 @@ class PolyCoefficients:
     the coefficients of a symbolic lift (smooth.lift_map)."""
 
     nvars: int
-    mode = Mode.EXACT
     symbolic = True
     depth = 1
 
@@ -404,6 +419,9 @@ class PolyCoefficients:
 
     def call(self, op, x, where):
         raise NonPolynomialError(f"{op}() is not polynomial: {where}")
+
+
+FLOATS = _Numbers(exact=False)
 
 
 def evaluate_numeric(expr: Expr, values, var_names=None):

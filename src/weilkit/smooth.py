@@ -5,16 +5,16 @@ Evaluating a map body on such coordinates truncates its Taylor expansion at
 the nilpotency degree of W: polynomial operations are literal, division is
 a finite geometric series (the denominator needs an invertible scalar
 part), and transcendental calls sum the classical series against the
-nilpotent part, which only makes sense in float mode.
+nilpotent part, which only makes sense over floats.
 
 lift_eval runs expr.fold over a thin ring of elements, with the rules
-plain numbers and polynomials obey, for two element types: plain algebra
+plain numbers and polynomials obey, for two element types: exact algebra
 elements, and elements of W whose coefficients lie in another commutative
-ring, given as a small value object.  With coefficients in a second Weil
-algebra such an element is one functor applied after another; with exact
-polynomials in the input coordinates (expr.PolyCoefficients) it
-materializes the lifted map as a new SmoothMap.  The inverse is one
-geometric series for both, shared with plain elements.
+ring, given as a small value object.  Over FLOATS, the one float ring, it
+is a float point's coordinate; with coefficients in a second Weil algebra
+it is one functor applied after another; with exact polynomials in the
+input coordinates (expr.PolyCoefficients) it materializes the lifted map
+as a new SmoothMap.  The inverse is one geometric series for all of them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .exactlin import Mode, ModeError, _RAW, qq
+from .exactlin import Mode, ModeError
 from .expr import (
+    FLOATS,
     EvaluationError,
     Expr,
     NonPolynomialError,
@@ -51,7 +52,8 @@ from .weil import (
 
 @dataclass(frozen=True)
 class WeilPoint:
-    """A tuple of coordinates in one algebra: a point of R^n ^ W."""
+    """A tuple of coordinates in one algebra, all exact or all over FLOATS:
+    a point of R^n ^ W."""
 
     algebra: WeilAlgebra
     coords: tuple
@@ -59,26 +61,24 @@ class WeilPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         for c in self.coords:
-            if not isinstance(c, WeilElement) or c.algebra != self.algebra:
+            floats = isinstance(c, ExtendedElement) and c.ring is FLOATS
+            if not (floats or isinstance(c, WeilElement)) or c.algebra != self.algebra:
                 raise ValueError("coordinates must all live in the stated algebra")
-        modes = {c.mode for c in self.coords}
-        if len(modes) > 1:
+        if len({isinstance(c, WeilElement) for c in self.coords}) > 1:
             raise ModeError("point coordinates mix exact and float modes")
 
     @staticmethod
-    def from_scalars(algebra: WeilAlgebra, values, mode: Mode = Mode.EXACT):
-        """Embed ordinary numbers along the unit (zero nilpotent part)."""
-        coords = []
-        for v in values:
-            if mode is Mode.FLOAT:
-                coords.append(algebra.scalar(float(v)))
-            else:
-                coords.append(algebra.scalar(qq(v)))
-        return WeilPoint(algebra, coords)
+    def from_scalars(algebra: WeilAlgebra, values, ring=None):
+        """Embed ordinary numbers along the unit (zero nilpotent part),
+        exactly or over a ring such as FLOATS."""
+        one = basis_element(algebra, 0, ring)
+        return WeilPoint(algebra, [one.like(v) for v in values])
 
     @property
-    def mode(self) -> Mode:
-        return self.coords[0].mode if self.coords else Mode.EXACT
+    def ring(self):
+        """FLOATS for a float point; None for an exact one."""
+        c = self.coords[0] if self.coords else None
+        return c.ring if isinstance(c, ExtendedElement) else None
 
     @property
     def arity(self) -> int:
@@ -86,7 +86,7 @@ class WeilPoint:
 
     def base(self):
         """The underlying ordinary point: all augmentations."""
-        return tuple(c.augmentation() for c in self.coords)
+        return tuple(c.scalar_part() for c in self.coords)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -94,7 +94,15 @@ class WeilPoint:
 
 def embed_base(point: WeilPoint, algebra: WeilAlgebra) -> WeilPoint:
     """Re-embed the underlying ordinary point into a (possibly different) algebra."""
-    return WeilPoint.from_scalars(algebra, point.base(), point.mode)
+    return WeilPoint.from_scalars(algebra, point.base(), point.ring)
+
+
+def basis_element(algebra: WeilAlgebra, i: int, ring=None):
+    """Basis element i of algebra (0 is the unit): exact, or over a ring."""
+    if ring is None:
+        return algebra.basis_element(i)
+    coeffs = [ring.const(int(j == i)) for j in range(algebra.dimension)]
+    return ExtendedElement(ring, algebra, coeffs)
 
 
 def apply_morphism(phi: WeilMorphism, point: WeilPoint) -> WeilPoint:
@@ -167,7 +175,7 @@ def _taylor_call(op: str, x, where: str):
 
 class _ElementRing:
     """Elements of one algebra, plain or over a coefficient ring, as a ring
-    for expr.fold; template fixes the algebra, the mode and the ring."""
+    for expr.fold; template fixes the algebra and the kind of element."""
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -201,7 +209,7 @@ def apply_map(f: SmoothMap, point: WeilPoint) -> WeilPoint:
         raise ValueError(
             f"map takes {f.arity_in} inputs, point has {point.arity} coordinates"
         )
-    template = point.algebra.one(point.mode)
+    template = basis_element(point.algebra, 0, point.ring)
     out = [
         lift_eval(b, list(point.coords), template=template, var_names=f.var_names)
         for b in f.bodies
@@ -220,46 +228,42 @@ def evaluate_at_scalars(f: SmoothMap, values):
 
 @dataclass(frozen=True)
 class WeilCoefficients:
-    """Coefficients that are elements of a Weil algebra, all in one mode."""
+    """Coefficients that are elements of one Weil algebra, all of the kind
+    of the zero element given: exact, or over FLOATS."""
 
-    algebra: WeilAlgebra
-    mode: Mode
+    zero_element: object
     symbolic = False
 
     @property
     def depth(self) -> int:
         """Nilpotency degree of the coefficients' own nilpotents."""
-        return self.algebra.nilpotency_degree
+        return self.zero_element.algebra.nilpotency_degree
 
     def zero(self):
-        return self.algebra.zero(self.mode)
+        return self.zero_element
 
     def const(self, value):
-        return self.zero().like(value)
+        return self.zero_element.like(value)
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-
-    def scale(self, a, q):
-        return a.scaled(float(q) if self.mode is Mode.FLOAT else q)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def scalar(self, a):
-        return a.augmentation()
+    scale = staticmethod(lambda a, q: a.scaled(q))
+    is_zero = staticmethod(operator.attrgetter("is_zero"))
+    scalar = staticmethod(operator.methodcaller("scalar_part"))
 
 
 class ExtendedElement:
     """An element of W with coefficients in a commutative ring: one ring
     element per basis vector of W.
 
-    Products convolve along W's structure constants while the coefficient
-    products happen in the ring.  With Weil-algebra coefficients this is an
-    element of (R ^ W_inner) ^ W, one functor applied after the other, kept
-    apart from collapsing to the tensor algebra first; with polynomial
-    coefficients it is the lifted map in symbolic form.
+    Products convolve along W's structure, by monomial code or sparse
+    terms in the order exact products visit them, while the coefficient
+    products happen in the ring.  Over FLOATS this is a float element of W;
+    with Weil-algebra coefficients an element of (R ^ W_inner) ^ W, one
+    functor applied after the other, kept apart from collapsing to the
+    tensor algebra first; with polynomial coefficients the lifted map in
+    symbolic form.
     """
 
     __slots__ = ("ring", "algebra", "coeffs")
@@ -272,38 +276,25 @@ class ExtendedElement:
         self.algebra = algebra
         self.coeffs = coeffs
 
-    @staticmethod
-    def constant(ring, algebra: WeilAlgebra, value) -> "ExtendedElement":
-        zero = ring.zero()
-        return ExtendedElement(
-            ring, algebra, [ring.const(value)] + [zero] * (algebra.dimension - 1)
-        )
-
     @property
     def symbolic(self) -> bool:
         return self.ring.symbolic
 
     def _peer(self, other):
-        if (
-            not isinstance(other, ExtendedElement)
-            or other.ring != self.ring
-            or other.algebra != self.algebra
-        ):
+        if not isinstance(other, ExtendedElement):
+            raise ModeError("exact elements and elements over a ring do not mix")
+        if other.ring != self.ring or other.algebra != self.algebra:
             raise ValueError("elements live over different rings or algebras")
 
     def __add__(self, other):
         self._peer(other)
-        add = self.ring.add
-        return ExtendedElement(
-            self.ring, self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        ring = self.ring
+        return ExtendedElement(ring, self.algebra, map(ring.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._peer(other)
-        sub = self.ring.sub
-        return ExtendedElement(
-            self.ring, self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        ring = self.ring
+        return ExtendedElement(ring, self.algebra, map(ring.sub, self.coeffs, other.coeffs))
 
     def scaled(self, c) -> "ExtendedElement":
         scale = self.ring.scale
@@ -312,20 +303,37 @@ class ExtendedElement:
     def __mul__(self, other):
         self._peer(other)
         ring, alg = self.ring, self.algebra
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         out = [ring.zero()] * alg.dimension
-        nz_b = [(j, b) for j, b in enumerate(other.coeffs) if not ring.is_zero(b)]
-        for i, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
-                continue
-            for j, b in nz_b:
-                ab = ring.mul(a, b)
-                for k, c in alg._terms(i, j):
-                    out[k] = ring.add(out[k], ab if c == 1 else ring.scale(ab, c))
+        nz_a = [(i, a) for i, a in enumerate(self.coeffs) if not is_zero(a)]
+        nz_b = [(j, b) for j, b in enumerate(other.coeffs) if not is_zero(b)]
+        if alg.flavor == "presented":
+            codes, get = alg._codes, alg._by_code.get
+            nz_b = [(codes[j], b) for j, b in nz_b]
+            for i, a in nz_a:
+                ci = codes[i]
+                for cj, b in nz_b:
+                    k = get(ci + cj)
+                    if k is not None:
+                        out[k] = add(out[k], mul(a, b))
+        else:
+            scale = ring.scale
+            for i, a in nz_a:
+                for j, b in nz_b:
+                    ab = mul(a, b)
+                    for k, c in alg._terms(i, j):
+                        out[k] = add(out[k], ab if c == 1 else scale(ab, c))
         return ExtendedElement(ring, alg, out)
+
+    def __truediv__(self, other):
+        self._peer(other)
+        return self * geometric_invert(other)
 
     def like(self, value) -> "ExtendedElement":
         """A constant over the same ring and algebra."""
-        return ExtendedElement.constant(self.ring, self.algebra, value)
+        ring = self.ring
+        coeffs = (ring.const(value),) + (ring.zero(),) * (self.algebra.dimension - 1)
+        return ExtendedElement(ring, self.algebra, coeffs)
 
     def scalar_part(self):
         """The ring's scalar part of the augmentation."""
@@ -339,13 +347,32 @@ class ExtendedElement:
     def nilpotency_bound(self) -> int:
         return self.ring.depth + self.algebra.nilpotency_degree - 1
 
+    @property
+    def is_zero(self) -> bool:
+        return all(map(self.ring.is_zero, self.coeffs))
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtendedElement):
+            return NotImplemented
+        return (self.ring, self.algebra, self.coeffs) == (other.ring, other.algebra, other.coeffs)
+
+    __str__ = WeilElement.__str__  # reads only coeffs and the basis labels
+
     def __repr__(self):
         body = ", ".join(f"[{c}]" for c in self.coeffs)
         return f"ExtendedElement({body})"
 
 
-def nest(element: WeilElement) -> ExtendedElement:
-    """Regroup an element of a tensor algebra as inner-valued outer coefficients.
+def _rebuilt(template, algebra: WeilAlgebra, coeffs):
+    """An element of algebra with these coefficients, of template's kind."""
+    if isinstance(template, WeilElement):
+        return WeilElement._of(algebra, tuple(coeffs))
+    return ExtendedElement(template.ring, algebra, coeffs)
+
+
+def nest(element) -> ExtendedElement:
+    """Regroup an element of a tensor algebra as inner-valued outer
+    coefficients of the same kind (exact, or over FLOATS).
 
     The element's algebra must have been built by tensor(); the left factor
     becomes the inner algebra.
@@ -355,14 +382,14 @@ def nest(element: WeilElement) -> ExtendedElement:
         raise ValueError("nest() needs an element of a tensor-built algebra")
     coeffs = []
     for i2 in range(info.right.dimension):
-        inner = tuple(
-            element.raw[info.index_of_pair[(i1, i2)]] for i1 in range(info.left.dimension)
-        )
-        coeffs.append(WeilElement._of(info.left, inner, element.mode))
-    return ExtendedElement(WeilCoefficients(info.left, element.mode), info.right, coeffs)
+        inner = [
+            element.coeffs[info.index_of_pair[(i1, i2)]] for i1 in range(info.left.dimension)
+        ]
+        coeffs.append(_rebuilt(element, info.left, inner))
+    return ExtendedElement(WeilCoefficients(coeffs[0].like(0)), info.right, coeffs)
 
 
-def flatten(nested: ExtendedElement, algebra: WeilAlgebra) -> WeilElement:
+def flatten(nested: ExtendedElement, algebra: WeilAlgebra):
     """Inverse of nest(), into the given tensor-built algebra."""
     info = algebra.tensor_info
     if info is None:
@@ -370,15 +397,15 @@ def flatten(nested: ExtendedElement, algebra: WeilAlgebra) -> WeilElement:
     ring = nested.ring
     if (
         not isinstance(ring, WeilCoefficients)
-        or info.left != ring.algebra
+        or info.left != ring.zero().algebra
         or info.right != nested.algebra
     ):
         raise ValueError("tensor factors do not match the nested element")
-    out = [_RAW[ring.mode][0]] * algebra.dimension
+    out = [None] * algebra.dimension
     for i2, c in enumerate(nested.coeffs):
-        for i1, v in enumerate(c.raw):
+        for i1, v in enumerate(c.coeffs):
             out[info.index_of_pair[(i1, i2)]] = v
-    return WeilElement._of(algebra, tuple(out), ring.mode)
+    return _rebuilt(ring.zero(), algebra, out)
 
 
 def check_functor_composition(f: SmoothMap, point: WeilPoint) -> Verdict:
@@ -394,17 +421,18 @@ def check_functor_composition(f: SmoothMap, point: WeilPoint) -> Verdict:
     direct = apply_map(f, point)
 
     nested_values = [nest(c) for c in point.coords]
-    template = nest(point.algebra.one(point.mode))
+    template = nest(basis_element(point.algebra, 0, point.ring))
     routed = [
         lift_eval(b, nested_values, template=template, var_names=f.var_names)
         for b in f.bodies
     ]
     flattened = [flatten(r, point.algebra) for r in routed]
-    ok, detail = _agreement(direct.coords, flattened, point.mode, "routes agree exactly")
+    exact = point.ring is None
+    ok, detail = _agreement(direct.coords, flattened, exact, "routes agree exactly")
     return Verdict(
         ok,
         f"composite-vs-tensor on map {f.name}: {detail}",
-        exactness="exact" if point.mode is Mode.EXACT else "sampled",
+        exactness="exact" if exact else "sampled",
     )
 
 
@@ -424,14 +452,14 @@ def check_reparametrization_naturality(
     )
 
 
-def _agreement(xs, ys, mode: Mode, exact_detail: str):
-    """(ok, detail) for two lists of elements: equal in exact mode, within
-    a relative gap of 1e-9 per coefficient in float mode."""
-    if mode is Mode.EXACT:
+def _agreement(xs, ys, exact: bool, exact_detail: str):
+    """(ok, detail) for two lists of elements: equal when exact, within a
+    relative gap of 1e-9 per coefficient over floats."""
+    if exact:
         return all(a == b for a, b in zip(xs, ys)), exact_detail
     worst = 0.0
     for a, b in zip(xs, ys):
-        for x, y in zip(a.raw, b.raw):
+        for x, y in zip(a.coeffs, b.coeffs):
             xv, yv = float(x), float(y)
             worst = max(worst, abs(xv - yv) / max(1.0, abs(xv), abs(yv)))
     return not worst > 1e-9, f"largest relative gap {worst:.3e}"
@@ -446,10 +474,9 @@ def jet(f: SmoothMap, at, order: int, mode: Mode = Mode.EXACT):
     if f.arity_in != 1:
         raise ValueError("jet() handles one-input maps; use mixed_jet for several")
     w = jet_line(order)
-    a = float(at) if mode is Mode.FLOAT else qq(at)
-    gen = w.basis_element(1, mode) if order >= 1 else w.zero(mode)
-    coord = w.scalar(a) + gen
-    result = apply_map(f, WeilPoint(w, [coord]))
+    ring = FLOATS if mode is Mode.FLOAT else None
+    gen = basis_element(w, 1, ring) if order >= 1 else basis_element(w, 0, ring).like(0)
+    result = apply_map(f, WeilPoint(w, [gen.like(at) + gen]))
     return [list(c.coeffs) for c in result.coords]
 
 
@@ -469,13 +496,13 @@ def mixed_jet(f: SmoothMap, at, orders, mode: Mode = Mode.EXACT):
         r[i] = o + 1
         rels.append(tuple(r))
     w = make_presented(names, rels)
+    ring = FLOATS if mode is Mode.FLOAT else None
     coords = []
     for i, value in enumerate(at):
-        a = float(value) if mode is Mode.FLOAT else qq(value)
         gen_exp = tuple(1 if j == i else 0 for j in range(len(orders)))
-        coord = w.scalar(a)
+        coord = basis_element(w, 0, ring).like(value)
         if orders[i] >= 1:
-            coord = coord + w.basis_element(w._index[gen_exp], mode)
+            coord = coord + basis_element(w, w._index[gen_exp], ring)
         coords.append(coord)
     result = apply_map(f, WeilPoint(w, coords))
     out = []
@@ -507,7 +534,7 @@ def lift_map(f: SmoothMap, algebra: WeilAlgebra) -> SmoothMap:
         ExtendedElement(ring, algebra, [poly_var(i * d + b, total) for b in range(d)])
         for i in range(n)
     ]
-    template = ExtendedElement.constant(ring, algebra, 1)
+    template = basis_element(algebra, 0, ring)
     results = []
     for body in f.bodies:
         results.append(

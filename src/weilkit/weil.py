@@ -8,9 +8,11 @@ algebras stay cheap at any size because products of standard monomials are
 again standard monomials or zero; tabled algebras are what equalizers,
 fiber products, and limits return.
 
-Elements may hold floats, for transcendental jets.  Everything categorical
-(morphisms, limits, mediating maps) is exact: a float reaching a morphism,
-as an image or as an element to map, is a ModeError.
+Elements are exact: their coefficients are read through qq, so a float is
+a ModeError where an element is built.  Float evaluation (transcendental
+jets) runs in smooth, over a float coefficient ring, and a float element
+reaching anything here (an operation, or a morphism as an image or as an
+element to map) is a ModeError too.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
-    Mode,
     ModeError,
-    _RAW,
-    _mode_of,
-    _one_mode,
+    _ONE,
+    _ZERO,
     _raw_of,
     _unit,
     difference_rows,
@@ -376,19 +376,17 @@ class WeilAlgebra:
     def element(self, coeffs) -> "WeilElement":
         return WeilElement(self, coeffs)
 
-    def zero(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, (_RAW[mode][0],) * self.dimension, mode)
+    def zero(self) -> "WeilElement":
+        return WeilElement._of(self, (_ZERO,) * self.dimension)
 
-    def one(self, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, _unit(self.dimension, 0, mode), mode)
+    def one(self) -> "WeilElement":
+        return WeilElement._of(self, _unit(self.dimension, 0))
 
     def scalar(self, value) -> "WeilElement":
-        value = _raw_of(value)
-        mode = _mode_of(value)
-        return WeilElement._of(self, (value,) + (_RAW[mode][0],) * (self.dimension - 1), mode)
+        return WeilElement._of(self, (qq(value),) + (_ZERO,) * (self.dimension - 1))
 
-    def basis_element(self, i: int, mode: Mode = Mode.EXACT) -> "WeilElement":
-        return WeilElement._of(self, _unit(self.dimension, i, mode), mode)
+    def basis_element(self, i: int) -> "WeilElement":
+        return WeilElement._of(self, _unit(self.dimension, i))
 
     # ----- identity -----------------------------------------------------
 
@@ -442,7 +440,6 @@ def jet_line(order: int, name: str = "x") -> WeilAlgebra:
 
 
 _SMALL_NAMES = ("x", "y", "z")
-_ZERO, _ONE = _RAW[Mode.EXACT]
 
 
 def first_order_infinitesimals(n: int) -> WeilAlgebra:
@@ -461,35 +458,31 @@ def first_order_infinitesimals(n: int) -> WeilAlgebra:
 
 
 class WeilElement:
-    """An element of a fixed Weil algebra: its coefficient vector over the
-    basis, held raw in `raw` (all Fractions or all floats) with its one
-    `mode`.  `coeffs` hands out the same raw values.
+    """An exact element of a fixed Weil algebra: its coefficient vector over
+    the basis, held in `raw` as Fractions.  `coeffs` hands out the same
+    values.  A float coefficient, scalar or operand is a ModeError.
 
-    Exact arithmetic does no work on zero coefficients: a sum touches only
-    the entries where the other operand is nonzero, and a product over a
+    Arithmetic does no work on zero coefficients: a sum touches only the
+    entries where the other operand is nonzero, and a product over a
     presented algebra runs on int numerators over one common denominator
-    per operand, making each nonzero result coefficient a Fraction once.
-    Float sums and scaling keep every term, since 0.0 + -0.0 is 0.0 and
-    0.0 * inf is nan."""
+    per operand, making each nonzero result coefficient a Fraction once."""
 
-    __slots__ = ("algebra", "raw", "mode")
+    __slots__ = ("algebra", "raw")
 
     @classmethod
-    def _of(cls, algebra, raw, mode: Mode = Mode.EXACT) -> "WeilElement":
-        """Element around a one-mode raw tuple the kernel computed itself."""
+    def _of(cls, algebra, raw) -> "WeilElement":
+        """Element around a Fraction tuple the kernel computed itself."""
         self = object.__new__(cls)
         self.algebra = algebra
         self.raw = raw
-        self.mode = mode
         return self
 
     def __init__(self, algebra: WeilAlgebra, coeffs):
-        raw = tuple(_raw_of(c) for c in coeffs)
+        raw = tuple(map(qq, coeffs))
         if len(raw) != algebra.dimension:
             raise ValueError("coefficient count does not match the basis")
         self.algebra = algebra
         self.raw = raw
-        self.mode = _one_mode(raw, "element coefficients")
 
     @property
     def coeffs(self):
@@ -497,59 +490,37 @@ class WeilElement:
 
     def _check_peer(self, other):
         if not isinstance(other, WeilElement):
-            raise TypeError("expected a WeilElement")
+            # float elements (over smooth's float ring) are refused by type
+            raise ModeError("expected an exact WeilElement")
         if other.algebra != self.algebra:
             raise ValueError("elements live in different algebras")
-        if other.mode is not self.mode:
-            raise ModeError("mixed-mode operation on exact and float elements")
 
     def __add__(self, other):
         self._check_peer(other)
-        if self.mode is Mode.EXACT:
-            return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, False))
-        return WeilElement._of(
-            self.algebra, tuple(map(operator.add, self.raw, other.raw)), self.mode
-        )
+        return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, False))
 
     def __sub__(self, other):
         self._check_peer(other)
-        if self.mode is Mode.EXACT:
-            return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, True))
-        return WeilElement._of(
-            self.algebra, tuple(map(operator.sub, self.raw, other.raw)), self.mode
-        )
+        return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, True))
 
     def __neg__(self):
-        return WeilElement._of(self.algebra, tuple([-a for a in self.raw]), self.mode)
+        return WeilElement._of(self.algebra, tuple([-a for a in self.raw]))
 
     def scaled(self, c) -> "WeilElement":
-        c = _raw_of(c)
-        if _mode_of(c) is not self.mode:
-            raise ModeError("mixed-mode scaling of an element")
-        if self.mode is Mode.EXACT:
-            raw = tuple([c * a if a else a for a in self.raw])
-        else:
-            raw = tuple([c * a for a in self.raw])
-        return WeilElement._of(self.algebra, raw, self.mode)
+        c = qq(c)
+        return WeilElement._of(self.algebra, tuple([c * a if a else a for a in self.raw]))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scaled(other)
         self._check_peer(other)
         alg = self.algebra
-        exact = self.mode is Mode.EXACT
-        # exact presented products run on int numerators over one common
-        # denominator per operand; each result becomes a Fraction once
-        on_ints = exact and alg.flavor == "presented"
-        if on_ints:
+        if alg.flavor == "presented":
+            # int numerators over one common denominator per operand; each
+            # result becomes a Fraction once
             da, nz_a = _over_common_denominator(self.raw)
             db, nz_b = _over_common_denominator(other.raw)
             acc = [0] * alg.dimension
-        else:
-            nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
-            nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
-            acc = [_RAW[self.mode][0]] * alg.dimension
-        if alg.flavor == "presented":
             codes = alg._codes
             by_code = alg._by_code
             for i, a in nz_a:
@@ -558,17 +529,18 @@ class WeilElement:
                     k = by_code.get(ci + codes[j])
                     if k is not None:
                         acc[k] += a * b
-        else:
-            for i, a in nz_a:
-                for j, b in nz_b:
-                    ab = a * b
-                    if ab:
-                        for k, c in alg._terms(i, j):
-                            acc[k] += ab * (c if exact else float(c))
-        if on_ints:
             d = da * db
-            acc = [Fraction(n, d) if n else _ZERO for n in acc]
-        return WeilElement._of(alg, tuple(acc), self.mode)
+            return WeilElement._of(alg, tuple([Fraction(n, d) if n else _ZERO for n in acc]))
+        nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
+        nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
+        acc = [_ZERO] * alg.dimension
+        for i, a in nz_a:
+            for j, b in nz_b:
+                ab = a * b
+                if ab:
+                    for k, c in alg._terms(i, j):
+                        acc[k] += ab * c
+        return WeilElement._of(alg, tuple(acc))
 
     __rmul__ = __mul__
 
@@ -577,11 +549,11 @@ class WeilElement:
             raise TypeError("element exponents must be int")
         if n < 0:
             return self.invert() ** (-n)
-        return _power(self, n, operator.mul, self.algebra.one(self.mode))
+        return _power(self, n, operator.mul, self.algebra.one())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _raw_of(other)  # an int first becomes a Fraction: int / int is a float
+            c = qq(other)  # an int first becomes a Fraction: int / int is a float
             if not c:
                 raise ZeroDivisionError("scalar division by zero")
             return self.scaled(1 / c)
@@ -592,21 +564,18 @@ class WeilElement:
         return geometric_invert(self)
 
     def augmentation(self):
-        exact = self.mode is Mode.EXACT
-        acc = _RAW[self.mode][0]
+        acc = _ZERO
         for lam, c in zip(self.algebra.aug, self.raw):
             if lam:
-                acc += (lam if exact else float(lam)) * c
+                acc += lam * c
         return acc
 
     # protocol name the generic evaluator uses
     scalar_part = augmentation
 
     def like(self, value) -> "WeilElement":
-        """Embed a constant into the same algebra and mode as this element."""
-        if self.mode is Mode.FLOAT:
-            return self.algebra.scalar(float(value))
-        return self.algebra.scalar(qq(value))
+        """Embed a constant into the same algebra."""
+        return self.algebra.scalar(value)
 
     def nilpotency_bound(self) -> int:
         return self.algebra.nilpotency_degree
@@ -618,19 +587,14 @@ class WeilElement:
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        # Fraction(1) == 1.0, so the modes must match as well as the values
-        return (
-            self.algebra == other.algebra
-            and self.mode is other.mode
-            and self.raw == other.raw
-        )
+        return self.algebra == other.algebra and self.raw == other.raw
 
     def __hash__(self):
         return hash((self.algebra, self.raw))
 
     def __str__(self):
         parts = []
-        for c, label in zip(self.raw, self.algebra.labels):
+        for c, label in zip(self.coeffs, self.algebra.labels):
             if c == 0:
                 continue
             if label == "1":
@@ -781,9 +745,9 @@ class WeilMorphism:
         if len(images) != len(source.gens):
             raise MorphismError("one image per generator, in order")
         for g, img in zip(source.gens, images):
-            if not isinstance(img, WeilElement) or img.algebra != target:
+            if getattr(img, "algebra", None) != target:
                 raise MorphismError(f"image of {g!r} is not an element of the target")
-            if img.mode is not Mode.EXACT:
+            if not isinstance(img, WeilElement):
                 raise ModeError("morphisms are exact; float image rejected")
             if check and img.augmentation():
                 raise MorphismError(f"image of {g!r} has nonzero augmentation")
@@ -815,7 +779,7 @@ class WeilMorphism:
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
             raise ValueError("element does not live in the source algebra")
-        if element.mode is not Mode.EXACT:
+        if not isinstance(element, WeilElement):
             raise ModeError("morphisms are exact; float element rejected")
         out = self._push(*_over_common_denominator(element.raw))
         return WeilElement._of(self.target, out)

@@ -9,6 +9,9 @@ must each fail once the replacement is made.  From the repository root,
 copies src/ into a temporary directory for each mutant (all of them, or the
 named ones), applies the mutant there, runs only its node ids in one child
 pytest against that copy, and prints killed or survived with the wall time.
+The child pytest loads a hypothesis profile without the shrink phase: a
+failing example is reported as found, since only whether a test fails
+matters here.
 It never edits the working tree.  tests/test_mutants.py checks on every
 test run that each snippet still occurs exactly once, so a change that
 rewrites a snippet on purpose updates its entry here.  Removing an entry
@@ -193,6 +196,21 @@ MUTANTS = (
             "test_a_verdict_decided_otherwise_than_declared_is_a_value_error",
         ),
     ),
+    Mutant(
+        "ring-product-keeps-zero-terms",
+        "weilkit/smooth.py",
+        "nz_b = [(j, b) for j, b in enumerate(other.coeffs) if not is_zero(b)]",
+        "nz_b = list(enumerate(other.coeffs))",
+        ("tests/test_weil.py::test_float_ring_matches_the_former_float_elements",),
+    ),
+)
+
+
+# a pytest plugin for the child run: every hypothesis test skips shrinking
+_NO_SHRINK = (
+    "from hypothesis import Phase, settings\n"
+    'settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])\n'
+    'settings.load_profile("mutants")\n'
 )
 
 
@@ -214,13 +232,15 @@ def run(mutant: Mutant):
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / mutant.module).write_text(mutated_source(mutant, src))
+        (pathlib.Path(tmp) / "mutants_no_shrink.py").write_text(_NO_SHRINK)
         env = dict(
             os.environ,
-            PYTHONPATH=str(src),
+            PYTHONPATH=os.pathsep.join([str(src), tmp]),
             PYTHONDONTWRITEBYTECODE="1",
             HYPOTHESIS_STORAGE_DIRECTORY=str(pathlib.Path(tmp) / "hypothesis"),
         )
         cmd = [sys.executable, "-m", "pytest", "-q", "-rfEp", "-p", "no:cacheprovider"]
+        cmd += ["-p", "mutants_no_shrink"]
         out = subprocess.run(
             cmd + list(mutant.kills), cwd=ROOT, env=env, capture_output=True, text=True
         ).stdout

@@ -636,6 +636,55 @@ def weil_sum_reference(a, b, sign=1):
     return [Fraction(x) + sign * Fraction(y) for x, y in zip(a, b)]
 
 
+# ----- float elements ---------------------------------------------------------
+# The float element arithmetic that elements over smooth.FLOATS reproduce
+# term for term, written out on plain float tuples: sum, scale, product and
+# augmentation.
+
+
+def float_sum_reference(a, b, sign=1):
+    """a + b (sign 1) or a - b (sign -1): every term kept, so 0.0 + -0.0
+    is 0.0 and -0.0 - 0.0 is -0.0."""
+    return tuple(map(operator.add if sign == 1 else operator.sub, a, b))
+
+
+def float_scale_reference(a, c):
+    """c * a, every term kept, so 0.0 * inf is nan."""
+    return tuple([c * x for x in a])
+
+
+def float_product_reference(algebra, a, b):
+    """a * b, skipping the zero coefficients of both operands: a presented
+    algebra adds the products at monomial codes, a tabled one scales each
+    nonzero product by its structure constants as floats."""
+    nz_a = [(i, x) for i, x in enumerate(a) if x]
+    nz_b = [(j, y) for j, y in enumerate(b) if y]
+    acc = [0.0] * algebra.dimension
+    if algebra.flavor == "presented":
+        codes, by_code = algebra._codes, algebra._by_code
+        for i, x in nz_a:
+            for j, y in nz_b:
+                k = by_code.get(codes[i] + codes[j])
+                if k is not None:
+                    acc[k] += x * y
+    else:
+        for i, x in nz_a:
+            for j, y in nz_b:
+                xy = x * y
+                if xy:
+                    for k, c in algebra._terms(i, j):
+                        acc[k] += xy * float(c)
+    return tuple(acc)
+
+
+def float_augmentation_reference(algebra, a):
+    acc = 0.0
+    for lam, x in zip(algebra.aug, a):
+        if lam:
+            acc += float(lam) * x
+    return acc
+
+
 # ----- presented algebras -----------------------------------------------------
 
 

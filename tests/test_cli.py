@@ -396,6 +396,13 @@ def test_verify_exact_only_suites_refuse_float(capsys):
     assert "exact mode only" in err
 
 
+@pytest.mark.parametrize("suite", ["axioms", "exponentiable"])
+def test_verify_refuses_negative_controls_without_a_negative_battery(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--negative-controls")
+    assert code == 2 and out == ""
+    assert f"suite {suite!r} has no negative-control battery" in err
+
+
 def test_verify_axioms_runs_in_float_mode_too(capsys):
     code, _, _ = run(
         capsys, "verify", "axioms", "--mode", "float", "--seed", "1", "--samples", "4"

@@ -19,7 +19,6 @@ from weilkit import (
     FiberedMorphism,
     FiberedObject,
     InfinitesimalArrow,
-    Mode,
     SmoothMap,
     WeilMorphism,
     WeilPoint,
@@ -53,7 +52,7 @@ from weilkit.fibered import (
     arrow_weil_functor,
     vertical_space_basis,
 )
-from weilkit.smooth import apply_map
+from weilkit.smooth import FLOATS, ExtendedElement, apply_map
 from weilkit.weil import DiagramError, limit_cone, parse_algebra
 
 
@@ -260,8 +259,10 @@ def test_float_input_rejected():
 def test_membership_refuses_float_points():
     d = dual_numbers()
     p = FiberedObject.coordinate_projection(2, 1)
-    vertical = WeilPoint(d, [d.scalar(3.0), d.scalar(5.0) + d.basis_element(1, Mode.FLOAT)])
-    for x in (vertical, WeilPoint.from_scalars(d, [3, 5], Mode.FLOAT)):
+    vertical = WeilPoint(
+        d, [ExtendedElement(FLOATS, d, [3.0, 0.0]), ExtendedElement(FLOATS, d, [5.0, 1.0])]
+    )
+    for x in (vertical, WeilPoint.from_scalars(d, [3, 5], FLOATS)):
         with pytest.raises(FiberedError, match="float point"):
             vertical_membership(p, d, x)
 
@@ -282,7 +283,9 @@ def test_vertical_functor_refuses_float_points():
     d = dual_numbers()
     p = FiberedObject.coordinate_projection(2, 1)
     m = FiberedMorphism(p, p, parse_map("t(a, b) -> (a, 3*b)"), parse_map("s(a) -> (a)"))
-    x = WeilPoint(d, [d.scalar(2.0), d.scalar(1.0) + d.basis_element(1, Mode.FLOAT)])
+    x = WeilPoint(
+        d, [ExtendedElement(FLOATS, d, [2.0, 0.0]), ExtendedElement(FLOATS, d, [1.0, 1.0])]
+    )
     with pytest.raises(FiberedError, match="float point"):
         vertical_functor_on_morphism(m, d, x)
 

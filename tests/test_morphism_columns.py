@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oracles import matmul_reference, morphism_apply_reference, tensor_injections_reference
 
 from weilkit import (
-    Mode,
     ModeError,
     SmoothMap,
     WeilMorphism,
@@ -33,8 +32,8 @@ from weilkit.corpus import (
     random_presented_algebra,
     random_rational,
 )
-from weilkit.smooth import check_reparametrization_naturality
-from weilkit.weil import WeilElement, factor_permutation_iso, generator_elements
+from weilkit.smooth import FLOATS, ExtendedElement, basis_element, check_reparametrization_naturality
+from weilkit.weil import MorphismError, WeilElement, factor_permutation_iso, generator_elements
 
 _SEEDS = st.integers(0, 2**32 - 1)
 _SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
@@ -88,7 +87,7 @@ def test_exact_images_match_the_dense_loop(seed):
         last = src.basis_element(src.dimension - 1)
         for el in (random_element(rng, src), src.zero(), src.one(), last):
             got = phi.apply(el)
-            assert got.mode is Mode.EXACT and got.algebra == phi.target
+            assert type(got) is WeilElement and got.algebra == phi.target
             assert all(type(c) is Fraction for c in got.raw)
             assert got.raw == morphism_apply_reference(phi, el)
 
@@ -99,14 +98,26 @@ def test_morphisms_refuse_float_elements(seed):
     rng = random.Random(seed)
     for phi in _zoo(rng):
         raw = tuple(_float_coefficient(rng) for _ in range(phi.source.dimension))
-        el = WeilElement._of(phi.source, raw, Mode.FLOAT)
-        point = WeilPoint(phi.source, [el, phi.source.one(Mode.FLOAT)])
+        el = ExtendedElement(FLOATS, phi.source, raw)
+        point = WeilPoint(phi.source, [el, basis_element(phi.source, 0, FLOATS)])
         with pytest.raises(ModeError, match="float element"):
             phi.apply(el)
         with pytest.raises(ModeError, match="float element"):
             apply_morphism(phi, point)
         with pytest.raises(ModeError, match="float element"):
             check_reparametrization_naturality(SmoothMap.identity(2), phi, point)
+
+
+def test_float_images_and_mixed_points_are_refused():
+    w, d = dual_numbers(), dual_numbers("t")
+    with pytest.raises(ModeError, match="float image"):
+        WeilMorphism.from_generator_images(w, d, [ExtendedElement(FLOATS, d, [0.0, 1.0])])
+    # an element of another algebra is no image, whatever its kind
+    with pytest.raises(MorphismError, match="not an element of the target"):
+        WeilMorphism.from_generator_images(w, d, [ExtendedElement(FLOATS, w, [0.0, 1.0])])
+    for coords in ([d.one(), basis_element(d, 0, FLOATS)], [basis_element(d, 1, FLOATS), d.one()]):
+        with pytest.raises(ModeError, match="mix exact and float"):
+            WeilPoint(d, coords)
 
 
 def test_float_source_order_element_is_refused():
@@ -116,7 +127,7 @@ def test_float_source_order_element_is_refused():
     d = dual_numbers("t")
     (t,) = generator_elements(d)
     phi = WeilMorphism.from_generator_images(w, d, [t, t, t])
-    el = WeilElement._of(w, (0.0, 1e16, 1.0, 1.0), Mode.FLOAT)
+    el = ExtendedElement(FLOATS, w, (0.0, 1e16, 1.0, 1.0))
     point = WeilPoint(w, [el])
     with pytest.raises(ModeError, match="float element"):
         phi.apply(el)

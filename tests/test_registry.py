@@ -52,7 +52,7 @@ def test_each_verify_invocation_pins_its_checks_and_tags(recorded):
     assert {name: [list(o) for o in outs] for name, outs in recorded.items()} == want
     tags = collections.Counter(o[2] for outs in recorded.values() for o in outs)
     assert sum(tags.values()) == 310
-    assert tags == {"exact": 285, "sampled": 25}
+    assert tags == {"exact": 284, "sampled": 25, "graded": 1}
 
 
 def test_every_outcome_is_declared_and_every_declaration_recorded(recorded):
@@ -60,8 +60,10 @@ def test_every_outcome_is_declared_and_every_declaration_recorded(recorded):
     used = {(check, tag) for outs in recorded.values() for check, _, tag in outs}
     assert used - declared == set()  # no outcome from an undeclared check
     assert declared - used == set()  # no declaration that nothing records
-    assert len(declared) == len(declared_checks()) == 41
+    assert len(declared) == len(declared_checks()) == 42
     # one declaration per printed name, two where a name carries two tags
     names = collections.Counter(name for name, _ in declared)
     assert len(names) == 39
-    assert {name for name, n in names.items() if n > 1} == {"functor", "derived-exponentiable"}
+    assert {name for name, n in names.items() if n > 1} == {
+        "functor", "derived-exponentiable", "vertical-microlinear"
+    }

@@ -35,6 +35,7 @@ from weilkit.corpus import (
     random_rational,
 )
 from weilkit.smooth import (
+    FLOATS,
     EvaluationError,
     check_functor_composition,
     check_reparametrization_naturality,
@@ -70,7 +71,7 @@ def test_transcendental_needs_float_mode():
     exact = WeilPoint.from_scalars(d, [Fraction(1)])
     with pytest.raises(ModeError):
         apply_map(f, exact)
-    lifted = apply_map(f, WeilPoint.from_scalars(d, [1.0], Mode.FLOAT))
+    lifted = apply_map(f, WeilPoint.from_scalars(d, [1.0], FLOATS))
     assert abs(lifted.coords[0].coeffs[0] - math.sin(1.0)) < 1e-12
 
 
@@ -86,7 +87,7 @@ def test_log_needs_positive_scalar_part():
     d = dual_numbers()
     f = parse_map("map f(u) -> (log(u))")
     with pytest.raises(EvaluationError):
-        apply_map(f, WeilPoint.from_scalars(d, [-1.0], Mode.FLOAT))
+        apply_map(f, WeilPoint.from_scalars(d, [-1.0], FLOATS))
 
 
 def test_base_projection_and_embedding():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilkit import (
@@ -46,8 +46,8 @@ from weilkit.corpus import (
     random_presented_algebra,
 )
 from weilkit.exactlin import kernel_basis, solve_affine, solve_unique
-from weilkit.expr import PolyCoefficients
-from weilkit.smooth import WeilCoefficients
+from weilkit.expr import FLOATS, PolyCoefficients
+from weilkit.smooth import ExtendedElement, WeilCoefficients, basis_element
 from weilkit.weil import DiagramError, MorphismError, augmentation, generator_elements
 
 import oracles
@@ -455,25 +455,37 @@ def test_augmentation_equalizes_everything():
 def test_mixed_mode_elements_refuse_every_operation():
     w = dual_numbers()
     exact = w.element([qq(1), qq(2)])
-    floats = w.element([1.0, 2.0])
+    floats = ExtendedElement(FLOATS, w, [1.0, 2.0])
     for left, right in ((exact, floats), (floats, exact)):
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(ModeError):
                 op(left, right)
-    pairs = ((exact, 0.5), (exact, 0.5), (floats, Fraction(1, 2)), (floats, qq(2)))
-    for element, c in pairs:
+    for c in (0.5, -0.0):
         with pytest.raises(ModeError):
-            element.scaled(c)
+            exact.scaled(c)
+    # the float ring's scalars are floats, and a rational acts through
+    # float(), as structure constants do in every float product
+    for c in (Fraction(1, 2), qq(2)):
+        assert floats.scaled(c).coeffs == floats.scaled(float(c)).coeffs
+        assert all(type(v) is float for v in floats.scaled(c).coeffs)
+    for bad in ([qq(1), 2.0], [1.0, 2.0]):
+        with pytest.raises(ModeError):
+            WeilElement(w, bad)
     with pytest.raises(ModeError):
-        WeilElement(w, [qq(1), 2.0])
+        w.element([1.0, 2.0])
+    with pytest.raises(ModeError):
+        w.scalar(1.0)
 
 
 def test_exact_and_float_elements_with_equal_values_differ():
     w = dual_numbers()
-    assert w.element([1, 2]) != w.element([1.0, 2.0])
-    assert not w.element([1, 2]) == w.element([1.0, 2.0])
-    assert w.one() != w.one(Mode.FLOAT)
-    assert w.zero() != w.zero(Mode.FLOAT)
+    floats = ExtendedElement(FLOATS, w, [1.0, 2.0])
+    assert w.element([1, 2]) != floats
+    assert not w.element([1, 2]) == floats
+    assert w.one() != basis_element(w, 0, FLOATS)
+    assert w.zero() != basis_element(w, 0, FLOATS).like(0)
+    # both kinds print through the basis labels
+    assert (str(w.element([1, 2])), str(floats)) == ("1 + 2*x", "1.0 + 2.0*x")
 
 
 def test_exact_coefficients_are_fractions():
@@ -503,8 +515,10 @@ def _matrix():
 
 
 def _element(mode):
-    cast = float if mode is Mode.FLOAT else Fraction
-    return jet_line(2).element([cast(2), cast(0), cast(3)])
+    """An exact element, or a float one over the float ring."""
+    if mode is Mode.FLOAT:
+        return ExtendedElement(FLOATS, jet_line(2), [2.0, 0.0, 3.0])
+    return jet_line(2).element([Fraction(2), Fraction(0), Fraction(3)])
 
 
 def _affine_values():
@@ -531,14 +545,14 @@ _READERS = {
     "solve_affine": (lambda m: _affine_values(), [Mode.EXACT]),
     "WeilElement.coeffs": (lambda m: (_element(m) * _element(m)).coeffs, Mode),
     "WeilElement.augmentation": (
-        lambda m: [_element(m).augmentation(), (_element(m) - _element(m)).augmentation()], Mode
+        lambda m: [_element(m).scalar_part(), (_element(m) - _element(m)).scalar_part()], Mode
     ),
     "structure_vector": (lambda m: _TABLED.structure_vector(1, 1), [Mode.EXACT]),
     "aug_covector": (lambda m: _TABLED.aug, [Mode.EXACT]),
     "jet": (lambda m: jet(parse_map("f(u) -> (u^3 + 1)"), 2, 3, m)[0], Mode),
     "mixed_jet": (_mixed_jet_values, Mode),
     "WeilCoefficients.scalar": (
-        lambda m: [WeilCoefficients(jet_line(2), m).scalar(_element(m))], Mode
+        lambda m: [WeilCoefficients(_element(m).like(0)).scalar(_element(m))], Mode
     ),
     "PolyCoefficients.scalar": (lambda m: [PolyCoefficients(2).scalar({(0, 0): 3})], [Mode.EXACT]),
 }
@@ -623,7 +637,7 @@ def test_exact_arithmetic_matches_the_dense_reference(operands):
         (x**3, oracles.weil_product_reference(w, square, a)),
     ]
     for got, expected in cases:
-        assert got.mode is Mode.EXACT
+        assert type(got) is WeilElement
         assert list(got.raw) == expected
         assert all(type(v) is Fraction for v in got.raw)
 
@@ -642,9 +656,52 @@ def test_dense_product_over_coprime_denominators_matches_the_reference():
 
 def test_float_sums_and_scaling_keep_every_term():
     w = dual_numbers()
-    zeros, negative_zeros = w.element([0.0, 0.0]), w.element([-0.0, -0.0])
+    zeros, negative_zeros = (ExtendedElement(FLOATS, w, [z, z]) for z in (0.0, -0.0))
     # 0.0 + -0.0 is 0.0 and 0.0 * inf is nan: float paths skip no zero
-    assert [math.copysign(1, v) for v in (zeros + negative_zeros).raw] == [1, 1]
-    assert [math.copysign(1, v) for v in (negative_zeros + zeros).raw] == [1, 1]
-    assert [math.copysign(1, v) for v in (negative_zeros - zeros).raw] == [-1, -1]
-    assert [str(v) for v in w.element([1.0, 0.0]).scaled(float("inf")).raw] == ["inf", "nan"]
+    assert [math.copysign(1, v) for v in (zeros + negative_zeros).coeffs] == [1, 1]
+    assert [math.copysign(1, v) for v in (negative_zeros + zeros).coeffs] == [1, 1]
+    assert [math.copysign(1, v) for v in (negative_zeros - zeros).coeffs] == [-1, -1]
+    ones = ExtendedElement(FLOATS, w, [1.0, 0.0])
+    assert [str(v) for v in ones.scaled(float("inf")).coeffs] == ["inf", "nan"]
+
+
+_FLOAT_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _float_operands(draw):
+    """An algebra of the kernel list (presented and tabled), two float
+    coefficient vectors that mix zeros of both signs, infinities and nans
+    with finite values over a wide range, and a float scalar."""
+    w = draw(st.sampled_from(_KERNEL_ALGEBRAS))
+    value = st.one_of(
+        st.sampled_from(_FLOAT_SPECIALS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    vector = st.lists(value, min_size=w.dimension, max_size=w.dimension)
+    return w, draw(vector), draw(vector), draw(value)
+
+
+def _reprs(values):
+    return [repr(v) for v in values]
+
+
+@given(_float_operands())
+@example((jet_line(5), [math.inf] + [1.0] * 5, [0.0, 1.0, 0.0, -0.0, 2.0, 0.0], 0.0))
+@example((_KERNEL_ALGEBRAS[5], [math.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0, 3.0], math.nan))
+@settings(max_examples=200, deadline=None)
+def test_float_ring_matches_the_former_float_elements(operands):
+    """Float elements over the float ring agree by repr (so -0.0, inf and nan
+    count) with the float elements they replaced."""
+    w, a, b, c = operands
+    x, y = ExtendedElement(FLOATS, w, a), ExtendedElement(FLOATS, w, b)
+    cases = [
+        (x + y, oracles.float_sum_reference(a, b)),
+        (x - y, oracles.float_sum_reference(a, b, -1)),
+        (x.scaled(c), oracles.float_scale_reference(a, c)),
+        (x * y, oracles.float_product_reference(w, a, b)),
+        (y * x, oracles.float_product_reference(w, b, a)),
+    ]
+    for got, expected in cases:
+        assert all(type(v) is float for v in got.coeffs)
+        assert _reprs(got.coeffs) == _reprs(expected)
+    assert repr(x.scalar_part()) == repr(oracles.float_augmentation_reference(w, a))
