@@ -352,7 +352,8 @@ class _Numbers:
         return self._zero
 
     def scale(self, a, q):
-        """a times a rational or float q: a * float(q) in the float ring."""
+        """a times q, a structure constant or a scalar: a * float(q) in the
+        float ring."""
         return a * self.const(q)
 
     @staticmethod

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exactlin import Mode, ModeError
+from .exactlin import Mode, ModeError, qq
 from .expr import (
     FLOATS,
     EvaluationError,
@@ -243,14 +244,21 @@ class WeilCoefficients:
         return self.zero_element
 
     def const(self, value):
-        return self.zero_element.like(value)
+        return self.zero().like(value)
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    scale = staticmethod(lambda a, q: a.scaled(q))
-    is_zero = staticmethod(operator.attrgetter("is_zero"))
-    scalar = staticmethod(operator.methodcaller("scalar_part"))
+
+    def scale(self, a, q):
+        # a structure constant q acts on a float element as float(q)
+        return a.scaled(q if isinstance(a, WeilElement) else float(q))
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero
+
+    def scalar(self, a):
+        return a.augmentation()
 
 
 class ExtendedElement:
@@ -281,26 +289,41 @@ class ExtendedElement:
         return self.ring.symbolic
 
     def _peer(self, other):
-        if not isinstance(other, ExtendedElement):
+        if isinstance(other, WeilElement):
             raise ModeError("exact elements and elements over a ring do not mix")
+        if not isinstance(other, ExtendedElement):
+            raise TypeError("expected an element over a coefficient ring")
         if other.ring != self.ring or other.algebra != self.algebra:
             raise ValueError("elements live over different rings or algebras")
 
     def __add__(self, other):
         self._peer(other)
-        ring = self.ring
-        return ExtendedElement(ring, self.algebra, map(ring.add, self.coeffs, other.coeffs))
+        add = self.ring.add
+        return ExtendedElement(
+            self.ring, self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
+        )
 
     def __sub__(self, other):
         self._peer(other)
-        ring = self.ring
-        return ExtendedElement(ring, self.algebra, map(ring.sub, self.coeffs, other.coeffs))
+        sub = self.ring.sub
+        return ExtendedElement(
+            self.ring, self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __neg__(self):
+        scale = self.ring.scale
+        return ExtendedElement(self.ring, self.algebra, [scale(a, -1) for a in self.coeffs])
 
     def scaled(self, c) -> "ExtendedElement":
+        """c times this element; over FLOATS, c must be a float."""
+        if self.ring is FLOATS and not isinstance(c, float):
+            raise ModeError("mixed-mode scaling of an element")
         scale = self.ring.scale
         return ExtendedElement(self.ring, self.algebra, [scale(a, c) for a in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, (int, float, Fraction)):
+            return self.scaled(other)
         self._peer(other)
         ring, alg = self.ring, self.algebra
         add, mul, is_zero = ring.add, ring.mul, ring.is_zero
@@ -325,9 +348,15 @@ class ExtendedElement:
                         out[k] = add(out[k], ab if c == 1 else scale(ab, c))
         return ExtendedElement(ring, alg, out)
 
+    __rmul__ = __mul__
+    __pow__ = WeilElement.__pow__  # reads only like(), invert() and *
+    invert = geometric_invert
+
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(1 / qq(other))
         self._peer(other)
-        return self * geometric_invert(other)
+        return self * other.invert()
 
     def like(self, value) -> "ExtendedElement":
         """A constant over the same ring and algebra."""
@@ -344,6 +373,8 @@ class ExtendedElement:
                 acc = ring.add(acc, c if lam == 1 else ring.scale(c, lam))
         return ring.scalar(acc)
 
+    augmentation = scalar_part
+
     def nilpotency_bound(self) -> int:
         return self.ring.depth + self.algebra.nilpotency_degree - 1
 
@@ -356,7 +387,8 @@ class ExtendedElement:
             return NotImplemented
         return (self.ring, self.algebra, self.coeffs) == (other.ring, other.algebra, other.coeffs)
 
-    __str__ = WeilElement.__str__  # reads only coeffs and the basis labels
+    # both read only coeffs and the algebra
+    __hash__, __str__ = WeilElement.__hash__, WeilElement.__str__
 
     def __repr__(self):
         body = ", ".join(f"[{c}]" for c in self.coeffs)

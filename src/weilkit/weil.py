@@ -549,7 +549,7 @@ class WeilElement:
             raise TypeError("element exponents must be int")
         if n < 0:
             return self.invert() ** (-n)
-        return _power(self, n, operator.mul, self.algebra.one())
+        return _power(self, n, operator.mul, self.like(1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -590,7 +590,7 @@ class WeilElement:
         return self.algebra == other.algebra and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.algebra, self.raw))
+        return hash((self.algebra, self.coeffs))
 
     def __str__(self):
         parts = []

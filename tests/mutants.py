@@ -203,6 +203,13 @@ MUTANTS = (
         "nz_b = list(enumerate(other.coeffs))",
         ("tests/test_weil.py::test_float_ring_matches_the_former_float_elements",),
     ),
+    Mutant(
+        "float-scaling-takes-rationals",
+        "weilkit/smooth.py",
+        "if self.ring is FLOATS and not isinstance(c, float):",
+        "if False:",
+        ("tests/test_weil.py::test_mixed_mode_elements_refuse_every_operation",),
+    ),
 )
 
 

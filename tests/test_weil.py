@@ -47,7 +47,7 @@ from weilkit.corpus import (
 )
 from weilkit.exactlin import kernel_basis, solve_affine, solve_unique
 from weilkit.expr import FLOATS, PolyCoefficients
-from weilkit.smooth import ExtendedElement, WeilCoefficients, basis_element
+from weilkit.smooth import ExtendedElement, WeilCoefficients, WeilPoint, basis_element
 from weilkit.weil import DiagramError, MorphismError, augmentation, generator_elements
 
 import oracles
@@ -460,14 +460,12 @@ def test_mixed_mode_elements_refuse_every_operation():
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(ModeError):
                 op(left, right)
-    for c in (0.5, -0.0):
+    pairs = ((exact, 0.5), (exact, -0.0), (floats, Fraction(1, 2)), (floats, qq(2)), (floats, 2))
+    for element, c in pairs:
         with pytest.raises(ModeError):
-            exact.scaled(c)
-    # the float ring's scalars are floats, and a rational acts through
-    # float(), as structure constants do in every float product
-    for c in (Fraction(1, 2), qq(2)):
-        assert floats.scaled(c).coeffs == floats.scaled(float(c)).coeffs
-        assert all(type(v) is float for v in floats.scaled(c).coeffs)
+            element.scaled(c)
+        with pytest.raises(ModeError):
+            element * c
     for bad in ([qq(1), 2.0], [1.0, 2.0]):
         with pytest.raises(ModeError):
             WeilElement(w, bad)
@@ -545,7 +543,7 @@ _READERS = {
     "solve_affine": (lambda m: _affine_values(), [Mode.EXACT]),
     "WeilElement.coeffs": (lambda m: (_element(m) * _element(m)).coeffs, Mode),
     "WeilElement.augmentation": (
-        lambda m: [_element(m).scalar_part(), (_element(m) - _element(m)).scalar_part()], Mode
+        lambda m: [_element(m).augmentation(), (_element(m) - _element(m)).augmentation()], Mode
     ),
     "structure_vector": (lambda m: _TABLED.structure_vector(1, 1), [Mode.EXACT]),
     "aug_covector": (lambda m: _TABLED.aug, [Mode.EXACT]),
@@ -698,6 +696,9 @@ def test_float_ring_matches_the_former_float_elements(operands):
         (x + y, oracles.float_sum_reference(a, b)),
         (x - y, oracles.float_sum_reference(a, b, -1)),
         (x.scaled(c), oracles.float_scale_reference(a, c)),
+        (-x, tuple([-v for v in a])),
+        (x * c, oracles.float_scale_reference(a, c)),
+        (c * x, oracles.float_scale_reference(a, c)),
         (x * y, oracles.float_product_reference(w, a, b)),
         (y * x, oracles.float_product_reference(w, b, a)),
     ]
@@ -705,3 +706,33 @@ def test_float_ring_matches_the_former_float_elements(operands):
         assert all(type(v) is float for v in got.coeffs)
         assert _reprs(got.coeffs) == _reprs(expected)
     assert repr(x.scalar_part()) == repr(oracles.float_augmentation_reference(w, a))
+
+
+def test_float_elements_keep_the_operations_of_exact_ones():
+    """Negation, powers, inversion, the augmentation, scalar products and
+    hashing work on float elements as on exact ones; a plain number is no
+    element to add."""
+    w = dual_numbers()
+    x = ExtendedElement(FLOATS, w, [2.0, 1.0])
+    assert (-x).coeffs == (-2.0, -1.0)
+    assert (x**2).coeffs == (4.0, 4.0)
+    assert (x**-1).coeffs == x.invert().coeffs == (0.5, -0.25)
+    assert (x * x.invert()).coeffs == (1.0, 0.0)
+    assert x.augmentation() == x.scalar_part() == 2.0
+    assert (x * 2.0).coeffs == (2.0 * x).coeffs == (4.0, 2.0)
+    assert hash(x) == hash(ExtendedElement(FLOATS, w, [2.0, 1.0]))
+    assert len({x, ExtendedElement(FLOATS, w, [2.0, 1.0]), w.element([2, 1])}) == 2
+    point = WeilPoint(w, [x, x])
+    assert hash(point) == hash(WeilPoint(w, [x, x]))
+    for bad in (2.0, 2):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            x - bad
+    # as before: a rational scalar is a ModeError, a float one no element
+    with pytest.raises(ModeError):
+        x / 2
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(TypeError):
+        x / 2.0
