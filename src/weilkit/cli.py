@@ -35,6 +35,7 @@ from .fibered import FiberedError, FiberedObject, fibered_suite, vertical_fiber,
 from .smooth import jet, lift_eval, mixed_jet
 from .weil import (
     AlgebraError,
+    BudgetError,
     DiagramError,
     DiagramInWeil,
     MorphismError,
@@ -405,7 +406,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonNilpotentError as exc:
+    except (NonNilpotentError, BudgetError) as exc:
         return _fail(str(exc), 1)
     except (ParseError, AlgebraError) as exc:
         return _fail(str(exc), 2)

@@ -412,11 +412,10 @@ def nest(element) -> ExtendedElement:
     info = element.algebra.tensor_info
     if info is None:
         raise ValueError("nest() needs an element of a tensor-built algebra")
+    flat = element.coeffs  # an exact element makes its Fractions on each read
     coeffs = []
     for i2 in range(info.right.dimension):
-        inner = [
-            element.coeffs[info.index_of_pair[(i1, i2)]] for i1 in range(info.left.dimension)
-        ]
+        inner = [flat[info.index_of_pair[(i1, i2)]] for i1 in range(info.left.dimension)]
         coeffs.append(_rebuilt(element, info.left, inner))
     return ExtendedElement(WeilCoefficients(coeffs[0].like(0)), info.right, coeffs)
 

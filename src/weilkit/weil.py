@@ -9,10 +9,13 @@ again standard monomials or zero; tabled algebras are what equalizers,
 fiber products, and limits return.
 
 Elements are exact: their coefficients are read through qq, so a float is
-a ModeError where an element is built.  Float evaluation (transcendental
-jets) runs in smooth, over a float coefficient ring, and a float element
-reaching anything here (an operation, or a morphism as an image or as an
-element to map) is a ModeError too.
+a ModeError where an element is built.  An element stores int numerators
+over one common denominator, in lowest terms, and its arithmetic (and a
+morphism's action on it) runs on those ints; Fractions are made only where
+a reader (`raw`, `coeffs`, `augmentation`) hands coefficients out.  Float
+evaluation (transcendental jets) runs in smooth, over a float coefficient
+ring, and a float element reaching anything here (an operation, or a
+morphism as an image or as an element to map) is a ModeError too.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class NonNilpotentError(AlgebraError):
     from plain AlgebraError so callers can tell bad data from bad syntax."""
 
 
+class BudgetError(AlgebraError):
+    """Well-formed input whose algebra would exceed the dimension budget."""
+
+
 class MorphismError(ValueError):
     """A would-be morphism is not unit-preserving / multiplicative / compatible."""
 
@@ -80,6 +87,14 @@ def _monomial_label(exps, gens):
 # tensors and parsed algebras rebuild the same few presentations again and again
 _PRESENTATION_CACHE_SIZE = 128
 
+# the largest dimension a presented algebra or a tensor product may have:
+# listing a basis, or pairing two, stops past it
+DIMENSION_BUDGET = 50_000
+
+
+def _over_budget(what: str) -> BudgetError:
+    return BudgetError(f"{what} has dimension above the dimension budget of {DIMENSION_BUDGET}")
+
 
 @functools.lru_cache(maxsize=_PRESENTATION_CACHE_SIZE)
 def _enumerate_presentation(gens, rels):
@@ -109,11 +124,12 @@ def _enumerate_presentation(gens, rels):
             )
         bounds.append(min(pure))
 
-    basis = [
-        e
-        for e in itertools.product(*(range(b) for b in bounds))
-        if not any(_divides(r, e) for r in rels)
-    ] if gens else [()]
+    basis = []
+    for e in itertools.product(*(range(b) for b in bounds)):
+        if not any(_divides(r, e) for r in rels):
+            basis.append(e)
+            if len(basis) > DIMENSION_BUDGET:
+                raise _over_budget("the quotient")
     basis.sort(key=_graded_key)
     basis = tuple(basis)
     # mixed-radix monomial codes: exponents of a product of two basis
@@ -152,6 +168,8 @@ class WeilAlgebra:
         "_codes",
         "_by_code",
         "_sparse",
+        "_aug_ints",
+        "_int_sparse",
     )
 
     # ----- construction -------------------------------------------------
@@ -165,6 +183,8 @@ class WeilAlgebra:
         self.tensor_info = None
         self._chain = None
         self._sparse = None
+        self._aug_ints = None
+        self._int_sparse = None
         return self
 
     @classmethod
@@ -330,6 +350,8 @@ class WeilAlgebra:
             ]
             return self._chain
         m1 = kernel_basis(Matrix._of((self.aug,), d))
+        # eliminations hand out exact Fractions, so they skip qq on the way in
+        m1_elements = [WeilElement._ints(self, *_canonical(w)) for w in m1]
         chain = []
         current = m1
         while current:
@@ -337,9 +359,9 @@ class WeilAlgebra:
             if len(chain) > d:
                 raise NonNilpotentError("augmentation kernel is not nilpotent")
             products = tuple(
-                (WeilElement._of(self, v) * WeilElement._of(self, w)).raw
+                (WeilElement._ints(self, *_canonical(v)) * w).raw
                 for v in current
-                for w in m1
+                for w in m1_elements
             )
             rows, pivots = Matrix._of(products, d).rref() if products else ([], [])
             current = rows[: len(pivots)]
@@ -360,6 +382,26 @@ class WeilAlgebra:
             return () if k is None else ((k, _ONE),)
         return self._sparse[i][j]
 
+    def _int_aug(self):
+        """(D, [(k, n), ...]): aug[k] == n / D at each nonzero k (cached)."""
+        if self._aug_ints is None:
+            self._aug_ints = _over_common_denominator(self.aug)
+        return self._aug_ints
+
+    def _int_terms(self):
+        """(T, rows) of a tabled algebra: rows[i][j] lists (k, n) for each
+        term (k, c) of basis[i] * basis[j], with c == n / T and T the lcm of
+        every structure constant's denominator (built on first use)."""
+        if self._int_sparse is None:
+            sparse = self._sparse
+            t = math.lcm(*[c.denominator for row in sparse for vec in row for _, c in vec])
+
+            def ints(vec):
+                return tuple((k, c.numerator * (t // c.denominator)) for k, c in vec)
+
+            self._int_sparse = t, tuple(tuple(map(ints, row)) for row in sparse)
+        return self._int_sparse
+
     def structure_vector(self, i: int, j: int):
         """Coefficients of basis[i] * basis[j]."""
         vec = [_ZERO] * self.dimension
@@ -377,20 +419,25 @@ class WeilAlgebra:
         return WeilElement(self, coeffs)
 
     def zero(self) -> "WeilElement":
-        return WeilElement._of(self, (_ZERO,) * self.dimension)
+        return WeilElement._ints(self, 1, (0,) * self.dimension)
 
     def one(self) -> "WeilElement":
-        return WeilElement._of(self, _unit(self.dimension, 0))
+        return self.basis_element(0)
 
     def scalar(self, value) -> "WeilElement":
-        return WeilElement._of(self, (qq(value),) + (_ZERO,) * (self.dimension - 1))
+        p, q = qq(value).as_integer_ratio()
+        return WeilElement._ints(self, q, (p,) + (0,) * (self.dimension - 1))
 
     def basis_element(self, i: int) -> "WeilElement":
-        return WeilElement._of(self, _unit(self.dimension, i))
+        nums = [0] * self.dimension
+        nums[i] = 1
+        return WeilElement._ints(self, 1, tuple(nums))
 
     # ----- identity -----------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, WeilAlgebra):
             return NotImplemented
         if self.flavor != other.flavor:
@@ -459,34 +506,57 @@ def first_order_infinitesimals(n: int) -> WeilAlgebra:
 
 class WeilElement:
     """An exact element of a fixed Weil algebra: its coefficient vector over
-    the basis, held in `raw` as Fractions.  `coeffs` hands out the same
-    values.  A float coefficient, scalar or operand is a ModeError.
+    the basis, stored as int numerators `nums` over one positive int
+    denominator `den`.  The pair is canonical (den is the lcm of the reduced
+    denominators, so gcd(den, *nums) == 1), and equal elements store equal
+    ints.  The readers `raw` and `coeffs` make the coefficients as a
+    Fraction tuple on each read.  A float coefficient, scalar or operand is
+    a ModeError.
 
-    Arithmetic does no work on zero coefficients: a sum touches only the
-    entries where the other operand is nonzero, and a product over a
-    presented algebra runs on int numerators over one common denominator
-    per operand, making each nonzero result coefficient a Fraction once."""
+    Arithmetic runs on the ints and ends in one gcd reduction per result: a
+    sum brings both operands over the lcm of their denominators, and a
+    product skips zero numerators, adding int products at monomial codes
+    (presented) or along int structure terms (tabled)."""
 
-    __slots__ = ("algebra", "raw")
+    __slots__ = ("algebra", "den", "nums")
+
+    @classmethod
+    def _ints(cls, algebra, den, nums) -> "WeilElement":
+        """Element with coefficients nums[i] / den, a canonical pair."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.den = den
+        self.nums = nums
+        return self
+
+    @classmethod
+    def _reduced(cls, algebra, den, nums) -> "WeilElement":
+        """Element with coefficients nums[i] / den (den > 0), made canonical."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+        return cls._ints(algebra, den, tuple(nums))
 
     @classmethod
     def _of(cls, algebra, raw) -> "WeilElement":
-        """Element around a Fraction tuple the kernel computed itself."""
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self.raw = raw
-        return self
+        """Element around exact coefficients a caller already holds (another
+        element's, or elimination output): read through qq, so a float is a
+        ModeError, with no check of their count against the basis."""
+        return cls._ints(algebra, *_canonical(tuple(map(qq, raw))))
 
     def __init__(self, algebra: WeilAlgebra, coeffs):
         raw = tuple(map(qq, coeffs))
         if len(raw) != algebra.dimension:
             raise ValueError("coefficient count does not match the basis")
         self.algebra = algebra
-        self.raw = raw
+        self.den, self.nums = _canonical(raw)
 
     @property
-    def coeffs(self):
-        return self.raw
+    def raw(self):
+        return _fractions(self.den, self.nums)
+
+    coeffs = raw
 
     def _check_peer(self, other):
         if not isinstance(other, WeilElement):
@@ -495,52 +565,58 @@ class WeilElement:
         if other.algebra != self.algebra:
             raise ValueError("elements live in different algebras")
 
-    def __add__(self, other):
+    def _combined(self, other, sign: int) -> "WeilElement":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_peer(other)
-        return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, False))
+        da, db = self.den, other.den
+        d = da if da == db else math.lcm(da, db)
+        ma, mb = d // da, sign * (d // db)
+        return WeilElement._reduced(
+            self.algebra, d, [a * ma + b * mb for a, b in zip(self.nums, other.nums)]
+        )
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        self._check_peer(other)
-        return WeilElement._of(self.algebra, _exact_sum(self.raw, other.raw, True))
+        return self._combined(other, -1)
 
     def __neg__(self):
-        return WeilElement._of(self.algebra, tuple([-a for a in self.raw]))
+        return WeilElement._ints(self.algebra, self.den, tuple([-n for n in self.nums]))
 
     def scaled(self, c) -> "WeilElement":
-        c = qq(c)
-        return WeilElement._of(self.algebra, tuple([c * a if a else a for a in self.raw]))
+        p, q = qq(c).as_integer_ratio()
+        return WeilElement._reduced(self.algebra, self.den * q, [p * n for n in self.nums])
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scaled(other)
         self._check_peer(other)
         alg = self.algebra
+        acc = [0] * alg.dimension
+        nz_b = [(j, b) for j, b in enumerate(other.nums) if b]
+        d = self.den * other.den
         if alg.flavor == "presented":
-            # int numerators over one common denominator per operand; each
-            # result becomes a Fraction once
-            da, nz_a = _over_common_denominator(self.raw)
-            db, nz_b = _over_common_denominator(other.raw)
-            acc = [0] * alg.dimension
-            codes = alg._codes
-            by_code = alg._by_code
-            for i, a in nz_a:
-                ci = codes[i]
-                for j, b in nz_b:
-                    k = by_code.get(ci + codes[j])
-                    if k is not None:
-                        acc[k] += a * b
-            d = da * db
-            return WeilElement._of(alg, tuple([Fraction(n, d) if n else _ZERO for n in acc]))
-        nz_a = [(i, a) for i, a in enumerate(self.raw) if a]
-        nz_b = [(j, b) for j, b in enumerate(other.raw) if b]
-        acc = [_ZERO] * alg.dimension
-        for i, a in nz_a:
-            for j, b in nz_b:
-                ab = a * b
-                if ab:
-                    for k, c in alg._terms(i, j):
-                        acc[k] += ab * c
-        return WeilElement._of(alg, tuple(acc))
+            codes, get = alg._codes, alg._by_code.get
+            nz_b = [(codes[j], b) for j, b in nz_b]
+            for i, a in enumerate(self.nums):
+                if a:
+                    ci = codes[i]
+                    for cj, b in nz_b:
+                        k = get(ci + cj)
+                        if k is not None:
+                            acc[k] += a * b
+        else:
+            t, table = alg._int_terms()
+            d *= t
+            for i, a in enumerate(self.nums):
+                if a:
+                    row = table[i]
+                    for j, b in nz_b:
+                        ab = a * b
+                        for k, c in row[j]:
+                            acc[k] += ab * c
+        return WeilElement._reduced(alg, d, acc)
 
     __rmul__ = __mul__
 
@@ -564,11 +640,9 @@ class WeilElement:
         return geometric_invert(self)
 
     def augmentation(self):
-        acc = _ZERO
-        for lam, c in zip(self.algebra.aug, self.raw):
-            if lam:
-                acc += lam * c
-        return acc
+        d, lam = self.algebra._int_aug()
+        nums = self.nums
+        return Fraction(sum([m * nums[k] for k, m in lam]), d * self.den)
 
     # protocol name the generic evaluator uses
     scalar_part = augmentation
@@ -582,12 +656,14 @@ class WeilElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.raw)
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.raw == other.raw
+        return (
+            self.algebra == other.algebra and self.den == other.den and self.nums == other.nums
+        )
 
     def __hash__(self):
         return hash((self.algebra, self.coeffs))
@@ -609,21 +685,6 @@ class WeilElement:
         return f"WeilElement({self})"
 
 
-def _exact_sum(a, b, subtract: bool):
-    """a + b, or a - b, on Fraction tuples.  Only the entries where b is
-    nonzero are touched, and where a is zero the entry of b (negated for
-    a - b) is taken without Fraction arithmetic."""
-    out = list(a)
-    for k, y in enumerate(b):
-        if y:
-            x = out[k]
-            if subtract:
-                out[k] = x - y if x else -y
-            else:
-                out[k] = x + y if x else y
-    return tuple(out)
-
-
 def _times_basis(terms, vec, k):
     """{index: nonzero coefficient} of v * basis[k], v given by its terms vec."""
     acc = {}
@@ -639,6 +700,21 @@ def _over_common_denominator(raw):
     nz = [(i, a.as_integer_ratio()) for i, a in enumerate(raw) if a]
     d = math.lcm(*[q for _, (_, q) in nz])
     return d, [(i, p * (d // q)) for i, (p, q) in nz]
+
+
+def _canonical(raw):
+    """(den, nums) of a Fraction tuple: raw[i] == nums[i] / den, den the lcm
+    of the reduced denominators, so gcd(den, *nums) == 1."""
+    d, nz = _over_common_denominator(raw)
+    nums = [0] * len(raw)
+    for i, n in nz:
+        nums[i] = n
+    return d, tuple(nums)
+
+
+def _fractions(den, nums):
+    """The Fraction tuple of the coefficients nums[i] / den."""
+    return tuple([Fraction(n, den) if n else _ZERO for n in nums])
 
 
 def geometric_invert(x):
@@ -665,11 +741,11 @@ def geometric_invert(x):
 class WeilMorphism:
     """A unit-preserving algebra map, stored as its matrix on the bases.
 
-    It acts through the matrix's sparse columns, built on first use as int
-    numerators over one common denominator: an image (and compose, column
-    by column) sums int products and makes each nonzero result a Fraction
-    once.  Morphisms act on exact elements only; a float element is a
-    ModeError."""
+    It acts through the matrix's sparse columns, built once as int
+    numerators over one common denominator: an image sums int products
+    over the element's numerators, and compose makes each nonzero entry of
+    a pushed column a Fraction once.  Morphisms act on exact elements only;
+    a float element is a ModeError."""
 
     __slots__ = ("source", "target", "matrix", "_columns")
 
@@ -684,20 +760,21 @@ class WeilMorphism:
         if check:
             self._validate_multiplicative()
 
-    # unit preservation and augmentation compatibility are O(dim) and run
-    # always, on the raw entries
+    # unit preservation and augmentation compatibility run always, on the
+    # int columns: column 0 is e_0, and aug_target . M == aug_source
     def _validate_cheap(self):
-        raw = self.matrix.raw
-        if any(row[0] != int(i == 0) for i, row in enumerate(raw)):
+        d, cols = self._int_columns()
+        if cols[0] != [(0, d)]:
             raise MorphismError("morphism does not preserve the unit")
-        pulled = [0] * self.source.dimension
-        for lam, row in zip(self.target.aug, raw):
-            if lam:
-                for j, m in enumerate(row):
-                    if m:
-                        pulled[j] += lam * m
-        if any(p != a for p, a in zip(pulled, self.source.aug)):
-            raise MorphismError("morphism is not augmentation-compatible")
+        dt, lam = self.target._int_aug()
+        ds, mu = self.source._int_aug()
+        lam = dict(lam)
+        expected = [0] * len(cols)
+        for j, n in mu:
+            expected[j] = n * dt * d
+        for col, e in zip(cols, expected):
+            if ds * sum([lam[i] * m for i, m in col if i in lam]) != e:
+                raise MorphismError("morphism is not augmentation-compatible")
 
     def _validate_multiplicative(self):
         src = self.source
@@ -723,14 +800,14 @@ class WeilMorphism:
         return self._columns
 
     def _push(self, d, nz):
-        """The raw image of the vector whose nonzero entries are n / d, (j, n) in nz."""
+        """(D, nums), not reduced: the image of the vector whose nonzero
+        entries are n / d, (j, n) in nz, is nums[i] / D."""
         dm, cols = self._int_columns()
         acc = [0] * self.target.dimension
         for j, n in nz:
             for i, m in cols[j]:
                 acc[i] += m * n
-        d *= dm
-        return tuple([Fraction(a, d) if a else _ZERO for a in acc])
+        return d * dm, acc
 
     @staticmethod
     def from_generator_images(source, target, images, check=True) -> "WeilMorphism":
@@ -759,15 +836,14 @@ class WeilMorphism:
                     raise MorphismError(f"images violate the relation {label}")
         # image of each basis monomial, peeling one generator at a time
         cols = [None] * source.dimension
-        cols[0] = target.one().raw
+        cols[0] = target.one()
         for t in range(1, source.dimension):
             e = source.basis[t]
             g = next(i for i, ei in enumerate(e) if ei > 0)
             prev = list(e)
             prev[g] -= 1
-            prev_idx = source._index[tuple(prev)]
-            cols[t] = (WeilElement._of(target, cols[prev_idx]) * images[g]).raw
-        matrix = Matrix._of_columns(cols, target.dimension)
+            cols[t] = cols[source._index[tuple(prev)]] * images[g]
+        matrix = Matrix._of_columns([c.raw for c in cols], target.dimension)
         return WeilMorphism(source, target, matrix, check=False)
 
     @staticmethod
@@ -781,15 +857,16 @@ class WeilMorphism:
             raise ValueError("element does not live in the source algebra")
         if not isinstance(element, WeilElement):
             raise ModeError("morphisms are exact; float element rejected")
-        out = self._push(*_over_common_denominator(element.raw))
-        return WeilElement._of(self.target, out)
+        nz = [(j, n) for j, n in enumerate(element.nums) if n]
+        return WeilElement._reduced(self.target, *self._push(element.den, nz))
 
     def compose(self, inner: "WeilMorphism") -> "WeilMorphism":
         """self after inner: each column of inner pushed through self."""
         if inner.target != self.source:
             raise MorphismError("composition endpoints do not match")
         d, cols = inner._int_columns()
-        matrix = Matrix._of_columns([self._push(d, col) for col in cols], self.target.dimension)
+        pushed = [_fractions(*self._push(d, col)) for col in cols]
+        matrix = Matrix._of_columns(pushed, self.target.dimension)
         return WeilMorphism(inner.source, self.target, matrix, check=False)
 
     def is_isomorphism(self) -> bool:
@@ -903,6 +980,8 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
     bijection (b1, b2) <-> b so points can be regrouped later.
     """
     d1, d2 = w1.dimension, w2.dimension
+    if d1 * d2 > DIMENSION_BUDGET:
+        raise _over_budget("the tensor product")
     if w1.flavor == "presented" and w2.flavor == "presented":
         names2 = _fresh_names(w1.gens, w2.gens)
         n1, n2 = len(w1.gens), len(names2)
@@ -984,20 +1063,27 @@ def _subalgebra(w: WeilAlgebra, kernel):
     if not kernel or kernel[0] != w.one().raw:
         raise AlgebraError("subspace does not contain the unit")
     free = [max(j for j, x in enumerate(v) if x) for v in kernel]
-    nonzeros = [[(j, x) for j, x in enumerate(v) if x] for v in kernel]
-    elements = [WeilElement._of(w, v) for v in kernel]
+    elements = [WeilElement._ints(w, *_canonical(v)) for v in kernel]
+    # the kernel vectors' numerators over their common denominator
+    common = math.lcm(*[e.den for e in elements])
+    nonzeros = [
+        [(j, n * (common // e.den)) for j, n in enumerate(e.nums) if n] for e in elements
+    ]
     dim = len(elements)
     terms = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            residual = list((elements[i] * elements[j]).raw)
-            coords = tuple((k, residual[f]) for k, f in enumerate(free) if residual[f])
+            # the product less the combination of its free entries, times den * common
+            product = elements[i] * elements[j]
+            nums = product.nums
+            residual = [n * common for n in nums]
+            coords = [(k, nums[f]) for k, f in enumerate(free) if nums[f]]
             for k, c in coords:
                 for col, x in nonzeros[k]:
                     residual[col] -= c * x
             if any(residual):
                 raise AlgebraError("subspace is not closed under multiplication")
-            terms[i][j] = terms[j][i] = coords
+            terms[i][j] = terms[j][i] = tuple((k, Fraction(c, product.den)) for k, c in coords)
     aug = tuple(e.augmentation() for e in elements)
     sub = WeilAlgebra._from_terms(terms, aug, check=False)
     incl = WeilMorphism(sub, w, Matrix._of_columns(kernel, w.dimension), check=False)

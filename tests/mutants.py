@@ -145,6 +145,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_verify_suites_match_the_benchmark_records",),
     ),
     Mutant(
+        "element-not-normalised",
+        "weilkit/weil.py",
+        "g = math.gcd(den, *nums)",
+        "g = 1",
+        ("tests/test_weil.py::test_exact_arithmetic_matches_the_dense_reference",),
+    ),
+    Mutant(
+        "tabled-product-drops-table-denominator",
+        "weilkit/weil.py",
+        "            d *= t\n",
+        "",
+        ("tests/test_weil.py::test_exact_arithmetic_matches_the_dense_reference",),
+    ),
+    Mutant(
         "int-columns-drop-an-entry",
         "weilkit/weil.py",
         "cols[k % width].append((k // width, n))",

@@ -446,6 +446,19 @@ def test_exit_codes_never_mix_parse_and_eval():
 # ----- input budgets and refusals -----------------------------------------------
 
 
+def test_algebras_past_the_dimension_budget_are_refused_fast(capsys):
+    cases = [
+        ("weil", "info", "Q[x,y,z]/(x^200,y^200,z^200)"),  # dimension 8000000
+        ("weil", "tensor", "Q[x]/(x^1600)", "Q[y]/(y^1600)"),  # dimension 2560000
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert "above the dimension budget of 50000" in err
+
+
 def _tabled_block(dim, line):
     unit = "\n".join(f"c 0 {j} {j} 1" for j in range(dim))
     aug = " ".join(["1"] + ["0"] * (dim - 1))

@@ -590,13 +590,30 @@ def _kernel_algebras():
 
 
 _KERNEL_ALGEBRAS = _kernel_algebras()
+
+
+def _kernel_morphisms(w):
+    """Maps out of w: onto the scalars, into w (x) Q[e]/(e^2), and, out of a
+    presented algebra, the endomorphism scaling each generator by a
+    fraction, whose matrix has denominators other than 1."""
+    maps = [augmentation(w), tensor(w, dual_numbers("e"))[1]]
+    if w.flavor == "presented":
+        gens = generator_elements(w)
+        maps.append(WeilMorphism.from_generator_images(
+            w, w, [g.scaled(Fraction(k + 2, 3)) for k, g in enumerate(gens)]
+        ))
+    return maps
+
+
+_KERNEL_MORPHISMS = [_kernel_morphisms(w) for w in _KERNEL_ALGEBRAS]
 # pairwise coprime denominators: distinct 7-digit primes
 _PRIMES = [p for p in range(10**6, 10**6 + 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 @st.composite
 def _kernel_operands(draw):
-    w = draw(st.sampled_from(_KERNEL_ALGEBRAS))
+    n = draw(st.integers(0, len(_KERNEL_ALGEBRAS) - 1))
+    w = _KERNEL_ALGEBRAS[n]
     d = w.dimension
     denominators = iter(draw(st.permutations(_PRIMES)))
 
@@ -615,13 +632,17 @@ def _kernel_operands(draw):
         dense = shape == "dense"
         return [coefficient(coprime) if dense or draw(st.booleans()) else Fraction(0) for _ in range(d)]
 
-    return w, element(), element(), coefficient(draw(st.booleans()))
+    phi = draw(st.sampled_from(_KERNEL_MORPHISMS[n]))
+    return w, element(), element(), coefficient(draw(st.booleans())), phi
 
 
 @given(_kernel_operands())
 @settings(max_examples=150, deadline=None)
 def test_exact_arithmetic_matches_the_dense_reference(operands):
-    w, a, b, c = operands
+    """Elements store int numerators over one denominator, kept canonical:
+    each result equals, and hashes like, the element built from the
+    reference's Fractions, and every reader hands out Fractions."""
+    w, a, b, c, phi = operands
     x, y = w.element(a), w.element(b)
     square = oracles.weil_product_reference(w, a, a)
     cases = [
@@ -633,11 +654,23 @@ def test_exact_arithmetic_matches_the_dense_reference(operands):
         (x.scaled(c), [c * v for v in a]),
         (x * c, [c * v for v in a]),
         (x**3, oracles.weil_product_reference(w, square, a)),
+        (-x, [-v for v in a]),
+        (x - x, [Fraction(0)] * w.dimension),
+        (phi.apply(x), list(oracles.morphism_apply_reference(phi, x))),
     ]
     for got, expected in cases:
         assert type(got) is WeilElement
         assert list(got.raw) == expected
-        assert all(type(v) is Fraction for v in got.raw)
+        assert list(got.coeffs) == expected
+        assert all(type(v) is Fraction for v in got.raw + got.coeffs)
+        assert got == got.algebra.element(expected)
+        assert hash(got) == hash(got.algebra.element(expected))
+        assert got.is_zero == (not any(expected))
+        assert math.gcd(got.den, *got.nums) == 1 and got.den > 0
+    augmentation_reference = sum(lam * v for lam, v in zip(w.aug, a))
+    assert x.augmentation() == augmentation_reference
+    assert type(x.augmentation()) is Fraction
+    assert x.is_zero == (not any(a))
 
 
 def test_dense_product_over_coprime_denominators_matches_the_reference():
