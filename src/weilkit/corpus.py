@@ -8,6 +8,7 @@ always valid instances.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .weil import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    _canonical,
     augmentation,
     dual_numbers,
     first_order_infinitesimals,
@@ -43,10 +45,15 @@ def standard_algebras():
     ]
 
 
-def random_rational(rng: random.Random, height: int = 7) -> Fraction:
+def _draw(rng: random.Random, height: int):
+    """(num, den) of a random rational of the given height, den > 0 and the
+    pair not reduced: the one draw behind every random coefficient."""
     num = rng.randint(-height, height)
-    den = rng.randint(1, height)
-    return Fraction(num, den)
+    return num, rng.randint(1, height)
+
+
+def random_rational(rng: random.Random, height: int = 7) -> Fraction:
+    return Fraction(*_draw(rng, height))
 
 
 _GEN_POOL = ("x", "y", "z", "w")
@@ -79,7 +86,9 @@ def random_presented_algebra(
 
 def random_element(rng: random.Random, w: WeilAlgebra) -> WeilElement:
     """Random exact element, coefficients of height 5."""
-    return WeilElement(w, [qq(random_rational(rng, 5)) for _ in range(w.dimension)])
+    pairs = [_draw(rng, 5) for _ in range(w.dimension)]
+    den = math.lcm(*[q for _, q in pairs])
+    return WeilElement._reduced(w, den, [p * (den // q) for p, q in pairs])
 
 
 def random_point(
@@ -108,15 +117,20 @@ def random_morphism(
     """Random map out of a presented algebra: 25 tries, then zero images."""
     if source.flavor != "presented":
         raise ValueError("random morphisms need a presented source")
-    nil_basis = target.maximal_ideal_basis()
+    nil_basis = [_canonical(v) for v in target.maximal_ideal_basis()]
     for _ in range(25):
         images = []
         for _ in source.gens:
-            el = target.zero()
-            for v in nil_basis:
+            # the sum of the drawn multiples, as int numerators over den
+            den, nums = 1, [0] * target.dimension
+            for dv, nv in nil_basis:
                 if rng.random() < 0.5:
-                    el = el + WeilElement._of(target, v).scaled(qq(random_rational(rng, 3)))
-            images.append(el)
+                    p, q = _draw(rng, 3)
+                    d = math.lcm(den, dv * q)
+                    m, t = d // den, p * (d // (dv * q))
+                    nums = [a * m + t * n for a, n in zip(nums, nv)]
+                    den = d
+            images.append(WeilElement._reduced(target, den, nums))
         try:
             return WeilMorphism.from_generator_images(source, target, images)
         except MorphismError:

@@ -7,8 +7,12 @@ boundary instead of silently promoting, and every structural decision
 (kernels, ranks, solvability) is exact.  Floats live only in the float
 coefficient ring of smooth, which the user picks with Mode.FLOAT.
 
-Matrix.rref is the package's one elimination: kernels, ranks and the
-factored system go through it, and no other module divides by a pivot.
+Matrix._echelon is the package's one elimination, and no other module
+divides by a pivot.  Each pivot row clears the rows below it (the forward
+phase), which already fixes the pivot columns; Matrix.rref, behind kernels
+and the factored system, also clears the rows above (the back phase).
+Matrix.rank and the callers that read only pivots (is_invertible,
+spans_equal, weil.filtered_basis) take the forward phase alone.
 factor(m) is the solve: one rref of [m | I] gives the pivots, the kernel,
 the particular-solution rows P and the cokernel rows C, after which m x = r
 is solvable exactly when C r = 0, with P r a solution.  solve_unique,
@@ -196,34 +200,46 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def rref(self):
-        """Reduced row echelon form.  Returns (raw Fraction rows, pivot column list)."""
+    def _echelon(self, reduced: bool = False):
+        """The one elimination: (rows as lists, pivot column list).
+
+        Each pivot row is scaled to a leading 1 and clears the rows below
+        it, which fixes the pivot columns; `reduced` has it clear the rows
+        above too, giving the rref.  The pivot column is written, not
+        computed: 1 in the pivot row, 0 in each row it clears."""
         rows = [list(r) for r in self.raw]
+        n = len(rows)
         pivots = []
         r = 0
         for c in range(self.cols):
-            i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            i = next((i for i in range(r, n) if rows[i][c]), None)
             if i is None:
                 continue
-            rows[r], rows[i] = rows[i], rows[r]
-            inv = 1 / rows[r][c]
-            # the pivot row is zero left of c; only its nonzeros eliminate
-            pivot = [(j, x * inv) for j, x in enumerate(rows[r]) if j >= c and x]
-            row = rows[r]
+            prow = rows[i]
+            rows[i], rows[r] = rows[r], prow
+            inv = 1 / prow[c]
+            # the pivot row is zero left of c; only its nonzeros right of c eliminate
+            pivot = [(j, x * inv) for j, x in enumerate(prow[c + 1 :], c + 1) if x]
+            prow[c] = _ONE
             for j, x in pivot:
-                row[j] = x
-            for i, row in enumerate(rows):
+                prow[j] = x
+            for row in (rows if reduced else rows[r + 1 :]):
                 f = row[c]
-                if f and i != r:
+                if f and row is not prow:
+                    row[c] = _ZERO
                     for j, x in pivot:
                         row[j] -= f * x
             pivots.append(c)
             r += 1
+        return rows, pivots
+
+    def rref(self):
+        """Reduced row echelon form.  Returns (raw Fraction rows, pivot column list)."""
+        rows, pivots = self._echelon(True)
         return [tuple(row) for row in rows], pivots
 
     def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(self._echelon()[1])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

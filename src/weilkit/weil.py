@@ -1322,7 +1322,7 @@ def filtered_basis(w: WeilAlgebra):
     # deepest power first: a vector extends the span of those before it
     # exactly when its column is a pivot
     labelled = [(v, g) for g in range(len(chain), 0, -1) for v in chain[g - 1]]
-    _, pivots = Matrix._of_columns([v for v, _ in labelled], w.dimension).rref()
+    _, pivots = Matrix._of_columns([v for v, _ in labelled], w.dimension)._echelon()
     picked = [labelled[c] for c in reversed(pivots)]
     return [w.one().raw] + [v for v, _ in picked], [0] + [g for _, g in picked]
 

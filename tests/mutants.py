@@ -96,6 +96,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "rref-pivot-column-left-standing",
+        "weilkit/exactlin.py",
+        "                    row[c] = _ZERO\n",
+        "",
+        ("tests/test_exactlin.py::test_rref_matches_reference",),
+    ),
+    Mutant(
+        "echelon-stops-a-row-short",
+        "weilkit/exactlin.py",
+        "(rows if reduced else rows[r + 1 :])",
+        "(rows if reduced else rows[r + 1 : n - 1])",
+        ("tests/test_exactlin.py::test_rank_counts_the_reference_pivots",),
+    ),
+    Mutant(
         "particular-rows-reversed",
         "weilkit/exactlin.py",
         "self.particular = tuple(row[n:] for row in reduced[:rank])",

@@ -20,7 +20,11 @@ converted polynomials replaced in fibered squares and cones.
 morphism_apply_reference and tensor_injections_reference keep the dense
 morphism image and the generator-image injections that the sparse int
 columns and the selection matrices replaced, and filtered_basis_reference
-the rank loop that the pivots of one elimination replaced.  The expression
+the rank loop that the pivots of one elimination replaced.
+random_element_reference and random_morphism_reference keep the corpus
+draws that built each coefficient as a Fraction through qq and each
+morphism image as a sum of scaled elements, before the draws became int
+numerators over one denominator.  The expression
 references at the end are the tree walkers weilkit used before its single
 fold; they share only the polynomial arithmetic helpers with the package.
 """
@@ -1021,4 +1025,38 @@ def cone_commutes_reference(arrows, legs):
         maps_agree_reference(m.top.compose(legs[s].top), legs[t].top)
         and maps_agree_reference(m.bottom.compose(legs[s].bottom), legs[t].bottom)
         for s, t, m in arrows
+    )
+
+
+# ----- the former corpus draws -----------------------------------------------------
+
+
+def _drawn_fraction(rng, height):
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def random_element_reference(rng, w):
+    """corpus.random_element as it drew before: a qq Fraction per
+    coefficient, height 5."""
+    return WeilElement(w, [qq(_drawn_fraction(rng, 5)) for _ in range(w.dimension)])
+
+
+def random_morphism_reference(rng, source, target):
+    """corpus.random_morphism as it drew before: each image a sum of scaled
+    nil-basis elements, 25 tries, then zero images."""
+    nil_basis = target.maximal_ideal_basis()
+    for _ in range(25):
+        images = []
+        for _ in source.gens:
+            el = target.zero()
+            for v in nil_basis:
+                if rng.random() < 0.5:
+                    el = el + WeilElement._of(target, v).scaled(qq(_drawn_fraction(rng, 3)))
+            images.append(el)
+        try:
+            return WeilMorphism.from_generator_images(source, target, images)
+        except MorphismError:
+            continue
+    return WeilMorphism.from_generator_images(
+        source, target, [target.zero() for _ in source.gens]
     )

@@ -336,8 +336,9 @@ def test_commands_match_the_benchmark_records(capsys, monkeypatch):
 
 
 def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
-    # the Jacobian's kernel is the one Matrix.rref of a vertical command:
-    # the origin and the per-degree record are read off, not solved
+    # the Jacobian's kernel is the one elimination (Matrix._echelon, behind
+    # rref and rank alike) of a vertical command: the origin and the
+    # per-degree record are read off, not solved
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     from workloads import command_item
@@ -348,8 +349,8 @@ def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
     items = [int(key.rsplit(":", 1)[1]) for key in records if key.startswith("vertical:")]
     assert len(items) == 120
     calls = []
-    real = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+    real = Matrix._echelon
+    monkeypatch.setattr(Matrix, "_echelon", lambda m, *a: calls.append(m) or real(m, *a))
     for k in items:
         argv = command_item("vertical", k)
         calls.clear()
@@ -358,10 +359,11 @@ def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
 
 
 def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
-    # Matrix.rref calls of the nine invocations the benchmark times: each
-    # cone's numbers are ranked once per suite, and every repeated solve
-    # against one matrix is a product with its factored system (391 calls
-    # in all before that, 251 after)
+    # eliminations of the nine invocations the benchmark times, counted at
+    # Matrix._echelon, the one loop behind rref and rank: each cone's numbers
+    # are ranked once per suite, and every repeated solve against one matrix
+    # is a product with its factored system (391 eliminations in all before
+    # that, 251 after)
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     from workloads import VERIFY_SUITES
@@ -369,8 +371,8 @@ def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
     from weilkit.exactlin import Matrix
 
     calls = []
-    real = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+    real = Matrix._echelon
+    monkeypatch.setattr(Matrix, "_echelon", lambda m, *a: calls.append(m) or real(m, *a))
     counts = {}
     for name, argv in VERIFY_SUITES.items():
         calls.clear()

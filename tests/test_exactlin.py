@@ -237,6 +237,27 @@ def test_rref_matches_reference(raw):
     assert raw_rows(Matrix(reduced, cols=cols)) == ref_rows
 
 
+# zero rows, and shapes taller or wider than sparse_rows() draws on its own
+ranked_rows = st.one_of(
+    sparse_rows(),
+    sparse_rows(rows=0),
+    st.integers(1, 4).flatmap(lambda c: sparse_rows(rows=c + 4, cols=c)),
+    st.integers(1, 4).flatmap(lambda r: sparse_rows(rows=r, cols=r + 4)),
+)
+
+
+@given(ranked_rows)
+@settings(max_examples=150)
+def test_rank_counts_the_reference_pivots(raw):
+    # rank stops at echelon form, whose pivots are the full rref's; a last
+    # row that sums the others adds none
+    rows, cols = raw
+    pivots = rref_reference(rows, cols)[1]
+    assert as_matrix(rows, cols).rank() == len(pivots)
+    stacked = [*rows, [sum(col, Fraction(0)) for col in zip(*rows)]] if rows else rows
+    assert as_matrix(stacked, cols).rank() == len(pivots)
+
+
 @given(st.data())
 @settings(max_examples=50)
 def test_matmul_and_apply_match_reference(data):

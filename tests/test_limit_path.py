@@ -279,7 +279,7 @@ def test_tensoring_a_subalgebra_apex_eliminates_nothing():
     for phi, psi in _parallel_pairs(rng, 2):
         apex = equalizer(phi, psi)[0]
         tensors = []
-        assert _rref_calls(lambda: tensors.append(tensor(apex, dual_numbers())[0])) == 0
+        assert _eliminations(lambda: tensors.append(tensor(apex, dual_numbers())[0])) == 0
         # the degree is read off the factors when it is asked for
         assert tensors[0].nilpotency_degree == apex.nilpotency_degree + 1
 
@@ -537,12 +537,13 @@ def test_a_non_closed_echelon_span_is_refused_like_the_echelon_route():
 # ----- one elimination per matrix ----------------------------------------------------
 
 
-def _rref_calls(run):
-    """How many times run() calls Matrix.rref."""
+def _eliminations(run):
+    """How many eliminations run() makes: calls of Matrix._echelon, the one
+    loop behind Matrix.rref and Matrix.rank."""
     calls = []
-    real = Matrix.rref
+    real = Matrix._echelon
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Matrix, "rref", lambda m: calls.append(m) or real(m))
+        mp.setattr(Matrix, "_echelon", lambda m, *a: calls.append(m) or real(m, *a))
         run()
     return len(calls)
 
@@ -555,9 +556,9 @@ def test_limits_and_equalizers_need_no_unit_containment_solve():
     diagrams = [_diagram_of_kind(rng, k) for k in ("seeded", "grid", "discrete", "skewed", "apex")]
     pairs = _parallel_pairs(rng, 2)
     for diagram in diagrams:
-        assert _rref_calls(lambda: limit(diagram)) == 1
+        assert _eliminations(lambda: limit(diagram)) == 1
     for phi, psi in pairs:
-        assert _rref_calls(lambda: equalizer(phi, psi)) == 1
+        assert _eliminations(lambda: equalizer(phi, psi)) == 1
 
 
 def test_inverting_a_shuffle_is_one_elimination():
@@ -566,7 +567,7 @@ def test_inverting_a_shuffle_is_one_elimination():
     b = tensor(tensor(w1, w3)[0], w2)[0]
     shuffle = weil.factor_permutation_iso(a, b, (0, 2, 1))
     inverses = []
-    assert _rref_calls(lambda: inverses.append(shuffle.inverse())) == 1
+    assert _eliminations(lambda: inverses.append(shuffle.inverse())) == 1
     assert inverses[0] == weil.factor_permutation_iso(b, a, (0, 2, 1))
     with pytest.raises(MorphismError, match="^morphism is not invertible$"):
         collapse_to_scalars(a).inverse()
@@ -575,7 +576,7 @@ def test_inverting_a_shuffle_is_one_elimination():
 def test_a_vertical_fiber_eliminates_each_matrix_once():
     # the Jacobian's kernel; its rank, the origin and the per-degree
     # record are read off it, and the frame is inverted only by point()
-    assert _rref_calls(lambda: vertical_fiber(sphere_distance(), dual_numbers(), [1, 0, 0])) == 1
+    assert _eliminations(lambda: vertical_fiber(sphere_distance(), dual_numbers(), [1, 0, 0])) == 1
 
 
 def test_fiber_points_are_products_with_the_factored_jacobian():
@@ -586,11 +587,11 @@ def test_fiber_points_are_products_with_the_factored_jacobian():
     fj = vertical_fiber(proj, jet_line(2), [4, 9])
     params = [[1, 2], [0, 0], [Fraction(-3, 2), 1], [5, 0]]
     points = []
-    assert _rref_calls(lambda: points.extend(fj.point(p) for p in params)) == 1
+    assert _eliminations(lambda: points.extend(fj.point(p) for p in params)) == 1
     assert points[1] == fj.origin and points[0] != points[2]
     # over the dual numbers the only degree solves at e0*1: no image, no frame
     fd = vertical_fiber(proj, dual_numbers(), [4, 9])
-    assert _rref_calls(lambda: [fd.point([c]) for c in (1, 0, -2, 7)]) == 0
+    assert _eliminations(lambda: [fd.point([c]) for c in (1, 0, -2, 7)]) == 0
 
 
 # ----- tabled checks on sparse terms ------------------------------------------------

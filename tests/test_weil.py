@@ -249,6 +249,22 @@ def test_parse_algebra_presented_syntax():
 # ----- morphisms ----------------------------------------------------------------
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_corpus_draws_match_the_former_fraction_draws(seed):
+    # the int draws make the same element, the same morphism and leave the
+    # rng where the Fraction draws left it
+    source, target = (random_presented_algebra(random.Random(seed + k)) for k in (0, 1))
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        a, b = random_element(rng, target), oracles.random_element_reference(ref, target)
+        assert (a.den, a.nums) == (b.den, b.nums)
+        f = random_morphism(rng, source, target)
+        g = oracles.random_morphism_reference(ref, source, target)
+        assert f.matrix == g.matrix
+        assert rng.getstate() == ref.getstate()
+
+
 def test_generator_images_build_the_expected_map():
     d = dual_numbers()
     w2 = first_order_infinitesimals(2)
