@@ -7,10 +7,13 @@ enclosing SmoothMap and only matter for parsing, printing and error
 messages.  The printer and parser are inverse on canonical strings, byte
 for byte.
 
-fold() is the one evaluator, over plain numbers (evaluate_numeric), exact
-polynomials (poly_from_expr) or Weil elements (smooth.lift_eval).  In each
-ring a denominator or a negatively powered base must be invertible, an
-exact power's scalar part has a budget of 2^20 bits, and calls need floats.
+fold() is the one evaluator, over plain numbers (evaluate_numeric, with
+the module rings FLOATS and RATIONALS), exact polynomials (poly_from_expr)
+or Weil elements (smooth.lift_eval), and the three rings share one
+protocol (see fold).  It is a plain recursion that builds no closures, so
+reference counting frees each evaluation.  In each ring a denominator or a
+negatively powered base must be invertible, an exact power's scalar part
+has a budget of 2^20 bits, and calls need floats.
 
 Polynomials are dicts {exponent tuple -> Fraction}; they are the exact
 backbone for Jacobians, lifted maps, and commuting-square checks.
@@ -44,6 +47,20 @@ class NotInvertibleError(EvaluationError, ZeroDivisionError):
 
 
 _CALLS = ("exp", "log", "sin", "cos", "sqrt")
+_BINARY = ("add", "sub", "mul", "div")  # the ring's add, sub and mul; div inverts
+
+
+def _operator(op: str, reflected: bool = False):
+    """Expr's binary operator op; the other side may be an int or a Fraction."""
+
+    def apply(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = const(other)
+        elif not isinstance(other, Expr):
+            return NotImplemented
+        return Expr(op, (other, self) if reflected else (self, other))
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -52,44 +69,10 @@ class Expr:
     args: tuple = ()
     value: object = None  # Fraction for const, int for var index / power
 
-    def _wrap(self, other):
-        if isinstance(other, Expr):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return const(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        return Expr("add", (self, other)) if other is not NotImplemented else other
-
-    def __radd__(self, other):
-        other = self._wrap(other)
-        return Expr("add", (other, self)) if other is not NotImplemented else other
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        return Expr("sub", (self, other)) if other is not NotImplemented else other
-
-    def __rsub__(self, other):
-        other = self._wrap(other)
-        return Expr("sub", (other, self)) if other is not NotImplemented else other
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        return Expr("mul", (self, other)) if other is not NotImplemented else other
-
-    def __rmul__(self, other):
-        other = self._wrap(other)
-        return Expr("mul", (other, self)) if other is not NotImplemented else other
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        return Expr("div", (self, other)) if other is not NotImplemented else other
-
-    def __rtruediv__(self, other):
-        other = self._wrap(other)
-        return Expr("div", (other, self)) if other is not NotImplemented else other
+    __add__, __radd__ = _operator("add"), _operator("add", True)
+    __sub__, __rsub__ = _operator("sub"), _operator("sub", True)
+    __mul__, __rmul__ = _operator("mul"), _operator("mul", True)
+    __truediv__, __rtruediv__ = _operator("div"), _operator("div", True)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -259,58 +242,62 @@ _POWER_BUDGET_LOG2 = 20
 def fold(expr: Expr, ring, values, var_names=None):
     """Evaluate expr over a ring; values[i] feeds variable i.
 
-    The ring supplies const(q), add, sub, mul, invert(x) (raising
+    Every ring (_Numbers, PolyCoefficients, smooth.WeilCoefficients) has
+    one protocol.  fold reads const(q), add, sub, mul, invert(x) (raising
     ZeroDivisionError when x has no inverse), exact_scalar(x) (the exact
-    scalar part the power budget reads, or None) and call(op, x, where).
-    Errors name the node in var_names (by default x0, x1, ...).
+    scalar part the power budget reads, or None) and call(op, x, where);
+    smooth.ExtendedElement reads zero(), scale(a, q), is_zero(a),
+    scalar(a), depth and symbolic from its coefficient ring.  Errors name
+    the node in var_names (by default x0, x1, ...).
     """
-    binary = {"add": ring.add, "sub": ring.sub, "mul": ring.mul}
+    return _fold(expr, ring, values, var_names)
 
-    def describe(node):
-        return serialize_expression(node, var_names or [f"x{i}" for i in range(len(values))])
 
-    def inverse(x, node, what):
-        try:
-            return ring.invert(x)
-        except ZeroDivisionError as exc:
-            raise NotInvertibleError(f"{what} in {describe(node)}: {exc}") from None
-        except NonPolynomialError as exc:
-            raise NonPolynomialError(f"{what} in {describe(node)}: {exc}") from None
+def _describe(node, values, names):
+    return serialize_expression(node, names or [f"x{i}" for i in range(len(values))])
 
-    def run(node):
-        op = node.op
-        if op == "const":
-            return ring.const(node.value)
-        if op == "var":
-            return values[node.value]
-        if op in binary:
-            return binary[op](run(node.args[0]), run(node.args[1]))
-        if op == "div":
-            num = run(node.args[0])
-            den = inverse(run(node.args[1]), node, "denominator is not invertible")
-            return ring.mul(num, den)
-        if op in _CALLS:
-            return ring.call(op, run(node.args[0]), describe(node))
-        if op != "intpow":
-            raise ValueError(f"unknown node {op!r}")
-        base, n = run(node.args[0]), node.value
-        if n < 0:
-            base, n = inverse(base, node, "negative power of a non-invertible value"), -n
-        # float scalar parts overflow instead of growing, and symbolic ones
-        # may depend on the inputs: only exact ones are budgeted.  Past 0 and
-        # +-1 each factor adds at least one bit, so a larger n fails before
-        # n * log2 could overflow a float.
-        s = ring.exact_scalar(base)
-        if s is not None and s not in (0, 1, -1):
-            budget = 1 << _POWER_BUDGET_LOG2
-            if n > budget or n * math.log2(max(abs(s.numerator), s.denominator)) > budget:
-                raise EvaluationError(
-                    f"exact power {describe(node)} exceeds the budget of "
-                    f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
-                )
-        return _power(base, n, ring.mul, ring.const(Fraction(1)))
 
-    return run(expr)
+def _inverse(x, what, node, ring, values, names):
+    try:
+        return ring.invert(x)
+    except (ZeroDivisionError, NonPolynomialError) as exc:
+        error = NonPolynomialError if isinstance(exc, NonPolynomialError) else NotInvertibleError
+        raise error(f"{what} in {_describe(node, values, names)}: {exc}") from None
+
+
+def _fold(node, ring, values, names):
+    op, args = node.op, node.args
+    if op == "const":
+        return ring.const(node.value)
+    if op == "var":
+        return values[node.value]
+    if op in _BINARY:
+        a, b = _fold(args[0], ring, values, names), _fold(args[1], ring, values, names)
+        if op != "div":
+            return getattr(ring, op)(a, b)
+        return ring.mul(a, _inverse(b, "denominator is not invertible", node, ring, values, names))
+    if op in _CALLS:
+        x = _fold(args[0], ring, values, names)
+        return ring.call(op, x, _describe(node, values, names))
+    if op != "intpow":
+        raise ValueError(f"unknown node {op!r}")
+    base, n = _fold(args[0], ring, values, names), node.value
+    if n < 0:
+        what = "negative power of a non-invertible value"
+        base, n = _inverse(base, what, node, ring, values, names), -n
+    # float scalar parts overflow instead of growing, and symbolic ones
+    # may depend on the inputs: only exact ones are budgeted.  Past 0 and
+    # +-1 each factor adds at least one bit, so a larger n fails before
+    # n * log2 could overflow a float.
+    s = ring.exact_scalar(base)
+    if s is not None and s not in (0, 1, -1):
+        budget = 1 << _POWER_BUDGET_LOG2
+        if n > budget or n * math.log2(max(abs(s.numerator), s.denominator)) > budget:
+            raise EvaluationError(
+                f"exact power {_describe(node, values, names)} exceeds the budget of "
+                f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
+            )
+    return _power(base, n, ring.mul, ring.const(Fraction(1)))
 
 
 def _power(base, n: int, mul, one):
@@ -423,12 +410,13 @@ class PolyCoefficients:
 
 
 FLOATS = _Numbers(exact=False)
+RATIONALS = _Numbers(exact=True)
 
 
 def evaluate_numeric(expr: Expr, values, var_names=None):
     """Evaluate at plain numbers (all Fraction, or all float); calls need floats."""
-    exact = not (values and isinstance(values[0], float))
-    return fold(expr, _Numbers(exact), values, var_names)
+    ring = FLOATS if values and isinstance(values[0], float) else RATIONALS
+    return fold(expr, ring, values, var_names)
 
 
 def poly_from_expr(expr: Expr, nvars: int, var_names=None):

@@ -477,6 +477,9 @@ def vertical_functor_on_morphism(
 
 
 REPRESENTATION = Check("representation", "exact")
+# its outcomes hold by construction: each sampled cone is frame @ coeffs, a
+# combination of the independent vertical basis, so whatever the draw it
+# equalizes and factors uniquely
 MEDIATION = Check("mediation", "exact")
 NO_FACTORING_OUTSIDE = Check("no-factoring-outside", "exact")
 

@@ -7,14 +7,15 @@ a finite geometric series (the denominator needs an invertible scalar
 part), and transcendental calls sum the classical series against the
 nilpotent part, which only makes sense over floats.
 
-lift_eval runs expr.fold over a thin ring of elements, with the rules
-plain numbers and polynomials obey, for two element types: exact algebra
-elements, and elements of W whose coefficients lie in another commutative
-ring, given as a small value object.  Over FLOATS, the one float ring, it
-is a float point's coordinate; with coefficients in a second Weil algebra
-it is one functor applied after another; with exact polynomials in the
-input coordinates (expr.PolyCoefficients) it materializes the lifted map
-as a new SmoothMap.  The inverse is one geometric series for all of them.
+lift_eval runs expr.fold over WeilCoefficients, the elements of one
+algebra as a ring with the protocol plain numbers and polynomials share,
+for two element types: exact algebra elements, and elements of W whose
+coefficients lie in another ring of that protocol (ExtendedElement).  Over
+FLOATS, the one float ring, such an element is a float point's coordinate;
+with coefficients in a second Weil algebra (WeilCoefficients again) it is
+one functor applied after another; with exact polynomials in the input
+coordinates (expr.PolyCoefficients) it materializes the lifted map as a
+new SmoothMap.  The inverse is one geometric series for all of them.
 """
 
 from __future__ import annotations
@@ -174,9 +175,30 @@ def _taylor_call(op: str, x, where: str):
     return acc
 
 
-class _ElementRing:
-    """Elements of one algebra, plain or over a coefficient ring, as a ring
-    for expr.fold; template fixes the algebra and the kind of element."""
+@dataclass(frozen=True)
+class WeilCoefficients:
+    """The elements of one algebra, all of the kind of the zero element
+    given (exact, over FLOATS, nested, or symbolic), as a ring: what
+    lift_eval folds over, and the coefficients of a nested element."""
+
+    zero_element: object
+
+    @property
+    def depth(self) -> int:
+        """Nilpotency degree of the coefficients' own nilpotents."""
+        return self.zero_element.algebra.nilpotency_degree
+
+    @property
+    def symbolic(self) -> bool:
+        """Whether the elements' coefficients are polynomials in the inputs."""
+        z = self.zero_element
+        return isinstance(z, ExtendedElement) and z.symbolic
+
+    def zero(self):
+        return self.zero_element
+
+    def const(self, value):
+        return self.zero_element.like(value)
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -184,11 +206,18 @@ class _ElementRing:
     invert = staticmethod(geometric_invert)
     call = staticmethod(_taylor_call)
 
-    def __init__(self, template):
-        self.const = template.like
-        self.symbolic = getattr(template, "symbolic", False)
+    def scale(self, a, q):
+        # a structure constant q acts on a float element as float(q)
+        return a.scaled(q if isinstance(a, WeilElement) else float(q))
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero
+
+    def scalar(self, a):
+        return a.augmentation()
 
     def exact_scalar(self, x):
+        """x's exact scalar part; None when it is symbolic or a float."""
         s = None if self.symbolic else x.scalar_part()
         return None if isinstance(s, float) else s
 
@@ -200,8 +229,8 @@ def lift_eval(expr: Expr, values, template=None, var_names=None):
     no variables at all.  Any element type with +, -, *, scaled(), like(),
     scalar_part() and nilpotency_bound() works.
     """
-    ring = _ElementRing(values[0] if template is None else template)
-    return fold(expr, ring, values, var_names)
+    template = values[0] if template is None else template
+    return fold(expr, WeilCoefficients(template.like(0)), values, var_names)
 
 
 def apply_map(f: SmoothMap, point: WeilPoint) -> WeilPoint:
@@ -225,40 +254,6 @@ def evaluate_at_scalars(f: SmoothMap, values):
 
 
 # ----- elements over a coefficient ring ----------------------------------------
-
-
-@dataclass(frozen=True)
-class WeilCoefficients:
-    """Coefficients that are elements of one Weil algebra, all of the kind
-    of the zero element given: exact, or over FLOATS."""
-
-    zero_element: object
-    symbolic = False
-
-    @property
-    def depth(self) -> int:
-        """Nilpotency degree of the coefficients' own nilpotents."""
-        return self.zero_element.algebra.nilpotency_degree
-
-    def zero(self):
-        return self.zero_element
-
-    def const(self, value):
-        return self.zero().like(value)
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-
-    def scale(self, a, q):
-        # a structure constant q acts on a float element as float(q)
-        return a.scaled(q if isinstance(a, WeilElement) else float(q))
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def scalar(self, a):
-        return a.augmentation()
 
 
 class ExtendedElement:
@@ -296,19 +291,15 @@ class ExtendedElement:
         if other.ring != self.ring or other.algebra != self.algebra:
             raise ValueError("elements live over different rings or algebras")
 
-    def __add__(self, other):
+    def _zipped(self, other, op):
         self._peer(other)
-        add = self.ring.add
-        return ExtendedElement(
-            self.ring, self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return ExtendedElement(self.ring, self.algebra, map(op, self.coeffs, other.coeffs))
+
+    def __add__(self, other):
+        return self._zipped(other, self.ring.add)
 
     def __sub__(self, other):
-        self._peer(other)
-        sub = self.ring.sub
-        return ExtendedElement(
-            self.ring, self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._zipped(other, self.ring.sub)
 
     def __neg__(self):
         scale = self.ring.scale

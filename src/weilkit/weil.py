@@ -21,7 +21,6 @@ morphism as an image or as an element to map) is a ModeError too.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -124,12 +123,22 @@ def _enumerate_presentation(gens, rels):
             )
         bounds.append(min(pure))
 
-    basis = []
-    for e in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(r, e) for r in rels):
-            basis.append(e)
+    # the basis is the relations' staircase, an order ideal: walk exponents in
+    # lexicographic order, and carry left at the first divisible monomial,
+    # since every multiple of it that keeps the earlier exponents is divisible
+    basis, e, i = [], [0] * len(gens), len(gens) - 1
+    while True:
+        if any(_divides(r, e) for r in rels):
+            e[i] = 0
+            i -= 1
+        else:
+            basis.append(tuple(e))
             if len(basis) > DIMENSION_BUDGET:
                 raise _over_budget("the quotient")
+            i = len(e) - 1
+        if i < 0:
+            break
+        e[i] += 1
     basis.sort(key=_graded_key)
     basis = tuple(basis)
     # mixed-radix monomial codes: exponents of a product of two basis
@@ -777,12 +786,15 @@ class WeilMorphism:
                 raise MorphismError("morphism is not augmentation-compatible")
 
     def _validate_multiplicative(self):
+        # the image of basis[i] * basis[j] is pushed from its int structure
+        # terms; pairs with the unit hold once _validate_cheap has passed
         src = self.source
         images = [self.apply(src.basis_element(i)) for i in range(src.dimension)]
-        for i in range(src.dimension):
+        t, table = (1, None) if src.flavor == "presented" else src._int_terms()
+        for i in range(1, src.dimension):
             for j in range(i, src.dimension):
-                prod_src = src.basis_element(i) * src.basis_element(j)
-                if self.apply(prod_src) != images[i] * images[j]:
+                terms = [(k, 1) for k, _ in src._terms(i, j)] if table is None else table[i][j]
+                if WeilElement._reduced(self.target, *self._push(t, terms)) != images[i] * images[j]:
                     raise MorphismError(
                         f"morphism not multiplicative on basis pair ({i},{j})"
                     )

@@ -238,6 +238,45 @@ MUTANTS = (
         "if False:",
         ("tests/test_weil.py::test_mixed_mode_elements_refuse_every_operation",),
     ),
+    Mutant(
+        "exact-scalar-ignores-symbolic",
+        "weilkit/smooth.py",
+        "s = None if self.symbolic else x.scalar_part()",
+        "s = x.scalar_part()",
+        ("tests/test_smooth.py::test_lift_map_divides_by_constants",),
+    ),
+    Mutant(
+        "shuffle-images-swapped",
+        "weilkit/weil.py",
+        "    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)\n",
+        "    picks[1], picks[-1] = picks[-1], picks[1]\n"
+        "    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)\n",
+        ("tests/test_axioms.py::test_shuffle_multiplicativity_is_decided_on_basis_pairs",),
+    ),
+    Mutant(
+        "staircase-stops-a-step-early",
+        "weilkit/weil.py",
+        "        if any(_divides(r, e) for r in rels):\n",
+        "        if any(_divides(r, e[:-1] + [e[-1] + 1]) for r in rels):\n",
+        ("tests/test_weil.py::test_cached_presentations_match_a_fresh_enumeration",),
+    ),
+    Mutant(
+        "staircase-scans-past-a-divisible-monomial",
+        "weilkit/weil.py",
+        "        if any(_divides(r, e) for r in rels):\n",
+        "        if e and e[i] >= bounds[i]:\n",
+        (
+            "tests/test_weil.py::test_cached_presentations_match_a_fresh_enumeration",
+            "tests/test_cli.py::test_small_quotients_in_large_boxes_list_their_basis_fast",
+        ),
+    ),
+    Mutant(
+        "rref-row-update-skipped",
+        "weilkit/exactlin.py",
+        "if f and row is not prow:",
+        "if f and row is not prow and row is not rows[0]:",
+        ("tests/test_cli.py::test_every_verify_elimination_is_certified_by_products",),
+    ),
 )
 
 

@@ -21,6 +21,9 @@ morphism_apply_reference and tensor_injections_reference keep the dense
 morphism image and the generator-image injections that the sparse int
 columns and the selection matrices replaced, and filtered_basis_reference
 the rank loop that the pivots of one elimination replaced.
+multiplicative_reference decides multiplicativity by dense basis-pair
+products, and presented_reference lists a presented basis by scanning the
+whole box of pure-power bounds, which the staircase walk replaced.
 random_element_reference and random_morphism_reference keep the corpus
 draws that built each coefficient as a Fraction through qq and each
 morphism image as a sum of scaled elements, before the draws became int
@@ -984,6 +987,23 @@ def morphism_apply_reference(phi, element):
                 if m:
                     out[i] += m * c
     return tuple(out)
+
+
+def multiplicative_reference(phi) -> bool:
+    """Does phi carry every product of two basis vectors to the product of
+    their images?  Dense: the source product's image is read off phi's
+    matrix columns, and the images multiply by weil_product_reference."""
+    src, tgt = phi.source, phi.target
+    cols = [[row[j] for row in phi.matrix.raw] for j in range(src.dimension)]
+    for i in range(src.dimension):
+        unit_i = [Fraction(int(k == i)) for k in range(src.dimension)]
+        for j in range(i, src.dimension):
+            unit_j = [Fraction(int(k == j)) for k in range(src.dimension)]
+            product = weil_product_reference(src, unit_i, unit_j)
+            image = [sum(c * col[r] for c, col in zip(product, cols)) for r in range(tgt.dimension)]
+            if image != weil_product_reference(tgt, cols[i], cols[j]):
+                return False
+    return True
 
 
 def tensor_injections_reference(w1, w2, w):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from oracles import microlinear_numbers
+from oracles import microlinear_numbers, multiplicative_reference
 
 from weilkit import (
     DiagramInWeil,
@@ -25,7 +25,16 @@ from weilkit import (
     tensor_of_cones,
 )
 from weilkit.corpus import mutate_cone, random_diagram, random_limit_cone
-from weilkit.weil import DiagramError, limit_cone
+from weilkit.axioms import SHUFFLE_MULTIPLICATIVE
+from weilkit.exactlin import Matrix
+from weilkit.weil import (
+    DiagramError,
+    MorphismError,
+    factor_permutation_iso,
+    limit_cone,
+    tensor,
+    terminal,
+)
 
 
 def _identity_cone(w):
@@ -111,6 +120,29 @@ def test_exponentiable_battery_on_a_fixed_instance():
         seed=11,
     )
     assert rep.ok, rep.render()
+
+
+def test_shuffle_multiplicativity_is_decided_on_basis_pairs():
+    # the outcome is a theorem about the shuffle, the same on every seed,
+    # and the dense basis-pair products of the reference agree with it
+    y = InfinitesimalExponent(dual_numbers("e"))
+    for w1, w2 in ((dual_numbers(), jet_line(2, "y")), (terminal(), dual_numbers("y"))):
+        a_side = tensor(tensor(w1, w2)[0], y.algebra)[0]
+        b_side = tensor(tensor(w1, y.algebra)[0], w2)[0]
+        sigma = factor_permutation_iso(a_side, b_side, (0, 2, 1))
+        assert multiplicative_reference(sigma)
+        for seed in range(3):
+            rep = check_weil_exponentiable(ModelObject.coordinate(1), y, w1, w2, 4, seed)
+            [outcome] = [o for o in rep.outcomes if o.check == SHUFFLE_MULTIPLICATIVE.name]
+            assert outcome.passed, rep.render()
+        # a permutation that swaps the images of two nilpotents is refused
+        cols = list(range(a_side.dimension))
+        cols[1], cols[-1] = cols[-1], cols[1]
+        rows = [[int(c == r) for c in cols] for r in range(a_side.dimension)]
+        swapped = WeilMorphism(a_side, a_side, Matrix(rows), check=False)
+        assert not multiplicative_reference(swapped)
+        with pytest.raises(MorphismError):
+            swapped._validate_multiplicative()
 
 
 def test_degenerate_exponent_is_allowed():

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -335,6 +336,35 @@ def test_commands_match_the_benchmark_records(capsys, monkeypatch):
         assert [code, digest(out)] == rec["out"], (key, argv)
 
 
+def test_evaluations_leave_no_cycle_to_the_collector(capsys):
+    # expr.fold builds no closures, so reference counting frees what each
+    # evaluation makes: with the collector off, one jet, one apply_map and
+    # one verify invocation leave no function or cell for gc.collect()
+    from weilkit import WeilPoint, apply_map, jet, parse_algebra, parse_map
+
+    g = parse_map("g(u) -> (u^3 + 1/(1 + u))")
+    f = parse_map("f(u, v) -> (u*v/(1 + u^2) - v^-1, u^3)")
+    w = parse_algebra("Q[a,b]/(a^3,b^2)")
+    point = WeilPoint(w, [w.scalar(2) + w.basis_element(1), w.scalar(-1) + w.basis_element(2)])
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), list(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        jet(g, 1, 12)
+        apply_map(f, point)
+        assert run(capsys, "verify", "fibered")[0] == 0
+        gc.garbage.clear()
+        gc.collect()
+        left = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+    assert not left & {"function", "cell"}, sorted(left)
+
+
 def test_each_recorded_vertical_command_eliminates_once(capsys, monkeypatch):
     # the Jacobian's kernel is the one elimination (Matrix._echelon, behind
     # rref and rank alike) of a vertical command: the origin and the
@@ -390,6 +420,84 @@ def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
         "exponentiable": 25,
     }
     assert sum(counts.values()) == 251
+
+
+# a prime no denominator of the verify matrices is divisible by
+_PRIME = 2**61 - 1
+
+
+def _rank_mod_prime(rows):
+    """Rank over Z/_PRIME of Fraction rows: never above the rank over Q."""
+    rows = [[x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[i], rows[rank] = rows[rank], rows[i]
+        inv = pow(rows[rank][c], -1, _PRIME)
+        for row in rows[rank + 1 :]:
+            f = row[c] * inv % _PRIME
+            if f:
+                row[:] = [(x - f * y) % _PRIME for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _certify_elimination(m, reduced, rows, pivots):
+    """Check one Matrix._echelon result without a second elimination."""
+    r = len(pivots)
+    assert len(rows) == m.rows and pivots == sorted(set(pivots))
+    # echelon form: a leading 1 at each pivot, zero rows below the rank,
+    # and in the reduced form identity pivot columns
+    for k, row in enumerate(rows):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        assert lead == (pivots[k] if k < r else None)
+        if k < r:
+            assert row[lead] == 1
+    if reduced:
+        for k, c in enumerate(pivots):
+            assert all(row[c] == (i == k) for i, row in enumerate(rows))
+    # every row of m is the combination of R's rows read off its pivot
+    # entries, so rank(m) <= r
+    terms = [[(j, x) for j, x in enumerate(row) if x] for row in rows[:r]]
+    for row in m.raw:
+        v = list(row)
+        for c, t in zip(pivots, terms):
+            f = v[c]
+            if f:
+                for j, x in t:
+                    v[j] -= f * x
+        assert not any(v)
+    # and m's pivot columns have rank r mod a prime, so rank(m) >= r
+    if r:
+        assert _rank_mod_prime([[row[c] for c in pivots] for row in m.raw]) == r
+
+
+def test_every_verify_elimination_is_certified_by_products(capsys, monkeypatch):
+    # each elimination of the nine invocations the benchmark times, checked
+    # by products and a rank mod a prime, never by eliminating again
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import VERIFY_SUITES
+
+    from weilkit.exactlin import Matrix
+
+    results = []
+    real = Matrix._echelon
+
+    def capture(m, reduced=False):
+        rows, pivots = real(m, reduced)
+        results.append((m, reduced, [tuple(row) for row in rows], list(pivots)))
+        return rows, pivots
+
+    monkeypatch.setattr(Matrix, "_echelon", capture)
+    codes = [run(capsys, *argv)[0] for argv in VERIFY_SUITES.values()]
+    start = time.perf_counter()
+    for result in results:
+        _certify_elimination(*result)
+    assert time.perf_counter() - start < 1
+    assert (codes, len(results)) == ([0] * 9, 251)
 
 
 def test_verify_exact_only_suites_refuse_float(capsys):
@@ -459,6 +567,24 @@ def test_algebras_past_the_dimension_budget_are_refused_fast(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert "above the dimension budget of 50000" in err
+
+
+def test_small_quotients_in_large_boxes_list_their_basis_fast(capsys):
+    # the basis is walked as the relations' staircase, not read off the box
+    # of pure-power bounds, which holds 9000000 and 8000000 monomials here
+    from weilkit.weil import _enumerate_presentation
+
+    cases = [
+        ("Q[x,y]/(x^3000,y^3000,x*y)", 5999),
+        ("Q[x,y,z]/(x^200,y^200,z^200,x*y,y*z,x*z)", 598),
+    ]
+    for text, dimension in cases:
+        _enumerate_presentation.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "weil", "info", text)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.startswith(f"dimension: {dimension}\n")
 
 
 def _tabled_block(dim, line):
