@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exactlin import Matrix, Mode, _unit, qq
+from .exactlin import Mode, qq
 from .expr import FLOATS, Expr, SmoothMap, const, var
 from .smooth import ExtendedElement, WeilPoint
 from .weil import (
@@ -21,7 +21,7 @@ from .weil import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
-    _canonical,
+    _over_common_denominator,
     augmentation,
     dual_numbers,
     first_order_infinitesimals,
@@ -47,9 +47,10 @@ def standard_algebras():
 
 def _draw(rng: random.Random, height: int):
     """(num, den) of a random rational of the given height, den > 0 and the
-    pair not reduced: the one draw behind every random coefficient."""
-    num = rng.randint(-height, height)
-    return num, rng.randint(1, height)
+    pair not reduced: the one draw behind every random coefficient.
+    randrange(a, b + 1) is randint(a, b) without its extra call."""
+    num = rng.randrange(-height, height + 1)
+    return num, rng.randrange(1, height + 1)
 
 
 def random_rational(rng: random.Random, height: int = 7) -> Fraction:
@@ -117,19 +118,26 @@ def random_morphism(
     """Random map out of a presented algebra: 25 tries, then zero images."""
     if source.flavor != "presented":
         raise ValueError("random morphisms need a presented source")
-    nil_basis = [_canonical(v) for v in target.maximal_ideal_basis()]
+    if target.flavor == "presented":  # the unit vectors past the unit
+        nil_basis = [(1, ((i, 1),)) for i in range(1, target.dimension)]
+    else:
+        nil_basis = [_over_common_denominator(v) for v in target.maximal_ideal_basis()]
     for _ in range(25):
         images = []
         for _ in source.gens:
-            # the sum of the drawn multiples, as int numerators over den
-            den, nums = 1, [0] * target.dimension
-            for dv, nv in nil_basis:
+            # the drawn multiples p / q of nil-basis vectors, summed as int
+            # numerators over the lcm of their denominators
+            drawn = []
+            for dv, nz in nil_basis:
                 if rng.random() < 0.5:
                     p, q = _draw(rng, 3)
-                    d = math.lcm(den, dv * q)
-                    m, t = d // den, p * (d // (dv * q))
-                    nums = [a * m + t * n for a, n in zip(nums, nv)]
-                    den = d
+                    drawn.append((dv * q, p, nz))
+            den = math.lcm(*[dq for dq, _, _ in drawn])
+            nums = [0] * target.dimension
+            for dq, p, nz in drawn:
+                m = p * (den // dq)
+                for k, n in nz:
+                    nums[k] += m * n
             images.append(WeilElement._reduced(target, den, nums))
         try:
             return WeilMorphism.from_generator_images(source, target, images)
@@ -198,9 +206,8 @@ def drop_added_factor(wd: WeilAlgebra) -> WeilMorphism:
     info = wd.tensor_info
     if info is None:
         raise ValueError("needs a tensor-built algebra")
-    d = info.left.dimension
-    cols = [_unit(d, i1) if i2 == 0 else (0,) * d for (i1, i2) in info.pair_of_index]
-    return WeilMorphism(wd, info.left, Matrix.from_columns(cols, rows=d), check=False)
+    cols = [((i1, 1),) if i2 == 0 else () for (i1, i2) in info.pair_of_index]
+    return WeilMorphism._reduced(wd, info.left, 1, cols)
 
 
 def mutate_cone(cone: DiagramInWeil, kind: str) -> DiagramInWeil | None:

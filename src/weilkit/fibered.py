@@ -733,8 +733,8 @@ class InfinitesimalArrow:
 
 CONNECTING_MAP_SHUFFLE = Check("connecting-map-shuffle", "exact")
 SHUFFLES_INVERTIBLE = Check("shuffles-invertible", "exact")
-# decided on solved draws, yet declared exact: a retag the roadmap lists
-PULLBACK_POINT_TRANSPORT = Check("pullback-point-transport", "exact")
+# decided on `samples` random solved pairs
+PULLBACK_POINT_TRANSPORT = Check("pullback-point-transport", "sampled")
 
 
 def fibered_exponential_pullback(

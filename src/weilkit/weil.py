@@ -65,11 +65,11 @@ class DiagramError(ValueError):
 
 def _graded_key(exps):
     # total degree first, earlier generators first within a degree
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(operator.neg, exps)))
 
 
 def _divides(r, e):
-    return all(a <= b for a, b in zip(r, e))
+    return all(map(operator.le, r, e))
 
 
 def _monomial_label(exps, gens):
@@ -99,36 +99,40 @@ def _over_budget(what: str) -> BudgetError:
 def _enumerate_presentation(gens, rels):
     """What a presented algebra derives from its validated generators and
     relations: (relations, basis, index, codes, by_code, labels, aug,
-    nilpotency degree).  The result is shared, so it holds only tuples and
-    dicts that no caller mutates."""
-    rels = sorted(set(rels), key=_graded_key)
-    # drop relations another relation already divides
-    rels = tuple(
-        r
-        for r in rels
-        if not any(o != r and _divides(o, r) for o in rels)
-    )
+    nilpotency degree, peels).  The result is shared, so it holds only
+    tuples and dicts that no caller mutates."""
+    # drop relations another relation already divides: in graded order, a
+    # divisor comes first, and one that is dropped has a kept divisor itself
+    kept = []
+    for r in sorted(set(rels), key=_graded_key):
+        if not any(_divides(o, r) for o in kept):
+            kept.append(r)
+    rels = tuple(kept)
 
-    bounds = []
-    for i, g in enumerate(gens):
-        pure = [
-            r[i]
-            for r in rels
-            if r[i] > 0 and all(e == 0 for j, e in enumerate(r) if j != i)
-        ]
-        if not pure:
+    # after the reduction each generator has at most one pure power
+    bounds, mixed = [None] * len(gens), []
+    for r in rels:
+        support = [i for i, a in enumerate(r) if a]
+        if len(support) == 1:
+            bounds[support[0]] = r[support[0]]
+        else:
+            mixed.append(r)
+    for g, b in zip(gens, bounds):
+        if b is None:
             raise NonNilpotentError(
                 f"generator {g!r} has no pure power among the relations; "
                 "the quotient would be infinite-dimensional"
             )
-        bounds.append(min(pure))
 
     # the basis is the relations' staircase, an order ideal: walk exponents in
     # lexicographic order, and carry left at the first divisible monomial,
-    # since every multiple of it that keeps the earlier exponents is divisible
-    basis, e, i = [], [0] * len(gens), len(gens) - 1
-    while True:
-        if any(_divides(r, e) for r in rels):
+    # since every multiple of it that keeps the earlier exponents is divisible.
+    # Only e[i] has just grown, so of the pure powers only x_i's can divide e
+    e = [0] * len(gens)
+    basis, i = [tuple(e)], len(e) - 1
+    while i >= 0:
+        e[i] += 1
+        if e[i] >= bounds[i] or any(_divides(r, e) for r in mixed):
             e[i] = 0
             i -= 1
         else:
@@ -136,9 +140,6 @@ def _enumerate_presentation(gens, rels):
             if len(basis) > DIMENSION_BUDGET:
                 raise _over_budget("the quotient")
             i = len(e) - 1
-        if i < 0:
-            break
-        e[i] += 1
     basis.sort(key=_graded_key)
     basis = tuple(basis)
     # mixed-radix monomial codes: exponents of a product of two basis
@@ -146,16 +147,27 @@ def _enumerate_presentation(gens, rels):
     strides = [1]
     for b in bounds[:-1]:
         strides.append(strides[-1] * (2 * b - 1))
-    codes = tuple(sum(e * t for e, t in zip(exps, strides)) for exps in basis)
+    codes = tuple(sum(map(operator.mul, exps, strides)) for exps in basis)
+    index = {e: i for i, e in enumerate(basis)}
+    # (degree, g, k, relation or None) for each relation, then each basis
+    # monomial past the unit, degree by degree: the monomial is x_g *
+    # basis[k], g its first generator.  A divisor of a basis monomial is
+    # one, and so is a reduced relation less any of its generators
+    peels = []
+    for e in sorted(rels + basis[1:], key=sum):
+        g = next(i for i, a in enumerate(e) if a)
+        k = index[e[:g] + (e[g] - 1,) + e[g + 1 :]]
+        peels.append((sum(e), g, k, None if e in index else e))
     return (
         rels,
         basis,
-        {e: i for i, e in enumerate(basis)},
+        index,
         codes,
         {c: i for i, c in enumerate(codes)},
         tuple(_monomial_label(e, gens) for e in basis),
         _unit(len(basis), 0),
         max(sum(e) for e in basis) + 1,
+        tuple(peels),
     )
 
 
@@ -179,6 +191,7 @@ class WeilAlgebra:
         "_sparse",
         "_aug_ints",
         "_int_sparse",
+        "_peels",
     )
 
     # ----- construction -------------------------------------------------
@@ -203,10 +216,11 @@ class WeilAlgebra:
         The input is validated on every call, and every call returns a new
         algebra.  What follows from the presentation alone (the reduced
         relations, the basis, its labels, index and monomial codes, the
-        augmentation and the nilpotency degree) is enumerated once per
-        process and shared by every algebra with that presentation, so none
-        of it is ever mutated; `tensor_info` and the cached ideal chain stay
-        per object.
+        augmentation, the nilpotency degree, and the peels that generator
+        images are multiplied along) is enumerated once per process and
+        shared by every algebra with that presentation, so none of it is
+        ever mutated; `tensor_info` and the cached ideal chain stay per
+        object.
         """
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
@@ -216,7 +230,7 @@ class WeilAlgebra:
                 raise AlgebraError(f"bad generator name {g!r}")
         rels = []
         for r in relations:
-            r = tuple(int(e) for e in r)
+            r = tuple(map(int, r))
             if len(r) != len(gens):
                 raise AlgebraError("relation length does not match generator count")
             if any(e < 0 for e in r):
@@ -237,6 +251,7 @@ class WeilAlgebra:
             self.labels,
             self.aug,
             self._nilpotency,
+            self._peels,
         ) = _enumerate_presentation(gens, tuple(rels))
         self.dimension = len(self.basis)
         return self
@@ -380,7 +395,10 @@ class WeilAlgebra:
         return chain
 
     def maximal_ideal_basis(self):
-        """Raw Fraction vectors spanning the augmentation kernel."""
+        """Raw Fraction vectors spanning the augmentation kernel: a
+        presented algebra's are its unit vectors past the unit."""
+        if self.flavor == "presented":
+            return [_unit(self.dimension, i) for i in range(1, self.dimension)]
         chain = self._ideal_chain()
         return chain[0] if chain else []
 
@@ -563,7 +581,7 @@ class WeilElement:
 
     @property
     def raw(self):
-        return _fractions(self.den, self.nums)
+        return tuple([Fraction(n, self.den) if n else _ZERO for n in self.nums])
 
     coeffs = raw
 
@@ -721,11 +739,6 @@ def _canonical(raw):
     return d, tuple(nums)
 
 
-def _fractions(den, nums):
-    """The Fraction tuple of the coefficients nums[i] / den."""
-    return tuple([Fraction(n, den) if n else _ZERO for n in nums])
-
-
 def geometric_invert(x):
     """(s + n)^-1 = s^-1 * sum of (-n/s)^k, with s = x.scalar_part() and
     the sum cut at x.nilpotency_bound().
@@ -748,32 +761,64 @@ def geometric_invert(x):
 
 
 class WeilMorphism:
-    """A unit-preserving algebra map, stored as its matrix on the bases.
+    """A unit-preserving algebra map, held as its sparse int columns.
 
-    It acts through the matrix's sparse columns, built once as int
-    numerators over one common denominator: an image sums int products
-    over the element's numerators, and compose makes each nonzero entry of
-    a pushed column a Fraction once.  Morphisms act on exact elements only;
-    a float element is a ModeError."""
+    The state is (D, columns): column j lists (i, n) with matrix[i][j] ==
+    n / D for each nonzero entry on the bases, i increasing, where D is the
+    lcm of the reduced denominators, so gcd(D, *every n) == 1 and equal maps
+    hold equal ints.  Construction, apply, compose, == and hash run on the
+    ints: an image sums int products over the element's numerators.  The
+    Fraction `matrix` is made on its first read and kept.  Morphisms act on
+    exact elements only; a float element is a ModeError."""
 
-    __slots__ = ("source", "target", "matrix", "_columns")
+    __slots__ = ("source", "target", "_columns", "_matrix")
 
     def __init__(self, source, target, matrix, check=True):
         if matrix.shape != (target.dimension, source.dimension):
             raise MorphismError("matrix shape does not match source/target")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self._columns = None
+        width = source.dimension
+        d, nz = _over_common_denominator([m for row in matrix.raw for m in row])
+        cols = [[] for _ in range(width)]
+        for k, n in nz:
+            cols[k % width].append((k // width, n))
+        self._start(source, target, d, cols, check, matrix)
+
+    @classmethod
+    def _reduced(cls, source, target, d, cols, check=False) -> "WeilMorphism":
+        """The morphism whose column j has the entries n / d, (i, n) in
+        cols[j] with n nonzero and i increasing, made canonical."""
+        g = math.gcd(d, *[n for col in cols for _, n in col])
+        if g != 1:
+            d //= g
+            cols = [[(i, n // g) for i, n in col] for col in cols]
+        self = object.__new__(cls)
+        self._start(source, target, d, cols, check)
+        return self
+
+    def _start(self, source, target, d, cols, check, matrix=None):
+        self.source, self.target, self._matrix = source, target, matrix
+        self._columns = d, tuple(map(tuple, cols))
         self._validate_cheap()
         if check:
             self._validate_multiplicative()
 
+    @property
+    def matrix(self) -> Matrix:
+        """The Fraction matrix on the bases, made on first read and kept."""
+        if self._matrix is None:
+            d, cols = self._columns
+            rows = [[_ZERO] * len(cols) for _ in range(self.target.dimension)]
+            for j, col in enumerate(cols):
+                for i, n in col:
+                    rows[i][j] = Fraction(n, d)
+            self._matrix = Matrix._of(tuple(map(tuple, rows)), len(cols))
+        return self._matrix
+
     # unit preservation and augmentation compatibility run always, on the
     # int columns: column 0 is e_0, and aug_target . M == aug_source
     def _validate_cheap(self):
-        d, cols = self._int_columns()
-        if cols[0] != [(0, d)]:
+        d, cols = self._columns
+        if cols[0] != ((0, d),):
             raise MorphismError("morphism does not preserve the unit")
         dt, lam = self.target._int_aug()
         ds, mu = self.source._int_aug()
@@ -799,22 +844,10 @@ class WeilMorphism:
                         f"morphism not multiplicative on basis pair ({i},{j})"
                     )
 
-    def _int_columns(self):
-        """(D, columns): column j lists (i, n) with matrix[i][j] == n / D for
-        each nonzero entry, i increasing; D is the lcm of the denominators."""
-        if self._columns is None:
-            width = self.source.dimension
-            d, nz = _over_common_denominator([m for row in self.matrix.raw for m in row])
-            cols = [[] for _ in range(width)]
-            for k, n in nz:
-                cols[k % width].append((k // width, n))
-            self._columns = d, cols
-        return self._columns
-
     def _push(self, d, nz):
         """(D, nums), not reduced: the image of the vector whose nonzero
         entries are n / d, (j, n) in nz, is nums[i] / D."""
-        dm, cols = self._int_columns()
+        dm, cols = self._columns
         acc = [0] * self.target.dimension
         for j, n in nz:
             for i, m in cols[j]:
@@ -833,36 +866,38 @@ class WeilMorphism:
         images = tuple(images)
         if len(images) != len(source.gens):
             raise MorphismError("one image per generator, in order")
+        lam = target._int_aug()[1]
         for g, img in zip(source.gens, images):
             if getattr(img, "algebra", None) != target:
                 raise MorphismError(f"image of {g!r} is not an element of the target")
             if not isinstance(img, WeilElement):
                 raise ModeError("morphisms are exact; float image rejected")
-            if check and img.augmentation():
+            if check and sum([m * img.nums[k] for k, m in lam]):
                 raise MorphismError(f"image of {g!r} has nonzero augmentation")
-        if check:
-            for r in source.relations:
-                acc = functools.reduce(operator.mul, [img**e for img, e in zip(images, r) if e])
-                if not acc.is_zero:
-                    label = _monomial_label(r, source.gens)
-                    raise MorphismError(f"images violate the relation {label}")
-        # image of each basis monomial, peeling one generator at a time
-        cols = [None] * source.dimension
-        cols[0] = target.one()
-        for t in range(1, source.dimension):
-            e = source.basis[t]
-            g = next(i for i, ei in enumerate(e) if ei > 0)
-            prev = list(e)
-            prev[g] -= 1
-            cols[t] = cols[source._index[tuple(prev)]] * images[g]
-        matrix = Matrix._of_columns([c.raw for c in cols], target.dimension)
-        return WeilMorphism(source, target, matrix, check=False)
+        # each relation's and each basis monomial's image, degree by degree,
+        # is its first generator's image times the column of the basis
+        # monomial it leaves: one product per relation, as soon as the columns
+        # below its degree exist.  Checked images lie in the maximal ideal, so
+        # from the target's nilpotency degree on (when known) every image is 0
+        top = (target._nilpotency or math.inf) if check else math.inf
+        cols = [target.one()]
+        for degree, g, k, rel in source._peels:
+            if degree >= top:
+                break
+            if rel is None:
+                cols.append(images[g] if k == 0 else cols[k] * images[g])
+            elif check and not (images[g] if k == 0 else cols[k] * images[g]).is_zero:
+                label = _monomial_label(rel, source.gens)
+                raise MorphismError(f"images violate the relation {label}")
+        cols += [target.zero()] * (source.dimension - len(cols))
+        d = math.lcm(*[c.den for c in cols])
+        ints = [[(i, n * (d // c.den)) for i, n in enumerate(c.nums) if n] for c in cols]
+        return WeilMorphism._reduced(source, target, d, ints)
 
     @staticmethod
     def identity(algebra) -> "WeilMorphism":
-        return WeilMorphism(
-            algebra, algebra, Matrix.identity(algebra.dimension), check=False
-        )
+        units = [((j, 1),) for j in range(algebra.dimension)]
+        return WeilMorphism._reduced(algebra, algebra, 1, units)
 
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
@@ -876,10 +911,10 @@ class WeilMorphism:
         """self after inner: each column of inner pushed through self."""
         if inner.target != self.source:
             raise MorphismError("composition endpoints do not match")
-        d, cols = inner._int_columns()
-        pushed = [_fractions(*self._push(d, col)) for col in cols]
-        matrix = Matrix._of_columns(pushed, self.target.dimension)
-        return WeilMorphism(inner.source, self.target, matrix, check=False)
+        d, cols = inner._columns
+        pushed = [self._push(d, col)[1] for col in cols]
+        cols = [[(i, n) for i, n in enumerate(acc) if n] for acc in pushed]
+        return WeilMorphism._reduced(inner.source, self.target, d * self._columns[0], cols)
 
     def is_isomorphism(self) -> bool:
         return self.matrix.is_invertible()
@@ -897,21 +932,18 @@ class WeilMorphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self._columns == other._columns
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return hash((self.source, self.target, self._columns))
 
     def describe(self) -> str:
-        if self.source.flavor == "presented" and self.source.gens:
-            imgs = []
-            for i, g in enumerate(self.source.gens):
-                j = self.source._index[_gen_exp(self.source, i)]
-                col = tuple(row[j] for row in self.matrix.raw)
-                imgs.append(f"{g} -> {WeilElement._of(self.target, col)}")
-            return "; ".join(imgs)
-        return f"matrix {self.matrix.rows}x{self.matrix.cols}"
+        src = self.source
+        if src.flavor == "presented" and src.gens:
+            gens = zip(src.gens, generator_elements(src))
+            return "; ".join(f"{g} -> {self.apply(x)}" for g, x in gens)
+        return f"matrix {self.target.dimension}x{src.dimension}"
 
     def __repr__(self):
         return f"WeilMorphism({self.describe()})"
@@ -934,22 +966,16 @@ def generator_elements(w: WeilAlgebra):
 
 def augmentation(algebra: WeilAlgebra) -> WeilMorphism:
     """The unique map onto the scalars."""
-    return WeilMorphism(
-        algebra,
-        terminal(),
-        Matrix._of((algebra.aug,), algebra.dimension),
-        check=False,
-    )
+    d, lam = algebra._int_aug()
+    cols = [()] * algebra.dimension
+    for k, n in lam:
+        cols[k] = ((0, n),)
+    return WeilMorphism._reduced(algebra, terminal(), d, cols)
 
 
 def unit_map(algebra: WeilAlgebra) -> WeilMorphism:
     """The unique map from the scalars."""
-    return WeilMorphism(
-        terminal(),
-        algebra,
-        Matrix._of_columns([algebra.one().raw], algebra.dimension),
-        check=False,
-    )
+    return WeilMorphism._reduced(terminal(), algebra, 1, [((0, 1),)])
 
 
 # ----- tensor products ---------------------------------------------------
@@ -1019,19 +1045,9 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
         w = WeilAlgebra._from_terms(terms, aug, check=False)
     index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
     w.tensor_info = TensorInfo(w1, w2, pair_of_index, index_of_pair)
-    picks1 = [index_of_pair[(i1, 0)] for i1 in range(d1)]
-    picks2 = [index_of_pair[(0, i2)] for i2 in range(d2)]
-    inj1 = WeilMorphism(w1, w, _selection(d1 * d2, picks1), check=False)
-    inj2 = WeilMorphism(w2, w, _selection(d1 * d2, picks2), check=False)
+    inj1 = WeilMorphism._reduced(w1, w, 1, [((index_of_pair[(i, 0)], 1),) for i in range(d1)])
+    inj2 = WeilMorphism._reduced(w2, w, 1, [((index_of_pair[(0, i)], 1),) for i in range(d2)])
     return w, inj1, inj2
-
-
-def _selection(rows: int, picks) -> Matrix:
-    """The exact 0/1 matrix whose column k has its one in row picks[k]."""
-    out = [[_ZERO] * len(picks) for _ in range(rows)]
-    for k, r in enumerate(picks):
-        out[r][k] = _ONE
-    return Matrix._of(tuple(map(tuple, out)), len(picks))
 
 
 def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=None):
@@ -1044,17 +1060,12 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
     ti = target.tensor_info
     if si is None or ti is None:
         raise MorphismError("tensor_morphism needs tensor-built source and target")
-    (d1, cols1), (d2, cols2) = phi._int_columns(), psi._int_columns()
-    cols = []
-    for (i1, i2) in si.pair_of_index:
-        vec = [_ZERO] * target.dimension
-        for k1, a in cols1[i1]:
-            for k2, b in cols2[i2]:
-                vec[ti.index_of_pair[(k1, k2)]] = Fraction(a * b, d1 * d2)
-        cols.append(vec)
-    return WeilMorphism(
-        source, target, Matrix._of_columns(cols, target.dimension), check=False
-    )
+    (d1, cols1), (d2, cols2) = phi._columns, psi._columns
+    cols = [
+        sorted((ti.index_of_pair[(k1, k2)], a * b) for k1, a in cols1[i1] for k2, b in cols2[i2])
+        for (i1, i2) in si.pair_of_index
+    ]
+    return WeilMorphism._reduced(source, target, d1 * d2, cols)
 
 
 # ----- subalgebras, products over the scalars, limits ---------------------
@@ -1098,8 +1109,7 @@ def _subalgebra(w: WeilAlgebra, kernel):
             terms[i][j] = terms[j][i] = tuple((k, Fraction(c, product.den)) for k, c in coords)
     aug = tuple(e.augmentation() for e in elements)
     sub = WeilAlgebra._from_terms(terms, aug, check=False)
-    incl = WeilMorphism(sub, w, Matrix._of_columns(kernel, w.dimension), check=False)
-    return sub, incl
+    return sub, WeilMorphism._reduced(sub, w, common, nonzeros)
 
 
 def equalizer(phi: WeilMorphism, psi: WeilMorphism):
@@ -1154,20 +1164,25 @@ class _ProductOverK:
                     )
         self.algebra = WeilAlgebra._from_terms(terms, _unit(d, 0), check=False)
 
-    def _leg(self, a: int, source: WeilAlgebra, rows) -> WeilMorphism:
-        """Component a of the map from source whose matrix into the product
-        has raw rows `rows`: the rows at the factor's offset, under row 0
-        less the aug-weighted sum of them."""
+    def _leg(self, a: int, source: WeilAlgebra, columns) -> WeilMorphism:
+        """Component a of the map from source whose int columns into the
+        product are `columns`: the entries at the factor's offset, under
+        entry 0 less the aug-weighted sum of them."""
         w, off = self.algebras[a], self.offsets[a]
-        picked = rows[off : off + w.dimension - 1]
-        top = list(rows[0])
-        for lam, row in zip(w.aug[1:], picked):
-            if lam:
-                for j, x in enumerate(row):
-                    if x:
-                        top[j] -= lam * x
-        matrix = Matrix._of((tuple(top), *picked), source.dimension)
-        return WeilMorphism(source, w, matrix, check=False)
+        (t, lam), (d, cols) = w._int_aug(), columns
+        lam = dict(lam)
+        out = []
+        for col in cols:
+            top, picked = 0, []
+            for i, n in col:
+                if i == 0:
+                    top += n * t
+                elif off <= i < off + w.dimension - 1:
+                    f = i - off + 1
+                    top -= lam.get(f, 0) * n
+                    picked.append((f, n * t))
+            out.append([(0, top)] + picked if top else picked)
+        return WeilMorphism._reduced(source, w, d * t, out)
 
     def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
         """phi . (leg s) - (leg t) on the product's coordinates, built by index."""
@@ -1188,8 +1203,8 @@ class _ProductOverK:
         return Matrix._of(tuple(map(tuple, rows)), self.dimension)
 
     def projections(self):
-        rows = Matrix.identity(self.dimension).raw
-        return [self._leg(a, self.algebra, rows) for a in range(len(self.algebras))]
+        identity = 1, [((i, 1),) for i in range(self.dimension)]
+        return [self._leg(a, self.algebra, identity) for a in range(len(self.algebras))]
 
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
@@ -1258,7 +1273,7 @@ def limit(diagram: DiagramInWeil):
         cols=prod.dimension,
     )
     sub, incl = _subalgebra(prod.algebra, kernel_basis(constraints))
-    return sub, [prod._leg(a, sub, incl.matrix.raw) for a in range(len(objects))]
+    return sub, [prod._leg(a, sub, incl._columns) for a in range(len(objects))]
 
 
 def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:
@@ -1377,7 +1392,7 @@ def factor_permutation_iso(a: WeilAlgebra, b: WeilAlgebra, perm) -> WeilMorphism
         for i, v in enumerate(t):
             shuffled[perm[i]] = v
         picks.append(index_b[tuple(shuffled)])
-    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)
+    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])
 
 
 # ----- text formats -------------------------------------------------------

@@ -185,11 +185,42 @@ MUTANTS = (
     Mutant(
         "int-columns-wrong-denominator",
         "weilkit/weil.py",
-        "self._columns = d, cols",
-        "self._columns = 2 * d, cols",
+        "self._columns = d, tuple(map(tuple, cols))",
+        "self._columns = 2 * d, tuple(map(tuple, cols))",
         (
             "tests/test_morphism_columns.py::test_exact_images_match_the_dense_loop",
             "tests/test_morphism_columns.py::test_compose_is_the_dense_product",
+        ),
+    ),
+    Mutant(
+        "relation-check-peels-a-wrong-generator",
+        "weilkit/weil.py",
+        "elif check and not (images[g] if k == 0 else cols[k] * images[g]).is_zero:",
+        "elif check and not (images[g - 1] if k == 0 else cols[k] * images[g - 1]).is_zero:",
+        ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
+    ),
+    Mutant(
+        "relation-check-skips-the-last-relation",
+        "weilkit/weil.py",
+        "elif check and not (",
+        "elif check and rel != source.relations[-1] and not (",
+        ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
+    ),
+    Mutant(
+        "nilpotent-images-cut-a-degree-early",
+        "weilkit/weil.py",
+        "            if degree >= top:\n",
+        "            if degree >= top - 1:\n",
+        ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
+    ),
+    Mutant(
+        "equality-reads-the-matrix",
+        "weilkit/weil.py",
+        "and self._columns == other._columns",
+        "and self.matrix == other.matrix",
+        (
+            "tests/test_morphism_columns.py::"
+            "test_building_and_comparing_maps_makes_no_fraction_matrix",
         ),
     ),
     Mutant(
@@ -248,23 +279,23 @@ MUTANTS = (
     Mutant(
         "shuffle-images-swapped",
         "weilkit/weil.py",
-        "    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)\n",
+        "    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])\n",
         "    picks[1], picks[-1] = picks[-1], picks[1]\n"
-        "    return WeilMorphism(a, b, _selection(b.dimension, picks), check=False)\n",
+        "    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])\n",
         ("tests/test_axioms.py::test_shuffle_multiplicativity_is_decided_on_basis_pairs",),
     ),
     Mutant(
         "staircase-stops-a-step-early",
         "weilkit/weil.py",
-        "        if any(_divides(r, e) for r in rels):\n",
-        "        if any(_divides(r, e[:-1] + [e[-1] + 1]) for r in rels):\n",
+        "if e[i] >= bounds[i] or",
+        "if e[i] + 1 >= bounds[i] or",
         ("tests/test_weil.py::test_cached_presentations_match_a_fresh_enumeration",),
     ),
     Mutant(
         "staircase-scans-past-a-divisible-monomial",
         "weilkit/weil.py",
-        "        if any(_divides(r, e) for r in rels):\n",
-        "        if e and e[i] >= bounds[i]:\n",
+        "        if e[i] >= bounds[i] or any(_divides(r, e) for r in mixed):\n",
+        "        if e[i] >= bounds[i]:\n",
         (
             "tests/test_weil.py::test_cached_presentations_match_a_fresh_enumeration",
             "tests/test_cli.py::test_small_quotients_in_large_boxes_list_their_basis_fast",

@@ -21,6 +21,10 @@ morphism_apply_reference and tensor_injections_reference keep the dense
 morphism image and the generator-image injections that the sparse int
 columns and the selection matrices replaced, and filtered_basis_reference
 the rank loop that the pivots of one elimination replaced.
+generator_images_reference, compose_reference, selection_reference,
+tensor_morphism_reference and inclusion_reference keep the dense-Fraction
+morphism constructors that int columns replaced: relations decided by
+products of powers, and every map handed over as a Matrix.
 multiplicative_reference decides multiplicativity by dense basis-pair
 products, and presented_reference lists a presented basis by scanning the
 whole box of pure-power bounds, which the staircase walk replaced.
@@ -34,6 +38,7 @@ fold; they share only the polynomial arithmetic helpers with the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -69,6 +74,7 @@ from weilkit.weil import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    _monomial_label,
     generator_elements,
     limit,
 )
@@ -1015,6 +1021,69 @@ def tensor_injections_reference(w1, w2, w):
         WeilMorphism.from_generator_images(w1, w, gens[:n1], check=False),
         WeilMorphism.from_generator_images(w2, w, gens[n1:], check=False),
     )
+
+
+# ----- the former dense-Fraction morphism constructors -------------------------------
+
+
+def _dense_morphism(source, target, columns):
+    """The morphism around Fraction columns, through the public Matrix route."""
+    return WeilMorphism(source, target, Matrix._of_columns(columns, target.dimension), check=False)
+
+
+def generator_images_reference(source, target, images, check=True):
+    """WeilMorphism.from_generator_images as it was before int columns, for
+    images already known to be target elements of zero augmentation: every
+    relation, in order, decided by a product of powers of the images; then
+    each basis monomial's image peeled off an earlier column; then a dense
+    Fraction matrix."""
+    if check:
+        for r in source.relations:
+            acc = functools.reduce(operator.mul, [img**e for img, e in zip(images, r) if e])
+            if not acc.is_zero:
+                label = _monomial_label(r, source.gens)
+                raise MorphismError(f"images violate the relation {label}")
+    cols = [target.one()]
+    for e in source.basis[1:]:
+        g = next(i for i, ei in enumerate(e) if ei > 0)
+        prev = list(e)
+        prev[g] -= 1
+        cols.append(cols[source._index[tuple(prev)]] * images[g])
+    return _dense_morphism(source, target, [c.raw for c in cols])
+
+
+def compose_reference(outer, inner):
+    """outer after inner through the dense matrix product."""
+    rows = matmul_reference(
+        outer.matrix.raw, inner.matrix.raw, inner.target.dimension, inner.source.dimension
+    )
+    matrix = Matrix(rows, cols=inner.source.dimension)
+    return WeilMorphism(inner.source, outer.target, matrix, check=False)
+
+
+def selection_reference(source, target, picks):
+    """The map whose column k is the basis vector picks[k], as the exact 0/1
+    selection matrix that built tensor injections and factor shuffles."""
+    return _dense_morphism(
+        source, target, [[Fraction(int(i == r)) for i in range(target.dimension)] for r in picks]
+    )
+
+
+def tensor_morphism_reference(phi, psi, source, target):
+    """phi (x) psi on pair bases, each entry the product of two dense entries."""
+    si, ti = source.tensor_info, target.tensor_info
+    cols = []
+    for i1, i2 in si.pair_of_index:
+        vec = [Fraction(0)] * target.dimension
+        for (k1, k2), k in ti.index_of_pair.items():
+            vec[k] = phi.matrix.raw[k1][i1] * psi.matrix.raw[k2][i2]
+        cols.append(vec)
+    return _dense_morphism(source, target, cols)
+
+
+def inclusion_reference(sub, w, kernel):
+    """_subalgebra's inclusion with the kernel vectors as its dense columns."""
+    return _dense_morphism(sub, w, [tuple(v) for v in kernel])
 
 
 # ----- the former square conversion ------------------------------------------------

@@ -453,9 +453,11 @@ def _sampled(rep):
 def test_fibered_suite_green():
     rep = fibered_suite(seed=1, samples=6)
     assert rep.ok, rep.render()
-    # the glue of each arrow-level check is decided on sampled points
+    # the glue of each arrow-level check is decided on sampled points, and
+    # so is each pullback transport, on solved pairs
     glue = [(o.check, o.instance) for o in rep.outcomes if o.check == "fibered-microlinear"]
-    assert len(glue) == 9 and _sampled(rep) == glue
+    pairs = [(o.check, o.instance) for o in rep.outcomes if o.check == "pullback-point-transport"]
+    assert len(glue) == 9 and len(pairs) == 3 and _sampled(rep) == glue + pairs
 
 
 def test_fibered_suite_negative_controls():

@@ -4,14 +4,26 @@ tensor of presented factors.  A float element is refused."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import matmul_reference, morphism_apply_reference, tensor_injections_reference
+from oracles import (
+    compose_reference,
+    generator_images_reference,
+    inclusion_reference,
+    limit_legs_reference,
+    matmul_reference,
+    morphism_apply_reference,
+    selection_reference,
+    tensor_injections_reference,
+    tensor_morphism_reference,
+)
 
 from weilkit import (
+    Matrix,
     ModeError,
     SmoothMap,
     WeilMorphism,
@@ -20,12 +32,17 @@ from weilkit import (
     dual_numbers,
     first_order_infinitesimals,
     jet_line,
+    parse_algebra,
     qq,
     tensor,
+    tensor_morphism,
     terminal,
 )
+from weilkit import weil
 from weilkit.corpus import (
+    collapse_to_scalars,
     mutate_cone,
+    random_diagram,
     random_element,
     random_limit_cone,
     random_morphism,
@@ -33,7 +50,15 @@ from weilkit.corpus import (
     random_rational,
 )
 from weilkit.smooth import FLOATS, ExtendedElement, basis_element, check_reparametrization_naturality
-from weilkit.weil import MorphismError, WeilElement, factor_permutation_iso, generator_elements
+from weilkit.weil import (
+    MorphismError,
+    WeilElement,
+    augmentation,
+    factor_permutation_iso,
+    generator_elements,
+    limit,
+    unit_map,
+)
 
 _SEEDS = st.integers(0, 2**32 - 1)
 _SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
@@ -183,3 +208,149 @@ def test_tensor_injections_with_colliding_and_trivial_factors():
     for w1, w2 in pairs:
         w, inj1, inj2 = tensor(w1, w2)
         assert (inj1, inj2) == tensor_injections_reference(w1, w2, w)
+
+
+# ----- constructors on int columns, against the former dense-Fraction routes ----------
+
+
+def _same_map(got, want):
+    """got, built on int columns, is the map want holds as a Matrix: equal,
+    with equal hashes, and the matrix got makes on first read is want's."""
+    assert got._matrix is None and want._matrix is not None
+    assert got == want and want == got and hash(got) == hash(want)
+    assert got.matrix == want.matrix
+    assert all(type(e) is Fraction for row in got.matrix.raw for e in row)
+
+
+def _nilpotent_images(rng, source, target):
+    """Sparse random combinations of the target's nil basis, one per source
+    generator: most violate a relation, some do not."""
+    nil = [WeilElement._of(target, v) for v in target.maximal_ideal_basis()]
+    images = []
+    for _ in source.gens:
+        img = target.zero()
+        for v in nil:
+            if rng.random() < 0.4:
+                img = img + v.scaled(random_rational(rng, 3))
+        images.append(img)
+    return images
+
+
+@given(_SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_generator_images_match_the_dense_route(seed):
+    rng = random.Random(seed)
+    built = 0
+    for _ in range(4):
+        source = random_presented_algebra(rng)
+        if rng.random() < 0.7:
+            target = random_presented_algebra(rng)
+        else:
+            target = random_limit_cone(rng).apex
+        valid = random_morphism(rng, source, target)
+        for images in (
+            _nilpotent_images(rng, source, target),
+            _nilpotent_images(rng, source, target),
+            [valid.apply(x) for x in generator_elements(source)],
+        ):
+            for check in (True, False):
+                try:
+                    want = generator_images_reference(source, target, images, check)
+                except MorphismError as exc:
+                    # the same first violated relation, in the same words
+                    with pytest.raises(MorphismError) as got:
+                        WeilMorphism.from_generator_images(source, target, images, check)
+                    assert str(got.value) == str(exc)
+                    continue
+                _same_map(WeilMorphism.from_generator_images(source, target, images, check), want)
+                built += 1
+    assert built >= 4
+
+
+def test_each_relation_is_decided_in_order():
+    # x -> t, y -> t^2 satisfies x^3 but not x*y or y^2, which come first;
+    # x -> t, y -> 0 violates only x^3, the last relation in graded order
+    source = parse_algebra("Q[x,y]/(x^3, x*y, y^2)")
+    target = jet_line(4, "t")
+    (t,) = generator_elements(target)
+    for images, relation in (([t, t * t], "x*y"), ([t, target.zero()], "x^3")):
+        first = f"images violate the relation {relation}"
+        for route in (WeilMorphism.from_generator_images, generator_images_reference):
+            with pytest.raises(MorphismError, match=f"^{re.escape(first)}$"):
+                route(source, target, images)
+
+
+def _limit_with_inclusions(diagram):
+    """(apex, legs, [(w, kernel, sub, inclusion), ...]) of limit(diagram),
+    with every _subalgebra call it made."""
+    calls = []
+    real = weil._subalgebra
+
+    def spy(w, kernel):
+        calls.append((w, kernel, *real(w, kernel)))
+        return calls[-1][2:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "_subalgebra", spy)
+        apex, legs = limit(diagram)
+    return apex, legs, calls
+
+
+@given(_SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_int_column_constructors_match_the_dense_routes(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_presented_algebra(rng, max_dim=6) for _ in range(3))
+    f, g = random_morphism(rng, a, b), random_morphism(rng, b, c)
+    cone = random_limit_cone(rng)
+    apex = cone.apex
+
+    # composites, through every kind of map
+    pairs = [(g, f), (unit_map(b), augmentation(a)), (f, collapse_to_scalars(a))]
+    pairs += [(phi, cone.legs[s]) for s, _, phi in cone.arrows]
+    pairs += [(WeilMorphism.identity(leg.target), leg) for leg in cone.legs]
+    for outer, inner in pairs:
+        _same_map(outer.compose(inner), compose_reference(outer, inner))
+
+    # tensor injections and tensor products of maps, presented and tabled
+    for w1, w2 in ((a, b), (apex, c), (c, apex)):
+        w, inj1, inj2 = tensor(w1, w2)
+        pair = w.tensor_info.index_of_pair
+        _same_map(inj1, selection_reference(w1, w, [pair[(i, 0)] for i in range(w1.dimension)]))
+        _same_map(inj2, selection_reference(w2, w, [pair[(0, i)] for i in range(w2.dimension)]))
+    for phi, psi in ((f, g), (cone.legs[0], f), (g, cone.legs[-1])):
+        source = tensor(phi.source, psi.source)[0]
+        target = tensor(phi.target, psi.target)[0]
+        got = tensor_morphism(phi, psi, source, target)
+        _same_map(got, tensor_morphism_reference(phi, psi, source, target))
+
+    # limit legs and the inclusion of the subalgebra they are read off
+    _, legs, calls = _limit_with_inclusions(cone.without_cone())
+    ((w, kernel, sub, incl),) = calls
+    _same_map(incl, inclusion_reference(sub, w, kernel))
+    augs = [list(o.aug) for o in cone.objects]
+    wanted = limit_legs_reference(augs, [list(row) for row in incl.matrix.raw])
+    for leg, obj, rows in zip(legs, cone.objects, wanted):
+        _same_map(leg, WeilMorphism(sub, obj, Matrix(rows, cols=sub.dimension), check=False))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_building_and_comparing_maps_makes_no_fraction_matrix(seed):
+    # random diagrams, mutant cones, tensors, composites and == all run on
+    # int columns, and read no .matrix, the only route to a Fraction matrix
+    rng = random.Random(seed)
+    cones = [random_limit_cone(rng) for _ in range(3)]
+    made = []
+    read = WeilMorphism.matrix.fget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeilMorphism, "matrix", property(lambda self: made.append(self) or read(self)))
+        diagrams = [random_diagram(rng) for _ in range(12)]
+        for cone in cones:
+            for kind in ("collapse", "inflate"):
+                mutate_cone(cone, kind)
+        w, inj1, inj2 = tensor(cones[0].apex, cones[1].apex)
+        for d in diagrams:
+            for _, _, phi in d.arrows:
+                assert phi.compose(WeilMorphism.identity(phi.source)) == phi
+    assert made == []
+    assert any(d.arrows for d in diagrams)
