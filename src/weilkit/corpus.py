@@ -118,10 +118,7 @@ def random_morphism(
     """Random map out of a presented algebra: 25 tries, then zero images."""
     if source.flavor != "presented":
         raise ValueError("random morphisms need a presented source")
-    if target.flavor == "presented":  # the unit vectors past the unit
-        nil_basis = [(1, ((i, 1),)) for i in range(1, target.dimension)]
-    else:
-        nil_basis = [_over_common_denominator(v) for v in target.maximal_ideal_basis()]
+    nil_basis = [_over_common_denominator(v) for v in target.maximal_ideal_basis()]
     for _ in range(25):
         images = []
         for _ in source.gens:

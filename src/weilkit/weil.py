@@ -878,8 +878,10 @@ class WeilMorphism:
         # is its first generator's image times the column of the basis
         # monomial it leaves: one product per relation, as soon as the columns
         # below its degree exist.  Checked images lie in the maximal ideal, so
-        # from the target's nilpotency degree on (when known) every image is 0
-        top = (target._nilpotency or math.inf) if check else math.inf
+        # from a presented target's nilpotency degree on every image is 0 (a
+        # tabled target's degree may be an unchecked hint, so no cut there)
+        presented = check and target.flavor == "presented"
+        top = target._nilpotency if presented else math.inf
         cols = [target.one()]
         for degree, g, k, rel in source._peels:
             if degree >= top:

@@ -214,6 +214,13 @@ MUTANTS = (
         ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
     ),
     Mutant(
+        "nilpotent-images-cut-at-an-unchecked-hint",
+        "weilkit/weil.py",
+        'presented = check and target.flavor == "presented"',
+        "presented = check and target._nilpotency is not None",
+        ("tests/test_morphism_columns.py::test_an_unchecked_nilpotency_hint_cuts_no_image",),
+    ),
+    Mutant(
         "equality-reads-the-matrix",
         "weilkit/weil.py",
         "and self._columns == other._columns",

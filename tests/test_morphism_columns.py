@@ -280,6 +280,22 @@ def test_each_relation_is_decided_in_order():
                 route(source, target, images)
 
 
+def test_an_unchecked_nilpotency_hint_cuts_no_image():
+    # a tabled copy of Q[t]/(t^4), told without a check that m^2 = 0: x -> t
+    # still sends x^2 and x^3 to t^2 and t^3, and still violates x^3 = 0
+    jets = jet_line(3, "t")
+    n = jets.dimension
+    table = [[jets.structure_vector(i, j) for j in range(n)] for i in range(n)]
+    target = weil.WeilAlgebra.tabled(table, jets.aug, check=False, nilpotency_hint=2)
+    images = [WeilElement(target, [0, 1, 0, 0])]
+    source = parse_algebra("Q[x]/(x^4)")
+    want = generator_images_reference(source, target, images)
+    _same_map(WeilMorphism.from_generator_images(source, target, images), want)
+    assert want.apply(generator_elements(source)[0] ** 3) != target.zero()
+    with pytest.raises(MorphismError, match=r"^images violate the relation x\^3$"):
+        WeilMorphism.from_generator_images(parse_algebra("Q[x]/(x^3)"), target, images)
+
+
 def _limit_with_inclusions(diagram):
     """(apex, legs, [(w, kernel, sub, inclusion), ...]) of limit(diagram),
     with every _subalgebra call it made."""
