@@ -958,12 +958,12 @@ def _gen_exp(algebra, i):
 
 
 def generator_elements(w: WeilAlgebra):
-    """The generators of a presented algebra as elements, declaration order."""
+    """The generators of a presented algebra as elements, declaration order;
+    a generator killed at first order (not in the basis) is zero."""
     if w.flavor != "presented":
         raise AlgebraError("only presented algebras have named generators")
-    return tuple(
-        w.basis_element(w._index[_gen_exp(w, i)]) for i in range(len(w.gens))
-    )
+    index = (w._index.get(_gen_exp(w, i)) for i in range(len(w.gens)))
+    return tuple(w.zero() if k is None else w.basis_element(k) for k in index)
 
 
 def augmentation(algebra: WeilAlgebra) -> WeilMorphism:
@@ -1073,34 +1073,31 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
 # ----- subalgebras, products over the scalars, limits ---------------------
 
 
-def _subalgebra(w: WeilAlgebra, kernel):
+def _subalgebra(kernel, aug, multiply):
     """Tabled subalgebra on the span of an echelon kernel basis, as
-    kernel_basis returns it; the span must contain 1 and be closed.
-
-    Returns (subalgebra, inclusion), on the kernel basis itself.  Each
-    vector ends in a 1 at its own free column, where every other vector is
-    0, so the coordinates of a vector in the span are its entries at those
-    columns, and a vector lies in the span exactly when nothing is left
-    after taking that combination away.  Limits and equalizers preserve the
-    unit, so column 0 of their equations is zero, column 0 is free and the
-    unit comes first.
+    kernel_basis returns it, and the inclusion's int columns (common, cols).
+    The span must contain 1 and be closed under multiply, which takes two
+    (den, nums) int vectors to their product as one; aug is the ambient's
+    _int_aug.  Each vector ends in a 1 at its own free column, where every
+    other vector is 0, so the coordinates of a vector in the span are its
+    entries at those columns, and a vector lies in the span exactly when
+    nothing is left after taking that combination away.  Limits and
+    equalizers preserve the unit, so column 0 of their equations is zero,
+    column 0 is free and the unit comes first.
     """
-    if not kernel or kernel[0] != w.one().raw:
+    if not kernel or kernel[0] != _unit(len(kernel[0]), 0):
         raise AlgebraError("subspace does not contain the unit")
     free = [max(j for j, x in enumerate(v) if x) for v in kernel]
-    elements = [WeilElement._ints(w, *_canonical(v)) for v in kernel]
+    vectors = [_canonical(v) for v in kernel]
     # the kernel vectors' numerators over their common denominator
-    common = math.lcm(*[e.den for e in elements])
-    nonzeros = [
-        [(j, n * (common // e.den)) for j, n in enumerate(e.nums) if n] for e in elements
-    ]
-    dim = len(elements)
+    common = math.lcm(*[den for den, _ in vectors])
+    nonzeros = [[(j, n * (common // e)) for j, n in enumerate(nums) if n] for e, nums in vectors]
+    dim = len(vectors)
     terms = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             # the product less the combination of its free entries, times den * common
-            product = elements[i] * elements[j]
-            nums = product.nums
+            den, nums = multiply(vectors[i], vectors[j])
             residual = [n * common for n in nums]
             coords = [(k, nums[f]) for k, f in enumerate(free) if nums[f]]
             for k, c in coords:
@@ -1108,17 +1105,49 @@ def _subalgebra(w: WeilAlgebra, kernel):
                     residual[col] -= c * x
             if any(residual):
                 raise AlgebraError("subspace is not closed under multiplication")
-            terms[i][j] = terms[j][i] = tuple((k, Fraction(c, product.den)) for k, c in coords)
-    aug = tuple(e.augmentation() for e in elements)
-    sub = WeilAlgebra._from_terms(terms, aug, check=False)
-    return sub, WeilMorphism._reduced(sub, w, common, nonzeros)
+            terms[i][j] = terms[j][i] = tuple((k, Fraction(c, den)) for k, c in coords)
+    d, lam = aug
+    aug = tuple(Fraction(sum([m * nums[k] for k, m in lam]), d * den) for den, nums in vectors)
+    return WeilAlgebra._from_terms(terms, aug, check=False), (common, nonzeros)
 
 
 def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     """Equalizer of a parallel pair, as a tabled subalgebra with inclusion."""
     if phi.source != psi.source or phi.target != psi.target:
         raise MorphismError("equalizer needs a parallel pair")
-    return _subalgebra(phi.source, kernel_basis(phi.matrix - psi.matrix))
+    w = phi.source
+
+    def times(x, y):
+        p = WeilElement._ints(w, *x) * WeilElement._ints(w, *y)
+        return p.den, p.nums
+
+    sub, (d, cols) = _subalgebra(kernel_basis(phi.matrix - psi.matrix), w._int_aug(), times)
+    return sub, WeilMorphism._reduced(sub, w, d, cols)
+
+
+def _kernel_block(w: WeilAlgebra, off: int):
+    """(T, rows) of w's block at offset off of a product: rows[i - 1][j - 1]
+    lists (off + f - 1, n) for each nonzero coordinate n / T, f >= 1, of
+    (e_i - aug[i] e_0)(e_j - aug[j] e_0)."""
+    if w.flavor == "presented":  # aug is e_0; a product of monomials is one, or 0
+        codes, get = w._codes[1:], w._by_code.get
+        rows = [[get(a + b) for b in codes] for a in codes]
+        return 1, [[() if k is None else ((k + off - 1, 1),) for k in row] for row in rows]
+    (t, table), (da, lam) = w._int_terms(), _canonical(w.aug)
+    rows = [[None] * (w.dimension - 1) for _ in range(w.dimension - 1)]
+    for i in range(1, w.dimension):
+        for j in range(i, w.dimension):
+            cij = table[i][j]
+            # the product's augmentation is aug(cij) - aug[i] aug[j]
+            if da * sum([lam[k] * c for k, c in cij]) != t * lam[i] * lam[j]:
+                raise AlgebraError("augmentation kernel not closed")
+            acc = {k: c * da for k, c in cij}
+            acc[i] = acc.get(i, 0) - lam[j] * t
+            acc[j] = acc.get(j, 0) - lam[i] * t
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = tuple(
+                (off + f - 1, c) for f, c in sorted(acc.items()) if f and c
+            )
+    return t * da, rows
 
 
 class _ProductOverK:
@@ -1127,44 +1156,39 @@ class _ProductOverK:
     Basis: the joint unit, then the augmentation kernel of each factor in
     order.  Every algebra has aug[0] = 1, so factor a's kernel has the basis
     e_f - aug[f] e_0 (f >= 1), and a kernel vector's coordinates are its
-    entries past index 0.  Products, legs and arrow constraints are all read
-    off that basis index by index, from each factor's nonzero structure
-    terms: coordinate f >= 1 of (e_i - aug[i] e_0)(e_j - aug[j] e_0) is
-    c_ij[f] - aug[j] [f = i] - aug[i] [f = j].
+    entries past index 0.  Each factor keeps one int block (_kernel_block)
+    read off its nonzero structure terms: coordinate f >= 1 of (e_i - aug[i]
+    e_0)(e_j - aug[j] e_0) is c_ij[f] - aug[j] [f = i] - aug[i] [f = j].
+    Nilpotents of different factors multiply to zero, so products go block
+    by block, and only projections() assembles the full table.
     """
 
     def __init__(self, algebras):
         self.algebras = list(algebras)
-        self.offsets = []
+        self.offsets, self.blocks = [], []
         pos = 1
         for w in self.algebras:
             self.offsets.append(pos)
+            self.blocks.append((pos, pos + w.dimension - 1, *_kernel_block(w, pos)))
             pos += w.dimension - 1
-        d = self.dimension = pos
+        self.dimension = pos
+        self.t = math.lcm(*[bt for _, _, bt, _ in self.blocks])
 
-        terms = [[()] * d for _ in range(d)]
-        terms[0] = [((j, _ONE),) for j in range(d)]
-        for i in range(1, d):
-            terms[i][0] = ((i, _ONE),)
-        # cross-factor nilpotents multiply to zero
-        for w, off in zip(self.algebras, self.offsets):
-            lam = w.aug
-            for i in range(1, w.dimension):
-                for j in range(i, w.dimension):
-                    cij = w._terms(i, j)
-                    # the product's augmentation is aug(cij) - aug[i] aug[j]
-                    if sum(lam[k] * c for k, c in cij) != lam[i] * lam[j]:
-                        raise AlgebraError("augmentation kernel not closed")
-                    acc = dict(cij)
-                    if lam[j]:
-                        acc[i] = acc.get(i, _ZERO) - lam[j]
-                    if lam[i]:
-                        acc[j] = acc.get(j, _ZERO) - lam[i]
-                    p, q = off + i - 1, off + j - 1
-                    terms[p][q] = terms[q][p] = tuple(
-                        (off + f - 1, a) for f, a in sorted(acc.items()) if f and a
-                    )
-        self.algebra = WeilAlgebra._from_terms(terms, _unit(d, 0), check=False)
+    def multiply(self, x, y):
+        """The product of two (den, nums) int vectors, over den_x den_y t: the
+        unit part, the two unit cross terms, and each factor's own block."""
+        (dx, a), (dy, b) = x, y
+        t, a0, b0 = self.t, a[0], b[0]
+        acc = [t * (a0 * q + b0 * p) for p, q in zip(a, b)]
+        acc[0] = t * a0 * b0
+        for start, stop, bt, rows in self.blocks:
+            nz_b = [(j, q * (t // bt)) for j, q in enumerate(b[start:stop]) if q]
+            for p, row in zip(a[start:stop], rows):
+                if p:
+                    for j, q in nz_b:
+                        for k, c in row[j]:
+                            acc[k] += p * q * c
+        return dx * dy * t, acc
 
     def _leg(self, a: int, source: WeilAlgebra, columns) -> WeilMorphism:
         """Component a of the map from source whose int columns into the
@@ -1187,26 +1211,33 @@ class _ProductOverK:
         return WeilMorphism._reduced(source, w, d * t, out)
 
     def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
-        """phi . (leg s) - (leg t) on the product's coordinates, built by index."""
-        ws, wt = self.algebras[s], self.algebras[t]
-        rows = [[_ZERO] * self.dimension for _ in range(wt.dimension)]
+        """Rows 1, 2, ... of phi . (leg s) - (leg t) on the product's
+        coordinates, from phi's int columns.  Row 0 adds nothing to the span:
+        phi preserves augmentations, so the aug-weighted sum of the rows is 0."""
+        d, cols = phi._columns
+        rows = [[0] * self.dimension for _ in range(phi.target.dimension)]
         # column 0 is the joint unit, which phi preserves: it stays zero
-        off = self.offsets[s]
-        for f in range(1, ws.dimension):
-            c = off + f - 1
-            for row, m in zip(rows, phi.matrix.raw):
-                row[c] += m[f]
-            rows[0][c] -= ws.aug[f]
-        off = self.offsets[t]
-        for g in range(1, wt.dimension):
-            c = off + g - 1
-            rows[g][c] -= _ONE
-            rows[0][c] += wt.aug[g]
-        return Matrix._of(tuple(map(tuple, rows)), self.dimension)
+        off = self.offsets[s] - 1
+        for f in range(1, phi.source.dimension):
+            for g, n in cols[f]:
+                rows[g][off + f] += n
+        off = self.offsets[t] - 1
+        for g in range(1, phi.target.dimension):
+            rows[g][off + g] -= d
+        raw = tuple(tuple([Fraction(n, d) if n else _ZERO for n in row]) for row in rows[1:])
+        return Matrix._of(raw, self.dimension)
 
     def projections(self):
-        identity = 1, [((i, 1),) for i in range(self.dimension)]
-        return [self._leg(a, self.algebra, identity) for a in range(len(self.algebras))]
+        """(P, legs): the tabled product, assembled from the blocks, and its projections."""
+        d = self.dimension
+        terms = [[((i, _ONE),)] + [()] * (d - 1) for i in range(d)]
+        terms[0] = [((j, _ONE),) for j in range(d)]
+        for start, stop, bt, rows in self.blocks:
+            for p, row in enumerate(rows, start):
+                terms[p][start:stop] = [tuple((k, Fraction(n, bt)) for k, n in vec) for vec in row]
+        w = WeilAlgebra._from_terms(terms, _unit(d, 0), check=False)
+        identity = 1, [((i, 1),) for i in range(d)]
+        return w, [self._leg(a, w, identity) for a in range(len(self.algebras))]
 
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
@@ -1214,9 +1245,8 @@ def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
 
     Dimension is dim(w1) + dim(w2) - 1.  Returns (P, proj1, proj2).
     """
-    prod = _ProductOverK([w1, w2])
-    p1, p2 = prod.projections()
-    return prod.algebra, p1, p2
+    p, (p1, p2) = _ProductOverK([w1, w2]).projections()
+    return p, p1, p2
 
 
 @dataclass(frozen=True)
@@ -1274,8 +1304,8 @@ def limit(diagram: DiagramInWeil):
         [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
         cols=prod.dimension,
     )
-    sub, incl = _subalgebra(prod.algebra, kernel_basis(constraints))
-    return sub, [prod._leg(a, sub, incl._columns) for a in range(len(objects))]
+    sub, incl = _subalgebra(kernel_basis(constraints), (1, [(0, 1)]), prod.multiply)
+    return sub, [prod._leg(a, sub, incl) for a in range(len(objects))]
 
 
 def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:

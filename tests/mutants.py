@@ -138,6 +138,27 @@ MUTANTS = (
         ("tests/test_limit_path.py::test_subalgebra_matches_the_echelon_route",),
     ),
     Mutant(
+        "blockwise-product-drops-a-unit-cross-term",
+        "weilkit/weil.py",
+        "acc = [t * (a0 * q + b0 * p) for p, q in zip(a, b)]",
+        "acc = [t * b0 * p for p, q in zip(a, b)]",
+        (
+            "tests/test_limit_path.py::test_limit_matches_the_full_product_table_route",
+            "tests/test_limit_path.py::test_product_over_k_matches_the_dense_loop",
+        ),
+    ),
+    Mutant(
+        "block-table-skips-the-augmentation-correction",
+        "weilkit/weil.py",
+        "            acc[i] = acc.get(i, 0) - lam[j] * t\n"
+        "            acc[j] = acc.get(j, 0) - lam[i] * t\n",
+        "",
+        (
+            "tests/test_limit_path.py::test_limit_matches_the_full_product_table_route",
+            "tests/test_limit_path.py::test_product_over_k_matches_the_dense_loop",
+        ),
+    ),
+    Mutant(
         "filtered-basis-every-chain-vector",
         "weilkit/weil.py",
         "picked = [labelled[c] for c in reversed(pivots)]",

@@ -11,7 +11,11 @@ decision weilkit made before it read the rank numbers;
 solve_fiber_reference, the vertical-fiber solve that lifted the projection
 at every filtration degree; and subalgebra_reference, the incremental
 echelon form that picked a subalgebra basis and reduced every structure
-product before coordinates were read off the echelon kernel basis.
+product before coordinates were read off the echelon kernel basis;
+limit_reference, the limit as weilkit built it before products multiplied
+blockwise: the full Fraction table of the product over the scalars
+(product_algebra_reference), dense arrow equations off each arrow's
+matrix, and subalgebra_reference over that table.
 solve_affine_reference and solve_matrix_reference keep the [m | rhs]
 eliminations that a product with one factored system replaced, on
 rref_reference, and square_sides_reference and cone_commutes_reference (on
@@ -53,6 +57,7 @@ from weilkit.exactlin import (
     ModeError,
     SolveFailure,
     _raw_of,
+    kernel_basis,
     qq,
     vstack,
 )
@@ -77,6 +82,7 @@ from weilkit.weil import (
     _monomial_label,
     generator_elements,
     limit,
+    terminal,
 )
 
 
@@ -897,6 +903,59 @@ def limit_legs_reference(augs, inclusion):
         legs.append(matmul_reference(extraction, inclusion, d, len(inclusion[0])))
         off += n - 1
     return legs
+
+
+def product_algebra_reference(objects):
+    """The product over the scalars of the objects as a tabled algebra, on
+    product_over_k_reference's dense table; a factor whose augmentation
+    kernel is not closed raises AlgebraError, as weilkit does."""
+    data = []
+    for w in objects:
+        n = w.dimension
+        data.append(([[w.structure_vector(i, j) for j in range(n)] for i in range(n)], w.aug))
+    try:
+        table = product_over_k_reference(data)
+    except ValueError as exc:
+        raise AlgebraError(str(exc)) from None
+    terms = [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in table]
+    unit = tuple(Fraction(int(k == 0)) for k in range(len(table)))
+    return WeilAlgebra._from_terms(terms, unit, check=False)
+
+
+def limit_reference(diagram):
+    """(apex, legs) of limit(diagram) by the route weilkit took before it
+    multiplied blockwise: the full Fraction table of the product
+    (product_algebra_reference), each arrow's equations phi . (leg s) -
+    (leg t) summed densely off phi's matrix, subalgebra_reference over the
+    table on their kernel, and the legs as extraction products
+    (limit_legs_reference)."""
+    objects = diagram.objects
+    if not objects:
+        return terminal(), []
+    product = product_algebra_reference(objects)
+    d = product.dimension
+    offsets = list(itertools.accumulate([1] + [w.dimension - 1 for w in objects]))
+    rows = []
+    for s, t, phi in diagram.arrows:
+        ws, wt = objects[s], objects[t]
+        block = [[Fraction(0)] * d for _ in range(wt.dimension)]
+        for f in range(1, ws.dimension):
+            c = offsets[s] + f - 1
+            for g in range(wt.dimension):
+                block[g][c] += phi.matrix.raw[g][f]
+            block[0][c] -= ws.aug[f]
+        for g in range(1, wt.dimension):
+            c = offsets[t] + g - 1
+            block[g][c] -= 1
+            block[0][c] += wt.aug[g]
+        rows += block
+    sub, incl = subalgebra_reference(product, kernel_basis(Matrix(rows, cols=d)))
+    inclusion = [list(row) for row in incl.matrix.raw]
+    legs = limit_legs_reference([w.aug for w in objects], inclusion)
+    return sub, [
+        WeilMorphism(sub, w, Matrix(leg, cols=sub.dimension), check=False)
+        for w, leg in zip(objects, legs)
+    ]
 
 
 def associativity_reference(table):

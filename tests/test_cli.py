@@ -1,7 +1,9 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -11,6 +13,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilkit import cli
 from weilkit.cli import main
@@ -235,6 +239,94 @@ def test_weil_morphism_images_take_huge_powers_fast(capsys):
     assert time.perf_counter() - start < 2
     assert code == 0
     assert "dimension: 2" in out.splitlines()
+
+
+def test_weil_equalizer_into_a_generator_killed_at_first_order(capsys):
+    # t is not in the target's basis: it reads as 0, so x -> s and x -> 0 agree only on 1
+    code, out, _ = run(
+        capsys, "weil", "equalizer", "Q[x]/(x^2)", "Q[t,s]/(t, s^2)", "x -> s", "x -> 0"
+    )
+    assert code == 0
+    assert out.splitlines() == ["dimension: 1", "member: 1"]
+    code, out, _ = run(
+        capsys, "weil", "equalizer", "Q[x]/(x^2)", "Q[t,s]/(t, s^2)", "x -> s + t", "x -> s"
+    )
+    assert code == 0
+    assert out.splitlines() == ["dimension: 2", "member: 1", "member: x"]
+
+
+def test_weil_limit_along_an_arrow_into_a_generator_killed_at_first_order(capsys):
+    code, out, _ = run(
+        capsys, "weil", "limit", "Q[x]/(x^2)", "Q[t,s]/(t, s^2)", "--arrow", "0 1 x -> s"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "dimension: 2"
+    assert lines[-4:] == [
+        "leg 0 row 0: 1,0",
+        "leg 0 row 1: 0,1",
+        "leg 1 row 0: 1,0",
+        "leg 1 row 1: 0,1",
+    ]
+
+
+@st.composite
+def _fuzz_algebra(draw, gens):
+    """(generators, text) of a presented algebra over a prefix of gens: a
+    pure power of each generator, exponent 1 killing it at first order, and
+    maybe a mixed term."""
+    gens = gens[: draw(st.integers(1, len(gens)))]
+    rels = [g if p == 1 else f"{g}^{p}" for g in gens for p in [draw(st.integers(1, 3))]]
+    if len(gens) > 1 and draw(st.booleans()):
+        rels.append("*".join(gens))
+    return gens, f"Q[{','.join(gens)}]/({', '.join(rels)})"
+
+
+_FUZZ_JUNK = ["", "x y", "z", "t^", "((t", "2*", "0.5", "3/0", "sin(t)", "t^-1", "1/t", "->"]
+
+
+@st.composite
+def _fuzz_images(draw, source, target):
+    """'g -> expr; ...' for each generator of source, in the target's
+    generators: mostly well formed, sometimes with a piece left out, a
+    junk term or a junk piece."""
+    atoms = [*target, *(f"{g}^{draw(st.integers(0, 3))}" for g in target), "*".join(target)]
+    atoms += ["0", f"-1/2*{target[-1]}", f"(1 + {target[-1]})^-1 - 1", f"({target[0]} - 2)^2 - 4"]
+    pieces = []
+    for g in source:
+        if draw(st.integers(0, 11)):
+            terms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+            if not draw(st.integers(0, 11)):
+                terms.append(draw(st.sampled_from(_FUZZ_JUNK)))
+            pieces.append(f"{g} -> {' + '.join(terms)}")
+    if not draw(st.integers(0, 11)):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_FUZZ_JUNK)))
+    return "; ".join(pieces)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_morphism_image_grammar_never_raises(data):
+    # equalizers and limits over presented algebras, some with a generator
+    # killed at first order: every input ends in exit 0, 1 or 2
+    (xs, source), (ts, target) = (data.draw(_fuzz_algebra(g)) for g in (("x", "y"), ("t", "s")))
+    if data.draw(st.booleans()):
+        images = [data.draw(_fuzz_images(xs, ts)) for _ in range(2)]
+        argv = ["weil", "equalizer", source, target, *images]
+    else:
+        argv = ["weil", "limit", source, target]
+        for _ in range(data.draw(st.integers(0, 2))):
+            ends = data.draw(st.sampled_from(["0 1", "0 1", "0 0", "1 1", "1 0", "2 1", "a 1"]))
+            s, t = ((xs, ts)[int(e)] if e in "01" else xs for e in ends.split())
+            argv += ["--arrow", f"{ends} {data.draw(_fuzz_images(s, t))}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err.getvalue() == "")
 
 
 # ----- vertical -----------------------------------------------------------------

@@ -15,8 +15,10 @@ from oracles import (
     ideal_chain_reference,
     is_limit_cone_reference,
     limit_legs_reference,
+    limit_reference,
     microlinear_reference,
     nilpotency_degree_reference,
+    product_algebra_reference,
     product_over_k_reference,
     pullback_space,
     same_span,
@@ -56,7 +58,7 @@ from weilkit.corpus import (
 )
 from weilkit.exactlin import kernel_basis, vstack
 from weilkit.fibered import FiberedObject, sphere_distance, vertical_fiber
-from weilkit.weil import DiagramError, MorphismError, _subalgebra, filtered_basis
+from weilkit.weil import DiagramError, MorphismError, WeilElement, _subalgebra, filtered_basis
 
 
 def _rows(m):
@@ -439,14 +441,21 @@ def test_product_over_k_matches_the_dense_loop(kinds, seed):
         assert str(refused.value) == str(exc)
         return
     prod = weil._ProductOverK(factors)
-    assert prod.algebra._sparse == _sparse(want)
+    w, projections = prod.projections()
+    assert w._sparse == _sparse(want)
     d = prod.dimension
     identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    projections = prod.projections()
     assert [_rows(p.matrix) for p in projections] == limit_legs_reference(
         [aug for _, aug in data], identity
     )
     assert [p.target for p in projections] == factors
+    # the blockwise product is the table's, unit parts included
+    for _ in range(4):
+        x, y = ([rng.randint(-3, 3) for _ in range(d)] for _ in range(2))
+        dx, dy = rng.randint(1, 4), rng.randint(1, 4)
+        den, nums = prod.multiply((dx, x), (dy, y))
+        want_xy = WeilElement(w, [Fraction(n, dx) for n in x]) * WeilElement(w, [Fraction(n, dy) for n in y])
+        assert [Fraction(n, den) for n in nums] == list(want_xy.raw)
 
 
 @given(st.sampled_from(["presented", "tensor", "product", "apex"]), st.integers(0, 2**32 - 1))
@@ -462,15 +471,17 @@ def test_filtered_basis_matches_the_rank_loop(kind, seed):
 
 
 def _limit_with_inclusion(diagram):
-    """limit(diagram), and the inclusion of its apex into the product."""
+    """limit(diagram), and the inclusion of its apex into the product's
+    full table, from the int columns _subalgebra returned."""
     seen = []
     real = weil._subalgebra
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weil, "_subalgebra", lambda w, vectors: seen.append(real(w, vectors)) or seen[-1])
+        mp.setattr(weil, "_subalgebra", lambda *args: seen.append(real(*args)) or seen[-1])
         apex, legs = limit(diagram)
-    [(sub, incl)] = seen
+    [(sub, (common, cols))] = seen
     assert sub is apex
-    return apex, legs, incl
+    product = product_algebra_reference(diagram.objects)
+    return apex, legs, WeilMorphism._reduced(sub, product, common, cols)
 
 
 def _diagram_of_kind(rng, kind):
@@ -478,9 +489,18 @@ def _diagram_of_kind(rng, kind):
         return random_limit_cone(rng).without_cone()
     if kind == "grid":
         return _grid_cone(rng).without_cone()
-    if kind == "discrete":
+    if kind in ("discrete", "unclosed"):
         kinds = [rng.choice(FACTOR_KINDS[:-1]) for _ in range(rng.randint(1, 3))]
+        if kind == "unclosed":
+            kinds[rng.randrange(len(kinds))] = "unclosed"
         return DiagramInWeil([_factor(rng, k) for k in kinds], ())
+    if kind == "skewed-target":
+        # a pair into a skewed algebra, and its target's identity
+        phi, psi = random_parallel_pair(rng)
+        skew, iso = _skewed(rng, phi.target)
+        phi, psi = (iso.inverse().compose(m) for m in (phi, psi))
+        arrows = ((0, 1, phi), (0, 1, psi), (1, 1, WeilMorphism.identity(skew)))
+        return DiagramInWeil((phi.source, skew), arrows)
     # equalizer diagrams out of skewed algebras and out of limit apexes
     phi, psi = _parallel_pairs(rng, 1)[1 if kind == "skewed" else 2]
     return DiagramInWeil((phi.source, phi.target), ((0, 1, phi), (0, 1, psi)))
@@ -503,18 +523,26 @@ def test_limit_legs_are_the_extraction_products(kind, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_subalgebra_matches_the_echelon_route(kind, seed):
+    # each _subalgebra call against the echelon route over its ambient: the
+    # equalizer's source, or a limit's product as a full table
     rng = random.Random(seed)
+    if kind == "equalizer":
+        pairs = _parallel_pairs(rng, 1)
+        ambients = [phi.source for phi, _ in pairs]
+    else:
+        diagram = _diagram_of_kind(rng, kind)
+        ambients = [product_algebra_reference(diagram.objects)]
     calls = []
     real = weil._subalgebra
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weil, "_subalgebra", lambda w, kernel: calls.append((w, kernel, real(w, kernel))) or calls[-1][2])
+        mp.setattr(weil, "_subalgebra", lambda kernel, *args: calls.append((kernel, real(kernel, *args))) or calls[-1][1])
         if kind == "equalizer":
-            for phi, psi in _parallel_pairs(rng, 1):
+            for phi, psi in pairs:
                 equalizer(phi, psi)
         else:
-            limit(_diagram_of_kind(rng, kind))
-    assert calls
-    for w, kernel, (sub, incl) in calls:
+            limit(diagram)
+    assert len(calls) == len(ambients)
+    for w, (kernel, (sub, (common, cols))) in zip(ambients, calls):
         want, want_incl = subalgebra_reference(w, kernel)
         n = want.dimension
         assert sub.dimension == n
@@ -522,14 +550,39 @@ def test_subalgebra_matches_the_echelon_route(kind, seed):
             [want._terms(i, j) for j in range(n)] for i in range(n)
         ]
         assert sub.aug == want.aug
-        assert incl.matrix == want_incl.matrix
+        assert WeilMorphism._reduced(sub, w, common, cols).matrix == want_incl.matrix
+
+
+LIMIT_KINDS = ["seeded", "grid", "discrete", "skewed", "apex", "skewed-target", "unclosed"]
+
+
+@given(st.sampled_from(LIMIT_KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_limit_matches_the_full_product_table_route(kind, seed):
+    diagram = _diagram_of_kind(random.Random(seed), kind)
+    try:
+        want_apex, want_legs = limit_reference(diagram)
+    except AlgebraError as exc:
+        with pytest.raises(AlgebraError) as refused:
+            limit(diagram)
+        assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+        return
+    apex, legs = limit(diagram)
+    assert apex == want_apex
+    assert (apex.aug, apex.labels) == (want_apex.aug, want_apex.labels)
+    assert legs == want_legs
 
 
 def test_a_non_closed_echelon_span_is_refused_like_the_echelon_route():
     w = parse_algebra("Q[x]/(x^3)")
     one, x = (tuple(qq(int(i == k)) for i in range(3)) for k in (0, 1))
     assert kernel_basis(Matrix([[0, 0, 1]])) == [one, x]
-    for route in (_subalgebra, subalgebra_reference):
+
+    def times(a, b):
+        p = WeilElement._ints(w, *a) * WeilElement._ints(w, *b)
+        return p.den, p.nums
+
+    for route in (lambda w, kernel: _subalgebra(kernel, w._int_aug(), times), subalgebra_reference):
         with pytest.raises(AlgebraError, match="^subspace is not closed under multiplication$"):
             route(w, [one, x])
 

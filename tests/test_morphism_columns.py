@@ -17,6 +17,7 @@ from oracles import (
     limit_legs_reference,
     matmul_reference,
     morphism_apply_reference,
+    product_algebra_reference,
     selection_reference,
     tensor_injections_reference,
     tensor_morphism_reference,
@@ -297,14 +298,14 @@ def test_an_unchecked_nilpotency_hint_cuts_no_image():
 
 
 def _limit_with_inclusions(diagram):
-    """(apex, legs, [(w, kernel, sub, inclusion), ...]) of limit(diagram),
-    with every _subalgebra call it made."""
+    """(apex, legs, [(kernel, sub, (common, columns)), ...]) of
+    limit(diagram), with every _subalgebra call it made."""
     calls = []
     real = weil._subalgebra
 
-    def spy(w, kernel):
-        calls.append((w, kernel, *real(w, kernel)))
-        return calls[-1][2:]
+    def spy(kernel, aug, multiply):
+        calls.append((kernel, *real(kernel, aug, multiply)))
+        return calls[-1][1:]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weil, "_subalgebra", spy)
@@ -340,9 +341,12 @@ def test_int_column_constructors_match_the_dense_routes(seed):
         got = tensor_morphism(phi, psi, source, target)
         _same_map(got, tensor_morphism_reference(phi, psi, source, target))
 
-    # limit legs and the inclusion of the subalgebra they are read off
+    # limit legs and the inclusion of the subalgebra they are read off,
+    # into the product's full table
     _, legs, calls = _limit_with_inclusions(cone.without_cone())
-    ((w, kernel, sub, incl),) = calls
+    ((kernel, sub, (common, cols)),) = calls
+    w = product_algebra_reference(cone.objects)
+    incl = WeilMorphism._reduced(sub, w, common, cols)
     _same_map(incl, inclusion_reference(sub, w, kernel))
     augs = [list(o.aug) for o in cone.objects]
     wanted = limit_legs_reference(augs, [list(row) for row in incl.matrix.raw])
@@ -352,14 +356,15 @@ def test_int_column_constructors_match_the_dense_routes(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_building_and_comparing_maps_makes_no_fraction_matrix(seed):
-    # random diagrams, mutant cones, tensors, composites and == all run on
-    # int columns, and read no .matrix, the only route to a Fraction matrix
+    # random limit cones (their limits included), diagrams, mutant cones,
+    # tensors, composites and == all run on int columns, and read no
+    # .matrix, the only route to a Fraction matrix
     rng = random.Random(seed)
-    cones = [random_limit_cone(rng) for _ in range(3)]
     made = []
     read = WeilMorphism.matrix.fget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(WeilMorphism, "matrix", property(lambda self: made.append(self) or read(self)))
+        cones = [random_limit_cone(rng) for _ in range(3)]
         diagrams = [random_diagram(rng) for _ in range(12)]
         for cone in cones:
             for kind in ("collapse", "inflate"):
