@@ -118,7 +118,7 @@ def random_morphism(
     """Random map out of a presented algebra: 25 tries, then zero images."""
     if source.flavor != "presented":
         raise ValueError("random morphisms need a presented source")
-    nil_basis = [_over_common_denominator(v) for v in target.maximal_ideal_basis()]
+    nil_basis = [_over_common_denominator(enumerate(v)) for v in target.maximal_ideal_basis()]
     for _ in range(25):
         images = []
         for _ in source.gens:

@@ -20,7 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import corpus
-from .axioms import NEGATIVE_CONTROL, ModelObject, _lifted_verdict, limit_cone_numbers
+from .axioms import (
+    NEGATIVE_CONTROL, ModelObject, _identity_cone, _lifted_verdict, limit_cone_numbers
+)
 from .exactlin import (
     NO_SOLUTION,
     Factored,
@@ -1112,10 +1114,7 @@ def vertical_suite(
     vm = check_vertical_microlinearity(p31, cone, [0, 0, 0])
     report.add(VERTICAL_MICROLINEAR, "linear projection over a seeded cone",
                vm.ok and vm.exactness == "exact", vm.certificate)
-    w22 = first_order_infinitesimals(2)
-    ident_cone = DiagramInWeil(
-        (w22,), ((0, 0, WeilMorphism.identity(w22)),), w22, (WeilMorphism.identity(w22),)
-    )
+    ident_cone = _identity_cone(first_order_infinitesimals(2))
     report.add(VERTICAL_MICROLINEAR, "single-object identity cone",
                check_vertical_microlinearity(p31, ident_cone, [1, 2, 3]))
     vs = check_vertical_microlinearity(sphere, cone, [qq(1), qq(0), qq(0)])

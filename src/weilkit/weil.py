@@ -3,10 +3,11 @@
 An algebra here is either *presented* (a quotient of a polynomial ring by
 monomial relations, with the standard-monomial basis derived at
 construction) or *tabled* (an explicit basis with structure constants,
-held as the sparse nonzero terms of each basis product).  Presented
-algebras stay cheap at any size because products of standard monomials are
-again standard monomials or zero; tabled algebras are what equalizers,
-fiber products, and limits return.
+held once, as int numerators of the nonzero terms of each basis product
+over one common denominator).  Presented algebras stay cheap at any size
+because products of standard monomials are again standard monomials or
+zero; tabled algebras are what equalizers, fiber products, and limits
+return.
 
 Elements are exact: their coefficients are read through qq, so a float is
 a ModeError where an element is built.  An element stores int numerators
@@ -188,9 +189,8 @@ class WeilAlgebra:
         "_chain",
         "_codes",
         "_by_code",
-        "_sparse",
+        "_table",
         "_aug_ints",
-        "_int_sparse",
         "_peels",
     )
 
@@ -204,9 +204,8 @@ class WeilAlgebra:
         self = object.__new__(cls)
         self.tensor_info = None
         self._chain = None
-        self._sparse = None
+        self._table = None
         self._aug_ints = None
-        self._int_sparse = None
         return self
 
     @classmethod
@@ -278,9 +277,7 @@ class WeilAlgebra:
         d = len(table)
         if any(len(vec) != d for row in table for vec in row):
             raise AlgebraError("structure table or augmentation has the wrong shape")
-        terms = [
-            [tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in table
-        ]
+        terms = [[_over_common_denominator(enumerate(vec)) for vec in row] for row in table]
         w = cls._from_terms(terms, aug, check, nilpotency_hint)
         if nilpotency_hint is None:
             w._ideal_chain()  # refuses a kernel that is not nilpotent
@@ -288,12 +285,15 @@ class WeilAlgebra:
 
     @classmethod
     def _from_terms(cls, terms, aug, check=True, nilpotency_hint=None) -> "WeilAlgebra":
-        """A tabled algebra from its sparse structure terms: terms[i][j] holds
-        the nonzero (k, Fraction) of basis[i] * basis[j], k increasing, and
-        aug is a tuple of Fractions.  check=True checks as in tabled(); with
-        check=False nilpotency is the caller's to establish, and the
-        nilpotency degree is the hint, or else read off the ideal chain on
-        first use."""
+        """A tabled algebra from its structure terms: terms[i][j] is (q,
+        pairs), basis[i] * basis[j] having the coefficient n / q (q > 0) at
+        each (k, n) of pairs, n a nonzero int and k increasing; aug is a
+        tuple of Fractions.  The table is stored here only, once, as ints
+        (T, rows): rows[i][j] lists (k, n) for the coefficient n / T, T the
+        lcm of the reduced denominators, so equal algebras hold equal ints.
+        check=True checks as in tabled(); with check=False nilpotency is the
+        caller's to establish, and the nilpotency degree is the hint, or
+        else read off the ideal chain on first use."""
         d = len(terms)
         if d == 0:
             raise AlgebraError("a Weil algebra contains at least the unit")
@@ -307,7 +307,11 @@ class WeilAlgebra:
         self.basis = None
         self._index = None
         self.dimension = d
-        self._sparse = tuple(tuple(row) for row in terms)
+        t = math.lcm(*[q // math.gcd(q, n) for row in terms for q, vec in row for _, n in vec])
+        table = tuple(
+            tuple(tuple([(k, n * t // q) for k, n in vec]) for q, vec in row) for row in terms
+        )
+        self._table = t, table
         self.aug = aug
         self._nilpotency = nilpotency_hint
         self.labels = ("1",) + tuple(f"b{i}" for i in range(1, d))
@@ -315,26 +319,24 @@ class WeilAlgebra:
         if aug[0] != 1:
             raise AlgebraError("augmentation of the unit must be 1")
         for j in range(d):
-            if terms[0][j] != ((j, 1),) or terms[j][0] != ((j, 1),):
+            if table[0][j] != ((j, t),) or table[j][0] != ((j, t),):
                 raise AlgebraError("basis element 0 does not act as the unit")
         if check:
             for i in range(d):
                 for j in range(i + 1, d):
-                    if terms[i][j] != terms[j][i]:
+                    if table[i][j] != table[j][i]:
                         raise AlgebraError(f"product not commutative at ({i},{j})")
             for i in range(d):
                 for j in range(d):
-                    if sum(aug[k] * c for k, c in terms[i][j]) != aug[i] * aug[j]:
-                        raise AlgebraError(
-                            f"augmentation is not multiplicative at ({i},{j})"
-                        )
+                    if sum(aug[k] * n for k, n in table[i][j]) != aug[i] * aug[j] * t:
+                        raise AlgebraError(f"augmentation is not multiplicative at ({i},{j})")
             # with commutativity, symmetry of (e_i e_j) e_k in the last two
-            # slots gives full associativity
+            # slots gives full associativity (both sides scaled by T^2)
             for i in range(d):
                 for j in range(d):
                     for k in range(j + 1, d):
-                        left = _times_basis(terms, terms[i][j], k)
-                        if left != _times_basis(terms, terms[j][k], i):
+                        left = _times_basis(table, table[i][j], k)
+                        if left != _times_basis(table, table[j][k], i):
                             raise AlgebraError(f"product not associative at ({i},{j},{k})")
             degree = len(self._ideal_chain()) + 1
             if nilpotency_hint not in (None, degree):
@@ -403,31 +405,19 @@ class WeilAlgebra:
         return chain[0] if chain else []
 
     def _terms(self, i: int, j: int):
-        """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index increasing."""
+        """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index
+        increasing; a tabled algebra makes them from its ints on each read."""
         if self.flavor == "presented":
             k = self._by_code.get(self._codes[i] + self._codes[j])
             return () if k is None else ((k, _ONE),)
-        return self._sparse[i][j]
+        t, rows = self._table
+        return tuple([(k, Fraction(n, t)) for k, n in rows[i][j]])
 
     def _int_aug(self):
         """(D, [(k, n), ...]): aug[k] == n / D at each nonzero k (cached)."""
         if self._aug_ints is None:
-            self._aug_ints = _over_common_denominator(self.aug)
+            self._aug_ints = _over_common_denominator(enumerate(self.aug))
         return self._aug_ints
-
-    def _int_terms(self):
-        """(T, rows) of a tabled algebra: rows[i][j] lists (k, n) for each
-        term (k, c) of basis[i] * basis[j], with c == n / T and T the lcm of
-        every structure constant's denominator (built on first use)."""
-        if self._int_sparse is None:
-            sparse = self._sparse
-            t = math.lcm(*[c.denominator for row in sparse for vec in row for _, c in vec])
-
-            def ints(vec):
-                return tuple((k, c.numerator * (t // c.denominator)) for k, c in vec)
-
-            self._int_sparse = t, tuple(tuple(map(ints, row)) for row in sparse)
-        return self._int_sparse
 
     def structure_vector(self, i: int, j: int):
         """Coefficients of basis[i] * basis[j]."""
@@ -474,13 +464,13 @@ class WeilAlgebra:
         return (
             self.dimension == other.dimension
             and self.aug == other.aug
-            and self._sparse == other._sparse
+            and self._table == other._table
         )
 
     def __hash__(self):
         if self.flavor == "presented":
             return hash((self.flavor, self.gens, self.relations))
-        return hash((self.flavor, self.dimension, self.aug, self._sparse))
+        return hash((self.flavor, self.dimension, self.aug, self._table))
 
     def __repr__(self):
         if self.flavor == "presented":
@@ -634,7 +624,7 @@ class WeilElement:
                         if k is not None:
                             acc[k] += a * b
         else:
-            t, table = alg._int_terms()
+            t, table = alg._table
             d *= t
             for i, a in enumerate(self.nums):
                 if a:
@@ -721,10 +711,11 @@ def _times_basis(terms, vec, k):
     return {n: v for n, v in acc.items() if v}
 
 
-def _over_common_denominator(raw):
-    """(D, [(i, n), ...]) with raw[i] == n / D for each nonzero Fraction of
-    raw, where D is the lcm of their denominators (1 if there are none)."""
-    nz = [(i, a.as_integer_ratio()) for i, a in enumerate(raw) if a]
+def _over_common_denominator(pairs):
+    """(D, [(i, n), ...]) with a == n / D for each (i, a) of pairs whose
+    Fraction a is nonzero, where D is the lcm of their denominators (1 if
+    there are none)."""
+    nz = [(i, a.as_integer_ratio()) for i, a in pairs if a]
     d = math.lcm(*[q for _, (_, q) in nz])
     return d, [(i, p * (d // q)) for i, (p, q) in nz]
 
@@ -732,7 +723,7 @@ def _over_common_denominator(raw):
 def _canonical(raw):
     """(den, nums) of a Fraction tuple: raw[i] == nums[i] / den, den the lcm
     of the reduced denominators, so gcd(den, *nums) == 1."""
-    d, nz = _over_common_denominator(raw)
+    d, nz = _over_common_denominator(enumerate(raw))
     nums = [0] * len(raw)
     for i, n in nz:
         nums[i] = n
@@ -777,7 +768,7 @@ class WeilMorphism:
         if matrix.shape != (target.dimension, source.dimension):
             raise MorphismError("matrix shape does not match source/target")
         width = source.dimension
-        d, nz = _over_common_denominator([m for row in matrix.raw for m in row])
+        d, nz = _over_common_denominator(enumerate([m for row in matrix.raw for m in row]))
         cols = [[] for _ in range(width)]
         for k, n in nz:
             cols[k % width].append((k // width, n))
@@ -835,7 +826,7 @@ class WeilMorphism:
         # terms; pairs with the unit hold once _validate_cheap has passed
         src = self.source
         images = [self.apply(src.basis_element(i)) for i in range(src.dimension)]
-        t, table = (1, None) if src.flavor == "presented" else src._int_terms()
+        t, table = (1, None) if src.flavor == "presented" else src._table
         for i in range(1, src.dimension):
             for j in range(i, src.dimension):
                 terms = [(k, 1) for k, _ in src._terms(i, j)] if table is None else table[i][j]
@@ -920,13 +911,6 @@ class WeilMorphism:
 
     def is_isomorphism(self) -> bool:
         return self.matrix.is_invertible()
-
-    def inverse(self) -> "WeilMorphism":
-        try:
-            matrix = self.matrix.inverse()
-        except ValueError:
-            raise MorphismError("morphism is not invertible") from None
-        return WeilMorphism(self.target, self.source, matrix, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, WeilMorphism):
@@ -1031,14 +1015,15 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
         pair_of_index = tuple((w1._index[e[:n1]], w2._index[e[n1:]]) for e in w.basis)
     else:
         pair_of_index = tuple((i1, i2) for i1 in range(d1) for i2 in range(d2))
-        # pair (k1, k2) sits at k1 * d2 + k2, so terms stay index-increasing
+        # each factor's int terms, a presented one's read off its monomial
+        # codes; pair (k1, k2) sits at k1 * d2 + k2, so terms stay index-increasing
+        (t1, s1), (t2, s2) = (
+            w._table or (1, [[[(k, 1) for k, _ in w._terms(i, j)] for j in n] for i in n])
+            for w, n in ((w1, range(d1)), (w2, range(d2)))
+        )
         terms = [
             [
-                tuple(
-                    (k1 * d2 + k2, c1 * c2)
-                    for k1, c1 in w1._terms(i1, j1)
-                    for k2, c2 in w2._terms(i2, j2)
-                )
+                (t1 * t2, [(k1 * d2 + k2, a * b) for k1, a in s1[i1][j1] for k2, b in s2[i2][j2]])
                 for (j1, j2) in pair_of_index
             ]
             for (i1, i2) in pair_of_index
@@ -1105,7 +1090,7 @@ def _subalgebra(kernel, aug, multiply):
                     residual[col] -= c * x
             if any(residual):
                 raise AlgebraError("subspace is not closed under multiplication")
-            terms[i][j] = terms[j][i] = tuple((k, Fraction(c, den)) for k, c in coords)
+            terms[i][j] = terms[j][i] = den, coords
     d, lam = aug
     aug = tuple(Fraction(sum([m * nums[k] for k, m in lam]), d * den) for den, nums in vectors)
     return WeilAlgebra._from_terms(terms, aug, check=False), (common, nonzeros)
@@ -1133,7 +1118,7 @@ def _kernel_block(w: WeilAlgebra, off: int):
         codes, get = w._codes[1:], w._by_code.get
         rows = [[get(a + b) for b in codes] for a in codes]
         return 1, [[() if k is None else ((k + off - 1, 1),) for k in row] for row in rows]
-    (t, table), (da, lam) = w._int_terms(), _canonical(w.aug)
+    (t, table), (da, lam) = w._table, _canonical(w.aug)
     rows = [[None] * (w.dimension - 1) for _ in range(w.dimension - 1)]
     for i in range(1, w.dimension):
         for j in range(i, w.dimension):
@@ -1160,7 +1145,8 @@ class _ProductOverK:
     read off its nonzero structure terms: coordinate f >= 1 of (e_i - aug[i]
     e_0)(e_j - aug[j] e_0) is c_ij[f] - aug[j] [f = i] - aug[i] [f = j].
     Nilpotents of different factors multiply to zero, so products go block
-    by block, and only projections() assembles the full table.
+    by block; _subalgebra tables only the limit, which for the discrete
+    diagram of product_over_k is the whole product.
     """
 
     def __init__(self, algebras):
@@ -1227,25 +1213,14 @@ class _ProductOverK:
         raw = tuple(tuple([Fraction(n, d) if n else _ZERO for n in row]) for row in rows[1:])
         return Matrix._of(raw, self.dimension)
 
-    def projections(self):
-        """(P, legs): the tabled product, assembled from the blocks, and its projections."""
-        d = self.dimension
-        terms = [[((i, _ONE),)] + [()] * (d - 1) for i in range(d)]
-        terms[0] = [((j, _ONE),) for j in range(d)]
-        for start, stop, bt, rows in self.blocks:
-            for p, row in enumerate(rows, start):
-                terms[p][start:stop] = [tuple((k, Fraction(n, bt)) for k, n in vec) for vec in row]
-        w = WeilAlgebra._from_terms(terms, _unit(d, 0), check=False)
-        identity = 1, [((i, 1),) for i in range(d)]
-        return w, [self._leg(a, w, identity) for a in range(len(self.algebras))]
-
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
-    """Categorical product: pairs agreeing under augmentation, componentwise ops.
+    """Categorical product: pairs agreeing under augmentation, componentwise
+    ops, the limit of the discrete diagram on w1 and w2.
 
     Dimension is dim(w1) + dim(w2) - 1.  Returns (P, proj1, proj2).
     """
-    p, (p1, p2) = _ProductOverK([w1, w2]).projections()
+    p, (p1, p2) = limit(DiagramInWeil((w1, w2), ()))
     return p, p1, p2
 
 
@@ -1442,10 +1417,12 @@ def serialize_algebra(w: WeilAlgebra) -> str:
         return f"weil {describe_presented(w)}"
     lines = ["weil tabled", f"dim {w.dimension}", "unit 0"]
     lines.append("aug " + " ".join(str(c) for c in w.aug))
+    t, rows = w._table
     for i in range(w.dimension):
         for j in range(i, w.dimension):
-            for k, c in w._terms(i, j):
-                lines.append(f"c {i} {j} {k} {c}")
+            for k, n in rows[i][j]:  # the text of str(Fraction(n, t))
+                g = math.gcd(n, t)
+                lines.append(f"c {i} {j} {k} {n // g}" + ("" if g == t else f"/{t // g}"))
     return "\n".join(lines)
 
 
@@ -1560,7 +1537,7 @@ def _parse_tabled(text: str) -> WeilAlgebra:
     for j in range(dim):
         if {k: c for k, c in products.get((0, j), {}).items() if c} != {j: 1}:
             raise AlgebraError("basis element 0 does not act as the unit")
-    terms = [[()] * dim for _ in range(dim)]
+    terms = [[(1, ())] * dim for _ in range(dim)]
     for (i, j), vec in products.items():
-        terms[i][j] = terms[j][i] = tuple((k, vec[k]) for k in sorted(vec) if vec[k])
+        terms[i][j] = terms[j][i] = _over_common_denominator(sorted(vec.items()))
     return WeilAlgebra._from_terms(terms, aug, check=True)

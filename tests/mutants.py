@@ -159,6 +159,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "table-denominator-a-product-not-the-lcm",
+        "weilkit/weil.py",
+        "t = math.lcm(*[q // math.gcd(q, n) for row in terms for q, vec in row for _, n in vec])",
+        "t = math.prod([q for row in terms for q, _ in row])",
+        (
+            "tests/test_sparse_structure.py::"
+            "test_tabled_algebras_equal_their_rebuilt_structure_vectors",
+            "tests/test_sparse_structure.py::test_tabled_serialization_round_trips_byte_for_byte",
+        ),
+    ),
+    Mutant(
+        "product-over-k-takes-the-factors-swapped",
+        "weilkit/weil.py",
+        "p, (p1, p2) = limit(DiagramInWeil((w1, w2), ()))",
+        "p, (p2, p1) = limit(DiagramInWeil((w2, w1), ()))",
+        ("tests/test_limit_path.py::test_product_over_k_matches_the_dense_loop",),
+    ),
+    Mutant(
         "filtered-basis-every-chain-vector",
         "weilkit/weil.py",
         "picked = [labelled[c] for c in reversed(pivots)]",

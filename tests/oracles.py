@@ -847,11 +847,24 @@ def subalgebra_reference(w, span_vectors):
             coords = echelon.coords((elements[i] * elements[j]).raw)
             if coords is None:
                 raise AlgebraError("subspace is not closed under multiplication")
-            terms[i][j] = terms[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
+            terms[i][j] = terms[j][i] = coords
     aug = tuple(e.augmentation() for e in elements)
-    sub = WeilAlgebra._from_terms(terms, aug, check=False)
+    sub = tabled_unchecked(terms, aug)
     incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
     return sub, incl
+
+
+def tabled_unchecked(table, aug):
+    """The tabled algebra on a dense table of exact coefficient vectors,
+    unchecked and with no nilpotency degree computed: each product's
+    nonzero entries handed to WeilAlgebra._from_terms as ints over the lcm
+    of their denominators."""
+
+    def ints(vec):
+        den = math.lcm(*[Fraction(c).denominator for c in vec])
+        return den, [(k, int(c * den)) for k, c in enumerate(vec) if c]
+
+    return WeilAlgebra._from_terms([[ints(v) for v in row] for row in table], aug, check=False)
 
 
 # ----- the former dense product and leg construction -------------------------------
@@ -917,9 +930,8 @@ def product_algebra_reference(objects):
         table = product_over_k_reference(data)
     except ValueError as exc:
         raise AlgebraError(str(exc)) from None
-    terms = [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in table]
     unit = tuple(Fraction(int(k == 0)) for k in range(len(table)))
-    return WeilAlgebra._from_terms(terms, unit, check=False)
+    return tabled_unchecked(table, unit)
 
 
 def limit_reference(diagram):
@@ -1109,6 +1121,11 @@ def generator_images_reference(source, target, images, check=True):
         prev[g] -= 1
         cols.append(cols[source._index[tuple(prev)]] * images[g])
     return _dense_morphism(source, target, [c.raw for c in cols])
+
+
+def inverse_reference(phi):
+    """The inverse of an isomorphism phi, through the dense matrix inverse."""
+    return WeilMorphism(phi.target, phi.source, phi.matrix.inverse(), check=False)
 
 
 def compose_reference(outer, inner):

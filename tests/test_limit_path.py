@@ -13,6 +13,7 @@ from oracles import (
     equalizer_space,
     filtered_basis_reference,
     ideal_chain_reference,
+    inverse_reference,
     is_limit_cone_reference,
     limit_legs_reference,
     limit_reference,
@@ -397,12 +398,6 @@ def _table(w):
     return [[[e for e in w.structure_vector(i, j)] for j in range(n)] for i in range(n)]
 
 
-def _sparse(table):
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row) for row in table
-    )
-
-
 FACTOR_KINDS = ["presented", "apex", "tensor", "skewed", "unclosed"]
 
 
@@ -430,6 +425,7 @@ def _factor(rng, kind):
 @given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_product_over_k_matches_the_dense_loop(kinds, seed):
+    # the product over the scalars is the limit of the discrete diagram
     rng = random.Random(seed)
     factors = [_factor(rng, kind) for kind in kinds]
     data = [(_table(w), _aug(w)) for w in factors]
@@ -437,19 +433,22 @@ def test_product_over_k_matches_the_dense_loop(kinds, seed):
         want = product_over_k_reference(data)
     except ValueError as exc:
         with pytest.raises(AlgebraError) as refused:
-            weil._ProductOverK(factors)
+            limit(DiagramInWeil(factors, ()))
         assert str(refused.value) == str(exc)
         return
-    prod = weil._ProductOverK(factors)
-    w, projections = prod.projections()
-    assert w._sparse == _sparse(want)
-    d = prod.dimension
+    w, projections = limit(DiagramInWeil(factors, ()))
+    assert _table(w) == want
+    assert w.aug == tuple(Fraction(int(k == 0)) for k in range(len(want)))
+    if len(factors) == 2:
+        assert product_over_k(*factors) == (w, *projections)
+    d = w.dimension
     identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     assert [_rows(p.matrix) for p in projections] == limit_legs_reference(
         [aug for _, aug in data], identity
     )
     assert [p.target for p in projections] == factors
     # the blockwise product is the table's, unit parts included
+    prod = weil._ProductOverK(factors)
     for _ in range(4):
         x, y = ([rng.randint(-3, 3) for _ in range(d)] for _ in range(2))
         dx, dy = rng.randint(1, 4), rng.randint(1, 4)
@@ -498,7 +497,7 @@ def _diagram_of_kind(rng, kind):
         # a pair into a skewed algebra, and its target's identity
         phi, psi = random_parallel_pair(rng)
         skew, iso = _skewed(rng, phi.target)
-        phi, psi = (iso.inverse().compose(m) for m in (phi, psi))
+        phi, psi = (inverse_reference(iso).compose(m) for m in (phi, psi))
         arrows = ((0, 1, phi), (0, 1, psi), (1, 1, WeilMorphism.identity(skew)))
         return DiagramInWeil((phi.source, skew), arrows)
     # equalizer diagrams out of skewed algebras and out of limit apexes
@@ -612,18 +611,6 @@ def test_limits_and_equalizers_need_no_unit_containment_solve():
         assert _eliminations(lambda: limit(diagram)) == 1
     for phi, psi in pairs:
         assert _eliminations(lambda: equalizer(phi, psi)) == 1
-
-
-def test_inverting_a_shuffle_is_one_elimination():
-    w1, w2, w3 = dual_numbers(), jet_line(2), parse_algebra("Q[x,y]/(x^2, y^2)")
-    a = tensor(tensor(w1, w2)[0], w3)[0]
-    b = tensor(tensor(w1, w3)[0], w2)[0]
-    shuffle = weil.factor_permutation_iso(a, b, (0, 2, 1))
-    inverses = []
-    assert _eliminations(lambda: inverses.append(shuffle.inverse())) == 1
-    assert inverses[0] == weil.factor_permutation_iso(b, a, (0, 2, 1))
-    with pytest.raises(MorphismError, match="^morphism is not invertible$"):
-        collapse_to_scalars(a).inverse()
 
 
 def test_a_vertical_fiber_eliminates_each_matrix_once():

@@ -154,6 +154,24 @@ def test_a_singular_shuffle_fails_carrier_transport_like_the_reference(monkeypat
 # ----- tabled algebras ----------------------------------------------------------------
 
 
+def _skewed(rng, w):
+    """w on the basis 1, e_i + c_i with rational c_i: a tabled copy whose
+    structure constants and augmentation have denominators."""
+    n = w.dimension
+    c = [Fraction(0)] + [Fraction(rng.choice([1, -2, 3]), rng.choice([2, 3])) for _ in range(1, n)]
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = list(w.structure_vector(i, j))
+            v[i] += c[j]
+            v[j] += c[i]
+            v[0] += c[i] * c[j]
+            row.append([v[0] - sum(x * y for x, y in zip(c, v))] + v[1:])
+        table.append(row)
+    return WeilAlgebra.tabled(table, [Fraction(1)] + c[1:], check=True)
+
+
 def _tabled_algebras():
     d, j2 = dual_numbers(), jet_line(2, "y")
     p, _, _ = product_over_k(d, j2)
@@ -165,7 +183,19 @@ def _tabled_algebras():
         phi, psi = random_morphism(rng, src, tgt), random_morphism(rng, src, tgt)
         out.append(equalizer(phi, psi)[0])
         out.append(random_limit_cone(rng).apex)
+    # structure constants with denominators, stored over a common one
+    rng = random.Random(7)
+    skewed = [_skewed(rng, random_presented_algebra(rng, max_dim=5)) for _ in range(4)]
+    out += skewed
+    out.append(tensor(skewed[0], skewed[1])[0])
+    out.append(tensor(skewed[2], random_limit_cone(rng).apex)[0])
+    out.append(product_over_k(skewed[3], j2)[0])
     return [w for w in out if w.flavor == "tabled"]
+
+
+def _has_denominators(w):
+    n = w.dimension
+    return any(c.denominator > 1 for i in range(n) for j in range(n) for c in w.structure_vector(i, j))
 
 
 def _rebuilt(w):
@@ -176,7 +206,8 @@ def _rebuilt(w):
 
 def test_tabled_algebras_equal_their_rebuilt_structure_vectors():
     algebras = _tabled_algebras()
-    assert len(algebras) >= 12
+    assert len(algebras) >= 19
+    assert sum(map(_has_denominators, algebras)) >= 6
     for w in algebras:
         back = _rebuilt(w)
         assert back == w and hash(back) == hash(w)
