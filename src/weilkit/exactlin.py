@@ -12,7 +12,7 @@ divides by a pivot.  Each pivot row clears the rows below it (the forward
 phase), which already fixes the pivot columns; Matrix.rref, behind kernels
 and the factored system, also clears the rows above (the back phase).
 Matrix.rank and the callers that read only pivots (is_invertible,
-spans_equal, weil.filtered_basis) take the forward phase alone.
+weil.filtered_basis) take the forward phase alone.
 factor(m) is the solve: one rref of [m | I] gives the pivots, the kernel,
 the particular-solution rows P and the cokernel rows C, after which m x = r
 is solvable exactly when C r = 0, with P r a solution.  solve_unique,
@@ -414,12 +414,3 @@ def span_contains(basis, vector) -> bool:
     frame = Matrix.from_columns(basis, rows=len(vector))
     return factor(frame).solve(vector) is not NO_SOLUTION
 
-
-def spans_equal(basis_a, basis_b) -> bool:
-    """Do two exact vector lists span the same subspace?  Equal ranks, and
-    no more together (the joint rank is taken only when the two agree)."""
-    if not basis_a and not basis_b:
-        return True
-    n = len((basis_a or basis_b)[0])
-    rank = Matrix(basis_a, cols=n).rank()
-    return rank == Matrix(basis_b, cols=n).rank() == Matrix([*basis_a, *basis_b], cols=n).rank()

@@ -14,6 +14,7 @@ is linear.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,11 +28,11 @@ from .exactlin import (
     NO_SOLUTION,
     Factored,
     Matrix,
+    _unit,
     difference_rows,
     factor,
     kernel_basis,
     qq,
-    spans_equal,
     vstack,
 )
 from .expr import (
@@ -254,16 +255,6 @@ def arrow_weil_on_morphism(w: WeilAlgebra, m: FiberedMorphism) -> FiberedMorphis
 # ----- the vertical part ------------------------------------------------------
 
 
-def _unit_complement(w: WeilAlgebra) -> Matrix:
-    """I minus (unit tensor augmentation): kills the scalar component and
-    keeps the nilpotent one."""
-    d = w.dimension
-    return Matrix(
-        [[Fraction(i == j) - (w.aug[j] if i == 0 else 0) for j in range(d)] for i in range(d)],
-        cols=d,
-    )
-
-
 def _linear_rows_matrix(p: FiberedObject) -> Matrix:
     rows = p.linear_rows()
     if rows is None:
@@ -273,25 +264,14 @@ def _linear_rows_matrix(p: FiberedObject) -> Matrix:
     return Matrix(rows, cols=p.total_dim)
 
 
-def vertical_equations(p: FiberedObject, w: WeilAlgebra) -> Matrix:
-    """For a linear projection: the matrix whose kernel is the vertical
-    subspace of the lifted total space (flat layout, coordinate-major)."""
-    pm = _linear_rows_matrix(p)
-    return pm.kron(_unit_complement(w))
-
-
 def vertical_space_basis(p: FiberedObject, w: WeilAlgebra):
-    return kernel_basis(vertical_equations(p, w))
-
-
-def _point_from_flat(w: WeilAlgebra, flat, arity: int) -> WeilPoint:
-    d = w.dimension
-    coords = [w.element(list(flat[i * d : (i + 1) * d])) for i in range(arity)]
-    return WeilPoint(w, coords)
-
-
-def _flat_from_point(x: WeilPoint):
-    return tuple(v for c in x.coords for v in c.raw)
+    """For a linear projection P: a basis of the vertical subspace of the
+    lifted total space (flat layout, coordinate-major).  P lifts to
+    P (x) id_w, so that subspace is R^e (x) 1 plus ker P (x) m, m the
+    augmentation kernel of w (w.maximal_ideal_basis()), in that order."""
+    pairs = [(u, _unit(w.dimension, 0)) for u in Matrix.identity(p.total_dim).raw]
+    pairs += [(k, m) for k in kernel_basis(_linear_rows_matrix(p)) for m in w.maximal_ideal_basis()]
+    return [tuple(x * y for x in u for y in m) for u, m in pairs]
 
 
 def vertical_membership(p: FiberedObject, w: WeilAlgebra, x: WeilPoint) -> bool:
@@ -479,9 +459,9 @@ def vertical_functor_on_morphism(
 
 
 REPRESENTATION = Check("representation", "exact")
-# its outcomes hold by construction: each sampled cone is frame @ coeffs, a
-# combination of the independent vertical basis, so whatever the draw it
-# equalizes and factors uniquely
+# "equalizes" is decided by exact evaluation of each sampled cone's columns;
+# "factors" and "unique" hold by construction: each cone is frame @ coeffs,
+# a combination of the independent vertical basis
 MEDIATION = Check("mediation", "exact")
 NO_FACTORING_OUTSIDE = Check("no-factoring-outside", "exact")
 
@@ -494,30 +474,32 @@ def check_vertical_equalizer(
     uniquely; maps that do not equalize cannot factor."""
     rng = random.Random(seed)
     report = Report(f"vertical equalizer: {p.name} over {w.dimension}-dim algebra")
-    eqs = vertical_equations(p, w)
-    basis = kernel_basis(eqs)
-    frame = Matrix.from_columns(basis, rows=eqs.cols)
+    basis = vertical_space_basis(p, w)
+    dim, size = w.dimension, p.total_dim * w.dimension
+    frame = Matrix.from_columns(basis, rows=size)
     system = factor(frame)  # z factors when C z = 0, uniquely as the kernel is 0
 
-    members_ok = all(
-        vertical_membership(p, w, _point_from_flat(w, vec, p.total_dim)) for vec in basis
-    )
-    report.add(REPRESENTATION, f"{len(basis)} basis members", members_ok,
+    def vertical(flat) -> bool:  # flat is coordinate-major
+        coords = [w.element(list(flat[i : i + dim])) for i in range(0, size, dim)]
+        return vertical_membership(p, w, WeilPoint(w, coords))
+
+    report.add(REPRESENTATION, f"{len(basis)} basis members", all(map(vertical, basis)),
                "every representation basis vector is a vertical point")
 
     for i in range(samples):
         width = rng.randint(1, 2)
         coeffs = [[corpus.random_rational(rng, 5) for _ in range(width)] for _ in basis]
         z = frame @ Matrix(coeffs, cols=width)
-        equalizes = not any(any(row) for row in (eqs @ z).raw)
-        factors = all(system.solve(z.column(j)) is not NO_SOLUTION for j in range(width))
+        columns = [z.column(j) for j in range(width)]
+        equalizes = all(map(vertical, columns))
+        factors = all(system.solve(col) is not NO_SOLUTION for col in columns)
         report.add(MEDIATION, f"sampled cone {i} of width {width}",
                    equalizes and factors and not system.kernel,
                    "equalizes and factors uniquely through the vertical subspace")
 
-    if any(any(row) for row in eqs.raw):
-        probes = ([corpus.random_rational(rng, 5) for _ in range(eqs.cols)] for _ in range(20))
-        outsider = next((probe for probe in probes if any(eqs.apply(probe))), None)
+    if len(basis) < size:  # P and the nilpotents of w are both nonzero
+        probes = ([corpus.random_rational(rng, 5) for _ in range(size)] for _ in range(20))
+        outsider = next((probe for probe in probes if not vertical(probe)), None)
         if outsider is not None:
             report.add(NO_FACTORING_OUTSIDE, "non-equalizing probe",
                        system.solve(outsider) is NO_SOLUTION,
@@ -571,67 +553,59 @@ def _fibered_verdict(p: FiberedObject, d: DiagramInWeil, numbers, samples: int, 
 def check_vertical_left_exact(d: FiberedDiagram, w: WeilAlgebra) -> Verdict:
     """Does taking vertical parts turn this cone into a limit cone?
 
-    Decided by exact ranks on the vertical subspaces, so only for linear
-    diagrams: a nonlinear projection, arrow or leg is refused with a
-    FiberedError that names the first one.
+    Decided by exact ranks of the unlifted maps, on the total spaces and on
+    the kernels of the projections, so only for linear diagrams: a
+    nonlinear projection, arrow or leg is refused with a FiberedError that
+    names the first one.
     """
     if not d.has_cone:
         raise DiagramError("the diagram needs a cone to check")
-    for i, o in enumerate((d.apex,) + tuple(d.objects)):
+    spaces = (d.apex,) + tuple(d.objects)
+    for i, o in enumerate(spaces):
         if not o.is_linear:
             where = "the apex" if i == 0 else f"object {i - 1}"
             raise FiberedError(f"{where} ({o.name}) is not linear")
-    for s, t, m in d.arrows:
-        if m.top.linear_matrix() is None:
-            raise FiberedError(f"the arrow {s} -> {t} ({m.top.name}) is not linear")
-    for i, leg in enumerate(d.legs):
-        if leg.top.linear_matrix() is None:
-            raise FiberedError(f"leg {i} ({leg.top.name}) is not linear")
-    dim = w.dimension
-    bases = [vertical_space_basis(o, w) for o in d.objects]
-    offsets = []
-    pos = 0
-    for o in d.objects:
-        offsets.append(pos)
-        pos += o.total_dim * dim
-    total_cols = pos
-
-    bdiag_cols = []
-    for i, basis in enumerate(bases):
-        for vec in basis:
-            col = [qq(0)] * total_cols
-            for r, c in enumerate(vec):
-                col[offsets[i] + r] = c
-            bdiag_cols.append(tuple(col))
-    within = Matrix.from_columns(bdiag_cols, rows=total_cols)
-
-    terms = []
-    for s, t, m in d.arrows:
-        a_top = Matrix(m.top.linear_matrix(), cols=m.source.total_dim)
-        terms.append((offsets[s], a_top.kron(Matrix.identity(dim)).raw, offsets[t], None))
-    constraints = difference_rows(total_cols, terms)
-
-    compatible_vectors = [within.apply(k) for k in kernel_basis(constraints @ within)]
-    nullity = len(compatible_vectors)
-
-    apex_basis = vertical_space_basis(d.apex, w)
-    canonical_blocks = [
-        Matrix(leg.top.linear_matrix(), cols=d.apex.total_dim).kron(Matrix.identity(dim))
-        for leg in d.legs
-    ]
-    canonical = vstack(canonical_blocks, cols=d.apex.total_dim * dim)
-    image_vectors = [canonical.apply(v) for v in apex_basis]
-
-    same_span = spans_equal(image_vectors, compatible_vectors)
-    # within has independent columns, so the compatible vectors are
-    # independent: with equal spans, the image is injective exactly when
-    # the apex basis is as long as the nullity
-    ok = same_span and nullity == len(apex_basis)
+    arrows = [(s, t, _linear_top(m, f"the arrow {s} -> {t}")) for s, t, m in d.arrows]
+    legs = vstack([_linear_top(leg, f"leg {i}") for i, leg in enumerate(d.legs)],
+                  cols=d.apex.total_dim)
+    kernels = [Matrix.from_columns(kernel_basis(_linear_rows_matrix(o)), rows=o.total_dim)
+               for o in spaces]
+    total = _linear_cone_numbers(arrows, legs, [Matrix.identity(o.total_dim) for o in spaces])
+    kernel = _linear_cone_numbers(arrows, legs, kernels)
+    # each vertical space is its unit slots plus ker P (x) m, m the
+    # augmentation kernel of w, and every lifted map A (x) I keeps that
+    # split: each number is the total spaces' plus dim m times the kernels'
+    slots = w.dimension - 1
+    rank, nullity = (t + slots * k for t, k in zip(total, kernel))
+    apex_dim = d.apex.total_dim + slots * kernels[0].cols
+    # the legs commute with the arrows and with the projections (checked by
+    # FiberedDiagram and FiberedMorphism), so their image lies among the
+    # compatible families, and is all of them exactly when the ranks agree
+    same_span = rank == nullity
+    ok = same_span and nullity == apex_dim
     cert = (
-        f"vertical apex dimension {len(apex_basis)}; compatible vertical "
+        f"vertical apex dimension {apex_dim}; compatible vertical "
         f"families dimension {nullity}; image {'matches' if same_span else 'differs'}"
     )
     return Verdict(ok, cert, exactness="exact")
+
+
+def _linear_top(m: FiberedMorphism, what: str) -> Matrix:
+    rows = m.top.linear_matrix()
+    if rows is None:
+        raise FiberedError(f"{what} ({m.top.name}) is not linear")
+    return Matrix(rows, cols=m.source.total_dim)
+
+
+def _linear_cone_numbers(arrows, legs: Matrix, frames):
+    """(rank of the stacked legs on the span of the apex frame, dimension of
+    the families in the spans of the object frames that the arrows match)
+    of a linear cone at r = 1.  frames[0] is the apex's and frames[1:] the
+    objects', each of independent columns; arrows are (s, t, top matrix)."""
+    apex, objects = frames[0], frames[1:]
+    offsets = [0, *itertools.accumulate(f.cols for f in objects)]
+    terms = [(offsets[s], (a @ objects[s]).raw, offsets[t], objects[t].raw) for s, t, a in arrows]
+    return (legs @ apex).rank(), offsets[-1] - difference_rows(offsets[-1], terms).rank()
 
 
 def check_vertical_microlinearity(
@@ -757,16 +731,14 @@ def fibered_exponential_pullback(
     point-by-point on solved samples.
     """
     rng = random.Random(seed)
-    pm = _linear_rows_matrix(p)
+    # one elimination of the projection: it lifts to P (x) I, which is P on
+    # each slot, so P's kernel parametrizes the fibers slot by slot, each
+    # sample is a product, and no cokernel means surjective
+    system = factor(_linear_rows_matrix(p))
+    if system.cokernel:
+        raise FiberedError("sampling pullback points needs a surjective linear projection")
     inner, _, _ = tensor(w1, w2)
     a_total, _, _ = tensor(inner, q.total)
-    # one elimination of the lifted projection: its kernel parametrizes the
-    # fibers, each sample is a product, and no cokernel means surjective
-    lifted = factor(pm.kron(Matrix.identity(a_total.dimension)))
-    if lifted.cokernel:
-        raise FiberedError(
-            "sampling pullback points needs a surjective linear projection"
-        )
     a_base, _, _ = tensor(inner, q.base)
     left_total, _, _ = tensor(w1, q.total)
     b_total, _, _ = tensor(left_total, w2)
@@ -802,20 +774,13 @@ def fibered_exponential_pullback(
                shuffle_total.is_isomorphism() and shuffle_base.is_isomorphism(),
                "both transports are isomorphisms")
 
-    vert = [[(k, y) for k, y in enumerate(kv) if y] for kv in lifted.kernel]  # nonzero entries
     # the permutation (0, 2, 1) is its own inverse
     shuffle_back = factor_permutation_iso(b_total, a_total, (0, 2, 1))
     pair_failures = 0
     for _ in range(samples):
         v = corpus.random_point(rng, a_base, p.base_dim)
         target = apply_morphism(conn_left, v)
-        flat_u = list(lifted.solve(_flat_from_point(target)))
-        for kv in vert:
-            c = corpus.random_rational(rng, 3)
-            if c:
-                for k, y in kv:
-                    flat_u[k] += c * y
-        u = _point_from_flat(a_total, flat_u, p.total_dim)
+        u = _pullback_point(system, a_total, target, rng)
         if apply_map(p.projection, u).coords != target.coords:
             pair_failures += 1
             continue
@@ -833,6 +798,22 @@ def fibered_exponential_pullback(
                f"{samples} solved pairs stay pullback pairs through the shuffle"
                if pair_failures == 0 else f"{pair_failures}/{samples} pairs broke")
     return report
+
+
+def _pullback_point(system: Factored, w: WeilAlgebra, target: WeilPoint, rng) -> WeilPoint:
+    """A point u over w with P u = target, P factored as system, moved along
+    a random multiple of each kernel vector of P (x) I: slot k of u solves P
+    against slot k of the target, and that kernel is each kernel vector of P
+    in each slot, drawn in the order of its free columns."""
+    slots = range(w.dimension)
+    u = [list(c) for c in zip(*(system.solve([y.raw[k] for y in target.coords]) for k in slots))]
+    for kv in system.kernel:
+        for k in slots:
+            c = corpus.random_rational(rng, 3)
+            if c:
+                for coord, y in zip(u, kv):
+                    coord[k] += c * y
+    return WeilPoint(w, [w.element(coord) for coord in u])
 
 
 # ----- examples and suites ----------------------------------------------------

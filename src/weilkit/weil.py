@@ -1106,7 +1106,11 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
         p = WeilElement._ints(w, *x) * WeilElement._ints(w, *y)
         return p.den, p.nums
 
-    sub, (d, cols) = _subalgebra(kernel_basis(phi.matrix - psi.matrix), w._int_aug(), times)
+    # phi - psi on each basis vector, from the two maps' int columns
+    pushed = [(phi._push(1, [(j, 1)]), psi._push(1, [(j, 1)])) for j in range(w.dimension)]
+    diff = [[Fraction(x * e - y * d, d * e) for x, y in zip(a, b)] for (d, a), (e, b) in pushed]
+    diff = Matrix._of_columns(diff, phi.target.dimension)
+    sub, (d, cols) = _subalgebra(kernel_basis(diff), w._int_aug(), times)
     return sub, WeilMorphism._reduced(sub, w, d, cols)
 
 

@@ -186,9 +186,23 @@ MUTANTS = (
     Mutant(
         "left-exact-without-injectivity",
         "weilkit/fibered.py",
-        "ok = same_span and nullity == len(apex_basis)",
+        "ok = same_span and nullity == apex_dim",
         "ok = same_span",
         ("tests/test_fibered.py::test_left_exact_refuses_a_leg_that_folds_the_fibers",),
+    ),
+    Mutant(
+        "vertical-left-exact-slot-count",
+        "weilkit/fibered.py",
+        "slots = w.dimension - 1",
+        "slots = w.dimension",
+        ("tests/test_fibered.py::test_vertical_left_exact_matches_the_kronecker_route",),
+    ),
+    Mutant(
+        "vertical-left-exact-ignores-kernels",
+        "weilkit/fibered.py",
+        "same_span = rank == nullity",
+        "same_span = total[0] == total[1]",
+        ("tests/test_fibered.py::test_vertical_left_exact_matches_the_kronecker_route",),
     ),
     Mutant(
         "mutated-cones-parity-swapped",

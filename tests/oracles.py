@@ -35,7 +35,13 @@ whole box of pure-power bounds, which the staircase walk replaced.
 random_element_reference and random_morphism_reference keep the corpus
 draws that built each coefficient as a Fraction through qq and each
 morphism image as a sum of scaled elements, before the draws became int
-numerators over one denominator.  The expression
+numerators over one denominator.  vertical_space_reference,
+vertical_left_exact_reference and pullback_point_reference keep the
+Kronecker route of linear vertical bundles that reading ker P replaced:
+kernels of P (x) (I - e0 aug), arrows and legs lifted to A (x) I, a span
+comparison (spans_equal_reference), and one factored P (x) I per pullback.
+skewed_copy builds test algebras whose augmentation does not vanish past
+the unit.  The expression
 references at the end are the tree walkers weilkit used before its single
 fold; they share only the polynomial arithmetic helpers with the package.
 """
@@ -57,6 +63,7 @@ from weilkit.exactlin import (
     ModeError,
     SolveFailure,
     _raw_of,
+    factor,
     kernel_basis,
     qq,
     vstack,
@@ -71,6 +78,7 @@ from weilkit.expr import (
     poly_sub,
     poly_var,
 )
+from weilkit.corpus import random_rational
 from weilkit.fibered import FiberedError
 from weilkit.smooth import WeilPoint, apply_map, embed_base
 from weilkit.weil import (
@@ -1191,6 +1199,98 @@ def cone_commutes_reference(arrows, legs):
         and maps_agree_reference(m.bottom.compose(legs[s].bottom), legs[t].bottom)
         for s, t, m in arrows
     )
+
+
+# ----- the former Kronecker route of linear vertical bundles ------------------------
+
+
+def _rank(rows, ncols):
+    return len(rref_reference(rows, ncols)[1])
+
+
+def spans_equal_reference(vectors_a, vectors_b, ncols) -> bool:
+    """Do two lists of Fraction vectors span one subspace?  Equal ranks,
+    alone and together."""
+    rank = _rank(vectors_a, ncols)
+    return rank == _rank(vectors_b, ncols) == _rank(list(vectors_a) + list(vectors_b), ncols)
+
+
+def vertical_space_reference(p, w):
+    """The vertical subspace of a linear projection P's lifted total space
+    as fibered.py found it before it read ker P: the echelon kernel of
+    P (x) (I - e0 aug), flat coordinate-major.  I - e0 aug kills the unit
+    slot and keeps the augmentation kernel of w."""
+    d = w.dimension
+    complement = [[Fraction(i == j) - (w.aug[j] if i == 0 else 0) for j in range(d)] for i in range(d)]
+    return kernel_reference(kron_reference(p.linear_rows(), complement), p.total_dim * d)
+
+
+def vertical_left_exact_reference(diagram, w):
+    """(ok, certificate) of check_vertical_left_exact as fibered.py decided
+    it before it split each vertical space into unit slots and ker P (x) m:
+    the objects' vertical bases in one block-diagonal frame, the arrows and
+    legs lifted densely to A (x) I_w, the compatible families as the kernel
+    of the arrow equations on that frame, and a span comparison with the
+    legs' image of the apex's vertical basis."""
+    ident = _identity(w.dimension)
+    sizes = [o.total_dim * w.dimension for o in diagram.objects]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    total = sum(sizes)
+    within = []  # the frame's columns
+    for o, off in zip(diagram.objects, offsets):
+        for vec in vertical_space_reference(o, w):
+            within.append([Fraction(0)] * off + list(vec) + [Fraction(0)] * (total - off - len(vec)))
+    equations = []
+    for s, t, m in diagram.arrows:
+        for r, row in enumerate(kron_reference(m.top.linear_matrix(), ident)):
+            eq = [Fraction(0)] * offsets[s] + row + [Fraction(0)] * (total - offsets[s] - len(row))
+            eq[offsets[t] + r] -= 1
+            equations.append(eq)
+    restricted = [matvec_reference(within, eq) for eq in equations]
+    compatible = [
+        [sum((c * col[i] for c, col in zip(k, within)), Fraction(0)) for i in range(total)]
+        for k in kernel_reference(restricted, len(within))
+    ]
+    canonical = [row for leg in diagram.legs for row in kron_reference(leg.top.linear_matrix(), ident)]
+    apex_basis = vertical_space_reference(diagram.apex, w)
+    image = [matvec_reference(canonical, v) for v in apex_basis]
+    same = spans_equal_reference(image, compatible, total)
+    cert = (
+        f"vertical apex dimension {len(apex_basis)}; compatible vertical "
+        f"families dimension {len(compatible)}; image {'matches' if same else 'differs'}"
+    )
+    return same and len(compatible) == len(apex_basis), cert
+
+
+def pullback_point_reference(rows, total_dim, w, target, rng):
+    """fibered_exponential_pullback's sampled point as it was drawn before
+    the solve went slot by slot: one factored system of P (x) I_w solved
+    against the flat target, then a random multiple of each of its kernel
+    vectors, in order."""
+    d = w.dimension
+    lifted = factor(Matrix(kron_reference(rows, _identity(d)), cols=total_dim * d))
+    flat = list(lifted.solve([x for c in target.coords for x in c.raw]))
+    for kv in lifted.kernel:
+        c = random_rational(rng, 3)
+        if c:
+            flat = [x + c * y for x, y in zip(flat, kv)]
+    return WeilPoint(w, [w.element(flat[i * d : (i + 1) * d]) for i in range(total_dim)])
+
+
+def skewed_copy(w, c):
+    """w on the basis 1, e_i + c[i] (c[0] = 0): a tabled copy whose
+    augmentation is c past the unit, so it does not vanish there."""
+    table = []
+    for i in range(w.dimension):
+        row = []
+        for j in range(w.dimension):
+            v = list(w.structure_vector(i, j))
+            v[i] += c[j]
+            v[j] += c[i]
+            v[0] += c[i] * c[j]
+            row.append([v[0] - sum(x * y for x, y in zip(c, v))] + v[1:])
+        table.append(row)
+    return WeilAlgebra.tabled(table, [Fraction(1)] + list(c[1:]), check=True)
 
 
 # ----- the former corpus draws -----------------------------------------------------

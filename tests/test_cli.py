@@ -485,7 +485,9 @@ def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
     # Matrix._echelon, the one loop behind rref and rank: each cone's numbers
     # are ranked once per suite, and every repeated solve against one matrix
     # is a product with its factored system (391 eliminations in all before
-    # that, 251 after)
+    # that, 251 after).  Cells are rows x cols summed: linear vertical checks
+    # eliminate the unlifted projections, never their Kronecker lifts, and
+    # the collapsed-leg control ranks a cone on the kernels of its own
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     from workloads import VERIFY_SUITES
@@ -499,19 +501,41 @@ def test_each_verify_invocation_pins_its_eliminations(capsys, monkeypatch):
     for name, argv in VERIFY_SUITES.items():
         calls.clear()
         assert run(capsys, *argv)[0] == 0
-        counts[name] = len(calls)
+        counts[name] = (len(calls), sum(m.rows * m.cols for m in calls))
     assert counts == {
-        "axioms": 0,
-        "axioms.float": 0,
-        "microlinear": 62,
-        "microlinear.neg": 65,
-        "fibered": 18,
-        "fibered.neg": 18,
-        "vertical": 47,
-        "vertical.neg": 16,
-        "exponentiable": 25,
+        "axioms": (0, 0),
+        "axioms.float": (0, 0),
+        "microlinear": (62, 3869),
+        "microlinear.neg": (65, 4711),
+        "fibered": (18, 700),
+        "fibered.neg": (18, 1327),
+        "vertical": (47, 547),
+        "vertical.neg": (17, 4716),
+        "exponentiable": (25, 3523),
     }
-    assert sum(counts.values()) == 251
+    assert sum(n for n, _ in counts.values()) == 252
+
+
+def test_only_the_linear_lift_check_builds_a_kronecker_product(capsys, monkeypatch):
+    # linear vertical checks read the kernel of the unlifted projection, so
+    # over the nine invocations the benchmark times Matrix.kron runs once:
+    # the reference matrix of verify fibered's linear-lift check, P (x) I_2
+    # for the coordinate projection R^2 -> R
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import VERIFY_SUITES
+
+    from weilkit.exactlin import Matrix
+
+    calls = []
+    real = Matrix.kron
+    monkeypatch.setattr(Matrix, "kron", lambda a, b: calls.append((a.shape, b.shape)) or real(a, b))
+    shapes = {}
+    for name, argv in VERIFY_SUITES.items():
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        shapes[name] = list(calls)
+    assert shapes == {**dict.fromkeys(VERIFY_SUITES, []), "fibered": [((1, 2), (2, 2))]}
 
 
 # a prime no denominator of the verify matrices is divisible by
@@ -589,7 +613,7 @@ def test_every_verify_elimination_is_certified_by_products(capsys, monkeypatch):
     for result in results:
         _certify_elimination(*result)
     assert time.perf_counter() - start < 1
-    assert (codes, len(results)) == ([0] * 9, 251)
+    assert (codes, len(results)) == ([0] * 9, 252)
 
 
 def test_verify_exact_only_suites_refuse_float(capsys):

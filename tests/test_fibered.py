@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     cone_commutes_reference,
+    kron_reference,
     maps_agree_reference,
+    pullback_point_reference,
+    skewed_copy,
     solve_fiber_reference,
+    spans_equal_reference,
     square_sides_reference,
+    vertical_left_exact_reference,
+    vertical_space_reference,
 )
 
 from weilkit import (
@@ -34,19 +40,22 @@ from weilkit import (
     parse_map,
     qq,
     sphere_distance,
+    terminal,
     vertical_fiber,
     vertical_functor_on_morphism,
     vertical_membership,
     vertical_suite,
 )
 from weilkit import fibered
-from weilkit.corpus import random_limit_cone, random_poly_map, random_rational
+from weilkit.corpus import random_limit_cone, random_point, random_poly_map, random_rational
+from weilkit.exactlin import Matrix, factor
 from weilkit.expr import linear_map, serialize_map
 from weilkit.fibered import (
     FiberedDiagram,
     _broken_pullback_cone,
     _polys,
     _projection_pullback_cone,
+    _pullback_point,
     _random_block_morphism,
     _random_standard_fibered,
     arrow_weil_functor,
@@ -357,6 +366,133 @@ def test_left_exact_refuses_nonlinear_diagrams_naming_the_first():
             check_vertical_left_exact(diagram, dual_numbers())
 
 
+# ----- linear vertical bundles read off ker P ------------------------------------
+
+
+def _skewed_limit_apex():
+    """A tabled limit apex on the basis 1, e_i + c_i, so that its
+    augmentation does not vanish past the unit (a limit's own is e0*)."""
+    apex = random_limit_cone(random.Random(0)).apex
+    c = [Fraction((-1) ** i * (i % 3 + 1), 1 + i % 2) for i in range(apex.dimension)]
+    return skewed_copy(apex, [Fraction(0)] + c[1:])
+
+
+_VERTICAL_ALGEBRAS = {
+    "dual numbers": dual_numbers(),
+    "second-order jets": jet_line(2),
+    "two first-order infinitesimals": first_order_infinitesimals(2),
+    "scalars": terminal(),
+    "skewed limit apex": _skewed_limit_apex(),
+}
+
+
+def _linear_object(rng):
+    """(P, G, G^-1): the coordinate projection R^e -> R^b after G^-1, with G
+    the identity or a random invertible matrix, so ker P is G's last e - b
+    columns; b = 0 and b = e occur."""
+    e = rng.randint(1, 3)
+    b = rng.randint(0, e)
+    g = Matrix.identity(e)
+    while rng.random() < 0.6:
+        g = Matrix([[rng.randint(-2, 2) for _ in range(e)] for _ in range(e)])
+        if g.is_invertible():
+            break
+        g = Matrix.identity(e)
+    g_inv = g.inverse()
+    rows = Matrix(Matrix.identity(e).raw[:b], cols=e)
+    return FiberedObject(linear_map((rows @ g_inv).raw, n_in=e)), g, g_inv
+
+
+def _linear_square(rng, src, tgt, collapse=False):
+    """A commuting linear square: a block square between the coordinate
+    projections, with top conjugated to G_t T G_s^-1.  collapse zeroes the
+    fiber rows of T, so the square folds the fibers away."""
+    (p, _, g_inv), (q, h, _) = src, tgt
+    square = _random_block_morphism(
+        rng, FiberedObject.coordinate_projection(p.total_dim, p.base_dim),
+        FiberedObject.coordinate_projection(q.total_dim, q.base_dim),
+    )
+    top = Matrix(square.top.linear_matrix(), cols=p.total_dim)
+    if collapse:
+        top = Matrix([row if i < q.base_dim else [0] * p.total_dim for i, row in enumerate(top.raw)],
+                     cols=p.total_dim)
+    top = linear_map((h @ top @ g_inv).raw, n_in=p.total_dim, name="lintop")
+    return FiberedMorphism(p, q, top, square.bottom)
+
+
+def _finest(o):
+    """o's total space over its finest projection G^-1, and the leg onto o
+    that keeps the point and forgets the base coordinates o does not have:
+    the apex has no fiber, so only the cone on the kernels can differ."""
+    p, g, g_inv = o
+    apex = FiberedObject(linear_map(g_inv.raw, n_in=p.total_dim, name="fine"))
+    forget = linear_map(list(Matrix.identity(p.total_dim).raw[: p.base_dim]), n_in=p.total_dim)
+    return (apex, g, g_inv), FiberedMorphism(apex, p, SmoothMap.identity(p.total_dim), forget)
+
+
+def _linear_cone(rng, shape):
+    """A linear fibered cone: one object, a span o0 -> o1, or two objects
+    with no arrow, or the named pullback cones.  Leg 0 is the identity of
+    o0 (a limit), the leg out of o0's finest projection, or a random square
+    out of o0 or a fresh apex, a third of which fold the fibers away."""
+    if shape in ("pullback", "broken pullback"):
+        return _projection_pullback_cone() if shape == "pullback" else _broken_pullback_cone()
+    o0, o1 = _linear_object(rng), _linear_object(rng)
+    kind = rng.choice(["identity", "finest", "fresh"])
+    collapse = rng.random() < 0.33
+    if kind == "identity" and not collapse:
+        apex, leg0 = o0, FiberedMorphism.identity(o0[0])
+    elif kind == "finest":
+        apex, leg0 = _finest(o0)
+    else:
+        apex = o0 if kind == "identity" else _linear_object(rng)
+        leg0 = _linear_square(rng, apex, o0, collapse)
+    if shape == "single":
+        return FiberedDiagram((o0[0],), (), apex[0], (leg0,))
+    if shape == "span":
+        m = _linear_square(rng, o0, o1)
+        return FiberedDiagram((o0[0], o1[0]), ((0, 1, m),), apex[0], (leg0, m.compose(leg0)))
+    return FiberedDiagram((o0[0], o1[0]), (), apex[0], (leg0, _linear_square(rng, apex, o1)))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["single", "span", "discrete", "pullback", "broken pullback"]),
+    st.sampled_from(sorted(_VERTICAL_ALGEBRAS)),
+)
+@settings(max_examples=80, deadline=None)
+def test_vertical_left_exact_matches_the_kronecker_route(seed, shape, algebra):
+    # the unit slots plus ker P (x) m decide as the kernel of the dense
+    # P (x) (I - e0 aug) and the lifts A (x) I did: verdict and certificate
+    # byte for byte, and vertical bases of the same length and span
+    w = _VERTICAL_ALGEBRAS[algebra]
+    d = _linear_cone(random.Random(seed), shape)
+    v = check_vertical_left_exact(d, w)
+    assert (v.ok, v.certificate) == vertical_left_exact_reference(d, w)
+    for o in (d.apex, *d.objects):
+        basis, want = vertical_space_basis(o, w), vertical_space_reference(o, w)
+        assert len(basis) == len(want)
+        assert spans_equal_reference(basis, want, o.total_dim * w.dimension)
+
+
+def test_vertical_left_exact_reads_both_cones():
+    # the legs reach every compatible family on the total spaces (rank 2 of
+    # 2), but the apex has no fiber, so over the dual numbers the image
+    # misses the object's one kernel slot; and a two-slot algebra counts
+    # the kernel cone twice
+    apex = FiberedObject.identity(2)
+    p = FiberedObject.coordinate_projection(2, 1)
+    leg = FiberedMorphism(apex, p, SmoothMap.identity(2), parse_map("map b(a, c) -> (a)"))
+    d = FiberedDiagram((p,), (), apex, (leg,))
+    for w, cert in (
+        (dual_numbers(), "vertical apex dimension 2; compatible vertical families dimension 3"),
+        (jet_line(2), "vertical apex dimension 2; compatible vertical families dimension 4"),
+    ):
+        v = check_vertical_left_exact(d, w)
+        assert (v.ok, v.certificate) == (False, cert + "; image differs")
+        assert (v.ok, v.certificate) == vertical_left_exact_reference(d, w)
+
+
 def test_fibered_microlinear_conjunction():
     rng = random.Random(13)
     from weilkit.corpus import random_limit_cone
@@ -441,6 +577,29 @@ def test_exponential_pullback_needs_a_linear_surjection():
     refusal = "^sampling pullback points needs a surjective linear projection$"
     with pytest.raises(FiberedError, match=refusal):
         fibered_exponential_pullback(folded, theta, dual_numbers(), dual_numbers("y"))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_VERTICAL_ALGEBRAS)))
+@settings(max_examples=40, deadline=None)
+def test_pullback_points_solve_slot_by_slot_like_the_kronecker_system(seed, algebra):
+    # P (x) I_w is P on each slot: its echelon kernel is each kernel vector
+    # of P in each slot, in that order, and the slotwise solve with its
+    # random kernel moves is the point the factored P (x) I_w gave
+    rng = random.Random(seed)
+    w = _VERTICAL_ALGEBRAS[algebra]
+    p = _linear_object(rng)[0]
+    pm = Matrix(p.linear_rows(), cols=p.total_dim)
+    system, d = factor(pm), w.dimension
+    slots = Matrix.identity(d).raw
+    lifted = factor(Matrix(kron_reference(pm.raw, slots), cols=p.total_dim * d))
+    assert lifted.kernel == [
+        tuple(x * y for x in kv for y in unit) for kv in system.kernel for unit in slots
+    ]
+    target = random_point(rng, w, p.base_dim)
+    draws = rng.randrange(1 << 30)
+    got = _pullback_point(system, w, target, random.Random(draws))
+    want = pullback_point_reference(pm.raw, p.total_dim, w, target, random.Random(draws))
+    assert got.coords == want.coords
 
 
 # ----- suites ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oracles import (
     product_over_k_reference,
     pullback_space,
     same_span,
+    skewed_copy,
     subalgebra_reference,
 )
 
@@ -80,21 +81,7 @@ def _skewed(rng, w):
     the isomorphism onto w."""
     n = w.dimension
     c = [Fraction(0)] + [Fraction(rng.choice([-2, -1, 1, 3])) for _ in range(1, n)]
-
-    def rebase(v):
-        return [v[0] - sum(x * y for x, y in zip(c, v))] + list(v[1:])
-
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = [e for e in w.structure_vector(i, j)]
-            v[i] += c[j]
-            v[j] += c[i]
-            v[0] += c[i] * c[j]
-            row.append([qq(x) for x in rebase(v)])
-        table.append(row)
-    skew = WeilAlgebra.tabled(table, [qq(1)] + [qq(x) for x in c[1:]], check=True)
+    skew = skewed_copy(w, c)
     basis = [[int(k == i) + (c[i] if k == 0 else 0) for i in range(n)] for k in range(n)]
     return skew, WeilMorphism(skew, w, Matrix([[qq(x) for x in r] for r in basis]))
 

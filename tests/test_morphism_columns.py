@@ -48,9 +48,11 @@ from weilkit.corpus import (
     random_element,
     random_limit_cone,
     random_morphism,
+    random_parallel_pair,
     random_presented_algebra,
     random_rational,
 )
+from weilkit.exactlin import kernel_basis
 from weilkit.smooth import FLOATS, ExtendedElement, basis_element, check_reparametrization_naturality
 from weilkit.weil import (
     MorphismError,
@@ -376,3 +378,25 @@ def test_building_and_comparing_maps_makes_no_fraction_matrix(seed):
                 assert phi.compose(WeilMorphism.identity(phi.source)) == phi
     assert made == []
     assert any(d.arrows for d in diagrams)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equalizer_reads_no_fraction_matrix(seed):
+    # phi - psi is made from the two maps' int columns, so equalizers of
+    # random parallel pairs and of limit legs against their collapse read
+    # no .matrix; each inclusion's columns are still the echelon kernel of
+    # the dense difference
+    rng = random.Random(seed)
+    pairs = [random_parallel_pair(rng) for _ in range(16)]
+    for cone in (random_limit_cone(rng) for _ in range(4)):
+        leg = cone.legs[-1]
+        pairs.append((leg, leg.compose(collapse_to_scalars(cone.apex))))
+    made = []
+    read = WeilMorphism.matrix.fget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeilMorphism, "matrix", property(lambda self: made.append(self) or read(self)))
+        inclusions = [weil.equalizer(phi, psi)[1] for phi, psi in pairs]
+    assert made == []
+    for (phi, psi), incl in zip(pairs, inclusions):
+        columns = [incl.matrix.column(j) for j in range(incl.matrix.cols)]
+        assert columns == kernel_basis(phi.matrix - psi.matrix)

@@ -9,6 +9,7 @@ from oracles import (
     carrier_transport_reference,
     difference_rows_reference,
     kernel_reference,
+    skewed_copy,
 )
 
 from weilkit import (
@@ -157,19 +158,8 @@ def test_a_singular_shuffle_fails_carrier_transport_like_the_reference(monkeypat
 def _skewed(rng, w):
     """w on the basis 1, e_i + c_i with rational c_i: a tabled copy whose
     structure constants and augmentation have denominators."""
-    n = w.dimension
-    c = [Fraction(0)] + [Fraction(rng.choice([1, -2, 3]), rng.choice([2, 3])) for _ in range(1, n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = list(w.structure_vector(i, j))
-            v[i] += c[j]
-            v[j] += c[i]
-            v[0] += c[i] * c[j]
-            row.append([v[0] - sum(x * y for x, y in zip(c, v))] + v[1:])
-        table.append(row)
-    return WeilAlgebra.tabled(table, [Fraction(1)] + c[1:], check=True)
+    c = [Fraction(rng.choice([1, -2, 3]), rng.choice([2, 3])) for _ in range(1, w.dimension)]
+    return skewed_copy(w, [Fraction(0)] + c)
 
 
 def _tabled_algebras():
