@@ -8,15 +8,17 @@ messages.  The printer and parser are inverse on canonical strings, byte
 for byte.
 
 fold() is the one evaluator, over plain numbers (evaluate_numeric, with
-the module rings FLOATS and RATIONALS), exact polynomials (poly_from_expr)
+the module rings FLOATS and RATIONALS), exact polynomials (int_poly)
 or Weil elements (smooth.lift_eval), and the three rings share one
 protocol (see fold).  It is a plain recursion that builds no closures, so
 reference counting frees each evaluation.  In each ring a denominator or a
 negatively powered base must be invertible, an exact power's scalar part
 has a budget of 2^20 bits, and calls need floats.
 
-Polynomials are dicts {exponent tuple -> Fraction}; they are the exact
-backbone for Jacobians, lifted maps, and commuting-square checks.
+A polynomial is int numerators over one denominator (PolyCoefficients),
+canonical, so equal polynomials are equal pairs: the exact backbone for
+Jacobians, lifted maps, and commuting-square checks.  Readers such as
+poly_from_expr hand out {exponent tuple -> Fraction} dicts.
 """
 
 from __future__ import annotations
@@ -127,78 +129,7 @@ def sqrt(e: Expr) -> Expr:
     return Expr("sqrt", (e,))
 
 
-# ----- polynomial dictionaries ---------------------------------------------
-
-
-def poly_const(q, nvars: int):
-    q = Fraction(q)
-    return {(0,) * nvars: q} if q else {}
-
-
-def poly_var(i: int, nvars: int):
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_scale(p, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_scale(q, -1))
-
-
-def poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def poly_eval(p, point):
-    """Evaluate at a tuple of Fractions (or anything with ring ops)."""
-    total = None
-    for e, c in sorted(p.items()):
-        term = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term = term * x
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
-
-
-def poly_diff(p, i: int):
-    out = {}
-    for e, c in p.items():
-        if e[i] == 0:
-            continue
-        d = list(e)
-        d[i] -= 1
-        out[tuple(d)] = c * e[i]
-    return out
+# ----- polynomials ---------------------------------------------------------
 
 
 def _poly_term_key(e):
@@ -248,13 +179,21 @@ def fold(expr: Expr, ring, values, var_names=None):
     scalar part the power budget reads, or None) and call(op, x, where);
     smooth.ExtendedElement reads zero(), scale(a, q), is_zero(a),
     scalar(a), depth and symbolic from its coefficient ring.  Errors name
-    the node in var_names (by default x0, x1, ...).
+    the node in var_names (by default x0, x1, ...): where formats as the
+    call node's text, which is made only then.
     """
     return _fold(expr, ring, values, var_names)
 
 
-def _describe(node, values, names):
-    return serialize_expression(node, names or [f"x{i}" for i in range(len(values))])
+class _Where:
+    """A node's text in error messages, made only when one formats it."""
+
+    def __init__(self, node, values, names):
+        self.node, self.values, self.names = node, values, names
+
+    def __str__(self):
+        names = self.names or [f"x{i}" for i in range(len(self.values))]
+        return serialize_expression(self.node, names)
 
 
 def _inverse(x, what, node, ring, values, names):
@@ -262,7 +201,16 @@ def _inverse(x, what, node, ring, values, names):
         return ring.invert(x)
     except (ZeroDivisionError, NonPolynomialError) as exc:
         error = NonPolynomialError if isinstance(exc, NonPolynomialError) else NotInvertibleError
-        raise error(f"{what} in {_describe(node, values, names)}: {exc}") from None
+        raise error(f"{what} in {_Where(node, values, names)}: {exc}") from None
+
+
+def _over_budget(s, n: int) -> bool:
+    """Would s^n, s exact, need more than 2^_POWER_BUDGET_LOG2 bits?  Past 0 and
+    +-1 each factor adds a bit, so a larger n fails before n * log2 overflows."""
+    budget = 1 << _POWER_BUDGET_LOG2
+    return s not in (0, 1, -1) and (
+        n > budget or n * math.log2(max(abs(s.numerator), s.denominator)) > budget
+    )
 
 
 def _fold(node, ring, values, names):
@@ -278,7 +226,7 @@ def _fold(node, ring, values, names):
         return ring.mul(a, _inverse(b, "denominator is not invertible", node, ring, values, names))
     if op in _CALLS:
         x = _fold(args[0], ring, values, names)
-        return ring.call(op, x, _describe(node, values, names))
+        return ring.call(op, x, _Where(node, values, names))
     if op != "intpow":
         raise ValueError(f"unknown node {op!r}")
     base, n = _fold(args[0], ring, values, names), node.value
@@ -286,17 +234,13 @@ def _fold(node, ring, values, names):
         what = "negative power of a non-invertible value"
         base, n = _inverse(base, what, node, ring, values, names), -n
     # float scalar parts overflow instead of growing, and symbolic ones
-    # may depend on the inputs: only exact ones are budgeted.  Past 0 and
-    # +-1 each factor adds at least one bit, so a larger n fails before
-    # n * log2 could overflow a float.
+    # may depend on the inputs: only exact ones are budgeted
     s = ring.exact_scalar(base)
-    if s is not None and s not in (0, 1, -1):
-        budget = 1 << _POWER_BUDGET_LOG2
-        if n > budget or n * math.log2(max(abs(s.numerator), s.denominator)) > budget:
-            raise EvaluationError(
-                f"exact power {_describe(node, values, names)} exceeds the budget of "
-                f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
-            )
+    if s is not None and _over_budget(s, n):
+        raise EvaluationError(
+            f"exact power {_Where(node, values, names)} exceeds the budget of "
+            f"2^{_POWER_BUDGET_LOG2} bits for its scalar part"
+        )
     return _power(base, n, ring.mul, ring.const(Fraction(1)))
 
 
@@ -364,46 +308,91 @@ class _Numbers:
         return getattr(math, op)(x)
 
 
+def _reduced(den: int, nums: dict):
+    """nums / den without zero numerators and with gcd(den, *numerators) == 1."""
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    g = math.gcd(den, *nums.values()) if den > 1 else 1
+    return (den, nums) if g == 1 else (den // g, {e: n // g for e, n in nums.items()})
+
+
 @dataclass(frozen=True)
 class PolyCoefficients:
-    """Exact polynomials in nvars inputs: the ring of poly_from_expr, and
-    the coefficients of a symbolic lift (smooth.lift_map)."""
+    """Exact polynomials in nvars inputs: the ring of int_poly, and the
+    coefficients of a symbolic lift (smooth.lift_map).
+
+    A polynomial is (den, nums): nonzero int numerators {exponent tuple:
+    n} over one positive int denominator, with gcd(den, *numerators) == 1,
+    so equal polynomials are equal pairs; zero is (1, {}).  fractions()
+    reads one as {exponent tuple: Fraction}."""
 
     nvars: int
     symbolic = True
     depth = 1
 
     def zero(self):
-        return {}
+        return 1, {}
 
     def const(self, value):
-        return poly_const(qq(value), self.nvars)
+        q = qq(value)
+        return (q.denominator, {(0,) * self.nvars: q.numerator}) if q else (1, {})
 
-    add = staticmethod(poly_add)
-    sub = staticmethod(poly_sub)
-    mul = staticmethod(poly_mul)
-    scale = staticmethod(poly_scale)
+    def var(self, i: int):
+        return 1, {tuple(int(j == i) for j in range(self.nvars)): 1}
+
+    @staticmethod
+    def fractions(p) -> dict:
+        return {e: Fraction(n, p[0]) for e, n in p[1].items()}
+
+    @staticmethod
+    def add(p, q, sign=1):
+        (dp, a), (dq, b) = p, q
+        g = math.gcd(dp, dq)
+        sa, sb = dq // g, sign * (dp // g)
+        out = {e: n * sa for e, n in a.items()} if sa != 1 else dict(a)
+        get = out.get
+        for e, n in b.items():
+            out[e] = get(e, 0) + n * sb
+        return _reduced(dp * sa, out)
+
+    def sub(self, p, q):
+        return self.add(p, q, -1)
+
+    @staticmethod
+    def mul(p, q):
+        (dp, a), (dq, b) = p, q
+        out = {}
+        get = out.get
+        for e1, n1 in a.items():
+            for e2, n2 in b.items():
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = get(e, 0) + n1 * n2
+        return _reduced(dp * dq, out)
+
+    @staticmethod
+    def scale(p, c):
+        c, (den, nums) = Fraction(c), p
+        return _reduced(den * c.denominator, {e: n * c.numerator for e, n in nums.items() if c})
 
     def is_zero(self, p) -> bool:
-        return not p
+        return not p[1]
 
     def exact_scalar(self, p):
         """The value of a constant polynomial; None when p depends on the inputs."""
-        return None if any(sum(e) for e in p) else p.get((0,) * self.nvars, Fraction(0))
+        den, nums = p
+        return None if any(map(any, nums)) else Fraction(nums.get((0,) * self.nvars, 0), den)
 
     def scalar(self, p) -> Fraction:
         c = self.exact_scalar(p)
         if c is None:
-            raise NonPolynomialError(
-                "it depends on the inputs, so it has no polynomial inverse"
-            )
-        return qq(c)
+            raise NonPolynomialError("it depends on the inputs, so it has no polynomial inverse")
+        return c
 
     def invert(self, p):
         c = self.scalar(p)
         if not c:
             raise ZeroDivisionError("zero has no inverse")
-        return poly_const(1 / c, self.nvars)
+        return self.const(1 / c)
 
     def call(self, op, x, where):
         raise NonPolynomialError(f"{op}() is not polynomial: {where}")
@@ -419,12 +408,17 @@ def evaluate_numeric(expr: Expr, values, var_names=None):
     return fold(expr, ring, values, var_names)
 
 
-def poly_from_expr(expr: Expr, nvars: int, var_names=None):
-    """Exact polynomial of an expression: NonPolynomialError for calls and
-    for denominators that depend on the inputs, NotInvertibleError (a
-    ZeroDivisionError) for zero ones."""
+def int_poly(expr: Expr, nvars: int, var_names=None):
+    """Exact polynomial of an expression, in PolyCoefficients' int form:
+    NonPolynomialError for calls and for denominators that depend on the
+    inputs, NotInvertibleError (a ZeroDivisionError) for zero ones."""
     ring = PolyCoefficients(nvars)
-    return fold(expr, ring, [poly_var(i, nvars) for i in range(nvars)], var_names)
+    return fold(expr, ring, [ring.var(i) for i in range(nvars)], var_names)
+
+
+def poly_from_expr(expr: Expr, nvars: int, var_names=None):
+    """int_poly's polynomial as {exponent tuple: Fraction}."""
+    return PolyCoefficients.fractions(int_poly(expr, nvars, var_names))
 
 
 # ----- smooth maps ---------------------------------------------------------
@@ -513,6 +507,34 @@ class SmoothMap:
 
     def __repr__(self):
         return f"SmoothMap({serialize_map(self)})"
+
+
+def jacobian(f: SmoothMap, point):
+    """The exact Jacobian of f at a point of Fractions x_i = a_i / b_i, read
+    off each body's int polynomial over one common denominator: in a
+    partial derivative's term, x_i^k is a_i^k * b_i^(top_i - k), with
+    top_i the largest such k, from one table of powers, each refused
+    past the power budget (bases 0 and +-1 are exempt)."""
+    n = f.arity_in
+    polys = [int_poly(b, n, f.var_names) for b in f.bodies]
+    # (row, column, numerator, exponents) of each partial derivative's terms
+    terms = [(r, j, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+             for r, (_, nums) in enumerate(polys) for e, c in nums.items()
+             for j in range(n) if e[j]]
+    top = [max([d[i] for *_, d in terms], default=0) for i in range(n)]
+    for name, x, k in zip(f.var_names, point, top):
+        if _over_budget(x, k):
+            raise EvaluationError(
+                f"exact power {name}^{k} at {name} = {x} in the Jacobian exceeds "
+                f"the budget of 2^{_POWER_BUDGET_LOG2} bits for its scalar part"
+            )
+    table = {(i, k): pow(point[i].numerator, k) * pow(point[i].denominator, top[i] - k)
+             for i, k in {ik for *_, d in terms for ik in enumerate(d)}}
+    sums = [[0] * n for _ in polys]
+    for r, j, c, d in terms:
+        sums[r][j] += c * math.prod(map(table.__getitem__, enumerate(d)))
+    common = math.prod(pow(x.denominator, k) for x, k in zip(point, top))
+    return [[Fraction(s, den * common) for s in row] for row, (den, _) in zip(sums, polys)]
 
 
 def _default_names(n: int):

@@ -40,11 +40,10 @@ from .expr import (
     PolyCoefficients,
     SmoothMap,
     fold,
+    int_poly,
+    jacobian,
     linear_map,
     parse_map,
-    poly_diff,
-    poly_eval,
-    poly_from_expr,
 )
 from .reports import Check, Report, Verdict
 from .smooth import WeilPoint, apply_map, apply_morphism, embed_base, lift_map
@@ -120,18 +119,19 @@ class FiberedObject:
 
 
 def _polys(f: SmoothMap, inner: SmoothMap | None = None, inner_polys=None):
-    """f, or f after inner, as exact polynomials.  No composite is built:
-    f's bodies fold over inner's polynomials, which are inner_polys when
-    already converted, else those of the inner bodies f reads (the ones
-    compose would substitute).  A map that is not polynomial (a call, or a
-    denominator that depends on the inputs) is a FiberedError."""
+    """f, or f after inner, as canonical int polynomials (PolyCoefficients).
+    No composite is built: f's bodies fold over inner's polynomials, which
+    are inner_polys when already converted, else those of the inner bodies
+    f reads (the ones compose would substitute).  A map that is not
+    polynomial (a call, or a denominator that depends on the inputs) is a
+    FiberedError."""
     try:
         if inner is None:
-            return f.to_polys()
+            return [int_poly(b, f.arity_in, f.var_names) for b in f.bodies]
         if inner_polys is None:
             reads = set().union(*(b.variables() for b in f.bodies))
             inner_polys = [
-                poly_from_expr(b, inner.arity_in, inner.var_names) if i in reads else None
+                int_poly(b, inner.arity_in, inner.var_names) if i in reads else None
                 for i, b in enumerate(inner.bodies)
             ]
         ring = PolyCoefficients(inner.arity_in)
@@ -418,11 +418,7 @@ def vertical_fiber(p: FiberedObject, w: WeilAlgebra, e0) -> VerticalFiber:
             f"{p.projection.name} is not polynomial; the graded solver only "
             "handles polynomial projections"
         )
-    jac = Matrix(
-        [[poly_eval(poly_diff(poly, j), base) for j in range(p.total_dim)]
-         for poly in p.projection.to_polys()],
-        cols=p.total_dim,
-    )
+    jac = Matrix(jacobian(p.projection, base), cols=p.total_dim)
     vectors, degrees = filtered_basis(w)
     system = factor(jac)
     return VerticalFiber(

@@ -35,7 +35,6 @@ from .expr import (
     SmoothMap,
     fold,
     poly_to_expr,
-    poly_var,
 )
 from .reports import Verdict
 from .weil import (
@@ -553,7 +552,7 @@ def lift_map(f: SmoothMap, algebra: WeilAlgebra) -> SmoothMap:
     total = n * d
     ring = PolyCoefficients(total)
     values = [
-        ExtendedElement(ring, algebra, [poly_var(i * d + b, total) for b in range(d)])
+        ExtendedElement(ring, algebra, [ring.var(i * d + b) for b in range(d)])
         for i in range(n)
     ]
     template = basis_element(algebra, 0, ring)
@@ -566,5 +565,5 @@ def lift_map(f: SmoothMap, algebra: WeilAlgebra) -> SmoothMap:
     bodies = []
     for r in results:
         for c in r.coeffs:
-            bodies.append(poly_to_expr(c, total))
+            bodies.append(poly_to_expr(ring.fractions(c), total))
     return SmoothMap(names, tuple(bodies), name=f"{f.name}_lift")

@@ -375,7 +375,7 @@ class WeilAlgebra:
                 for k in range(1, max(degrees) + 1)
             ]
             return self._chain
-        m1 = kernel_basis(Matrix._of((self.aug,), d))
+        m1 = self.maximal_ideal_basis()
         # eliminations hand out exact Fractions, so they skip qq on the way in
         m1_elements = [WeilElement._ints(self, *_canonical(w)) for w in m1]
         chain = []
@@ -397,12 +397,14 @@ class WeilAlgebra:
         return chain
 
     def maximal_ideal_basis(self):
-        """Raw Fraction vectors spanning the augmentation kernel: a
-        presented algebra's are its unit vectors past the unit."""
+        """Raw Fraction vectors spanning the augmentation kernel, the ideal
+        chain's first entry: a presented algebra's are its unit vectors past
+        the unit, a tabled one's the kernel of its augmentation row."""
         if self.flavor == "presented":
             return [_unit(self.dimension, i) for i in range(1, self.dimension)]
-        chain = self._ideal_chain()
-        return chain[0] if chain else []
+        if self._chain:
+            return self._chain[0]
+        return kernel_basis(Matrix._of((self.aug,), self.dimension))
 
     def _terms(self, i: int, j: int):
         """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index

@@ -362,6 +362,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "int-poly-unreduced",
+        "weilkit/expr.py",
+        "g = math.gcd(den, *nums.values()) if den > 1 else 1",
+        "g = 1",
+        ("tests/test_fibered.py::test_a_square_commutes_however_its_top_is_written",),
+    ),
+    Mutant(
+        "jacobian-exponent-off-by-one",
+        "weilkit/expr.py",
+        "e[:j] + (e[j] - 1,) + e[j + 1:]",
+        "e[:j] + (e[j],) + e[j + 1:]",
+        ("tests/test_expr.py::test_int_polynomials_match_the_fraction_reference",),
+    ),
+    Mutant(
         "rref-row-update-skipped",
         "weilkit/exactlin.py",
         "if f and row is not prow:",

@@ -41,9 +41,14 @@ Kronecker route of linear vertical bundles that reading ker P replaced:
 kernels of P (x) (I - e0 aug), arrows and legs lifted to A (x) I, a span
 comparison (spans_equal_reference), and one factored P (x) I per pullback.
 skewed_copy builds test algebras whose augmentation does not vanish past
-the unit.  The expression
-references at the end are the tree walkers weilkit used before its single
-fold; they share only the polynomial arithmetic helpers with the package.
+the unit.  FractionPolyCoefficients is the polynomial ring as it was on
+{exponent tuple: Fraction} dicts, with the dict functions it is made of
+(poly_add ... poly_diff); fraction_polys, jacobian_reference,
+square_decision_reference and lift_map_reference fold over it with the
+package's own fold, the routes that int numerators over one denominator
+replaced.  The expression references at the end are the tree walkers
+weilkit used before its single fold; they share only the polynomial
+arithmetic helpers above.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import functools
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -68,19 +74,18 @@ from weilkit.exactlin import (
     qq,
     vstack,
 )
-from weilkit.expr import (
-    NonPolynomialError,
-    poly_add,
-    poly_const,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    poly_var,
-)
+from weilkit.expr import NonPolynomialError, SmoothMap, fold, poly_to_expr
 from weilkit.corpus import random_rational
 from weilkit.fibered import FiberedError
-from weilkit.smooth import WeilPoint, apply_map, embed_base
+from weilkit.smooth import (
+    ExtendedElement,
+    WeilPoint,
+    apply_map,
+    basis_element,
+    coordinate_names,
+    embed_base,
+    lift_eval,
+)
 from weilkit.weil import (
     AlgebraError,
     MorphismError,
@@ -564,6 +569,193 @@ def evaluate_numeric_reference(expr, values):
             )
         return getattr(math, op)(inner)
     raise ValueError(f"unknown node {op!r}")
+
+
+# ----- polynomials as {exponent tuple: Fraction} dicts ------------------------
+# weilkit.expr's polynomial functions before PolyCoefficients held int
+# numerators over one denominator; the readers still hand out these dicts.
+
+
+def poly_const(q, nvars: int):
+    q = Fraction(q)
+    return {(0,) * nvars: q} if q else {}
+
+
+def poly_var(i: int, nvars: int):
+    e = [0] * nvars
+    e[i] = 1
+    return {tuple(e): Fraction(1)}
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_scale(p, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {e: c * v for e, v in p.items()}
+
+
+def poly_sub(p, q):
+    return poly_add(p, poly_scale(q, -1))
+
+
+def poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def poly_eval(p, point):
+    """Evaluate at a tuple of Fractions (or anything with ring ops)."""
+    total = None
+    for e, c in sorted(p.items()):
+        term = c
+        for x, k in zip(point, e):
+            for _ in range(k):
+                term = term * x
+        total = term if total is None else total + term
+    if total is None:
+        return Fraction(0)
+    return total
+
+
+def poly_diff(p, i: int):
+    out = {}
+    for e, c in p.items():
+        if e[i] == 0:
+            continue
+        d = list(e)
+        d[i] -= 1
+        out[tuple(d)] = c * e[i]
+    return out
+
+
+@dataclass(frozen=True)
+class FractionPolyCoefficients:
+    """weilkit.expr.PolyCoefficients as it was on the Fraction dicts above:
+    the same fold protocol and error messages, so folding over it is the
+    reference for every reader of the int form."""
+
+    nvars: int
+    symbolic = True
+    depth = 1
+
+    def zero(self):
+        return {}
+
+    def const(self, value):
+        return poly_const(qq(value), self.nvars)
+
+    add = staticmethod(poly_add)
+    sub = staticmethod(poly_sub)
+    mul = staticmethod(poly_mul)
+    scale = staticmethod(poly_scale)
+
+    def is_zero(self, p) -> bool:
+        return not p
+
+    def exact_scalar(self, p):
+        return None if any(sum(e) for e in p) else p.get((0,) * self.nvars, Fraction(0))
+
+    def scalar(self, p) -> Fraction:
+        c = self.exact_scalar(p)
+        if c is None:
+            raise NonPolynomialError(
+                "it depends on the inputs, so it has no polynomial inverse"
+            )
+        return qq(c)
+
+    def invert(self, p):
+        c = self.scalar(p)
+        if not c:
+            raise ZeroDivisionError("zero has no inverse")
+        return poly_const(1 / c, self.nvars)
+
+    def call(self, op, x, where):
+        raise NonPolynomialError(f"{op}() is not polynomial: {where}")
+
+
+def _fraction_poly(body, nvars: int, var_names):
+    ring = FractionPolyCoefficients(nvars)
+    return fold(body, ring, [poly_var(i, nvars) for i in range(nvars)], var_names)
+
+
+def fraction_polys(f, inner=None, inner_polys=None):
+    """f, or f after inner, folded over the Fraction dicts as
+    fibered._polys folds over the int form: inner's bodies are converted
+    only where f reads them, unless inner_polys are given."""
+    if inner is None:
+        return [_fraction_poly(b, f.arity_in, f.var_names) for b in f.bodies]
+    if inner_polys is None:
+        reads = set().union(*(b.variables() for b in f.bodies))
+        inner_polys = [
+            _fraction_poly(b, inner.arity_in, inner.var_names) if i in reads else None
+            for i, b in enumerate(inner.bodies)
+        ]
+    ring = FractionPolyCoefficients(inner.arity_in)
+    return [fold(b, ring, inner_polys, f.var_names) for b in f.bodies]
+
+
+def square_decision_reference(source, target, top, bottom):
+    """FiberedMorphism's decision, made on the Fraction dicts in its order:
+    None when the square commutes, else the message of its FiberedError."""
+    try:
+        top_polys = fraction_polys(top)
+        fraction_polys(bottom)
+        left = fraction_polys(target.projection, top, top_polys)
+        right = fraction_polys(bottom, source.projection)
+    except (NonPolynomialError, ZeroDivisionError) as exc:
+        return f"squares are decided on polynomial maps only: {exc}"
+    if left != right:
+        return (
+            "square does not commute: projection after top differs from "
+            "bottom after projection"
+        )
+    return None
+
+
+def jacobian_reference(f, point):
+    """The Jacobian of a polynomial map at a point of Fractions, as
+    vertical_fiber read it before: each body's Fraction dict
+    differentiated, then evaluated one factor at a time."""
+    return [
+        [poly_eval(poly_diff(p, j), point) for j in range(f.arity_in)]
+        for p in fraction_polys(f)
+    ]
+
+
+def lift_map_reference(f, algebra):
+    """smooth.lift_map over the Fraction dicts."""
+    d, n = algebra.dimension, f.arity_in
+    ring = FractionPolyCoefficients(n * d)
+    values = [
+        ExtendedElement(ring, algebra, [poly_var(i * d + b, n * d) for b in range(d)])
+        for i in range(n)
+    ]
+    template = basis_element(algebra, 0, ring)
+    bodies = [
+        poly_to_expr(c, n * d)
+        for body in f.bodies
+        for c in lift_eval(body, values, template=template, var_names=f.var_names).coeffs
+    ]
+    return SmoothMap(coordinate_names(f.var_names, algebra), tuple(bodies), name=f"{f.name}_lift")
 
 
 def poly_is_constant(p) -> bool:

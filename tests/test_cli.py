@@ -835,6 +835,47 @@ def test_vertical_powers_past_the_bit_budget_are_refused_fast(capsys):
     )
 
 
+def test_vertical_jacobian_powers_at_0_and_1_are_exempt_from_the_budget(capsys):
+    # the Jacobian raises each base coordinate to its powers with pow, and a
+    # base of 0 or +-1 never grows, so x^20000000 at (1, 1) is answered at once
+    from weilkit.fibered import FiberedObject, vertical_fiber
+    from weilkit.weil import parse_algebra
+
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "vertical", "--", "fibered p(x,y) -> (x^20000000)", "Q[d]/(d^2)", "1,1"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3:7] == [
+        "jacobian rank: 1",
+        "regular: true",
+        "consistent: true",
+        "free parameters: 1",
+    ]
+    p = FiberedObject.from_text("fibered p(x,y) -> (x^20000000)")
+    for point, row in (((1, 1), [20000000, 0]), ((-1, 0), [-20000000, 0]), ((0, 3), [0, 0])):
+        start = time.perf_counter()
+        jacobian = vertical_fiber(p, parse_algebra("Q[d]/(d^2)"), point).jacobian
+        assert time.perf_counter() - start < 1
+        assert jacobian.raw == (tuple(row),), point
+
+
+def test_vertical_jacobian_powers_past_the_bit_budget_are_refused_fast(capsys):
+    # d/dx x^2000000 at 3 needs 3^1999999, about 3.2 million bits: before the
+    # budget the Jacobian multiplied by 3 once per unit of the exponent
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "vertical", "--", "fibered p(x,y) -> (x^2000000)", "Q[d]/(d^2)", "3,1"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: exact power x^1999999 at x = 3 in the Jacobian exceeds the budget "
+        "of 2^20 bits for its scalar part\n"
+    )
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weilkit import ParseError, SmoothMap, linear_map, parse_expression, parse_map
 from weilkit.corpus import random_poly_expr, random_rational
+from weilkit.exactlin import Mode, ModeError
 from weilkit.expr import (
     EvaluationError,
     Expr,
@@ -18,11 +19,9 @@ from weilkit.expr import (
     const,
     evaluate_numeric,
     exp,
-    poly_diff,
     fold,
-    poly_eval,
+    jacobian,
     poly_from_expr,
-    poly_mul,
     poly_to_expr,
     serialize_expression,
     serialize_map,
@@ -30,7 +29,12 @@ from weilkit.expr import (
     var,
 )
 
+from weilkit.fibered import FiberedError, FiberedMorphism, FiberedObject
+from weilkit.smooth import jet, lift_map
+from weilkit.weil import dual_numbers, first_order_infinitesimals, jet_line, product_over_k
+
 import oracles
+from oracles import poly_diff, poly_eval, poly_mul
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -296,3 +300,96 @@ def test_the_fold_agrees_with_the_reference_walkers(seed):
     else:
         (new_value,) = new_value
         assert abs(new_value - value) <= 1e-12 * max(1.0, abs(value), abs(new_value))
+
+
+def test_a_call_is_described_only_when_a_ring_refuses_it(monkeypatch):
+    # the text of a call node is read only by error messages, so a float jet
+    # that succeeds serializes no node, and a refusal words it as before
+    from weilkit import expr
+
+    calls = []
+    real = expr.serialize_expression
+    monkeypatch.setattr(expr, "serialize_expression", lambda *a: calls.append(a) or real(*a))
+    f = parse_map("f(u) -> (exp(sin(u)) + log(2 + u^2)*sqrt(cos(u) + 3))")
+    jet(f, 0.5, 6, Mode.FLOAT)
+    assert calls == []
+    g = parse_map("g(u) -> (u + sin(u^2))")
+    with pytest.raises(ModeError) as exact:
+        jet(g, Fraction(1, 2), 2)
+    assert str(exact.value) == "sin() has no exact rational value; evaluate in float mode (sin(u^2))"
+    with pytest.raises(NonPolynomialError) as symbolic:
+        g.to_polys()
+    assert str(symbolic.value) == "sin() is not polynomial: sin(u^2)"
+    assert len(calls) == 2
+
+
+# ----- exact polynomials on ints against the Fraction dicts ---------------------------
+
+_LIFT_ALGEBRAS = (
+    dual_numbers(),
+    jet_line(2),
+    first_order_infinitesimals(2),
+    product_over_k(dual_numbers(), jet_line(2))[0],  # tabled: structure constants scale
+)
+
+
+def _polynomial_body(rng, nvars):
+    """random_poly_expr, at random divided by a constant, times a negative
+    power of a constant (either constant may be zero), divided by a body
+    that may depend on the inputs, or plus a call."""
+    body = random_poly_expr(rng, nvars, depth=2)
+    q = const(random_rational(rng, 2))
+    kind = rng.choice(("plain", "plain", "div", "negative power", "refused div", "call"))
+    if kind == "div":
+        return body / q
+    if kind == "negative power":
+        return body * q ** rng.choice((-1, -2, -3))
+    if kind == "refused div":
+        return body / random_poly_expr(rng, nvars, depth=1)
+    if kind == "call":
+        return body + sin(random_poly_expr(rng, nvars, depth=1))
+    return body
+
+
+def _result(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError, FiberedError) as exc:
+        return type(exc), str(exc)
+
+
+def _square(source, target, top, bottom):
+    try:
+        FiberedMorphism(source, target, top, bottom)
+    except FiberedError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_int_polynomials_match_the_fraction_reference(seed):
+    # every reader of the int form against the former Fraction dicts, folded
+    # over the same ring protocol: the same values, or the same exception
+    # type and message
+    rng = random.Random(seed)
+    names = ("x", "y")
+    f = SmoothMap(names, (_polynomial_body(rng, 2), random_poly_expr(rng, 2, 2)), name="f")
+    assert _result(f.to_polys) == _result(oracles.fraction_polys, f)
+    point = (random_rational(rng), random_rational(rng))
+    assert _result(jacobian, f, point) == _result(oracles.jacobian_reference, f, point)
+    w = rng.choice(_LIFT_ALGEBRAS)
+    assert _result(lambda: serialize_map(lift_map(f, w))) == _result(
+        lambda: serialize_map(oracles.lift_map_reference(f, w))
+    )
+    # squares over the projection onto f's first body, which may be refused;
+    # the identity square commutes exactly when the projection is polynomial
+    p = FiberedObject(SmoothMap(names, f.bodies[:1], name="p"))
+    squares = [
+        (f, SmoothMap(("s",), (_polynomial_body(rng, 1),), name="b")),
+        (SmoothMap.identity(2), SmoothMap.identity(1)),
+        (SmoothMap(names, (var(0) / 2 * 2, var(1)), name="h"), SmoothMap.identity(1)),
+    ]
+    for top, bottom in squares:
+        assert _square(p, p, top, bottom) == oracles.square_decision_reference(p, p, top, bottom)

@@ -49,7 +49,7 @@ from weilkit import (
 from weilkit import fibered
 from weilkit.corpus import random_limit_cone, random_point, random_poly_map, random_rational
 from weilkit.exactlin import Matrix, factor
-from weilkit.expr import linear_map, serialize_map
+from weilkit.expr import PolyCoefficients, linear_map, serialize_map
 from weilkit.fibered import (
     FiberedDiagram,
     _broken_pullback_cone,
@@ -773,10 +773,22 @@ def test_square_sides_match_the_composites(seed, kind):
         assert _folded_sides(p, p, f, g) == square_sides_reference(p, p, f, g)
 
 
+def test_a_square_commutes_however_its_top_is_written():
+    # a/2*2 folds to 2a over 2 before the gcd is divided out: squares compare
+    # int forms, so they must be canonical for one square written two ways
+    p = FiberedObject.coordinate_projection(2, 1)
+    bottom = parse_map("s(a) -> (a)")
+    for top in ("t(a, b) -> (a, b)", "t(a, b) -> (a/2*2, b/6*3)", "t(a, b) -> (a*(3/4)/(3/4), b)"):
+        assert FiberedMorphism(p, p, parse_map(top), bottom).bottom is bottom
+    assert _polys(parse_map("t(a) -> (a/2*2)")) == _polys(parse_map("t(a) -> (a)"))
+
+
 def _folded_sides(source, target, top, bottom):
-    """The two sides FiberedMorphism compares: the target projection folded
-    over top's polynomials, and bottom folded over the source projection's."""
-    return _polys(target.projection, top, _polys(top)), _polys(bottom, source.projection)
+    """The two sides FiberedMorphism compares, read as Fraction dicts: the
+    target projection folded over top's polynomials, and bottom folded over
+    the source projection's."""
+    sides = _polys(target.projection, top, _polys(top)), _polys(bottom, source.projection)
+    return tuple([PolyCoefficients.fractions(p) for p in side] for side in sides)
 
 
 def _polynomial_block_morphism(rng, src, tgt):

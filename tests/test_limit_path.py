@@ -299,6 +299,25 @@ def test_presented_ideal_chain_with_a_generator_killed_at_first_order():
     )
 
 
+def test_maximal_ideal_of_a_tabled_algebra_eliminates_its_augmentation_row_only(monkeypatch):
+    # the seed-3 cone's apex is a tabled algebra of dimension 9 with no ideal
+    # chain built yet: its maximal ideal is the kernel of the 1 x 9
+    # augmentation row, where building the whole chain took four eliminations
+    # (1 x 9, 64 x 9, 32 x 9 and 8 x 9)
+    apex = random_limit_cone(random.Random(3)).apex
+    assert (apex.flavor, apex.dimension) == ("tabled", 9)
+    shapes = []
+    real = Matrix._echelon
+    monkeypatch.setattr(
+        Matrix, "_echelon", lambda m, *a: shapes.append((m.rows, m.cols)) or real(m, *a)
+    )
+    basis = apex.maximal_ideal_basis()
+    assert shapes == [(1, 9)]
+    assert basis == apex._ideal_chain()[0]
+    shapes.clear()
+    assert apex.maximal_ideal_basis() == basis and shapes == []  # read off the built chain
+
+
 # ----- limits built from structure ----------------------------------------------
 
 

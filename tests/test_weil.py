@@ -595,7 +595,7 @@ _READERS = {
     "WeilCoefficients.scalar": (
         lambda m: [WeilCoefficients(_element(m).like(0)).scalar(_element(m))], Mode
     ),
-    "PolyCoefficients.scalar": (lambda m: [PolyCoefficients(2).scalar({(0, 0): 3})], [Mode.EXACT]),
+    "PolyCoefficients.scalar": (lambda m: [PolyCoefficients(2).scalar((1, {(0, 0): 3}))], [Mode.EXACT]),
 }
 
 
