@@ -5,7 +5,9 @@ A map body is a small AST over + - * / integer powers and the usual
 transcendental calls.  Variables are stored by index; names live on the
 enclosing SmoothMap and only matter for parsing, printing and error
 messages.  The printer and parser are inverse on canonical strings, byte
-for byte.
+for byte.  The tokenizer is one regular expression, one match per token
+(a number literal is a run of decimal digits, str.isdecimal, with at most
+one dot), and the descent compares tokens by index with module constants.
 
 fold() is the one evaluator, over plain numbers (evaluate_numeric, with
 the module rings FLOATS and RATIONALS), exact polynomials (int_poly)
@@ -87,11 +89,12 @@ class Expr:
         return Expr("sub", (const(0), self))
 
     def variables(self) -> set:
-        if self.op == "var":
-            return {self.value}
-        out = set()
-        for a in self.args:
-            out |= a.variables()
+        out, stack = set(), [self]
+        while stack:
+            node = stack.pop()
+            if node.op == "var":
+                out.add(node.value)
+            stack += node.args
         return out
 
     def first_call(self):
@@ -580,63 +583,59 @@ _DIGIT_RUN = re.compile(r"\d+")
 
 def check_literal(text: str, error=ValueError) -> str:
     """The text of a number literal, refused with `error` before anything
-    converts it if it holds a run of more than DIGIT_LIMIT digits."""
-    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
-    if longest > DIGIT_LIMIT:
-        raise error(
-            f"a number literal of {longest} digits exceeds the digit limit "
-            f"of {DIGIT_LIMIT} digits"
-        )
+    converts it if it holds a run of more than DIGIT_LIMIT decimal digits.
+    A run is never longer than the text that holds it, so only a longer
+    text is scanned."""
+    if len(text) > DIGIT_LIMIT:
+        longest = max(map(len, _DIGIT_RUN.findall(text)))
+        if longest > DIGIT_LIMIT:
+            raise error(
+                f"a number literal of {longest} digits exceeds the digit limit "
+                f"of {DIGIT_LIMIT} digits"
+            )
     return text
 
 
+# one match per token, in order: whitespace; a number, a run of decimal
+# digits (str.isdecimal: "²" is a digit no number reader accepts) with at
+# most one dot; a name, which must start with a letter or "_"; an
+# operator; any other character, which is an error
+_TOKEN = re.compile(r"\s+|(\d+\.?\d*|\.\d+)|(\w+)|(->|[-+*/^(),])|(.)", re.S)
+_OPS = {op: ("op", op) for op in ("->", *"+-*/^(),")}
+_PLUS, _MINUS, _TIMES, _OVER, _CARET, _OPEN, _CLOSE, _COMMA = map(_OPS.get, "+-*/^(),")
+_END = ("end", "")
+
+
 def _tokenize(text: str):
+    """[(kind, text)] ending in _END; operators are the _OPS tuples."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(("num", check_literal(text[i:j], ParseError)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(("op", "->"))
-            i += 2
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(("end", ""))
+    append = tokens.append
+    for num, name, op, other in _TOKEN.findall(text):
+        if num:
+            append(("num", check_literal(num, ParseError)))
+        elif op:
+            append(_OPS[op])
+        elif other or name and not (name[0].isalpha() or name[0] == "_"):
+            # made only on error: the offset of the first unexpected character
+            for m in _TOKEN.finditer(text):
+                ch = m[0][0]
+                if m[4] or m[2] and not (ch.isalpha() or ch == "_"):
+                    raise ParseError(f"unexpected character {ch!r} at offset {m.start()}")
+        elif name:
+            append(("name", name))
+    append(_END)
     return tokens
 
 
 class _Parser:
+    """Recursive descent over a token list: each level compares the token at
+    pos with the token constants above and steps pos on; take() reads a
+    token that must be there and words the error when it is not."""
+
     def __init__(self, tokens, var_names):
         self.tokens = tokens
         self.pos = 0
         self.var_names = list(var_names)
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def take(self, kind=None, value=None):
         tok = self.tokens[self.pos]
@@ -647,70 +646,78 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def listed(self, read):
+        """read() once per item of a comma-separated list, then its ")"."""
+        items = []
+        if self.tokens[self.pos] != _CLOSE:
+            items.append(read())
+            while self.tokens[self.pos] == _COMMA:
+                self.pos += 1
+                items.append(read())
+        self.take("op", ")")
+        return items
+
     def expression(self) -> Expr:
         node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
+        tokens = self.tokens
+        while (tok := tokens[self.pos]) == _PLUS or tok == _MINUS:
+            self.pos += 1
+            node = Expr("add" if tok == _PLUS else "sub", (node, self.term()))
         return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
+        tokens = self.tokens
+        while (tok := tokens[self.pos]) == _TIMES or tok == _OVER:
+            self.pos += 1
             rhs = self.unary()
-            if op == "/":
-                if node.op == "const" and rhs.op == "const":
-                    if rhs.value == 0:
-                        raise ParseError("division by the constant zero")
-                    node = const(node.value / rhs.value)
-                else:
-                    node = node / rhs
+            if tok == _TIMES:
+                node = Expr("mul", (node, rhs))
+            elif node.op != "const" or rhs.op != "const":
+                node = Expr("div", (node, rhs))
+            elif rhs.value == 0:
+                raise ParseError("division by the constant zero")
             else:
-                node = node * rhs
+                node = Expr("const", (), node.value / rhs.value)
         return node
 
     def unary(self) -> Expr:
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return -inner
+        if self.tokens[self.pos] == _MINUS:
+            self.pos += 1
+            return -self.unary()
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            tok = self.take("num")
-            if "." in tok[1]:
-                raise ParseError("powers must be integers")
-            return base ** (sign * int(tok[1]))
-        return base
+        if self.tokens[self.pos] != _CARET:
+            return base
+        self.pos += 1
+        sign = 1
+        if self.tokens[self.pos] == _MINUS:
+            self.pos += 1
+            sign = -1
+        text = self.take("num")[1]
+        if "." in text:
+            raise ParseError("powers must be integers")
+        return Expr("intpow", (base,), sign * int(text))
 
     def atom(self) -> Expr:
-        kind, text = self.peek()
+        kind, text = tok = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            self.take()
-            return const(Fraction(text))
+            return Expr("const", (), Fraction(text) if "." in text else Fraction(int(text)))
         if kind == "name":
-            self.take()
-            if self.peek() == ("op", "("):
-                if text not in _CALLS:
-                    raise ParseError(f"unknown function {text!r}")
-                self.take("op", "(")
-                inner = self.expression()
-                self.take("op", ")")
-                return Expr(text, (inner,))
-            if text not in self.var_names:
-                raise ParseError(f"unknown variable {text!r}")
-            return var(self.var_names.index(text))
-        if (kind, text) == ("op", "("):
-            self.take()
+            if self.tokens[self.pos] != _OPEN:
+                if text not in self.var_names:
+                    raise ParseError(f"unknown variable {text!r}")
+                return Expr("var", (), self.var_names.index(text))
+            if text not in _CALLS:
+                raise ParseError(f"unknown function {text!r}")
+            self.pos += 1
+            inner = self.expression()
+            self.take("op", ")")
+            return Expr(text, (inner,))
+        if tok == _OPEN:
             inner = self.expression()
             self.take("op", ")")
             return inner
@@ -727,41 +734,21 @@ def parse_expression(text: str, var_names) -> Expr:
 def parse_map(text: str, keyword: str = "map") -> SmoothMap:
     """Parse 'map f(u,v) -> (body, body)'.  The keyword prefix is optional."""
     tokens = _tokenize(text)
-    pos = 0
-    if tokens[pos] == ("name", keyword):
-        pos += 1
+    pos = int(tokens[0] == ("name", keyword))
     if tokens[pos][0] != "name":
         raise ParseError("expected a map name")
-    name = tokens[pos][1]
-    pos += 1
     p = _Parser(tokens, [])
-    p.pos = pos
+    p.pos = pos + 1
     p.take("op", "(")
-    names = []
-    if p.peek() != ("op", ")"):
-        while True:
-            names.append(p.take("name")[1])
-            if p.peek() == ("op", ","):
-                p.take()
-            else:
-                break
-    p.take("op", ")")
+    names = p.listed(lambda: p.take("name")[1])
     p.take("op", "->")
     p.take("op", "(")
     p.var_names = names
-    bodies = []
-    if p.peek() != ("op", ")"):
-        while True:
-            bodies.append(p.expression())
-            if p.peek() == ("op", ","):
-                p.take()
-            else:
-                break
-    p.take("op", ")")
+    bodies = p.listed(p.expression)
     p.take("end")
     if len(set(names)) != len(names):
         raise ParseError("variable names repeat")
-    return SmoothMap(tuple(names), tuple(bodies), name=name)
+    return SmoothMap(tuple(names), tuple(bodies), name=tokens[pos][1])
 
 
 # ----- printing ------------------------------------------------------------

@@ -187,6 +187,7 @@ class WeilAlgebra:
         "labels",
         "tensor_info",
         "_chain",
+        "_m1",
         "_codes",
         "_by_code",
         "_table",
@@ -203,7 +204,7 @@ class WeilAlgebra:
     def _blank(cls):
         self = object.__new__(cls)
         self.tensor_info = None
-        self._chain = None
+        self._chain = self._m1 = None
         self._table = None
         self._aug_ints = None
         return self
@@ -399,12 +400,13 @@ class WeilAlgebra:
     def maximal_ideal_basis(self):
         """Raw Fraction vectors spanning the augmentation kernel, the ideal
         chain's first entry: a presented algebra's are its unit vectors past
-        the unit, a tabled one's the kernel of its augmentation row."""
+        the unit, a tabled one's the kernel of its augmentation row (cached,
+        so the chain starts from it)."""
         if self.flavor == "presented":
             return [_unit(self.dimension, i) for i in range(1, self.dimension)]
-        if self._chain:
-            return self._chain[0]
-        return kernel_basis(Matrix._of((self.aug,), self.dimension))
+        if self._m1 is None:
+            self._m1 = kernel_basis(Matrix._of((self.aug,), self.dimension))
+        return self._m1
 
     def _terms(self, i: int, j: int):
         """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index

@@ -382,6 +382,20 @@ MUTANTS = (
         "if f and row is not prow and row is not rows[0]:",
         ("tests/test_cli.py::test_every_verify_elimination_is_certified_by_products",),
     ),
+    Mutant(
+        "digit-limit-guard-off-by-one",
+        "weilkit/expr.py",
+        "    if len(text) > DIGIT_LIMIT:\n",
+        "    if len(text) > DIGIT_LIMIT + 1:\n",
+        ("tests/test_cli.py::test_number_literals_one_digit_past_the_limit_are_parse_errors",),
+    ),
+    Mutant(
+        "descent-minus-adds",
+        "weilkit/expr.py",
+        'Expr("add" if tok == _PLUS else "sub", (node, self.term()))',
+        'Expr("add" if tok == _PLUS else "add", (node, self.term()))',
+        ("tests/test_expr.py::test_the_parser_matches_the_character_loop_it_replaced",),
+    ),
 )
 
 

@@ -46,9 +46,13 @@ the unit.  FractionPolyCoefficients is the polynomial ring as it was on
 (poly_add ... poly_diff); fraction_polys, jacobian_reference,
 square_decision_reference and lift_map_reference fold over it with the
 package's own fold, the routes that int numerators over one denominator
-replaced.  The expression references at the end are the tree walkers
-weilkit used before its single fold; they share only the polynomial
-arithmetic helpers above.
+replaced.  The expression references are the tree walkers weilkit used
+before its single fold; they share only the polynomial arithmetic helpers
+above.  tokenize_reference, ParserReference, parse_expression_reference
+and parse_map_reference are the DSL parser as it was before it matched
+tokens with one regular expression: a loop per character, with number
+literals read by str.isdigit, and peek()/take() at every level of the
+descent; they build their trees with the package's constructors.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +79,17 @@ from weilkit.exactlin import (
     qq,
     vstack,
 )
-from weilkit.expr import NonPolynomialError, SmoothMap, fold, poly_to_expr
+from weilkit.expr import (
+    DIGIT_LIMIT,
+    Expr,
+    NonPolynomialError,
+    ParseError,
+    SmoothMap,
+    const,
+    fold,
+    poly_to_expr,
+    var,
+)
 from weilkit.corpus import random_rational
 from weilkit.fibered import FiberedError
 from weilkit.smooth import (
@@ -826,6 +841,200 @@ def poly_from_expr_reference(expr, nvars: int):
             0 if expr.value else 1, nvars
         )
     raise NonPolynomialError(f"{op}() is not polynomial")
+
+
+# ----- the DSL parser, token by token ----------------------------------------
+# weilkit.expr's tokenizer and descent before they matched tokens with one
+# regular expression and compared them by index: a character loop that reads
+# number literals with str.isdigit (so "²" starts one that no number reader
+# accepts), peek()/take() at every level, and two conversions per literal.
+
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def check_literal_reference(text: str, error=ValueError) -> str:
+    """The text, refused if a run of its decimal digits is longer than
+    DIGIT_LIMIT; every text is scanned."""
+    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+    if longest > DIGIT_LIMIT:
+        raise error(
+            f"a number literal of {longest} digits exceeds the digit limit "
+            f"of {DIGIT_LIMIT} digits"
+        )
+    return text
+
+
+def tokenize_reference(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            tokens.append(("num", check_literal_reference(text[i:j], ParseError)))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("op", "->"))
+            i += 2
+            continue
+        if ch in "+-*/^(),":
+            tokens.append(("op", ch))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r} at offset {i}")
+    tokens.append(("end", ""))
+    return tokens
+
+
+class ParserReference:
+    def __init__(self, tokens, var_names):
+        self.tokens = tokens
+        self.pos = 0
+        self.var_names = list(var_names)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None, value=None):
+        tok = self.tokens[self.pos]
+        if kind and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}")
+        if value and tok[1] != value:
+            raise ParseError(f"expected {value!r}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
+
+    def expression(self):
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            op = self.take()[1]
+            rhs = self.term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            op = self.take()[1]
+            rhs = self.unary()
+            if op == "/":
+                if node.op == "const" and rhs.op == "const":
+                    if rhs.value == 0:
+                        raise ParseError("division by the constant zero")
+                    node = const(node.value / rhs.value)
+                else:
+                    node = node / rhs
+            else:
+                node = node * rhs
+        return node
+
+    def unary(self):
+        if self.peek() == ("op", "-"):
+            self.take()
+            inner = self.unary()
+            return -inner
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            sign = 1
+            if self.peek() == ("op", "-"):
+                self.take()
+                sign = -1
+            tok = self.take("num")
+            if "." in tok[1]:
+                raise ParseError("powers must be integers")
+            return base ** (sign * int(tok[1]))
+        return base
+
+    def atom(self):
+        kind, text = self.peek()
+        if kind == "num":
+            self.take()
+            return const(Fraction(text))
+        if kind == "name":
+            self.take()
+            if self.peek() == ("op", "("):
+                if text not in _CALLS:
+                    raise ParseError(f"unknown function {text!r}")
+                self.take("op", "(")
+                inner = self.expression()
+                self.take("op", ")")
+                return Expr(text, (inner,))
+            if text not in self.var_names:
+                raise ParseError(f"unknown variable {text!r}")
+            return var(self.var_names.index(text))
+        if (kind, text) == ("op", "("):
+            self.take()
+            inner = self.expression()
+            self.take("op", ")")
+            return inner
+        raise ParseError(f"unexpected token {text!r}")
+
+
+def parse_expression_reference(text: str, var_names):
+    p = ParserReference(tokenize_reference(text), var_names)
+    node = p.expression()
+    p.take("end")
+    return node
+
+
+def parse_map_reference(text: str, keyword: str = "map"):
+    tokens = tokenize_reference(text)
+    pos = 0
+    if tokens[pos] == ("name", keyword):
+        pos += 1
+    if tokens[pos][0] != "name":
+        raise ParseError("expected a map name")
+    name = tokens[pos][1]
+    pos += 1
+    p = ParserReference(tokens, [])
+    p.pos = pos
+    p.take("op", "(")
+    names = []
+    if p.peek() != ("op", ")"):
+        while True:
+            names.append(p.take("name")[1])
+            if p.peek() == ("op", ","):
+                p.take()
+            else:
+                break
+    p.take("op", ")")
+    p.take("op", "->")
+    p.take("op", "(")
+    p.var_names = names
+    bodies = []
+    if p.peek() != ("op", ")"):
+        while True:
+            bodies.append(p.expression())
+            if p.peek() == ("op", ","):
+                p.take()
+            else:
+                break
+    p.take("op", ")")
+    p.take("end")
+    if len(set(names)) != len(names):
+        raise ParseError("variable names repeat")
+    return SmoothMap(tuple(names), tuple(bodies), name=name)
 
 
 # ----- Weil element arithmetic ------------------------------------------------

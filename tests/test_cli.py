@@ -319,14 +319,73 @@ def test_morphism_image_grammar_never_raises(data):
             ends = data.draw(st.sampled_from(["0 1", "0 1", "0 0", "1 1", "1 0", "2 1", "a 1"]))
             s, t = ((xs, ts)[int(e)] if e in "01" else xs for e in ends.split())
             argv += ["--arrow", f"{ends} {data.draw(_fuzz_images(s, t))}"]
+    code, err = _exit_of(argv)
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err == "")
+
+
+def _exit_of(argv):
+    """(exit code, stderr) of main(argv); a SystemExit counts as its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2)
-    assert (code == 0) == (err.getvalue() == "")
+    return code, err.getvalue()
+
+
+# junk for map and algebra text: stray brackets and operators, a literal
+# that is not an integer, digits no number reader accepts, unknown names
+_TEXT_JUNK = ["", " ", "(", ")", ",", "^", "^-", "*", "/0", "->", "²", "½", "é", ".", "1.5", "11"]
+_TEXT_JUNK += ["q", "sin("]
+
+
+@st.composite
+def _spliced(draw, text):
+    """text, or (one draw in four) text with a junk piece at a drawn offset."""
+    if draw(st.integers(0, 3)):
+        return text
+    k = draw(st.integers(0, len(text)))
+    return text[:k] + draw(st.sampled_from(_TEXT_JUNK)) + text[k:]
+
+
+@st.composite
+def _fuzz_body(draw, names):
+    """A map body over names: a sum of terms, some not polynomial, spliced."""
+    first, last = names[0], names[-1]
+    atoms = [*names, *(f"{n}^{draw(st.integers(0, 3))}" for n in names), "2", "1/2", "(-3)"]
+    atoms += [f"({first} - 1)^2", f"{first}*{last}", f"sin({last})", f"1/{first}", f"{last}^-1"]
+    terms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=4))
+    text = terms[0] + "".join(draw(st.sampled_from([" + ", " - ", "*"])) + t for t in terms[1:])
+    return draw(_spliced(text))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_map_and_algebra_grammars_never_raise(data):
+    # jet expressions, vertical map bodies and presented algebras, mostly
+    # well formed: every input ends in exit 0, 1 or 2
+    draw = data.draw
+    kind = draw(st.sampled_from(("jet", "vertical", "info")))
+    values = st.sampled_from(["0", "1", "-2", "1/2", "0.5", "x", ""])
+    if kind == "jet":
+        names = draw(st.sampled_from([("u",), ("x", "y")]))
+        at = ",".join(draw(values) for _ in names)
+        order = str(draw(st.integers(0, 3)))
+        argv = ["jet", draw(_fuzz_body(names)), f"--at={at}", "--order", order]
+        argv += ["--mixed"] * (len(names) > 1) + ["--mode", "float"] * draw(st.booleans())
+    elif kind == "vertical":
+        names = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+        bodies = [draw(_fuzz_body(names)) for _ in range(draw(st.integers(1, len(names) - 1)))]
+        fibered = draw(_spliced(f"fibered p({', '.join(names)}) -> ({', '.join(bodies)})"))
+        algebra = draw(_fuzz_algebra(("d", "e")))[1]
+        argv = ["vertical", "--", fibered, algebra, ",".join(draw(values) for _ in names)]
+    else:
+        argv = ["weil", "info", draw(_spliced(draw(_fuzz_algebra(("x", "y", "z")))[1]))]
+    code, err = _exit_of(argv)
+    assert code in (0, 1, 2), argv
+    assert (code == 0) == (err == ""), argv
 
 
 # ----- vertical -----------------------------------------------------------------
@@ -669,6 +728,27 @@ def test_exit_codes_never_mix_parse_and_eval():
     assert (parse_code, eval_code) == (2, 1)
 
 
+# a number literal is a run of decimal digits (str.isdecimal): "²" passes
+# str.isdigit, but neither int nor Fraction reads it, so it is a parse error
+_SUPERSCRIPT = [
+    (("jet", "x+²", "--at=1"), 2),
+    (("jet", "x^²", "--at=1"), 2),
+    (("vertical", "--", "fibered p(x,y) -> (x+²)", "Q[d]/(d^2)", "1,1"), 21),
+    (("vertical", "--", "fibered p(x,y) -> (x^²)", "Q[d]/(d^2)", "1,1"), 21),
+    (("weil", "equalizer", "Q[x]/(x^2)", "Q[t]/(t^3)", "x -> t+²", "x -> t"), 3),
+    (("weil", "equalizer", "Q[x]/(x^2)", "Q[t]/(t^3)", "x -> t^²", "x -> t"), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    _SUPERSCRIPT,
+    ids=[f"{kind}-{op}" for kind in ("jet", "vertical", "equalizer") for op in ("sum", "power")],
+)
+def test_a_digit_no_number_reader_accepts_is_a_parse_error(capsys, argv, offset):
+    assert run(capsys, *argv) == (2, "", f"error: unexpected character '²' at offset {offset}\n")
+
+
 # ----- input budgets and refusals -----------------------------------------------
 
 
@@ -926,6 +1006,25 @@ _LITERAL_REFUSAL = "error: a number literal of 5000 digits exceeds the digit lim
 )
 def test_number_literals_past_the_digit_limit_are_parse_errors(capsys, argv):
     assert run(capsys, *argv) == (2, "", _LITERAL_REFUSAL)
+
+
+# one digit past the limit: a guard that is off by one lets these through to
+# int() or Fraction(), which word other errors
+_PAST = "1" * 4301
+_PAST_REFUSAL = "error: a number literal of 4301 digits exceeds the digit limit of 4300 digits\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vertical", "--", f"fibered p(x,y) -> (x - {_PAST}*y)", "Q[d]/(d^2)", "1,1"),
+        ("jet", "u", "--at", _PAST, "--order", "1"),
+        ("weil", "info", f"Q[x]/(x^{_PAST})"),
+    ],
+    ids=("map-body", "at-value", "presented-exponent"),
+)
+def test_number_literals_one_digit_past_the_limit_are_parse_errors(capsys, argv):
+    assert run(capsys, *argv) == (2, "", _PAST_REFUSAL)
 
 
 def test_number_literals_at_the_digit_limit_are_read(capsys):

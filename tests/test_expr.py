@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilkit import ParseError, SmoothMap, linear_map, parse_expression, parse_map
-from weilkit.corpus import random_poly_expr, random_rational
+from weilkit.corpus import random_poly_expr, random_poly_map, random_rational
 from weilkit.exactlin import Mode, ModeError
 from weilkit.expr import (
     EvaluationError,
     Expr,
     NonPolynomialError,
     _Numbers,
+    _tokenize,
     const,
     evaluate_numeric,
     exp,
@@ -120,6 +121,88 @@ def test_serialize_parse_round_trip(seed):
     for _ in range(4):
         at = (random_rational(rng), random_rational(rng))
         assert evaluate_numeric(back, at) == evaluate_numeric(e, at)
+
+
+# pieces of DSL text: ASCII digits, dots, names, operators and whitespace,
+# with "٣" (a decimal digit that int and Fraction read), "²" (a digit that
+# neither reads), "é" (a letter) and "½" (neither a digit nor a letter)
+_PIECES = [
+    *"0123456789", "12", "3.5", ".", ".5", "u", "v", "w", "x1", "_a", "sin", "exp", "f",
+    "map", *"+-*/^(),", "->", " ", "\t", "٣", "²", "é", "½",
+]
+
+
+def _parsed(parse, *args):
+    """(value, None) or (None, (exception class, message))."""
+    try:
+        return parse(*args), None
+    except Exception as exc:  # any class: the reference's is compared
+        return None, (type(exc), str(exc))
+
+
+def _non_decimal_digit(text: str) -> bool:
+    return any(c.isdigit() and not c.isdecimal() for c in text)
+
+
+def _same_as_the_reference(new, reference):
+    """new and reference, two _parsed outcomes, are equal, unless new refused
+    a digit no number reader accepts, which the reference read as a number."""
+    error = new[1]
+    if error and error[0] is ParseError and error[1].startswith("unexpected character"):
+        if _non_decimal_digit(error[1][len("unexpected character '")]):
+            # the reference read it into a number literal no reader accepts
+            tokens = reference[0] or ()
+            assert reference[1] or any(k == "num" and _non_decimal_digit(t) for k, t in tokens)
+            return
+    assert new == reference
+
+
+_GRAMMAR = st.recursive(
+    st.sampled_from(["0", "1", "12", "3.5", ".5", "٣", "u", "v", "w", "²", "é", "½"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([*"+-*/^", " - ", "^-", "->"]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        inner.map("sin({})".format),
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join) | _GRAMMAR, st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_the_parser_matches_the_character_loop_it_replaced(body, as_map):
+    # equal tokens and trees, the same exception and message, except that a
+    # digit no number reader accepts is a parse error before any conversion
+    _same_as_the_reference(_parsed(_tokenize, body), _parsed(oracles.tokenize_reference, body))
+    if as_map:
+        text = f"map f(u, v) -> ({body})"
+        new = _parsed(parse_map, text)
+        _same_as_the_reference(new, _parsed(oracles.parse_map_reference, text))
+    else:
+        new = _parsed(parse_expression, body, ("u", "v", "w"))
+        reference = _parsed(oracles.parse_expression_reference, body, ("u", "v", "w"))
+        _same_as_the_reference(new, reference)
+
+
+def test_a_digit_no_number_reader_accepts_is_a_parse_error():
+    for text, offset in (("u+²", 2), ("u^²", 2), ("1²", 1), ("²u", 0)):
+        with pytest.raises(ParseError, match=f"^unexpected character '²' at offset {offset}$"):
+            parse_expression(text, ("u",))
+        with pytest.raises(ValueError):
+            oracles.parse_expression_reference(text, ("u",))
+    assert parse_expression("u²+٣", ("u²",)) == var(0) + const(3)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_serialized_random_maps_parse_alike_through_both_parsers(seed):
+    rng = random.Random(seed)
+    f = random_poly_map(rng, rng.randint(1, 3), rng.randint(1, 3))
+    text = serialize_map(f)
+    back = parse_map(text)
+    assert back == oracles.parse_map_reference(text)
+    assert parse_map(serialize_map(back)) == back
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -313,9 +313,11 @@ def test_maximal_ideal_of_a_tabled_algebra_eliminates_its_augmentation_row_only(
     )
     basis = apex.maximal_ideal_basis()
     assert shapes == [(1, 9)]
+    # the chain starts from the basis kept: one 1 x 9 elimination, not two
     assert basis == apex._ideal_chain()[0]
+    assert shapes == [(1, 9), (64, 9), (32, 9), (8, 9)]
     shapes.clear()
-    assert apex.maximal_ideal_basis() == basis and shapes == []  # read off the built chain
+    assert apex.maximal_ideal_basis() == basis and shapes == []  # read off the kept basis
 
 
 # ----- limits built from structure ----------------------------------------------
