@@ -587,7 +587,7 @@ def check_literal(text: str, error=ValueError) -> str:
     A run is never longer than the text that holds it, so only a longer
     text is scanned."""
     if len(text) > DIGIT_LIMIT:
-        longest = max(map(len, _DIGIT_RUN.findall(text)))
+        longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
         if longest > DIGIT_LIMIT:
             raise error(
                 f"a number literal of {longest} digits exceeds the digit limit "
@@ -610,19 +610,16 @@ def _tokenize(text: str):
     """[(kind, text)] ending in _END; operators are the _OPS tuples."""
     tokens = []
     append = tokens.append
-    for num, name, op, other in _TOKEN.findall(text):
+    for m in _TOKEN.finditer(text):
+        num, name, op, other = m.groups()
         if num:
             append(("num", check_literal(num, ParseError)))
         elif op:
             append(_OPS[op])
-        elif other or name and not (name[0].isalpha() or name[0] == "_"):
-            # made only on error: the offset of the first unexpected character
-            for m in _TOKEN.finditer(text):
-                ch = m[0][0]
-                if m[4] or m[2] and not (ch.isalpha() or ch == "_"):
-                    raise ParseError(f"unexpected character {ch!r} at offset {m.start()}")
-        elif name:
+        elif name and (name[0].isalpha() or name[0] == "_"):
             append(("name", name))
+        elif name or other:
+            raise ParseError(f"unexpected character {m[0][0]!r} at offset {m.start()}")
     append(_END)
     return tokens
 

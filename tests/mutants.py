@@ -390,6 +390,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_number_literals_one_digit_past_the_limit_are_parse_errors",),
     ),
     Mutant(
+        "digit-scan-without-default",
+        "weilkit/expr.py",
+        "max(map(len, _DIGIT_RUN.findall(text)), default=0)",
+        "max(map(len, _DIGIT_RUN.findall(text)))",
+        ("tests/test_cli.py::test_long_texts_without_a_digit_keep_their_parse_errors",),
+    ),
+    Mutant(
         "descent-minus-adds",
         "weilkit/expr.py",
         'Expr("add" if tok == _PLUS else "sub", (node, self.term()))',

@@ -1032,6 +1032,24 @@ def test_number_literals_at_the_digit_limit_are_read(capsys):
     assert code == 0 and out.splitlines()[2] == "du: " + "1" * 4300
 
 
+# a text past the limit with no digit in it has no run to refuse: it reaches
+# the reader of its field, which words its own error
+_NO_DIGIT = "z" * 4301
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("jet", "u", "--at", _NO_DIGIT, "--order", "1"), f"bad value {_NO_DIGIT!r} in the --at list"),
+        (("weil", "info", f"Q[x]/(x^{_NO_DIGIT})"), f"bad exponent in relation 'x^{_NO_DIGIT}'"),
+        (("weil", "info", _tabled_block(2, _NO_DIGIT)), f"unrecognized line in tabled block: {_NO_DIGIT!r}"),
+    ],
+    ids=("at-value", "presented-exponent", "tabled-line"),
+)
+def test_long_texts_without_a_digit_keep_their_parse_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # ----- one parser per process ---------------------------------------------------
 
 

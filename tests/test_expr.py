@@ -1,11 +1,12 @@
 """Expression trees, the map DSL, and the polynomial backend."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilkit import ParseError, SmoothMap, linear_map, parse_expression, parse_map
@@ -144,12 +145,18 @@ def _non_decimal_digit(text: str) -> bool:
     return any(c.isdigit() and not c.isdecimal() for c in text)
 
 
-def _same_as_the_reference(new, reference):
-    """new and reference, two _parsed outcomes, are equal, unless new refused
-    a digit no number reader accepts, which the reference read as a number."""
+_REFUSED = re.compile(r"unexpected character '(.)' at offset (\d+)", re.S)
+
+
+def _same_as_the_reference(new, reference, text):
+    """new and reference, two _parsed outcomes on text, are equal, unless new
+    refused a digit no number reader accepts, or the "." before one, which
+    the reference read into a number literal."""
     error = new[1]
-    if error and error[0] is ParseError and error[1].startswith("unexpected character"):
-        if _non_decimal_digit(error[1][len("unexpected character '")]):
+    refused = error and error[0] is ParseError and _REFUSED.fullmatch(error[1])
+    if refused:
+        ch, at = refused[1], int(refused[2])
+        if _non_decimal_digit(ch) or ch == "." and _non_decimal_digit(text[at + 1 : at + 2]):
             # the reference read it into a number literal no reader accepts
             tokens = reference[0] or ()
             assert reference[1] or any(k == "num" and _non_decimal_digit(t) for k, t in tokens)
@@ -169,20 +176,28 @@ _GRAMMAR = st.recursive(
 )
 
 
+# random draws do not always hold a subtraction that parses, and seldom
+# a "." just before "²": both are pinned
 @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join) | _GRAMMAR, st.booleans())
+@example("u - v*w/2 + -(u^3)", False)
+@example("u - v, 1.5/3", True)
+@example(".²", False)
+@example("u+.²", True)
+@example("1.2.²", False)
 @settings(max_examples=250, deadline=None)
 def test_the_parser_matches_the_character_loop_it_replaced(body, as_map):
     # equal tokens and trees, the same exception and message, except that a
     # digit no number reader accepts is a parse error before any conversion
-    _same_as_the_reference(_parsed(_tokenize, body), _parsed(oracles.tokenize_reference, body))
+    reference = _parsed(oracles.tokenize_reference, body)
+    _same_as_the_reference(_parsed(_tokenize, body), reference, body)
     if as_map:
         text = f"map f(u, v) -> ({body})"
         new = _parsed(parse_map, text)
-        _same_as_the_reference(new, _parsed(oracles.parse_map_reference, text))
+        _same_as_the_reference(new, _parsed(oracles.parse_map_reference, text), text)
     else:
         new = _parsed(parse_expression, body, ("u", "v", "w"))
         reference = _parsed(oracles.parse_expression_reference, body, ("u", "v", "w"))
-        _same_as_the_reference(new, reference)
+        _same_as_the_reference(new, reference, body)
 
 
 def test_a_digit_no_number_reader_accepts_is_a_parse_error():
