@@ -285,10 +285,8 @@ class _Numbers:
     def zero(self):
         return self._zero
 
-    def scale(self, a, q):
-        """a times q, a structure constant or a scalar: a * float(q) in the
-        float ring."""
-        return a * self.const(q)
+    # a times q; a float a meets a Fraction q as a * float(q), by Fraction's fallback
+    scale = staticmethod(operator.mul)
 
     @staticmethod
     def scalar(a):

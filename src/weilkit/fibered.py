@@ -532,9 +532,10 @@ def _fibered_verdict(p: FiberedObject, d: DiagramInWeil, numbers, samples: int, 
     glue_ok = True
     for _ in range(samples):
         z = corpus.random_point(rng, d.apex, p.total_dim)
+        image = apply_map(p.projection, z)
         for leg in d.legs:
             lhs = apply_map(p.projection, apply_morphism(leg, z))
-            rhs = apply_morphism(leg, apply_map(p.projection, z))
+            rhs = apply_morphism(leg, image)
             if lhs.coords != rhs.coords:
                 glue_ok = False
     ok = v_total.ok and v_base.ok and glue_ok

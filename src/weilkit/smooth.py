@@ -167,10 +167,11 @@ def _taylor_call(op: str, x, where: str):
     n = x - x.like(s)
     acc = x.like(coeffs[0])
     power = None
-    for j in range(1, len(coeffs)):
+    for c in coeffs[1:]:
         power = n if power is None else power * n
-        if coeffs[j] != 0.0:
-            acc = acc + x.like(coeffs[j]) * power
+        if c != 0.0:
+            # an infinite or nan c times a zero slot is nan, which a product skips
+            acc = acc + (power.scaled(c) if math.isfinite(c) else x.like(c) * power)
     return acc
 
 
@@ -206,8 +207,8 @@ class WeilCoefficients:
     call = staticmethod(_taylor_call)
 
     def scale(self, a, q):
-        # a structure constant q acts on a float element as float(q)
-        return a.scaled(q if isinstance(a, WeilElement) else float(q))
+        # float(q) on a float element; exact, symbolic and nested ones take q
+        return a.scaled(float(q) if isinstance(a, ExtendedElement) and a.ring is FLOATS else q)
 
     def is_zero(self, a) -> bool:
         return a.is_zero

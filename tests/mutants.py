@@ -403,6 +403,27 @@ MUTANTS = (
         'Expr("add" if tok == _PLUS else "add", (node, self.term()))',
         ("tests/test_expr.py::test_the_parser_matches_the_character_loop_it_replaced",),
     ),
+    Mutant(
+        "nested-scale-floats-exact-constants",
+        "weilkit/smooth.py",
+        "float(q) if isinstance(a, ExtendedElement) and a.ring is FLOATS else q",
+        "q if isinstance(a, WeilElement) else float(q)",
+        ("tests/test_smooth.py::test_nested_symbolic_coefficients_stay_exact",),
+    ),
+    Mutant(
+        "sqrt-recurrence-reordered",
+        "weilkit/smooth.py",
+        "out.append(out[-1] * (1.5 - j) / (j * a))",
+        "out.append(out[-1] / (j * a) * (1.5 - j))",
+        ("tests/test_smooth.py::test_float_jets_are_bit_identical_to_the_former_taylor_call",),
+    ),
+    Mutant(
+        "taylor-term-scaled-when-infinite",
+        "weilkit/smooth.py",
+        "power.scaled(c) if math.isfinite(c) else x.like(c) * power",
+        "power.scaled(c)",
+        ("tests/test_smooth.py::test_float_jets_are_bit_identical_to_the_former_taylor_call",),
+    ),
 )
 
 

@@ -53,6 +53,11 @@ and parse_map_reference are the DSL parser as it was before it matched
 tokens with one regular expression: a loop per character, with number
 literals read by str.isdigit, and peek()/take() at every level of the
 descent; they build their trees with the package's constructors.
+FLOATS_REFERENCE, taylor_call_reference and float_jet_reference,
+float_apply_map_reference and float_nested_lift_reference keep float
+evaluation as it was before a Taylor call added scaled terms: one
+constant-element product per term, on a copy of the series coefficients,
+and a float ring that scales by a * float(q) in a method of its own.
 """
 
 from __future__ import annotations
@@ -81,10 +86,12 @@ from weilkit.exactlin import (
 )
 from weilkit.expr import (
     DIGIT_LIMIT,
+    EvaluationError,
     Expr,
     NonPolynomialError,
     ParseError,
     SmoothMap,
+    _Numbers,
     const,
     fold,
     poly_to_expr,
@@ -94,12 +101,14 @@ from weilkit.corpus import random_rational
 from weilkit.fibered import FiberedError
 from weilkit.smooth import (
     ExtendedElement,
+    WeilCoefficients,
     WeilPoint,
     apply_map,
     basis_element,
     coordinate_names,
     embed_base,
     lift_eval,
+    nest,
 )
 from weilkit.weil import (
     AlgebraError,
@@ -109,6 +118,7 @@ from weilkit.weil import (
     WeilMorphism,
     _monomial_label,
     generator_elements,
+    jet_line,
     limit,
     terminal,
 )
@@ -1111,6 +1121,113 @@ def float_augmentation_reference(algebra, a):
         if lam:
             acc += float(lam) * x
     return acc
+
+
+# ----- float evaluation as it was before Taylor calls added scaled terms -------
+# FLOATS_REFERENCE scales a coefficient by a * float(q) in a method of its
+# own, and taylor_call_reference adds each Taylor term as the product of a
+# constant element with the power of the nilpotent part, on its own copy of
+# the series coefficients.  Evaluation folds with the package's fold and
+# element arithmetic; only these two parts are the former ones.
+
+
+class _FloatsReference(_Numbers):
+    def __init__(self):
+        super().__init__(exact=False)
+
+    def scale(self, a, q):
+        return a * self.const(q)
+
+
+FLOATS_REFERENCE = _FloatsReference()
+
+
+def series_coefficients_reference(op: str, a: float, count: int):
+    if op == "exp":
+        e = math.exp(a)
+        out = [e]
+        for j in range(1, count):
+            out.append(out[-1] / j)
+        return out
+    if op == "log":
+        if a <= 0.0:
+            raise EvaluationError(f"log() needs a positive scalar part, got {a!r}")
+        out = [math.log(a)]
+        for j in range(1, count):
+            out.append((-1.0) ** (j - 1) / (j * a**j))
+        return out
+    if op == "sin":
+        cycle = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))
+    elif op == "cos":
+        cycle = (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a))
+    elif op == "sqrt":
+        if a <= 0.0:
+            raise EvaluationError(f"sqrt() needs a positive scalar part, got {a!r}")
+        out = [math.sqrt(a)]
+        for j in range(1, count):
+            out.append(out[-1] * (1.5 - j) / (j * a))
+        return out
+    else:
+        raise ValueError(op)
+    out = []
+    fact = 1.0
+    for j in range(count):
+        if j:
+            fact *= j
+        out.append(cycle[j % 4] / fact)
+    return out
+
+
+def taylor_call_reference(op: str, x, where):
+    s = x.scalar_part()
+    if not isinstance(s, float):
+        raise ModeError(f"{op}() has no exact rational value; evaluate in float mode ({where})")
+    try:
+        coeffs = series_coefficients_reference(op, s, x.nilpotency_bound())
+    except OverflowError:
+        raise EvaluationError(f"{op}() overflows a float at {s!r}: {where}") from None
+    n = x - x.like(s)
+    acc = x.like(coeffs[0])
+    power = None
+    for j in range(1, len(coeffs)):
+        power = n if power is None else power * n
+        if coeffs[j] != 0.0:
+            acc = acc + x.like(coeffs[j]) * power
+    return acc
+
+
+class _TaylorCoefficientsReference(WeilCoefficients):
+    call = staticmethod(taylor_call_reference)
+
+
+def _float_lift_reference(f, values, template):
+    ring = _TaylorCoefficientsReference(template.like(0))
+    return [fold(body, ring, values, f.var_names) for body in f.bodies]
+
+
+def float_apply_map_reference(f, point):
+    """The coefficient tuples of apply_map(f, point), point over FLOATS."""
+    w = point.algebra
+    values = [ExtendedElement(FLOATS_REFERENCE, w, c.coeffs) for c in point.coords]
+    template = basis_element(w, 0, FLOATS_REFERENCE)
+    return [r.coeffs for r in _float_lift_reference(f, values, template)]
+
+
+def float_nested_lift_reference(f, point):
+    """The nested route of check_functor_composition, point over FLOATS
+    and a tensor-built algebra: per output, the nested result's inner
+    coefficient tuples."""
+    w = point.algebra
+    values = [nest(ExtendedElement(FLOATS_REFERENCE, w, c.coeffs)) for c in point.coords]
+    template = nest(basis_element(w, 0, FLOATS_REFERENCE))
+    return [tuple(c.coeffs for c in r.coeffs) for r in _float_lift_reference(f, values, template)]
+
+
+def float_jet_reference(f, at: float, order: int):
+    """jet(f, at, order, Mode.FLOAT), with the point seeded as jet seeds it."""
+    w, ring = jet_line(order), FLOATS_REFERENCE
+    gen = basis_element(w, 1, ring) if order >= 1 else basis_element(w, 0, ring).like(0)
+    return [list(r.coeffs) for r in _float_lift_reference(f, [gen.like(at) + gen], gen)]
 
 
 # ----- presented algebras -----------------------------------------------------

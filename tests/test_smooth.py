@@ -2,10 +2,11 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilkit import (
@@ -33,14 +34,19 @@ from weilkit.corpus import (
     random_poly_map,
     random_presented_algebra,
     random_rational,
+    random_transcendental_map,
 )
+from weilkit.expr import PolyCoefficients
 from weilkit.smooth import (
     FLOATS,
     EvaluationError,
+    ExtendedElement,
+    basis_element,
     check_functor_composition,
     check_reparametrization_naturality,
     evaluate_at_scalars,
     flatten,
+    lift_eval,
     nest,
 )
 
@@ -135,6 +141,75 @@ def test_jet_of_transcendental_in_float_mode():
     fd = oracles.fd_taylor_coeffs(fn, 0.25, 3)
     for a, b in zip(coeffs, fd):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+def _bits(rows):
+    """Every float of a list of coefficient rows, as its IEEE bytes: equal
+    bits, so a zero's sign counts."""
+    return [[struct.pack("<d", c) for c in row] for row in rows]
+
+
+def _outcome(route):
+    # a refusal counts as an outcome: both routes must raise alike
+    try:
+        return _bits(route())
+    except (EvaluationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_CALLS = ("exp", "log", "sin", "cos", "sqrt")
+_INNER = ("u", "2*u - 1", "u*u + 1", "u/(1 + u^2)", "3 - u^3")
+
+
+@given(
+    st.sampled_from(_CALLS),
+    st.sampled_from(_INNER),
+    st.sampled_from(("",) + tuple(f" * {c}(u*u + 1)" for c in _CALLS)),
+    st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.3, 1e-300]) | st.floats(-4.0, 4.0),
+    st.integers(0, 12),
+)
+@example("sqrt", "u", "", 0.3, 12)
+@example("sin", "u", "", -0.0, 3)
+@example("sqrt", "u", "", 1e-300, 2)  # an infinite Taylor coefficient
+@example("log", "u", " * exp(u*u + 1)", 1e-160, 2)
+@settings(max_examples=200, deadline=None)
+def test_float_jets_are_bit_identical_to_the_former_taylor_call(call, inner, tail, at, order):
+    # a term added as power.scaled(c) and the float ring's plain product must
+    # give the bits the constant-element product and a * float(q) gave
+    f = parse_map(f"map f(u) -> ({call}({inner}){tail})")
+    ours = _outcome(lambda: jet(f, at, order, Mode.FLOAT))
+    assert ours == _outcome(lambda: oracles.float_jet_reference(f, at, order))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_float_lifts_over_a_tensor_algebra_are_bit_identical_to_the_former_taylor_call(
+    seed, pair
+):
+    rng = random.Random(seed)
+    w1, w2 = [
+        (dual_numbers(), jet_line(2, "y")),
+        (jet_line(2), _skewed_dual_numbers()),
+        (_skewed_dual_numbers(), first_order_infinitesimals(2)),
+    ][pair]
+    w, _, _ = tensor(w1, w2)
+    n = rng.randint(1, 2)
+    f = random_transcendental_map(rng, n, 2)
+    p = random_point(rng, w, n, mode=Mode.FLOAT, base_shift=rng.choice([0, 3]))
+    direct = _outcome(lambda: [c.coeffs for c in apply_map(f, p).coords])
+    assert direct == _outcome(lambda: oracles.float_apply_map_reference(f, p))
+    # the nested route of check_functor_composition, one inner row at a time
+    template = nest(basis_element(w, 0, FLOATS))
+    nested = [nest(c) for c in p.coords]
+
+    def routed():
+        lifts = [lift_eval(b, nested, template, f.var_names) for b in f.bodies]
+        return [c.coeffs for r in lifts for c in r.coeffs]
+
+    def routed_reference():
+        return [row for r in oracles.float_nested_lift_reference(f, p) for row in r]
+
+    assert _outcome(routed) == _outcome(routed_reference)
 
 
 def test_jet_rejects_multi_input_maps():
@@ -252,6 +327,24 @@ def test_nest_flatten_round_trip():
     p = random_point(rng, w, 1)
     el = p.coords[0]
     assert flatten(nest(el), w) == el
+
+
+@pytest.mark.parametrize("route", ["scaled", "invert"])
+def test_nested_symbolic_coefficients_stay_exact(route):
+    # a symbolic coefficient scaled by Fraction(float(q)) would read
+    # 3 * (1/3) as 18014398509481983/18014398509481984
+    w, _, _ = tensor(dual_numbers("x"), jet_line(2, "y"))
+    ring = PolyCoefficients(1)
+    coeffs = [ring.zero()] * w.dimension
+    coeffs[0], coeffs[1] = ring.const(3), ring.var(0)
+    flat = ExtendedElement(ring, w, coeffs)
+    if route == "scaled":
+        got, want, unit = nest(flat).scaled(Fraction(1, 3)), flat.scaled(Fraction(1, 3)), 1
+    else:
+        got, want, unit = nest(flat).invert(), flat.invert(), Fraction(1, 3)
+    # the flat element scales in PolyCoefficients itself, never through a nest
+    assert flatten(got, w) == want
+    assert got.coeffs[0].coeffs[0] == ring.const(unit)
 
 
 # ----- materialized lifts ----------------------------------------------------------
