@@ -34,6 +34,7 @@ from .weil import (
     MorphismError,
     WeilAlgebra,
     WeilMorphism,
+    _limit_verdict,
     _rank_one_numbers,
     dual_numbers,
     factor_permutation_iso,
@@ -73,12 +74,6 @@ class ModelObject:
         rejected, since the carrier would stop being a subspace.
         """
         dims = list(dims)
-        offsets = []
-        pos = 0
-        for d in dims:
-            offsets.append(pos)
-            pos += d
-        total = pos
         terms = []
         for s, t, f in arrows:
             lin = f.linear_matrix()
@@ -89,11 +84,10 @@ class ModelObject:
                 )
             if f.arity_in != dims[s] or f.arity_out != dims[t]:
                 raise ValueError("arrow arities do not match the objects")
-            terms.append((offsets[s], lin, offsets[t], None))
-        dim = total - difference_rows(total, terms).rank()
-        return ModelObject(
-            "limit", name or f"limit({'x'.join(map(str, dims))})", total, dim
-        )
+            terms.append((s, lin, t, None))
+        rows = difference_rows(dims, terms)
+        name = name or f"limit({'x'.join(map(str, dims))})"
+        return ModelObject("limit", name, rows.cols, rows.cols - rows.rank())
 
     @staticmethod
     def linear_equalizer(f: SmoothMap, g: SmoothMap) -> "ModelObject":
@@ -162,21 +156,18 @@ def limit_cone_numbers(cone: DiagramInWeil, enforce_limit_input: bool = True):
 
     Returns (rank of the canonical map, compatible subspace dimension) at
     X = R.  With enforce_limit_input, a cone that is not a limit cone raises
-    DiagramError.  These are the numbers is_limit_cone decides by, so it
-    runs only when they refuse: to word the refusal, and to accept the
-    empty diagram under a terminal apex, whose numbers read the empty
-    direct sum rather than its limit.
+    DiagramError, worded from these numbers by the verdict is_limit_cone
+    gives, so a refused cone is ranked once.
     """
     if not cone.has_cone:
         raise DiagramError("microlinearity needs a cone over the diagram")
     rank_c, nullity = _rank_one_numbers(cone)
-    if enforce_limit_input and not rank_c == cone.apex.dimension == nullity:
-        pre = is_limit_cone(cone)
-        if not pre.ok:
-            raise DiagramError(
-                f"input cone is not a limit cone ({pre.certificate}); "
-                "the check would be vacuous"
-            )
+    pre = _limit_verdict(cone, rank_c, nullity)
+    if enforce_limit_input and not pre.ok:
+        raise DiagramError(
+            f"input cone is not a limit cone ({pre.certificate}); "
+            "the check would be vacuous"
+        )
     return rank_c, nullity
 
 

@@ -25,6 +25,7 @@ from .exactlin import Mode, ModeError
 from .expr import (
     _CALLS,
     DIGIT_LIMIT,
+    _Parser,
     _tokenize,
     ParseError,
     SmoothMap,
@@ -102,9 +103,9 @@ def _fail(message: str, code: int) -> int:
 # ----- jet ---------------------------------------------------------------
 
 
-def _free_names(text: str):
+def _free_names(tokens):
     names = []
-    for kind, value in _tokenize(text):
+    for kind, value in tokens:
         if kind == "name" and value not in _CALLS and value not in names:
             names.append(value)
     return names
@@ -130,13 +131,14 @@ def _parse_values(text: str, mode: Mode):
 def cmd_jet(args) -> int:
     mode = Mode.FLOAT if args.mode == "float" else Mode.EXACT
     at = _parse_values(args.at, mode)
-    names = _free_names(args.expr)
+    tokens = _tokenize(args.expr)
+    names = _free_names(tokens)
     if len(names) > len(at):
         missing = ", ".join(names[len(at):])
         raise ParseError(f"--at gives {len(at)} values but the expression also uses {missing}")
     while len(names) < len(at):
         names.append(f"x{len(names)+1}" if names else "u")
-    body = parse_expression(args.expr, names)
+    body = _Parser(tokens, names).whole()
     f = SmoothMap(tuple(names), (body,), name="f")
     style = args.output
     out = _Printer(style)

@@ -287,18 +287,20 @@ def vstack(matrices, cols: int | None = None) -> Matrix:
     return Matrix._of(sum((m.raw for m in matrices), ()), width)
 
 
-def difference_rows(total: int, terms) -> Matrix:
-    """The exact constraint rows A x_s - B x_t, stacked, over vectors of
-    `total` entries.
+def difference_rows(sizes, terms) -> Matrix:
+    """The exact constraint rows A x_s - B x_t, stacked, over vectors of one
+    block of sizes[i] entries per object i, side by side.
 
-    Each term is (s, a, t, b): a and b are rows of raw Fractions whose
-    blocks start at columns s and t, one row of b per row of a; b = None
-    stands for the identity.  Blocks at the same offset add.
+    Each term is (s, a, t, b) with object indices s and t: a and b are rows
+    of raw Fractions placed in those objects' blocks, one row of b per row
+    of a; b = None stands for the identity.  Blocks of one object add.
     """
+    offsets = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
     rows = []
     for s, a, t, b in terms:
+        s, t = offsets[s], offsets[t]
         for i, arow in enumerate(a):
-            row = [_ZERO] * total
+            row = [_ZERO] * offsets[-1]
             for c, x in enumerate(arow):
                 if x:
                     row[s + c] += x
@@ -309,7 +311,7 @@ def difference_rows(total: int, terms) -> Matrix:
                     if x:
                         row[t + c] -= x
             rows.append(tuple(row))
-    return Matrix._of(tuple(rows), total)
+    return Matrix._of(tuple(rows), offsets[-1])
 
 
 def _kernel_of(rows, pivots, cols: int):

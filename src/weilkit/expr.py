@@ -652,6 +652,12 @@ class _Parser:
         self.take("op", ")")
         return items
 
+    def whole(self) -> Expr:
+        """The expression the tokens spell, up to their end."""
+        node = self.expression()
+        self.take("end")
+        return node
+
     def expression(self) -> Expr:
         node = self.term()
         tokens = self.tokens
@@ -720,10 +726,7 @@ class _Parser:
 
 
 def parse_expression(text: str, var_names) -> Expr:
-    p = _Parser(_tokenize(text), var_names)
-    node = p.expression()
-    p.take("end")
-    return node
+    return _Parser(_tokenize(text), var_names).whole()
 
 
 def parse_map(text: str, keyword: str = "map") -> SmoothMap:

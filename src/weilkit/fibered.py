@@ -14,7 +14,6 @@ is linear.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -600,9 +599,9 @@ def _linear_cone_numbers(arrows, legs: Matrix, frames):
     of a linear cone at r = 1.  frames[0] is the apex's and frames[1:] the
     objects', each of independent columns; arrows are (s, t, top matrix)."""
     apex, objects = frames[0], frames[1:]
-    offsets = [0, *itertools.accumulate(f.cols for f in objects)]
-    terms = [(offsets[s], (a @ objects[s]).raw, offsets[t], objects[t].raw) for s, t, a in arrows]
-    return (legs @ apex).rank(), offsets[-1] - difference_rows(offsets[-1], terms).rank()
+    sizes = [f.cols for f in objects]
+    terms = [(s, (a @ objects[s]).raw, t, objects[t].raw) for s, t, a in arrows]
+    return (legs @ apex).rank(), sum(sizes) - difference_rows(sizes, terms).rank()
 
 
 def check_vertical_microlinearity(

@@ -34,7 +34,6 @@ from .exactlin import (
     _ZERO,
     _raw_of,
     _unit,
-    difference_rows,
     kernel_basis,
     qq,
     vstack,
@@ -187,7 +186,6 @@ class WeilAlgebra:
         "labels",
         "tensor_info",
         "_chain",
-        "_m1",
         "_codes",
         "_by_code",
         "_table",
@@ -204,7 +202,7 @@ class WeilAlgebra:
     def _blank(cls):
         self = object.__new__(cls)
         self.tensor_info = None
-        self._chain = self._m1 = None
+        self._chain = None
         self._table = None
         self._aug_ints = None
         return self
@@ -398,15 +396,11 @@ class WeilAlgebra:
         return chain
 
     def maximal_ideal_basis(self):
-        """Raw Fraction vectors spanning the augmentation kernel, the ideal
-        chain's first entry: a presented algebra's are its unit vectors past
-        the unit, a tabled one's the kernel of its augmentation row (cached,
-        so the chain starts from it)."""
-        if self.flavor == "presented":
-            return [_unit(self.dimension, i) for i in range(1, self.dimension)]
-        if self._m1 is None:
-            self._m1 = kernel_basis(Matrix._of((self.aug,), self.dimension))
-        return self._m1
+        """Raw Fraction vectors e_f - aug[f] e_0 (f >= 1), the ideal chain's
+        first entry: aug[0] = 1, so they are the echelon kernel of the
+        augmentation row (a presented algebra's aug is e_0: its unit vectors)."""
+        n, aug = self.dimension, self.aug
+        return [(-aug[f],) + _unit(n, f)[1:] for f in range(1, n)]
 
     def _terms(self, i: int, j: int):
         """Nonzero (index, Fraction) pairs of basis[i] * basis[j], index
@@ -1204,22 +1198,24 @@ class _ProductOverK:
             out.append([(0, top)] + picked if top else picked)
         return WeilMorphism._reduced(source, w, d * t, out)
 
-    def arrow_constraint(self, s: int, t: int, phi: WeilMorphism) -> Matrix:
-        """Rows 1, 2, ... of phi . (leg s) - (leg t) on the product's
-        coordinates, from phi's int columns.  Row 0 adds nothing to the span:
-        phi preserves augmentations, so the aug-weighted sum of the rows is 0."""
-        d, cols = phi._columns
-        rows = [[0] * self.dimension for _ in range(phi.target.dimension)]
-        # column 0 is the joint unit, which phi preserves: it stays zero
-        off = self.offsets[s] - 1
-        for f in range(1, phi.source.dimension):
-            for g, n in cols[f]:
-                rows[g][off + f] += n
-        off = self.offsets[t] - 1
-        for g in range(1, phi.target.dimension):
-            rows[g][off + g] -= d
-        raw = tuple(tuple([Fraction(n, d) if n else _ZERO for n in row]) for row in rows[1:])
-        return Matrix._of(raw, self.dimension)
+    def constraints(self, arrows) -> Matrix:
+        """Rows 1, 2, ... of phi . (leg s) - (leg t) for each arrow (s, t, phi),
+        stacked, from phi's int columns.  Row 0 adds nothing to the span: phi
+        preserves augmentations, so the aug-weighted sum of the rows is 0."""
+        raw = []
+        for s, t, phi in arrows:
+            d, cols = phi._columns
+            rows = [[0] * self.dimension for _ in range(phi.target.dimension)]
+            # column 0 is the joint unit, which phi preserves: it stays zero
+            off = self.offsets[s] - 1
+            for f in range(1, phi.source.dimension):
+                for g, n in cols[f]:
+                    rows[g][off + f] += n
+            off = self.offsets[t] - 1
+            for g in range(1, phi.target.dimension):
+                rows[g][off + g] -= d
+            raw += [tuple([Fraction(n, d) if n else _ZERO for n in row]) for row in rows[1:]]
+        return Matrix._of(tuple(raw), self.dimension)
 
 
 def product_over_k(w1: WeilAlgebra, w2: WeilAlgebra):
@@ -1283,11 +1279,8 @@ def limit(diagram: DiagramInWeil):
     if not objects:
         return terminal(), []
     prod = _ProductOverK(objects)
-    constraints = vstack(
-        [prod.arrow_constraint(s, t, phi) for s, t, phi in diagram.arrows],
-        cols=prod.dimension,
-    )
-    sub, incl = _subalgebra(kernel_basis(constraints), (1, [(0, 1)]), prod.multiply)
+    kernel = kernel_basis(prod.constraints(diagram.arrows))
+    sub, incl = _subalgebra(kernel, (1, [(0, 1)]), prod.multiply)
     return sub, [prod._leg(a, sub, incl) for a in range(len(objects))]
 
 
@@ -1298,31 +1291,30 @@ def limit_cone(diagram: DiagramInWeil) -> DiagramInWeil:
 
 def _rank_one_numbers(cone: DiagramInWeil):
     """(rank of the stacked legs, dimension of the compatible subspace) of a
-    cone: the subspace of the direct sum of the objects cut out by the arrow
-    equations and by equal augmentations across the objects.
+    cone: the families in the product over the scalars that satisfy the
+    arrow equations limit eliminates, so the limit's dimension.
 
-    The stacked legs always land in that subspace, so the containment is
-    not computed: DiagramInWeil checks phi . leg_s = leg_t for every arrow,
-    which zeroes the arrow rows, and every leg preserves augmentations
-    (WeilMorphism checks it on construction), so each gluing row
-    aug_i . leg_i - aug_j . leg_j is aug_apex - aug_apex = 0.
+    The stacked legs land in that subspace, so the containment is not
+    computed: every leg preserves augmentations (WeilMorphism checks it),
+    and DiagramInWeil checks phi . leg_s = leg_t for every arrow.
     """
-    obj_dims = [w.dimension for w in cone.objects]
-    total = sum(obj_dims)
-    offsets = [sum(obj_dims[:i]) for i in range(len(obj_dims))]
-    canonical = vstack([leg.matrix for leg in cone.legs], cols=cone.apex.dimension)
+    if not cone.objects:  # the product of no objects still has its unit coordinate
+        return 0, 0
+    prod = _ProductOverK(cone.objects)
+    legs = vstack([leg.matrix for leg in cone.legs], cols=cone.apex.dimension)
+    return legs.rank(), prod.dimension - prod.constraints(cone.arrows).rank()
 
-    terms = [(offsets[s], phi.matrix.raw, offsets[t], None) for s, t, phi in cone.arrows]
-    # base points must also be identified across the family: that gluing is
-    # what the scalar-fibered product encodes, and it is implied by the
-    # arrows only when the diagram is connected
-    augs = [[w.aug] for w in cone.objects]
-    terms += [
-        (offsets[i], augs[i], offsets[i + 1], augs[i + 1])
-        for i in range(len(cone.objects) - 1)
-    ]
-    constraints = difference_rows(total, terms)
-    return canonical.rank(), total - constraints.rank()
+
+def _limit_verdict(cone: DiagramInWeil, rank: int, dim: int) -> Verdict:
+    """is_limit_cone's verdict on a cone from its _rank_one_numbers."""
+    apex_dim = cone.apex.dimension
+    if not cone.objects:
+        return Verdict(apex_dim == 1, f"empty diagram; apex dimension {apex_dim}")
+    return Verdict(
+        rank == apex_dim == dim,
+        f"mediating matrix {dim}x{apex_dim}, rank {rank}; "
+        f"limit dimension {dim}, apex dimension {apex_dim}",
+    )
 
 
 def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
@@ -1338,15 +1330,7 @@ def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
     """
     if not diagram.has_cone:
         raise DiagramError("is_limit_cone needs a cone")
-    apex_dim = diagram.apex.dimension
-    if not diagram.objects:
-        return Verdict(apex_dim == 1, f"empty diagram; apex dimension {apex_dim}")
-    rank, dim = _rank_one_numbers(diagram)
-    return Verdict(
-        rank == apex_dim == dim,
-        f"mediating matrix {dim}x{apex_dim}, rank {rank}; "
-        f"limit dimension {dim}, apex dimension {apex_dim}",
-    )
+    return _limit_verdict(diagram, *_rank_one_numbers(diagram))
 
 
 def filtered_basis(w: WeilAlgebra):

@@ -424,6 +424,37 @@ MUTANTS = (
         "power.scaled(c)",
         ("tests/test_smooth.py::test_float_jets_are_bit_identical_to_the_former_taylor_call",),
     ),
+    Mutant(
+        "maximal-ideal-aug-sign-flipped",
+        "weilkit/weil.py",
+        "return [(-aug[f],) + _unit(n, f)[1:] for f in range(1, n)]",
+        "return [(aug[f],) + _unit(n, f)[1:] for f in range(1, n)]",
+        (
+            "tests/test_limit_path.py::"
+            "test_microlinear_matches_the_precondition_then_numbers_composition",
+        ),
+    ),
+    Mutant(
+        "constraints-without-target-block",
+        "weilkit/weil.py",
+        "                rows[g][off + g] -= d\n",
+        "                pass\n",
+        (
+            "tests/test_limit_path.py::"
+            "test_rank_one_numbers_match_the_direct_sum_with_glued_augmentations",
+        ),
+    ),
+    Mutant(
+        "rank-numbers-without-empty-guard",
+        "weilkit/weil.py",
+        "    if not cone.objects:  # the product of no objects still has its unit coordinate\n"
+        "        return 0, 0\n",
+        "",
+        (
+            "tests/test_limit_path.py::"
+            "test_rank_one_numbers_match_the_direct_sum_with_glued_augmentations",
+        ),
+    ),
 )
 
 

@@ -428,7 +428,6 @@ def test_difference_rows_match_dense_blocks():
     seen = set()
     for _ in range(40):
         dims = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
-        offsets = [sum(dims[:i]) for i in range(len(dims))]
         terms = []
         for _ in range(rng.randint(0, 4)):
             s, t = rng.randrange(len(dims)), rng.randrange(len(dims))
@@ -438,7 +437,7 @@ def test_difference_rows_match_dense_blocks():
             b = None if kind == "identity" else block(height, dims[t], zero=kind == "zero")
             terms.append((s, a, t, b))
             seen.add((kind, s == t))
-        m = difference_rows(sum(dims), [(offsets[s], a, offsets[t], b) for s, a, t, b in terms])
+        m = difference_rows(dims, terms)
         assert m.cols == sum(dims)
         assert all(type(e) is Fraction for row in m.entries for e in row)
         assert [[e for e in row] for row in m.entries] == difference_rows_reference(

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     associativity_reference,
@@ -17,6 +17,7 @@ from oracles import (
     is_limit_cone_reference,
     limit_legs_reference,
     limit_reference,
+    microlinear_numbers,
     microlinear_reference,
     nilpotency_degree_reference,
     product_algebra_reference,
@@ -239,6 +240,35 @@ def test_is_limit_cone_matches_the_route_through_the_computed_limit(kind, seed):
     assert (v.ok, v.certificate) == is_limit_cone_reference(cone)
 
 
+@given(
+    st.sampled_from(
+        ["seeded", "grid", "inflate", "collapse", "disconnected", "skewed", "empty"]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+# a disconnected grid, a pair out of a skewed algebra, and the empty diagram
+# over a terminal and over a non-terminal apex
+@example("disconnected", 2)
+@example("skewed", 1)
+@example("empty", 6)
+@example("empty", 0)
+@settings(max_examples=60, deadline=None)
+def test_rank_one_numbers_match_the_direct_sum_with_glued_augmentations(kind, seed):
+    # the product over the scalars is the part of the direct sum where the
+    # augmentations agree, so ranking its arrow equations gives the numbers
+    # of the direct sum cut by the arrows and the augmentation gluing
+    cone = _cone_of_kind(random.Random(seed), kind)
+    rank, dim, contained = microlinear_numbers(
+        1,
+        cone.apex.dimension,
+        [w.dimension for w in cone.objects],
+        [_rows(leg.matrix) for leg in cone.legs],
+        [(s, t, _rows(phi.matrix)) for s, t, phi in cone.arrows],
+        [_aug(w) for w in cone.objects],
+    )
+    assert contained and weil._rank_one_numbers(cone) == (rank, dim)
+
+
 def test_limit_apexes_carry_their_nilpotency_degree():
     rng = random.Random(47)
     apexes = [equalizer(phi, psi)[0] for phi, psi in _parallel_pairs(rng, 4)]
@@ -299,11 +329,11 @@ def test_presented_ideal_chain_with_a_generator_killed_at_first_order():
     )
 
 
-def test_maximal_ideal_of_a_tabled_algebra_eliminates_its_augmentation_row_only(monkeypatch):
+def test_maximal_ideal_of_a_tabled_algebra_is_read_off_its_augmentation(monkeypatch):
     # the seed-3 cone's apex is a tabled algebra of dimension 9 with no ideal
-    # chain built yet: its maximal ideal is the kernel of the 1 x 9
-    # augmentation row, where building the whole chain took four eliminations
-    # (1 x 9, 64 x 9, 32 x 9 and 8 x 9)
+    # chain built yet: its maximal ideal is e_f - aug[f] e_0 for f >= 1, the
+    # echelon kernel of the 1 x 9 augmentation row, with no elimination,
+    # and building the whole chain takes three (64 x 9, 32 x 9 and 8 x 9)
     apex = random_limit_cone(random.Random(3)).apex
     assert (apex.flavor, apex.dimension) == ("tabled", 9)
     shapes = []
@@ -312,12 +342,11 @@ def test_maximal_ideal_of_a_tabled_algebra_eliminates_its_augmentation_row_only(
         Matrix, "_echelon", lambda m, *a: shapes.append((m.rows, m.cols)) or real(m, *a)
     )
     basis = apex.maximal_ideal_basis()
-    assert shapes == [(1, 9)]
-    # the chain starts from the basis kept: one 1 x 9 elimination, not two
-    assert basis == apex._ideal_chain()[0]
-    assert shapes == [(1, 9), (64, 9), (32, 9), (8, 9)]
+    assert shapes == []
+    assert basis == kernel_basis(Matrix([apex.aug], cols=9))
     shapes.clear()
-    assert apex.maximal_ideal_basis() == basis and shapes == []  # read off the kept basis
+    assert basis == apex._ideal_chain()[0]
+    assert shapes == [(64, 9), (32, 9), (8, 9)]
 
 
 # ----- limits built from structure ----------------------------------------------
