@@ -459,17 +459,6 @@ class SmoothMap:
         """R^n -> R^len(indices), keeping the coordinates at indices."""
         return SmoothMap(_default_names(n), tuple(var(i) for i in indices), name="proj")
 
-    @staticmethod
-    def stack(maps) -> "SmoothMap":
-        """Concatenate outputs of maps sharing one input space."""
-        maps = list(maps)
-        names = maps[0].var_names
-        for m in maps[1:]:
-            if m.arity_in != len(names):
-                raise ValueError("stacked maps must share the input arity")
-        bodies = tuple(b for m in maps for b in m.bodies)
-        return SmoothMap(names, bodies, name="stack")
-
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         """self after inner."""
         if inner.arity_out != self.arity_in:

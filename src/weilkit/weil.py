@@ -201,10 +201,7 @@ class WeilAlgebra:
     @classmethod
     def _blank(cls):
         self = object.__new__(cls)
-        self.tensor_info = None
-        self._chain = None
-        self._table = None
-        self._aug_ints = None
+        self.tensor_info = self._nilpotency = self._chain = self._table = self._aug_ints = None
         return self
 
     @classmethod
@@ -255,21 +252,13 @@ class WeilAlgebra:
         return self
 
     @classmethod
-    def tabled(
-        cls,
-        table,
-        aug,
-        check: bool = True,
-        nilpotency_hint: int | None = None,
-    ) -> "WeilAlgebra":
+    def tabled(cls, table, aug) -> "WeilAlgebra":
         """Build from structure constants c[i][j] (a coefficient vector per pair).
 
-        The unit must sit at basis index 0.  With check=True the table is
-        validated exhaustively on its nonzero terms: commutative,
-        associative, unital, the augmentation is a homomorphism, the
-        augmentation kernel is nilpotent, and a nilpotency_hint equals the
-        degree the ideal chain gives.  Internal constructions that carry a
-        proof pass check=False; nilpotency is still established either way.
+        The unit must sit at basis index 0.  The table is validated
+        exhaustively on its nonzero terms: commutative, associative, unital,
+        the augmentation is a homomorphism, and the augmentation kernel is
+        nilpotent; the nilpotency degree is read off its ideal chain.
         """
         table = [[[qq(c) for c in vec] for vec in row] for row in table]
         aug = tuple(qq(c) for c in aug)
@@ -277,22 +266,19 @@ class WeilAlgebra:
         if any(len(vec) != d for row in table for vec in row):
             raise AlgebraError("structure table or augmentation has the wrong shape")
         terms = [[_over_common_denominator(enumerate(vec)) for vec in row] for row in table]
-        w = cls._from_terms(terms, aug, check, nilpotency_hint)
-        if nilpotency_hint is None:
-            w._ideal_chain()  # refuses a kernel that is not nilpotent
-        return w
+        return cls._from_terms(terms, aug)
 
     @classmethod
-    def _from_terms(cls, terms, aug, check=True, nilpotency_hint=None) -> "WeilAlgebra":
+    def _from_terms(cls, terms, aug, check=True) -> "WeilAlgebra":
         """A tabled algebra from its structure terms: terms[i][j] is (q,
         pairs), basis[i] * basis[j] having the coefficient n / q (q > 0) at
         each (k, n) of pairs, n a nonzero int and k increasing; aug is a
         tuple of Fractions.  The table is stored here only, once, as ints
         (T, rows): rows[i][j] lists (k, n) for the coefficient n / T, T the
         lcm of the reduced denominators, so equal algebras hold equal ints.
-        check=True checks as in tabled(); with check=False nilpotency is the
-        caller's to establish, and the nilpotency degree is the hint, or
-        else read off the ideal chain on first use."""
+        check=True checks as in tabled(); check=False is for internal
+        constructions that carry a proof, and their nilpotency degree is read
+        off the tensor factors or the ideal chain on first use."""
         d = len(terms)
         if d == 0:
             raise AlgebraError("a Weil algebra contains at least the unit")
@@ -312,7 +298,6 @@ class WeilAlgebra:
         )
         self._table = t, table
         self.aug = aug
-        self._nilpotency = nilpotency_hint
         self.labels = ("1",) + tuple(f"b{i}" for i in range(1, d))
 
         if aug[0] != 1:
@@ -337,12 +322,7 @@ class WeilAlgebra:
                         left = _times_basis(table, table[i][j], k)
                         if left != _times_basis(table, table[j][k], i):
                             raise AlgebraError(f"product not associative at ({i},{j},{k})")
-            degree = len(self._ideal_chain()) + 1
-            if nilpotency_hint not in (None, degree):
-                raise AlgebraError(
-                    f"nilpotency hint {nilpotency_hint} disagrees with the "
-                    f"nilpotency degree {degree} of the ideal chain"
-                )
+            self._ideal_chain()  # refuses a kernel that is not nilpotent
         return self
 
     # ----- structure ----------------------------------------------------
@@ -365,15 +345,6 @@ class WeilAlgebra:
         if self._chain is not None:
             return self._chain
         d = self.dimension
-        if self.flavor == "presented":
-            # a monomial quotient: m^k is spanned by the basis monomials of
-            # degree >= k, and those unit vectors are already its rref
-            degrees = [sum(e) for e in self.basis]
-            self._chain = [
-                [_unit(d, i) for i, g in enumerate(degrees) if g >= k]
-                for k in range(1, max(degrees) + 1)
-            ]
-            return self._chain
         m1 = self.maximal_ideal_basis()
         # eliminations hand out exact Fractions, so they skip qq on the way in
         m1_elements = [WeilElement._ints(self, *_canonical(w)) for w in m1]
@@ -770,10 +741,12 @@ class WeilMorphism:
         cols = [[] for _ in range(width)]
         for k, n in nz:
             cols[k % width].append((k // width, n))
-        self._start(source, target, d, cols, check, matrix)
+        self._start(source, target, d, cols, matrix)
+        if check:
+            self._validate_multiplicative()
 
     @classmethod
-    def _reduced(cls, source, target, d, cols, check=False) -> "WeilMorphism":
+    def _reduced(cls, source, target, d, cols) -> "WeilMorphism":
         """The morphism whose column j has the entries n / d, (i, n) in
         cols[j] with n nonzero and i increasing, made canonical."""
         g = math.gcd(d, *[n for col in cols for _, n in col])
@@ -781,15 +754,13 @@ class WeilMorphism:
             d //= g
             cols = [[(i, n // g) for i, n in col] for col in cols]
         self = object.__new__(cls)
-        self._start(source, target, d, cols, check)
+        self._start(source, target, d, cols)
         return self
 
-    def _start(self, source, target, d, cols, check, matrix=None):
+    def _start(self, source, target, d, cols, matrix=None):
         self.source, self.target, self._matrix = source, target, matrix
         self._columns = d, tuple(map(tuple, cols))
         self._validate_cheap()
-        if check:
-            self._validate_multiplicative()
 
     @property
     def matrix(self) -> Matrix:
@@ -844,7 +815,7 @@ class WeilMorphism:
         return d * dm, acc
 
     @staticmethod
-    def from_generator_images(source, target, images, check=True) -> "WeilMorphism":
+    def from_generator_images(source, target, images) -> "WeilMorphism":
         """Define a map out of a presented algebra by where the generators go.
 
         The images must be exact, have zero augmentation, and satisfy the
@@ -861,23 +832,22 @@ class WeilMorphism:
                 raise MorphismError(f"image of {g!r} is not an element of the target")
             if not isinstance(img, WeilElement):
                 raise ModeError("morphisms are exact; float image rejected")
-            if check and sum([m * img.nums[k] for k, m in lam]):
+            if sum([m * img.nums[k] for k, m in lam]):
                 raise MorphismError(f"image of {g!r} has nonzero augmentation")
         # each relation's and each basis monomial's image, degree by degree,
         # is its first generator's image times the column of the basis
         # monomial it leaves: one product per relation, as soon as the columns
-        # below its degree exist.  Checked images lie in the maximal ideal, so
+        # below its degree exist.  The images lie in the maximal ideal, so
         # from a presented target's nilpotency degree on every image is 0 (a
-        # tabled target's degree may be an unchecked hint, so no cut there)
-        presented = check and target.flavor == "presented"
-        top = target._nilpotency if presented else math.inf
+        # tabled target's degree may cost its ideal chain, so no cut there)
+        top = target._nilpotency if target.flavor == "presented" else math.inf
         cols = [target.one()]
         for degree, g, k, rel in source._peels:
             if degree >= top:
                 break
             if rel is None:
                 cols.append(images[g] if k == 0 else cols[k] * images[g])
-            elif check and not (images[g] if k == 0 else cols[k] * images[g]).is_zero:
+            elif not (images[g] if k == 0 else cols[k] * images[g]).is_zero:
                 label = _monomial_label(rel, source.gens)
                 raise MorphismError(f"images violate the relation {label}")
         cols += [target.zero()] * (source.dimension - len(cols))
@@ -1143,33 +1113,34 @@ class _ProductOverK:
     Basis: the joint unit, then the augmentation kernel of each factor in
     order.  Every algebra has aug[0] = 1, so factor a's kernel has the basis
     e_f - aug[f] e_0 (f >= 1), and a kernel vector's coordinates are its
-    entries past index 0.  Each factor keeps one int block (_kernel_block)
+    entries past index 0.  Each factor has one int block (_kernel_block)
     read off its nonzero structure terms: coordinate f >= 1 of (e_i - aug[i]
     e_0)(e_j - aug[j] e_0) is c_ij[f] - aug[j] [f = i] - aug[i] [f = j].
     Nilpotents of different factors multiply to zero, so products go block
-    by block; _subalgebra tables only the limit, which for the discrete
-    diagram of product_over_k is the whole product.
+    by block, built on the first product; _subalgebra tables only the limit,
+    which for the discrete diagram of product_over_k is the whole product.
     """
 
     def __init__(self, algebras):
-        self.algebras = list(algebras)
-        self.offsets, self.blocks = [], []
-        pos = 1
+        self.algebras, self.offsets = list(algebras), [1]
         for w in self.algebras:
-            self.offsets.append(pos)
-            self.blocks.append((pos, pos + w.dimension - 1, *_kernel_block(w, pos)))
-            pos += w.dimension - 1
-        self.dimension = pos
-        self.t = math.lcm(*[bt for _, _, bt, _ in self.blocks])
+            self.offsets.append(self.offsets[-1] + w.dimension - 1)
+        self.dimension = self.offsets.pop()
+
+    @functools.cached_property
+    def blocks(self):  # (T, [(start, stop, T_a, rows), ...]), T the lcm of the T_a
+        pairs = zip(self.algebras, self.offsets)
+        blocks = [(o, o + w.dimension - 1, *_kernel_block(w, o)) for w, o in pairs]
+        return math.lcm(*[bt for _, _, bt, _ in blocks]), blocks
 
     def multiply(self, x, y):
         """The product of two (den, nums) int vectors, over den_x den_y t: the
         unit part, the two unit cross terms, and each factor's own block."""
         (dx, a), (dy, b) = x, y
-        t, a0, b0 = self.t, a[0], b[0]
+        (t, blocks), a0, b0 = self.blocks, a[0], b[0]
         acc = [t * (a0 * q + b0 * p) for p, q in zip(a, b)]
         acc[0] = t * a0 * b0
-        for start, stop, bt, rows in self.blocks:
+        for start, stop, bt, rows in blocks:
             nz_b = [(j, q * (t // bt)) for j, q in enumerate(b[start:stop]) if q]
             for p, row in zip(a[start:stop], rows):
                 if p:
@@ -1532,4 +1503,4 @@ def _parse_tabled(text: str) -> WeilAlgebra:
     terms = [[(1, ())] * dim for _ in range(dim)]
     for (i, j), vec in products.items():
         terms[i][j] = terms[j][i] = _over_common_denominator(sorted(vec.items()))
-    return WeilAlgebra._from_terms(terms, aug, check=True)
+    return WeilAlgebra._from_terms(terms, aug)

@@ -248,15 +248,15 @@ MUTANTS = (
     Mutant(
         "relation-check-peels-a-wrong-generator",
         "weilkit/weil.py",
-        "elif check and not (images[g] if k == 0 else cols[k] * images[g]).is_zero:",
-        "elif check and not (images[g - 1] if k == 0 else cols[k] * images[g - 1]).is_zero:",
+        "elif not (images[g] if k == 0 else cols[k] * images[g]).is_zero:",
+        "elif not (images[g - 1] if k == 0 else cols[k] * images[g - 1]).is_zero:",
         ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
     ),
     Mutant(
         "relation-check-skips-the-last-relation",
         "weilkit/weil.py",
-        "elif check and not (",
-        "elif check and rel != source.relations[-1] and not (",
+        "elif not (",
+        "elif rel != source.relations[-1] and not (",
         ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
     ),
     Mutant(
@@ -267,11 +267,25 @@ MUTANTS = (
         ("tests/test_morphism_columns.py::test_generator_images_match_the_dense_route",),
     ),
     Mutant(
-        "nilpotent-images-cut-at-an-unchecked-hint",
+        "generator-images-skip-the-augmentation-test",
         "weilkit/weil.py",
-        'presented = check and target.flavor == "presented"',
-        "presented = check and target._nilpotency is not None",
-        ("tests/test_morphism_columns.py::test_an_unchecked_nilpotency_hint_cuts_no_image",),
+        "            if sum([m * img.nums[k] for k, m in lam]):\n",
+        "            if False:\n",
+        (
+            "tests/test_morphism_columns.py::"
+            "test_an_image_off_the_maximal_ideal_is_refused_by_its_augmentation",
+        ),
+    ),
+    Mutant(
+        "tabled-skips-its-checks",
+        "weilkit/weil.py",
+        "        return cls._from_terms(terms, aug)\n",
+        "        return cls._from_terms(terms, aug, check=False)\n",
+        (
+            "tests/test_limit_path.py::"
+            "test_non_associative_mutants_are_refused_at_the_reference_triple",
+            "tests/test_sparse_structure.py::test_tabled_refuses_a_kernel_that_is_not_nilpotent",
+        ),
     ),
     Mutant(
         "equality-reads-the-matrix",

@@ -1615,8 +1615,8 @@ def tensor_injections_reference(w1, w2, w):
     gens = generator_elements(w)
     n1 = len(w1.gens)
     return (
-        WeilMorphism.from_generator_images(w1, w, gens[:n1], check=False),
-        WeilMorphism.from_generator_images(w2, w, gens[n1:], check=False),
+        WeilMorphism.from_generator_images(w1, w, gens[:n1]),
+        WeilMorphism.from_generator_images(w2, w, gens[n1:]),
     )
 
 
@@ -1628,18 +1628,17 @@ def _dense_morphism(source, target, columns):
     return WeilMorphism(source, target, Matrix._of_columns(columns, target.dimension), check=False)
 
 
-def generator_images_reference(source, target, images, check=True):
+def generator_images_reference(source, target, images):
     """WeilMorphism.from_generator_images as it was before int columns, for
     images already known to be target elements of zero augmentation: every
     relation, in order, decided by a product of powers of the images; then
     each basis monomial's image peeled off an earlier column; then a dense
     Fraction matrix."""
-    if check:
-        for r in source.relations:
-            acc = functools.reduce(operator.mul, [img**e for img, e in zip(images, r) if e])
-            if not acc.is_zero:
-                label = _monomial_label(r, source.gens)
-                raise MorphismError(f"images violate the relation {label}")
+    for r in source.relations:
+        acc = functools.reduce(operator.mul, [img**e for img, e in zip(images, r) if e])
+        if not acc.is_zero:
+            label = _monomial_label(r, source.gens)
+            raise MorphismError(f"images violate the relation {label}")
     cols = [target.one()]
     for e in source.basis[1:]:
         g = next(i for i, ei in enumerate(e) if ei > 0)
@@ -1808,7 +1807,7 @@ def skewed_copy(w, c):
             v[0] += c[i] * c[j]
             row.append([v[0] - sum(x * y for x, y in zip(c, v))] + v[1:])
         table.append(row)
-    return WeilAlgebra.tabled(table, [Fraction(1)] + list(c[1:]), check=True)
+    return WeilAlgebra.tabled(table, [Fraction(1)] + list(c[1:]))
 
 
 # ----- the former corpus draws -----------------------------------------------------

@@ -106,12 +106,6 @@ def test_compose_evaluates_inside_out():
     assert evaluate_numeric(h.bodies[0], (Fraction(4),)) == 15
 
 
-def test_stack_concatenates_outputs():
-    f = parse_map("map f(u) -> (u)")
-    g = parse_map("map g(u) -> (u^2)")
-    assert SmoothMap.stack([f, g]).arity_out == 2
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40)
 def test_serialize_parse_round_trip(seed):

@@ -26,6 +26,7 @@ from oracles import (
     same_span,
     skewed_copy,
     subalgebra_reference,
+    tabled_unchecked,
 )
 
 from weilkit import (
@@ -46,6 +47,7 @@ from weilkit import (
     parse_algebra,
     product_over_k,
     qq,
+    serialize_algebra,
     tensor,
     tensor_of_cones,
     terminal,
@@ -405,7 +407,7 @@ def test_product_refuses_a_non_multiplicative_augmentation():
     # the dual numbers' table with aug(x) = 1: (x - 1)^2 = 1 - 2x leaves the kernel
     d = dual_numbers()
     table = [[d.structure_vector(i, j) for j in range(2)] for i in range(2)]
-    bad = WeilAlgebra.tabled(table, [qq(1), qq(1)], check=False, nilpotency_hint=2)
+    bad = tabled_unchecked(table, [qq(1), qq(1)])
     with pytest.raises(AlgebraError, match="augmentation kernel not closed"):
         product_over_k(bad, d)
 
@@ -454,9 +456,7 @@ def _factor(rng, kind):
     w = rng.choice([first_order_infinitesimals(2), random_presented_algebra(rng, max_dim=5)])
     aug = [1] + [rng.choice([0, 1, -2]) for _ in range(1, w.dimension)]
     aug[rng.randrange(1, w.dimension)] = 1
-    return WeilAlgebra.tabled(
-        _table(w), [qq(x) for x in aug], check=False, nilpotency_hint=w.nilpotency_degree
-    )
+    return tabled_unchecked(_table(w), tuple(qq(x) for x in aug))
 
 
 @given(st.lists(st.sampled_from(FACTOR_KINDS), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
@@ -690,7 +690,7 @@ def _mutated(rng, table, aug):
 
 def _checked_outcome(table, aug):
     try:
-        WeilAlgebra.tabled(table, aug, check=True)
+        WeilAlgebra.tabled(table, aug)
     except AlgebraError as exc:
         return str(exc)
     return None
@@ -730,12 +730,25 @@ def test_non_associative_mutants_are_refused_at_the_reference_triple():
     assert refused >= 10
 
 
-def test_a_checked_nilpotency_hint_must_match_the_ideal_chain():
-    d = dual_numbers()
-    table = [[d.structure_vector(i, j) for j in range(2)] for i in range(2)]
-    aug = d.aug
-    with pytest.raises(AlgebraError, match=r"hint 5 disagrees .* degree 2 "):
-        WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=5)
-    assert WeilAlgebra.tabled(table, aug, check=True, nilpotency_hint=2).nilpotency_degree == 2
-    # an unchecked hint stays the caller's promise
-    assert WeilAlgebra.tabled(table, aug, check=False, nilpotency_hint=5).nilpotency_degree == 5
+@given(
+    st.sampled_from(["tabled", "parsed", "tensor"]),
+    st.sampled_from(LIMIT_KINDS[:-1]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_public_tabled_route_reads_its_degree_off_the_ideal_chain(route, kind, seed):
+    # no caller hands in a degree: tabled() and parse_algebra read it off the
+    # ideal chain, a tensor off its factors' degrees; both agree with the
+    # chain and with the reference
+    rng = random.Random(seed)
+    apex = limit(_diagram_of_kind(rng, kind))[0]
+    if route == "tabled":
+        w = WeilAlgebra.tabled(_table(apex), apex.aug)
+    elif route == "parsed":
+        w = parse_algebra(serialize_algebra(apex))
+    else:
+        other = rng.choice([dual_numbers("t"), jet_line(2, "t"), _skewed(rng, jet_line(2, "t"))[0]])
+        w = tensor(*rng.sample([apex, other], 2))[0]
+    assert w.flavor == "tabled"
+    want = nilpotency_degree_reference(_table(w), _aug(w))
+    assert w.nilpotency_degree == len(w._ideal_chain()) + 1 == want

@@ -16,6 +16,7 @@ from weilkit import (
     InfinitesimalExponent,
     ModelObject,
     ModeError,
+    NonNilpotentError,
     WeilAlgebra,
     check_weil_exponentiable,
     dual_numbers,
@@ -191,7 +192,7 @@ def _has_denominators(w):
 def _rebuilt(w):
     n = w.dimension
     table = [[w.structure_vector(i, j) for j in range(n)] for i in range(n)]
-    return WeilAlgebra.tabled(table, w.aug, check=True)
+    return WeilAlgebra.tabled(table, w.aug)
 
 
 def test_tabled_algebras_equal_their_rebuilt_structure_vectors():
@@ -201,8 +202,8 @@ def test_tabled_algebras_equal_their_rebuilt_structure_vectors():
     for w in algebras:
         back = _rebuilt(w)
         assert back == w and hash(back) == hash(w)
-        # internal constructions pass an upper bound as the nilpotency hint
-        assert back.nilpotency_degree <= w.nilpotency_degree
+        # the ideal chain of the copy gives the degree the original has
+        assert back.nilpotency_degree == w.nilpotency_degree
 
 
 def test_tabled_serialization_round_trips_byte_for_byte():
@@ -224,9 +225,14 @@ def test_tabled_algebras_with_other_products_differ():
 def test_tabled_refuses_float_structure_constants():
     one, x = [qq(1), qq(0)], [qq(0), qq(1)]
     with pytest.raises(ModeError):
-        WeilAlgebra.tabled(
-            [[one, x], [x, [qq(0), 0.5]]],
-            [qq(1), qq(0)],
-            check=False,
-            nilpotency_hint=3,
-        )
+        WeilAlgebra.tabled([[one, x], [x, [qq(0), 0.5]]], [qq(1), qq(0)])
+
+
+def test_tabled_refuses_a_kernel_that_is_not_nilpotent():
+    # Q x Q on the basis 1, x with x^2 = x: a commutative, associative,
+    # unital table whose augmentation is multiplicative, but x is idempotent
+    one, x = [qq(1), qq(0)], [qq(0), qq(1)]
+    with pytest.raises(NonNilpotentError, match="^augmentation kernel is not nilpotent$"):
+        WeilAlgebra.tabled([[one, x], [x, x]], [qq(1), qq(0)])
+    with pytest.raises(NonNilpotentError, match="^augmentation kernel is not nilpotent$"):
+        parse_algebra("weil tabled\ndim 2\nunit 0\naug 1 0\nc 0 0 0 1\nc 0 1 1 1\nc 1 1 1 1")

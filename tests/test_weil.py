@@ -1,5 +1,6 @@
 """Finite-dimensional local algebras: construction, maps, tensors, limits."""
 
+import inspect
 import math
 import operator
 import random
@@ -812,3 +813,21 @@ def test_float_elements_keep_the_operations_of_exact_ones():
         x / 0
     with pytest.raises(TypeError):
         x / 2.0
+
+
+def test_only_the_matrix_morphism_constructor_takes_a_check_knob():
+    # every public way to build an algebra or a map checks what it builds;
+    # only WeilMorphism(..., check=False) stays, for deliberately broken maps
+    knobs = []
+    for name, obj in vars(weil).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != weil.__name__:
+            continue
+        members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+        for attr, member in members:
+            member = getattr(member, "__func__", member)
+            if (attr.startswith("_") and attr != "__init__") or not inspect.isfunction(member):
+                continue
+            for param in inspect.signature(member).parameters:
+                if param == "check" or param.endswith("_hint"):
+                    knobs.append(f"{name}.{attr}({param})".replace(".(", "("))
+    assert knobs == ["WeilMorphism.__init__(check)"]
