@@ -246,7 +246,7 @@ def check_weil_exponentiable(
     sigma = factor_permutation_iso(a_side, b_side, (0, 2, 1))
     iso = sigma.is_isomorphism()
     report.add(SHUFFLE_ISO, instance, iso,
-               f"permutation matrix {sigma.matrix.rows}x{sigma.matrix.cols} invertible")
+               f"permutation matrix {b_side.dimension}x{a_side.dimension} invertible")
 
     try:
         sigma._validate_multiplicative()  # on every pair of basis vectors

@@ -278,7 +278,7 @@ def cmd_weil(args) -> int:
         sub, inclusion = equalizer(phi, psi)
         out.pair("dimension", sub.dimension)
         for i in range(sub.dimension):
-            member = src.element(list(inclusion.matrix.column(i)))
+            member = inclusion.apply(sub.basis_element(i))
             out.pair(f"member.{i}" if out.style == "kv" else "member", member)
     else:
         if not args.inputs:

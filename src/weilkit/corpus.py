@@ -204,7 +204,7 @@ def drop_added_factor(wd: WeilAlgebra) -> WeilMorphism:
     if info is None:
         raise ValueError("needs a tensor-built algebra")
     cols = [((i1, 1),) if i2 == 0 else () for (i1, i2) in info.pair_of_index]
-    return WeilMorphism._reduced(wd, info.left, 1, cols)
+    return WeilMorphism(wd, info.left, 1, cols)
 
 
 def mutate_cone(cone: DiagramInWeil, kind: str) -> DiagramInWeil | None:

@@ -723,42 +723,23 @@ def geometric_invert(x):
 class WeilMorphism:
     """A unit-preserving algebra map, held as its sparse int columns.
 
-    The state is (D, columns): column j lists (i, n) with matrix[i][j] ==
-    n / D for each nonzero entry on the bases, i increasing, where D is the
-    lcm of the reduced denominators, so gcd(D, *every n) == 1 and equal maps
-    hold equal ints.  Construction, apply, compose, == and hash run on the
-    ints: an image sums int products over the element's numerators.  The
-    Fraction `matrix` is made on its first read and kept.  Morphisms act on
-    exact elements only; a float element is a ModeError."""
+    WeilMorphism(source, target, D, cols): column j lists (i, n) with
+    matrix[i][j] == n / D for each nonzero entry on the bases, i increasing.
+    The constructor reduces by the gcd, so D is the lcm of the reduced
+    denominators and equal maps hold equal ints, and checks the shape, the
+    unit and the augmentation on the ints; the package's constructions build
+    only multiplicative columns.  Apply, compose, == and hash run on the
+    ints.  The Fraction `matrix` is made on its first read and kept.
+    Morphisms act on exact elements only; a float element is a ModeError."""
 
     __slots__ = ("source", "target", "_columns", "_matrix")
 
-    def __init__(self, source, target, matrix, check=True):
-        if matrix.shape != (target.dimension, source.dimension):
-            raise MorphismError("matrix shape does not match source/target")
-        width = source.dimension
-        d, nz = _over_common_denominator(enumerate([m for row in matrix.raw for m in row]))
-        cols = [[] for _ in range(width)]
-        for k, n in nz:
-            cols[k % width].append((k // width, n))
-        self._start(source, target, d, cols, matrix)
-        if check:
-            self._validate_multiplicative()
-
-    @classmethod
-    def _reduced(cls, source, target, d, cols) -> "WeilMorphism":
-        """The morphism whose column j has the entries n / d, (i, n) in
-        cols[j] with n nonzero and i increasing, made canonical."""
+    def __init__(self, source, target, d, cols):
         g = math.gcd(d, *[n for col in cols for _, n in col])
         if g != 1:
             d //= g
             cols = [[(i, n // g) for i, n in col] for col in cols]
-        self = object.__new__(cls)
-        self._start(source, target, d, cols)
-        return self
-
-    def _start(self, source, target, d, cols, matrix=None):
-        self.source, self.target, self._matrix = source, target, matrix
+        self.source, self.target, self._matrix = source, target, None
         self._columns = d, tuple(map(tuple, cols))
         self._validate_cheap()
 
@@ -774,10 +755,14 @@ class WeilMorphism:
             self._matrix = Matrix._of(tuple(map(tuple, rows)), len(cols))
         return self._matrix
 
-    # unit preservation and augmentation compatibility run always, on the
-    # int columns: column 0 is e_0, and aug_target . M == aug_source
+    # the shape, unit preservation and augmentation compatibility run always,
+    # on the int columns: one column per source basis vector, rows below the
+    # target's dimension, column 0 is e_0, and aug_target . M == aug_source
     def _validate_cheap(self):
         d, cols = self._columns
+        rows = self.target.dimension
+        if len(cols) != self.source.dimension or any(c and c[-1][0] >= rows for c in cols):
+            raise MorphismError("columns do not match source/target")
         if cols[0] != ((0, d),):
             raise MorphismError("morphism does not preserve the unit")
         dt, lam = self.target._int_aug()
@@ -853,12 +838,12 @@ class WeilMorphism:
         cols += [target.zero()] * (source.dimension - len(cols))
         d = math.lcm(*[c.den for c in cols])
         ints = [[(i, n * (d // c.den)) for i, n in enumerate(c.nums) if n] for c in cols]
-        return WeilMorphism._reduced(source, target, d, ints)
+        return WeilMorphism(source, target, d, ints)
 
     @staticmethod
     def identity(algebra) -> "WeilMorphism":
         units = [((j, 1),) for j in range(algebra.dimension)]
-        return WeilMorphism._reduced(algebra, algebra, 1, units)
+        return WeilMorphism(algebra, algebra, 1, units)
 
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
@@ -875,7 +860,7 @@ class WeilMorphism:
         d, cols = inner._columns
         pushed = [self._push(d, col)[1] for col in cols]
         cols = [[(i, n) for i, n in enumerate(acc) if n] for acc in pushed]
-        return WeilMorphism._reduced(inner.source, self.target, d * self._columns[0], cols)
+        return WeilMorphism(inner.source, self.target, d * self._columns[0], cols)
 
     def is_isomorphism(self) -> bool:
         return self.matrix.is_invertible()
@@ -924,12 +909,12 @@ def augmentation(algebra: WeilAlgebra) -> WeilMorphism:
     cols = [()] * algebra.dimension
     for k, n in lam:
         cols[k] = ((0, n),)
-    return WeilMorphism._reduced(algebra, terminal(), d, cols)
+    return WeilMorphism(algebra, terminal(), d, cols)
 
 
 def unit_map(algebra: WeilAlgebra) -> WeilMorphism:
     """The unique map from the scalars."""
-    return WeilMorphism._reduced(terminal(), algebra, 1, [((0, 1),)])
+    return WeilMorphism(terminal(), algebra, 1, [((0, 1),)])
 
 
 # ----- tensor products ---------------------------------------------------
@@ -1000,8 +985,8 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra):
         w = WeilAlgebra._from_terms(terms, aug, check=False)
     index_of_pair = {p: k for k, p in enumerate(pair_of_index)}
     w.tensor_info = TensorInfo(w1, w2, pair_of_index, index_of_pair)
-    inj1 = WeilMorphism._reduced(w1, w, 1, [((index_of_pair[(i, 0)], 1),) for i in range(d1)])
-    inj2 = WeilMorphism._reduced(w2, w, 1, [((index_of_pair[(0, i)], 1),) for i in range(d2)])
+    inj1 = WeilMorphism(w1, w, 1, [((index_of_pair[(i, 0)], 1),) for i in range(d1)])
+    inj2 = WeilMorphism(w2, w, 1, [((index_of_pair[(0, i)], 1),) for i in range(d2)])
     return w, inj1, inj2
 
 
@@ -1020,7 +1005,7 @@ def tensor_morphism(phi: WeilMorphism, psi: WeilMorphism, source=None, target=No
         sorted((ti.index_of_pair[(k1, k2)], a * b) for k1, a in cols1[i1] for k2, b in cols2[i2])
         for (i1, i2) in si.pair_of_index
     ]
-    return WeilMorphism._reduced(source, target, d1 * d2, cols)
+    return WeilMorphism(source, target, d1 * d2, cols)
 
 
 # ----- subalgebras, products over the scalars, limits ---------------------
@@ -1079,7 +1064,7 @@ def equalizer(phi: WeilMorphism, psi: WeilMorphism):
     diff = [[Fraction(x * e - y * d, d * e) for x, y in zip(a, b)] for (d, a), (e, b) in pushed]
     diff = Matrix._of_columns(diff, phi.target.dimension)
     sub, (d, cols) = _subalgebra(kernel_basis(diff), w._int_aug(), times)
-    return sub, WeilMorphism._reduced(sub, w, d, cols)
+    return sub, WeilMorphism(sub, w, d, cols)
 
 
 def _kernel_block(w: WeilAlgebra, off: int):
@@ -1167,7 +1152,7 @@ class _ProductOverK:
                     top -= lam.get(f, 0) * n
                     picked.append((f, n * t))
             out.append([(0, top)] + picked if top else picked)
-        return WeilMorphism._reduced(source, w, d * t, out)
+        return WeilMorphism(source, w, d * t, out)
 
     def constraints(self, arrows) -> Matrix:
         """Rows 1, 2, ... of phi . (leg s) - (leg t) for each arrow (s, t, phi),
@@ -1289,8 +1274,7 @@ def _limit_verdict(cone: DiagramInWeil, rank: int, dim: int) -> Verdict:
 
 
 def is_limit_cone(diagram: DiagramInWeil) -> Verdict:
-    """Is the given cone a limit cone?  Every leg must be an algebra map; a
-    leg built with check=False is the caller's promise of that.
+    """Is the given cone a limit cone?  Every leg must be an algebra map.
 
     The computed limit's stacked legs are an injective algebra map onto the
     compatible subspace of _rank_one_numbers, and the cone's stacked legs
@@ -1362,7 +1346,7 @@ def factor_permutation_iso(a: WeilAlgebra, b: WeilAlgebra, perm) -> WeilMorphism
         for i, v in enumerate(t):
             shuffled[perm[i]] = v
         picks.append(index_b[tuple(shuffled)])
-    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])
+    return WeilMorphism(a, b, 1, [((k, 1),) for k in picks])
 
 
 # ----- text formats -------------------------------------------------------

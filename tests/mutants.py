@@ -226,13 +226,23 @@ MUTANTS = (
         ("tests/test_weil.py::test_exact_arithmetic_matches_the_dense_reference",),
     ),
     Mutant(
-        "int-columns-drop-an-entry",
+        "int-columns-left-unreduced",
         "weilkit/weil.py",
-        "cols[k % width].append((k // width, n))",
-        "cols[k % width].append((k // width, n)) if k else None",
+        "for col in cols for _, n in col])\n        if g != 1:",
+        "for col in cols for _, n in col])\n        if False:",
         (
-            "tests/test_morphism_columns.py::test_exact_images_match_the_dense_loop",
+            "tests/test_morphism_columns.py::test_int_column_constructors_match_the_dense_routes",
             "tests/test_morphism_columns.py::test_compose_is_the_dense_product",
+        ),
+    ),
+    Mutant(
+        "morphism-row-bound-off-by-one",
+        "weilkit/weil.py",
+        "any(c and c[-1][0] >= rows for c in cols)",
+        "any(c and c[-1][0] > rows for c in cols)",
+        (
+            "tests/test_morphism_columns.py::"
+            "test_the_constructor_refuses_columns_of_the_wrong_shape",
         ),
     ),
     Mutant(
@@ -353,9 +363,9 @@ MUTANTS = (
     Mutant(
         "shuffle-images-swapped",
         "weilkit/weil.py",
-        "    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])\n",
+        "    return WeilMorphism(a, b, 1, [((k, 1),) for k in picks])\n",
         "    picks[1], picks[-1] = picks[-1], picks[1]\n"
-        "    return WeilMorphism._reduced(a, b, 1, [((k, 1),) for k in picks])\n",
+        "    return WeilMorphism(a, b, 1, [((k, 1),) for k in picks])\n",
         ("tests/test_axioms.py::test_shuffle_multiplicativity_is_decided_on_basis_pairs",),
     ),
     Mutant(

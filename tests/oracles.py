@@ -28,7 +28,9 @@ the rank loop that the pivots of one elimination replaced.
 generator_images_reference, compose_reference, selection_reference,
 tensor_morphism_reference and inclusion_reference keep the dense-Fraction
 morphism constructors that int columns replaced: relations decided by
-products of powers, and every map handed over as a Matrix.
+products of powers, and every map handed over as a Matrix to
+morphism_from_matrix, the dense WeilMorphism constructor that the
+int-column constructor replaced.
 multiplicative_reference decides multiplicativity by dense basis-pair
 products, and presented_reference lists a presented basis by scanning the
 whole box of pure-power bounds, which the staircase walk replaced.
@@ -117,6 +119,7 @@ from weilkit.weil import (
     WeilElement,
     WeilMorphism,
     _monomial_label,
+    _over_common_denominator,
     generator_elements,
     jet_line,
     limit,
@@ -1294,7 +1297,7 @@ def is_limit_cone_reference(diagram):
     if isinstance(mediating, SolveFailure):
         return False, "cone does not factor through the computed limit"
     try:
-        WeilMorphism(diagram.apex, apex, mediating, check=True)
+        morphism_from_matrix(diagram.apex, apex, mediating)
     except (MorphismError, ModeError) as exc:
         return False, f"mediating map is not a morphism: {exc}"
     rank = mediating.rank()
@@ -1376,7 +1379,8 @@ def subalgebra_reference(w, span_vectors):
             terms[i][j] = terms[j][i] = coords
     aug = tuple(e.augmentation() for e in elements)
     sub = tabled_unchecked(terms, aug)
-    incl = WeilMorphism(sub, w, Matrix._of_columns(basis_vectors, w.dimension), check=False)
+    matrix = Matrix._of_columns(basis_vectors, w.dimension)
+    incl = morphism_from_matrix(sub, w, matrix, check=False)
     return sub, incl
 
 
@@ -1491,7 +1495,7 @@ def limit_reference(diagram):
     inclusion = [list(row) for row in incl.matrix.raw]
     legs = limit_legs_reference([w.aug for w in objects], inclusion)
     return sub, [
-        WeilMorphism(sub, w, Matrix(leg, cols=sub.dimension), check=False)
+        morphism_from_matrix(sub, w, Matrix(leg, cols=sub.dimension), check=False)
         for w, leg in zip(objects, legs)
     ]
 
@@ -1623,9 +1627,32 @@ def tensor_injections_reference(w1, w2, w):
 # ----- the former dense-Fraction morphism constructors -------------------------------
 
 
+def morphism_from_matrix(source, target, matrix, check=True):
+    """The map whose matrix on the bases is the given Fraction Matrix, as the
+    former dense WeilMorphism(source, target, matrix, check) built it: the
+    shape checked, the entries put over their common denominator and split
+    into int columns, the map made by the int-column constructor, and its
+    multiplicativity decided on every basis pair unless check is False.  The
+    map keeps the matrix it was given, as the dense constructor did."""
+    if matrix.shape != (target.dimension, source.dimension):
+        raise MorphismError("matrix shape does not match source/target")
+    width = source.dimension
+    d, nz = _over_common_denominator(enumerate([m for row in matrix.raw for m in row]))
+    cols = [[] for _ in range(width)]
+    for k, n in nz:
+        cols[k % width].append((k // width, n))
+    phi = WeilMorphism(source, target, d, cols)
+    phi._matrix = matrix
+    if check:
+        phi._validate_multiplicative()
+    return phi
+
+
 def _dense_morphism(source, target, columns):
     """The morphism around Fraction columns, through the public Matrix route."""
-    return WeilMorphism(source, target, Matrix._of_columns(columns, target.dimension), check=False)
+    return morphism_from_matrix(
+        source, target, Matrix._of_columns(columns, target.dimension), check=False
+    )
 
 
 def generator_images_reference(source, target, images):
@@ -1650,7 +1677,7 @@ def generator_images_reference(source, target, images):
 
 def inverse_reference(phi):
     """The inverse of an isomorphism phi, through the dense matrix inverse."""
-    return WeilMorphism(phi.target, phi.source, phi.matrix.inverse(), check=False)
+    return morphism_from_matrix(phi.target, phi.source, phi.matrix.inverse(), check=False)
 
 
 def compose_reference(outer, inner):
@@ -1659,7 +1686,7 @@ def compose_reference(outer, inner):
         outer.matrix.raw, inner.matrix.raw, inner.target.dimension, inner.source.dimension
     )
     matrix = Matrix(rows, cols=inner.source.dimension)
-    return WeilMorphism(inner.source, outer.target, matrix, check=False)
+    return morphism_from_matrix(inner.source, outer.target, matrix, check=False)
 
 
 def selection_reference(source, target, picks):

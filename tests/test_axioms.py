@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from oracles import microlinear_numbers, multiplicative_reference
+from oracles import microlinear_numbers, morphism_from_matrix, multiplicative_reference
 
 from weilkit import (
     DiagramInWeil,
@@ -139,7 +139,7 @@ def test_shuffle_multiplicativity_is_decided_on_basis_pairs():
         cols = list(range(a_side.dimension))
         cols[1], cols[-1] = cols[-1], cols[1]
         rows = [[int(c == r) for c in cols] for r in range(a_side.dimension)]
-        swapped = WeilMorphism(a_side, a_side, Matrix(rows), check=False)
+        swapped = morphism_from_matrix(a_side, a_side, Matrix(rows), check=False)
         assert not multiplicative_reference(swapped)
         with pytest.raises(MorphismError):
             swapped._validate_multiplicative()

@@ -12,6 +12,7 @@ from oracles import (
     kron_reference,
     matmul_reference,
     matvec_reference,
+    morphism_from_matrix,
     rref_reference,
     solve_affine_reference,
     solve_columns_reference,
@@ -19,7 +20,7 @@ from oracles import (
     span_contains_reference,
 )
 
-from weilkit import Matrix, ModeError, WeilMorphism, dual_numbers, qq
+from weilkit import Matrix, ModeError, dual_numbers, qq
 from weilkit.exactlin import (
     NO_SOLUTION,
     NOT_UNIQUE,
@@ -294,7 +295,7 @@ def test_matrices_refuse_floats_at_every_route():
         Matrix([], cols=1).apply((0.5,))
     d = dual_numbers()
     with pytest.raises(ModeError):
-        WeilMorphism(d, d, Matrix([[1.0, 0.0], [0.0, 1.0]]))
+        morphism_from_matrix(d, d, Matrix([[1.0, 0.0], [0.0, 1.0]]))
     # ints pass as exact and come back as Fractions
     m = Matrix([[1, 0], [2, 3]])
     image = m.apply((1, 2))

@@ -19,6 +19,7 @@ from oracles import (
     limit_reference,
     microlinear_numbers,
     microlinear_reference,
+    morphism_from_matrix,
     nilpotency_degree_reference,
     product_algebra_reference,
     product_over_k_reference,
@@ -86,7 +87,7 @@ def _skewed(rng, w):
     c = [Fraction(0)] + [Fraction(rng.choice([-2, -1, 1, 3])) for _ in range(1, n)]
     skew = skewed_copy(w, c)
     basis = [[int(k == i) + (c[i] if k == 0 else 0) for i in range(n)] for k in range(n)]
-    return skew, WeilMorphism(skew, w, Matrix([[qq(x) for x in r] for r in basis]))
+    return skew, morphism_from_matrix(skew, w, Matrix([[qq(x) for x in r] for r in basis]))
 
 
 def _identity_cone(w):
@@ -400,7 +401,7 @@ def test_product_projections_are_algebra_maps():
         apex, legs = limit(DiagramInWeil(algebras, ()))
         assert apex.dimension == 1 + sum(w.dimension - 1 for w in algebras)
         for leg in legs:
-            WeilMorphism(leg.source, leg.target, leg.matrix, check=True)
+            morphism_from_matrix(leg.source, leg.target, leg.matrix)
 
 
 def test_product_refuses_a_non_multiplicative_augmentation():
@@ -419,14 +420,14 @@ def test_morphism_validation_messages():
     d = dual_numbers()
     j = jet_line(2)
     with pytest.raises(MorphismError, match="does not preserve the unit"):
-        WeilMorphism(d, d, Matrix([[qq(1), qq(0)], [qq(1), qq(0)]]), check=False)
+        morphism_from_matrix(d, d, Matrix([[qq(1), qq(0)], [qq(1), qq(0)]]), check=False)
     with pytest.raises(MorphismError, match="not augmentation-compatible"):
-        WeilMorphism(d, d, Matrix([[qq(1), qq(1)], [qq(0), qq(1)]]), check=False)
+        morphism_from_matrix(d, d, Matrix([[qq(1), qq(1)], [qq(0), qq(1)]]), check=False)
     # x -> x from Q[x]/(x^2) to Q[x]/(x^3): x * x is 0 but its image is not
     keep_x = Matrix([[qq(1), qq(0)], [qq(0), qq(1)], [qq(0), qq(0)]])
-    WeilMorphism(d, j, keep_x, check=False)
+    morphism_from_matrix(d, j, keep_x, check=False)
     with pytest.raises(MorphismError, match=r"not multiplicative on basis pair \(1,1\)"):
-        WeilMorphism(d, j, keep_x, check=True)
+        morphism_from_matrix(d, j, keep_x)
 
 
 # ----- products and legs from sparse terms, against the dense construction -------
@@ -517,7 +518,7 @@ def _limit_with_inclusion(diagram):
     [(sub, (common, cols))] = seen
     assert sub is apex
     product = product_algebra_reference(diagram.objects)
-    return apex, legs, WeilMorphism._reduced(sub, product, common, cols)
+    return apex, legs, WeilMorphism(sub, product, common, cols)
 
 
 def _diagram_of_kind(rng, kind):
@@ -586,7 +587,7 @@ def test_subalgebra_matches_the_echelon_route(kind, seed):
             [want._terms(i, j) for j in range(n)] for i in range(n)
         ]
         assert sub.aug == want.aug
-        assert WeilMorphism._reduced(sub, w, common, cols).matrix == want_incl.matrix
+        assert WeilMorphism(sub, w, common, cols).matrix == want_incl.matrix
 
 
 LIMIT_KINDS = ["seeded", "grid", "discrete", "skewed", "apex", "skewed-target", "unclosed"]

@@ -18,6 +18,7 @@ from oracles import (
     limit_legs_reference,
     matmul_reference,
     morphism_apply_reference,
+    morphism_from_matrix,
     product_algebra_reference,
     selection_reference,
     tensor_injections_reference,
@@ -219,11 +220,15 @@ def test_tensor_injections_with_colliding_and_trivial_factors():
 
 def _same_map(got, want):
     """got, built on int columns, is the map want holds as a Matrix: equal,
-    with equal hashes, and the matrix got makes on first read is want's."""
+    with equal hashes, and the matrix got makes on first read is want's.
+    The dense reference built from that matrix is got again, int for int,
+    and passes its multiplicativity check."""
     assert got._matrix is None and want._matrix is not None
     assert got == want and want == got and hash(got) == hash(want)
     assert got.matrix == want.matrix
     assert all(type(e) is Fraction for row in got.matrix.raw for e in row)
+    dense = morphism_from_matrix(got.source, got.target, got.matrix)
+    assert dense == got and dense._columns == got._columns and hash(dense) == hash(got)
 
 
 def _nilpotent_images(rng, source, target):
@@ -295,6 +300,18 @@ def test_an_image_off_the_maximal_ideal_is_refused_by_its_augmentation():
             WeilMorphism.from_generator_images(source, target, [image])
 
 
+def test_the_constructor_refuses_columns_of_the_wrong_shape():
+    # one column per source basis vector, and every row inside the target:
+    # x -> t^2 maps the dual numbers into Q[t]/(t^3), but row 2 is off the
+    # dual numbers, and a column too few or too many is refused before any
+    # image is read
+    d, j = dual_numbers(), jet_line(2)
+    assert WeilMorphism(d, j, 1, [((0, 1),), ((2, 1),)]).matrix.shape == (3, 2)
+    for cols in ([((0, 1),), ((2, 1),)], [((0, 1),)], [((0, 1),), ((1, 1),), ()]):
+        with pytest.raises(MorphismError, match="^columns do not match source/target$"):
+            WeilMorphism(d, d, 1, cols)
+
+
 def _limit_with_inclusions(diagram):
     """(apex, legs, [(kernel, sub, (common, columns)), ...]) of
     limit(diagram), with every _subalgebra call it made."""
@@ -344,12 +361,13 @@ def test_int_column_constructors_match_the_dense_routes(seed):
     _, legs, calls = _limit_with_inclusions(cone.without_cone())
     ((kernel, sub, (common, cols)),) = calls
     w = product_algebra_reference(cone.objects)
-    incl = WeilMorphism._reduced(sub, w, common, cols)
+    incl = WeilMorphism(sub, w, common, cols)
     _same_map(incl, inclusion_reference(sub, w, kernel))
     augs = [list(o.aug) for o in cone.objects]
     wanted = limit_legs_reference(augs, [list(row) for row in incl.matrix.raw])
     for leg, obj, rows in zip(legs, cone.objects, wanted):
-        _same_map(leg, WeilMorphism(sub, obj, Matrix(rows, cols=sub.dimension), check=False))
+        want = morphism_from_matrix(sub, obj, Matrix(rows, cols=sub.dimension), check=False)
+        _same_map(leg, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
